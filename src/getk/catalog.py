@@ -19,6 +19,7 @@ from .operators import (
     kron_all,
     pauli_string,
 )
+from .states import parse_number_token
 
 MAX_DIM = 1024
 
@@ -200,13 +201,6 @@ def full_traceless_algebra(d: int) -> ObservableSpace:
                            max_purity=1.0 - 1.0 / d)
 
 
-def _parse_spin_token(token: str) -> float:
-    if "/" in token:
-        num, den = token.split("/", 1)
-        return float(int(num)) / float(int(den))
-    return float(token)
-
-
 def named_algebra(name: str) -> ObservableSpace:
     """Resolve a catalog name as used by the command-line front end.
 
@@ -237,7 +231,7 @@ def named_algebra(name: str) -> ObservableSpace:
             raise ValueError(f"bad local algebra spec {name!r}: expected local:NxD") from exc
     if name.startswith("su2-spin:"):
         try:
-            j = _parse_spin_token(name.split(":", 1)[1])
+            j = parse_number_token(name.split(":", 1)[1])
         except (ValueError, TypeError) as exc:
             raise ValueError(f"bad spin spec {name!r}: expected su2-spin:J") from exc
         return spin_algebra(j)

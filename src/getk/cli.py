@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import boxes, catalog, reproduce
 from .operators import DimensionMismatch
 from .purity import is_generalized_unentangled, numeric_max_reference, rescaled_purity
-from .states import StateParseError, load_state
+from .states import StateParseError, load_state, read_json_file
 
 
 def _fmt_value(v) -> str:
@@ -66,49 +66,36 @@ def _load_algebra(name: str):
 
 
 def _resolve_reference(omega, rescale: str | None, seed: int):
+    """The ``--rescale`` words; an explicit number is checked by rescaled_purity."""
     if rescale is None:
         return None  # analytic when available, numerical otherwise
     if rescale == "analytic":
-        target = omega if omega.traceless else omega.traceless_sector()
-        if target.max_purity is None:
+        ref = omega.traceless_sector().max_purity
+        if ref is None:
             raise StateParseError(
                 f"--rescale analytic: no analytic reference for algebra {omega.label!r}")
-        return target.max_purity
+        return ref
     if rescale == "auto":
-        target = omega if omega.traceless else omega.traceless_sector()
-        return numeric_max_reference(target, seed=seed)
+        return numeric_max_reference(omega.traceless_sector(), seed=seed)
     try:
-        value = float(rescale)
+        return float(rescale)
     except ValueError:
         raise StateParseError(
             f"--rescale: expected auto, analytic, or a number, got {rescale!r}") from None
-    if value <= 0:
-        raise StateParseError(f"--rescale: reference must be positive, got {value}")
-    return value
 
 
 def _cmd_purity(args) -> int:
+    """``purity``, and ``classify``, which adds the verdict drawn from the same report."""
     state = load_state(args.state)
     omega = _load_algebra(args.algebra)
     seed = _seed()
     ref = _resolve_reference(omega, args.rescale, seed)
     report = rescaled_purity(state, omega, max_reference=ref, seed=seed)
     record = {"state": args.state, **report.as_dict()}
-    _emit(record, args.json)
-    return 0
-
-
-def _cmd_classify(args) -> int:
-    state = load_state(args.state)
-    omega = _load_algebra(args.algebra)
-    seed = _seed()
-    ref = _resolve_reference(omega, args.rescale, seed)
-    report = rescaled_purity(state, omega, max_reference=ref, seed=seed)
-    verdict = is_generalized_unentangled(state, omega,
-                                         max_reference=report.max_reference, tol=args.tol)
-    record = {"state": args.state, **report.as_dict(),
-              "unentangled": verdict.unentangled,
-              "theorem_direction": verdict.theorem_direction}
+    if args.command == "classify":
+        verdict = is_generalized_unentangled(state, omega, tol=args.tol, report=report)
+        record.update(unentangled=verdict.unentangled,
+                      theorem_direction=verdict.theorem_direction)
     _emit(record, args.json)
     return 0
 
@@ -127,18 +114,12 @@ def _parse_size(spec: str):
 
 
 def _load_box(path: str) -> boxes.BipartiteBoxState:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise StateParseError(f"state: cannot open {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise StateParseError(f"state: {path!r} is not valid JSON: {exc}") from exc
+    obj = read_json_file(path)
     try:
         return boxes.BipartiteBoxState.from_json_dict(obj)
     except boxes.InfeasibleError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise StateParseError(f"state: bad box table in {path!r}: {exc}") from exc
 
 
@@ -231,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--rescale", default=None)
     p_cls.add_argument("--tol", type=float, default=1e-8)
     p_cls.add_argument("--json", action="store_true")
-    p_cls.set_defaults(func=_cmd_classify)
+    p_cls.set_defaults(func=_cmd_purity)
 
     p_box = sub.add_parser("boxes", help="exact no-signalling box polytope tools")
     box_sub = p_box.add_subparsers(dest="box_command", required=True)

@@ -217,11 +217,6 @@ def partial_trace(state: QuantumState, dims, keep) -> QuantumState:
     return QuantumState(rho=reduced)
 
 
-def _flatten_real(a: np.ndarray) -> np.ndarray:
-    # Hermitian A -> real vector with the trace inner product as plain dot.
-    return np.concatenate([a.real.ravel(), a.imag.ravel()])
-
-
 class ObservableSpace:
     """Real-linear span of Hermitian operators with a trace-orthonormal basis.
 

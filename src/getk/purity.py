@@ -6,6 +6,7 @@ trace-orthonormal basis {X_a}.  Rescaled so that its maximum over pure
 states is 1, maximal purity certifies extremality of the reduced state.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,10 +89,14 @@ def numeric_max_reference(omega: ObservableSpace, seed: int = 0, restarts: int =
 
 def resolve_max_reference(omega: ObservableSpace, max_reference: float | None = None,
                           seed: int = 0, restarts: int = 32) -> float:
-    """Pick the rescaling constant: explicit value, analytic, or numerical."""
+    """Pick the rescaling constant: explicit value, analytic, or numerical.
+
+    An explicit value must be a positive, finite number.
+    """
     if max_reference is not None:
-        if max_reference <= 0:
-            raise ValueError(f"max_reference must be positive, got {max_reference}")
+        if not (math.isfinite(max_reference) and max_reference > 0):
+            raise ValueError(
+                f"rescaling reference must be a positive finite number, got {max_reference}")
         return float(max_reference)
     if omega.max_purity is not None:
         return omega.max_purity
@@ -139,18 +144,24 @@ def meyer_wallach_q(psi: QuantumState) -> float:
 
 def is_generalized_unentangled(psi: QuantumState, omega: ObservableSpace,
                                max_reference: float | None = None,
-                               tol: float = 1e-8) -> UnentangledVerdict:
+                               tol: float = 1e-8, *,
+                               report: PurityReport | None = None) -> UnentangledVerdict:
     """Maximal-purity test for generalized unentanglement of a pure state.
 
     For irreducibly represented Lie algebras maximal rescaled purity is
     equivalent to unentanglement; in general it is only sufficient, and the
     verdict records which direction applies.  Mixed states are rejected:
     deciding their unentanglement needs a convex decomposition search that
-    is out of scope here.
+    is out of scope here.  ``tol`` must be finite and non-negative.  A
+    ``report`` already computed for ``psi`` and ``omega`` is used in place
+    of computing the purity again.
     """
     if not psi.is_pure:
         raise ValueError("the maximal-purity test applies to pure states only")
-    report = rescaled_purity(psi, omega, max_reference)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be a finite non-negative number, got {tol}")
+    if report is None:
+        report = rescaled_purity(psi, omega, max_reference)
     direction = "iff" if omega.irreducible_lie else "sufficient"
     return UnentangledVerdict(unentangled=bool(report.rescaled >= 1.0 - tol),
                               theorem_direction=direction,

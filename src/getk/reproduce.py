@@ -1,17 +1,29 @@
 """Golden-value suite: every published reference number the toolkit reproduces.
 
-Each check compares a computed quantity against its reference value and
-reports one PASS/FAIL line; informational records (computed values with no
-published reference) are reported as INFO and never fail the run.
+Each check is one row of ``CHECKS``: a name, a measure, the expected value
+and its tolerance.  Running a row compares the measured quantity against
+the reference and reports one PASS/FAIL line; informational records
+(computed values with no published reference) are reported as INFO and
+never fail the run.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 
 from . import boxes, catalog, coherent, fermion, states
-from .operators import PAULI, QuantumState, bracket, kron_all, lie_closure, orthonormalize
+from .operators import (
+    PAULI,
+    QuantumState,
+    kron_all,
+    lie_closure,
+    orthonormalize,
+    partial_trace,
+    random_pure_state,
+)
 from .purity import (
     expectations_indistinguishable,
     invariant_uncertainty,
@@ -32,14 +44,12 @@ def _fmt(x) -> str:
     return f"{float(x):.12g}"
 
 
-def _value(name, measured, expected, tol=1e-10) -> CheckResult:
-    ok = abs(float(measured) - float(expected)) <= tol
-    return CheckResult(name, ok, f"value={_fmt(measured)} expected={_fmt(expected)}")
+def _bool(x) -> str:
+    return str(bool(x)).lower()
 
 
-def _flag(name, measured, expected=True) -> CheckResult:
-    return CheckResult(name, bool(measured) == bool(expected),
-                       f"value={str(bool(measured)).lower()} expected={str(bool(expected)).lower()}")
+def _max_abs(a) -> float:
+    return float(np.max(np.abs(a)))
 
 
 def make_state_provider(corrupt: str | None = None):
@@ -120,343 +130,301 @@ def _sz_operator() -> np.ndarray:
     return 0.5 * (np.kron(PAULI["Z"], eye) + np.kron(eye, PAULI["Z"]))
 
 
-def _build_checks(provider, seed: int = 0):
-    checks = []
+def _even_mixture(i, j) -> QuantumState:
+    mix = np.zeros((4, 4), dtype=complex)
+    mix[i, i] = mix[j, j] = 0.5
+    return QuantumState(rho=mix)
 
-    def add(name, fn):
-        checks.append((name, fn))
 
-    # --- two-qubit operator facts -------------------------------------
-    def bell_reductions():
-        from .operators import partial_trace
+class _Run:
+    """One run of the suite: the state lookup, the seed, the objects several
+    checks share (each built on first use), and the measures ``CHECKS`` names."""
+
+    def __init__(self, provider, seed: int):
+        self.state = provider
+        self.seed = seed
+
+    @cached_property
+    def fermions(self):
+        """The two-mode register, its number-conserving u(2) and its so(4)."""
+        reg = fermion.fock_register(2)
+        return reg, fermion.fermionic_u2(reg), fermion.fermionic_so4(reg)
+
+    @cached_property
+    def polytope(self):
+        """The (2,2,2,2) no-signalling polytope and its vertices, enumerated once."""
+        cone = boxes.no_signalling_polytope(2, 2, 2, 2)
+        return cone, boxes.enumerate_vertices(cone)
+
+    # --- two-qubit operator facts ----------------------------------------
+    def bell_reduction_error(self):
         worst = 0.0
         for kind in ("phi+", "phi-", "psi+", "psi-"):
-            st = provider(f"bell:{kind}")
+            st = self.state(f"bell:{kind}")
             for q in (0, 1):
                 red = partial_trace(st, [2, 2], [q]).density()
-                worst = max(worst, float(np.max(np.abs(red - np.eye(2) / 2))))
-        return _value("bell/reduced-maximally-mixed", worst, 0.0, tol=1e-10)
+                worst = max(worst, _max_abs(red - np.eye(2) / 2))
+        return worst
 
-    add("bell/reduced-maximally-mixed", bell_reductions)
-
-    u2 = catalog.z_conserving_u2()
-
-    add("u2/closure-dim", lambda: _value("u2/closure-dim", lie_closure(u2.basis).size, 4, tol=0))
-
-    def u2_conservation():
+    def u2_sz_commutator(self):
         sz = _sz_operator()
-        worst = max(float(np.max(np.abs(x @ sz - sz @ x))) for x in u2.basis)
-        return _value("u2/commutes-with-sz", worst, 0.0, tol=1e-12)
+        return max(_max_abs(x @ sz - sz @ x) for x in catalog.z_conserving_u2().basis)
 
-    add("u2/commutes-with-sz", u2_conservation)
-
-    def u2_excludes_zz():
+    def u2_excludes_zz(self):
         zz = np.kron(PAULI["Z"], PAULI["Z"]) / 2.0
-        return _flag("u2/zz-outside-span", u2.residual_norm(zz) > 0.9)
+        return catalog.z_conserving_u2().residual_norm(zz) > 0.9
 
-    add("u2/zz-outside-span", u2_excludes_zz)
-
-    def u2_already_orthonormal():
+    def u2_reorthonormalized_change(self):
+        u2 = catalog.z_conserving_u2()
         redone = orthonormalize(u2.basis)
-        worst = max(float(np.max(np.abs(a - b))) for a, b in zip(redone.basis, u2.basis))
-        return _value("u2/orthonormal-as-displayed", worst, 0.0, tol=1e-12)
+        return max(_max_abs(a - b) for a, b in zip(redone.basis, u2.basis))
 
-    add("u2/orthonormal-as-displayed", u2_already_orthonormal)
+    # --- three-qubit purity goldens --------------------------------------
+    def golden_purity(self, space, name):
+        st = _fixed_product_state() if name == "product" else self.state(name)
+        return rescaled_purity(st, space()).rescaled
 
-    # --- catalog counts ------------------------------------------------
-    add("catalog/local-2x2-count",
-        lambda: _value("catalog/local-2x2-count", catalog.local_algebra(2, 2).size, 6, tol=0))
-    add("catalog/omega1-count",
-        lambda: _value("catalog/omega1-count", catalog.omega1().size, 9, tol=0))
-    add("catalog/omega-prime-count",
-        lambda: _value("catalog/omega-prime-count", catalog.omega_prime_loc().size, 4, tol=0))
-
-    # --- three-qubit purity goldens ------------------------------------
-    def p1_check(name, expected):
-        def fn():
-            st = _fixed_product_state() if name == "product" else provider(name)
-            got = rescaled_purity(st, catalog.omega1()).rescaled
-            return _value(f"p1/{name}", got, expected)
-        return fn
-
-    for name, expected in _P1_GOLD.items():
-        add(f"p1/{name}", p1_check(name, expected))
-
-    def p2_check(name, expected):
-        def fn():
-            st = _fixed_product_state() if name == "product" else provider(name)
-            got = rescaled_purity(st, catalog.first_pair_algebra()).rescaled
-            return _value(f"p2/{name}", got, expected)
-        return fn
-
-    for name, expected in _P2_GOLD.items():
-        add(f"p2/{name}", p2_check(name, expected))
-
-    def omega2_literal_info():
+    def omega2_literal_values(self):
         vals = {n: rescaled_purity(st, catalog.bilocal_pair_algebra()).rescaled
-                for n, st in _three_qubit_states(provider).items()}
-        body = " ".join(f"{n}={_fmt(v)}" for n, v in sorted(vals.items()))
-        return CheckResult("info/omega2-literal-values", None, body)
+                for n, st in _three_qubit_states(self.state).items()}
+        return None, " ".join(f"{n}={_fmt(v)}" for n, v in sorted(vals.items()))
 
-    add("info/omega2-literal-values", omega2_literal_info)
+    # --- conservation-law u(2) purities ----------------------------------
+    def u2_bell_purity(self, kind):
+        return omega_purity(self.state(f"bell:{kind}"), catalog.z_conserving_u2())
 
-    # --- conservation-law u(2) purities --------------------------------
-    def u2_zero(kind):
-        def fn():
-            got = omega_purity(provider(f"bell:{kind}"), u2)
-            return _value(f"u2-purity/bell:{kind}", got, 0.0, tol=1e-12)
-        return fn
-
-    add("u2-purity/bell:psi+", u2_zero("psi+"))
-    add("u2-purity/bell:psi-", u2_zero("psi-"))
-
-    def u2_max_states():
-        ref_raw = omega_purity(provider("bell:phi+"), u2)
+    def u2_number_states_gap(self):
+        u2 = catalog.z_conserving_u2()
+        ref_raw = omega_purity(self.state("bell:phi+"), u2)
         worst = 0.0
         for name in ("fock:m2:00", "fock:m2:01", "fock:m2:10", "fock:m2:11", "bell:phi-"):
-            worst = max(worst, abs(omega_purity(provider(name), u2) - ref_raw))
-        return _value("u2-purity/number-states-match-phi", worst, 0.0, tol=1e-10)
+            worst = max(worst, abs(omega_purity(self.state(name), u2) - ref_raw))
+        return worst
 
-    add("u2-purity/number-states-match-phi", u2_max_states)
+    # --- expectation indistinguishability --------------------------------
+    def bell_vs_mixture_local(self):
+        return expectations_indistinguishable(self.state("bell:phi-"), _even_mixture(1, 2),
+                                              catalog.local_algebra(2, 2))
 
-    # --- expectation indistinguishability -------------------------------
-    def indist_local():
-        mix = np.zeros((4, 4), dtype=complex)
-        mix[1, 1] = mix[2, 2] = 0.5
-        got = expectations_indistinguishable(provider("bell:phi-"),
-                                             QuantumState(rho=mix),
-                                             catalog.local_algebra(2, 2))
-        return _flag("indistinguishable/bell-vs-mixture-local", got)
-
-    add("indistinguishable/bell-vs-mixture-local", indist_local)
-
-    def indist_prime():
-        mix = np.zeros((4, 4), dtype=complex)
-        mix[0, 0] = mix[3, 3] = 0.5
-        got = expectations_indistinguishable(QuantumState.basis_state(4, 0),
-                                             QuantumState(rho=mix),
-                                             catalog.omega_prime_loc())
-        return _flag("indistinguishable/product-vs-mixture-prime", got)
-
-    add("indistinguishable/product-vs-mixture-prime", indist_prime)
+    def product_vs_mixture_prime(self):
+        return expectations_indistinguishable(QuantumState.basis_state(4, 0),
+                                              _even_mixture(0, 3), catalog.omega_prime_loc())
 
     # --- spin-J geometry -------------------------------------------------
-    def spin_extremes(j):
-        def fn():
-            space = catalog.spin_algebra(j)
-            system = coherent.spin_system(j)
-            top = is_generalized_unentangled(system.basis_state(j), space)
-            bottom = is_generalized_unentangled(system.basis_state(-j), space)
-            center = is_generalized_unentangled(system.basis_state(j % 1), space)
-            ok = bool(top) and bool(bottom) and not bool(center)
-            return CheckResult(f"spin/extremes-J={j}", ok,
-                               f"top={str(bool(top)).lower()} bottom={str(bool(bottom)).lower()} "
-                               f"center={str(bool(center)).lower()}")
-        return fn
+    def spin_extremes(self, j):
+        space = catalog.spin_algebra(j)
+        system = coherent.spin_system(j)
+        top, bottom, center = (bool(is_generalized_unentangled(system.basis_state(m), space))
+                               for m in (j, -j, j % 1))
+        return (top and bottom and not center,
+                f"top={_bool(top)} bottom={_bool(bottom)} center={_bool(center)}")
 
-    add("spin/extremes-J=1", spin_extremes(1))
-    add("spin/extremes-J=3/2", spin_extremes(1.5))
-
-    def spin_center_uncertainty():
+    def spin_center_uncertainty(self):
         system = coherent.spin_system(3)
-        got = invariant_uncertainty(system.basis_state(0), system.generators)
-        return _value("spin/center-invariant-uncertainty-J=3", got, 12.0, tol=1e-9)
+        return invariant_uncertainty(system.basis_state(0), system.generators)
 
-    add("spin/center-invariant-uncertainty-J=3", spin_center_uncertainty)
+    def full_algebra_unentangled(self):
+        rng = np.random.default_rng(self.seed + 17)
+        return is_generalized_unentangled(random_pure_state(4, rng),
+                                          catalog.full_traceless_algebra(4))
 
-    def full_algebra_everything_unentangled():
-        rng = np.random.default_rng(seed + 17)
-        from .operators import random_pure_state
-        verdict = is_generalized_unentangled(random_pure_state(4, rng),
-                                             catalog.full_traceless_algebra(4))
-        return _flag("full-algebra/any-pure-unentangled", bool(verdict))
-
-    add("full-algebra/any-pure-unentangled", full_algebra_everything_unentangled)
-
-    def orbit_stays_extremal():
+    def orbit_purity_drift(self):
         space = catalog.spin_algebra(2)
-        rng = np.random.default_rng(seed + 3)
+        rng = np.random.default_rng(self.seed + 3)
         st = coherent.spin_system(2).basis_state(2)
         worst = 0.0
         for _ in range(5):
             moved = coherent.orbit_sample(space, st, rng.normal(scale=0.7, size=space.size))
             worst = max(worst, abs(rescaled_purity(moved, space).rescaled - 1.0))
-        return _value("spin/orbit-purity-constant", worst, 0.0, tol=1e-9)
+        return worst
 
-    add("spin/orbit-purity-constant", orbit_stays_extremal)
-
-    def spin_estimate_matches():
+    def spin_estimate_ratio(self):
         space = catalog.spin_algebra(2)
-        est = coherent.max_purity_estimate(space, restarts=8, seed=seed)
-        return _value("spin/max-estimate-J=2", est / space.max_purity, 1.0, tol=1e-6)
+        return coherent.max_purity_estimate(space, restarts=8, seed=self.seed) / space.max_purity
 
-    add("spin/max-estimate-J=2", spin_estimate_matches)
-
-    # --- restricted local spins -----------------------------------------
-    def restricted_spins():
+    # --- restricted local spins ------------------------------------------
+    def restricted_spin_extremes(self):
         space = catalog.restricted_local_spins(1)
         system = coherent.spin_system(1)
         scs_pair = coherent.scs(system, [0, 0, 1]).tensor(coherent.scs(system, [1, 0, 0]))
         center = system.basis_state(0).tensor(system.basis_state(0))
         hi = rescaled_purity(scs_pair, space).rescaled
         lo = rescaled_purity(center, space).rescaled
-        ok = abs(hi - 1) <= 1e-9 and abs(lo) <= 1e-12
-        return CheckResult("restricted-spins/product-extremes", ok,
-                           f"scs-pair={_fmt(hi)} center-pair={_fmt(lo)}")
-
-    add("restricted-spins/product-extremes", restricted_spins)
+        return (abs(hi - 1) <= 1e-9 and abs(lo) <= 1e-12,
+                f"scs-pair={_fmt(hi)} center-pair={_fmt(lo)}")
 
     # --- fermionic dictionary --------------------------------------------
-    reg = fermion.fock_register(2)
-
-    def anticommutation():
+    def anticommutation_error(self):
+        reg = self.fermions[0]
         eye = np.eye(4)
         worst = 0.0
         for iop in range(2):
             for jop in range(2):
                 ci, cj = reg.c[iop], reg.c[jop]
                 di, dj = reg.cdag[iop], reg.cdag[jop]
-                worst = max(worst, float(np.max(np.abs(ci @ cj + cj @ ci))))
-                worst = max(worst, float(np.max(np.abs(di @ dj + dj @ di))))
-                anti = di @ cj + cj @ di - (eye if iop == jop else 0)
-                worst = max(worst, float(np.max(np.abs(anti))))
-        return _value("fermion/anticommutation", worst, 0.0, tol=0)
+                worst = max(worst, _max_abs(ci @ cj + cj @ ci))
+                worst = max(worst, _max_abs(di @ dj + dj @ di))
+                worst = max(worst, _max_abs(di @ cj + cj @ di - (eye if iop == jop else 0)))
+        return worst
 
-    add("fermion/anticommutation", anticommutation)
+    def number_shift_error(self):
+        return _max_abs(fermion.number_operator(self.fermions[0]) + _sz_operator() - np.eye(4))
 
-    def number_shift():
+    def u2_span_mismatch(self):
+        u2, fu2 = catalog.z_conserving_u2(), self.fermions[1]
+        return max([fu2.residual_norm(x) for x in u2.basis]
+                   + [u2.residual_norm(x) for x in fu2.basis])
+
+    def fermionic_u2_number_commutator(self):
+        reg, fu2, _ = self.fermions
         nhat = fermion.number_operator(reg)
-        dev = float(np.max(np.abs(nhat + _sz_operator() - np.eye(4))))
-        return _value("fermion/number-equals-identity-minus-sz", dev, 0.0, tol=0)
+        return max(_max_abs(x @ nhat - nhat @ x) for x in fu2.basis)
 
-    add("fermion/number-equals-identity-minus-sz", number_shift)
+    def fermionic_purity_extremes(self):
+        fu2 = self.fermions[1]
+        hi = [self.state(n) for n in ("fock:m2:00", "fock:m2:01", "fock:m2:10",
+                                      "fock:m2:11", "bell:phi+", "bell:phi-")]
+        worst_hi = max(abs(rescaled_purity(st, fu2, seed=self.seed).rescaled - 1.0) for st in hi)
+        worst_lo = max(omega_purity(self.state(f"bell:{k}"), fu2) for k in ("psi+", "psi-"))
+        return (worst_hi <= 1e-9 and worst_lo <= 1e-12,
+                f"max|1-P|={_fmt(worst_hi)} max-zero={_fmt(worst_lo)}")
 
-    fu2 = fermion.fermionic_u2(reg)
+    def so4_u2_residual(self):
+        _, fu2, so4 = self.fermions
+        return max(so4.residual_norm(x) for x in fu2.basis)
 
-    def u2_span_match():
-        worst = max([fu2.residual_norm(x) for x in u2.basis]
-                    + [u2.residual_norm(x) for x in fu2.basis])
-        return _value("fermion/u2-span-equals-spin-u2", worst, 0.0, tol=1e-12)
-
-    add("fermion/u2-span-equals-spin-u2", u2_span_match)
-
-    def u2_number_conserving():
-        nhat = fermion.number_operator(reg)
-        worst = max(float(np.max(np.abs(x @ nhat - nhat @ x))) for x in fu2.basis)
-        return _value("fermion/u2-commutes-with-number", worst, 0.0, tol=0)
-
-    add("fermion/u2-commutes-with-number", u2_number_conserving)
-
-    def fermionic_purities():
-        hi = [provider(n) for n in ("fock:m2:00", "fock:m2:01", "fock:m2:10",
-                                    "fock:m2:11", "bell:phi+", "bell:phi-")]
-        worst_hi = max(abs(rescaled_purity(st, fu2, seed=seed).rescaled - 1.0) for st in hi)
-        worst_lo = max(omega_purity(provider(f"bell:{k}"), fu2) for k in ("psi+", "psi-"))
-        ok = worst_hi <= 1e-9 and worst_lo <= 1e-12
-        return CheckResult("fermion/u2-purity-extremes", ok,
-                           f"max|1-P|={_fmt(worst_hi)} max-zero={_fmt(worst_lo)}")
-
-    add("fermion/u2-purity-extremes", fermionic_purities)
-
-    so4 = fermion.fermionic_so4(reg)
-
-    def so4_contains_u2():
-        worst = max(so4.residual_norm(x) for x in fu2.basis)
-        return _value("fermion/so4-contains-u2", worst, 0.0, tol=1e-12)
-
-    add("fermion/so4-contains-u2", so4_contains_u2)
-
-    def so4_number_violating():
+    def so4_links_number_sectors(self):
+        reg, _, so4 = self.fermions
         vac = reg.vacuum().vector
-        double = (reg.cdag[0] @ reg.cdag[1] @ vac)
-        best = max(abs(vac.conj() @ (x @ double)) for x in so4.basis)
-        return _flag("fermion/so4-links-number-sectors", best > 0.5)
+        double = reg.cdag[0] @ reg.cdag[1] @ vac
+        return max(abs(vac.conj() @ (x @ double)) for x in so4.basis) > 0.5
 
-    add("fermion/so4-links-number-sectors", so4_number_violating)
-
-    # --- box polytope -----------------------------------------------------
-    def box_suite():
-        cone = boxes.no_signalling_polytope(2, 2, 2, 2)
-        verts = boxes.enumerate_vertices(cone)
-        classes = [boxes.classify_extremal(v, cone) for v in verts]
-        n_prod = sum(1 for c in classes if c is boxes.VertexClass.PRODUCT)
+    # --- box polytope ----------------------------------------------------
+    def vertex_census(self):
+        cone, verts = self.polytope
+        n_prod = sum(1 for v in verts
+                     if boxes.classify_extremal(v, cone) is boxes.VertexClass.PRODUCT)
         n_ent = len(verts) - n_prod
-        ok = (len(verts), n_prod, n_ent) == (24, 16, 8)
-        return CheckResult("boxes/vertex-census", ok,
-                           f"total={len(verts)} product={n_prod} entangled={n_ent}")
+        return ((len(verts), n_prod, n_ent) == (24, 16, 8),
+                f"total={len(verts)} product={n_prod} entangled={n_ent}")
 
-    add("boxes/vertex-census", box_suite)
+    def displayed_vertices_present(self):
+        found = {v.probs for v in self.polytope[1]}
+        return (boxes.canonical_product_vertex().probs in found
+                and boxes.canonical_entangled_vertex().probs in found)
 
-    def box_displayed_present():
-        cone = boxes.no_signalling_polytope(2, 2, 2, 2)
-        verts = {v.probs for v in boxes.enumerate_vertices(cone)}
-        ok = (boxes.canonical_product_vertex().probs in verts
-              and boxes.canonical_entangled_vertex().probs in verts)
-        return _flag("boxes/displayed-vertices-present", ok)
-
-    add("boxes/displayed-vertices-present", box_displayed_present)
-
-    def box_marginals():
-        half = Fraction(1, 2)
+    def marginal_goldens(self):
+        half, one, zero = Fraction(1, 2), Fraction(1), Fraction(0)
         a, b = boxes.marginals(boxes.canonical_entangled_vertex())
-        ok = a.probs == (half,) * 4 and b.probs == (half,) * 4
         pa, pb = boxes.marginals(boxes.canonical_product_vertex())
-        one, zero = Fraction(1), Fraction(0)
-        ok = ok and pa.probs == (one, zero, one, zero) and pb.probs == (one, zero, one, zero)
-        return _flag("boxes/marginal-goldens", ok)
+        return (a.probs == b.probs == (half,) * 4
+                and pa.probs == pb.probs == (one, zero, one, zero))
 
-    add("boxes/marginal-goldens", box_marginals)
-
-    def box_entangled_extremal():
-        return _flag("boxes/entangled-representative-extremal",
-                     boxes.is_extremal(boxes.canonical_entangled_vertex()))
-
-    add("boxes/entangled-representative-extremal", box_entangled_extremal)
-
-    def box_orbits():
+    def orbit_sizes(self):
         ent = len(boxes.relabeling_orbit(boxes.canonical_entangled_vertex()))
         prod = len(boxes.relabeling_orbit(boxes.canonical_product_vertex()))
-        return CheckResult("boxes/orbit-sizes", (ent, prod) == (8, 16),
-                           f"entangled-orbit={ent} product-orbit={prod}")
+        return (ent, prod) == (8, 16), f"entangled-orbit={ent} product-orbit={prod}"
 
-    add("boxes/orbit-sizes", box_orbits)
+    def separability_goldens(self):
+        prod, ent = boxes.canonical_product_vertex(), boxes.canonical_entangled_vertex()
+        prod_ok = boxes.in_separable_tensor_product(prod)
+        ent_bad = boxes.in_separable_tensor_product(ent)
+        ok = (prod_ok and not ent_bad and boxes.is_generalized_unentangled_box(prod)
+              and not boxes.is_generalized_unentangled_box(ent))
+        return ok, f"product-separable={_bool(prod_ok)} entangled-separable={_bool(ent_bad)}"
 
-    def box_separability():
-        prod_ok = boxes.in_separable_tensor_product(boxes.canonical_product_vertex())
-        ent_bad = boxes.in_separable_tensor_product(boxes.canonical_entangled_vertex())
-        ge_prod = boxes.is_generalized_unentangled_box(boxes.canonical_product_vertex())
-        ge_ent = boxes.is_generalized_unentangled_box(boxes.canonical_entangled_vertex())
-        ok = prod_ok and not ent_bad and ge_prod and not ge_ent
-        return CheckResult("boxes/separability-goldens", ok,
-                           f"product-separable={str(prod_ok).lower()} "
-                           f"entangled-separable={str(ent_bad).lower()}")
-
-    add("boxes/separability-goldens", box_separability)
-
-    def entangled_mixture_info():
+    def entangled_mixture_separable(self):
         orbit = boxes.relabeling_orbit(boxes.canonical_entangled_vertex())
         n = len(orbit)
         avg = tuple(sum(v.probs[r] for v in orbit) / n for r in range(16))
         mix = boxes.BipartiteBoxState(shape=(2, 2, 2, 2), probs=avg)
         sep = boxes.in_separable_tensor_product(mix)
-        return CheckResult("info/uniform-entangled-mixture-separable", None,
-                           f"separable={str(sep).lower()} (recorded, no reference value)")
+        return None, f"separable={_bool(sep)} (recorded, no reference value)"
 
-    add("info/uniform-entangled-mixture-separable", entangled_mixture_info)
 
-    return checks
+@dataclass(frozen=True)
+class Check:
+    """One golden check: ``measure(run)`` against ``expected``.
+
+    A numeric ``expected`` passes within ``tol``; ``True`` passes when the
+    measure is truthy.  With ``expected=None`` the measure judges itself and
+    returns ``(ok, detail)``, where ``ok=None`` marks an informational record.
+    """
+
+    name: str
+    measure: Callable
+    expected: float | bool | None = None
+    tol: float = 1e-10
+
+    def result(self, run: _Run) -> CheckResult:
+        got = self.measure(run)
+        if self.expected is None:
+            ok, detail = got
+        elif isinstance(self.expected, bool):
+            ok = bool(got) == self.expected
+            detail = f"value={_bool(got)} expected={_bool(self.expected)}"
+        else:
+            ok = abs(float(got) - float(self.expected)) <= self.tol
+            detail = f"value={_fmt(got)} expected={_fmt(self.expected)}"
+        return CheckResult(self.name, ok, detail)
+
+
+def _golden_purity_rows(prefix, gold, space):
+    """One row per state of a three-qubit golden table, measured relative to ``space()``."""
+    return tuple(Check(f"{prefix}/{name}", partial(_Run.golden_purity, space=space, name=name),
+                       expected)
+                 for name, expected in gold.items())
+
+
+CHECKS = (
+    Check("bell/reduced-maximally-mixed", _Run.bell_reduction_error, 0.0),
+    Check("u2/closure-dim",
+          lambda run: lie_closure(catalog.z_conserving_u2().basis).size, 4, tol=0),
+    Check("u2/commutes-with-sz", _Run.u2_sz_commutator, 0.0, tol=1e-12),
+    Check("u2/zz-outside-span", _Run.u2_excludes_zz, True),
+    Check("u2/orthonormal-as-displayed", _Run.u2_reorthonormalized_change, 0.0, tol=1e-12),
+    Check("catalog/local-2x2-count", lambda run: catalog.local_algebra(2, 2).size, 6, tol=0),
+    Check("catalog/omega1-count", lambda run: catalog.omega1().size, 9, tol=0),
+    Check("catalog/omega-prime-count", lambda run: catalog.omega_prime_loc().size, 4, tol=0),
+    *_golden_purity_rows("p1", _P1_GOLD, catalog.omega1),
+    *_golden_purity_rows("p2", _P2_GOLD, catalog.first_pair_algebra),
+    Check("info/omega2-literal-values", _Run.omega2_literal_values),
+    *(Check(f"u2-purity/bell:{kind}", partial(_Run.u2_bell_purity, kind=kind), 0.0, tol=1e-12)
+      for kind in ("psi+", "psi-")),
+    Check("u2-purity/number-states-match-phi", _Run.u2_number_states_gap, 0.0),
+    Check("indistinguishable/bell-vs-mixture-local", _Run.bell_vs_mixture_local, True),
+    Check("indistinguishable/product-vs-mixture-prime", _Run.product_vs_mixture_prime, True),
+    *(Check(f"spin/extremes-J={j}", partial(_Run.spin_extremes, j=j)) for j in (1, 1.5)),
+    Check("spin/center-invariant-uncertainty-J=3", _Run.spin_center_uncertainty, 12.0, tol=1e-9),
+    Check("full-algebra/any-pure-unentangled", _Run.full_algebra_unentangled, True),
+    Check("spin/orbit-purity-constant", _Run.orbit_purity_drift, 0.0, tol=1e-9),
+    Check("spin/max-estimate-J=2", _Run.spin_estimate_ratio, 1.0, tol=1e-6),
+    Check("restricted-spins/product-extremes", _Run.restricted_spin_extremes),
+    Check("fermion/anticommutation", _Run.anticommutation_error, 0.0, tol=0),
+    Check("fermion/number-equals-identity-minus-sz", _Run.number_shift_error, 0.0, tol=0),
+    Check("fermion/u2-span-equals-spin-u2", _Run.u2_span_mismatch, 0.0, tol=1e-12),
+    Check("fermion/u2-commutes-with-number", _Run.fermionic_u2_number_commutator, 0.0, tol=0),
+    Check("fermion/u2-purity-extremes", _Run.fermionic_purity_extremes),
+    Check("fermion/so4-contains-u2", _Run.so4_u2_residual, 0.0, tol=1e-12),
+    Check("fermion/so4-links-number-sectors", _Run.so4_links_number_sectors, True),
+    Check("boxes/vertex-census", _Run.vertex_census),
+    Check("boxes/displayed-vertices-present", _Run.displayed_vertices_present, True),
+    Check("boxes/marginal-goldens", _Run.marginal_goldens, True),
+    Check("boxes/entangled-representative-extremal",
+          lambda run: boxes.is_extremal(boxes.canonical_entangled_vertex()), True),
+    Check("boxes/orbit-sizes", _Run.orbit_sizes),
+    Check("boxes/separability-goldens", _Run.separability_goldens),
+    Check("info/uniform-entangled-mixture-separable", _Run.entangled_mixture_separable),
+)
 
 
 def check_names() -> list[str]:
-    return [name for name, _ in _build_checks(states.builtin_state)]
+    return [check.name for check in CHECKS]
 
 
 def run_table_paper(corrupt: str | None = None, seed: int = 0) -> list[CheckResult]:
-    provider = make_state_provider(corrupt)
-    results = []
-    for _, fn in _build_checks(provider, seed=seed):
-        results.append(fn())
-    return results
+    run = _Run(make_state_provider(corrupt), seed)
+    return [check.result(run) for check in CHECKS]
 
 
 def format_results(results) -> tuple[list[str], int]:

@@ -67,10 +67,13 @@ def biseparable_state(pair: str) -> QuantumState:
     return QuantumState(vector=v)
 
 
-def _parse_number_token(token: str) -> float:
+def parse_number_token(token: str) -> float:
+    """A number written as a decimal ("1.5") or as a fraction of integers ("3/2")."""
     token = token.strip()
     if "/" in token:
         num, den = token.split("/", 1)
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in {token!r}")
         return float(int(num)) / float(int(den))
     return float(token)
 
@@ -78,8 +81,8 @@ def _parse_number_token(token: str) -> float:
 def spin_basis_state(j_token: str, m_token: str) -> QuantumState:
     from .coherent import spin_system
 
-    j = _parse_number_token(j_token)
-    m = _parse_number_token(m_token)
+    j = parse_number_token(j_token)
+    m = parse_number_token(m_token)
     try:
         return spin_system(j).basis_state(m)
     except ValueError as exc:
@@ -150,16 +153,20 @@ def state_from_json_dict(obj: dict) -> QuantumState:
         raise StateParseError(f"bad state file: {exc}") from exc
 
 
+def read_json_file(path: str):
+    """Decode a JSON input file; a missing or malformed file is a StateParseError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise StateParseError(f"state: cannot open {path!r}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise StateParseError(f"state: {path!r} is not valid JSON: {exc}") from exc
+
+
 def load_state(source: str) -> QuantumState:
     """Resolve a builtin name or load a JSON state file."""
     prefixes = ("bell:", "ghz:", "w:", "bisep:", "spin:", "fock:")
     if any(source.startswith(p) for p in prefixes):
         return builtin_state(source)
-    try:
-        with open(source, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise StateParseError(f"state: cannot open {source!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise StateParseError(f"state: {source!r} is not valid JSON: {exc}") from exc
-    return state_from_json_dict(obj)
+    return state_from_json_dict(read_json_file(source))

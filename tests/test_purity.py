@@ -132,6 +132,11 @@ class TestRescaledPurity:
         with pytest.raises(ValueError):
             rescaled_purity(states.builtin_state("ghz:3"), catalog.omega1(), max_reference=-1.0)
 
+    @pytest.mark.parametrize("ref", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_reference_must_be_positive_and_finite(self, ref):
+        with pytest.raises(ValueError, match="positive finite"):
+            rescaled_purity(states.builtin_state("ghz:3"), catalog.omega1(), max_reference=ref)
+
 
 class TestLocalPurityFormula:
     def test_product(self):
@@ -200,6 +205,20 @@ class TestUnentanglementTest:
         with pytest.raises(ValueError):
             is_generalized_unentangled(QuantumState.maximally_mixed(4),
                                        catalog.z_conserving_u2())
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+    def test_tolerance_must_be_finite_and_non_negative(self, tol):
+        with pytest.raises(ValueError, match="tolerance"):
+            is_generalized_unentangled(states.builtin_state("w:3"), catalog.omega1(), tol=tol)
+
+    def test_given_report_is_not_recomputed(self, monkeypatch):
+        import getk.purity
+
+        st, space = states.builtin_state("bisep:13"), catalog.first_pair_algebra()
+        report = rescaled_purity(st, space)
+        monkeypatch.setattr(getk.purity, "rescaled_purity", None)  # a call would fail
+        verdict = is_generalized_unentangled(st, space, tol=0.7, report=report)
+        assert verdict.unentangled and verdict.rescaled == report.rescaled
 
 
 class TestIndistinguishability:

@@ -1,9 +1,11 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
 
-from getk import cli, states
+from getk import boxes, catalog, cli, fermion, purity, states
 from getk.operators import QuantumState
 
 
@@ -87,6 +89,20 @@ class TestStateFiles:
             states.load_state("/no/such/file.json")
 
 
+class TestNumberTokens:
+    def test_forms(self):
+        assert states.parse_number_token("3/2") == 1.5
+        assert states.parse_number_token(" 2 ") == 2.0
+        assert states.parse_number_token("0.5") == 0.5
+
+    def test_zero_denominator(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            states.parse_number_token("3/0")
+
+    def test_catalog_uses_the_same_parser(self):
+        assert catalog.named_algebra("su2-spin:3/2") is catalog.spin_algebra(1.5)
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -142,6 +158,20 @@ class TestPurityCommand:
         code, _, err = run_cli(capsys, "purity", "--state", "bell:phi+", "--algebra", "omega1")
         assert code == 3 and "dimension" in err.lower()
 
+    @pytest.mark.parametrize("command", ["purity", "classify"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_bad_rescale_exit_2(self, capsys, command, value):
+        code, out, err = run_cli(capsys, command, "--state", "w:3", "--algebra", "omega1",
+                                 "--rescale", value)
+        assert code == 2 and out == "" and "positive finite" in err
+
+    def test_zero_denominator_in_names_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "purity", "--state", "spin:3/0,0",
+                                 "--algebra", "su2-spin:3")
+        assert code == 2 and out == "" and "state" in err
+        code, out, err = run_cli(capsys, "purity", "--state", "w:3", "--algebra", "su2-spin:1/0")
+        assert code == 2 and out == "" and "algebra" in err
+
     def test_ge_seed_env(self, capsys, monkeypatch):
         monkeypatch.setenv("GE_SEED", "12345")
         code, out, _ = run_cli(capsys, "purity", "--state", "bell:psi+", "--algebra", "u2")
@@ -182,6 +212,31 @@ class TestClassifyCommand:
                                "--algebra", "omega2-paper-values", "--tol", "0.7")
         assert code == 0 and "unentangled=true" in out
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_bad_tolerance_exit_2(self, capsys, value):
+        code, out, err = run_cli(capsys, "classify", "--state", "w:3", "--algebra", "omega1",
+                                 "--tol", value)
+        assert code == 2 and out == "" and "tolerance" in err
+
+    def test_zero_tolerance_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "classify", "--state", "ghz:3", "--algebra", "omega1",
+                               "--tol", "0")
+        assert code == 0 and "unentangled=false" in out
+
+    def test_purity_computed_once(self, capsys, monkeypatch):
+        calls = []
+        real = purity.rescaled_purity
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(purity, "rescaled_purity", counted)
+        monkeypatch.setattr(cli, "rescaled_purity", counted)
+        code, out, _ = run_cli(capsys, "classify", "--state", "spin:3,3", "--algebra", "su2-spin:3")
+        assert code == 0 and "unentangled=true" in out
+        assert len(calls) == 1
+
 
 class TestBoxesCommands:
     def entangled_file(self, tmp_path):
@@ -199,7 +254,7 @@ class TestBoxesCommands:
     def test_vertices_summary(self, capsys):
         code, out, _ = run_cli(capsys, "boxes", "vertices", "--size", "2,2,2,2")
         assert code == 0
-        assert out.strip().endswith("product=16 entangled=8 total=24")
+        assert out.splitlines()[-1] == "product=16 entangled=8 total=24"
         assert out.count("vertex=") == 24
 
     def test_classify_entangled(self, capsys, tmp_path):
@@ -249,6 +304,17 @@ class TestBoxesCommands:
         code, _, _ = run_cli(capsys, "boxes", "classify", "--state", str(path))
         assert code == 4
 
+    def test_zero_denominator_exit_2(self, capsys, tmp_path):
+        table = {
+            "n_inputs": [2, 2], "n_outputs": [2, 2],
+            "p": [[1, 0]] + [[0, 1]] * 15,
+        }
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(table))
+        code, out, err = run_cli(capsys, "boxes", "separable", "--state", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: state: bad box table")
+
     def test_bad_size_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "boxes", "vertices", "--size", "2,2,2")
         assert code == 2 and "--size" in err
@@ -259,6 +325,23 @@ class TestBoxesCommands:
         assert record["total"] == 4 and record["product"] == 4
 
 
+@pytest.fixture(scope="module")
+def paper_run():
+    """One full ``reproduce --table paper`` run: exit code, stdout, enumerations made."""
+    enumerated = []
+    real = boxes.enumerate_vertices
+
+    def counted(cone):
+        enumerated.append(cone)
+        return real(cone)
+
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
+        mp.setattr(boxes, "enumerate_vertices", counted)
+        code = cli.main(["reproduce", "--table", "paper"])
+    return code, out.getvalue(), len(enumerated)
+
+
 class TestReproduceCommand:
     def test_list_names(self, capsys):
         code, out, _ = run_cli(capsys, "reproduce", "--table", "paper", "--list")
@@ -267,11 +350,29 @@ class TestReproduceCommand:
         assert "p1/ghz:3" in names and "boxes/vertex-census" in names
         assert len(names) >= 30
 
-    def test_full_run_passes(self, capsys):
-        code, out, _ = run_cli(capsys, "reproduce", "--table", "paper")
+    def test_full_run_passes(self, paper_run):
+        code, out, _ = paper_run
         assert code == 0
         assert "FAIL" not in out
         assert out.count("PASS") >= 30
+
+    def test_list_matches_run(self, capsys, paper_run):
+        code, listed, _ = run_cli(capsys, "reproduce", "--table", "paper", "--list")
+        assert code == 0
+        run_lines = paper_run[1].splitlines()[:-1]  # the last line is the checked= summary
+        assert listed.splitlines() == [line.split(" ")[1] for line in run_lines]
+
+    def test_polytope_enumerated_once(self, paper_run):
+        assert paper_run[2] == 1
+
+    def test_list_computes_nothing(self, capsys, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("--list must not compute")
+
+        monkeypatch.setattr(boxes, "enumerate_vertices", forbidden)
+        monkeypatch.setattr(fermion, "fock_register", forbidden)
+        code, out, _ = run_cli(capsys, "reproduce", "--table", "paper", "--list")
+        assert code == 0 and "boxes/vertex-census" in out.splitlines()
 
     def test_corrupted_builtin_fails(self, capsys):
         code, out, _ = run_cli(capsys, "reproduce", "--table", "paper",
