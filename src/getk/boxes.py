@@ -110,10 +110,6 @@ class BipartiteBoxState:
                 if self.block_sum(k, l) != 1:
                     raise InfeasibleError(f"block ({k},{l}) sums to {self.block_sum(k, l)}, not 1")
 
-    @property
-    def n_cols(self) -> int:
-        return self.shape[2] * self.shape[3]
-
     def prob(self, i: int, j: int, k: int, l: int) -> Fraction:
         na, ma, nb, mb = self.shape
         return self.probs[(ma * k + i) * (nb * mb) + (mb * l + j)]
@@ -192,10 +188,6 @@ class PolyhedralCone:
     ambient: int
     equalities: tuple  # rows a with a . x = 0
     unit: tuple        # lambda with lambda . x = 1 on the base
-
-    def index(self, i, j, k, l) -> int:
-        na, ma, nb, mb = self.shape
-        return (ma * k + i) * (nb * mb) + (mb * l + j)
 
 
 def no_signalling_polytope(na: int, ma: int, nb: int | None = None,
@@ -314,23 +306,62 @@ def affine_dimension(cone: PolyhedralCone) -> int:
 def _integerize(frac_row):
     mult = lcm(*(f.denominator for f in frac_row)) if frac_row else 1
     ints = [int(f * mult) for f in frac_row]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
+    g = gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
+
+
+def _extreme_rays(rows, dim):
+    """Extreme rays of the pointed cone {y : row . y >= 0 for every row}, exactly.
+
+    Double description (Motzkin et al. 1953; Fukuda & Prodon 1996) over the
+    integers: start from the simplicial cone of the first ``dim`` linearly
+    independent rows, then add the other rows one at a time.  Each ray
+    carries its zero set as an int bitmask over the rows added so far; a
+    positive and a negative ray are combined only when they are adjacent,
+    i.e. their common zero set has at least ``dim - 2`` rows and lies in no
+    third ray's zero set.
+    """
+    _, basis = _rref([[Fraction(row[c]) for row in rows] for c in range(dim)])
+    inv, _ = _rref([[Fraction(rows[b][c]) for c in range(dim)]
+                    + [F1 if i == k else F0 for k in range(dim)]
+                    for i, b in enumerate(basis)])
+    full = sum(1 << b for b in basis)
+    rays = [_integerize([inv[c][dim + i] for c in range(dim)]) for i in range(dim)]
+    masks = [full & ~(1 << b) for b in basis]
+    done = set(basis)
+    for h, row in enumerate(rows):
+        if h in done:
+            continue
+        bit = 1 << h
+        vals = [sum(a * y for a, y in zip(row, ray)) for ray in rays]
+        pos = [i for i, v in enumerate(vals) if v > 0]
+        neg = [i for i, v in enumerate(vals) if v < 0]
+        new_rays = [ray for ray, v in zip(rays, vals) if v >= 0]
+        new_masks = [mk | bit if v == 0 else mk for mk, v in zip(masks, vals) if v >= 0]
+        for i in pos:
+            for j in neg:
+                common = masks[i] & masks[j]
+                if common.bit_count() < dim - 2:
+                    continue
+                if any(mk & common == common for k, mk in enumerate(masks)
+                       if k != i and k != j):
+                    continue
+                vi, vj = vals[i], -vals[j]  # both positive; the combination is tight at h
+                ray = [vi * yj + vj * yi for yi, yj in zip(rays[i], rays[j])]
+                g = gcd(*ray)
+                new_rays.append([v // g for v in ray])
+                new_masks.append(common | bit)
+        rays, masks = new_rays, new_masks
+    return rays
 
 
 def enumerate_vertices(cone: PolyhedralCone) -> list:
     """All vertices of the normalized polytope, exactly.
 
-    Brute force over candidate tight sets: pick affine-dimension many
-    linearly independent nonnegativity constraints (by incremental integer
-    elimination, pruning dependent prefixes), solve the resulting square
-    system, and keep feasible solutions.  Any feasible point pinned by an
-    independent tight set of full rank is a vertex, so no separate rank
-    check is needed; duplicates from larger tight sets are merged exactly.
+    The polytope is parametrized as x = x0 + N t over its affine hull; each
+    nonnegativity row x_r >= 0 becomes an integer row on (t, s), homogenized
+    with s >= 0, and the extreme rays of that cone with s > 0 are the
+    vertices, x = x0 + N t / s.
     """
     na, ma, nb, mb = cone.shape
     if na * ma > ENUMERATION_CAP or nb * mb > ENUMERATION_CAP:
@@ -339,69 +370,24 @@ def enumerate_vertices(cone: PolyhedralCone) -> list:
     aug = [list(e) + [F0] for e in cone.equalities] + [list(cone.unit) + [F1]]
     x0, null = _affine_solution(aug, ambient)
     p = len(null)
-    base_rows = [_integerize([null[q][r] for q in range(p)] + [x0[r]])
-                 for r in range(ambient)]
-    found = {}
-
-    def solve_and_record(pivot_list):
-        t = [F0] * p
-        for col, row in reversed(pivot_list):
-            acc = Fraction(row[p])
-            for jj in range(p):
-                if jj != col and row[jj]:
-                    acc += row[jj] * t[jj]
-            t[col] = -acc / row[col]
-        x = []
-        for r in range(ambient):
-            val = x0[r]
-            for q in range(p):
-                if t[q]:
-                    val += null[q][r] * t[q]
-            if val < 0:
-                return
-            x.append(val)
-        found[tuple(x)] = None
-
-    def recurse(rows, pivot_list):
-        need = p - len(pivot_list)
-        if need == 0:
-            solve_and_record(pivot_list)
-            return
-        for s in range(len(rows) - need + 1):
-            row = rows[s]
-            col = next((j for j in range(p) if row[j]), None)
-            if col is None:
-                continue
-            rc = row[col]
-            tail = []
-            for r2 in rows[s + 1:]:
-                if r2[col]:
-                    nr = [rc * a - r2[col] * b for a, b in zip(r2, row)]
-                    g = 0
-                    for v in nr:
-                        g = gcd(g, abs(v))
-                    if g > 1:
-                        nr = [v // g for v in nr]
-                    tail.append(nr)
-                else:
-                    tail.append(r2)
-            recurse(tail, pivot_list + [(col, row)])
-
-    recurse(base_rows, [])
-    states = [BipartiteBoxState(shape=cone.shape, probs=probs) for probs in sorted(found)]
-    return states
-
-
-def _check_membership(state: BipartiteBoxState, cone: PolyhedralCone):
-    if state.shape != cone.shape:
-        raise ValueError(f"state shape {state.shape} does not match cone shape {cone.shape}")
-    marginals(state)  # raises SignallingError on violation
+    frac_rows = [[null[q][r] for q in range(p)] + [x0[r]] for r in range(ambient)]
+    den = lcm(*(v.denominator for row in frac_rows for v in row))
+    rows = [[int(v * den) for v in row] for row in frac_rows]  # row . (t, s) = den * s * x_r
+    found = []
+    for ray in _extreme_rays([[0] * p + [1]] + rows, p + 1):
+        s = ray[p]
+        if s > 0:
+            found.append(tuple(Fraction(sum(a * y for a, y in zip(row, ray)), den * s)
+                               for row in rows))
+    return [BipartiteBoxState(shape=cone.shape, probs=probs) for probs in sorted(found)]
 
 
 def is_extremal(state: BipartiteBoxState, cone: PolyhedralCone | None = None) -> bool:
     """Exact vertex test: tight constraints span the whole ambient space."""
     cone = cone or no_signalling_polytope(*state.shape)
-    _check_membership(state, cone)
+    if state.shape != cone.shape:
+        raise ValueError(f"state shape {state.shape} does not match cone shape {cone.shape}")
+    marginals(state)  # raises SignallingError on violation
     rows = [list(e) for e in cone.equalities] + [list(cone.unit)]
     for r, val in enumerate(state.probs):
         if val == 0:
@@ -427,9 +413,14 @@ def classify_extremal(state: BipartiteBoxState,
     cone = cone or no_signalling_polytope(*state.shape)
     if not is_extremal(state, cone):
         raise ValueError("classification is defined for extremal states only")
-    a, b = marginals(state)
+    return _vertex_class(state)
+
+
+def _vertex_class(vertex: BipartiteBoxState) -> VertexClass:
+    """The marginal rule of :func:`classify_extremal` for a known vertex."""
+    a, b = marginals(vertex)
     if a.is_extremal() and b.is_extremal():
-        if a.tensor(b).probs != state.probs:
+        if a.tensor(b).probs != vertex.probs:
             raise AssertionError("deterministic marginals without exact factorization")
         return VertexClass.PRODUCT
     return VertexClass.ENTANGLED
@@ -582,8 +573,7 @@ def is_generalized_unentangled_box(state: BipartiteBoxState,
     """
     cone = cone or no_signalling_polytope(*state.shape)
     if is_extremal(state, cone):
-        a, b = marginals(state)
-        return a.is_extremal() and b.is_extremal()
+        return _vertex_class(state) is VertexClass.PRODUCT
     return in_separable_tensor_product(state)
 
 

@@ -21,7 +21,7 @@ from .operators import (
 )
 from .states import parse_number_token
 
-MAX_DIM = 1024
+MAX_DIM = 1024  # largest Hilbert-space dimension a state or an algebra may allocate
 
 
 @lru_cache(maxsize=None)
@@ -35,8 +35,8 @@ def local_algebra(n: int, d0: int, label: str | None = None) -> ObservableSpace:
     """
     if n < 1 or d0 < 2:
         raise ValueError("need n >= 1 sites of local dimension d0 >= 2")
-    if d0 ** n > MAX_DIM:
-        raise ValueError(f"total dimension {d0 ** n} exceeds the supported {MAX_DIM}")
+    if n >= MAX_DIM.bit_length() or d0 ** n > MAX_DIM:  # d0 >= 2: never forms a huge power
+        raise ValueError(f"total dimension {d0}^{n} exceeds the supported {MAX_DIM}")
     site = gell_mann_basis(d0)
     ident = np.eye(d0, dtype=complex) / np.sqrt(d0)
     ops = []
@@ -225,10 +225,10 @@ def named_algebra(name: str) -> ObservableSpace:
     if name.startswith("local:"):
         spec = name.split(":", 1)[1]
         try:
-            n, d0 = spec.lower().split("x")
-            return local_algebra(int(n), int(d0))
-        except (ValueError, TypeError) as exc:
+            n, d0 = (int(v) for v in spec.lower().split("x"))
+        except ValueError as exc:
             raise ValueError(f"bad local algebra spec {name!r}: expected local:NxD") from exc
+        return local_algebra(n, d0)
     if name.startswith("su2-spin:"):
         try:
             j = parse_number_token(name.split(":", 1)[1])

@@ -130,7 +130,7 @@ def _cmd_boxes_vertices(args) -> int:
         verts = boxes.enumerate_vertices(cone)
     except ValueError as exc:
         raise StateParseError(f"--size: {exc}") from exc
-    classified = [(v, boxes.classify_extremal(v, cone)) for v in verts]
+    classified = [(v, boxes._vertex_class(v)) for v in verts]  # vertices by construction
     n_prod = sum(1 for _, c in classified if c is boxes.VertexClass.PRODUCT)
     if args.json:
         record = {

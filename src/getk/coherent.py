@@ -14,8 +14,12 @@ from .operators import ObservableSpace, QuantumState, assert_hermitian, random_p
 
 
 def _validate_spin(j) -> float:
+    from .catalog import MAX_DIM  # catalog imports this module
+
     j = float(j)
-    if j < 0 or abs(2 * j - round(2 * j)) > 1e-12:
+    if 2 * j + 1 > MAX_DIM:
+        raise ValueError(f"spin {j:g} has dimension {2 * j + 1:.0f}, above the supported {MAX_DIM}")
+    if not j >= 0 or abs(2 * j - round(2 * j)) > 1e-12:  # not >= also rejects nan
         raise ValueError(f"spin must be a nonnegative half-integer, got {j}")
     return round(2 * j) / 2.0
 

@@ -151,10 +151,9 @@ class _Run:
         return reg, fermion.fermionic_u2(reg), fermion.fermionic_so4(reg)
 
     @cached_property
-    def polytope(self):
-        """The (2,2,2,2) no-signalling polytope and its vertices, enumerated once."""
-        cone = boxes.no_signalling_polytope(2, 2, 2, 2)
-        return cone, boxes.enumerate_vertices(cone)
+    def vertices(self):
+        """The vertices of the (2,2,2,2) no-signalling polytope, enumerated once."""
+        return boxes.enumerate_vertices(boxes.no_signalling_polytope(2, 2, 2, 2))
 
     # --- two-qubit operator facts ----------------------------------------
     def bell_reduction_error(self):
@@ -301,15 +300,14 @@ class _Run:
 
     # --- box polytope ----------------------------------------------------
     def vertex_census(self):
-        cone, verts = self.polytope
-        n_prod = sum(1 for v in verts
-                     if boxes.classify_extremal(v, cone) is boxes.VertexClass.PRODUCT)
+        verts = self.vertices
+        n_prod = sum(1 for v in verts if boxes._vertex_class(v) is boxes.VertexClass.PRODUCT)
         n_ent = len(verts) - n_prod
         return ((len(verts), n_prod, n_ent) == (24, 16, 8),
                 f"total={len(verts)} product={n_prod} entangled={n_ent}")
 
     def displayed_vertices_present(self):
-        found = {v.probs for v in self.polytope[1]}
+        found = {v.probs for v in self.vertices}
         return (boxes.canonical_product_vertex().probs in found
                 and boxes.canonical_entangled_vertex().probs in found)
 

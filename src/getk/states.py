@@ -35,18 +35,25 @@ def bell_state(kind: str) -> QuantumState:
     return QuantumState(vector=v)
 
 
-def ghz_state(n: int = 3) -> QuantumState:
+def _register_dim(kind: str, n: int) -> int:
+    """2**n for an n-qubit state, checked against the catalog's cap before any allocation."""
+    from .catalog import MAX_DIM  # catalog imports this module
+
     if n < 2:
-        raise StateParseError("ghz needs at least 2 qubits")
-    v = np.zeros(2 ** n, dtype=complex)
+        raise StateParseError(f"{kind} needs at least 2 qubits")
+    if n >= MAX_DIM.bit_length():  # 2**n > MAX_DIM, without forming 2**n
+        raise StateParseError(f"{kind}:{n} has dimension 2^{n}, above the supported {MAX_DIM}")
+    return 2 ** n
+
+
+def ghz_state(n: int = 3) -> QuantumState:
+    v = np.zeros(_register_dim("ghz", n), dtype=complex)
     v[0] = v[-1] = 1.0 / np.sqrt(2.0)
     return QuantumState(vector=v)
 
 
 def w_state(n: int = 3) -> QuantumState:
-    if n < 2:
-        raise StateParseError("w needs at least 2 qubits")
-    v = np.zeros(2 ** n, dtype=complex)
+    v = np.zeros(_register_dim("w", n), dtype=complex)
     for q in range(n):
         v[1 << q] = 1.0 / np.sqrt(n)
     return QuantumState(vector=v)

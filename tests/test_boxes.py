@@ -1,6 +1,7 @@
 import itertools
 import json
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -11,6 +12,9 @@ from getk.boxes import (
     Relabeling,
     SignallingError,
     VertexClass,
+    _affine_solution,
+    _integerize,
+    _vertex_class,
     affine_dimension,
     all_relabelings,
     canonical_entangled_vertex,
@@ -70,6 +74,59 @@ def oracle_vertices():
         out.add(tuple(probs))
     assert len(out) == 24
     return out
+
+
+def brute_force_vertices(cone):
+    """Reference enumerator: every independent tight set, solved exactly.
+
+    Picks affine-dimension many linearly independent nonnegativity rows (by
+    incremental integer elimination, pruning dependent prefixes), solves the
+    square system and keeps the feasible solutions.  A feasible point pinned
+    by an independent tight set of full rank is a vertex; duplicates from
+    larger tight sets merge.  Combinatorial in the size, so only for small
+    polytopes.  Returns the sorted probability tuples.
+    """
+    ambient = cone.ambient
+    aug = [list(e) + [F(0)] for e in cone.equalities] + [list(cone.unit) + [F(1)]]
+    x0, null = _affine_solution(aug, ambient)
+    p = len(null)
+    base_rows = [_integerize([null[q][r] for q in range(p)] + [x0[r]])
+                 for r in range(ambient)]
+    found = set()
+
+    def solve_and_record(pivot_list):
+        t = [F(0)] * p
+        for col, row in reversed(pivot_list):
+            acc = F(row[p]) + sum(row[jj] * t[jj] for jj in range(p) if jj != col and row[jj])
+            t[col] = -acc / row[col]
+        x = tuple(x0[r] + sum(null[q][r] * t[q] for q in range(p) if t[q])
+                  for r in range(ambient))
+        if all(v >= 0 for v in x):
+            found.add(x)
+
+    def recurse(rows, pivot_list):
+        need = p - len(pivot_list)
+        if need == 0:
+            solve_and_record(pivot_list)
+            return
+        for s in range(len(rows) - need + 1):
+            row = rows[s]
+            col = next((j for j in range(p) if row[j]), None)
+            if col is None:
+                continue
+            rc = row[col]
+            tail = []
+            for r2 in rows[s + 1:]:
+                if r2[col]:
+                    nr = [rc * a - r2[col] * b for a, b in zip(r2, row)]
+                    g = gcd(*nr)
+                    tail.append([v // g for v in nr] if g > 1 else nr)
+                else:
+                    tail.append(r2)
+            recurse(tail, pivot_list + [(col, row)])
+
+    recurse(base_rows, [])
+    return sorted(found)
 
 
 def displayed_entangled_matrix():
@@ -214,6 +271,49 @@ class TestPolytope:
         assert len(verts) == 4
         for v in verts:
             assert classify_extremal(v, cone) is VertexClass.PRODUCT
+
+
+class TestDoubleDescription:
+    @pytest.mark.parametrize("shape", [(2, 2, 2, 2), (1, 3, 2, 2), (2, 2, 1, 3), (3, 2, 1, 2)])
+    def test_matches_brute_force(self, shape):
+        cone = no_signalling_polytope(*shape)
+        assert [v.probs for v in enumerate_vertices(cone)] == brute_force_vertices(cone)
+
+    @pytest.mark.parametrize("shape, total", [((2, 2, 3, 2), 128), ((2, 2, 2, 3), 108)])
+    def test_vertices_extremal_and_closed_under_relabelings(self, shape, total):
+        na, ma, nb, mb = shape
+        cone = no_signalling_polytope(*shape)
+        verts = enumerate_vertices(cone)
+        found = {v.probs for v in verts}
+        assert len(found) == len(verts) == total
+        ident_a, ident_b = Relabeling.identity(na, ma), Relabeling.identity(nb, mb)
+        for v in verts:
+            assert is_extremal(v, cone)
+            for ra in all_relabelings(na, ma):
+                assert local_relabeling(v, ra, ident_b).probs in found
+            for rb in all_relabelings(nb, mb):
+                assert local_relabeling(v, ident_a, rb).probs in found
+        n_prod = sum(1 for v in verts if _vertex_class(v) is VertexClass.PRODUCT)
+        assert n_prod == ma ** na * mb ** nb
+
+    @pytest.mark.parametrize("shape, total", [
+        ((2, 3, 2, 3), 1161), ((3, 2, 3, 2), 1408), ((3, 2, 2, 3), 1512),
+    ])
+    def test_vertex_and_product_counts(self, shape, total):
+        na, ma, nb, mb = shape
+        verts = enumerate_vertices(no_signalling_polytope(*shape))
+        assert len(verts) == total
+        n_prod = sum(1 for v in verts if _vertex_class(v) is VertexClass.PRODUCT)
+        assert n_prod == ma ** na * mb ** nb
+
+    def test_over_cap_rejected(self):
+        with pytest.raises(ValueError, match="capped"):
+            enumerate_vertices(no_signalling_polytope(3, 3, 1, 1))
+
+    def test_vertex_class_agrees_with_classify_extremal(self):
+        cone, verts = square_pair()
+        for v in verts:
+            assert _vertex_class(v) is classify_extremal(v, cone)
 
 
 class TestExtremality:

@@ -172,6 +172,23 @@ class TestPurityCommand:
         code, out, err = run_cli(capsys, "purity", "--state", "w:3", "--algebra", "su2-spin:1/0")
         assert code == 2 and out == "" and "algebra" in err
 
+    @pytest.mark.parametrize("state, algebra", [
+        ("ghz:40", "omega1"), ("w:40", "omega1"),
+        ("spin:1e9,0", "su2-spin:1"), ("w:3", "su2-spin:1e9"),
+        ("spin:inf,0", "su2-spin:1"), ("w:3", "su2-spin:inf"),
+        ("ghz:3", "local:11x2"), ("ghz:3", "local:1000000000x2"),
+    ])
+    def test_oversized_exit_2_before_allocating(self, capsys, state, algebra):
+        # each would ask numpy for gigabytes or more if the cap fired late
+        code, out, err = run_cli(capsys, "purity", "--state", state, "--algebra", algebra)
+        assert code == 2 and out == "" and f"supported {catalog.MAX_DIM}" in err
+
+    @pytest.mark.parametrize("state, algebra", [("spin:nan,0", "su2-spin:1"),
+                                                ("w:3", "su2-spin:nan")])
+    def test_nan_spin_exit_2(self, capsys, state, algebra):
+        code, out, err = run_cli(capsys, "purity", "--state", state, "--algebra", algebra)
+        assert code == 2 and out == "" and "nonnegative half-integer, got nan" in err
+
     def test_ge_seed_env(self, capsys, monkeypatch):
         monkeypatch.setenv("GE_SEED", "12345")
         code, out, _ = run_cli(capsys, "purity", "--state", "bell:psi+", "--algebra", "u2")
