@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import boxes, catalog, reproduce
 from .operators import DimensionMismatch
-from .purity import is_generalized_unentangled, numeric_max_reference, rescaled_purity
+from .purity import is_generalized_unentangled, rescaled_purity
 from .states import StateParseError, load_state, read_json_file
 
 
@@ -59,38 +59,25 @@ def _seed() -> int:
 def _load_algebra(name: str):
     try:
         return catalog.named_algebra(name)
-    except OSError as exc:
-        raise StateParseError(f"algebra: {exc}") from exc
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise StateParseError(f"algebra: {exc}") from exc
 
 
-def _resolve_reference(omega, rescale: str | None, seed: int):
-    """The ``--rescale`` words; an explicit number is checked by rescaled_purity."""
-    if rescale is None:
-        return None  # analytic when available, numerical otherwise
-    if rescale == "analytic":
-        ref = omega.traceless_sector().max_purity
-        if ref is None:
-            raise StateParseError(
-                f"--rescale analytic: no analytic reference for algebra {omega.label!r}")
-        return ref
-    if rescale == "auto":
-        return numeric_max_reference(omega.traceless_sector(), seed=seed)
+def _rescale_value(text: str | None):
+    """The ``--rescale`` text as ``purity.resolve_max_reference`` takes it."""
     try:
-        return float(rescale)
+        return text if text in (None, "auto", "analytic") else float(text)
     except ValueError:
         raise StateParseError(
-            f"--rescale: expected auto, analytic, or a number, got {rescale!r}") from None
+            f"--rescale: expected auto, analytic, or a number, got {text!r}") from None
 
 
 def _cmd_purity(args) -> int:
     """``purity``, and ``classify``, which adds the verdict drawn from the same report."""
     state = load_state(args.state)
     omega = _load_algebra(args.algebra)
-    seed = _seed()
-    ref = _resolve_reference(omega, args.rescale, seed)
-    report = rescaled_purity(state, omega, max_reference=ref, seed=seed)
+    report = rescaled_purity(state, omega, max_reference=_rescale_value(args.rescale),
+                             seed=_seed())
     record = {"state": args.state, **report.as_dict()}
     if args.command == "classify":
         verdict = is_generalized_unentangled(state, omega, tol=args.tol, report=report)

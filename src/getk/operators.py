@@ -110,14 +110,6 @@ class QuantumState:
             self.dim = m.shape[0]
 
     @classmethod
-    def from_vector(cls, v) -> "QuantumState":
-        return cls(vector=v)
-
-    @classmethod
-    def from_density(cls, m) -> "QuantumState":
-        return cls(rho=m)
-
-    @classmethod
     def basis_state(cls, dim: int, index: int) -> "QuantumState":
         v = np.zeros(dim, dtype=complex)
         v[index] = 1.0
@@ -217,18 +209,25 @@ def partial_trace(state: QuantumState, dims, keep) -> QuantumState:
     return QuantumState(rho=reduced)
 
 
+def _real_rows(ops) -> np.ndarray:
+    """Real view, one row per operator: for Hermitian a, b, Re Tr(a b) is a row dot product."""
+    ops = np.ascontiguousarray(ops, dtype=complex)
+    return ops.reshape(ops.shape[:-2] + (ops.shape[-1] ** 2,)).view(np.float64)
+
+
 class ObservableSpace:
     """Real-linear span of Hermitian operators with a trace-orthonormal basis.
 
     ``irreducible_lie`` marks spaces that are Lie algebras represented
     irreducibly on the carrier space (this decides which direction of the
     maximal-purity criterion applies).  ``max_purity`` optionally records the
-    analytic maximum of the raw traceless purity over pure states.
+    analytic maximum of the raw traceless purity over pure states.  A space
+    is immutable once built: the catalog hands the same instance to every
+    caller.
     """
 
     def __init__(self, basis, label: str = "", *, dim: int | None = None,
-                 irreducible_lie: bool = False, max_purity: float | None = None,
-                 validate: bool = True):
+                 irreducible_lie: bool = False, max_purity: float | None = None):
         ops = [np.asarray(b, dtype=complex) for b in basis]
         if not ops and dim is None:
             raise ValueError("empty basis requires an explicit dim")
@@ -236,27 +235,29 @@ class ObservableSpace:
         self.label = label
         self.irreducible_lie = bool(irreducible_lie)
         self.max_purity = None if max_purity is None else float(max_purity)
-        self._reference_cache: dict = {}
         if ops:
             self.stack = np.stack(ops)
         else:
             self.stack = np.zeros((0, self.dim, self.dim), dtype=complex)
-        if validate:
-            self._validate()
-        self.traceless = bool(np.all(np.abs(np.einsum("aii->a", self.stack)) <= EQUALITY_TOL)) \
-            if self.size else True
         self.stack.setflags(write=False)
-
-    def _validate(self):
+        if self.stack.shape[1:] != (self.dim, self.dim):
+            raise DimensionMismatch("basis elements have inconsistent dimensions")
         for a in self.stack:
-            if a.shape != (self.dim, self.dim):
-                raise DimensionMismatch("basis elements have inconsistent dimensions")
             assert_hermitian(a)
-        if self.size:
-            gram = np.einsum("aij,bji->ab", self.stack, self.stack).real
-            dev = np.max(np.abs(gram - np.eye(self.size)))
-            if dev > EQUALITY_TOL:
-                raise ValueError(f"basis is not trace-orthonormal (max deviation {dev:.3e})")
+        rows = _real_rows(self.stack)
+        dev = np.max(np.abs(rows @ rows.T - np.eye(self.size)), initial=0.0)
+        if dev > EQUALITY_TOL:
+            raise ValueError(f"basis is not trace-orthonormal (max deviation {dev:.3e})")
+        # set last: from here on __setattr__ refuses every assignment
+        self.traceless = bool(np.all(np.abs(np.einsum("aii->a", self.stack)) <= EQUALITY_TOL))
+
+    def __setattr__(self, name, value):
+        if hasattr(self, "traceless"):
+            raise AttributeError(f"ObservableSpace is immutable; cannot set {name!r}")
+        super().__setattr__(name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError(f"ObservableSpace is immutable; cannot delete {name!r}")
 
     @property
     def size(self) -> int:
@@ -270,8 +271,6 @@ class ObservableSpace:
         """Vector of expectation values of the basis elements in ``state``."""
         if state.dim != self.dim:
             raise DimensionMismatch(f"dimension mismatch: state {state.dim} vs space {self.dim}")
-        if self.size == 0:
-            return np.zeros(0)
         if state.is_pure:
             v = state._vector
             vals = np.einsum("i,aij,j->a", v.conj(), self.stack, v)
@@ -286,10 +285,9 @@ class ObservableSpace:
         a = assert_hermitian(a)
         if a.shape[0] != self.dim:
             raise DimensionMismatch(f"dimension mismatch: operator {a.shape[0]} vs space {self.dim}")
-        if self.size == 0:
-            return np.zeros_like(a)
-        coeffs = np.einsum("aij,ji->a", self.stack, a).real
-        return np.einsum("a,aij->ij", coeffs, self.stack)
+        rows = _real_rows(self.stack)
+        coeffs = rows @ _real_rows(a)
+        return (coeffs @ rows).view(complex).reshape(self.dim, self.dim)
 
     def residual_norm(self, a) -> float:
         a = assert_hermitian(a)
@@ -307,9 +305,9 @@ class ObservableSpace:
             return self
         eye = np.eye(self.dim)
         shifted = [a - (np.trace(a) / self.dim) * eye for a in self.basis]
-        out = orthonormalize(shifted, label=self.label + "-traceless")
-        out.irreducible_lie = self.irreducible_lie
-        return out
+        sector = orthonormalize(shifted)
+        return ObservableSpace(sector.stack, label=self.label + "-traceless",
+                               irreducible_lie=self.irreducible_lie)
 
     def __repr__(self):
         return f"ObservableSpace(label={self.label!r}, dim={self.dim}, size={self.size})"
@@ -318,6 +316,7 @@ class ObservableSpace:
 def orthonormalize(ops, label: str = "") -> ObservableSpace:
     """Gram-Schmidt in the trace inner product, preserving input order.
 
+    Two passes of classical Gram-Schmidt on the real rows of the operators.
     Inputs that are numerically dependent on earlier ones (residual norm
     below 1e-9) are dropped.  Raises if every input is numerically zero.
     """
@@ -325,20 +324,22 @@ def orthonormalize(ops, label: str = "") -> ObservableSpace:
     if not mats:
         raise ValueError("orthonormalize requires at least one operator")
     d = mats[0].shape[0]
-    basis: list[np.ndarray] = []
-    for a in mats:
-        if a.shape[0] != d:
-            raise DimensionMismatch("operators have inconsistent dimensions")
-        v = a.astype(complex)
+    if any(m.shape[0] != d for m in mats):
+        raise DimensionMismatch("operators have inconsistent dimensions")
+    stack = np.stack(mats)
+    rows = _real_rows(stack)  # a view: the loop below rewrites stack in place
+    kept = 0
+    for i in range(len(rows)):
+        v, done = rows[i], rows[:kept]
         for _ in range(2):  # second pass stabilizes nearly-dependent inputs
-            for b in basis:
-                v = v - trace_inner_product(b, v) * b
-        nrm = np.sqrt(max(trace_inner_product(v, v), 0.0))
+            v -= done.T @ (done @ v)
+        nrm = np.linalg.norm(v)
         if nrm >= INDEPENDENCE_TOL:
-            basis.append(v / nrm)
-    if not basis:
+            rows[kept] = v / nrm
+            kept += 1
+    if not kept:
         raise ValueError("all inputs are numerically zero")
-    return ObservableSpace(basis, label=label)
+    return ObservableSpace(stack[:kept], label=label)
 
 
 def gell_mann_basis(d: int) -> list[np.ndarray]:
@@ -397,11 +398,9 @@ def commutant_basis(generators, dim: int | None = None, label: str = "") -> Obse
         return ObservableSpace(full, label=label, dim=d, irreducible_lie=True,
                                max_purity=1.0 - 1.0 / d)
     full_stack = np.stack(full)
-    blocks = []
-    for g in gens:
-        ad = 1.0j * (full_stack @ g - g @ full_stack)  # bracket of each basis element with g
-        blocks.append(np.einsum("aij,bji->ab", full_stack, ad).real)
-    system = np.vstack(blocks)
+    rows = _real_rows(full_stack)
+    # block g holds Re Tr(X_a i[X_b, g]) for every pair of basis elements
+    system = np.vstack([rows @ _real_rows(1j * (full_stack @ g - g @ full_stack)).T for g in gens])
     _, svals, vt = np.linalg.svd(system)
     n_basis = len(full)
     null_rows = [vt[i] for i in range(n_basis) if i >= len(svals) or svals[i] < INDEPENDENCE_TOL]

@@ -8,6 +8,7 @@ states is 1, maximal purity certifies extremality of the reduced state.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -62,10 +63,8 @@ class UnentangledVerdict:
 def project_onto(state, omega: ObservableSpace) -> np.ndarray:
     """Projection sum_a <X_a> X_a of a state (or Hermitian operator) onto omega."""
     if isinstance(state, QuantumState):
-        a = state.density()
-    else:
-        a = assert_hermitian(state)
-    return omega.project_operator(a)
+        state = state.density()
+    return omega.project_operator(state)  # checks Hermiticity
 
 
 def omega_purity(state: QuantumState, omega: ObservableSpace) -> float:
@@ -78,38 +77,40 @@ def omega_purity(state: QuantumState, omega: ObservableSpace) -> float:
     return raw
 
 
-def numeric_max_reference(omega: ObservableSpace, seed: int = 0, restarts: int = 32) -> float:
+@lru_cache(maxsize=32)  # bounded: each entry keeps its space, and its stack, alive
+def numeric_max_reference(omega: ObservableSpace, seed: int = 0) -> float:
     """Numerically estimated raw purity maximum, cached per space and seed."""
-    key = (seed, restarts)
-    if key not in omega._reference_cache:
-        omega._reference_cache[key] = coherent.max_purity_estimate(
-            omega, restarts=restarts, seed=seed)
-    return omega._reference_cache[key]
+    return coherent.max_purity_estimate(omega, seed=seed)
 
 
-def resolve_max_reference(omega: ObservableSpace, max_reference: float | None = None,
-                          seed: int = 0, restarts: int = 32) -> float:
-    """Pick the rescaling constant: explicit value, analytic, or numerical.
+def resolve_max_reference(omega: ObservableSpace, max_reference: float | str | None = None,
+                          seed: int = 0) -> float:
+    """The rescaling constant of a traceless space: the one ``--rescale`` rule.
 
-    An explicit value must be a positive, finite number.
+    ``"analytic"`` is the maximum the space carries, ``"auto"`` the seeded
+    numerical estimate, and ``None`` the first of these that exists.  A
+    number must be positive and finite.
     """
-    if max_reference is not None:
-        if not (math.isfinite(max_reference) and max_reference > 0):
-            raise ValueError(
-                f"rescaling reference must be a positive finite number, got {max_reference}")
-        return float(max_reference)
-    if omega.max_purity is not None:
+    if max_reference is None:
+        max_reference = "auto" if omega.max_purity is None else "analytic"
+    if max_reference == "auto":
+        return numeric_max_reference(omega, seed)
+    if max_reference == "analytic" and omega.max_purity is None:
+        raise ValueError(f"--rescale analytic: no analytic reference for algebra {omega.label!r}")
+    if max_reference == "analytic":
         return omega.max_purity
-    return numeric_max_reference(omega, seed=seed, restarts=restarts)
+    if isinstance(max_reference, str) or not (math.isfinite(max_reference) and max_reference > 0):
+        raise ValueError("rescaling reference must be auto, analytic or a positive finite "
+                         f"number, got {max_reference!r}")
+    return float(max_reference)
 
 
 def rescaled_purity(state: QuantumState, omega: ObservableSpace,
-                    max_reference: float | None = None, *, seed: int = 0) -> PurityReport:
+                    max_reference: float | str | None = None, *, seed: int = 0) -> PurityReport:
     """Purity report with the traceless-sector value rescaled to maximum 1."""
-    if not omega.traceless:
-        omega = omega.traceless_sector()
+    omega = omega.traceless_sector()
+    ref = resolve_max_reference(omega, max_reference, seed)
     raw = omega_purity(state, omega)
-    ref = resolve_max_reference(omega, max_reference, seed=seed)
     rescaled = raw / ref
     if rescaled > 1.0 + 1e-8:
         raise ValueError(
@@ -143,7 +144,7 @@ def meyer_wallach_q(psi: QuantumState) -> float:
 
 
 def is_generalized_unentangled(psi: QuantumState, omega: ObservableSpace,
-                               max_reference: float | None = None,
+                               max_reference: float | str | None = None,
                                tol: float = 1e-8, *,
                                report: PurityReport | None = None) -> UnentangledVerdict:
     """Maximal-purity test for generalized unentanglement of a pure state.

@@ -32,6 +32,25 @@ def test_catalog_spaces_are_valid(factory):
     assert space.traceless
 
 
+class TestSharedSpacesImmutable:
+    @pytest.mark.parametrize("attr, value", [("max_purity", 0.1), ("label", "mine"),
+                                             ("irreducible_lie", False), ("stack", None)])
+    def test_assignment_raises(self, attr, value):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(catalog.omega1(), attr, value)
+        assert catalog.omega1().max_purity == 0.375
+        assert catalog.omega1().label == "omega1" and catalog.omega1().irreducible_lie
+
+    def test_deletion_raises(self):
+        with pytest.raises(AttributeError, match="immutable"):
+            del catalog.omega1().max_purity
+        assert catalog.omega1().max_purity == 0.375
+
+    def test_stack_read_only(self):
+        with pytest.raises(ValueError):
+            catalog.omega1().stack[0, 0, 0] = 1.0
+
+
 class TestLocalAlgebra:
     def test_two_qubits_matches_pauli_embedding(self):
         space = catalog.local_algebra(2, 2)

@@ -219,6 +219,24 @@ class TestMaxPurityEstimate:
         est = max_purity_estimate(space, restarts=8, seed=1)
         assert est <= 1 - 1 / 4 + 1e-8
 
+    @pytest.mark.parametrize("name, maximum", [
+        ("omega1", 3 / 8), ("omega2-literal", 1 / 2), ("omega2-paper-values", 3 / 8),
+        ("local:3x2", 3 / 8), ("su2-spin:1", 1 / 2), ("su2-spin:3/2", 9 / 20),
+        ("su2-spin:2", 2 / 5), ("su2-spin:5/2", 5 / 14),
+        # no maximum attached; a Bell pair (times a product factor) attains each value
+        ("omega3", 3 / 8), ("omega4", 3 / 8), ("omega-prime-loc", 1 / 2), ("u2", 1 / 2),
+        ("so4-fermi", 1 / 2),
+    ])
+    def test_reaches_the_analytic_maximum(self, name, maximum):
+        space = catalog.named_algebra(name)
+        assert max_purity_estimate(space, seed=0) == pytest.approx(maximum, abs=1e-12)
+        if space.max_purity is not None:
+            assert space.max_purity == pytest.approx(maximum, abs=1e-15)
+
+    def test_reaches_the_full_space_maximum(self):
+        space = catalog.full_traceless_algebra(3)
+        assert max_purity_estimate(space, seed=0) == pytest.approx(2 / 3, abs=1e-12)
+
     def test_restart_validation(self):
         with pytest.raises(ValueError):
             max_purity_estimate(catalog.z_conserving_u2(), restarts=0)

@@ -90,6 +90,30 @@ class TestOrthonormalize:
         with pytest.raises(ValueError):
             orthonormalize([np.array([[0.0, 1.0], [0.0, 0.0]])])
 
+    def test_matches_loop_reference(self):
+        # the pairwise trace-inner-product loop the row matmuls replaced
+        def loop_gram_schmidt(ops):
+            basis = []
+            for a in ops:
+                v = a.astype(complex)
+                for _ in range(2):
+                    for b in basis:
+                        v = v - trace_inner_product(b, v) * b
+                nrm = np.sqrt(max(trace_inner_product(v, v), 0.0))
+                if nrm >= 1e-9:
+                    basis.append(v / nrm)
+            return basis
+
+        rng = np.random.default_rng(11)
+        for d, n in [(2, 3), (3, 5), (4, 9), (4, 20)]:
+            gs = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+            ops = [g + g.conj().T for g in gs]
+            ops.insert(2, 2.0 * ops[0] - ops[1])  # dependent: dropped by both
+            want = loop_gram_schmidt(ops)
+            got = orthonormalize(ops).basis
+            assert len(got) == len(want) == min(n, d * d)
+            assert max(np.max(np.abs(a - b)) for a, b in zip(got, want)) < 1e-12
+
 
 class TestExpectation:
     def test_ground_state_sz(self):
@@ -256,6 +280,19 @@ class TestObservableSpace:
         sector = sector_ready.traceless_sector()
         assert sector.traceless and sector.size == 1
         assert sector.contains(SZ)
+
+    def test_traceless_sector_keeps_the_lie_flag(self):
+        space = ObservableSpace([ID / np.sqrt(2), SZ / np.sqrt(2)], irreducible_lie=True)
+        assert space.traceless_sector().irreducible_lie
+
+    def test_projection_matches_loop_reference(self):
+        rng = np.random.default_rng(12)
+        space = lie_closure([np.kron(SX, SX), np.kron(SZ, ID)])
+        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        a = g + g.conj().T
+        want = sum(trace_inner_product(x, a) * x for x in space.basis)
+        assert np.max(np.abs(space.project_operator(a) - want)) < 1e-12
+        assert np.array_equal(ObservableSpace([], dim=4).project_operator(a), np.zeros((4, 4)))
 
     def test_empty_space(self):
         space = ObservableSpace([], dim=4)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from getk import catalog, coherent, states
+from getk.catalog import pauli_string_space
 from getk.operators import (
     PAULI,
     ObservableSpace,
@@ -19,6 +20,7 @@ from getk.purity import (
     omega_purity,
     project_onto,
     rescaled_purity,
+    resolve_max_reference,
 )
 
 SX, SY, SZ, ID = PAULI["X"], PAULI["Y"], PAULI["Z"], PAULI["I"]
@@ -136,6 +138,40 @@ class TestRescaledPurity:
     def test_reference_must_be_positive_and_finite(self, ref):
         with pytest.raises(ValueError, match="positive finite"):
             rescaled_purity(states.builtin_state("ghz:3"), catalog.omega1(), max_reference=ref)
+
+
+class TestResolveMaxReference:
+    def test_default_prefers_the_analytic_maximum(self):
+        assert resolve_max_reference(catalog.omega1()) == 0.375
+        assert resolve_max_reference(catalog.omega1(), "analytic") == 0.375
+
+    def test_auto_and_default_without_analytic_are_numerical(self):
+        omega3 = catalog.omega3()
+        assert resolve_max_reference(omega3) == resolve_max_reference(omega3, "auto")
+        assert resolve_max_reference(catalog.omega1(), "auto") == pytest.approx(0.375, abs=1e-12)
+
+    def test_analytic_unavailable(self):
+        with pytest.raises(ValueError, match="no analytic reference"):
+            resolve_max_reference(catalog.omega3(), "analytic")
+
+    @pytest.mark.parametrize("ref", ["junk", "", "0.5"])
+    def test_other_text_rejected(self, ref):
+        with pytest.raises(ValueError, match="positive finite"):
+            resolve_max_reference(catalog.omega1(), ref)
+
+    def test_numerical_reference_computed_once_per_space_and_seed(self, monkeypatch):
+        calls = []
+        real = coherent.max_purity_estimate
+
+        def counted(omega, **kwargs):
+            calls.append(kwargs)
+            return real(omega, **kwargs)
+
+        monkeypatch.setattr(coherent, "max_purity_estimate", counted)
+        space = pauli_string_space(["XY", "YX", "ZZ"])
+        for seed in (0, 0, 1, 0, 1):
+            resolve_max_reference(space, "auto", seed)
+        assert calls == [{"seed": 0}, {"seed": 1}]
 
 
 class TestLocalPurityFormula:

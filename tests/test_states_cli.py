@@ -138,6 +138,18 @@ class TestPurityCommand:
                                "--algebra", "omega1", "--rescale", "0.375")
         assert code == 0 and "max_reference=0.375" in out
 
+    @pytest.mark.parametrize("state, algebra, lines", [
+        ("bell:phi+", "omega-prime-loc", ["rescaled=1", "max_reference=0.5"]),
+        ("w:3", "omega3", ["rescaled=0.666666666667", "max_reference=0.375"]),
+        ("w:3", "omega1", ["rescaled=0.111111111111", "max_reference=0.375"]),
+    ])
+    def test_numerical_reference_is_exact(self, capsys, state, algebra, lines):
+        # omega1 has an analytic maximum; --rescale auto forces the numerical one
+        extra = ["--rescale", "auto"] if algebra == "omega1" else []
+        code, out, _ = run_cli(capsys, "purity", "--state", state, "--algebra", algebra, *extra)
+        assert code == 0
+        assert all(line in out.splitlines() for line in lines)
+
     def test_rescale_analytic_unavailable(self, capsys):
         code, _, err = run_cli(capsys, "purity", "--state", "bell:psi+",
                                "--algebra", "omega-prime-loc", "--rescale", "analytic")
