@@ -5,60 +5,9 @@ catalog of distinguished observable spaces (:mod:`getk.catalog`),
 observable-relative purity and unentanglement tests (:mod:`getk.purity`),
 coherent states and the purity maximizer (:mod:`getk.coherent`), fermionic
 modes (:mod:`getk.fermion`), and exact no-signalling box polytopes
-(:mod:`getk.boxes`).
+(:mod:`getk.boxes`).  The package exports nothing itself: import the
+submodule you need.  :mod:`getk.boxes` is pure ``Fraction`` code and does
+not import numpy.
 """
-
-from .operators import (
-    DimensionMismatch,
-    ObservableSpace,
-    QuantumState,
-    commutant_basis,
-    expectation,
-    gell_mann_basis,
-    lie_closure,
-    orthonormalize,
-    partial_trace,
-    tensor,
-    trace_inner_product,
-)
-from .purity import (
-    PurityReport,
-    UnentangledVerdict,
-    expectations_indistinguishable,
-    invariant_uncertainty,
-    is_generalized_unentangled,
-    local_purity_formula,
-    meyer_wallach_q,
-    omega_purity,
-    project_onto,
-    rescaled_purity,
-)
-from .coherent import SpinSystem, max_purity_estimate, orbit_sample, scs, spin_system
-from .fermion import (
-    FockRegister,
-    fermionic_so4,
-    fermionic_u2,
-    fock_register,
-    jw_state_dictionary,
-    number_operator,
-)
-from .boxes import (
-    BipartiteBoxState,
-    BoxState,
-    InfeasibleError,
-    PolyhedralCone,
-    Relabeling,
-    SignallingError,
-    VertexClass,
-    classify_extremal,
-    enumerate_vertices,
-    in_convex_hull,
-    in_separable_tensor_product,
-    is_extremal,
-    is_generalized_unentangled_box,
-    local_relabeling,
-    marginals,
-    no_signalling_polytope,
-)
 
 __version__ = "0.1.0"

@@ -22,6 +22,8 @@ ENUMERATION_CAP = 6  # max n_inputs * n_outputs per side for vertex enumeration
 class InfeasibleError(ValueError):
     """The table violates the cone constraints."""
 
+    exit_code = 4  # the command-line exit status for this error and SignallingError
+
 
 class SignallingError(InfeasibleError):
     """The table's marginals depend on the remote measurement choice."""
@@ -66,17 +68,10 @@ class BoxState:
 
     def tensor(self, other: "BoxState") -> "BipartiteBoxState":
         """Product table p[ij|kl] = p_A[i|k] p_B[j|l]."""
+        # Alice's flat index M*k + i is the joint row, Bob's the joint column
         shape = (self.n_inputs, self.n_outputs, other.n_inputs, other.n_outputs)
-        cols = other.n_inputs * other.n_outputs
-        probs = [F0] * (self.n_inputs * self.n_outputs * cols)
-        for k in range(self.n_inputs):
-            for i in range(self.n_outputs):
-                for l in range(other.n_inputs):
-                    for j in range(other.n_outputs):
-                        r = self.n_outputs * k + i
-                        c = other.n_outputs * l + j
-                        probs[r * cols + c] = self.prob(i, k) * other.prob(j, l)
-        return BipartiteBoxState(shape=shape, probs=tuple(probs))
+        return BipartiteBoxState(shape=shape,
+                                 probs=tuple(a * b for a in self.probs for b in other.probs))
 
 
 def deterministic_boxes(n_inputs: int, n_outputs: int) -> list:

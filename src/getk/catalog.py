@@ -12,7 +12,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import coherent
+from .fermion import fermionic_so4, fock_register
 from .operators import (
+    MAX_DIM,
     PAULI,
     ObservableSpace,
     gell_mann_basis,
@@ -20,8 +22,6 @@ from .operators import (
     pauli_string,
 )
 from .states import parse_number_token
-
-MAX_DIM = 1024  # largest Hilbert-space dimension a state or an algebra may allocate
 
 
 @lru_cache(maxsize=None)
@@ -172,15 +172,13 @@ def spin_algebra(j) -> ObservableSpace:
 
 
 @lru_cache(maxsize=None)
-def restricted_local_spins(j, n_parties: int = 2) -> ObservableSpace:
+def restricted_local_spins(j) -> ObservableSpace:
     """Two spin-J parties with only the angular momentum generators local.
 
     A proper subset of the full local algebra su(2J+1) + su(2J+1): products
     of spin coherent states maximize the associated purity, while other
     product states such as |J,0> x |J,0> score zero.
     """
-    if n_parties != 2:
-        raise ValueError("only the two-party restricted spin algebra is supported")
     system = coherent.spin_system(j)
     d = system.dim
     nrm = np.sqrt(system.j * (system.j + 1) * d / 3.0) * np.sqrt(d)
@@ -220,7 +218,6 @@ def named_algebra(name: str) -> ObservableSpace:
     if name in fixed:
         return fixed[name]()
     if name == "so4-fermi":
-        from .fermion import fermionic_so4, fock_register
         return fermionic_so4(fock_register(2))
     if name.startswith("local:"):
         spec = name.split(":", 1)[1]

@@ -13,9 +13,8 @@ import sys
 from fractions import Fraction
 
 from . import boxes, catalog, reproduce
-from .operators import DimensionMismatch
 from .purity import is_generalized_unentangled, rescaled_purity
-from .states import StateParseError, load_state, read_json_file
+from .states import load_state, read_json_file
 
 
 def _fmt_value(v) -> str:
@@ -53,14 +52,14 @@ def _seed() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise StateParseError(f"GE_SEED: expected an integer, got {raw!r}") from None
+        raise ValueError(f"GE_SEED: expected an integer, got {raw!r}") from None
 
 
 def _load_algebra(name: str):
     try:
         return catalog.named_algebra(name)
     except (OSError, ValueError) as exc:
-        raise StateParseError(f"algebra: {exc}") from exc
+        raise ValueError(f"algebra: {exc}") from exc
 
 
 def _rescale_value(text: str | None):
@@ -68,7 +67,7 @@ def _rescale_value(text: str | None):
     try:
         return text if text in (None, "auto", "analytic") else float(text)
     except ValueError:
-        raise StateParseError(
+        raise ValueError(
             f"--rescale: expected auto, analytic, or a number, got {text!r}") from None
 
 
@@ -92,11 +91,11 @@ def _parse_size(spec: str):
     if len(parts) == 2:
         parts = parts + parts
     if len(parts) != 4:
-        raise StateParseError(f"--size: expected NA,MA,NB,MB, got {spec!r}")
+        raise ValueError(f"--size: expected NA,MA,NB,MB, got {spec!r}")
     try:
         na, ma, nb, mb = (int(p) for p in parts)
     except ValueError:
-        raise StateParseError(f"--size: entries must be integers, got {spec!r}") from None
+        raise ValueError(f"--size: entries must be integers, got {spec!r}") from None
     return na, ma, nb, mb
 
 
@@ -107,7 +106,7 @@ def _load_box(path: str) -> boxes.BipartiteBoxState:
     except boxes.InfeasibleError:
         raise
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise StateParseError(f"state: bad box table in {path!r}: {exc}") from exc
+        raise ValueError(f"state: bad box table in {path!r}: {exc}") from exc
 
 
 def _cmd_boxes_vertices(args) -> int:
@@ -116,7 +115,7 @@ def _cmd_boxes_vertices(args) -> int:
         cone = boxes.no_signalling_polytope(na, ma, nb, mb)
         verts = boxes.enumerate_vertices(cone)
     except ValueError as exc:
-        raise StateParseError(f"--size: {exc}") from exc
+        raise ValueError(f"--size: {exc}") from exc
     classified = [(v, boxes._vertex_class(v)) for v in verts]  # vertices by construction
     n_prod = sum(1 for _, c in classified if c is boxes.VertexClass.PRODUCT)
     if args.json:
@@ -167,7 +166,7 @@ def _cmd_boxes_orbit(args) -> int:
 
 def _cmd_reproduce(args) -> int:
     if args.table != "paper":
-        raise StateParseError(f"--table: unknown table {args.table!r}")
+        raise ValueError(f"--table: unknown table {args.table!r}")
     if args.list:
         for name in reproduce.check_names():
             print(name)
@@ -238,18 +237,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except StateParseError as exc:
+    except ValueError as exc:  # every input error; its class may carry its own exit code
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DimensionMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except boxes.InfeasibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return getattr(exc, "exit_code", 2)
 
 
 def entry_point():

@@ -10,14 +10,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import ObservableSpace, QuantumState, assert_hermitian, random_pure_state
+from .operators import MAX_DIM, ObservableSpace, QuantumState, assert_hermitian, random_pure_state
 
 _MAX_FIXED_POINT_STEPS = 1000  # per restart; catalog algebras stop rising within 40 steps
 
 
 def _validate_spin(j) -> float:
-    from .catalog import MAX_DIM  # catalog imports this module
-
     j = float(j)
     if 2 * j + 1 > MAX_DIM:
         raise ValueError(f"spin {j:g} has dimension {2 * j + 1:.0f}, above the supported {MAX_DIM}")

@@ -6,9 +6,13 @@ share one interface.  Real-linear spaces of Hermitian observables carry a
 trace-orthonormal basis and live in :class:`ObservableSpace`.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
-# Fixed numerical policy: dimensions stay small (<= 2**10), so double
+MAX_DIM = 1024  # largest Hilbert-space dimension a state or an algebra may allocate
+
+# Fixed numerical policy: dimensions stay small (<= MAX_DIM), so double
 # precision leaves several orders of headroom around these cutoffs.
 HERMITICITY_TOL = 1e-12
 INDEPENDENCE_TOL = 1e-9
@@ -24,6 +28,8 @@ PAULI = {
 
 class DimensionMismatch(ValueError):
     """Operands live on different Hilbert-space dimensions."""
+
+    exit_code = 3  # the command-line exit status for this error
 
 
 def _as_operator(a) -> np.ndarray:
@@ -90,6 +96,8 @@ class QuantumState:
             raise ValueError("exactly one of vector or rho is required")
         if vector is not None:
             v = np.asarray(vector, dtype=complex).reshape(-1)
+            if not np.all(np.isfinite(v)):
+                raise ValueError("pure state has non-finite entries")
             nrm = np.linalg.norm(v)
             if abs(nrm - 1.0) > HERMITICITY_TOL:
                 raise ValueError(f"pure state norm {nrm!r} is not 1")
@@ -299,8 +307,9 @@ class ObservableSpace:
         scale = max(np.sqrt(max(trace_inner_product(a, a), 0.0)), 1.0)
         return self.residual_norm(a) <= tol * scale
 
+    @lru_cache(maxsize=32)  # spaces are immutable and hash by identity
     def traceless_sector(self) -> "ObservableSpace":
-        """Project out the identity component and re-orthonormalize."""
+        """Project out the identity component and re-orthonormalize; built once per space."""
         if self.traceless:
             return self
         eye = np.eye(self.dim)

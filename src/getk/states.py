@@ -12,7 +12,8 @@ import json
 import numpy as np
 
 from . import fermion
-from .operators import QuantumState
+from .coherent import spin_system
+from .operators import MAX_DIM, QuantumState
 
 
 class StateParseError(ValueError):
@@ -36,9 +37,7 @@ def bell_state(kind: str) -> QuantumState:
 
 
 def _register_dim(kind: str, n: int) -> int:
-    """2**n for an n-qubit state, checked against the catalog's cap before any allocation."""
-    from .catalog import MAX_DIM  # catalog imports this module
-
+    """2**n for an n-qubit state, checked against ``MAX_DIM`` before any allocation."""
     if n < 2:
         raise StateParseError(f"{kind} needs at least 2 qubits")
     if n >= MAX_DIM.bit_length():  # 2**n > MAX_DIM, without forming 2**n
@@ -86,8 +85,6 @@ def parse_number_token(token: str) -> float:
 
 
 def spin_basis_state(j_token: str, m_token: str) -> QuantumState:
-    from .coherent import spin_system
-
     j = parse_number_token(j_token)
     m = parse_number_token(m_token)
     try:

@@ -174,10 +174,6 @@ class TestRestrictedLocalSpins:
         assert space.size == 6
         assert space.dim == 9
 
-    def test_two_parties_only(self):
-        with pytest.raises(ValueError):
-            catalog.restricted_local_spins(1, n_parties=3)
-
 
 class TestSpinAlgebra:
     def test_labels_and_max(self):

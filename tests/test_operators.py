@@ -365,6 +365,12 @@ class TestQuantumState:
         with pytest.raises(ValueError):
             QuantumState(vector=np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_vector_rejected(self, bad):
+        # a nan amplitude gives a nan norm, which no norm tolerance rejects
+        with pytest.raises(ValueError, match="non-finite"):
+            QuantumState(vector=np.array([bad, 1.0]))
+
     def test_density_validation(self):
         with pytest.raises(ValueError):
             QuantumState(rho=np.array([[0.5, 0.0], [0.1, 0.5]]))

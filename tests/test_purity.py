@@ -173,6 +173,25 @@ class TestResolveMaxReference:
             resolve_max_reference(space, "auto", seed)
         assert calls == [{"seed": 0}, {"seed": 1}]
 
+    def test_numerical_reference_memo_hits_for_a_space_with_identity(self, monkeypatch, tmp_path):
+        # the space is not traceless, so each call goes through its traceless sector
+        calls = []
+        real = coherent.max_purity_estimate
+
+        def counted(omega, **kwargs):
+            calls.append(omega)
+            return real(omega, **kwargs)
+
+        monkeypatch.setattr(coherent, "max_purity_estimate", counted)
+        path = tmp_path / "words.txt"
+        path.write_text("II\nXX\nZZ\nXY\n")
+        space = catalog.named_algebra(f"custom:{path}")
+        assert not space.traceless
+        state = states.builtin_state("bell:phi+")
+        reports = [rescaled_purity(state, space, "auto") for _ in range(3)]
+        assert len(calls) == 1
+        assert len(set(reports)) == 1
+
 
 class TestLocalPurityFormula:
     def test_product(self):

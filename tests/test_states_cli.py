@@ -201,6 +201,15 @@ class TestPurityCommand:
         code, out, err = run_cli(capsys, "purity", "--state", state, "--algebra", algebra)
         assert code == 2 and out == "" and "nonnegative half-integer, got nan" in err
 
+    @pytest.mark.parametrize("command", ["purity", "classify"])
+    def test_nan_amplitude_exit_2(self, capsys, tmp_path, command):
+        # Python's json reads NaN; a nan norm once slipped past the norm check
+        path = tmp_path / "nan.json"
+        path.write_text('{"dim": 2, "kind": "pure", "amplitudes": [[NaN, 0.0], [1.0, 0.0]]}')
+        code, out, err = run_cli(capsys, command, "--state", str(path),
+                                 "--algebra", "su2-spin:1/2")
+        assert code == 2 and out == "" and "non-finite" in err
+
     def test_ge_seed_env(self, capsys, monkeypatch):
         monkeypatch.setenv("GE_SEED", "12345")
         code, out, _ = run_cli(capsys, "purity", "--state", "bell:psi+", "--algebra", "u2")
