@@ -18,7 +18,6 @@ from .operators import (
     PAULI,
     ObservableSpace,
     gell_mann_basis,
-    kron_all,
     pauli_string,
 )
 from .states import parse_number_token
@@ -30,23 +29,15 @@ def local_algebra(n: int, d0: int, label: str | None = None) -> ObservableSpace:
 
     Each single-site generator x_a (a generalized Pauli, trace-orthonormal
     on C^d0) is embedded as x_a on its site and 1/sqrt(d0) on every other
-    site, giving n (d0^2 - 1) elements in total.  The raw purity of a pure
-    state maximizes at n (d0 - 1) / d0^n, attained exactly on products.
+    site, giving n (d0^2 - 1) elements (stored site-factored).  The raw purity
+    of a pure state maximizes at n (d0 - 1) / d0^n, attained exactly on products.
     """
     if n < 1 or d0 < 2:
         raise ValueError("need n >= 1 sites of local dimension d0 >= 2")
     if n >= MAX_DIM.bit_length() or d0 ** n > MAX_DIM:  # d0 >= 2: never forms a huge power
         raise ValueError(f"total dimension {d0}^{n} exceeds the supported {MAX_DIM}")
-    site = gell_mann_basis(d0)
-    ident = np.eye(d0, dtype=complex) / np.sqrt(d0)
-    ops = []
-    for pos in range(n):
-        for x in site:
-            factors = [ident] * n
-            factors[pos] = x
-            ops.append(kron_all(factors))
-    return ObservableSpace(ops, label or f"local:{n}x{d0}", irreducible_lie=True,
-                           max_purity=n * (d0 - 1) / d0 ** n)
+    return ObservableSpace(gell_mann_basis(d0), label or f"local:{n}x{d0}", sites=n,
+                           irreducible_lie=True, max_purity=n * (d0 - 1) / d0 ** n)
 
 
 def pauli_string_space(strings, label: str | None = None, *,
@@ -155,6 +146,13 @@ def _norm_j(j: float) -> str:
     return f"{int(j)}" if float(j).is_integer() else f"{int(round(2 * j))}/2"
 
 
+def _nonzero_spin(j) -> coherent.SpinSystem:
+    system = coherent.spin_system(j)
+    if system.j == 0:  # its generators are zero: nothing to normalize
+        raise ValueError("spin 0 has no su(2) observables (all generators vanish); need J >= 1/2")
+    return system
+
+
 @lru_cache(maxsize=None)
 def spin_algebra(j) -> ObservableSpace:
     """Trace-orthonormalized su(2) spanned by the spin-J generators.
@@ -163,7 +161,7 @@ def spin_algebra(j) -> ObservableSpace:
     on the spin coherent states; rescaling by it reproduces the
     sum_a <J_a>^2 / J^2 normalization.
     """
-    system = coherent.spin_system(j)
+    system = _nonzero_spin(j)
     nrm = np.sqrt(system.j * (system.j + 1) * system.dim / 3.0)
     ops = [g / nrm for g in system.generators]
     max_ref = 3.0 * system.j / ((system.j + 1) * (2 * system.j + 1))
@@ -179,7 +177,7 @@ def restricted_local_spins(j) -> ObservableSpace:
     of spin coherent states maximize the associated purity, while other
     product states such as |J,0> x |J,0> score zero.
     """
-    system = coherent.spin_system(j)
+    system = _nonzero_spin(j)
     d = system.dim
     nrm = np.sqrt(system.j * (system.j + 1) * d / 3.0) * np.sqrt(d)
     eye = np.eye(d, dtype=complex)

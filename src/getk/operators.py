@@ -6,7 +6,7 @@ share one interface.  Real-linear spaces of Hermitian observables carry a
 trace-orthonormal basis and live in :class:`ObservableSpace`.
 """
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -232,32 +232,41 @@ class ObservableSpace:
     analytic maximum of the raw traceless purity over pure states.  A space
     is immutable once built: the catalog hands the same instance to every
     caller.
+
+    With ``sites=n``, ``basis`` is a traceless basis on C^D and the space
+    holds each x on each site, times 1/sqrt(D) on the other n - 1 sites.
+    Only the D x D basis is validated (traceless elements on different
+    sites are orthogonal), expectations come from the single-site
+    reductions, and the dense ``stack`` is built when first read.
     """
 
     def __init__(self, basis, label: str = "", *, dim: int | None = None,
-                 irreducible_lie: bool = False, max_purity: float | None = None):
+                 irreducible_lie: bool = False, max_purity: float | None = None,
+                 sites: int | None = None):
         ops = [np.asarray(b, dtype=complex) for b in basis]
         if not ops and dim is None:
             raise ValueError("empty basis requires an explicit dim")
-        self.dim = int(dim) if dim is not None else ops[0].shape[0]
+        d = int(dim) if dim is not None else ops[0].shape[0]
+        mats = np.stack(ops) if ops else np.zeros((0, d, d), dtype=complex)
+        mats.setflags(write=False)
+        if mats.shape[1:] != (d, d):
+            raise DimensionMismatch("basis elements have inconsistent dimensions")
         self.label = label
         self.irreducible_lie = bool(irreducible_lie)
         self.max_purity = None if max_purity is None else float(max_purity)
-        if ops:
-            self.stack = np.stack(ops)
-        else:
-            self.stack = np.zeros((0, self.dim, self.dim), dtype=complex)
-        self.stack.setflags(write=False)
-        if self.stack.shape[1:] != (self.dim, self.dim):
-            raise DimensionMismatch("basis elements have inconsistent dimensions")
-        for a in self.stack:
+        self.sites = sites
+        self.dim, self.size = d ** (sites or 1), len(mats) * (sites or 1)
+        setattr(self, "stack" if sites is None else "site_basis", mats)
+        for a in mats:
             assert_hermitian(a)
-        rows = _real_rows(self.stack)
-        dev = np.max(np.abs(rows @ rows.T - np.eye(self.size)), initial=0.0)
+        rows = _real_rows(mats)
+        dev = np.max(np.abs(rows @ rows.T - np.eye(len(mats))), initial=0.0)
         if dev > EQUALITY_TOL:
             raise ValueError(f"basis is not trace-orthonormal (max deviation {dev:.3e})")
         # set last: from here on __setattr__ refuses every assignment
-        self.traceless = bool(np.all(np.abs(np.einsum("aii->a", self.stack)) <= EQUALITY_TOL))
+        self.traceless = bool(np.all(np.abs(np.einsum("aii->a", mats)) <= EQUALITY_TOL))
+        if sites is not None and not self.traceless:
+            raise ValueError("a site-factored space needs a traceless site basis")
 
     def __setattr__(self, name, value):
         if hasattr(self, "traceless"):
@@ -267,9 +276,15 @@ class ObservableSpace:
     def __delattr__(self, name):
         raise AttributeError(f"ObservableSpace is immutable; cannot delete {name!r}")
 
-    @property
-    def size(self) -> int:
-        return self.stack.shape[0]
+    @cached_property  # writes the instance __dict__ directly, past __setattr__
+    def stack(self) -> np.ndarray:
+        """The dense (size, dim, dim) basis; only site-factored spaces get here."""
+        d = self.site_basis.shape[1]
+        factors = [np.eye(d, dtype=complex) / np.sqrt(d)] * self.sites
+        stack = np.stack([kron_all(factors[:pos] + [x] + factors[pos + 1:])
+                          for pos in range(self.sites) for x in self.site_basis])
+        stack.setflags(write=False)
+        return stack
 
     @property
     def basis(self) -> list[np.ndarray]:
@@ -279,7 +294,9 @@ class ObservableSpace:
         """Vector of expectation values of the basis elements in ``state``."""
         if state.dim != self.dim:
             raise DimensionMismatch(f"dimension mismatch: state {state.dim} vs space {self.dim}")
-        if state.is_pure:
+        if self.sites is not None:
+            vals = self._site_expectations(state)
+        elif state.is_pure:
             v = state._vector
             vals = np.einsum("i,aij,j->a", v.conj(), self.stack, v)
         else:
@@ -287,6 +304,19 @@ class ObservableSpace:
         if vals.size and np.max(np.abs(vals.imag)) > EQUALITY_TOL:
             raise ValueError("expectation vector has a large imaginary part")
         return vals.real
+
+    def _site_expectations(self, state: QuantumState) -> np.ndarray:
+        """Tr(rho_l x) D^(-(n-1)/2) from the single-site reductions rho_l."""
+        n, d = self.sites, self.site_basis.shape[1]
+        shapes = [(d ** pos, d, d ** (n - pos - 1)) for pos in range(n)]  # (left, site, right)
+        if state.is_pure:
+            vs = [state._vector.reshape(shape) for shape in shapes]
+            reduced = [np.einsum("aib,ajb->ij", v, v.conj()) for v in vs]
+        else:
+            reduced = [np.einsum("aibajb->ij", state._rho.reshape(s * 2)) for s in shapes]
+        # einsum, not a BLAS product: the sums stay exactly zero where they cancel
+        return np.einsum("lij,aji->la", np.array(reduced), self.site_basis).ravel() \
+            * d ** (-(n - 1) / 2)
 
     def project_operator(self, a) -> np.ndarray:
         """Orthogonal projection of a Hermitian operator onto this span."""
@@ -314,6 +344,8 @@ class ObservableSpace:
             return self
         eye = np.eye(self.dim)
         shifted = [a - (np.trace(a) / self.dim) * eye for a in self.basis]
+        if all(np.linalg.norm(a) < INDEPENDENCE_TOL for a in shifted):
+            raise ValueError(f"algebra {self.label!r} has no traceless part")
         sector = orthonormalize(shifted)
         return ObservableSpace(sector.stack, label=self.label + "-traceless",
                                irreducible_lie=self.irreducible_lie)

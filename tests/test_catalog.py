@@ -1,8 +1,19 @@
+import re
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from getk import catalog
-from getk.operators import PAULI, ObservableSpace, lie_closure, pauli_string
+from getk import catalog, states
+from getk.operators import (
+    PAULI,
+    ObservableSpace,
+    lie_closure,
+    pauli_string,
+    random_density_state,
+    random_pure_state,
+)
+from getk.purity import is_generalized_unentangled, rescaled_purity
 
 SX, SY, SZ, ID = PAULI["X"], PAULI["Y"], PAULI["Z"], PAULI["I"]
 
@@ -84,6 +95,70 @@ class TestLocalAlgebra:
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
             catalog.local_algebra(11, 2)
+
+
+class TestSiteFactoredLocalAlgebra:
+    """``local_algebra`` computes expectations from single-site reductions."""
+
+    @pytest.mark.parametrize("kind", ["pure", "density"])
+    @pytest.mark.parametrize("n,d0", [(1, 2), (2, 2), (3, 2), (5, 2), (2, 3), (3, 3), (2, 4)])
+    def test_matches_dense_stack(self, n, d0, kind):
+        space = catalog.local_algebra(n, d0)
+        rng = np.random.default_rng(100 * n + d0)
+        for _ in range(3):
+            if kind == "pure":
+                state = random_pure_state(d0 ** n, rng)
+                v = state.vector
+                dense = np.einsum("i,aij,j->a", v.conj(), space.stack, v).real
+            else:
+                state = random_density_state(d0 ** n, rng)
+                dense = np.einsum("aij,ji->a", space.stack, state.density()).real
+            got = space.expectation_vector(state)
+            assert got.shape == (space.size,)
+            assert np.max(np.abs(got - dense)) <= 1e-14
+
+    def test_lazy_stack_equals_the_kron_embedding(self):
+        space = catalog.local_algebra(2, 3)
+        ident = np.eye(3) / np.sqrt(3)
+        expected = [np.kron(x, ident) for x in space.site_basis]
+        expected += [np.kron(ident, x) for x in space.site_basis]
+        assert np.array_equal(space.stack, np.stack(expected))
+        assert not space.stack.flags.writeable
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_ghz_is_exactly_zero(self, n):
+        ghz = states.builtin_state(f"ghz:{n}")
+        assert not np.any(catalog.local_algebra(n, 2).expectation_vector(ghz))
+        report = rescaled_purity(ghz, catalog.local_algebra(n, 2))
+        assert report.raw == 0.0 and report.rescaled == 0.0
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_w_rescaled(self, n):
+        report = rescaled_purity(states.builtin_state(f"w:{n}"), catalog.local_algebra(n, 2))
+        want = float(Fraction(n - 2, n) ** 2)
+        assert abs(report.rescaled - want) <= 1e-14
+        assert f"{report.rescaled:.12g}" == f"{want:.12g}"
+
+    def test_purity_leaves_the_stack_unbuilt(self):
+        space = catalog.local_algebra.__wrapped__(10, 2)  # a fresh, uncached instance
+        w10 = states.builtin_state("w:10")
+        report = rescaled_purity(w10, space)
+        verdict = is_generalized_unentangled(w10, space)
+        assert "stack" not in vars(space)
+        assert (report.raw, report.max_reference) == (pytest.approx(0.00625), 0.009765625)
+        assert not verdict.unentangled and verdict.rescaled == report.rescaled
+
+    def test_auto_reference_builds_the_stack(self):
+        space = catalog.local_algebra.__wrapped__(3, 2)
+        report = rescaled_purity(states.builtin_state("w:3"), space, "auto")
+        assert "stack" in vars(space)
+        assert report.max_reference == pytest.approx(0.375, abs=1e-12)
+
+    def test_site_basis_is_validated(self):
+        with pytest.raises(ValueError, match="traceless site basis"):
+            ObservableSpace([np.eye(2) / np.sqrt(2)], sites=3)
+        with pytest.raises(ValueError, match="trace-orthonormal"):
+            ObservableSpace([SZ, SX], sites=2)
 
 
 class TestPauliStringSpace:
@@ -174,6 +249,10 @@ class TestRestrictedLocalSpins:
         assert space.size == 6
         assert space.dim == 9
 
+    def test_spin_zero_rejected(self):
+        with pytest.raises(ValueError, match="spin 0 has no su"):
+            catalog.restricted_local_spins(0)
+
 
 class TestSpinAlgebra:
     def test_labels_and_max(self):
@@ -185,6 +264,10 @@ class TestSpinAlgebra:
 
     def test_closed(self):
         assert lie_closure(catalog.spin_algebra(1).basis).size == 3
+
+    def test_spin_zero_rejected(self):
+        with pytest.raises(ValueError, match="spin 0 has no su"):
+            catalog.spin_algebra(0)
 
 
 class TestNamedAlgebra:
@@ -210,6 +293,14 @@ class TestNamedAlgebra:
         path.write_text("XX\nZZ\n# comment\nXY\n")
         space = catalog.named_algebra(f"custom:{path}")
         assert space.size == 3
+
+    def test_identity_only_custom_file(self, tmp_path):
+        path = tmp_path / "identity.txt"
+        path.write_text("II\n")
+        space = catalog.named_algebra(f"custom:{path}")
+        message = re.escape(f"algebra 'custom:{path}' has no traceless part")
+        with pytest.raises(ValueError, match=message):
+            space.traceless_sector()
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):

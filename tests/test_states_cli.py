@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,6 +105,27 @@ class TestNumberTokens:
 
     def test_catalog_uses_the_same_parser(self):
         assert catalog.named_algebra("su2-spin:3/2") is catalog.spin_algebra(1.5)
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# Starts a command and prints its peak RSS (KiB) as the last stderr line.  The
+# command is a grandchild of the test process: a child's peak RSS counts the
+# memory of the process it was forked from, and this small launcher holds little.
+_LAUNCHER = ("import os, subprocess, sys\n"
+             "child = subprocess.Popen(sys.argv[1:])\n"
+             "_, status, usage = os.wait4(child.pid, 0)\n"
+             "print(usage.ru_maxrss, file=sys.stderr)\n"
+             "sys.exit(os.waitstatus_to_exitcode(status))\n")
+
+
+def _run_getk(*argv, rss=False):
+    """``getk *argv`` in a fresh process; with ``rss`` the last stderr line is its peak RSS."""
+    cmd = [sys.executable, "-m", "getk.cli", *argv]
+    if rss:
+        cmd = [sys.executable, "-c", _LAUNCHER, *cmd]
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
 
 
 def run_cli(capsys, *argv):
@@ -209,6 +234,51 @@ class TestPurityCommand:
         code, out, err = run_cli(capsys, command, "--state", str(path),
                                  "--algebra", "su2-spin:1/2")
         assert code == 2 and out == "" and "non-finite" in err
+
+    def test_spin_zero_algebra_exit_2_without_warning(self):
+        # J = 0 once divided by zero: a numpy warning, then a misleading error
+        proc = _run_getk("purity", "--state", "spin:0,0", "--algebra", "su2-spin:0")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "error: algebra: spin 0 has no su(2) observables (all generators vanish); "
+            "need J >= 1/2"]
+
+    def test_identity_only_custom_file_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "identity.txt"
+        path.write_text("II\n")
+        code, out, err = run_cli(capsys, "purity", "--state", "bell:phi+",
+                                 "--algebra", f"custom:{path}")
+        assert code == 2 and out == ""
+        assert err == f"error: algebra 'custom:{path}' has no traceless part\n"
+
+    @pytest.mark.parametrize("state, raw, rescaled", [
+        ("w:3", "0.0416666666667", "0.111111111111"),
+        ("ghz:3", "0", "0"),
+        ("bisep:12", "0.125", "0.333333333333"),
+    ])
+    def test_local_auto_reference(self, capsys, state, raw, rescaled):
+        # --rescale auto needs the matrices, so it builds the dense stack
+        code, out, _ = run_cli(capsys, "purity", "--state", state, "--algebra", "local:3x2",
+                               "--rescale", "auto")
+        assert code == 0
+        assert out == (f"state={state}\nalgebra=local:3x2\nraw={raw}\nrescaled={rescaled}\n"
+                       "max_reference=0.375\n")
+
+    @pytest.mark.parametrize("n", [2, 5, 10])
+    def test_local_ghz_prints_exact_zero(self, capsys, n):
+        code, out, _ = run_cli(capsys, "purity", "--state", f"ghz:{n}",
+                               "--algebra", f"local:{n}x2")
+        assert code == 0 and "\nraw=0\nrescaled=0\n" in out
+
+    def test_local_10_qubits_small_process(self):
+        # the largest local algebra under MAX_DIM, in a process of its own:
+        # reductions need no (30, 1024, 1024) stack (480 MiB)
+        proc = _run_getk("purity", "--state", "w:10", "--algebra", "local:10x2", rss=True)
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines()[2:] == ["raw=0.00625", "rescaled=0.64",
+                                                "max_reference=0.009765625"]
+        max_rss_kb = int(proc.stderr.splitlines()[-1])
+        assert max_rss_kb < 150 * 1024
 
     def test_ge_seed_env(self, capsys, monkeypatch):
         monkeypatch.setenv("GE_SEED", "12345")
