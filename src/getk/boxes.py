@@ -17,6 +17,7 @@ F0 = Fraction(0)
 F1 = Fraction(1)
 
 ENUMERATION_CAP = 6  # max n_inputs * n_outputs per side for vertex enumeration
+NO_EMPTY_SIDE = "need at least one input and one output per side"
 
 
 class InfeasibleError(ValueError):
@@ -33,6 +34,14 @@ def _coerce(value) -> Fraction:
     if isinstance(value, float):
         raise TypeError("box tables are exact; pass Fraction, int, or string, not float")
     return Fraction(value)
+
+
+def _whole(value) -> int:
+    """A JSON number (or numeric string) that must be a whole number; never truncated."""
+    exact = Fraction(value)
+    if exact.denominator != 1:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return exact.numerator
 
 
 @dataclass(frozen=True)
@@ -94,6 +103,8 @@ class BipartiteBoxState:
 
     def __post_init__(self):
         na, ma, nb, mb = self.shape
+        if min(self.shape) < 1:
+            raise ValueError(NO_EMPTY_SIDE)
         probs = tuple(_coerce(p) for p in self.probs)
         object.__setattr__(self, "probs", probs)
         if len(probs) != na * ma * nb * mb:
@@ -130,9 +141,9 @@ class BipartiteBoxState:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "BipartiteBoxState":
-        na, nb = (int(v) for v in obj["n_inputs"])
-        ma, mb = (int(v) for v in obj["n_outputs"])
-        probs = tuple(Fraction(int(num), int(den)) for num, den in obj["p"])
+        na, nb = (_whole(v) for v in obj["n_inputs"])
+        ma, mb = (_whole(v) for v in obj["n_outputs"])
+        probs = tuple(Fraction(_whole(num), _whole(den)) for num, den in obj["p"])
         return cls(shape=(na, ma, nb, mb), probs=probs)
 
     @classmethod
@@ -191,7 +202,7 @@ def no_signalling_polytope(na: int, ma: int, nb: int | None = None,
     nb = na if nb is None else nb
     mb = ma if mb is None else mb
     if min(na, ma, nb, mb) < 1:
-        raise ValueError("need at least one input and one output per side")
+        raise ValueError(NO_EMPTY_SIDE)
     ambient = na * ma * nb * mb
     if ambient ** 2 > 10_000:
         raise ValueError(f"table size {ambient} too large")
@@ -383,13 +394,11 @@ def is_extremal(state: BipartiteBoxState, cone: PolyhedralCone | None = None) ->
     if state.shape != cone.shape:
         raise ValueError(f"state shape {state.shape} does not match cone shape {cone.shape}")
     marginals(state)  # raises SignallingError on violation
-    rows = [list(e) for e in cone.equalities] + [list(cone.unit)]
-    for r, val in enumerate(state.probs):
-        if val == 0:
-            row = [F0] * cone.ambient
-            row[r] = F1
-            rows.append(row)
-    return _rank(rows) == cone.ambient
+    # the rows e_r of the zero entries are tight and span their own columns,
+    # so the tight set has full rank exactly when the rest does on the support
+    support = [r for r, val in enumerate(state.probs) if val != 0]
+    return _rank([[row[r] for r in support]
+                  for row in cone.equalities + (cone.unit,)]) == len(support)
 
 
 class VertexClass(Enum):
@@ -421,69 +430,48 @@ def _vertex_class(vertex: BipartiteBoxState) -> VertexClass:
     return VertexClass.ENTANGLED
 
 
-@dataclass(frozen=True)
-class Relabeling:
-    """One side's relabeling: an input permutation plus per-input output permutations.
+def _side_generators(n: int, m: int) -> list:
+    """Generators of one side's relabeling group, as maps from new flat index to old.
 
-    ``inputs[k]`` is the old input measured in the new slot k and
-    ``outputs[k]`` maps new outcome labels of slot k to old outcome labels.
+    Outcome i of input k has flat index m*k + i.  The maps are an input swap,
+    an input cycle, and an outcome swap and an outcome cycle on input 0;
+    together they generate all N!(M!)^N relabelings of the side.
     """
+    def swap_and_cycle(r):  # a transposition and an r-cycle of range(r)
+        return (*range(r)[1::-1], *range(2, r)), (*range(1, r), 0)
 
-    inputs: tuple
-    outputs: tuple
+    def side_map(inputs=range(n), outcomes=range(m)):
+        return tuple(m * inputs[k] + (outcomes[i] if k == 0 else i)
+                     for k in range(n) for i in range(m))
 
-    def __post_init__(self):
-        n = len(self.inputs)
-        if sorted(self.inputs) != list(range(n)):
-            raise ValueError(f"inputs {self.inputs} is not a permutation")
-        if len(self.outputs) != n:
-            raise ValueError("need one output permutation per input")
-        for perm in self.outputs:
-            if sorted(perm) != list(range(len(perm))):
-                raise ValueError(f"outputs {perm} is not a permutation")
-
-    @classmethod
-    def identity(cls, n_inputs: int, n_outputs: int) -> "Relabeling":
-        return cls(tuple(range(n_inputs)), tuple(tuple(range(n_outputs)) for _ in range(n_inputs)))
-
-
-def all_relabelings(n_inputs: int, n_outputs: int):
-    """The full relabeling group of one side (size N! * (M!)^N)."""
-    out_perms = list(itertools.permutations(range(n_outputs)))
-    for in_perm in itertools.permutations(range(n_inputs)):
-        for outs in itertools.product(out_perms, repeat=n_inputs):
-            yield Relabeling(tuple(in_perm), tuple(outs))
-
-
-def local_relabeling(state: BipartiteBoxState, alice: Relabeling,
-                     bob: Relabeling) -> BipartiteBoxState:
-    """Relabel measurements and outcomes on each side independently."""
-    na, ma, nb, mb = state.shape
-    if len(alice.inputs) != na or any(len(p) != ma for p in alice.outputs):
-        raise ValueError("Alice's relabeling does not match her box shape")
-    if len(bob.inputs) != nb or any(len(p) != mb for p in bob.outputs):
-        raise ValueError("Bob's relabeling does not match his box shape")
-    cols = nb * mb
-    probs = [F0] * len(state.probs)
-    for k in range(na):
-        for i in range(ma):
-            for l in range(nb):
-                for j in range(mb):
-                    val = state.prob(alice.outputs[k][i], bob.outputs[l][j],
-                                     alice.inputs[k], bob.inputs[l])
-                    probs[(ma * k + i) * cols + (mb * l + j)] = val
-    return BipartiteBoxState(shape=state.shape, probs=tuple(probs))
+    return ([side_map(inputs=p) for p in swap_and_cycle(n)]
+            + [side_map(outcomes=p) for p in swap_and_cycle(m)])
 
 
 def relabeling_orbit(state: BipartiteBoxState) -> list:
-    """Orbit of a table under all local relabelings, sorted canonically."""
+    """Orbit of a table under all local relabelings, sorted canonically.
+
+    A breadth-first closure under both sides' generators, lifted to the joint
+    table (a Schreier orbit; Holt, Eick & O'Brien 2005): the work grows with
+    the orbit, not the group.  Entries are coded by their rank among the
+    distinct values, which sorts the members as their probabilities would.
+    """
     na, ma, nb, mb = state.shape
-    seen = {}
-    for ra in all_relabelings(na, ma):
-        for rb in all_relabelings(nb, mb):
-            s2 = local_relabeling(state, ra, rb)
-            seen[s2.probs] = s2
-    return [seen[k] for k in sorted(seen)]
+    width = nb * mb
+    cells = [(r, c) for r in range(na * ma) for c in range(width)]
+    moves = [tuple(a[r] * width + c for r, c in cells) for a in _side_generators(na, ma)]
+    moves += [tuple(r * width + b[c] for r, c in cells) for b in _side_generators(nb, mb)]
+    values = sorted(set(state.probs))
+    orbit = [tuple(values.index(p) for p in state.probs)]
+    seen = set(orbit)
+    for code in orbit:  # the list grows while it is walked: a breadth-first search
+        for move in moves:
+            image = tuple([code[x] for x in move])
+            if image not in seen:
+                seen.add(image)
+                orbit.append(image)
+    return [BipartiteBoxState(shape=state.shape, probs=tuple(values[c] for c in code))
+            for code in sorted(orbit)]
 
 
 def _phase1_feasible(columns, target) -> bool:
@@ -580,11 +568,6 @@ def canonical_product_vertex() -> BipartiteBoxState:
 
 def canonical_entangled_vertex() -> BipartiteBoxState:
     """The correlated-box vertex: outcomes agree unless both inputs are 1."""
-    half = Fraction(1, 2)
-    probs = []
-    for k in range(2):
-        for i in range(2):
-            for l in range(2):
-                for j in range(2):
-                    probs.append(half if (i ^ j) == (k & l) else F0)
+    probs = (Fraction(1, 2) if (i ^ j) == (k & l) else F0  # row-major: k, i, then l, j
+             for k, i, l, j in itertools.product(range(2), repeat=4))
     return BipartiteBoxState(shape=(2, 2, 2, 2), probs=tuple(probs))

@@ -105,7 +105,7 @@ def _load_box(path: str) -> boxes.BipartiteBoxState:
         return boxes.BipartiteBoxState.from_json_dict(obj)
     except boxes.InfeasibleError:
         raise
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"state: bad box table in {path!r}: {exc}") from exc
 
 
@@ -137,7 +137,7 @@ def _cmd_boxes_classify(args) -> int:
     extremal = boxes.is_extremal(state)
     record: dict = {"extremal": extremal}
     if extremal:
-        record["class"] = boxes.classify_extremal(state).value
+        record["class"] = boxes._vertex_class(state).value  # a vertex: no second rank test
     a, b = boxes.marginals(state)
     record["marginal_alice"] = a.probs
     record["marginal_bob"] = b.probs

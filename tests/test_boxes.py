@@ -1,22 +1,25 @@
 import itertools
 import json
+import random
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from getk.boxes import (
     BipartiteBoxState,
     BoxState,
     InfeasibleError,
-    Relabeling,
     SignallingError,
     VertexClass,
     _affine_solution,
     _integerize,
+    _rank,
+    _side_generators,
     _vertex_class,
     affine_dimension,
-    all_relabelings,
     canonical_entangled_vertex,
     canonical_product_vertex,
     classify_extremal,
@@ -26,7 +29,6 @@ from getk.boxes import (
     in_separable_tensor_product,
     is_extremal,
     is_generalized_unentangled_box,
-    local_relabeling,
     marginals,
     no_signalling_polytope,
     relabeling_orbit,
@@ -127,6 +129,56 @@ def brute_force_vertices(cone):
 
     recurse(base_rows, [])
     return sorted(found)
+
+
+def side_relabelings(n, m):
+    """Every relabeling of one side, as a map from new flat index m*k + i to old.
+
+    Input slot k reads old input ``inputs[k]``, whose outcome i reads old
+    outcome ``outs[k][i]``: all N!(M!)^N maps, the identity first.
+    """
+    out_perms = list(itertools.permutations(range(m)))
+    return [tuple(m * inputs[k] + outs[k][i] for k in range(n) for i in range(m))
+            for inputs in itertools.permutations(range(n))
+            for outs in itertools.product(out_perms, repeat=n)]
+
+
+def joint_map(shape, alice, bob):
+    """The re-indexing of the joint table by one map per side."""
+    na, ma, nb, mb = shape
+    cols = nb * mb
+    return tuple(alice[r] * cols + bob[c] for r in range(na * ma) for c in range(cols))
+
+
+def relabel(state, move):
+    return BipartiteBoxState(shape=state.shape, probs=tuple(state.probs[x] for x in move))
+
+
+def oracle_orbit(state):
+    """Reference orbit: walk the whole group, every pair of side maps; sorted tables."""
+    na, ma, nb, mb = state.shape
+    return sorted({tuple(state.probs[x] for x in joint_map(state.shape, a, b))
+                   for a in side_relabelings(na, ma) for b in side_relabelings(nb, mb)})
+
+
+_VERTEX_CACHE = {}
+
+
+def vertices_of(shape):
+    if shape not in _VERTEX_CACHE:
+        _VERTEX_CACHE[shape] = enumerate_vertices(no_signalling_polytope(*shape))
+    return _VERTEX_CACHE[shape]
+
+
+def rational_mixture(shape, rng, terms=3):
+    """A seeded mixture of random vertices with random positive integer weights."""
+    verts = vertices_of(shape)
+    picks = [rng.choice(verts) for _ in range(terms)]
+    weights = [rng.randint(1, 9) for _ in picks]
+    total = sum(weights)
+    probs = tuple(sum(F(w, total) * v.probs[r] for w, v in zip(weights, picks))
+                  for r in range(len(verts[0].probs)))
+    return BipartiteBoxState(shape=shape, probs=probs)
 
 
 def displayed_entangled_matrix():
@@ -284,15 +336,17 @@ class TestDoubleDescription:
         na, ma, nb, mb = shape
         cone = no_signalling_polytope(*shape)
         verts = enumerate_vertices(cone)
-        found = {v.probs for v in verts}
+        values = sorted({p for v in verts for p in v.probs})
+        codes = [tuple(values.index(p) for p in v.probs) for v in verts]  # hash ints, not Fractions
+        found = set(codes)
         assert len(found) == len(verts) == total
-        ident_a, ident_b = Relabeling.identity(na, ma), Relabeling.identity(nb, mb)
-        for v in verts:
+        keep_a, keep_b = tuple(range(na * ma)), tuple(range(nb * mb))
+        moves = ([joint_map(shape, a, keep_b) for a in side_relabelings(na, ma)]
+                 + [joint_map(shape, keep_a, b) for b in side_relabelings(nb, mb)])
+        for v, code in zip(verts, codes):
             assert is_extremal(v, cone)
-            for ra in all_relabelings(na, ma):
-                assert local_relabeling(v, ra, ident_b).probs in found
-            for rb in all_relabelings(nb, mb):
-                assert local_relabeling(v, ident_a, rb).probs in found
+            for move in moves:
+                assert tuple([code[x] for x in move]) in found
         n_prod = sum(1 for v in verts if _vertex_class(v) is VertexClass.PRODUCT)
         assert n_prod == ma ** na * mb ** nb
 
@@ -340,6 +394,19 @@ class TestExtremality:
         with pytest.raises(SignallingError):
             is_extremal(bad)
 
+    @pytest.mark.parametrize("shape", [(2, 2, 2, 2), (2, 2, 3, 2), (1, 3, 2, 2)])
+    def test_support_rank_matches_full_tight_set(self, shape):
+        # reference: every equality, the unit row and one unit row per zero entry
+        cone = no_signalling_polytope(*shape)
+        rng = random.Random(3)
+        verts = vertices_of(shape)
+        tables = rng.sample(verts, 12) + [rational_mixture(shape, rng, t) for t in (2, 2, 3)]
+        for state in tables:
+            rows = [list(e) for e in cone.equalities] + [list(cone.unit)]
+            rows += [[F(int(c == r)) for c in range(cone.ambient)]
+                     for r, val in enumerate(state.probs) if val == 0]
+            assert is_extremal(state, cone) is (_rank(rows) == cone.ambient)
+
 
 class TestClassification:
     def test_census(self):
@@ -374,16 +441,48 @@ class TestClassification:
 
 class TestRelabeling:
     def test_identity(self):
-        st = displayed_entangled_matrix()
-        ident = Relabeling.identity(2, 2)
-        assert local_relabeling(st, ident, ident).probs == st.probs
+        state = displayed_entangled_matrix()
+        ident = side_relabelings(2, 2)[0]
+        assert ident == tuple(range(4))
+        assert relabel(state, joint_map(state.shape, ident, ident)).probs == state.probs
 
     def test_group_size(self):
-        assert len(list(all_relabelings(2, 2))) == 8
+        assert len(set(side_relabelings(2, 2))) == 8
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (1, 6)])
+    def test_generators_generate_the_side_group(self, n, m):
+        gens = _side_generators(n, m)
+        group = {tuple(range(n * m))}
+        todo = list(group)
+        for g in todo:
+            for h in gens:
+                composed = tuple(g[x] for x in h)
+                if composed not in group:
+                    group.add(composed)
+                    todo.append(composed)
+        assert len(group) == factorial(n) * factorial(m) ** n
+        assert group == set(side_relabelings(n, m))
 
     def test_orbit_sizes(self):
         assert len(relabeling_orbit(canonical_entangled_vertex())) == 8
         assert len(relabeling_orbit(canonical_product_vertex())) == 16
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2, 2), (1, 3, 2, 2), (2, 2, 1, 3), (3, 2, 1, 2)])
+    def test_orbit_matches_full_group_walk_on_vertices(self, shape):
+        for v in vertices_of(shape):
+            assert [m.probs for m in relabeling_orbit(v)] == oracle_orbit(v)
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2, 2), (1, 1, 2, 2), (1, 2, 1, 1), (2, 3, 1, 2),
+                                       (3, 2, 1, 2)])
+    def test_orbit_matches_full_group_walk_on_mixtures(self, shape):
+        rng = random.Random(sum(shape))
+        for _ in range(3):
+            mix = rational_mixture(shape, rng)
+            assert [m.probs for m in relabeling_orbit(mix)] == oracle_orbit(mix)
+
+    def test_uniform_table_is_fixed(self):
+        uniform = BipartiteBoxState(shape=(1, 6, 1, 6), probs=(F(1, 36),) * 36)
+        assert relabeling_orbit(uniform) == [uniform]
 
     def test_orbits_partition_the_vertices(self):
         verts = {v.probs for v in square_pair()[1]}
@@ -393,26 +492,41 @@ class TestRelabeling:
 
     def test_preserves_class_and_extremality(self):
         cone = no_signalling_polytope(2, 2, 2, 2)
-        for st, cls in ((canonical_entangled_vertex(), VertexClass.ENTANGLED),
+        for state, cls in ((canonical_entangled_vertex(), VertexClass.ENTANGLED),
                         (canonical_product_vertex(), VertexClass.PRODUCT)):
-            for ra in all_relabelings(2, 2):
-                for rb in all_relabelings(2, 2):
-                    moved = local_relabeling(st, ra, rb)
+            for ra in side_relabelings(2, 2):
+                for rb in side_relabelings(2, 2):
+                    moved = relabel(state, joint_map(state.shape, ra, rb))
                     assert is_extremal(moved, cone)
                     assert classify_extremal(moved, cone) is cls
 
     def test_preserves_no_signalling(self):
-        st = displayed_entangled_matrix()
-        for ra in all_relabelings(2, 2):
-            moved = local_relabeling(st, ra, Relabeling.identity(2, 2))
+        state = displayed_entangled_matrix()
+        for ra in side_relabelings(2, 2):
+            moved = relabel(state, joint_map(state.shape, ra, tuple(range(4))))
             assert moved.is_no_signalling()
 
-    def test_malformed_spec(self):
-        with pytest.raises(ValueError):
-            Relabeling((0, 0), ((0, 1), (0, 1)))
-        with pytest.raises(ValueError):
-            local_relabeling(displayed_entangled_matrix(),
-                             Relabeling((0,), ((0, 1),)), Relabeling.identity(2, 2))
+
+ORBIT_SHAPES = [(1, 2, 1, 2), (1, 3, 1, 2), (2, 2, 1, 2), (1, 2, 2, 2), (2, 2, 2, 2)]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(shape=st.sampled_from(ORBIT_SHAPES), seed=st.integers(0, 2 ** 16),
+       mixed=st.booleans())
+def test_orbit_is_a_class_function(shape, seed, mixed):
+    """Relabeling is a group action: every member has the same orbit, extremality and class."""
+    rng = random.Random(seed)
+    s = rational_mixture(shape, rng) if mixed else rng.choice(vertices_of(shape))
+    cone = no_signalling_polytope(*shape)
+    orbit = relabeling_orbit(s)
+    extremal = is_extremal(s, cone)
+    cls = _vertex_class(s) if extremal else None
+    assert s in orbit
+    for x in orbit:
+        assert relabeling_orbit(x) == orbit
+        assert is_extremal(x, cone) is extremal
+        if extremal:
+            assert _vertex_class(x) is cls
 
 
 class TestSeparability:

@@ -1,12 +1,17 @@
-"""Property test: any --rescale and --tol text ends in exit 0 or 2, never a traceback."""
+"""Property tests: any --rescale and --tol text ends in exit 0 or 2, and any box
+JSON file in exit 0, 2 or 4, never a traceback."""
 
 import contextlib
 import io
+import json
+import os
+import tempfile
+from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from getk import cli
+from getk import boxes, cli
 
 # one state per catalog algebra, of matching dimension
 ALGEBRA_STATES = [
@@ -57,3 +62,70 @@ def test_rescale_and_tol_text_exit_0_or_2(command, pair, rescale, tol):
         assert out == "" and err
     else:
         assert "rescaled=" in out
+
+
+SHAPE_ENTRY = st.sampled_from([-1, 0, 1, 2, 2.5, "2", True])
+PAIR = st.lists(st.integers(-1, 3), min_size=2, max_size=2)  # [num, den], den may be 0
+
+
+def _distribution(draw, m):
+    weights = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m).filter(any))
+    return [Fraction(w, sum(weights)) for w in weights]
+
+
+@st.composite
+def valid_tables(draw):
+    """Product tables of random single boxes, mixed now and then with a PR box."""
+    na, ma, nb, mb = draw(st.sampled_from([(1, 1, 1, 1), (1, 2, 1, 2), (2, 2, 1, 3),
+                                           (2, 2, 2, 2)]))
+    alice = boxes.BoxState(na, ma, [p for _ in range(na) for p in _distribution(draw, ma)])
+    bob = boxes.BoxState(nb, mb, [p for _ in range(nb) for p in _distribution(draw, mb)])
+    table = alice.tensor(bob)
+    if table.shape == (2, 2, 2, 2) and draw(st.booleans()):
+        w = Fraction(draw(st.integers(0, 4)), 4)
+        pr = boxes.canonical_entangled_vertex().probs
+        table = boxes.BipartiteBoxState(table.shape, [w * a + (1 - w) * b
+                                                      for a, b in zip(pr, table.probs)])
+    return table.to_json_dict()
+
+
+@st.composite
+def corrupted_tables(draw):
+    """A valid table with one entry replaced: mostly infeasible or signalling."""
+    obj = draw(valid_tables())
+    p = list(obj["p"])
+    p[draw(st.integers(0, len(p) - 1))] = draw(PAIR)
+    return {**obj, "p": p}
+
+
+@st.composite
+def box_files(draw):
+    """Shapes from a fixed grammar, and p lists of the matching length when there is one."""
+    n_inputs = draw(st.lists(SHAPE_ENTRY, min_size=2, max_size=2))
+    n_outputs = draw(st.lists(SHAPE_ENTRY, min_size=2, max_size=2))
+    sizes = [int(v) for v in n_inputs + n_outputs if isinstance(v, int)]
+    length = sizes[0] * sizes[1] * sizes[2] * sizes[3] if len(sizes) == 4 else 4
+    length = max(0, min(length, 16)) if draw(st.booleans()) else draw(st.integers(0, 6))
+    return {"n_inputs": n_inputs, "n_outputs": n_outputs,
+            "p": draw(st.lists(PAIR, min_size=length, max_size=length))}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(command=st.sampled_from(["orbit", "classify", "separable"]),
+       obj=valid_tables() | corrupted_tables() | box_files())
+@example(command="orbit", obj={"n_inputs": [0, 2], "n_outputs": [2, 2], "p": []})
+@example(command="separable", obj={"n_inputs": [0, 2], "n_outputs": [2, 2], "p": []})
+def test_box_json_exit_0_2_or_4(command, obj):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "box.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+        code, out, err = run(["boxes", command, "--state", path])
+    assert code in (0, 2, 4), (obj, code, err)
+    assert "Traceback" not in err
+    if code:
+        assert out == "" and err.startswith("error: ")
+        return
+    table = boxes.BipartiteBoxState.from_json_dict(obj)
+    assert boxes.BipartiteBoxState.from_json_dict(
+        json.loads(json.dumps(table.to_json_dict()))) == table

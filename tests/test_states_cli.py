@@ -423,6 +423,36 @@ class TestBoxesCommands:
         assert code == 2 and out == ""
         assert err.startswith("error: state: bad box table")
 
+    @pytest.mark.parametrize("command", ["orbit", "classify", "separable"])
+    @pytest.mark.parametrize("table, message", [
+        ({"n_inputs": [0, 2], "n_outputs": [2, 2], "p": []}, "at least one input"),
+        ({"n_inputs": [2, 2], "n_outputs": [0, 2], "p": []}, "at least one input"),
+        ({"n_inputs": [-1, 1], "n_outputs": [-2, 1], "p": []}, "at least one input"),
+        ({"n_inputs": [2.9, 2], "n_outputs": [2, 2], "p": [[1, 4]] * 16}, "expected an integer"),
+        ({"n_inputs": [float("inf"), 2], "n_outputs": [2, 2], "p": []}, "Infinity"),
+    ], ids=["no-inputs", "no-outputs", "negative", "fractional", "infinite"])
+    def test_bad_shape_exit_2(self, capsys, tmp_path, command, table, message):
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps(table))
+        code, out, err = run_cli(capsys, "boxes", command, "--state", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: state: bad box table") and message in err
+
+    def test_classify_runs_one_rank_test(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        real = boxes.is_extremal
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(boxes, "is_extremal", counted)
+        code, out, _ = run_cli(capsys, "boxes", "classify", "--state",
+                               self.entangled_file(tmp_path))
+        assert code == 0 and len(calls) == 1
+        assert out == ("extremal=true\nclass=entangled\n"
+                       "marginal_alice=(1/2,1/2,1/2,1/2)\nmarginal_bob=(1/2,1/2,1/2,1/2)\n")
+
     def test_bad_size_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "boxes", "vertices", "--size", "2,2,2")
         assert code == 2 and "--size" in err
