@@ -31,6 +31,8 @@ class SignallingError(InfeasibleError):
 
 
 def _coerce(value) -> Fraction:
+    if isinstance(value, Fraction):  # immutable: no copy needed
+        return value
     if isinstance(value, float):
         raise TypeError("box tables are exact; pass Fraction, int, or string, not float")
     return Fraction(value)
@@ -109,20 +111,22 @@ class BipartiteBoxState:
         object.__setattr__(self, "probs", probs)
         if len(probs) != na * ma * nb * mb:
             raise ValueError(f"expected {na * ma * nb * mb} entries, got {len(probs)}")
-        if any(p < 0 for p in probs):
+        # integer numerators over the common denominator: a block sums to 1 iff to den
+        den = lcm(*(p.denominator for p in probs))
+        nums = [p.numerator * (den // p.denominator) for p in probs]
+        if any(n < 0 for n in nums):
             raise InfeasibleError("negative probability entry")
+        width = nb * mb
         for k in range(na):
+            rows = range(ma * k * width, ma * (k + 1) * width, width)
             for l in range(nb):
-                if self.block_sum(k, l) != 1:
-                    raise InfeasibleError(f"block ({k},{l}) sums to {self.block_sum(k, l)}, not 1")
+                total = sum(sum(nums[r + mb * l:r + mb * (l + 1)]) for r in rows)
+                if total != den:
+                    raise InfeasibleError(f"block ({k},{l}) sums to {Fraction(total, den)}, not 1")
 
     def prob(self, i: int, j: int, k: int, l: int) -> Fraction:
         na, ma, nb, mb = self.shape
         return self.probs[(ma * k + i) * (nb * mb) + (mb * l + j)]
-
-    def block_sum(self, k: int, l: int) -> Fraction:
-        na, ma, nb, mb = self.shape
-        return sum(self.prob(i, j, k, l) for i in range(ma) for j in range(mb))
 
     def is_no_signalling(self) -> bool:
         try:

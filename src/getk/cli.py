@@ -12,6 +12,11 @@ import os
 import sys
 from fractions import Fraction
 
+# OpenBLAS reads this once, when numpy loads it. Its idle worker threads busy-wait
+# before they sleep, and no getk matrix is large enough to be worth splitting.
+if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from . import boxes, catalog, reproduce
 from .purity import is_generalized_unentangled, rescaled_purity
 from .states import load_state, read_json_file

@@ -47,10 +47,10 @@ class SpinSystem:
 
     def basis_state(self, m) -> QuantumState:
         """The eigenstate |J, m> of jz."""
-        index = int(round(self.j - m))
+        index = round(self.j - m, 0)  # a float: an infinite or nan m fails the range test
         if not 0 <= index < self.dim:
             raise ValueError(f"m={m} outside -J..J for J={self.j}")
-        return QuantumState.basis_state(self.dim, index)
+        return QuantumState.basis_state(self.dim, int(index))
 
 
 def spin_system(j) -> SpinSystem:

@@ -80,7 +80,10 @@ def parse_number_token(token: str) -> float:
         num, den = token.split("/", 1)
         if int(den) == 0:
             raise ValueError(f"zero denominator in {token!r}")
-        return float(int(num)) / float(int(den))
+        try:
+            return float(int(num)) / float(int(den))
+        except OverflowError:
+            raise ValueError(f"{token!r} is too large for a float") from None
     return float(token)
 
 
@@ -153,7 +156,7 @@ def state_from_json_dict(obj: dict) -> QuantumState:
         raise StateParseError(f"kind: expected pure or density, got {kind!r}")
     except StateParseError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise StateParseError(f"bad state file: {exc}") from exc
 
 

@@ -239,6 +239,23 @@ class TestBipartiteBoxState:
         with pytest.raises(InfeasibleError):
             BipartiteBoxState.from_matrix(bad)
 
+    @pytest.mark.parametrize("changes, error, message", [
+        ({0: F(-1, 4)}, InfeasibleError, "negative probability entry"),
+        ({2: F(1, 3), 3: F(1, 6), 6: HALF, 7: HALF}, InfeasibleError, "block (0,1) sums to 3/2, not 1"),
+        ({15: None}, ValueError, "expected 16 entries, got 15"),
+    ], ids=["negative", "block-sum", "entry-count"])
+    def test_validation_messages(self, changes, error, message):
+        probs = [F(1, 4)] * 16
+        for index, value in changes.items():
+            probs[index] = value
+        with pytest.raises(error) as info:
+            BipartiteBoxState((2, 2, 2, 2), tuple(p for p in probs if p is not None))
+        assert str(info.value) == message
+
+    def test_fraction_entries_kept(self):
+        probs = (HALF, F(0), F(0), HALF)
+        assert all(a is b for a, b in zip(BipartiteBoxState((1, 2, 1, 2), probs).probs, probs))
+
     def test_displayed_states_feasible(self):
         ent = displayed_entangled_matrix()
         assert ent.is_no_signalling()

@@ -1,5 +1,6 @@
-"""Property tests: any --rescale and --tol text ends in exit 0 or 2, and any box
-JSON file in exit 0, 2 or 4, never a traceback."""
+"""Property tests: any --rescale and --tol text ends in exit 0 or 2, any spin:
+and su2-spin: number tokens in exit 0, 2 or 3, and any box JSON file in exit 0,
+2 or 4, never a traceback."""
 
 import contextlib
 import io
@@ -60,6 +61,26 @@ def test_rescale_and_tol_text_exit_0_or_2(command, pair, rescale, tol):
     assert "Traceback" not in err
     if code == 2:
         assert out == "" and err
+    else:
+        assert "rescaled=" in out
+
+
+HUGE_INT = st.integers(20, 600).map(lambda k: 10 ** k)  # past 308 digits no float holds it
+INT_TEXT = st.one_of(st.integers(-1, 3), HUGE_INT, HUGE_INT.map(lambda v: 1 - v)).map(str)
+SPIN_TOKEN = INT_TEXT | st.tuples(INT_TEXT, INT_TEXT).map("/".join)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(j=SPIN_TOKEN, m=SPIN_TOKEN, algebra_j=SPIN_TOKEN)
+@example(j="1" + "0" * 400 + "/1", m="0", algebra_j="1")
+@example(j="1", m="1", algebra_j="1/1" + "0" * 400)
+def test_spin_tokens_exit_0_2_or_3(j, m, algebra_j):
+    argv = ["purity", "--state", f"spin:{j},{m}", "--algebra", f"su2-spin:{algebra_j}"]
+    code, out, err = run(argv)
+    assert code in (0, 2, 3), (argv, code, err)
+    assert "Traceback" not in err
+    if code:
+        assert out == "" and err.startswith("error: ")
     else:
         assert "rescaled=" in out
 

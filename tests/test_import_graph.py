@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -16,3 +17,40 @@ def test_import_leaves_numpy_out(module):
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+PROBE = ("import json, os, sys, {module}\n"
+         "tasks = '/proc/self/task'\n"
+         "print(json.dumps({{'env': {{v: os.environ.get(v) for v in sys.argv[1:]}},\n"
+         "                  'threads': len(os.listdir(tasks)) if os.path.isdir(tasks) else None}}))")
+
+
+def _import_in_fresh_process(module, **preset):
+    """Import ``module`` with the BLAS thread variables cleared, then ``preset``."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(preset, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", PROBE.format(module=module), *BLAS_VARS],
+                         env=env, check=True, capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+def test_command_pins_one_blas_thread():
+    # the command owns its process: OpenBLAS starts no idle workers to spin
+    probe = _import_in_fresh_process("getk.cli")
+    assert probe["env"] == {"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": None,
+                            "OMP_NUM_THREADS": None}
+    if probe["threads"] is None:
+        pytest.skip("no /proc/self/task to count threads")
+    assert probe["threads"] == 1
+
+
+@pytest.mark.parametrize("var", BLAS_VARS)
+def test_user_thread_setting_is_kept(var):
+    probe = _import_in_fresh_process("getk.cli", **{var: "2"})
+    assert probe["env"] == {v: "2" if v == var else None for v in BLAS_VARS}
+
+
+def test_library_leaves_the_environment_alone():
+    probe = _import_in_fresh_process("getk.purity")
+    assert probe["env"] == dict.fromkeys(BLAS_VARS)

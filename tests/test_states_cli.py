@@ -108,6 +108,7 @@ class TestNumberTokens:
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+HUGE = "1" + "0" * 400  # no float holds it
 
 # Starts a command and prints its peak RSS (KiB) as the last stderr line.  The
 # command is a grandchild of the test process: a child's peak RSS counts the
@@ -234,6 +235,29 @@ class TestPurityCommand:
         code, out, err = run_cli(capsys, command, "--state", str(path),
                                  "--algebra", "su2-spin:1/2")
         assert code == 2 and out == "" and "non-finite" in err
+
+    @pytest.mark.parametrize("state, algebra, message", [
+        (f"spin:{HUGE}/1,0", "su2-spin:1", "too large for a float"),
+        ("spin:1,1", f"su2-spin:1/{HUGE}", "bad spin spec"),
+        (f"spin:1,{HUGE}", "su2-spin:1", "m=inf outside -J..J"),  # float() reads it as inf
+    ], ids=["state-j", "algebra-j", "state-m"])
+    def test_huge_integer_in_names_exit_2(self, capsys, state, algebra, message):
+        # each once overflowed into a traceback: float(int(token)), int(round(inf))
+        code, out, err = run_cli(capsys, "purity", "--state", state, "--algebra", algebra)
+        assert code == 2 and out == "" and message in err
+
+    @pytest.mark.parametrize("text, message", [
+        (f'{{"dim": 2, "amplitudes": [[{HUGE}, 0], [0, 0]]}}', "int too large"),
+        (f'{{"dim": 2, "kind": "density", "matrix": [[[{HUGE}, 0], [0, 0]], [[0, 0], [0, 0]]]}}',
+         "int too large"),
+        ('{"dim": 1e400, "amplitudes": [[1, 0], [0, 0]]}', "infinity"),
+    ], ids=["amplitude", "density-entry", "dim"])
+    def test_huge_number_in_state_file_exit_2(self, capsys, tmp_path, text, message):
+        path = tmp_path / "huge.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "purity", "--state", str(path),
+                                 "--algebra", "su2-spin:1/2")
+        assert code == 2 and out == "" and "bad state file" in err and message in err
 
     def test_spin_zero_algebra_exit_2_without_warning(self):
         # J = 0 once divided by zero: a numpy warning, then a misleading error
