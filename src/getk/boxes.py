@@ -38,8 +38,10 @@ def _coerce(value) -> Fraction:
     return Fraction(value)
 
 
-def _whole(value) -> int:
+def whole_number(value) -> int:
     """A JSON number (or numeric string) that must be a whole number; never truncated."""
+    if isinstance(value, bool):  # JSON true is not 1
+        raise TypeError(f"expected an integer, got {value!r}")
     exact = Fraction(value)
     if exact.denominator != 1:
         raise ValueError(f"expected an integer, got {value!r}")
@@ -145,9 +147,9 @@ class BipartiteBoxState:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "BipartiteBoxState":
-        na, nb = (_whole(v) for v in obj["n_inputs"])
-        ma, mb = (_whole(v) for v in obj["n_outputs"])
-        probs = tuple(Fraction(_whole(num), _whole(den)) for num, den in obj["p"])
+        na, nb = (whole_number(v) for v in obj["n_inputs"])
+        ma, mb = (whole_number(v) for v in obj["n_outputs"])
+        probs = tuple(Fraction(whole_number(num), whole_number(den)) for num, den in obj["p"])
         return cls(shape=(na, ma, nb, mb), probs=probs)
 
     @classmethod
@@ -186,23 +188,36 @@ def marginals(state: BipartiteBoxState):
 
 @dataclass(frozen=True)
 class PolyhedralCone:
-    """H-representation of the unnormalized no-signalling cone.
+    """Integer parametrization of the no-signalling polytope's affine hull.
 
-    Coordinates are the joint-table entries; the cone is cut out by
-    nonnegativity together with the homogeneous equalities (equal block
-    sums and no-signalling), and ``unit`` is the functional whose level set
-    1 carves out the normalized base polytope.
+    The coordinates are Collins & Gisin's (quant-ph/0306129): 1, then per
+    side p(i|k) for every outcome i but the last, whose probability is 1
+    minus the others.  Row r of ``matrix`` writes joint-table entry r as a
+    linear form in the products of the two sides' coordinates, so the
+    matrix is the Kronecker product of the sides' matrices: the joint state
+    space is the maximal tensor product of the single-box ones (Barrett
+    2007).  Column 0 is the constant; the polytope is {M (1, t) >= 0}.
     """
 
     shape: tuple
     ambient: int
-    equalities: tuple  # rows a with a . x = 0
-    unit: tuple        # lambda with lambda . x = 1 on the base
+    matrix: tuple  # ambient rows of integers; row . (1, t) is table entry r
+
+
+def _side_matrix(n: int, m: int) -> list:
+    """One box's (n*m) x (1 + n(m-1)) matrix, rows in the flat order m*k + i."""
+    width = 1 + n * (m - 1)
+    rows = []
+    for k in range(n):
+        own = range(1 + (m - 1) * k, 1 + (m - 1) * (k + 1))  # p(i|k) for i < m-1
+        rows += [[int(c == col) for c in range(width)] for col in own]
+        rows.append([1] + [-int(c in own) for c in range(1, width)])
+    return rows
 
 
 def no_signalling_polytope(na: int, ma: int, nb: int | None = None,
                            mb: int | None = None) -> PolyhedralCone:
-    """Cone of unnormalized no-signalling tables for an (na, ma) x (nb, mb) pair."""
+    """The normalized no-signalling tables of an (na, ma) x (nb, mb) pair."""
     nb = na if nb is None else nb
     mb = ma if mb is None else mb
     if min(na, ma, nb, mb) < 1:
@@ -210,47 +225,10 @@ def no_signalling_polytope(na: int, ma: int, nb: int | None = None,
     ambient = na * ma * nb * mb
     if ambient ** 2 > 10_000:
         raise ValueError(f"table size {ambient} too large")
-    shape = (na, ma, nb, mb)
-
-    def idx(i, j, k, l):
-        return (ma * k + i) * (nb * mb) + (mb * l + j)
-
-    eqs = []
-    # all block sums equal (normalization, in homogeneous cone form)
-    for k in range(na):
-        for l in range(nb):
-            if (k, l) == (0, 0):
-                continue
-            row = [F0] * ambient
-            for i in range(ma):
-                for j in range(mb):
-                    row[idx(i, j, k, l)] += F1
-                    row[idx(i, j, 0, 0)] -= F1
-            eqs.append(tuple(row))
-    # Bob's column sums independent of Alice's input
-    for l in range(nb):
-        for j in range(mb):
-            for k in range(1, na):
-                row = [F0] * ambient
-                for i in range(ma):
-                    row[idx(i, j, k, l)] += F1
-                    row[idx(i, j, 0, l)] -= F1
-                eqs.append(tuple(row))
-    # Alice's row sums independent of Bob's input
-    for k in range(na):
-        for i in range(ma):
-            for l in range(1, nb):
-                row = [F0] * ambient
-                for j in range(mb):
-                    row[idx(i, j, k, l)] += F1
-                    row[idx(i, j, k, 0)] -= F1
-                eqs.append(tuple(row))
-    unit = [F0] * ambient
-    for i in range(ma):
-        for j in range(mb):
-            unit[idx(i, j, 0, 0)] = F1
-    return PolyhedralCone(shape=shape, ambient=ambient,
-                          equalities=tuple(eqs), unit=tuple(unit))
+    # Kronecker row (ma*k + i, mb*l + j) is the table's flat index (ma*k + i)*nb*mb + mb*l + j
+    matrix = tuple(tuple(a * b for a in row_a for b in row_b)
+                   for row_a in _side_matrix(na, ma) for row_b in _side_matrix(nb, mb))
+    return PolyhedralCone(shape=(na, ma, nb, mb), ambient=ambient, matrix=matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +236,7 @@ def no_signalling_polytope(na: int, ma: int, nb: int | None = None,
 
 
 def _rref(rows):
-    m = [list(r) for r in rows]
+    m = [[Fraction(x) for x in r] for r in rows]  # an int / int would be a float
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     pivots = []
@@ -288,29 +266,9 @@ def _rank(rows) -> int:
     return len(pivots)
 
 
-def _affine_solution(aug_rows, ncols):
-    """Particular solution and nullspace basis of [A | b] over the rationals."""
-    m, pivots = _rref(aug_rows)
-    if ncols in pivots:
-        raise InfeasibleError("equality system is inconsistent")
-    x0 = [F0] * ncols
-    for r, c in enumerate(pivots):
-        x0[c] = m[r][ncols]
-    free = [c for c in range(ncols) if c not in set(pivots)]
-    null = []
-    for f in free:
-        v = [F0] * ncols
-        v[f] = F1
-        for r, c in enumerate(pivots):
-            v[c] = -m[r][f]
-        null.append(v)
-    return x0, null
-
-
 def affine_dimension(cone: PolyhedralCone) -> int:
     """Dimension of the normalized base polytope's affine hull."""
-    rows = [list(e) for e in cone.equalities] + [list(cone.unit)]
-    return cone.ambient - _rank(rows)
+    return len(cone.matrix[0]) - 1
 
 
 def _integerize(frac_row):
@@ -331,9 +289,8 @@ def _extreme_rays(rows, dim):
     i.e. their common zero set has at least ``dim - 2`` rows and lies in no
     third ray's zero set.
     """
-    _, basis = _rref([[Fraction(row[c]) for row in rows] for c in range(dim)])
-    inv, _ = _rref([[Fraction(rows[b][c]) for c in range(dim)]
-                    + [F1 if i == k else F0 for k in range(dim)]
+    _, basis = _rref([[row[c] for row in rows] for c in range(dim)])
+    inv, _ = _rref([list(rows[b]) + [int(i == k) for k in range(dim)]
                     for i, b in enumerate(basis)])
     full = sum(1 << b for b in basis)
     rays = [_integerize([inv[c][dim + i] for c in range(dim)]) for i in range(dim)]
@@ -368,41 +325,32 @@ def _extreme_rays(rows, dim):
 def enumerate_vertices(cone: PolyhedralCone) -> list:
     """All vertices of the normalized polytope, exactly.
 
-    The polytope is parametrized as x = x0 + N t over its affine hull; each
-    nonnegativity row x_r >= 0 becomes an integer row on (t, s), homogenized
-    with s >= 0, and the extreme rays of that cone with s > 0 are the
-    vertices, x = x0 + N t / s.
+    With the constant column moved last as s, each row of the
+    parametrization is an integer row on (t, s) with row . (t, s) = s x_r,
+    and the vertices are the extreme rays of the cone of (t, s) on which
+    every row is nonnegative, x_r = row . (t, s) / s.  Every block of the
+    table sums to s, so that cone is pointed and s > 0 on each ray.
     """
     na, ma, nb, mb = cone.shape
     if na * ma > ENUMERATION_CAP or nb * mb > ENUMERATION_CAP:
         raise ValueError(f"enumeration capped at {ENUMERATION_CAP} input*output per side")
-    ambient = cone.ambient
-    aug = [list(e) + [F0] for e in cone.equalities] + [list(cone.unit) + [F1]]
-    x0, null = _affine_solution(aug, ambient)
-    p = len(null)
-    frac_rows = [[null[q][r] for q in range(p)] + [x0[r]] for r in range(ambient)]
-    den = lcm(*(v.denominator for row in frac_rows for v in row))
-    rows = [[int(v * den) for v in row] for row in frac_rows]  # row . (t, s) = den * s * x_r
-    found = []
-    for ray in _extreme_rays([[0] * p + [1]] + rows, p + 1):
-        s = ray[p]
-        if s > 0:
-            found.append(tuple(Fraction(sum(a * y for a, y in zip(row, ray)), den * s)
-                               for row in rows))
+    p = affine_dimension(cone)
+    rows = [row[1:] + row[:1] for row in cone.matrix]
+    found = [tuple(Fraction(sum(a * y for a, y in zip(row, ray)), ray[p]) for row in rows)
+             for ray in _extreme_rays(rows, p + 1)]
     return [BipartiteBoxState(shape=cone.shape, probs=probs) for probs in sorted(found)]
 
 
 def is_extremal(state: BipartiteBoxState, cone: PolyhedralCone | None = None) -> bool:
-    """Exact vertex test: tight constraints span the whole ambient space."""
+    """Exact vertex test: the zero entries pin the table within the affine hull."""
     cone = cone or no_signalling_polytope(*state.shape)
     if state.shape != cone.shape:
         raise ValueError(f"state shape {state.shape} does not match cone shape {cone.shape}")
     marginals(state)  # raises SignallingError on violation
-    # the rows e_r of the zero entries are tight and span their own columns,
-    # so the tight set has full rank exactly when the rest does on the support
-    support = [r for r, val in enumerate(state.probs) if val != 0]
-    return _rank([[row[r] for r in support]
-                  for row in cone.equalities + (cone.unit,)]) == len(support)
+    # the table is M (1, t) for one t, and (1, t) spans the null space of the
+    # zero entries' rows exactly when those rows have rank dim
+    zeros = [row for row, val in zip(cone.matrix, state.probs) if val == 0]
+    return _rank(zeros) == affine_dimension(cone)
 
 
 class VertexClass(Enum):

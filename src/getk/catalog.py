@@ -227,8 +227,8 @@ def named_algebra(name: str) -> ObservableSpace:
     if name.startswith("su2-spin:"):
         try:
             j = parse_number_token(name.split(":", 1)[1])
-        except (ValueError, TypeError) as exc:
-            raise ValueError(f"bad spin spec {name!r}: expected su2-spin:J") from exc
+        except ValueError as exc:
+            raise ValueError(f"bad spin spec {name!r}: {exc}") from exc
         return spin_algebra(j)
     if name.startswith("custom:"):
         path = name.split(":", 1)[1]

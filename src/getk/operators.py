@@ -66,11 +66,6 @@ def trace_inner_product(a, b) -> float:
     return float(val.real)
 
 
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product of two operators (or vectors)."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def kron_all(factors) -> np.ndarray:
     out = np.asarray(factors[0], dtype=complex)
     for f in factors[1:]:
@@ -83,6 +78,9 @@ def pauli_string(word: str) -> np.ndarray:
     bad = set(word.upper()) - set("IXYZ")
     if not word or bad:
         raise ValueError(f"malformed Pauli word {word!r}")
+    if len(word) >= MAX_DIM.bit_length():  # 2**len(word) > MAX_DIM, checked before any kron
+        raise ValueError(f"Pauli word of length {len(word)} has dimension 2^{len(word)}, "
+                         f"above the supported {MAX_DIM}")
     return kron_all([PAULI[c] for c in word.upper()])
 
 

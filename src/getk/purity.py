@@ -109,8 +109,8 @@ def rescaled_purity(state: QuantumState, omega: ObservableSpace,
                     max_reference: float | str | None = None, *, seed: int = 0) -> PurityReport:
     """Purity report with the traceless-sector value rescaled to maximum 1."""
     omega = omega.traceless_sector()
+    raw = omega_purity(state, omega)  # a state of the wrong dimension fails before any reference
     ref = resolve_max_reference(omega, max_reference, seed)
-    raw = omega_purity(state, omega)
     rescaled = raw / ref
     if rescaled > 1.0 + 1e-8:
         raise ValueError(

@@ -90,13 +90,12 @@ def _three_qubit_states(provider) -> dict:
     return out
 
 
-def omega2_value_table(provider=None) -> dict:
+def omega2_value_table() -> dict:
     """Rescaled purities of the three-qubit classes under both pair readings."""
-    provider = provider or states.builtin_state
     table = {}
     for space in (catalog.first_pair_algebra(), catalog.bilocal_pair_algebra()):
         vals = {}
-        for name, st in _three_qubit_states(provider).items():
+        for name, st in _three_qubit_states(states.builtin_state).items():
             vals[name] = rescaled_purity(st, space).rescaled
         table[space.label] = vals
     return table

@@ -12,6 +12,7 @@ import json
 import numpy as np
 
 from . import fermion
+from .boxes import whole_number
 from .coherent import spin_system
 from .operators import MAX_DIM, QuantumState
 
@@ -140,7 +141,7 @@ def state_to_json_dict(state: QuantumState) -> dict:
 
 def state_from_json_dict(obj: dict) -> QuantumState:
     try:
-        dim = int(obj["dim"])
+        dim = whole_number(obj["dim"])
         kind = obj.get("kind", "pure" if "amplitudes" in obj else "density")
         if kind == "pure":
             amps = np.array([complex(re, im) for re, im in obj["amplitudes"]])

@@ -14,9 +14,9 @@ from getk.boxes import (
     InfeasibleError,
     SignallingError,
     VertexClass,
-    _affine_solution,
     _integerize,
     _rank,
+    _rref,
     _side_generators,
     _vertex_class,
     affine_dimension,
@@ -78,19 +78,86 @@ def oracle_vertices():
     return out
 
 
-def brute_force_vertices(cone):
+def h_representation(shape):
+    """Independent description of the polytope: its equalities and its unit row.
+
+    Coordinates are the joint-table entries.  Each equality row a has
+    a . x = 0: all block sums are equal, Bob's column sums do not depend on
+    Alice's input, and Alice's row sums do not depend on Bob's.  The unit
+    row sums block (0, 0); its level set 1 is the normalization.
+    """
+    na, ma, nb, mb = shape
+    ambient = na * ma * nb * mb
+
+    def idx(i, j, k, l):
+        return (ma * k + i) * (nb * mb) + (mb * l + j)
+
+    eqs = []
+    for k in range(na):
+        for l in range(nb):
+            if (k, l) == (0, 0):
+                continue
+            row = [F(0)] * ambient
+            for i in range(ma):
+                for j in range(mb):
+                    row[idx(i, j, k, l)] += 1
+                    row[idx(i, j, 0, 0)] -= 1
+            eqs.append(row)
+    for l in range(nb):
+        for j in range(mb):
+            for k in range(1, na):
+                row = [F(0)] * ambient
+                for i in range(ma):
+                    row[idx(i, j, k, l)] += 1
+                    row[idx(i, j, 0, l)] -= 1
+                eqs.append(row)
+    for k in range(na):
+        for i in range(ma):
+            for l in range(1, nb):
+                row = [F(0)] * ambient
+                for j in range(mb):
+                    row[idx(i, j, k, l)] += 1
+                    row[idx(i, j, k, 0)] -= 1
+                eqs.append(row)
+    unit = [F(0)] * ambient
+    for i in range(ma):
+        for j in range(mb):
+            unit[idx(i, j, 0, 0)] = F(1)
+    return eqs, unit
+
+
+def affine_solution(aug_rows, ncols):
+    """Particular solution and nullspace basis of [A | b] over the rationals."""
+    m, pivots = _rref(aug_rows)
+    assert ncols not in pivots, "equality system is inconsistent"
+    x0 = [F(0)] * ncols
+    for r, c in enumerate(pivots):
+        x0[c] = m[r][ncols]
+    free = [c for c in range(ncols) if c not in set(pivots)]
+    null = []
+    for f in free:
+        v = [F(0)] * ncols
+        v[f] = F(1)
+        for r, c in enumerate(pivots):
+            v[c] = -m[r][f]
+        null.append(v)
+    return x0, null
+
+
+def brute_force_vertices(shape):
     """Reference enumerator: every independent tight set, solved exactly.
 
-    Picks affine-dimension many linearly independent nonnegativity rows (by
+    Parametrizes the affine hull of :func:`h_representation` as x0 + N t,
+    picks affine-dimension many linearly independent nonnegativity rows (by
     incremental integer elimination, pruning dependent prefixes), solves the
     square system and keeps the feasible solutions.  A feasible point pinned
     by an independent tight set of full rank is a vertex; duplicates from
     larger tight sets merge.  Combinatorial in the size, so only for small
     polytopes.  Returns the sorted probability tuples.
     """
-    ambient = cone.ambient
-    aug = [list(e) + [F(0)] for e in cone.equalities] + [list(cone.unit) + [F(1)]]
-    x0, null = _affine_solution(aug, ambient)
+    eqs, unit = h_representation(shape)
+    ambient = len(unit)
+    x0, null = affine_solution([e + [F(0)] for e in eqs] + [unit + [F(1)]], ambient)
     p = len(null)
     base_rows = [_integerize([null[q][r] for q in range(p)] + [x0[r]])
                  for r in range(ambient)]
@@ -308,6 +375,29 @@ class TestPolytope:
         cone = no_signalling_polytope(2, 2, 2, 2)
         assert affine_dimension(cone) == 8
 
+    def test_parametrization_spans_the_oracle_hull(self):
+        # M maps (1, t) into the oracle's affine hull, onto it, and one-to-one
+        small = [(n, m) for n in range(1, 5) for m in range(1, 5) if n * m <= 4]
+        shapes = [(*a, *b) for a in small for b in small]
+        shapes += [(2, 3, 2, 3), (3, 2, 2, 3), (3, 2, 3, 2), (1, 6, 1, 6)]
+        for shape in shapes:
+            cone = no_signalling_polytope(*shape)
+            eqs, unit = h_representation(shape)
+            columns = list(zip(*cone.matrix))
+            for e in eqs:
+                assert all(sum(a * x for a, x in zip(e, col)) == 0 for col in columns), shape
+            assert [sum(a * x for a, x in zip(unit, col)) for col in columns] == \
+                [1] + [0] * (len(columns) - 1), shape
+            free = [row[1:] for row in cone.matrix]
+            hull_dim = cone.ambient - _rank(eqs + [unit])
+            assert _rank(free) == hull_dim == affine_dimension(cone), shape
+
+    def test_rref_is_exact_on_integer_rows(self):
+        m, pivots = _rref([[2, 1, 0], [1, 3, 5]])
+        assert pivots == [0, 1]
+        assert all(type(x) is Fraction for row in m for x in row)
+        assert m == [[1, 0, F(-1)], [0, 1, 2]]
+
     def test_sizes_capped(self):
         with pytest.raises(ValueError):
             no_signalling_polytope(11, 10, 2, 2)
@@ -346,7 +436,7 @@ class TestDoubleDescription:
     @pytest.mark.parametrize("shape", [(2, 2, 2, 2), (1, 3, 2, 2), (2, 2, 1, 3), (3, 2, 1, 2)])
     def test_matches_brute_force(self, shape):
         cone = no_signalling_polytope(*shape)
-        assert [v.probs for v in enumerate_vertices(cone)] == brute_force_vertices(cone)
+        assert [v.probs for v in enumerate_vertices(cone)] == brute_force_vertices(shape)
 
     @pytest.mark.parametrize("shape, total", [((2, 2, 3, 2), 128), ((2, 2, 2, 3), 108)])
     def test_vertices_extremal_and_closed_under_relabelings(self, shape, total):
@@ -413,13 +503,14 @@ class TestExtremality:
 
     @pytest.mark.parametrize("shape", [(2, 2, 2, 2), (2, 2, 3, 2), (1, 3, 2, 2)])
     def test_support_rank_matches_full_tight_set(self, shape):
-        # reference: every equality, the unit row and one unit row per zero entry
+        # reference: every oracle equality, the unit row and one unit row per zero entry
         cone = no_signalling_polytope(*shape)
+        eqs, unit = h_representation(shape)
         rng = random.Random(3)
         verts = vertices_of(shape)
         tables = rng.sample(verts, 12) + [rational_mixture(shape, rng, t) for t in (2, 2, 3)]
         for state in tables:
-            rows = [list(e) for e in cone.equalities] + [list(cone.unit)]
+            rows = eqs + [unit]
             rows += [[F(int(c == r)) for c in range(cone.ambient)]
                      for r, val in enumerate(state.probs) if val == 0]
             assert is_extremal(state, cone) is (_rank(rows) == cone.ambient)

@@ -12,13 +12,13 @@ from getk.operators import (
     commutant_basis,
     expectation,
     gell_mann_basis,
+    kron_all,
     lie_closure,
     orthonormalize,
     partial_trace,
     pauli_string,
     random_density_state,
     random_pure_state,
-    tensor,
     trace_inner_product,
 )
 
@@ -136,19 +136,24 @@ class TestExpectation:
 
 class TestTensor:
     def test_identity_factor(self):
-        full = tensor(ID, SX)
+        full = kron_all([ID, SX])
         assert np.allclose(full[:2, :2], SX) and np.allclose(full[2:, 2:], SX)
         assert np.allclose(full[:2, 2:], 0)
 
     def test_basis_vectors(self):
         v0 = np.array([1.0, 0.0])
         v1 = np.array([0.0, 1.0])
-        out = tensor(v0, v1)
+        out = kron_all([v0, v1])
         assert np.array_equal(out, np.array([0.0, 1.0, 0.0, 0.0]))
 
     def test_entries_by_hand(self):
-        m = tensor(SX, SZ)
+        m = kron_all([SX, SZ])
         assert m[0, 2] == 1.0 and m[1, 3] == -1.0
+
+    def test_long_pauli_word_rejected(self):
+        # 2^11 > MAX_DIM: refused before the 64 MB product is built
+        with pytest.raises(ValueError, match="supported 1024"):
+            pauli_string("X" * 11)
 
 
 class TestPartialTrace:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from getk import boxes, catalog, cli, fermion, purity, states
+from getk import boxes, catalog, cli, coherent, fermion, purity, states
 from getk.operators import QuantumState
 
 
@@ -240,7 +240,9 @@ class TestPurityCommand:
         (f"spin:{HUGE}/1,0", "su2-spin:1", "too large for a float"),
         ("spin:1,1", f"su2-spin:1/{HUGE}", "bad spin spec"),
         (f"spin:1,{HUGE}", "su2-spin:1", "m=inf outside -J..J"),  # float() reads it as inf
-    ], ids=["state-j", "algebra-j", "state-m"])
+        ("spin:1,1", f"su2-spin:{HUGE}/1", "too large for a float"),
+        ("spin:1,1", "su2-spin:1/0", "zero denominator"),
+    ], ids=["state-j", "algebra-j", "state-m", "algebra-j-cause", "algebra-zero-denominator"])
     def test_huge_integer_in_names_exit_2(self, capsys, state, algebra, message):
         # each once overflowed into a traceback: float(int(token)), int(round(inf))
         code, out, err = run_cli(capsys, "purity", "--state", state, "--algebra", algebra)
@@ -250,8 +252,10 @@ class TestPurityCommand:
         (f'{{"dim": 2, "amplitudes": [[{HUGE}, 0], [0, 0]]}}', "int too large"),
         (f'{{"dim": 2, "kind": "density", "matrix": [[[{HUGE}, 0], [0, 0]], [[0, 0], [0, 0]]]}}',
          "int too large"),
-        ('{"dim": 1e400, "amplitudes": [[1, 0], [0, 0]]}', "infinity"),
-    ], ids=["amplitude", "density-entry", "dim"])
+        ('{"dim": 1e400, "amplitudes": [[1, 0], [0, 0]]}', "Infinity"),
+        ('{"dim": 2.9, "amplitudes": [[1, 0], [0, 0]]}', "expected an integer, got 2.9"),
+        ('{"dim": true, "amplitudes": [[1, 0]]}', "expected an integer, got True"),
+    ], ids=["amplitude", "density-entry", "dim", "fractional-dim", "boolean-dim"])
     def test_huge_number_in_state_file_exit_2(self, capsys, tmp_path, text, message):
         path = tmp_path / "huge.json"
         path.write_text(text)
@@ -274,6 +278,26 @@ class TestPurityCommand:
                                  "--algebra", f"custom:{path}")
         assert code == 2 and out == ""
         assert err == f"error: algebra 'custom:{path}' has no traceless part\n"
+
+    def test_long_custom_word_exit_2_before_building(self, capsys, tmp_path):
+        # each 11-letter word was once a 2048 x 2048 complex product (64 MB) before any check
+        path = tmp_path / "long.txt"
+        path.write_text("XXXXXXXXXXX\nZZZZZZZZZZZ\n")
+        code, out, err = run_cli(capsys, "purity", "--state", "ghz:3",
+                                 "--algebra", f"custom:{path}", "--rescale", "0.5")
+        assert code == 2 and out == "" and f"supported {catalog.MAX_DIM}" in err
+
+    def test_dimension_mismatch_before_numerical_reference(self, capsys, tmp_path, monkeypatch):
+        # the seeded optimizer once ran to completion on a state it could not be applied to
+        calls = []
+        monkeypatch.setattr(coherent, "max_purity_estimate",
+                            lambda *args, **kwargs: calls.append(args) or 1.0)
+        path = tmp_path / "three_qubit.txt"  # read afresh: no cached reference to hit
+        path.write_text("XXI\nIZZ\n")
+        code, out, err = run_cli(capsys, "purity", "--state", "bell:phi+",
+                                 "--algebra", f"custom:{path}", "--rescale", "auto")
+        assert code == 3 and out == "" and "dimension mismatch" in err
+        assert calls == []
 
     @pytest.mark.parametrize("state, raw, rescaled", [
         ("w:3", "0.0416666666667", "0.111111111111"),
@@ -454,7 +478,11 @@ class TestBoxesCommands:
         ({"n_inputs": [-1, 1], "n_outputs": [-2, 1], "p": []}, "at least one input"),
         ({"n_inputs": [2.9, 2], "n_outputs": [2, 2], "p": [[1, 4]] * 16}, "expected an integer"),
         ({"n_inputs": [float("inf"), 2], "n_outputs": [2, 2], "p": []}, "Infinity"),
-    ], ids=["no-inputs", "no-outputs", "negative", "fractional", "infinite"])
+        ({"n_inputs": [True, 2], "n_outputs": [2, 2], "p": [[1, 4]] * 8}, "got True"),
+        ({"n_inputs": [1, 1], "n_outputs": [2, 2], "p": [[True, 2], [0, 1], [0, 1], [1, 2]]},
+         "got True"),
+    ], ids=["no-inputs", "no-outputs", "negative", "fractional", "infinite", "boolean",
+            "boolean-numerator"])
     def test_bad_shape_exit_2(self, capsys, tmp_path, command, table, message):
         path = tmp_path / "shape.json"
         path.write_text(json.dumps(table))
