@@ -83,6 +83,8 @@ def _cmd_purity(args) -> int:
     report = rescaled_purity(state, omega, max_reference=_rescale_value(args.rescale),
                              seed=_seed())
     record = {"state": args.state, **report.as_dict()}
+    if args.json:  # JSON only: key=value records keep a fixed set of keys
+        record["reference_source"] = report.reference_source
     if args.command == "classify":
         verdict = is_generalized_unentangled(state, omega, tol=args.tol, report=report)
         record.update(unentangled=verdict.unentangled,

@@ -2,17 +2,21 @@
 
 Provides spin-J systems with physically normalized angular momentum
 generators, spin coherent states as extremal eigenvectors, group-orbit
-sampling through the matrix exponential, and a numerical estimator for the
-maximal raw purity used as a rescaling reference.
+sampling through the matrix exponential, and the two maximal-raw-purity
+references: the highest-weight value for irreducibly represented Lie algebras
+and a fixed-point estimate for every other space.  Both draw from the stdlib
+``random.Random``, so no purity command loads ``numpy.random``.
 """
 
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import MAX_DIM, ObservableSpace, QuantumState, assert_hermitian, random_pure_state
+from .operators import MAX_DIM, ObservableSpace, QuantumState, assert_hermitian, kron_all
 
 _MAX_FIXED_POINT_STEPS = 1000  # per restart; catalog algebras stop rising within 40 steps
+_DEGENERATE_GAP = 1e-9  # top eigenvalue gap, relative to the spectral radius, below which it is shared
 
 
 def _validate_spin(j) -> float:
@@ -126,6 +130,56 @@ def raw_purity_and_gradient(omega: ObservableSpace, psi: np.ndarray):
     return value, grad
 
 
+def _rng(seed: int) -> random.Random:
+    """The seeded generator of both references.
+
+    Negative seeds are refused: ``random.Random`` would fold -s onto s.
+    """
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return random.Random(seed)
+
+
+def _gaussians(rng: random.Random, n: int) -> np.ndarray:
+    return np.array([rng.gauss(0.0, 1.0) for _ in range(n)])
+
+
+def _top_eigenvector(h: np.ndarray):
+    """The unit eigenvector of the largest eigenvalue of ``h``, or None when that eigenvalue
+    is degenerate and so picks no vector."""
+    evals, evecs = np.linalg.eigh(h)
+    if len(evals) > 1 and evals[-1] - evals[-2] <= _DEGENERATE_GAP * np.max(np.abs(evals)):
+        return None
+    return evecs[:, -1]
+
+
+def highest_weight_purity(omega: ObservableSpace, seed: int = 0) -> float | None:
+    """Raw purity of the top eigenvector of one seeded generic element sum_a c_a X_a.
+
+    On a Lie algebra represented irreducibly, the maximal-purity states are the
+    generalized coherent states, the orbit of a highest-weight vector (Perelomov
+    1972; Klyachko, quant-ph/0206012; Barnum, Knill, Ortiz, Somma & Viola, PRL 92,
+    107902 (2004)).  A generic element is regular, and its top eigenvector is a
+    highest-weight vector for the Weyl chamber that holds it, so the value is the
+    exact maximum.  It is the purity of an actual state, hence a lower bound on
+    any space.  On a site-factored space the element is a sum of single-site
+    terms, and its top eigenvector is the product of the site eigenvectors, so no
+    dense stack is built.  Returns None when a top eigenvalue is degenerate.
+    """
+    rng = _rng(seed)
+    if omega.sites is None:
+        psi = _top_eigenvector(np.einsum("a,aij->ij", _gaussians(rng, omega.size), omega.stack))
+    else:
+        k = len(omega.site_basis)
+        factors = [_top_eigenvector(np.einsum("a,aij->ij", _gaussians(rng, k), omega.site_basis))
+                   for _ in range(omega.sites)]
+        psi = None if any(f is None for f in factors) else kron_all(factors)
+    if psi is None:
+        return None
+    vals = omega.expectation_vector(QuantumState(vector=psi))
+    return float(np.dot(vals, vals))
+
+
 def max_purity_estimate(omega: ObservableSpace, restarts: int = 32, seed: int = 0) -> float:
     """Maximize the raw purity sum_a <X_a>^2 over pure states by a fixed-point iteration.
 
@@ -135,13 +189,16 @@ def max_purity_estimate(omega: ObservableSpace, restarts: int = 32, seed: int = 
     lowers it; at a fixed point H psi = lambda psi, so the tangent part of the
     gradient in ``raw_purity_and_gradient`` vanishes.  Deterministic for a
     fixed seed; the returned value is a lower bound on the true maximum.
+    The restarts run one after another: stacking their H matrices would hold
+    restarts * dim^2 complex numbers at once.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     best = 0.0
     for _ in range(restarts):
-        psi = random_pure_state(omega.dim, rng).vector
+        psi = _gaussians(rng, 2 * omega.dim).view(complex)
+        psi /= np.linalg.norm(psi)
         val = -1.0
         for _ in range(_MAX_FIXED_POINT_STEPS):
             h = omega.project_operator(np.outer(psi, psi.conj()))

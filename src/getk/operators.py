@@ -98,7 +98,7 @@ class QuantumState:
                 raise ValueError("pure state has non-finite entries")
             nrm = np.linalg.norm(v)
             if abs(nrm - 1.0) > HERMITICITY_TOL:
-                raise ValueError(f"pure state norm {nrm!r} is not 1")
+                raise ValueError(f"pure state norm {float(nrm)} is not 1")
             # renormalize the residual so downstream algebra sees unit norm
             self._vector = v / nrm
             self._rho = None
@@ -107,7 +107,7 @@ class QuantumState:
             m = assert_hermitian(rho)
             tr = np.trace(m).real
             if abs(tr - 1.0) > HERMITICITY_TOL:
-                raise ValueError(f"density matrix trace {tr!r} is not 1")
+                raise ValueError(f"density matrix trace {float(tr)} is not 1")
             evals = np.linalg.eigvalsh(m)
             if evals.min() < -1e-10:
                 raise ValueError(f"density matrix has negative eigenvalue {evals.min():.3e}")

@@ -26,12 +26,17 @@ from .operators import (
 
 @dataclass(frozen=True)
 class PurityReport:
-    """Raw and max-rescaled purity of one state relative to one space."""
+    """Raw and max-rescaled purity of one state relative to one space.
+
+    ``reference_source`` says where ``max_reference`` came from: ``analytic``,
+    ``highest-weight``, ``numerical`` (the fixed-point estimate) or ``explicit``.
+    """
 
     raw: float
     rescaled: float
     max_reference: float
     omega_label: str
+    reference_source: str
 
     def as_dict(self) -> dict:
         return {
@@ -77,18 +82,27 @@ def omega_purity(state: QuantumState, omega: ObservableSpace) -> float:
     return raw
 
 
-@lru_cache(maxsize=32)  # bounded: each entry keeps its space, and its stack, alive
-def numeric_max_reference(omega: ObservableSpace, seed: int = 0) -> float:
-    """Numerically estimated raw purity maximum, cached per space and seed."""
-    return coherent.max_purity_estimate(omega, seed=seed)
+@lru_cache(maxsize=32)  # bounded: each entry keeps its space alive
+def numeric_max_reference(omega: ObservableSpace, seed: int = 0) -> tuple[float, str]:
+    """The ``auto`` reference and its source, cached per space and seed.
+
+    An irreducibly represented Lie algebra gets the highest-weight value, an
+    exact maximum; any other space, or one whose seeded element has a degenerate
+    top eigenvalue, gets the fixed-point estimate, a lower bound.
+    """
+    if omega.irreducible_lie:
+        value = coherent.highest_weight_purity(omega, seed)
+        if value is not None:
+            return value, "highest-weight"
+    return coherent.max_purity_estimate(omega, seed=seed), "numerical"
 
 
 def resolve_max_reference(omega: ObservableSpace, max_reference: float | str | None = None,
-                          seed: int = 0) -> float:
-    """The rescaling constant of a traceless space: the one ``--rescale`` rule.
+                          seed: int = 0) -> tuple[float, str]:
+    """The rescaling constant of a traceless space and its source: the one ``--rescale`` rule.
 
     ``"analytic"`` is the maximum the space carries, ``"auto"`` the seeded
-    numerical estimate, and ``None`` the first of these that exists.  A
+    ``numeric_max_reference``, and ``None`` the first of these that exists.  A
     number must be positive and finite.
     """
     if max_reference is None:
@@ -98,11 +112,11 @@ def resolve_max_reference(omega: ObservableSpace, max_reference: float | str | N
     if max_reference == "analytic" and omega.max_purity is None:
         raise ValueError(f"--rescale analytic: no analytic reference for algebra {omega.label!r}")
     if max_reference == "analytic":
-        return omega.max_purity
+        return omega.max_purity, "analytic"
     if isinstance(max_reference, str) or not (math.isfinite(max_reference) and max_reference > 0):
         raise ValueError("rescaling reference must be auto, analytic or a positive finite "
                          f"number, got {max_reference!r}")
-    return float(max_reference)
+    return float(max_reference), "explicit"
 
 
 def rescaled_purity(state: QuantumState, omega: ObservableSpace,
@@ -110,14 +124,14 @@ def rescaled_purity(state: QuantumState, omega: ObservableSpace,
     """Purity report with the traceless-sector value rescaled to maximum 1."""
     omega = omega.traceless_sector()
     raw = omega_purity(state, omega)  # a state of the wrong dimension fails before any reference
-    ref = resolve_max_reference(omega, max_reference, seed)
+    ref, source = resolve_max_reference(omega, max_reference, seed)
     rescaled = raw / ref
     if rescaled > 1.0 + 1e-8:
         raise ValueError(
             f"rescaled purity {rescaled} exceeds 1: reference {ref} is below the "
             f"true maximum (explicit value too small, or too few optimizer restarts)")
     return PurityReport(raw=raw, rescaled=rescaled, max_reference=ref,
-                        omega_label=omega.label)
+                        omega_label=omega.label, reference_source=source)
 
 
 def local_purity_formula(psi: QuantumState, n: int, d0: int) -> float:

@@ -139,18 +139,27 @@ def state_to_json_dict(state: QuantumState) -> dict:
             "matrix": [[[z.real, z.imag] for z in row] for row in m]}
 
 
+def _complex_entries(field: str, entries, ndim: int) -> np.ndarray:
+    """JSON [re, im] number pairs, nested ``ndim`` lists deep, as one complex array."""
+    pairs = np.asarray(entries)
+    if pairs.dtype == object and all(isinstance(x, (int, float)) for x in pairs.flat):
+        pairs = pairs.astype(float)  # integers past 64 bits; past a float's range, OverflowError
+    if pairs.dtype.kind not in "biuf" or pairs.ndim != ndim + 1 or pairs.shape[-1] != 2:
+        raise StateParseError(f"{field}: entries must be [re, im] pairs of numbers")
+    return np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
+
+
 def state_from_json_dict(obj: dict) -> QuantumState:
     try:
         dim = whole_number(obj["dim"])
         kind = obj.get("kind", "pure" if "amplitudes" in obj else "density")
         if kind == "pure":
-            amps = np.array([complex(re, im) for re, im in obj["amplitudes"]])
+            amps = _complex_entries("amplitudes", obj["amplitudes"], 1)
             if amps.size != dim:
                 raise StateParseError(f"amplitudes: expected {dim} entries, got {amps.size}")
             return QuantumState(vector=amps)
         if kind == "density":
-            rows = obj["matrix"]
-            m = np.array([[complex(re, im) for re, im in row] for row in rows])
+            m = _complex_entries("matrix", obj["matrix"], 2)
             if m.shape != (dim, dim):
                 raise StateParseError(f"matrix: expected {dim}x{dim}, got {m.shape}")
             return QuantumState(rho=m)

@@ -148,10 +148,12 @@ class TestSiteFactoredLocalAlgebra:
         assert (report.raw, report.max_reference) == (pytest.approx(0.00625), 0.009765625)
         assert not verdict.unentangled and verdict.rescaled == report.rescaled
 
-    def test_auto_reference_builds_the_stack(self):
+    def test_auto_reference_leaves_the_stack_unbuilt(self):
+        # the highest-weight vector of a sum of site terms is a product of site eigenvectors
         space = catalog.local_algebra.__wrapped__(3, 2)
         report = rescaled_purity(states.builtin_state("w:3"), space, "auto")
-        assert "stack" in vars(space)
+        assert "stack" not in vars(space)
+        assert report.reference_source == "highest-weight"
         assert report.max_reference == pytest.approx(0.375, abs=1e-12)
 
     def test_site_basis_is_validated(self):

@@ -1,6 +1,6 @@
 """Property tests: any --rescale and --tol text ends in exit 0 or 2, any spin:
-and su2-spin: number tokens in exit 0, 2 or 3, and any box JSON file in exit 0,
-2 or 4, never a traceback."""
+and su2-spin: number tokens and any state JSON file in exit 0, 2 or 3, and any
+box JSON file in exit 0, 2 or 4, never a traceback."""
 
 import contextlib
 import io
@@ -9,10 +9,12 @@ import os
 import tempfile
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from getk import boxes, cli
+from getk import boxes, cli, states
+from getk.operators import QuantumState
 
 # one state per catalog algebra, of matching dimension
 ALGEBRA_STATES = [
@@ -150,3 +152,94 @@ def test_box_json_exit_0_2_or_4(command, obj):
     table = boxes.BipartiteBoxState.from_json_dict(obj)
     assert boxes.BipartiteBoxState.from_json_dict(
         json.loads(json.dumps(table.to_json_dict()))) == table
+
+
+def complex_per_entry(obj):
+    """The state-file decoding the array decoder replaced: one complex() per [re, im] pair."""
+    try:
+        dim = boxes.whole_number(obj["dim"])
+        kind = obj.get("kind", "pure" if "amplitudes" in obj else "density")
+        if kind == "pure":
+            amps = np.array([complex(re, im) for re, im in obj["amplitudes"]])
+            if amps.size != dim:
+                raise states.StateParseError(f"expected {dim} entries, got {amps.size}")
+            return QuantumState(vector=amps)
+        if kind == "density":
+            m = np.array([[complex(re, im) for re, im in row] for row in obj["matrix"]])
+            if m.shape != (dim, dim):
+                raise states.StateParseError(f"expected {dim}x{dim}, got {m.shape}")
+            return QuantumState(rho=m)
+        raise states.StateParseError(f"unknown kind {kind!r}")
+    except states.StateParseError:
+        raise
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise states.StateParseError(str(exc)) from exc
+
+
+ENTRY = st.recursive(
+    st.integers(-2, 2) | st.floats(-2, 2) | st.booleans() | st.text(max_size=2) | st.none()
+    | st.sampled_from([float("nan"), float("inf"), -float("inf"), 10 ** 400]),
+    lambda inner: st.lists(inner, max_size=2), max_leaves=3)
+NUMBER_PAIR = st.tuples(st.sampled_from([0, 0.0, False, 0.5, -1]),
+                        st.sampled_from([0, 0.0, False, 0.5])).map(list)
+PAIR = NUMBER_PAIR | st.lists(ENTRY, min_size=1, max_size=3)
+
+
+@st.composite
+def state_files(draw):
+    """Basis states of dimension 1-3 written in ints, floats or bools, then perhaps corrupted:
+    an entry or pair swapped for the grammar, a row made ragged, or the dim changed."""
+    dim = draw(st.integers(1, 3))
+    k = draw(st.integers(0, dim - 1))
+    one = list(draw(st.sampled_from([(1, 0), (1.0, 0.0), (True, False), (0, -1), (0.6, 0.8)])))
+    vector = [one if i == k else draw(NUMBER_PAIR.filter(lambda p: not any(p))) for i in range(dim)]
+    if draw(st.booleans()):
+        obj = {"dim": dim, "kind": "pure", "amplitudes": vector}
+        rows = [obj["amplitudes"]]
+    else:
+        matrix = [[one if i == j == k else [0, 0] for j in range(dim)] for i in range(dim)]
+        obj = {"dim": dim, "kind": "density", "matrix": matrix}
+        rows = matrix
+    for _ in range(draw(st.integers(0, 2))):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        change = draw(st.sampled_from(["pair", "entry", "ragged", "dim", "kind"]))
+        if change == "ragged" or not row:
+            row.pop() if row and draw(st.booleans()) else row.append(draw(PAIR))
+        elif change == "pair":
+            row[draw(st.integers(0, len(row) - 1))] = draw(PAIR)
+        elif change == "entry":
+            pair = row[draw(st.integers(0, len(row) - 1))]
+            pair[draw(st.integers(0, len(pair) - 1))] = draw(ENTRY)
+        elif change == "dim":
+            obj["dim"] = draw(st.integers(0, 4))
+        else:
+            obj.pop("kind", None)
+    return obj
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(obj=state_files())
+@example(obj={"dim": 0, "amplitudes": []})
+@example(obj={"dim": 2, "amplitudes": [[10 ** 400, 0], [0, 0]]})
+@example(obj={"dim": 1, "amplitudes": [[1, "0"]]})
+@example(obj={"dim": 1, "amplitudes": [[1, None]]})
+@example(obj={"dim": 1, "amplitudes": [[True, False, 0]]})
+@example(obj={"dim": 2, "kind": "density", "matrix": [[[1, 0], [0, 0]], [[0, 0]]]})
+def test_state_file_exit_0_2_or_3(obj):
+    try:
+        complex_per_entry(obj)
+        accepted = True
+    except states.StateParseError:
+        accepted = False
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "state.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+        code, out, err = run(["purity", "--state", path, "--algebra", "su2-spin:1/2"])
+    assert code in (0, 2, 3), (obj, code, err)
+    assert "Traceback" not in err
+    assert (code != 2) == accepted, (obj, code, err)
+    if code:
+        assert out == "" and err.startswith("error: ")
+    else:
+        assert err == "" and "rescaled=" in out

@@ -4,6 +4,7 @@ import pytest
 from getk import catalog
 from getk.coherent import (
     exp_i_hermitian,
+    highest_weight_purity,
     max_purity_estimate,
     orbit_sample,
     raw_purity_and_gradient,
@@ -12,12 +13,13 @@ from getk.coherent import (
 )
 from getk.operators import (
     PAULI,
+    ObservableSpace,
     QuantumState,
     orthonormalize,
     partial_trace,
     random_pure_state,
 )
-from getk.purity import omega_purity, rescaled_purity
+from getk.purity import numeric_max_reference, omega_purity, rescaled_purity
 
 
 class TestSpinSystem:
@@ -240,6 +242,52 @@ class TestMaxPurityEstimate:
     def test_restart_validation(self):
         with pytest.raises(ValueError):
             max_purity_estimate(catalog.z_conserving_u2(), restarts=0)
+
+
+class TestHighestWeightPurity:
+    @pytest.mark.parametrize("space", [
+        catalog.omega1(), catalog.bilocal_pair_algebra(),
+        catalog.local_algebra(2, 2), catalog.local_algebra(5, 2), catalog.local_algebra(10, 2),
+        catalog.local_algebra(2, 3), catalog.local_algebra(4, 3), catalog.local_algebra(3, 4),
+        catalog.local_algebra(2, 5),
+        catalog.spin_algebra(0.5), catalog.spin_algebra(1.5), catalog.spin_algebra(5),
+        catalog.spin_algebra(200),
+        catalog.restricted_local_spins(0.5), catalog.restricted_local_spins(1),
+        catalog.restricted_local_spins(2.5),
+        catalog.full_traceless_algebra(2), catalog.full_traceless_algebra(3),
+        catalog.full_traceless_algebra(7),
+    ], ids=lambda space: space.label)
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_equals_the_analytic_maximum(self, space, seed):
+        assert space.irreducible_lie
+        assert highest_weight_purity(space, seed) == pytest.approx(space.max_purity, abs=1e-12)
+
+    @pytest.mark.parametrize("name", ["omega-prime-loc", "u2", "so4-fermi"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_a_lower_bound_on_any_space(self, name, seed):
+        # these carry no irreducible_lie flag; the value is still the purity of a state
+        value = highest_weight_purity(catalog.named_algebra(name), seed)
+        assert 0.0 <= value <= 0.5 + 1e-12
+
+    @pytest.mark.parametrize("name", ["omega3", "omega4", "omega2-paper-values"])
+    def test_catalog_spaces_with_a_shared_top_eigenvalue(self, name):
+        # omega2-paper-values acts as A x 1 on qubit 3, so every top eigenvalue is double
+        assert highest_weight_purity(catalog.named_algebra(name), seed=0) is None
+
+    @pytest.mark.parametrize("sites", [None, 2])
+    def test_degenerate_top_eigenvalue_gives_no_value(self, sites):
+        # every element c * diag(1, 1, -1, -1) / 2 has a doubly degenerate top eigenvalue
+        space = ObservableSpace([np.diag([1.0, 1.0, -1.0, -1.0]) / 2], sites=sites,
+                                irreducible_lie=True)
+        assert highest_weight_purity(space, seed=0) is None
+        value, source = numeric_max_reference(space, 0)
+        assert source == "numerical"
+        assert value == pytest.approx(0.25 if sites is None else 0.125, abs=1e-12)
+
+    def test_negative_seed_refused(self):
+        for estimate in (highest_weight_purity, max_purity_estimate):
+            with pytest.raises(ValueError, match="non-negative"):
+                estimate(catalog.omega1(), seed=-1)
 
 
 class TestGradient:

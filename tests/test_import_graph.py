@@ -54,3 +54,34 @@ def test_user_thread_setting_is_kept(var):
 def test_library_leaves_the_environment_alone():
     probe = _import_in_fresh_process("getk.purity")
     assert probe["env"] == dict.fromkeys(BLAS_VARS)
+
+
+# one state of matching dimension per catalog algebra
+CATALOG_STATES = [
+    ("omega1", "w:3"), ("omega2-literal", "ghz:3"), ("omega2-paper-values", "bisep:13"),
+    ("omega3", "w:3"), ("omega4", "bisep:23"), ("omega-prime-loc", "bell:phi+"),
+    ("u2", "bell:psi+"), ("so4-fermi", "fock:m2:11"), ("local:3x2", "ghz:3"),
+    ("su2-spin:3/2", "spin:3/2,1/2"),
+]
+RANDOM_PROBE = """\
+import contextlib, io, json, sys
+from getk import cli
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    loaded.append([argv, code, "numpy.random" in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+def test_purity_commands_leave_numpy_random_unloaded():
+    # both rescaling references draw from the stdlib generator numpy has already loaded
+    runs = [[command, "--state", state, "--algebra", algebra, *rescale]
+            for algebra, state in CATALOG_STATES
+            for command in ("purity", "classify")
+            for rescale in ([], ["--rescale", "auto"])]
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", RANDOM_PROBE, json.dumps(runs)], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    assert json.loads(out) == [[argv, 0, False] for argv in runs]

@@ -142,13 +142,15 @@ class TestRescaledPurity:
 
 class TestResolveMaxReference:
     def test_default_prefers_the_analytic_maximum(self):
-        assert resolve_max_reference(catalog.omega1()) == 0.375
-        assert resolve_max_reference(catalog.omega1(), "analytic") == 0.375
+        assert resolve_max_reference(catalog.omega1()) == (0.375, "analytic")
+        assert resolve_max_reference(catalog.omega1(), "analytic") == (0.375, "analytic")
 
     def test_auto_and_default_without_analytic_are_numerical(self):
-        omega3 = catalog.omega3()
+        omega3 = catalog.omega3()  # not closed under the bracket: the fixed point
         assert resolve_max_reference(omega3) == resolve_max_reference(omega3, "auto")
-        assert resolve_max_reference(catalog.omega1(), "auto") == pytest.approx(0.375, abs=1e-12)
+        assert resolve_max_reference(omega3)[1] == "numerical"
+        value, source = resolve_max_reference(catalog.omega1(), "auto")
+        assert source == "highest-weight" and value == pytest.approx(0.375, abs=1e-12)
 
     def test_analytic_unavailable(self):
         with pytest.raises(ValueError, match="no analytic reference"):

@@ -176,6 +176,19 @@ class TestPurityCommand:
         assert code == 0
         assert all(line in out.splitlines() for line in lines)
 
+    @pytest.mark.parametrize("algebra, rescale, source", [
+        ("omega1", [], "analytic"),
+        ("omega1", ["--rescale", "auto"], "highest-weight"),
+        ("omega3", [], "numerical"),
+        ("omega1", ["--rescale", "0.375"], "explicit"),
+    ])
+    def test_json_reference_source(self, capsys, algebra, rescale, source):
+        argv = ["purity", "--state", "w:3", "--algebra", algebra, *rescale]
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        assert code == 0 and json.loads(out)["reference_source"] == source
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and "reference_source" not in out
+
     def test_rescale_analytic_unavailable(self, capsys):
         code, _, err = run_cli(capsys, "purity", "--state", "bell:psi+",
                                "--algebra", "omega-prime-loc", "--rescale", "analytic")
@@ -263,6 +276,17 @@ class TestPurityCommand:
                                  "--algebra", "su2-spin:1/2")
         assert code == 2 and out == "" and "bad state file" in err and message in err
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"dim": 0, "amplitudes": []}', "amplitudes: entries must be [re, im] pairs"),
+        ('{"dim": 1, "amplitudes": [[0, 0]]}', "pure state norm 0.0 is not 1"),
+        ('{"dim": 1, "kind": "density", "matrix": [[[0, 0]]]}', "density matrix trace 0.0 is not 1"),
+    ], ids=["empty", "zero-norm", "zero-trace"])
+    def test_state_file_messages_print_plain_floats(self, capsys, tmp_path, text, message):
+        path = tmp_path / "zero.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "purity", "--state", str(path), "--algebra", "omega1")
+        assert code == 2 and out == "" and message in err and "np." not in err
+
     def test_spin_zero_algebra_exit_2_without_warning(self):
         # J = 0 once divided by zero: a numpy warning, then a misleading error
         proc = _run_getk("purity", "--state", "spin:0,0", "--algebra", "su2-spin:0")
@@ -305,7 +329,7 @@ class TestPurityCommand:
         ("bisep:12", "0.125", "0.333333333333"),
     ])
     def test_local_auto_reference(self, capsys, state, raw, rescaled):
-        # --rescale auto needs the matrices, so it builds the dense stack
+        # --rescale auto takes the highest-weight reference, a product of site eigenvectors
         code, out, _ = run_cli(capsys, "purity", "--state", state, "--algebra", "local:3x2",
                                "--rescale", "auto")
         assert code == 0
@@ -327,6 +351,27 @@ class TestPurityCommand:
                                                 "max_reference=0.009765625"]
         max_rss_kb = int(proc.stderr.splitlines()[-1])
         assert max_rss_kb < 150 * 1024
+
+    @pytest.mark.parametrize("command", ["purity", "classify"])
+    def test_local_auto_reference_leaves_the_stack_unbuilt(self, command):
+        probe = ("import contextlib, io, sys\n"
+                 "from getk import catalog, cli\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n"
+                 "    code = cli.main(sys.argv[1:])\n"
+                 "print(code, 'stack' in vars(catalog.local_algebra(4, 2)))\n")
+        proc = subprocess.run([sys.executable, "-c", probe, command, "--state", "w:4",
+                               "--algebra", "local:4x2", "--rescale", "auto"],
+                              env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
+                              text=True, timeout=120)
+        assert proc.stdout == "0 False\n"
+
+    def test_local_10_qubits_auto_reference_small_process(self):
+        # the fixed point would need the (30, 1024, 1024) stack; the site eigenvectors do not
+        plain = _run_getk("purity", "--state", "w:10", "--algebra", "local:10x2")
+        proc = _run_getk("purity", "--state", "w:10", "--algebra", "local:10x2",
+                         "--rescale", "auto", rss=True)
+        assert proc.returncode == 0 and proc.stdout == plain.stdout
+        assert int(proc.stderr.splitlines()[-1]) < 150 * 1024
 
     def test_ge_seed_env(self, capsys, monkeypatch):
         monkeypatch.setenv("GE_SEED", "12345")
