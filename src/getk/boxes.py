@@ -1,17 +1,23 @@
-"""Exact convex-cone machinery for no-signalling box pairs.
+"""Exact convex-cone machinery for no-signalling boxes.
 
 Conditional-probability tables are kept as exact rationals throughout: no
-floating point enters this module.  The joint table of a box pair is laid
-out as the block matrix whose (k, l) block holds the outcome probabilities
-for Alice's measurement k and Bob's measurement l, stored row-major with
-row index ma*k + i and column index mb*l + j.
+floating point enters this module.  A table of N boxes has the flat shape
+(n_1, m_1, ..., n_N, m_N): box s has n_s inputs and m_s outcomes, and its
+own flat index is m_s*k + i for outcome i of input k.  The joint index is
+mixed-radix over the boxes' flat indices, box 1 most significant.  For two
+boxes that is the block matrix whose (k, l) block holds the outcomes of
+Alice's input k and Bob's input l, row index ma*k + i and column index
+mb*l + j.  The no-signalling polytope is the N-fold Kronecker product of
+the single-box Collins-Gisin matrices.  One box (N = 1) runs through the
+same code as a pair; the command line takes two boxes.
 """
 
 import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd, lcm
+from functools import lru_cache, reduce
+from math import gcd, lcm, prod
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -48,142 +54,107 @@ def whole_number(value) -> int:
     return exact.numerator
 
 
+def _boxes(shape) -> list:
+    """The (inputs, outcomes) pair of each box in a flat shape (n_1, m_1, ..., n_N, m_N)."""
+    if not shape or len(shape) % 2:
+        raise ValueError(f"a shape lists inputs and outcomes per box, got {shape}")
+    if min(shape) < 1:
+        raise ValueError(NO_EMPTY_SIDE)
+    return list(zip(shape[::2], shape[1::2]))
+
+
+def _numerators(probs) -> tuple:
+    """Integer numerators of the entries over their common denominator, and that denominator."""
+    den = lcm(*(p.denominator for p in probs))
+    return [p.numerator * (den // p.denominator) for p in probs], den
+
+
+@lru_cache(maxsize=32)  # bounded: one entry per table shape
+def _cell_inputs(shape: tuple) -> tuple:
+    """Each flat cell's joint input (k_1, ..., k_N), in table order."""
+    return tuple(itertools.product(*([k for k in range(n) for _ in range(m)]
+                                     for n, m in _boxes(shape))))
+
+
 @dataclass(frozen=True)
 class BoxState:
-    """A single box: N alternative measurements with M outcomes each.
+    """Conditional-probability table of one or more boxes, in the module's mixed-radix layout."""
 
-    ``probs`` is the flat table (p[0|0], ..., p[M-1|0], p[0|1], ...), i.e.
-    outcomes grouped by measurement.
-    """
-
-    n_inputs: int
-    n_outputs: int
+    shape: tuple  # (n_1, m_1, ..., n_N, m_N)
     probs: tuple
 
     def __post_init__(self):
+        shape = tuple(self.shape)
+        object.__setattr__(self, "shape", shape)
+        _boxes(shape)
         probs = tuple(_coerce(p) for p in self.probs)
         object.__setattr__(self, "probs", probs)
-        if len(probs) != self.n_inputs * self.n_outputs:
-            raise ValueError(f"expected {self.n_inputs * self.n_outputs} entries, got {len(probs)}")
-        if any(p < 0 for p in probs):
+        if len(probs) != prod(shape):
+            raise ValueError(f"expected {prod(shape)} entries, got {len(probs)}")
+        nums, den = _numerators(probs)  # a block sums to 1 iff its numerators sum to den
+        if any(n < 0 for n in nums):
             raise InfeasibleError("negative probability entry")
-        for k in range(self.n_inputs):
-            block = probs[k * self.n_outputs:(k + 1) * self.n_outputs]
-            if sum(block) != 1:
-                raise InfeasibleError(f"outcomes of measurement {k} sum to {sum(block)}, not 1")
+        totals = {}
+        for num, inputs in zip(nums, _cell_inputs(shape)):
+            totals[inputs] = totals.get(inputs, 0) + num
+        for inputs, total in totals.items():
+            if total != den:
+                block = ",".join(map(str, inputs))
+                raise InfeasibleError(f"block ({block}) sums to {Fraction(total, den)}, not 1")
 
-    def prob(self, o: int, k: int) -> Fraction:
-        return self.probs[k * self.n_outputs + o]
+    def tensor(self, other: "BoxState") -> "BoxState":
+        """Product table p[ij|kl] = p_A[i|k] p_B[j|l]: this table's boxes, then other's."""
+        return BoxState(shape=self.shape + other.shape,
+                        probs=tuple(a * b for a in self.probs for b in other.probs))
 
-    def is_extremal(self) -> bool:
-        """Vertices of the box polytope are exactly the deterministic tables."""
-        return all(p == 0 or p == 1 for p in self.probs)
+    def to_json_dict(self) -> dict:
+        return {"n_inputs": list(self.shape[::2]), "n_outputs": list(self.shape[1::2]),
+                "p": [[p.numerator, p.denominator] for p in self.probs]}
 
-    def tensor(self, other: "BoxState") -> "BipartiteBoxState":
-        """Product table p[ij|kl] = p_A[i|k] p_B[j|l]."""
-        # Alice's flat index M*k + i is the joint row, Bob's the joint column
-        shape = (self.n_inputs, self.n_outputs, other.n_inputs, other.n_outputs)
-        return BipartiteBoxState(shape=shape,
-                                 probs=tuple(a * b for a in self.probs for b in other.probs))
+    @classmethod
+    def from_json_dict(cls, obj: dict) -> "BoxState":
+        inputs = [whole_number(v) for v in obj["n_inputs"]]
+        outputs = [whole_number(v) for v in obj["n_outputs"]]
+        if len(inputs) != len(outputs):
+            raise ValueError(f"{len(inputs)} input counts but {len(outputs)} output counts")
+        probs = tuple(Fraction(whole_number(num), whole_number(den)) for num, den in obj["p"])
+        return cls(shape=tuple(itertools.chain(*zip(inputs, outputs))), probs=probs)
 
 
 def deterministic_boxes(n_inputs: int, n_outputs: int) -> list:
     """All M^N deterministic single-box tables, in lexicographic order."""
-    out = []
-    for assignment in itertools.product(range(n_outputs), repeat=n_inputs):
-        probs = [F0] * (n_inputs * n_outputs)
-        for k, o in enumerate(assignment):
-            probs[k * n_outputs + o] = F1
-        out.append(BoxState(n_inputs, n_outputs, tuple(probs)))
-    return out
+    return [BoxState((n_inputs, n_outputs), tuple(F1 if i == o else F0  # flat index M*k + i
+                                                  for o in outcomes for i in range(n_outputs)))
+            for outcomes in itertools.product(range(n_outputs), repeat=n_inputs)]
 
 
-@dataclass(frozen=True)
-class BipartiteBoxState:
-    """Joint conditional-probability table of a pair of boxes."""
+def marginals(state: BoxState) -> tuple:
+    """Exact single-box marginal tables, one per box; the reduction map of this setting.
 
-    shape: tuple  # (na, ma, nb, mb)
-    probs: tuple
-
-    def __post_init__(self):
-        na, ma, nb, mb = self.shape
-        if min(self.shape) < 1:
-            raise ValueError(NO_EMPTY_SIDE)
-        probs = tuple(_coerce(p) for p in self.probs)
-        object.__setattr__(self, "probs", probs)
-        if len(probs) != na * ma * nb * mb:
-            raise ValueError(f"expected {na * ma * nb * mb} entries, got {len(probs)}")
-        # integer numerators over the common denominator: a block sums to 1 iff to den
-        den = lcm(*(p.denominator for p in probs))
-        nums = [p.numerator * (den // p.denominator) for p in probs]
-        if any(n < 0 for n in nums):
-            raise InfeasibleError("negative probability entry")
-        width = nb * mb
-        for k in range(na):
-            rows = range(ma * k * width, ma * (k + 1) * width, width)
-            for l in range(nb):
-                total = sum(sum(nums[r + mb * l:r + mb * (l + 1)]) for r in rows)
-                if total != den:
-                    raise InfeasibleError(f"block ({k},{l}) sums to {Fraction(total, den)}, not 1")
-
-    def prob(self, i: int, j: int, k: int, l: int) -> Fraction:
-        na, ma, nb, mb = self.shape
-        return self.probs[(ma * k + i) * (nb * mb) + (mb * l + j)]
-
-    def is_no_signalling(self) -> bool:
-        try:
-            marginals(self)
-        except SignallingError:
-            return False
-        return True
-
-    def to_json_dict(self) -> dict:
-        na, ma, nb, mb = self.shape
-        return {
-            "n_inputs": [na, nb],
-            "n_outputs": [ma, mb],
-            "p": [[p.numerator, p.denominator] for p in self.probs],
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "BipartiteBoxState":
-        na, nb = (whole_number(v) for v in obj["n_inputs"])
-        ma, mb = (whole_number(v) for v in obj["n_outputs"])
-        probs = tuple(Fraction(whole_number(num), whole_number(den)) for num, den in obj["p"])
-        return cls(shape=(na, ma, nb, mb), probs=probs)
-
-    @classmethod
-    def from_matrix(cls, rows, shape=(2, 2, 2, 2)) -> "BipartiteBoxState":
-        """Build from the nested block-matrix layout (rows of the joint table)."""
-        flat = tuple(_coerce(v) for row in rows for v in row)
-        return cls(shape=tuple(shape), probs=flat)
-
-
-def marginals(state: BipartiteBoxState):
-    """Exact marginal tables (Alice, Bob); the reduction map of this setting.
-
-    Alice's table collects row sums within her blocks, Bob's the column
-    sums; no-signalling makes them independent of the remote input, and a
-    violation raises :class:`SignallingError`.
+    No box may signal: summed over box s's outcomes, the table must not
+    depend on box s's input (else :class:`SignallingError`).  Box s's
+    marginal then sums out the other boxes' outcomes at any one choice of
+    their inputs: the sum over every choice, divided by their number.
     """
-    na, ma, nb, mb = state.shape
-    alice = None
-    for l in range(nb):
-        cur = tuple(sum(state.prob(i, j, k, l) for j in range(mb))
-                    for k in range(na) for i in range(ma))
-        if alice is None:
-            alice = cur
-        elif cur != alice:
-            raise SignallingError(f"Alice's marginal depends on Bob's input (l={l})")
-    bob = None
-    for k in range(na):
-        cur = tuple(sum(state.prob(i, j, k, l) for i in range(ma))
-                    for l in range(nb) for j in range(mb))
-        if bob is None:
-            bob = cur
-        elif cur != bob:
-            raise SignallingError(f"Bob's marginal depends on Alice's input (k={k})")
-    return (BoxState(na, ma, alice), BoxState(nb, mb, bob))
+    shape = state.shape
+    nums, den = _numerators(state.probs)
+    out = []
+    for s, (n, m) in enumerate(_boxes(shape)):
+        inner = prod(shape[2 * s + 2:])  # cells per flat index of box s
+        # runs of cells in mixed-radix order (earlier boxes' indices, k, i)
+        runs = [nums[c:c + inner] for c in range(0, len(nums), inner)]
+        for o in range(0, len(runs), n * m):
+            summed = [[sum(col) for col in zip(*runs[o + m * k:o + m * (k + 1)])]
+                      for k in range(n)]
+            k = next((k for k in range(1, n) if summed[k] != summed[0]), None)
+            if k is not None:
+                raise SignallingError(f"box {s + 1}'s input signals: the other boxes' "
+                                      f"marginal differs between its inputs 0 and {k}")
+        choices = prod(shape[::2]) // n
+        out.append(BoxState((n, m), tuple(
+            Fraction(sum(sum(runs[o + r]) for o in range(0, len(runs), n * m)), den * choices)
+            for r in range(n * m))))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -191,17 +162,16 @@ class PolyhedralCone:
     """Integer parametrization of the no-signalling polytope's affine hull.
 
     The coordinates are Collins & Gisin's (quant-ph/0306129): 1, then per
-    side p(i|k) for every outcome i but the last, whose probability is 1
+    box p(i|k) for every outcome i but the last, whose probability is 1
     minus the others.  Row r of ``matrix`` writes joint-table entry r as a
-    linear form in the products of the two sides' coordinates, so the
-    matrix is the Kronecker product of the sides' matrices: the joint state
-    space is the maximal tensor product of the single-box ones (Barrett
-    2007).  Column 0 is the constant; the polytope is {M (1, t) >= 0}.
+    linear form in the products of the boxes' coordinates, so the matrix is
+    the Kronecker product of the boxes' matrices: the joint state space is
+    the maximal tensor product of the single-box ones (Barrett 2007).
+    Column 0 is the constant; the polytope is {M (1, t) >= 0}.
     """
 
     shape: tuple
-    ambient: int
-    matrix: tuple  # ambient rows of integers; row . (1, t) is table entry r
+    matrix: tuple  # one row of integers per table entry; row . (1, t) is entry r
 
 
 def _side_matrix(n: int, m: int) -> list:
@@ -215,20 +185,17 @@ def _side_matrix(n: int, m: int) -> list:
     return rows
 
 
-def no_signalling_polytope(na: int, ma: int, nb: int | None = None,
-                           mb: int | None = None) -> PolyhedralCone:
-    """The normalized no-signalling tables of an (na, ma) x (nb, mb) pair."""
-    nb = na if nb is None else nb
-    mb = ma if mb is None else mb
-    if min(na, ma, nb, mb) < 1:
-        raise ValueError(NO_EMPTY_SIDE)
-    ambient = na * ma * nb * mb
-    if ambient ** 2 > 10_000:
-        raise ValueError(f"table size {ambient} too large")
-    # Kronecker row (ma*k + i, mb*l + j) is the table's flat index (ma*k + i)*nb*mb + mb*l + j
-    matrix = tuple(tuple(a * b for a in row_a for b in row_b)
-                   for row_a in _side_matrix(na, ma) for row_b in _side_matrix(nb, mb))
-    return PolyhedralCone(shape=(na, ma, nb, mb), ambient=ambient, matrix=matrix)
+def no_signalling_polytope(*shape: int) -> PolyhedralCone:
+    """The normalized no-signalling tables of boxes of shape (n_1, m_1, ..., n_N, m_N)."""
+    pairs = _boxes(shape)
+    if prod(shape) ** 2 > 10_000:
+        raise ValueError(f"table size {prod(shape)} too large")
+    # the Kronecker row order is the table's mixed-radix order
+    matrix = [(1,)]
+    for n, m in pairs:
+        matrix = [tuple(a * b for a in row for b in side)
+                  for row in matrix for side in _side_matrix(n, m)]
+    return PolyhedralCone(shape=shape, matrix=tuple(matrix))
 
 
 # ---------------------------------------------------------------------------
@@ -260,10 +227,7 @@ def _rref(rows):
 
 
 def _rank(rows) -> int:
-    if not rows:
-        return 0
-    _, pivots = _rref(rows)
-    return len(pivots)
+    return len(_rref(rows)[1]) if rows else 0
 
 
 def affine_dimension(cone: PolyhedralCone) -> int:
@@ -331,17 +295,16 @@ def enumerate_vertices(cone: PolyhedralCone) -> list:
     every row is nonnegative, x_r = row . (t, s) / s.  Every block of the
     table sums to s, so that cone is pointed and s > 0 on each ray.
     """
-    na, ma, nb, mb = cone.shape
-    if na * ma > ENUMERATION_CAP or nb * mb > ENUMERATION_CAP:
+    if any(n * m > ENUMERATION_CAP for n, m in _boxes(cone.shape)):
         raise ValueError(f"enumeration capped at {ENUMERATION_CAP} input*output per side")
     p = affine_dimension(cone)
     rows = [row[1:] + row[:1] for row in cone.matrix]
     found = [tuple(Fraction(sum(a * y for a, y in zip(row, ray)), ray[p]) for row in rows)
              for ray in _extreme_rays(rows, p + 1)]
-    return [BipartiteBoxState(shape=cone.shape, probs=probs) for probs in sorted(found)]
+    return [BoxState(shape=cone.shape, probs=probs) for probs in sorted(found)]
 
 
-def is_extremal(state: BipartiteBoxState, cone: PolyhedralCone | None = None) -> bool:
+def is_extremal(state: BoxState, cone: PolyhedralCone | None = None) -> bool:
     """Exact vertex test: the zero entries pin the table within the affine hull."""
     cone = cone or no_signalling_polytope(*state.shape)
     if state.shape != cone.shape:
@@ -358,13 +321,12 @@ class VertexClass(Enum):
     ENTANGLED = "entangled"
 
 
-def classify_extremal(state: BipartiteBoxState,
-                      cone: PolyhedralCone | None = None) -> VertexClass:
+def classify_extremal(state: BoxState, cone: PolyhedralCone | None = None) -> VertexClass:
     """Split vertices into products and entangled extremal states.
 
-    A vertex is a product exactly when both marginals are vertices of their
-    single-box polytopes; in that case the joint table must factorize
-    exactly, which is verified.
+    A vertex is a product exactly when every marginal is a vertex of its
+    single-box polytope, i.e. deterministic; in that case the joint table
+    must factorize exactly, which is verified.
     """
     cone = cone or no_signalling_polytope(*state.shape)
     if not is_extremal(state, cone):
@@ -372,22 +334,22 @@ def classify_extremal(state: BipartiteBoxState,
     return _vertex_class(state)
 
 
-def _vertex_class(vertex: BipartiteBoxState) -> VertexClass:
+def _vertex_class(vertex: BoxState) -> VertexClass:
     """The marginal rule of :func:`classify_extremal` for a known vertex."""
-    a, b = marginals(vertex)
-    if a.is_extremal() and b.is_extremal():
-        if a.tensor(b).probs != vertex.probs:
+    parts = marginals(vertex)
+    if all(p == 0 or p == 1 for part in parts for p in part.probs):
+        if reduce(BoxState.tensor, parts).probs != vertex.probs:
             raise AssertionError("deterministic marginals without exact factorization")
         return VertexClass.PRODUCT
     return VertexClass.ENTANGLED
 
 
 def _side_generators(n: int, m: int) -> list:
-    """Generators of one side's relabeling group, as maps from new flat index to old.
+    """Generators of one box's relabeling group, as maps from new flat index to old.
 
     Outcome i of input k has flat index m*k + i.  The maps are an input swap,
     an input cycle, and an outcome swap and an outcome cycle on input 0;
-    together they generate all N!(M!)^N relabelings of the side.
+    together they generate all N!(M!)^N relabelings of the box.
     """
     def swap_and_cycle(r):  # a transposition and an r-cycle of range(r)
         return (*range(r)[1::-1], *range(2, r)), (*range(1, r), 0)
@@ -400,19 +362,25 @@ def _side_generators(n: int, m: int) -> list:
             + [side_map(outcomes=p) for p in swap_and_cycle(m)])
 
 
-def relabeling_orbit(state: BipartiteBoxState) -> list:
+@lru_cache(maxsize=32)
+def _lifted_generators(shape: tuple) -> tuple:
+    """Every box's relabeling generators, lifted to maps from new joint index to old."""
+    pairs = _boxes(shape)
+    digits = list(itertools.product(*(range(n * m) for n, m in pairs)))  # per-box flat indices
+    cell = {d: c for c, d in enumerate(digits)}
+    return tuple(tuple(cell[d[:s] + (g[d[s]],) + d[s + 1:]] for d in digits)
+                 for s, (n, m) in enumerate(pairs) for g in _side_generators(n, m))
+
+
+def relabeling_orbit(state: BoxState) -> list:
     """Orbit of a table under all local relabelings, sorted canonically.
 
-    A breadth-first closure under both sides' generators, lifted to the joint
+    A breadth-first closure under every box's generators, lifted to the joint
     table (a Schreier orbit; Holt, Eick & O'Brien 2005): the work grows with
     the orbit, not the group.  Entries are coded by their rank among the
     distinct values, which sorts the members as their probabilities would.
     """
-    na, ma, nb, mb = state.shape
-    width = nb * mb
-    cells = [(r, c) for r in range(na * ma) for c in range(width)]
-    moves = [tuple(a[r] * width + c for r, c in cells) for a in _side_generators(na, ma)]
-    moves += [tuple(r * width + b[c] for r, c in cells) for b in _side_generators(nb, mb)]
+    moves = _lifted_generators(state.shape)
     values = sorted(set(state.probs))
     orbit = [tuple(values.index(p) for p in state.probs)]
     seen = set(orbit)
@@ -422,7 +390,7 @@ def relabeling_orbit(state: BipartiteBoxState) -> list:
             if image not in seen:
                 seen.add(image)
                 orbit.append(image)
-    return [BipartiteBoxState(shape=state.shape, probs=tuple(values[c] for c in code))
+    return [BoxState(shape=state.shape, probs=tuple(values[c] for c in code))
             for code in sorted(orbit)]
 
 
@@ -473,7 +441,7 @@ def _phase1_feasible(columns, target) -> bool:
     return residual == 0
 
 
-def in_convex_hull(state: BipartiteBoxState, vertices) -> bool:
+def in_convex_hull(state: BoxState, vertices) -> bool:
     """Exact membership of a table in the convex hull of given tables.
 
     This is the membership primitive for any tensor product given by a
@@ -488,21 +456,18 @@ def in_convex_hull(state: BipartiteBoxState, vertices) -> bool:
     return _phase1_feasible([v.probs for v in vertices], state.probs)
 
 
-def in_separable_tensor_product(state: BipartiteBoxState) -> bool:
+def in_separable_tensor_product(state: BoxState) -> bool:
     """Exact membership test for the convex hull of product vertices."""
-    na, ma, nb, mb = state.shape
     marginals(state)  # separability is asked of no-signalling states only
-    products = [a.tensor(b)
-                for a in deterministic_boxes(na, ma)
-                for b in deterministic_boxes(nb, mb)]
+    products = [reduce(BoxState.tensor, dets) for dets in itertools.product(
+        *(deterministic_boxes(n, m) for n, m in _boxes(state.shape)))]
     return in_convex_hull(state, products)
 
 
-def is_generalized_unentangled_box(state: BipartiteBoxState,
-                                   cone: PolyhedralCone | None = None) -> bool:
-    """Unentanglement of a box pair relative to the marginal reduction.
+def is_generalized_unentangled_box(state: BoxState, cone: PolyhedralCone | None = None) -> bool:
+    """Unentanglement of boxes relative to the marginal reduction.
 
-    Extremal states are unentangled exactly when both marginals are
+    Extremal states are unentangled exactly when all marginals are
     extremal; non-extremal states exactly when they lie in the separable
     tensor product.
     """
@@ -512,14 +477,14 @@ def is_generalized_unentangled_box(state: BipartiteBoxState,
     return in_separable_tensor_product(state)
 
 
-def canonical_product_vertex() -> BipartiteBoxState:
+def canonical_product_vertex() -> BoxState:
     """The product vertex with outcome 0 certain on every measurement."""
     det = deterministic_boxes(2, 2)[0]
     return det.tensor(det)
 
 
-def canonical_entangled_vertex() -> BipartiteBoxState:
+def canonical_entangled_vertex() -> BoxState:
     """The correlated-box vertex: outcomes agree unless both inputs are 1."""
     probs = (Fraction(1, 2) if (i ^ j) == (k & l) else F0  # row-major: k, i, then l, j
              for k, i, l, j in itertools.product(range(2), repeat=4))
-    return BipartiteBoxState(shape=(2, 2, 2, 2), probs=tuple(probs))
+    return BoxState(shape=(2, 2, 2, 2), probs=tuple(probs))

@@ -100,16 +100,17 @@ def _parse_size(spec: str):
     if len(parts) != 4:
         raise ValueError(f"--size: expected NA,MA,NB,MB, got {spec!r}")
     try:
-        na, ma, nb, mb = (int(p) for p in parts)
+        return tuple(int(p) for p in parts)
     except ValueError:
         raise ValueError(f"--size: entries must be integers, got {spec!r}") from None
-    return na, ma, nb, mb
 
 
-def _load_box(path: str) -> boxes.BipartiteBoxState:
+def _load_box(path: str) -> boxes.BoxState:
     obj = read_json_file(path)
     try:
-        return boxes.BipartiteBoxState.from_json_dict(obj)
+        if len(obj["n_inputs"]) != 2 or len(obj["n_outputs"]) != 2:
+            raise ValueError("the command line takes two boxes")
+        return boxes.BoxState.from_json_dict(obj)
     except boxes.InfeasibleError:
         raise
     except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
@@ -117,9 +118,9 @@ def _load_box(path: str) -> boxes.BipartiteBoxState:
 
 
 def _cmd_boxes_vertices(args) -> int:
-    na, ma, nb, mb = _parse_size(args.size)
+    shape = _parse_size(args.size)
     try:
-        cone = boxes.no_signalling_polytope(na, ma, nb, mb)
+        cone = boxes.no_signalling_polytope(*shape)
         verts = boxes.enumerate_vertices(cone)
     except ValueError as exc:
         raise ValueError(f"--size: {exc}") from exc

@@ -117,19 +117,6 @@ def orbit_sample(omega: ObservableSpace, reference: QuantumState, angles) -> Qua
     return QuantumState(vector=v / np.linalg.norm(v))
 
 
-def raw_purity_and_gradient(omega: ObservableSpace, psi: np.ndarray):
-    """Raw purity sum_a <X_a>^2 of a unit vector and its Euclidean gradient.
-
-    The gradient is taken with respect to the real and imaginary parts of
-    the unnormalized amplitudes: grad = 4 sum_a <X_a> X_a psi.
-    """
-    xpsi = omega.stack @ psi
-    evals = (psi.conj()[None, :] @ xpsi[..., None]).ravel().real
-    value = float(np.dot(evals, evals))
-    grad = 4.0 * np.einsum("a,ai->i", evals, xpsi)
-    return value, grad
-
-
 def _rng(seed: int) -> random.Random:
     """The seeded generator of both references.
 
@@ -187,7 +174,7 @@ def max_purity_estimate(omega: ObservableSpace, restarts: int = 32, seed: int = 
     H = sum_a <X_a>_psi X_a until the purity stops rising.  The purity is
     convex in rho and the new psi maximizes <H> over pure states, so no step
     lowers it; at a fixed point H psi = lambda psi, so the tangent part of the
-    gradient in ``raw_purity_and_gradient`` vanishes.  Deterministic for a
+    purity's gradient, 4 sum_a <X_a> X_a psi, vanishes.  Deterministic for a
     fixed seed; the returned value is a lower bound on the true maximum.
     The restarts run one after another: stacking their H matrices would hold
     restarts * dim^2 complex numbers at once.

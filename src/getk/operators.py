@@ -121,10 +121,6 @@ class QuantumState:
         v[index] = 1.0
         return cls(vector=v)
 
-    @classmethod
-    def maximally_mixed(cls, dim: int) -> "QuantumState":
-        return cls(rho=np.eye(dim, dtype=complex) / dim)
-
     @property
     def is_pure(self) -> bool:
         return self._vector is not None
@@ -164,13 +160,6 @@ class QuantumState:
 def random_pure_state(dim: int, rng) -> QuantumState:
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return QuantumState(vector=v / np.linalg.norm(v))
-
-
-def random_density_state(dim: int, rng, rank: int | None = None) -> QuantumState:
-    rank = rank or dim
-    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
-    m = g @ g.conj().T
-    return QuantumState(rho=m / np.trace(m).real)
 
 
 def expectation(state: QuantumState, x) -> float:

@@ -65,13 +65,6 @@ class UnentangledVerdict:
         return self.unentangled
 
 
-def project_onto(state, omega: ObservableSpace) -> np.ndarray:
-    """Projection sum_a <X_a> X_a of a state (or Hermitian operator) onto omega."""
-    if isinstance(state, QuantumState):
-        state = state.density()
-    return omega.project_operator(state)  # checks Hermiticity
-
-
 def omega_purity(state: QuantumState, omega: ObservableSpace) -> float:
     """Raw purity sum_a Tr(rho X_a)^2; bounded by the state purity Tr(rho^2)."""
     evals = omega.expectation_vector(state)

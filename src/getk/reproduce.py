@@ -334,7 +334,7 @@ class _Run:
         orbit = boxes.relabeling_orbit(boxes.canonical_entangled_vertex())
         n = len(orbit)
         avg = tuple(sum(v.probs[r] for v in orbit) / n for r in range(16))
-        mix = boxes.BipartiteBoxState(shape=(2, 2, 2, 2), probs=avg)
+        mix = boxes.BoxState(shape=(2, 2, 2, 2), probs=avg)
         sep = boxes.in_separable_tensor_product(mix)
         return None, f"separable={_bool(sep)} (recorded, no reference value)"
 

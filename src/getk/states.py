@@ -121,24 +121,6 @@ def builtin_state(name: str) -> QuantumState:
     raise StateParseError(f"unknown state name {name!r}")
 
 
-BUILTIN_EXAMPLES = (
-    "bell:phi+", "bell:phi-", "bell:psi+", "bell:psi-",
-    "ghz:3", "w:3", "bisep:12", "bisep:13", "bisep:23",
-    "spin:1,1", "spin:3/2,1/2", "fock:m2:00", "fock:m2:01",
-    "fock:m2:10", "fock:m2:11",
-)
-
-
-def state_to_json_dict(state: QuantumState) -> dict:
-    if state.is_pure:
-        v = state.vector
-        return {"dim": state.dim, "kind": "pure",
-                "amplitudes": [[z.real, z.imag] for z in v]}
-    m = state.density()
-    return {"dim": state.dim, "kind": "density",
-            "matrix": [[[z.real, z.imag] for z in row] for row in m]}
-
-
 def _complex_entries(field: str, entries, ndim: int) -> np.ndarray:
     """JSON [re, im] number pairs, nested ``ndim`` lists deep, as one complex array."""
     pairs = np.asarray(entries)

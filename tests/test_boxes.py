@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from getk.boxes import (
-    BipartiteBoxState,
     BoxState,
     InfeasibleError,
     SignallingError,
@@ -218,7 +217,7 @@ def joint_map(shape, alice, bob):
 
 
 def relabel(state, move):
-    return BipartiteBoxState(shape=state.shape, probs=tuple(state.probs[x] for x in move))
+    return BoxState(shape=state.shape, probs=tuple(state.probs[x] for x in move))
 
 
 def oracle_orbit(state):
@@ -245,11 +244,30 @@ def rational_mixture(shape, rng, terms=3):
     total = sum(weights)
     probs = tuple(sum(F(w, total) * v.probs[r] for w, v in zip(weights, picks))
                   for r in range(len(verts[0].probs)))
-    return BipartiteBoxState(shape=shape, probs=probs)
+    return BoxState(shape=shape, probs=probs)
+
+
+def from_matrix(rows, shape=(2, 2, 2, 2)):
+    """A two-box table from the nested block-matrix layout (rows of the joint table)."""
+    return BoxState(shape=shape, probs=tuple(v for row in rows for v in row))
+
+
+def no_signalling(state):
+    try:
+        marginals(state)
+    except SignallingError:
+        return False
+    return True
+
+
+def entry(state, i, j, k, l):
+    """p(i, j | k, l) of a two-box table, read through the block-matrix layout."""
+    na, ma, nb, mb = state.shape
+    return state.probs[(ma * k + i) * (nb * mb) + (mb * l + j)]
 
 
 def displayed_entangled_matrix():
-    return BipartiteBoxState.from_matrix([
+    return from_matrix([
         ["1/2", 0, "1/2", 0],
         [0, "1/2", 0, "1/2"],
         ["1/2", 0, 0, "1/2"],
@@ -258,7 +276,7 @@ def displayed_entangled_matrix():
 
 
 def displayed_product_matrix():
-    return BipartiteBoxState.from_matrix([
+    return from_matrix([
         [1, 0, 1, 0],
         [0, 0, 0, 0],
         [1, 0, 1, 0],
@@ -267,44 +285,55 @@ def displayed_product_matrix():
 
 
 class TestBoxState:
+    """One box: the N = 1 case of the table class."""
+
     def test_valid(self):
-        box = BoxState(2, 2, (F(1), F(0), HALF, HALF))
-        assert box.prob(0, 0) == 1
-        assert box.prob(1, 1) == HALF
+        box = BoxState((2, 2), (F(1), F(0), HALF, HALF))
+        assert box.shape == (2, 2)
+        assert box.probs[0] == 1  # p(0|0), flat index m*k + i
+        assert box.probs[3] == HALF  # p(1|1)
+        assert marginals(box) == (box,)
 
     def test_normalization_enforced(self):
-        with pytest.raises(InfeasibleError):
-            BoxState(2, 2, (F(1), F(1), F(1), F(0)))
+        with pytest.raises(InfeasibleError, match=r"^block \(0\) sums to 2, not 1$"):
+            BoxState((2, 2), (F(1), F(1), F(1), F(0)))
 
     def test_nonnegativity(self):
         with pytest.raises(InfeasibleError):
-            BoxState(1, 2, (F(2), F(-1)))
+            BoxState((1, 2), (F(2), F(-1)))
 
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
-            BoxState(1, 2, (0.5, 0.5))
+            BoxState((1, 2), (0.5, 0.5))
 
     def test_extremality_is_determinism(self):
-        assert BoxState(2, 2, (F(1), F(0), F(0), F(1))).is_extremal()
-        assert not BoxState(2, 2, (HALF, HALF, F(1), F(0))).is_extremal()
+        # the module's rank test on a single box: its vertices are the deterministic tables
+        assert is_extremal(BoxState((2, 2), (F(1), F(0), F(0), F(1))))
+        assert not is_extremal(BoxState((2, 2), (HALF, HALF, F(1), F(0))))
+        for n, m in [(1, 3), (2, 2), (3, 2)]:
+            verts = enumerate_vertices(no_signalling_polytope(n, m))
+            assert [v.probs for v in verts] == sorted(d.probs for d in deterministic_boxes(n, m))
 
     def test_deterministic_census(self):
         assert len(deterministic_boxes(2, 2)) == 4
         assert len(deterministic_boxes(2, 3)) == 9
 
     def test_tensor_factorizes(self):
-        a = BoxState(2, 2, (F(1), F(0), HALF, HALF))
-        b = BoxState(2, 2, (F(0), F(1), F(1), F(0)))
+        a = BoxState((2, 2), (F(1), F(0), HALF, HALF))
+        b = BoxState((2, 2), (F(0), F(1), F(1), F(0)))
         prod = a.tensor(b)
+        assert prod.shape == (2, 2, 2, 2)
         for i, j, k, l in itertools.product(range(2), repeat=4):
-            assert prod.prob(i, j, k, l) == a.prob(i, k) * b.prob(j, l)
+            assert entry(prod, i, j, k, l) == a.probs[2 * k + i] * b.probs[2 * l + j]
 
 
 class TestBipartiteBoxState:
+    """Two boxes: the N = 2 case of the table class."""
+
     def test_block_normalization_enforced(self):
         bad = [[1, 0, 1, 0], [0, 1, 0, 0], [1, 0, 1, 0], [0, 0, 0, 0]]
         with pytest.raises(InfeasibleError):
-            BipartiteBoxState.from_matrix(bad)
+            from_matrix(bad)
 
     @pytest.mark.parametrize("changes, error, message", [
         ({0: F(-1, 4)}, InfeasibleError, "negative probability entry"),
@@ -316,18 +345,16 @@ class TestBipartiteBoxState:
         for index, value in changes.items():
             probs[index] = value
         with pytest.raises(error) as info:
-            BipartiteBoxState((2, 2, 2, 2), tuple(p for p in probs if p is not None))
+            BoxState((2, 2, 2, 2), tuple(p for p in probs if p is not None))
         assert str(info.value) == message
 
     def test_fraction_entries_kept(self):
         probs = (HALF, F(0), F(0), HALF)
-        assert all(a is b for a, b in zip(BipartiteBoxState((1, 2, 1, 2), probs).probs, probs))
+        assert all(a is b for a, b in zip(BoxState((1, 2, 1, 2), probs).probs, probs))
 
     def test_displayed_states_feasible(self):
-        ent = displayed_entangled_matrix()
-        assert ent.is_no_signalling()
-        prod = displayed_product_matrix()
-        assert prod.is_no_signalling()
+        assert no_signalling(displayed_entangled_matrix())
+        assert no_signalling(displayed_product_matrix())
 
     def test_canonical_constructors_match_displayed(self):
         assert canonical_entangled_vertex().probs == displayed_entangled_matrix().probs
@@ -336,7 +363,7 @@ class TestBipartiteBoxState:
     def test_json_round_trip(self):
         ent = displayed_entangled_matrix()
         blob = json.dumps(ent.to_json_dict())
-        back = BipartiteBoxState.from_json_dict(json.loads(blob))
+        back = BoxState.from_json_dict(json.loads(blob))
         assert back.probs == ent.probs and back.shape == ent.shape
 
 
@@ -352,14 +379,14 @@ class TestMarginals:
         assert b.probs == (HALF,) * 4
 
     def test_product_recovers_factors(self):
-        a = BoxState(2, 2, (F(1, 3), F(2, 3), HALF, HALF))
-        b = BoxState(2, 2, (F(1), F(0), F(1, 4), F(3, 4)))
+        a = BoxState((2, 2), (F(1, 3), F(2, 3), HALF, HALF))
+        b = BoxState((2, 2), (F(1), F(0), F(1, 4), F(3, 4)))
         got_a, got_b = marginals(a.tensor(b))
         assert got_a.probs == a.probs and got_b.probs == b.probs
 
     def test_signalling_detected(self):
         # Bob's outcome distribution depends on Alice's input
-        bad = BipartiteBoxState.from_matrix([
+        bad = from_matrix([
             [1, 0, 1, 0],
             [0, 0, 0, 0],
             [0, 1, 1, 0],
@@ -367,7 +394,7 @@ class TestMarginals:
         ])
         with pytest.raises(SignallingError):
             marginals(bad)
-        assert not bad.is_no_signalling()
+        assert not no_signalling(bad)
 
 
 class TestPolytope:
@@ -389,7 +416,7 @@ class TestPolytope:
             assert [sum(a * x for a, x in zip(unit, col)) for col in columns] == \
                 [1] + [0] * (len(columns) - 1), shape
             free = [row[1:] for row in cone.matrix]
-            hull_dim = cone.ambient - _rank(eqs + [unit])
+            hull_dim = len(cone.matrix) - _rank(eqs + [unit])
             assert _rank(free) == hull_dim == affine_dimension(cone), shape
 
     def test_rref_is_exact_on_integer_rows(self):
@@ -484,15 +511,15 @@ class TestExtremality:
     def test_mixture_not_extremal(self):
         verts = square_pair()[1]
         mix = tuple((a + b) / 2 for a, b in zip(verts[0].probs, verts[1].probs))
-        state = BipartiteBoxState(shape=(2, 2, 2, 2), probs=mix)
+        state = BoxState(shape=(2, 2, 2, 2), probs=mix)
         assert not is_extremal(state)
 
     def test_uniform_interior_not_extremal(self):
-        uniform = BipartiteBoxState(shape=(2, 2, 2, 2), probs=(F(1, 4),) * 16)
+        uniform = BoxState(shape=(2, 2, 2, 2), probs=(F(1, 4),) * 16)
         assert not is_extremal(uniform)
 
     def test_signalling_input_rejected(self):
-        bad = BipartiteBoxState.from_matrix([
+        bad = from_matrix([
             [1, 0, 1, 0],
             [0, 0, 0, 0],
             [0, 1, 1, 0],
@@ -511,9 +538,9 @@ class TestExtremality:
         tables = rng.sample(verts, 12) + [rational_mixture(shape, rng, t) for t in (2, 2, 3)]
         for state in tables:
             rows = eqs + [unit]
-            rows += [[F(int(c == r)) for c in range(cone.ambient)]
+            rows += [[F(int(c == r)) for c in range(len(cone.matrix))]
                      for r, val in enumerate(state.probs) if val == 0]
-            assert is_extremal(state, cone) is (_rank(rows) == cone.ambient)
+            assert is_extremal(state, cone) is (_rank(rows) == len(cone.matrix))
 
 
 class TestClassification:
@@ -538,11 +565,11 @@ class TestClassification:
         # for every enumerated vertex: one deterministic marginal forces factorization
         for v in square_pair()[1]:
             a, b = marginals(v)
-            if a.is_extremal() or b.is_extremal():
+            if is_extremal(a) or is_extremal(b):
                 assert a.tensor(b).probs == v.probs
 
     def test_non_extremal_rejected(self):
-        uniform = BipartiteBoxState(shape=(2, 2, 2, 2), probs=(F(1, 4),) * 16)
+        uniform = BoxState(shape=(2, 2, 2, 2), probs=(F(1, 4),) * 16)
         with pytest.raises(ValueError):
             classify_extremal(uniform)
 
@@ -589,7 +616,7 @@ class TestRelabeling:
             assert [m.probs for m in relabeling_orbit(mix)] == oracle_orbit(mix)
 
     def test_uniform_table_is_fixed(self):
-        uniform = BipartiteBoxState(shape=(1, 6, 1, 6), probs=(F(1, 36),) * 36)
+        uniform = BoxState(shape=(1, 6, 1, 6), probs=(F(1, 36),) * 36)
         assert relabeling_orbit(uniform) == [uniform]
 
     def test_orbits_partition_the_vertices(self):
@@ -612,7 +639,7 @@ class TestRelabeling:
         state = displayed_entangled_matrix()
         for ra in side_relabelings(2, 2):
             moved = relabel(state, joint_map(state.shape, ra, tuple(range(4))))
-            assert moved.is_no_signalling()
+            assert no_signalling(moved)
 
 
 ORBIT_SHAPES = [(1, 2, 1, 2), (1, 3, 1, 2), (2, 2, 1, 2), (1, 2, 2, 2), (2, 2, 2, 2)]
@@ -639,8 +666,8 @@ def test_orbit_is_a_class_function(shape, seed, mixed):
 
 class TestSeparability:
     def test_products_are_separable(self):
-        a = BoxState(2, 2, (F(1, 3), F(2, 3), HALF, HALF))
-        b = BoxState(2, 2, (F(1), F(0), F(1, 4), F(3, 4)))
+        a = BoxState((2, 2), (F(1, 3), F(2, 3), HALF, HALF))
+        b = BoxState((2, 2), (F(1), F(0), F(1, 4), F(3, 4)))
         assert in_separable_tensor_product(a.tensor(b))
 
     def test_entangled_vertex_is_not(self):
@@ -650,14 +677,14 @@ class TestSeparability:
         cone, all_verts = square_pair()
         verts = [v for v in all_verts if classify_extremal(v, cone) is VertexClass.PRODUCT]
         mix = tuple(sum(v.probs[r] for v in verts[:4]) / 4 for r in range(16))
-        assert in_separable_tensor_product(BipartiteBoxState(shape=(2, 2, 2, 2), probs=mix))
+        assert in_separable_tensor_product(BoxState(shape=(2, 2, 2, 2), probs=mix))
 
     def test_uniform_mixture_of_entangled_vertices_recorded(self):
         # no reference value exists; the exact LP decides (it is the uniform
         # table, a product of uniform marginals, hence separable)
         orbit = relabeling_orbit(canonical_entangled_vertex())
         mix = tuple(sum(v.probs[r] for v in orbit) / len(orbit) for r in range(16))
-        state = BipartiteBoxState(shape=(2, 2, 2, 2), probs=mix)
+        state = BoxState(shape=(2, 2, 2, 2), probs=mix)
         assert mix == (F(1, 4),) * 16
         assert in_separable_tensor_product(state)
 
@@ -675,7 +702,7 @@ class TestConvexHullMembership:
     def test_mixture_in_two_vertex_hull(self):
         cone, verts = square_pair()
         mix = tuple((a + b) / 2 for a, b in zip(verts[0].probs, verts[5].probs))
-        state = BipartiteBoxState(shape=(2, 2, 2, 2), probs=mix)
+        state = BoxState(shape=(2, 2, 2, 2), probs=mix)
         assert in_convex_hull(state, [verts[0], verts[5]])
         # a vertex is never a mixture of the others
         assert not in_convex_hull(verts[0], verts[1:])
@@ -702,4 +729,67 @@ class TestGeneralizedUnentangledBox:
         v1 = dets[0].tensor(dets[1])
         v2 = dets[2].tensor(dets[3])
         mix = tuple((a + b) / 2 for a, b in zip(v1.probs, v2.probs))
-        assert is_generalized_unentangled_box(BipartiteBoxState(shape=(2, 2, 2, 2), probs=mix))
+        assert is_generalized_unentangled_box(BoxState(shape=(2, 2, 2, 2), probs=mix))
+
+
+def with_labelling_box(two_box_probs, position):
+    """A (2,2,2,2) table with a one-input, two-outcome box inserted as box ``position``
+    (counted from 0), once per certain outcome c of that box.
+
+    Such a box only labels slices: the table is the two-box table where the
+    label is c and zero elsewhere.
+    """
+    sizes = [4, 4]
+    sizes.insert(position, 2)  # each box's n*m flat indices, in mixed-radix order
+    tables = []
+    for c in range(2):
+        probs = []
+        for cell in itertools.product(*map(range, sizes)):
+            a, b = cell[:position] + cell[position + 1:]
+            probs.append(two_box_probs[4 * a + b] if cell[position] == c else F(0))
+        tables.append(tuple(probs))
+    return tables
+
+
+class TestThreeBoxes:
+    """Three boxes through the same code as two; every expected value is derived here."""
+
+    @pytest.mark.parametrize("shape, position", [((2, 2, 2, 2, 1, 2), 2), ((2, 2, 1, 2, 2, 2), 1)])
+    def test_labelling_box_doubles_the_vertices(self, shape, position):
+        expected = set()
+        for v in oracle_vertices():
+            expected.update(with_labelling_box(v, position))
+        verts = enumerate_vertices(no_signalling_polytope(*shape))
+        assert len(verts) == len(expected) == 2 * 24
+        assert {v.probs for v in verts} == expected
+        n_prod = sum(1 for v in verts if _vertex_class(v) is VertexClass.PRODUCT)
+        assert n_prod == 2 * 16
+        assert all(_vertex_class(v) is classify_extremal(v) for v in verts[::5])
+
+    def test_orbit_of_the_all_zero_product_vertex(self):
+        dets = [deterministic_boxes(n, m) for n, m in [(2, 2), (2, 2), (1, 2)]]
+        vertex = dets[0][0].tensor(dets[1][0]).tensor(dets[2][0])
+        assert vertex.shape == (2, 2, 2, 2, 1, 2)
+        orbit = relabeling_orbit(vertex)
+        # relabelings move each box's deterministic table to every other one: 4 * 4 * 2
+        assert len(orbit) == 4 * 4 * 2 == len({m.probs for m in orbit})
+        products = {a.tensor(b).tensor(c).probs for a, b, c in itertools.product(*dets)}
+        assert {m.probs for m in orbit} == products
+
+    def test_marginals_recover_the_factors(self):
+        a = BoxState((2, 2), (F(1, 3), F(2, 3), HALF, HALF))
+        b = BoxState((1, 3), (F(1, 6), F(1, 2), F(1, 3)))
+        c = BoxState((2, 2), (F(1), F(0), F(1, 4), F(3, 4)))
+        assert marginals(a.tensor(b).tensor(c)) == (a, b, c)
+
+    def test_box_three_copying_box_one_input_signals(self):
+        # p(i, j, c | k, l) = [i = 0][j = 0][c = k]: box 1's input shows in box 3's outcome
+        probs = tuple(F(int(i == 0 and j == 0 and c == k))
+                      for k, i, l, j, c in itertools.product(range(2), repeat=5))
+        table = BoxState((2, 2, 2, 2, 1, 2), probs)
+        with pytest.raises(SignallingError) as info:
+            marginals(table)
+        assert str(info.value) == ("box 1's input signals: the other boxes' marginal "
+                                   "differs between its inputs 0 and 1")
+        with pytest.raises(SignallingError):
+            is_extremal(table)

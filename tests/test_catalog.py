@@ -8,14 +8,21 @@ from getk import catalog, states
 from getk.operators import (
     PAULI,
     ObservableSpace,
+    QuantumState,
     lie_closure,
     pauli_string,
-    random_density_state,
     random_pure_state,
 )
 from getk.purity import is_generalized_unentangled, rescaled_purity
 
 SX, SY, SZ, ID = PAULI["X"], PAULI["Y"], PAULI["Z"], PAULI["I"]
+
+
+def random_density_state(dim: int, rng, rank: int | None = None) -> QuantumState:
+    rank = rank or dim
+    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    m = g @ g.conj().T
+    return QuantumState(rho=m / np.trace(m).real)
 
 
 ALL_SPACES = [

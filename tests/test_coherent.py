@@ -7,7 +7,6 @@ from getk.coherent import (
     highest_weight_purity,
     max_purity_estimate,
     orbit_sample,
-    raw_purity_and_gradient,
     scs,
     spin_system,
 )
@@ -20,6 +19,19 @@ from getk.operators import (
     random_pure_state,
 )
 from getk.purity import numeric_max_reference, omega_purity, rescaled_purity
+
+
+def raw_purity_and_gradient(omega: ObservableSpace, psi: np.ndarray):
+    """Raw purity sum_a <X_a>^2 of a unit vector and its Euclidean gradient.
+
+    The gradient is taken with respect to the real and imaginary parts of
+    the unnormalized amplitudes: grad = 4 sum_a <X_a> X_a psi.
+    """
+    xpsi = omega.stack @ psi
+    evals = (psi.conj()[None, :] @ xpsi[..., None]).ravel().real
+    value = float(np.dot(evals, evals))
+    grad = 4.0 * np.einsum("a,ai->i", evals, xpsi)
+    return value, grad
 
 
 class TestSpinSystem:

@@ -17,12 +17,22 @@ from getk.operators import (
     orthonormalize,
     partial_trace,
     pauli_string,
-    random_density_state,
     random_pure_state,
     trace_inner_product,
 )
 
 SX, SY, SZ, ID = PAULI["X"], PAULI["Y"], PAULI["Z"], PAULI["I"]
+
+
+def random_density_state(dim: int, rng, rank: int | None = None) -> QuantumState:
+    rank = rank or dim
+    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    m = g @ g.conj().T
+    return QuantumState(rho=m / np.trace(m).real)
+
+
+def maximally_mixed(dim: int) -> QuantumState:
+    return QuantumState(rho=np.eye(dim, dtype=complex) / dim)
 
 
 def sz_total():
@@ -120,7 +130,7 @@ class TestExpectation:
         assert expectation(QuantumState.basis_state(2, 0), SZ) == pytest.approx(1.0)
 
     def test_maximally_mixed_traceless(self):
-        st = QuantumState.maximally_mixed(2)
+        st = maximally_mixed(2)
         for x in (SX, SY, SZ):
             assert expectation(st, x) == pytest.approx(0.0, abs=1e-14)
 
@@ -384,8 +394,8 @@ class TestQuantumState:
 
     def test_purity(self):
         assert QuantumState.basis_state(3, 1).purity() == 1.0
-        assert QuantumState.maximally_mixed(4).purity() == pytest.approx(0.25)
+        assert maximally_mixed(4).purity() == pytest.approx(0.25)
 
     def test_fidelity(self):
         a = QuantumState.basis_state(2, 0)
-        assert a.fidelity(QuantumState.maximally_mixed(2)) == pytest.approx(0.5)
+        assert a.fidelity(maximally_mixed(2)) == pytest.approx(0.5)

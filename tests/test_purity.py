@@ -8,7 +8,6 @@ from getk.operators import (
     ObservableSpace,
     QuantumState,
     partial_trace,
-    random_density_state,
     random_pure_state,
 )
 from getk.purity import (
@@ -18,12 +17,29 @@ from getk.purity import (
     local_purity_formula,
     meyer_wallach_q,
     omega_purity,
-    project_onto,
     rescaled_purity,
     resolve_max_reference,
 )
 
 SX, SY, SZ, ID = PAULI["X"], PAULI["Y"], PAULI["Z"], PAULI["I"]
+
+
+def random_density_state(dim: int, rng, rank: int | None = None) -> QuantumState:
+    rank = rank or dim
+    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    m = g @ g.conj().T
+    return QuantumState(rho=m / np.trace(m).real)
+
+
+def maximally_mixed(dim: int) -> QuantumState:
+    return QuantumState(rho=np.eye(dim, dtype=complex) / dim)
+
+
+def project_onto(state, omega: ObservableSpace) -> np.ndarray:
+    """Projection sum_a <X_a> X_a of a state (or Hermitian operator) onto omega."""
+    if isinstance(state, QuantumState):
+        state = state.density()
+    return omega.project_operator(state)  # checks Hermiticity
 
 
 def product_state(rng=None):
@@ -39,7 +55,7 @@ def product_state(rng=None):
 
 class TestProjection:
     def test_maximally_mixed_projects_to_zero(self):
-        st = QuantumState.maximally_mixed(4)
+        st = maximally_mixed(4)
         out = project_onto(st, catalog.local_algebra(2, 2))
         assert np.max(np.abs(out)) < 1e-14
 
@@ -260,7 +276,7 @@ class TestUnentanglementTest:
 
     def test_mixed_input_rejected(self):
         with pytest.raises(ValueError):
-            is_generalized_unentangled(QuantumState.maximally_mixed(4),
+            is_generalized_unentangled(maximally_mixed(4),
                                        catalog.z_conserving_u2())
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])

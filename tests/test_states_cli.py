@@ -12,6 +12,23 @@ import pytest
 from getk import boxes, catalog, cli, coherent, fermion, purity, states
 from getk.operators import QuantumState
 
+BUILTIN_EXAMPLES = (
+    "bell:phi+", "bell:phi-", "bell:psi+", "bell:psi-",
+    "ghz:3", "w:3", "bisep:12", "bisep:13", "bisep:23",
+    "spin:1,1", "spin:3/2,1/2", "fock:m2:00", "fock:m2:01",
+    "fock:m2:10", "fock:m2:11",
+)
+
+
+def state_to_json_dict(state: QuantumState) -> dict:
+    if state.is_pure:
+        v = state.vector
+        return {"dim": state.dim, "kind": "pure",
+                "amplitudes": [[z.real, z.imag] for z in v]}
+    m = state.density()
+    return {"dim": state.dim, "kind": "density",
+            "matrix": [[[z.real, z.imag] for z in row] for row in m]}
+
 
 class TestBuiltins:
     def test_bell_conventions(self):
@@ -60,22 +77,22 @@ class TestBuiltins:
 
 
 class TestStateFiles:
-    @pytest.mark.parametrize("name", states.BUILTIN_EXAMPLES)
+    @pytest.mark.parametrize("name", BUILTIN_EXAMPLES)
     def test_round_trip_fidelity(self, name):
         st = states.builtin_state(name)
-        back = states.state_from_json_dict(states.state_to_json_dict(st))
+        back = states.state_from_json_dict(state_to_json_dict(st))
         assert back.fidelity(st) == pytest.approx(1.0, abs=1e-12)
 
     def test_density_round_trip(self):
         rho = np.diag([0.25, 0.75]).astype(complex)
         st = QuantumState(rho=rho)
-        back = states.state_from_json_dict(states.state_to_json_dict(st))
+        back = states.state_from_json_dict(state_to_json_dict(st))
         assert np.max(np.abs(back.density() - rho)) < 1e-15
 
     def test_load_from_file(self, tmp_path):
         st = states.builtin_state("ghz:3")
         path = tmp_path / "state.json"
-        path.write_text(json.dumps(states.state_to_json_dict(st)))
+        path.write_text(json.dumps(state_to_json_dict(st)))
         loaded = states.load_state(str(path))
         assert loaded.fidelity(st) == pytest.approx(1.0, abs=1e-12)
 
@@ -492,8 +509,11 @@ class TestBoxesCommands:
         }
         path = tmp_path / "sig.json"
         path.write_text(json.dumps(table))
-        code, _, err = run_cli(capsys, "boxes", "classify", "--state", str(path))
-        assert code == 4 and "marginal" in err.lower()
+        code, out, err = run_cli(capsys, "boxes", "classify", "--state", str(path))
+        assert code == 4 and out == ""
+        # Bob's outcome on input 0 follows Alice's input: the message names box 1
+        assert err == ("error: box 1's input signals: the other boxes' marginal "
+                       "differs between its inputs 0 and 1\n")
 
     def test_infeasible_exit_4(self, capsys, tmp_path):
         table = {
@@ -526,8 +546,10 @@ class TestBoxesCommands:
         ({"n_inputs": [True, 2], "n_outputs": [2, 2], "p": [[1, 4]] * 8}, "got True"),
         ({"n_inputs": [1, 1], "n_outputs": [2, 2], "p": [[True, 2], [0, 1], [0, 1], [1, 2]]},
          "got True"),
+        # valid and no-signalling, but three boxes: the command line takes two
+        ({"n_inputs": [1, 1, 1], "n_outputs": [2, 2, 2], "p": [[1, 8]] * 8}, "two boxes"),
     ], ids=["no-inputs", "no-outputs", "negative", "fractional", "infinite", "boolean",
-            "boolean-numerator"])
+            "boolean-numerator", "three-boxes"])
     def test_bad_shape_exit_2(self, capsys, tmp_path, command, table, message):
         path = tmp_path / "shape.json"
         path.write_text(json.dumps(table))
