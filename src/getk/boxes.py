@@ -297,6 +297,9 @@ def enumerate_vertices(cone: PolyhedralCone) -> list:
     """
     if any(n * m > ENUMERATION_CAP for n, m in _boxes(cone.shape)):
         raise ValueError(f"enumeration capped at {ENUMERATION_CAP} input*output per side")
+    if prod(cone.shape) > ENUMERATION_CAP ** 2:  # the largest two-box table in the cap
+        raise ValueError(f"enumeration capped at {ENUMERATION_CAP ** 2} table entries, "
+                         f"got {prod(cone.shape)}")
     p = affine_dimension(cone)
     rows = [row[1:] + row[:1] for row in cone.matrix]
     found = [tuple(Fraction(sum(a * y for a, y in zip(row, ray)), ray[p]) for row in rows)

@@ -7,6 +7,7 @@ rescaling reference to numerical estimation.
 """
 
 import itertools
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -22,6 +23,8 @@ from .operators import (
 )
 from .states import parse_number_token
 
+MAX_SITE_DIM = math.isqrt(MAX_DIM)  # 32: the largest site of any two-site space
+
 
 @lru_cache(maxsize=None)
 def local_algebra(n: int, d0: int, label: str | None = None) -> ObservableSpace:
@@ -36,6 +39,8 @@ def local_algebra(n: int, d0: int, label: str | None = None) -> ObservableSpace:
         raise ValueError("need n >= 1 sites of local dimension d0 >= 2")
     if n >= MAX_DIM.bit_length() or d0 ** n > MAX_DIM:  # d0 >= 2: never forms a huge power
         raise ValueError(f"total dimension {d0}^{n} exceeds the supported {MAX_DIM}")
+    if d0 > MAX_SITE_DIM:  # checked before the (d0^2 - 1) d0^2 entries of the site basis exist
+        raise ValueError(f"site dimension {d0} exceeds the supported {MAX_SITE_DIM}")
     return ObservableSpace(gell_mann_basis(d0), label or f"local:{n}x{d0}", sites=n,
                            irreducible_lie=True, max_purity=n * (d0 - 1) / d0 ** n)
 
@@ -178,23 +183,14 @@ def restricted_local_spins(j) -> ObservableSpace:
     product states such as |J,0> x |J,0> score zero.
     """
     system = _nonzero_spin(j)
-    d = system.dim
-    nrm = np.sqrt(system.j * (system.j + 1) * d / 3.0) * np.sqrt(d)
-    eye = np.eye(d, dtype=complex)
-    ops = [np.kron(g, eye) / nrm for g in system.generators]
-    ops += [np.kron(eye, g) / nrm for g in system.generators]
     max_ref = 6.0 * system.j / ((system.j + 1) * (2 * system.j + 1) ** 2)
-    return ObservableSpace(ops, f"su2x2-spin:{_norm_j(system.j)}", irreducible_lie=True,
-                           max_purity=max_ref)
+    return ObservableSpace(spin_algebra(j).site_basis, f"su2x2-spin:{_norm_j(system.j)}",
+                           sites=2, irreducible_lie=True, max_purity=max_ref)
 
 
-@lru_cache(maxsize=None)
 def full_traceless_algebra(d: int) -> ObservableSpace:
-    """The complete traceless Hermitian space su(d)."""
-    if d > 16:
-        raise ValueError("full traceless algebra is capped at dimension 16")
-    return ObservableSpace(gell_mann_basis(d), f"full:{d}", irreducible_lie=True,
-                           max_purity=1.0 - 1.0 / d)
+    """The complete traceless Hermitian space su(d): the local algebra on one site."""
+    return local_algebra(1, d, label=f"full:{d}")
 
 
 def named_algebra(name: str) -> ObservableSpace:

@@ -5,7 +5,8 @@ generators, spin coherent states as extremal eigenvectors, group-orbit
 sampling through the matrix exponential, and the two maximal-raw-purity
 references: the highest-weight value for irreducibly represented Lie algebras
 and a fixed-point estimate for every other space.  Both draw from the stdlib
-``random.Random``, so no purity command loads ``numpy.random``.
+``random.Random``, as do the seeded checks of ``reproduce``, so no purity or
+reproduce command loads ``numpy.random``.
 """
 
 import random
@@ -149,20 +150,17 @@ def highest_weight_purity(omega: ObservableSpace, seed: int = 0) -> float | None
     107902 (2004)).  A generic element is regular, and its top eigenvector is a
     highest-weight vector for the Weyl chamber that holds it, so the value is the
     exact maximum.  It is the purity of an actual state, hence a lower bound on
-    any space.  On a site-factored space the element is a sum of single-site
-    terms, and its top eigenvector is the product of the site eigenvectors, so no
-    dense stack is built.  Returns None when a top eigenvalue is degenerate.
+    any space.  The element is a sum of single-site terms, and its top
+    eigenvector is the product of the site eigenvectors, so no dense stack is
+    built.  Returns None when a top eigenvalue is degenerate.
     """
     rng = _rng(seed)
-    if omega.sites is None:
-        psi = _top_eigenvector(np.einsum("a,aij->ij", _gaussians(rng, omega.size), omega.stack))
-    else:
-        k = len(omega.site_basis)
-        factors = [_top_eigenvector(np.einsum("a,aij->ij", _gaussians(rng, k), omega.site_basis))
-                   for _ in range(omega.sites)]
-        psi = None if any(f is None for f in factors) else kron_all(factors)
-    if psi is None:
+    k = len(omega.site_basis)
+    factors = [_top_eigenvector(np.einsum("a,aij->ij", _gaussians(rng, k), omega.site_basis))
+               for _ in range(omega.sites)]
+    if any(f is None for f in factors):
         return None
+    psi = kron_all(factors)
     vals = omega.expectation_vector(QuantumState(vector=psi))
     return float(np.dot(vals, vals))
 

@@ -2,8 +2,9 @@
 
 Operators are plain numpy arrays of shape (d, d) and dtype complex; states
 are wrapped in :class:`QuantumState` so pure vectors and density matrices
-share one interface.  Real-linear spaces of Hermitian observables carry a
-trace-orthonormal basis and live in :class:`ObservableSpace`.
+share one interface.  Real-linear spaces of Hermitian observables live in
+:class:`ObservableSpace`: N >= 1 sites of one trace-orthonormal basis, where
+a dense space is the one-site case.
 """
 
 from functools import cached_property, lru_cache
@@ -157,11 +158,6 @@ class QuantumState:
         return f"QuantumState(dim={self.dim}, kind={kind})"
 
 
-def random_pure_state(dim: int, rng) -> QuantumState:
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return QuantumState(vector=v / np.linalg.norm(v))
-
-
 def expectation(state: QuantumState, x) -> float:
     """Expectation value Tr(rho x) of a Hermitian observable, as a real number."""
     x = _as_operator(x)
@@ -220,16 +216,18 @@ class ObservableSpace:
     is immutable once built: the catalog hands the same instance to every
     caller.
 
-    With ``sites=n``, ``basis`` is a traceless basis on C^D and the space
-    holds each x on each site, times 1/sqrt(D) on the other n - 1 sites.
-    Only the D x D basis is validated (traceless elements on different
-    sites are orthogonal), expectations come from the single-site
-    reductions, and the dense ``stack`` is built when first read.
+    Every space is ``sites`` copies of one site: ``basis`` is a trace-orthonormal
+    basis on C^D, and the space holds each x on each site, times 1/sqrt(D) on
+    the other sites, so dim = D**sites and size = len(basis) * sites.  A dense
+    space is the one-site case.  With more than one site the site basis must be
+    traceless (traceless elements on different sites are then orthogonal).  Only
+    the D x D basis is validated, expectations are contracted site by site, and
+    a multi-site ``stack`` is built when first read.
     """
 
     def __init__(self, basis, label: str = "", *, dim: int | None = None,
                  irreducible_lie: bool = False, max_purity: float | None = None,
-                 sites: int | None = None):
+                 sites: int = 1):
         ops = [np.asarray(b, dtype=complex) for b in basis]
         if not ops and dim is None:
             raise ValueError("empty basis requires an explicit dim")
@@ -241,9 +239,9 @@ class ObservableSpace:
         self.label = label
         self.irreducible_lie = bool(irreducible_lie)
         self.max_purity = None if max_purity is None else float(max_purity)
-        self.sites = sites
-        self.dim, self.size = d ** (sites or 1), len(mats) * (sites or 1)
-        setattr(self, "stack" if sites is None else "site_basis", mats)
+        self.sites = int(sites)
+        self.dim, self.size = d ** self.sites, len(mats) * self.sites
+        self.site_basis = mats
         for a in mats:
             assert_hermitian(a)
         rows = _real_rows(mats)
@@ -252,8 +250,8 @@ class ObservableSpace:
             raise ValueError(f"basis is not trace-orthonormal (max deviation {dev:.3e})")
         # set last: from here on __setattr__ refuses every assignment
         self.traceless = bool(np.all(np.abs(np.einsum("aii->a", mats)) <= EQUALITY_TOL))
-        if sites is not None and not self.traceless:
-            raise ValueError("a site-factored space needs a traceless site basis")
+        if self.sites > 1 and not self.traceless:
+            raise ValueError("a space of more than one site needs a traceless site basis")
 
     def __setattr__(self, name, value):
         if hasattr(self, "traceless"):
@@ -265,7 +263,10 @@ class ObservableSpace:
 
     @cached_property  # writes the instance __dict__ directly, past __setattr__
     def stack(self) -> np.ndarray:
-        """The dense (size, dim, dim) basis; only site-factored spaces get here."""
+        """The dense (size, dim, dim) basis: the site basis itself on one site, else
+        built from Kronecker products when first read."""
+        if self.sites == 1:
+            return self.site_basis
         d = self.site_basis.shape[1]
         factors = [np.eye(d, dtype=complex) / np.sqrt(d)] * self.sites
         stack = np.stack([kron_all(factors[:pos] + [x] + factors[pos + 1:])
@@ -278,32 +279,27 @@ class ObservableSpace:
         return [self.stack[i] for i in range(self.size)]
 
     def expectation_vector(self, state: QuantumState) -> np.ndarray:
-        """Vector of expectation values of the basis elements in ``state``."""
+        """Vector of expectation values of the basis elements in ``state``.
+
+        Site l's block is Tr(rho (1 (x) x (x) 1)) D^(-(n-1)/2) with x on site l,
+        contracted on the state reshaped as (left, site, right); on one site it
+        is Tr(rho x).
+        """
         if state.dim != self.dim:
             raise DimensionMismatch(f"dimension mismatch: state {state.dim} vs space {self.dim}")
-        if self.sites is not None:
-            vals = self._site_expectations(state)
-        elif state.is_pure:
-            v = state._vector
-            vals = np.einsum("i,aij,j->a", v.conj(), self.stack, v)
+        n, d = self.sites, self.site_basis.shape[1]
+        shapes = [(d ** pos, d, d ** (n - pos - 1)) for pos in range(n)]
+        # einsum, not a BLAS product: the sums stay exactly zero where they cancel
+        if state.is_pure:
+            vs = [state._vector.reshape(shape) for shape in shapes]
+            vals = [np.einsum("xiy,aij,xjy->a", v.conj(), self.site_basis, v) for v in vs]
         else:
-            vals = np.einsum("aij,ji->a", self.stack, state._rho)
+            vals = [np.einsum("xiyxjy,aji->a", state._rho.reshape(s * 2), self.site_basis)
+                    for s in shapes]
+        vals = np.concatenate(vals) * d ** (-(n - 1) / 2)
         if vals.size and np.max(np.abs(vals.imag)) > EQUALITY_TOL:
             raise ValueError("expectation vector has a large imaginary part")
         return vals.real
-
-    def _site_expectations(self, state: QuantumState) -> np.ndarray:
-        """Tr(rho_l x) D^(-(n-1)/2) from the single-site reductions rho_l."""
-        n, d = self.sites, self.site_basis.shape[1]
-        shapes = [(d ** pos, d, d ** (n - pos - 1)) for pos in range(n)]  # (left, site, right)
-        if state.is_pure:
-            vs = [state._vector.reshape(shape) for shape in shapes]
-            reduced = [np.einsum("aib,ajb->ij", v, v.conj()) for v in vs]
-        else:
-            reduced = [np.einsum("aibajb->ij", state._rho.reshape(s * 2)) for s in shapes]
-        # einsum, not a BLAS product: the sums stay exactly zero where they cancel
-        return np.einsum("lij,aji->la", np.array(reduced), self.site_basis).ravel() \
-            * d ** (-(n - 1) / 2)
 
     def project_operator(self, a) -> np.ndarray:
         """Orthogonal projection of a Hermitian operator onto this span."""

@@ -22,7 +22,6 @@ from .operators import (
     lie_closure,
     orthonormalize,
     partial_trace,
-    random_pure_state,
 )
 from .purity import (
     expectations_indistinguishable,
@@ -222,17 +221,17 @@ class _Run:
         return invariant_uncertainty(system.basis_state(0), system.generators)
 
     def full_algebra_unentangled(self):
-        rng = np.random.default_rng(self.seed + 17)
-        return is_generalized_unentangled(random_pure_state(4, rng),
+        psi = coherent._gaussians(coherent._rng(self.seed + 17), 8).view(complex)
+        return is_generalized_unentangled(QuantumState(vector=psi / np.linalg.norm(psi)),
                                           catalog.full_traceless_algebra(4))
 
     def orbit_purity_drift(self):
         space = catalog.spin_algebra(2)
-        rng = np.random.default_rng(self.seed + 3)
+        rng = coherent._rng(self.seed + 3)
         st = coherent.spin_system(2).basis_state(2)
         worst = 0.0
         for _ in range(5):
-            moved = coherent.orbit_sample(space, st, rng.normal(scale=0.7, size=space.size))
+            moved = coherent.orbit_sample(space, st, 0.7 * coherent._gaussians(rng, space.size))
             worst = max(worst, abs(rescaled_purity(moved, space).rescaled - 1.0))
         return worst
 

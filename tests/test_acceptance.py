@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from getk import boxes, catalog, cli, coherent, fermion, reproduce, states
-from getk.operators import ObservableSpace, QuantumState, random_pure_state
+from getk.operators import ObservableSpace, QuantumState
 from getk.purity import (
     invariant_uncertainty,
     local_purity_formula,
@@ -19,6 +19,7 @@ from getk.purity import (
     omega_purity,
     rescaled_purity,
 )
+from random_states import random_pure_state
 
 RNG_SEED = 20240817
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from getk import boxes
 from getk.boxes import (
     BoxState,
     InfeasibleError,
@@ -497,6 +498,18 @@ class TestDoubleDescription:
     def test_over_cap_rejected(self):
         with pytest.raises(ValueError, match="capped"):
             enumerate_vertices(no_signalling_polytope(3, 3, 1, 1))
+
+    def test_too_many_boxes_rejected_before_any_ray_work(self, monkeypatch):
+        # every box is in the per-side cap, but six of them make a 64-entry table
+        cone = no_signalling_polytope(2, 2, 2, 2, 2, 2)
+
+        def no_ray_work(*args):
+            raise AssertionError("ray work started")
+
+        monkeypatch.setattr(boxes, "affine_dimension", no_ray_work)
+        monkeypatch.setattr(boxes, "_extreme_rays", no_ray_work)
+        with pytest.raises(ValueError, match="capped at 36 table entries, got 64"):
+            enumerate_vertices(cone)
 
     def test_vertex_class_agrees_with_classify_extremal(self):
         cone, verts = square_pair()

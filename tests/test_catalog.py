@@ -4,16 +4,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from getk import catalog, states
+from getk import catalog, coherent, states
 from getk.operators import (
     PAULI,
     ObservableSpace,
     QuantumState,
+    expectation,
     lie_closure,
     pauli_string,
-    random_pure_state,
 )
 from getk.purity import is_generalized_unentangled, rescaled_purity
+from random_states import random_pure_state
 
 SX, SY, SZ, ID = PAULI["X"], PAULI["Y"], PAULI["Z"], PAULI["I"]
 
@@ -50,6 +51,31 @@ def test_catalog_spaces_are_valid(factory):
     assert space.traceless
 
 
+# the one-site spaces next to their multi-site counterparts
+ORACLE_SPACES = ALL_SPACES + [
+    lambda: catalog.restricted_local_spins(0.5),
+    lambda: catalog.restricted_local_spins(2.5),
+    lambda: catalog.full_traceless_algebra(2),
+    lambda: catalog.full_traceless_algebra(3),
+    lambda: catalog.full_traceless_algebra(7),
+]
+
+
+@pytest.mark.parametrize("kind", ["pure", "density"])
+@pytest.mark.parametrize("factory", ORACLE_SPACES, ids=lambda factory: factory().label)
+def test_expectations_match_a_dense_oracle(factory, kind):
+    # the oracle is Tr(rho x) one basis element at a time, by matrix products
+    space = factory()
+    rng = np.random.default_rng(space.dim * space.size)
+    for _ in range(3):
+        if kind == "pure":
+            state = random_pure_state(space.dim, rng)
+        else:
+            state = random_density_state(space.dim, rng)
+        oracle = [expectation(state, x) for x in space.basis]
+        assert np.max(np.abs(space.expectation_vector(state) - oracle)) <= 1e-14
+
+
 class TestSharedSpacesImmutable:
     @pytest.mark.parametrize("attr, value", [("max_purity", 0.1), ("label", "mine"),
                                              ("irreducible_lie", False), ("stack", None)])
@@ -83,6 +109,7 @@ class TestLocalAlgebra:
         expected = [p / np.sqrt(2) for p in (SX, SY, SZ)]
         for got, want in zip(space.basis, expected):
             assert np.max(np.abs(got - want)) < 1e-14
+        assert space.stack is space.site_basis  # one site: the basis is the stack, uncopied
 
     def test_three_qubits_is_omega1(self):
         space = catalog.local_algebra(3, 2)
@@ -102,6 +129,20 @@ class TestLocalAlgebra:
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
             catalog.local_algebra(11, 2)
+
+    @pytest.mark.parametrize("d0", [33, 64, 1024])
+    def test_site_dimension_cap_before_the_site_basis(self, d0, monkeypatch):
+        # local:1x1024 passes the total-dimension check, but its site basis is ~17.6 TB
+        def no_basis(d):
+            raise AssertionError(f"gell_mann_basis({d}) was called")
+
+        monkeypatch.setattr(catalog, "gell_mann_basis", no_basis)
+        with pytest.raises(ValueError, match=f"site dimension {d0} exceeds the supported 32"):
+            catalog.local_algebra(1, d0)
+
+    def test_largest_site_is_built(self):
+        space = catalog.local_algebra.__wrapped__(1, catalog.MAX_SITE_DIM)
+        assert (space.dim, space.size) == (32, 32 * 32 - 1)
 
 
 class TestSiteFactoredLocalAlgebra:
@@ -261,6 +302,16 @@ class TestRestrictedLocalSpins:
     def test_spin_zero_rejected(self):
         with pytest.raises(ValueError, match="spin 0 has no su"):
             catalog.restricted_local_spins(0)
+
+    @pytest.mark.parametrize("j", [0.5, 1, 2.5])
+    def test_stack_equals_the_kron_construction(self, j):
+        system = coherent.spin_system(j)
+        d = system.dim
+        nrm = np.sqrt(system.j * (system.j + 1) * d / 3.0) * np.sqrt(d)
+        eye = np.eye(d, dtype=complex)
+        ops = [np.kron(g, eye) / nrm for g in system.generators]
+        ops += [np.kron(eye, g) / nrm for g in system.generators]
+        assert np.max(np.abs(catalog.restricted_local_spins(j).stack - np.stack(ops))) <= 1e-15
 
 
 class TestSpinAlgebra:

@@ -9,8 +9,9 @@ from getk.fermion import (
     jw_state_dictionary,
     number_operator,
 )
-from getk.operators import QuantumState, lie_closure, random_pure_state
+from getk.operators import QuantumState, lie_closure
 from getk.purity import omega_purity, rescaled_purity
+from random_states import random_pure_state
 
 
 def anticommutator(a, b):

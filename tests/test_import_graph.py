@@ -85,3 +85,12 @@ def test_purity_commands_leave_numpy_random_unloaded():
     out = subprocess.run([sys.executable, "-c", RANDOM_PROBE, json.dumps(runs)], env=env,
                          check=True, capture_output=True, text=True).stdout
     assert json.loads(out) == [[argv, 0, False] for argv in runs]
+
+
+def test_reproduce_leaves_numpy_random_unloaded():
+    # the seeded checks of the golden suite draw from the same stdlib generator
+    runs = [["reproduce", "--table", "paper"]]
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", RANDOM_PROBE, json.dumps(runs)], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    assert json.loads(out) == [[argv, 0, False] for argv in runs]

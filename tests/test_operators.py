@@ -17,9 +17,9 @@ from getk.operators import (
     orthonormalize,
     partial_trace,
     pauli_string,
-    random_pure_state,
     trace_inner_product,
 )
+from random_states import random_pure_state
 
 SX, SY, SZ, ID = PAULI["X"], PAULI["Y"], PAULI["Z"], PAULI["I"]
 

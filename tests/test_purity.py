@@ -8,7 +8,6 @@ from getk.operators import (
     ObservableSpace,
     QuantumState,
     partial_trace,
-    random_pure_state,
 )
 from getk.purity import (
     expectations_indistinguishable,
@@ -20,6 +19,7 @@ from getk.purity import (
     rescaled_purity,
     resolve_max_reference,
 )
+from random_states import random_pure_state
 
 SX, SY, SZ, ID = PAULI["X"], PAULI["Y"], PAULI["Z"], PAULI["I"]
 

@@ -251,6 +251,12 @@ class TestPurityCommand:
         code, out, err = run_cli(capsys, "purity", "--state", state, "--algebra", algebra)
         assert code == 2 and out == "" and f"supported {catalog.MAX_DIM}" in err
 
+    @pytest.mark.parametrize("state, d0", [("ghz:5", 33), ("ghz:6", 64), ("ghz:10", 1024)])
+    def test_oversized_site_exit_2_before_allocating(self, capsys, state, d0):
+        # local:1x1024 is within MAX_DIM, but its su(1024) basis would be ~17.6 TB
+        code, out, err = run_cli(capsys, "purity", "--state", state, "--algebra", f"local:1x{d0}")
+        assert code == 2 and out == "" and f"supported {catalog.MAX_SITE_DIM}" in err
+
     @pytest.mark.parametrize("state, algebra", [("spin:nan,0", "su2-spin:1"),
                                                 ("w:3", "su2-spin:nan")])
     def test_nan_spin_exit_2(self, capsys, state, algebra):
