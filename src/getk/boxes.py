@@ -7,9 +7,10 @@ own flat index is m_s*k + i for outcome i of input k.  The joint index is
 mixed-radix over the boxes' flat indices, box 1 most significant.  For two
 boxes that is the block matrix whose (k, l) block holds the outcomes of
 Alice's input k and Bob's input l, row index ma*k + i and column index
-mb*l + j.  The no-signalling polytope is the N-fold Kronecker product of
-the single-box Collins-Gisin matrices.  One box (N = 1) runs through the
-same code as a pair; the command line takes two boxes.
+mb*l + j.  Every function takes a table or a shape: the no-signalling
+polytope of a shape is one integer Collins-Gisin matrix, the N-fold
+Kronecker product of the single-box ones, built once per shape.  One box
+(N = 1) runs through the same code as a pair; the command line takes two.
 """
 
 import itertools
@@ -157,23 +158,6 @@ def marginals(state: BoxState) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class PolyhedralCone:
-    """Integer parametrization of the no-signalling polytope's affine hull.
-
-    The coordinates are Collins & Gisin's (quant-ph/0306129): 1, then per
-    box p(i|k) for every outcome i but the last, whose probability is 1
-    minus the others.  Row r of ``matrix`` writes joint-table entry r as a
-    linear form in the products of the boxes' coordinates, so the matrix is
-    the Kronecker product of the boxes' matrices: the joint state space is
-    the maximal tensor product of the single-box ones (Barrett 2007).
-    Column 0 is the constant; the polytope is {M (1, t) >= 0}.
-    """
-
-    shape: tuple
-    matrix: tuple  # one row of integers per table entry; row . (1, t) is entry r
-
-
 def _side_matrix(n: int, m: int) -> list:
     """One box's (n*m) x (1 + n(m-1)) matrix, rows in the flat order m*k + i."""
     width = 1 + n * (m - 1)
@@ -185,8 +169,17 @@ def _side_matrix(n: int, m: int) -> list:
     return rows
 
 
-def no_signalling_polytope(*shape: int) -> PolyhedralCone:
-    """The normalized no-signalling tables of boxes of shape (n_1, m_1, ..., n_N, m_N)."""
+@lru_cache(maxsize=32)  # bounded: one entry per table shape
+def no_signalling_polytope(*shape: int) -> tuple:
+    """The normalized no-signalling tables of boxes of shape (n_1, m_1, ..., n_N, m_N).
+
+    They are {M (1, t) >= 0} for the returned integer matrix M, one row tuple per
+    table entry, in Collins & Gisin's coordinates (quant-ph/0306129): 1, then per box
+    p(i|k) for every outcome i but the last.  Row r writes entry r as a linear form in
+    the products of the boxes' coordinates, so M is the Kronecker product of the boxes'
+    matrices: the joint state space is the maximal tensor product of the single-box ones
+    (Barrett 2007).  Column 0 is the constant; the affine hull has dimension len(M[0]) - 1.
+    """
     pairs = _boxes(shape)
     if prod(shape) ** 2 > 10_000:
         raise ValueError(f"table size {prod(shape)} too large")
@@ -195,7 +188,7 @@ def no_signalling_polytope(*shape: int) -> PolyhedralCone:
     for n, m in pairs:
         matrix = [tuple(a * b for a in row for b in side)
                   for row in matrix for side in _side_matrix(n, m)]
-    return PolyhedralCone(shape=shape, matrix=tuple(matrix))
+    return tuple(matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -228,11 +221,6 @@ def _rref(rows):
 
 def _rank(rows) -> int:
     return len(_rref(rows)[1]) if rows else 0
-
-
-def affine_dimension(cone: PolyhedralCone) -> int:
-    """Dimension of the normalized base polytope's affine hull."""
-    return len(cone.matrix[0]) - 1
 
 
 def _integerize(frac_row):
@@ -286,8 +274,8 @@ def _extreme_rays(rows, dim):
     return rays
 
 
-def enumerate_vertices(cone: PolyhedralCone) -> list:
-    """All vertices of the normalized polytope, exactly.
+def enumerate_vertices(*shape: int) -> list:
+    """All vertices of the normalized polytope of boxes of the given shape, exactly.
 
     With the constant column moved last as s, each row of the
     parametrization is an integer row on (t, s) with row . (t, s) = s x_r,
@@ -295,28 +283,27 @@ def enumerate_vertices(cone: PolyhedralCone) -> list:
     every row is nonnegative, x_r = row . (t, s) / s.  Every block of the
     table sums to s, so that cone is pointed and s > 0 on each ray.
     """
-    if any(n * m > ENUMERATION_CAP for n, m in _boxes(cone.shape)):
+    if any(n * m > ENUMERATION_CAP for n, m in _boxes(shape)):
         raise ValueError(f"enumeration capped at {ENUMERATION_CAP} input*output per side")
-    if prod(cone.shape) > ENUMERATION_CAP ** 2:  # the largest two-box table in the cap
+    if prod(shape) > ENUMERATION_CAP ** 2:  # the largest two-box table in the cap
         raise ValueError(f"enumeration capped at {ENUMERATION_CAP ** 2} table entries, "
-                         f"got {prod(cone.shape)}")
-    p = affine_dimension(cone)
-    rows = [row[1:] + row[:1] for row in cone.matrix]
+                         f"got {prod(shape)}")
+    matrix = no_signalling_polytope(*shape)
+    p = len(matrix[0]) - 1
+    rows = [row[1:] + row[:1] for row in matrix]
     found = [tuple(Fraction(sum(a * y for a, y in zip(row, ray)), ray[p]) for row in rows)
              for ray in _extreme_rays(rows, p + 1)]
-    return [BoxState(shape=cone.shape, probs=probs) for probs in sorted(found)]
+    return [BoxState(shape=shape, probs=probs) for probs in sorted(found)]
 
 
-def is_extremal(state: BoxState, cone: PolyhedralCone | None = None) -> bool:
+def is_extremal(state: BoxState) -> bool:
     """Exact vertex test: the zero entries pin the table within the affine hull."""
-    cone = cone or no_signalling_polytope(*state.shape)
-    if state.shape != cone.shape:
-        raise ValueError(f"state shape {state.shape} does not match cone shape {cone.shape}")
+    matrix = no_signalling_polytope(*state.shape)
     marginals(state)  # raises SignallingError on violation
     # the table is M (1, t) for one t, and (1, t) spans the null space of the
-    # zero entries' rows exactly when those rows have rank dim
-    zeros = [row for row, val in zip(cone.matrix, state.probs) if val == 0]
-    return _rank(zeros) == affine_dimension(cone)
+    # zero entries' rows exactly when those rows have rank len(t)
+    zeros = [row for row, val in zip(matrix, state.probs) if val == 0]
+    return _rank(zeros) == len(matrix[0]) - 1
 
 
 class VertexClass(Enum):
@@ -324,21 +311,9 @@ class VertexClass(Enum):
     ENTANGLED = "entangled"
 
 
-def classify_extremal(state: BoxState, cone: PolyhedralCone | None = None) -> VertexClass:
-    """Split vertices into products and entangled extremal states.
-
-    A vertex is a product exactly when every marginal is a vertex of its
-    single-box polytope, i.e. deterministic; in that case the joint table
-    must factorize exactly, which is verified.
-    """
-    cone = cone or no_signalling_polytope(*state.shape)
-    if not is_extremal(state, cone):
-        raise ValueError("classification is defined for extremal states only")
-    return _vertex_class(state)
-
-
-def _vertex_class(vertex: BoxState) -> VertexClass:
-    """The marginal rule of :func:`classify_extremal` for a known vertex."""
+def vertex_class(vertex: BoxState) -> VertexClass:
+    """Class of a known vertex (see :func:`is_extremal`): a product exactly when every
+    marginal is deterministic, and then the joint table must factorize, which is verified."""
     parts = marginals(vertex)
     if all(p == 0 or p == 1 for part in parts for p in part.probs):
         if reduce(BoxState.tensor, parts).probs != vertex.probs:
@@ -467,16 +442,15 @@ def in_separable_tensor_product(state: BoxState) -> bool:
     return in_convex_hull(state, products)
 
 
-def is_generalized_unentangled_box(state: BoxState, cone: PolyhedralCone | None = None) -> bool:
+def is_generalized_unentangled_box(state: BoxState) -> bool:
     """Unentanglement of boxes relative to the marginal reduction.
 
     Extremal states are unentangled exactly when all marginals are
     extremal; non-extremal states exactly when they lie in the separable
     tensor product.
     """
-    cone = cone or no_signalling_polytope(*state.shape)
-    if is_extremal(state, cone):
-        return _vertex_class(state) is VertexClass.PRODUCT
+    if is_extremal(state):
+        return vertex_class(state) is VertexClass.PRODUCT
     return in_separable_tensor_product(state)
 
 

@@ -120,11 +120,10 @@ def _load_box(path: str) -> boxes.BoxState:
 def _cmd_boxes_vertices(args) -> int:
     shape = _parse_size(args.size)
     try:
-        cone = boxes.no_signalling_polytope(*shape)
-        verts = boxes.enumerate_vertices(cone)
+        verts = boxes.enumerate_vertices(*shape)
     except ValueError as exc:
         raise ValueError(f"--size: {exc}") from exc
-    classified = [(v, boxes._vertex_class(v)) for v in verts]  # vertices by construction
+    classified = [(v, boxes.vertex_class(v)) for v in verts]  # vertices by construction
     n_prod = sum(1 for _, c in classified if c is boxes.VertexClass.PRODUCT)
     if args.json:
         record = {
@@ -145,7 +144,7 @@ def _cmd_boxes_classify(args) -> int:
     extremal = boxes.is_extremal(state)
     record: dict = {"extremal": extremal}
     if extremal:
-        record["class"] = boxes._vertex_class(state).value  # a vertex: no second rank test
+        record["class"] = boxes.vertex_class(state).value  # a vertex: no second rank test
     a, b = boxes.marginals(state)
     record["marginal_alice"] = a.probs
     record["marginal_bob"] = b.probs

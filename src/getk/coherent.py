@@ -118,8 +118,8 @@ def orbit_sample(omega: ObservableSpace, reference: QuantumState, angles) -> Qua
     return QuantumState(vector=v / np.linalg.norm(v))
 
 
-def _rng(seed: int) -> random.Random:
-    """The seeded generator of both references.
+def seeded_rng(seed: int) -> random.Random:
+    """The seeded generator of both references and of the golden suite's seeded checks.
 
     Negative seeds are refused: ``random.Random`` would fold -s onto s.
     """
@@ -128,7 +128,8 @@ def _rng(seed: int) -> random.Random:
     return random.Random(seed)
 
 
-def _gaussians(rng: random.Random, n: int) -> np.ndarray:
+def gaussians(rng: random.Random, n: int) -> np.ndarray:
+    """n standard normal draws from ``rng``, in order."""
     return np.array([rng.gauss(0.0, 1.0) for _ in range(n)])
 
 
@@ -154,9 +155,9 @@ def highest_weight_purity(omega: ObservableSpace, seed: int = 0) -> float | None
     eigenvector is the product of the site eigenvectors, so no dense stack is
     built.  Returns None when a top eigenvalue is degenerate.
     """
-    rng = _rng(seed)
+    rng = seeded_rng(seed)
     k = len(omega.site_basis)
-    factors = [_top_eigenvector(np.einsum("a,aij->ij", _gaussians(rng, k), omega.site_basis))
+    factors = [_top_eigenvector(np.einsum("a,aij->ij", gaussians(rng, k), omega.site_basis))
                for _ in range(omega.sites)]
     if any(f is None for f in factors):
         return None
@@ -179,10 +180,10 @@ def max_purity_estimate(omega: ObservableSpace, restarts: int = 32, seed: int = 
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
-    rng = _rng(seed)
+    rng = seeded_rng(seed)
     best = 0.0
     for _ in range(restarts):
-        psi = _gaussians(rng, 2 * omega.dim).view(complex)
+        psi = gaussians(rng, 2 * omega.dim).view(complex)
         psi /= np.linalg.norm(psi)
         val = -1.0
         for _ in range(_MAX_FIXED_POINT_STEPS):

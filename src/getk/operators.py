@@ -218,11 +218,11 @@ class ObservableSpace:
 
     Every space is ``sites`` copies of one site: ``basis`` is a trace-orthonormal
     basis on C^D, and the space holds each x on each site, times 1/sqrt(D) on
-    the other sites, so dim = D**sites and size = len(basis) * sites.  A dense
-    space is the one-site case.  With more than one site the site basis must be
-    traceless (traceless elements on different sites are then orthogonal).  Only
-    the D x D basis is validated, expectations are contracted site by site, and
-    a multi-site ``stack`` is built when first read.
+    the other sites, so dim = D**sites (at most MAX_DIM) and size = len(basis) *
+    sites.  A dense space is the one-site case.  With more than one site the
+    site basis must be traceless (traceless elements on different sites are
+    then orthogonal).  Only the D x D basis is validated, expectations are
+    contracted site by site, and a multi-site ``stack`` is built when first read.
     """
 
     def __init__(self, basis, label: str = "", *, dim: int | None = None,
@@ -232,6 +232,9 @@ class ObservableSpace:
         if not ops and dim is None:
             raise ValueError("empty basis requires an explicit dim")
         d = int(dim) if dim is not None else ops[0].shape[0]
+        # before any stack exists; d >= 2 on MAX_DIM.bit_length() sites is already too large
+        if d ** min(int(sites), MAX_DIM.bit_length()) > MAX_DIM:
+            raise ValueError(f"total dimension {d}^{sites} exceeds the supported {MAX_DIM}")
         mats = np.stack(ops) if ops else np.zeros((0, d, d), dtype=complex)
         mats.setflags(write=False)
         if mats.shape[1:] != (d, d):
@@ -398,7 +401,7 @@ def bracket(x, y) -> np.ndarray:
     return 1.0j * (x @ y - y @ x)
 
 
-def commutant_basis(generators, dim: int | None = None, label: str = "") -> ObservableSpace:
+def commutant_basis(generators, dim: int | None = None) -> ObservableSpace:
     """Trace-orthonormal basis of the traceless Hermitian commutant.
 
     Solves the linear system [X, g] = 0 for every generator g over the full
@@ -419,8 +422,7 @@ def commutant_basis(generators, dim: int | None = None, label: str = "") -> Obse
         d = int(dim)
     full = gell_mann_basis(d)
     if not gens:
-        return ObservableSpace(full, label=label, dim=d, irreducible_lie=True,
-                               max_purity=1.0 - 1.0 / d)
+        return ObservableSpace(full, dim=d, irreducible_lie=True, max_purity=1.0 - 1.0 / d)
     full_stack = np.stack(full)
     rows = _real_rows(full_stack)
     # block g holds Re Tr(X_a i[X_b, g]) for every pair of basis elements
@@ -430,20 +432,20 @@ def commutant_basis(generators, dim: int | None = None, label: str = "") -> Obse
     null_rows = [vt[i] for i in range(n_basis) if i >= len(svals) or svals[i] < INDEPENDENCE_TOL]
     ops = [np.einsum("a,aij->ij", c, full_stack) for c in null_rows]
     ops = [0.5 * (o + o.conj().T) for o in ops]  # scrub roundoff asymmetry
-    return ObservableSpace(ops, label=label, dim=d)
+    return ObservableSpace(ops, dim=d)
 
 
-def lie_closure(generators, label: str = "") -> ObservableSpace:
+def lie_closure(generators) -> ObservableSpace:
     """Close a set of Hermitian operators under the bracket i[x, y].
 
     Repeatedly adjoins brackets of basis pairs and re-orthonormalizes until
     the spanned dimension stabilizes.
     """
-    space = orthonormalize(generators, label=label)
+    space = orthonormalize(generators)
     while True:
         ops = space.basis
         new = [bracket(ops[a], ops[b]) for a in range(len(ops)) for b in range(a + 1, len(ops))]
-        candidate = orthonormalize(ops + new, label=label)
+        candidate = orthonormalize(ops + new)
         if candidate.size == space.size:
             return candidate
         space = candidate

@@ -150,9 +150,7 @@ def meyer_wallach_q(psi: QuantumState) -> float:
     return 1.0 - local_purity_formula(psi, n, 2)
 
 
-def is_generalized_unentangled(psi: QuantumState, omega: ObservableSpace,
-                               max_reference: float | str | None = None,
-                               tol: float = 1e-8, *,
+def is_generalized_unentangled(psi: QuantumState, omega: ObservableSpace, tol: float = 1e-8, *,
                                report: PurityReport | None = None) -> UnentangledVerdict:
     """Maximal-purity test for generalized unentanglement of a pure state.
 
@@ -169,7 +167,7 @@ def is_generalized_unentangled(psi: QuantumState, omega: ObservableSpace,
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tolerance must be a finite non-negative number, got {tol}")
     if report is None:
-        report = rescaled_purity(psi, omega, max_reference)
+        report = rescaled_purity(psi, omega)
     direction = "iff" if omega.irreducible_lie else "sufficient"
     return UnentangledVerdict(unentangled=bool(report.rescaled >= 1.0 - tol),
                               theorem_direction=direction,
@@ -178,13 +176,13 @@ def is_generalized_unentangled(psi: QuantumState, omega: ObservableSpace,
 
 
 def expectations_indistinguishable(s1: QuantumState, s2: QuantumState,
-                                   omega: ObservableSpace, tol: float = EQUALITY_TOL) -> bool:
+                                   omega: ObservableSpace) -> bool:
     """True when no basis observable of omega separates the two states."""
     e1 = omega.expectation_vector(s1)
     e2 = omega.expectation_vector(s2)
     if e1.size == 0:
         return True
-    return bool(np.max(np.abs(e1 - e2)) < tol)
+    return bool(np.max(np.abs(e1 - e2)) < EQUALITY_TOL)
 
 
 def invariant_uncertainty(state: QuantumState, generators) -> float:

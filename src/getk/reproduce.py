@@ -151,7 +151,7 @@ class _Run:
     @cached_property
     def vertices(self):
         """The vertices of the (2,2,2,2) no-signalling polytope, enumerated once."""
-        return boxes.enumerate_vertices(boxes.no_signalling_polytope(2, 2, 2, 2))
+        return boxes.enumerate_vertices(2, 2, 2, 2)
 
     # --- two-qubit operator facts ----------------------------------------
     def bell_reduction_error(self):
@@ -221,17 +221,17 @@ class _Run:
         return invariant_uncertainty(system.basis_state(0), system.generators)
 
     def full_algebra_unentangled(self):
-        psi = coherent._gaussians(coherent._rng(self.seed + 17), 8).view(complex)
+        psi = coherent.gaussians(coherent.seeded_rng(self.seed + 17), 8).view(complex)
         return is_generalized_unentangled(QuantumState(vector=psi / np.linalg.norm(psi)),
                                           catalog.full_traceless_algebra(4))
 
     def orbit_purity_drift(self):
         space = catalog.spin_algebra(2)
-        rng = coherent._rng(self.seed + 3)
+        rng = coherent.seeded_rng(self.seed + 3)
         st = coherent.spin_system(2).basis_state(2)
         worst = 0.0
         for _ in range(5):
-            moved = coherent.orbit_sample(space, st, 0.7 * coherent._gaussians(rng, space.size))
+            moved = coherent.orbit_sample(space, st, 0.7 * coherent.gaussians(rng, space.size))
             worst = max(worst, abs(rescaled_purity(moved, space).rescaled - 1.0))
         return worst
 
@@ -299,7 +299,7 @@ class _Run:
     # --- box polytope ----------------------------------------------------
     def vertex_census(self):
         verts = self.vertices
-        n_prod = sum(1 for v in verts if boxes._vertex_class(v) is boxes.VertexClass.PRODUCT)
+        n_prod = sum(1 for v in verts if boxes.vertex_class(v) is boxes.VertexClass.PRODUCT)
         n_ent = len(verts) - n_prod
         return ((len(verts), n_prod, n_ent) == (24, 16, 8),
                 f"total={len(verts)} product={n_prod} entangled={n_ent}")

@@ -162,10 +162,10 @@ def test_criterion_5_spin_suite():
 
 def test_criterion_6_pr_box_polytope():
     start = time.perf_counter()
-    cone = boxes.no_signalling_polytope(2, 2, 2, 2)
-    verts = boxes.enumerate_vertices(cone)
+    verts = boxes.enumerate_vertices(2, 2, 2, 2)
     assert len(verts) == 24
-    classes = [boxes.classify_extremal(v, cone) for v in verts]
+    assert all(boxes.is_extremal(v) for v in verts)
+    classes = [boxes.vertex_class(v) for v in verts]
     assert sum(1 for c in classes if c is boxes.VertexClass.PRODUCT) == 16
     assert sum(1 for c in classes if c is boxes.VertexClass.ENTANGLED) == 8
 

@@ -18,11 +18,8 @@ from getk.boxes import (
     _rank,
     _rref,
     _side_generators,
-    _vertex_class,
-    affine_dimension,
     canonical_entangled_vertex,
     canonical_product_vertex,
-    classify_extremal,
     deterministic_boxes,
     enumerate_vertices,
     in_convex_hull,
@@ -32,6 +29,7 @@ from getk.boxes import (
     marginals,
     no_signalling_polytope,
     relabeling_orbit,
+    vertex_class,
 )
 
 F = Fraction
@@ -41,10 +39,9 @@ _SQUARE_PAIR_CACHE = {}
 
 
 def square_pair():
-    """Shared cone + vertex list for the (2,2)x(2,2) pair (enumeration is the slow part)."""
+    """Shared vertex list for the (2,2)x(2,2) pair (enumeration is the slow part)."""
     if "v" not in _SQUARE_PAIR_CACHE:
-        cone = no_signalling_polytope(2, 2, 2, 2)
-        _SQUARE_PAIR_CACHE["v"] = (cone, enumerate_vertices(cone))
+        _SQUARE_PAIR_CACHE["v"] = enumerate_vertices(2, 2, 2, 2)
     return _SQUARE_PAIR_CACHE["v"]
 
 
@@ -233,7 +230,7 @@ _VERTEX_CACHE = {}
 
 def vertices_of(shape):
     if shape not in _VERTEX_CACHE:
-        _VERTEX_CACHE[shape] = enumerate_vertices(no_signalling_polytope(*shape))
+        _VERTEX_CACHE[shape] = enumerate_vertices(*shape)
     return _VERTEX_CACHE[shape]
 
 
@@ -312,7 +309,7 @@ class TestBoxState:
         assert is_extremal(BoxState((2, 2), (F(1), F(0), F(0), F(1))))
         assert not is_extremal(BoxState((2, 2), (HALF, HALF, F(1), F(0))))
         for n, m in [(1, 3), (2, 2), (3, 2)]:
-            verts = enumerate_vertices(no_signalling_polytope(n, m))
+            verts = enumerate_vertices(n, m)
             assert [v.probs for v in verts] == sorted(d.probs for d in deterministic_boxes(n, m))
 
     def test_deterministic_census(self):
@@ -400,8 +397,15 @@ class TestMarginals:
 
 class TestPolytope:
     def test_affine_dimension(self):
-        cone = no_signalling_polytope(2, 2, 2, 2)
-        assert affine_dimension(cone) == 8
+        matrix = no_signalling_polytope(2, 2, 2, 2)
+        assert len(matrix[0]) - 1 == 8
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 2, 2, 2), (3, 2, 2, 3), (2, 2, 1, 2, 2, 2)])
+    def test_matrix_is_built_once_of_int_tuples(self, shape):
+        matrix = no_signalling_polytope(*shape)
+        assert no_signalling_polytope(*shape) is matrix
+        assert type(matrix) is tuple and len(matrix) > 0
+        assert all(type(row) is tuple and all(type(x) is int for x in row) for row in matrix)
 
     def test_parametrization_spans_the_oracle_hull(self):
         # M maps (1, t) into the oracle's affine hull, onto it, and one-to-one
@@ -409,16 +413,16 @@ class TestPolytope:
         shapes = [(*a, *b) for a in small for b in small]
         shapes += [(2, 3, 2, 3), (3, 2, 2, 3), (3, 2, 3, 2), (1, 6, 1, 6)]
         for shape in shapes:
-            cone = no_signalling_polytope(*shape)
+            matrix = no_signalling_polytope(*shape)
             eqs, unit = h_representation(shape)
-            columns = list(zip(*cone.matrix))
+            columns = list(zip(*matrix))
             for e in eqs:
                 assert all(sum(a * x for a, x in zip(e, col)) == 0 for col in columns), shape
             assert [sum(a * x for a, x in zip(unit, col)) for col in columns] == \
                 [1] + [0] * (len(columns) - 1), shape
-            free = [row[1:] for row in cone.matrix]
-            hull_dim = len(cone.matrix) - _rank(eqs + [unit])
-            assert _rank(free) == hull_dim == affine_dimension(cone), shape
+            free = [row[1:] for row in matrix]
+            hull_dim = len(matrix) - _rank(eqs + [unit])
+            assert _rank(free) == hull_dim == len(matrix[0]) - 1, shape
 
     def test_rref_is_exact_on_integer_rows(self):
         m, pivots = _rref([[2, 1, 0], [1, 3, 5]])
@@ -431,46 +435,42 @@ class TestPolytope:
             no_signalling_polytope(11, 10, 2, 2)
 
     def test_enumeration_matches_oracle(self):
-        cone, verts = square_pair()
+        verts = square_pair()
         assert len(verts) == 24
         assert {v.probs for v in verts} == oracle_vertices()
 
     def test_every_vertex_is_extremal_and_unique(self):
-        cone, verts = square_pair()
+        verts = square_pair()
         assert len({v.probs for v in verts}) == len(verts)
         for v in verts:
-            assert is_extremal(v, cone)
+            assert is_extremal(v)
 
     def test_enumeration_is_exact(self):
-        for v in square_pair()[1]:
+        for v in square_pair():
             assert all(isinstance(p, Fraction) for p in v.probs)
 
     def test_trivial_second_side_gives_square(self):
-        cone = no_signalling_polytope(2, 2, 1, 1)
-        verts = enumerate_vertices(cone)
+        verts = enumerate_vertices(2, 2, 1, 1)
         assert len(verts) == 4
         for v in verts:
             assert all(p in (F(0), F(1)) for p in v.probs)
 
     def test_classical_bit_pair_gives_simplex(self):
-        cone = no_signalling_polytope(1, 2, 1, 2)
-        verts = enumerate_vertices(cone)
+        verts = enumerate_vertices(1, 2, 1, 2)
         assert len(verts) == 4
         for v in verts:
-            assert classify_extremal(v, cone) is VertexClass.PRODUCT
+            assert is_extremal(v) and vertex_class(v) is VertexClass.PRODUCT
 
 
 class TestDoubleDescription:
     @pytest.mark.parametrize("shape", [(2, 2, 2, 2), (1, 3, 2, 2), (2, 2, 1, 3), (3, 2, 1, 2)])
     def test_matches_brute_force(self, shape):
-        cone = no_signalling_polytope(*shape)
-        assert [v.probs for v in enumerate_vertices(cone)] == brute_force_vertices(shape)
+        assert [v.probs for v in enumerate_vertices(*shape)] == brute_force_vertices(shape)
 
     @pytest.mark.parametrize("shape, total", [((2, 2, 3, 2), 128), ((2, 2, 2, 3), 108)])
     def test_vertices_extremal_and_closed_under_relabelings(self, shape, total):
         na, ma, nb, mb = shape
-        cone = no_signalling_polytope(*shape)
-        verts = enumerate_vertices(cone)
+        verts = enumerate_vertices(*shape)
         values = sorted({p for v in verts for p in v.probs})
         codes = [tuple(values.index(p) for p in v.probs) for v in verts]  # hash ints, not Fractions
         found = set(codes)
@@ -479,10 +479,10 @@ class TestDoubleDescription:
         moves = ([joint_map(shape, a, keep_b) for a in side_relabelings(na, ma)]
                  + [joint_map(shape, keep_a, b) for b in side_relabelings(nb, mb)])
         for v, code in zip(verts, codes):
-            assert is_extremal(v, cone)
+            assert is_extremal(v)
             for move in moves:
                 assert tuple([code[x] for x in move]) in found
-        n_prod = sum(1 for v in verts if _vertex_class(v) is VertexClass.PRODUCT)
+        n_prod = sum(1 for v in verts if vertex_class(v) is VertexClass.PRODUCT)
         assert n_prod == ma ** na * mb ** nb
 
     @pytest.mark.parametrize("shape, total", [
@@ -490,31 +490,38 @@ class TestDoubleDescription:
     ])
     def test_vertex_and_product_counts(self, shape, total):
         na, ma, nb, mb = shape
-        verts = enumerate_vertices(no_signalling_polytope(*shape))
+        verts = enumerate_vertices(*shape)
         assert len(verts) == total
-        n_prod = sum(1 for v in verts if _vertex_class(v) is VertexClass.PRODUCT)
+        n_prod = sum(1 for v in verts if vertex_class(v) is VertexClass.PRODUCT)
         assert n_prod == ma ** na * mb ** nb
 
-    def test_over_cap_rejected(self):
-        with pytest.raises(ValueError, match="capped"):
-            enumerate_vertices(no_signalling_polytope(3, 3, 1, 1))
+    @staticmethod
+    def forbid_polytope_work(monkeypatch):
+        def no_polytope_work(*args):
+            raise AssertionError("polytope work started")
+
+        monkeypatch.setattr(boxes, "no_signalling_polytope", no_polytope_work)
+        monkeypatch.setattr(boxes, "_extreme_rays", no_polytope_work)
+
+    def test_over_cap_rejected(self, monkeypatch):
+        self.forbid_polytope_work(monkeypatch)
+        with pytest.raises(ValueError, match="capped at 6 input"):
+            enumerate_vertices(3, 3, 1, 1)
 
     def test_too_many_boxes_rejected_before_any_ray_work(self, monkeypatch):
         # every box is in the per-side cap, but six of them make a 64-entry table
-        cone = no_signalling_polytope(2, 2, 2, 2, 2, 2)
-
-        def no_ray_work(*args):
-            raise AssertionError("ray work started")
-
-        monkeypatch.setattr(boxes, "affine_dimension", no_ray_work)
-        monkeypatch.setattr(boxes, "_extreme_rays", no_ray_work)
+        self.forbid_polytope_work(monkeypatch)
         with pytest.raises(ValueError, match="capped at 36 table entries, got 64"):
-            enumerate_vertices(cone)
+            enumerate_vertices(2, 2, 2, 2, 2, 2)
 
-    def test_vertex_class_agrees_with_classify_extremal(self):
-        cone, verts = square_pair()
-        for v in verts:
-            assert _vertex_class(v) is classify_extremal(v, cone)
+    @pytest.mark.parametrize("shape", [(2, 2, 2, 2), (2, 2, 3, 2)])
+    def test_vertex_class_agrees_with_factorization(self, shape):
+        # a vertex is a product exactly when it is one of the deterministic products
+        na, ma, nb, mb = shape
+        products = {a.tensor(b).probs for a in deterministic_boxes(na, ma)
+                    for b in deterministic_boxes(nb, mb)}
+        for v in vertices_of(shape):
+            assert (vertex_class(v) is VertexClass.PRODUCT) is (v.probs in products)
 
 
 class TestExtremality:
@@ -522,7 +529,7 @@ class TestExtremality:
         assert is_extremal(displayed_entangled_matrix())
 
     def test_mixture_not_extremal(self):
-        verts = square_pair()[1]
+        verts = square_pair()
         mix = tuple((a + b) / 2 for a, b in zip(verts[0].probs, verts[1].probs))
         state = BoxState(shape=(2, 2, 2, 2), probs=mix)
         assert not is_extremal(state)
@@ -544,47 +551,43 @@ class TestExtremality:
     @pytest.mark.parametrize("shape", [(2, 2, 2, 2), (2, 2, 3, 2), (1, 3, 2, 2)])
     def test_support_rank_matches_full_tight_set(self, shape):
         # reference: every oracle equality, the unit row and one unit row per zero entry
-        cone = no_signalling_polytope(*shape)
+        entries = len(no_signalling_polytope(*shape))
         eqs, unit = h_representation(shape)
         rng = random.Random(3)
         verts = vertices_of(shape)
         tables = rng.sample(verts, 12) + [rational_mixture(shape, rng, t) for t in (2, 2, 3)]
         for state in tables:
             rows = eqs + [unit]
-            rows += [[F(int(c == r)) for c in range(len(cone.matrix))]
+            rows += [[F(int(c == r)) for c in range(entries)]
                      for r, val in enumerate(state.probs) if val == 0]
-            assert is_extremal(state, cone) is (_rank(rows) == len(cone.matrix))
+            assert is_extremal(state) is (_rank(rows) == entries)
 
 
 class TestClassification:
     def test_census(self):
-        cone, verts = square_pair()
-        classes = [classify_extremal(v, cone) for v in verts]
+        verts = square_pair()
+        classes = [vertex_class(v) for v in verts]
         assert sum(1 for c in classes if c is VertexClass.PRODUCT) == 16
         assert sum(1 for c in classes if c is VertexClass.ENTANGLED) == 8
 
     def test_displayed_states(self):
-        assert classify_extremal(displayed_product_matrix()) is VertexClass.PRODUCT
-        assert classify_extremal(displayed_entangled_matrix()) is VertexClass.ENTANGLED
+        for state, cls in ((displayed_product_matrix(), VertexClass.PRODUCT),
+                           (displayed_entangled_matrix(), VertexClass.ENTANGLED)):
+            assert is_extremal(state) and vertex_class(state) is cls
 
     def test_product_vertices_factorize(self):
-        cone, verts = square_pair()
+        verts = square_pair()
         for v in verts:
-            if classify_extremal(v, cone) is VertexClass.PRODUCT:
+            if vertex_class(v) is VertexClass.PRODUCT:
                 a, b = marginals(v)
                 assert a.tensor(b).probs == v.probs
 
     def test_either_marginal_extremal_implies_product(self):
         # for every enumerated vertex: one deterministic marginal forces factorization
-        for v in square_pair()[1]:
+        for v in square_pair():
             a, b = marginals(v)
             if is_extremal(a) or is_extremal(b):
                 assert a.tensor(b).probs == v.probs
-
-    def test_non_extremal_rejected(self):
-        uniform = BoxState(shape=(2, 2, 2, 2), probs=(F(1, 4),) * 16)
-        with pytest.raises(ValueError):
-            classify_extremal(uniform)
 
 
 class TestRelabeling:
@@ -633,20 +636,19 @@ class TestRelabeling:
         assert relabeling_orbit(uniform) == [uniform]
 
     def test_orbits_partition_the_vertices(self):
-        verts = {v.probs for v in square_pair()[1]}
+        verts = {v.probs for v in square_pair()}
         ent = {v.probs for v in relabeling_orbit(canonical_entangled_vertex())}
         prod = {v.probs for v in relabeling_orbit(canonical_product_vertex())}
         assert ent | prod == verts and not ent & prod
 
     def test_preserves_class_and_extremality(self):
-        cone = no_signalling_polytope(2, 2, 2, 2)
         for state, cls in ((canonical_entangled_vertex(), VertexClass.ENTANGLED),
                         (canonical_product_vertex(), VertexClass.PRODUCT)):
             for ra in side_relabelings(2, 2):
                 for rb in side_relabelings(2, 2):
                     moved = relabel(state, joint_map(state.shape, ra, rb))
-                    assert is_extremal(moved, cone)
-                    assert classify_extremal(moved, cone) is cls
+                    assert is_extremal(moved)
+                    assert vertex_class(moved) is cls
 
     def test_preserves_no_signalling(self):
         state = displayed_entangled_matrix()
@@ -665,16 +667,15 @@ def test_orbit_is_a_class_function(shape, seed, mixed):
     """Relabeling is a group action: every member has the same orbit, extremality and class."""
     rng = random.Random(seed)
     s = rational_mixture(shape, rng) if mixed else rng.choice(vertices_of(shape))
-    cone = no_signalling_polytope(*shape)
     orbit = relabeling_orbit(s)
-    extremal = is_extremal(s, cone)
-    cls = _vertex_class(s) if extremal else None
+    extremal = is_extremal(s)
+    cls = vertex_class(s) if extremal else None
     assert s in orbit
     for x in orbit:
         assert relabeling_orbit(x) == orbit
-        assert is_extremal(x, cone) is extremal
+        assert is_extremal(x) is extremal
         if extremal:
-            assert _vertex_class(x) is cls
+            assert vertex_class(x) is cls
 
 
 class TestSeparability:
@@ -687,8 +688,7 @@ class TestSeparability:
         assert not in_separable_tensor_product(displayed_entangled_matrix())
 
     def test_mixture_of_product_vertices(self):
-        cone, all_verts = square_pair()
-        verts = [v for v in all_verts if classify_extremal(v, cone) is VertexClass.PRODUCT]
+        verts = [v for v in square_pair() if vertex_class(v) is VertexClass.PRODUCT]
         mix = tuple(sum(v.probs[r] for v in verts[:4]) / 4 for r in range(16))
         assert in_separable_tensor_product(BoxState(shape=(2, 2, 2, 2), probs=mix))
 
@@ -704,7 +704,7 @@ class TestSeparability:
 
 class TestConvexHullMembership:
     def test_vertex_in_full_hull(self):
-        cone, verts = square_pair()
+        verts = square_pair()
         assert in_convex_hull(displayed_entangled_matrix(), verts)
 
     def test_entangled_vertex_outside_product_hull(self):
@@ -713,7 +713,7 @@ class TestConvexHullMembership:
         assert not in_convex_hull(displayed_entangled_matrix(), products)
 
     def test_mixture_in_two_vertex_hull(self):
-        cone, verts = square_pair()
+        verts = square_pair()
         mix = tuple((a + b) / 2 for a, b in zip(verts[0].probs, verts[5].probs))
         state = BoxState(shape=(2, 2, 2, 2), probs=mix)
         assert in_convex_hull(state, [verts[0], verts[5]])
@@ -772,12 +772,12 @@ class TestThreeBoxes:
         expected = set()
         for v in oracle_vertices():
             expected.update(with_labelling_box(v, position))
-        verts = enumerate_vertices(no_signalling_polytope(*shape))
+        verts = enumerate_vertices(*shape)
         assert len(verts) == len(expected) == 2 * 24
         assert {v.probs for v in verts} == expected
-        n_prod = sum(1 for v in verts if _vertex_class(v) is VertexClass.PRODUCT)
+        n_prod = sum(1 for v in verts if vertex_class(v) is VertexClass.PRODUCT)
         assert n_prod == 2 * 16
-        assert all(_vertex_class(v) is classify_extremal(v) for v in verts[::5])
+        assert all(is_extremal(v) for v in verts[::5])
 
     def test_orbit_of_the_all_zero_product_vertex(self):
         dets = [deterministic_boxes(n, m) for n, m in [(2, 2), (2, 2), (1, 2)]]

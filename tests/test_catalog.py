@@ -313,6 +313,16 @@ class TestRestrictedLocalSpins:
         ops += [np.kron(eye, g) / nrm for g in system.generators]
         assert np.max(np.abs(catalog.restricted_local_spins(j).stack - np.stack(ops))) <= 1e-15
 
+    def test_above_max_dim_rejected(self):
+        # 33^2 = 1089 > MAX_DIM: the space refuses it before any stack exists
+        with pytest.raises(ValueError, match=rf"33\^2 exceeds the supported {catalog.MAX_DIM}"):
+            catalog.restricted_local_spins(16)
+
+    def test_largest_spin_builds_without_its_stack(self):
+        space = catalog.restricted_local_spins(15.5)
+        assert space.dim == catalog.MAX_DIM == 1024
+        assert "stack" not in vars(space)
+
 
 class TestSpinAlgebra:
     def test_labels_and_max(self):

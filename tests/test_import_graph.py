@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -7,6 +8,39 @@ from pathlib import Path
 import pytest
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+PACKAGE = Path(SRC) / "getk"
+
+
+def _private_reads(path: Path) -> list:
+    """Underscore names of other getk modules that one module reads, as module.name."""
+    tree = ast.parse(path.read_text())
+    getk = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__", path.stem}
+    aliases = {}  # local name -> getk module, from `from . import x` or `from getk import x`
+    reads = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 1:
+            module = node.module
+        elif node.level == 0 and (node.module or "").split(".")[0] == "getk":
+            module = node.module[len("getk."):]  # "" for the package itself
+        else:
+            continue
+        for alias in node.names:
+            if not module and alias.name in getk:
+                aliases[alias.asname or alias.name] = alias.name
+            elif module in getk and alias.name.startswith("_"):
+                reads.append(f"{module}.{alias.name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases and node.attr.startswith("_")):
+            reads.append(f"{aliases[node.value.id]}.{node.attr}")
+    return sorted(set(reads))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_no_module_reads_another_modules_private_names(path):
+    assert _private_reads(path) == []
 
 
 @pytest.mark.parametrize("module", ["getk", "getk.boxes"])

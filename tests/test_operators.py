@@ -315,6 +315,11 @@ class TestObservableSpace:
         st = QuantumState.basis_state(4, 0)
         assert space.expectation_vector(st).size == 0
 
+    def test_total_dimension_capped(self):
+        with pytest.raises(ValueError, match="2\\^11 exceeds the supported 1024"):
+            ObservableSpace(gell_mann_basis(2), sites=11)
+        assert ObservableSpace(gell_mann_basis(2), sites=10).dim == 1024
+
 
 class TestInvariants:
     def test_hermiticity_preserved(self):

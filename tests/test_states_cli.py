@@ -594,9 +594,9 @@ def paper_run():
     enumerated = []
     real = boxes.enumerate_vertices
 
-    def counted(cone):
-        enumerated.append(cone)
-        return real(cone)
+    def counted(*shape):
+        enumerated.append(shape)
+        return real(*shape)
 
     out = io.StringIO()
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
