@@ -195,6 +195,16 @@ def no_signalling_polytope(*shape: int) -> tuple:
 # exact linear algebra over Fraction
 
 
+def _pivot(rows, r, c):
+    """One exact Gauss-Jordan step in place: scale row r to 1 at column c, clear c elsewhere."""
+    pv = rows[r][c]
+    rows[r] = [x / pv for x in rows[r]]
+    for i in range(len(rows)):
+        if i != r and rows[i][c] != 0:
+            f = rows[i][c]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+
+
 def _rref(rows):
     m = [[Fraction(x) for x in r] for r in rows]  # an int / int would be a float
     nrows = len(m)
@@ -206,12 +216,7 @@ def _rref(rows):
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        _pivot(m, r, c)
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -408,12 +413,7 @@ def _phase1_feasible(columns, target) -> bool:
                     best, leave = ratio, r
         if leave is None:
             raise ArithmeticError("phase-1 simplex became unbounded")
-        pv = tab[leave][entering]
-        tab[leave] = [x / pv for x in tab[leave]]
-        for r in range(m):
-            if r != leave and tab[r][entering] != 0:
-                f = tab[r][entering]
-                tab[r] = [a - f * b for a, b in zip(tab[r], tab[leave])]
+        _pivot(tab, leave, entering)
         basis[leave] = entering
     residual = sum(tab[r][-1] for r in range(m) if basis[r] >= n)
     return residual == 0
@@ -435,23 +435,11 @@ def in_convex_hull(state: BoxState, vertices) -> bool:
 
 
 def in_separable_tensor_product(state: BoxState) -> bool:
-    """Exact membership test for the convex hull of product vertices."""
+    """Exact membership in the hull of product vertices (a vertex lies in it iff it is one)."""
     marginals(state)  # separability is asked of no-signalling states only
     products = [reduce(BoxState.tensor, dets) for dets in itertools.product(
         *(deterministic_boxes(n, m) for n, m in _boxes(state.shape)))]
     return in_convex_hull(state, products)
-
-
-def is_generalized_unentangled_box(state: BoxState) -> bool:
-    """Unentanglement of boxes relative to the marginal reduction.
-
-    Extremal states are unentangled exactly when all marginals are
-    extremal; non-extremal states exactly when they lie in the separable
-    tensor product.
-    """
-    if is_extremal(state):
-        return vertex_class(state) is VertexClass.PRODUCT
-    return in_separable_tensor_product(state)
 
 
 def canonical_product_vertex() -> BoxState:

@@ -18,6 +18,7 @@ from .operators import (
     MAX_DIM,
     PAULI,
     ObservableSpace,
+    checked_dim,
     gell_mann_basis,
     pauli_string,
 )
@@ -37,12 +38,11 @@ def local_algebra(n: int, d0: int, label: str | None = None) -> ObservableSpace:
     """
     if n < 1 or d0 < 2:
         raise ValueError("need n >= 1 sites of local dimension d0 >= 2")
-    if n >= MAX_DIM.bit_length() or d0 ** n > MAX_DIM:  # d0 >= 2: never forms a huge power
-        raise ValueError(f"total dimension {d0}^{n} exceeds the supported {MAX_DIM}")
+    max_purity = n * (d0 - 1) / checked_dim(d0, n)
     if d0 > MAX_SITE_DIM:  # checked before the (d0^2 - 1) d0^2 entries of the site basis exist
         raise ValueError(f"site dimension {d0} exceeds the supported {MAX_SITE_DIM}")
     return ObservableSpace(gell_mann_basis(d0), label or f"local:{n}x{d0}", sites=n,
-                           irreducible_lie=True, max_purity=n * (d0 - 1) / d0 ** n)
+                           irreducible_lie=True, max_purity=max_purity)
 
 
 def pauli_string_space(strings, label: str | None = None, *,

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import ObservableSpace, QuantumState, orthonormalize
+from .operators import ObservableSpace, QuantumState, checked_dim, orthonormalize
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -42,10 +42,8 @@ class FockRegister:
 
 
 def fock_register(m: int) -> FockRegister:
-    """Build the mode operators for 1 <= m <= 10 modes."""
-    if not 1 <= m <= 10:
-        raise ValueError(f"mode count {m} outside the supported range 1..10")
-    dim = 2 ** m
+    """Build the mode operators for m >= 1 modes, 2^m at most ``MAX_DIM``."""
+    dim = checked_dim(2, m)
     cs = []
     for j in range(1, m + 1):
         bit = 1 << (j - 1)

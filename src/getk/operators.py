@@ -4,7 +4,9 @@ Operators are plain numpy arrays of shape (d, d) and dtype complex; states
 are wrapped in :class:`QuantumState` so pure vectors and density matrices
 share one interface.  Real-linear spaces of Hermitian observables live in
 :class:`ObservableSpace`: N >= 1 sites of one trace-orthonormal basis, where
-a dense space is the one-site case.
+a dense space is the one-site case.  Every register dimension (Pauli words,
+sites, qubits, fermionic modes, state files) is formed by :func:`checked_dim`
+against ``MAX_DIM``; a spin's 2J + 1 is a float, checked in ``coherent``.
 """
 
 from functools import cached_property, lru_cache
@@ -67,6 +69,20 @@ def trace_inner_product(a, b) -> float:
     return float(val.real)
 
 
+def checked_dim(base: int, count: int) -> int:
+    """``base**count``, the dimension of ``count`` registers of dimension ``base``.
+
+    Raises ValueError when ``count < 1`` or the power exceeds ``MAX_DIM``.  The
+    comparison uses ``base ** min(count, MAX_DIM.bit_length())``: base >= 2 on that
+    many registers is already too large, so no huge power is ever formed.
+    """
+    if count < 1:
+        raise ValueError(f"dimension {base}^{count} needs at least one register")
+    if base ** min(count, MAX_DIM.bit_length()) > MAX_DIM:
+        raise ValueError(f"dimension {base}^{count} exceeds the supported {MAX_DIM}")
+    return base ** count
+
+
 def kron_all(factors) -> np.ndarray:
     out = np.asarray(factors[0], dtype=complex)
     for f in factors[1:]:
@@ -79,9 +95,7 @@ def pauli_string(word: str) -> np.ndarray:
     bad = set(word.upper()) - set("IXYZ")
     if not word or bad:
         raise ValueError(f"malformed Pauli word {word!r}")
-    if len(word) >= MAX_DIM.bit_length():  # 2**len(word) > MAX_DIM, checked before any kron
-        raise ValueError(f"Pauli word of length {len(word)} has dimension 2^{len(word)}, "
-                         f"above the supported {MAX_DIM}")
+    checked_dim(2, len(word))  # before any kron
     return kron_all([PAULI[c] for c in word.upper()])
 
 
@@ -144,14 +158,6 @@ class QuantumState:
         if self.is_pure and other.is_pure:
             return QuantumState(vector=np.kron(self._vector, other._vector))
         return QuantumState(rho=np.kron(self.density(), other.density()))
-
-    def fidelity(self, other: "QuantumState") -> float:
-        """Overlap fidelity; at least one of the two states must be pure."""
-        if self.is_pure:
-            return float((self._vector.conj() @ other.density() @ self._vector).real)
-        if other.is_pure:
-            return other.fidelity(self)
-        raise ValueError("fidelity between two mixed states is not supported")
 
     def __repr__(self):
         kind = "pure" if self.is_pure else "density"
@@ -232,9 +238,7 @@ class ObservableSpace:
         if not ops and dim is None:
             raise ValueError("empty basis requires an explicit dim")
         d = int(dim) if dim is not None else ops[0].shape[0]
-        # before any stack exists; d >= 2 on MAX_DIM.bit_length() sites is already too large
-        if d ** min(int(sites), MAX_DIM.bit_length()) > MAX_DIM:
-            raise ValueError(f"total dimension {d}^{sites} exceeds the supported {MAX_DIM}")
+        total = checked_dim(d, int(sites))  # before any stack exists
         mats = np.stack(ops) if ops else np.zeros((0, d, d), dtype=complex)
         mats.setflags(write=False)
         if mats.shape[1:] != (d, d):
@@ -243,7 +247,7 @@ class ObservableSpace:
         self.irreducible_lie = bool(irreducible_lie)
         self.max_purity = None if max_purity is None else float(max_purity)
         self.sites = int(sites)
-        self.dim, self.size = d ** self.sites, len(mats) * self.sites
+        self.dim, self.size = total, len(mats) * self.sites
         self.site_basis = mats
         for a in mats:
             assert_hermitian(a)

@@ -325,8 +325,7 @@ class _Run:
         prod, ent = boxes.canonical_product_vertex(), boxes.canonical_entangled_vertex()
         prod_ok = boxes.in_separable_tensor_product(prod)
         ent_bad = boxes.in_separable_tensor_product(ent)
-        ok = (prod_ok and not ent_bad and boxes.is_generalized_unentangled_box(prod)
-              and not boxes.is_generalized_unentangled_box(ent))
+        ok = prod_ok and not ent_bad
         return ok, f"product-separable={_bool(prod_ok)} entangled-separable={_bool(ent_bad)}"
 
     def entangled_mixture_separable(self):

@@ -14,7 +14,7 @@ import numpy as np
 from . import fermion
 from .boxes import whole_number
 from .coherent import spin_system
-from .operators import MAX_DIM, QuantumState
+from .operators import QuantumState, checked_dim
 
 
 class StateParseError(ValueError):
@@ -41,9 +41,7 @@ def _register_dim(kind: str, n: int) -> int:
     """2**n for an n-qubit state, checked against ``MAX_DIM`` before any allocation."""
     if n < 2:
         raise StateParseError(f"{kind} needs at least 2 qubits")
-    if n >= MAX_DIM.bit_length():  # 2**n > MAX_DIM, without forming 2**n
-        raise StateParseError(f"{kind}:{n} has dimension 2^{n}, above the supported {MAX_DIM}")
-    return 2 ** n
+    return checked_dim(2, n)
 
 
 def ghz_state(n: int = 3) -> QuantumState:
@@ -133,7 +131,7 @@ def _complex_entries(field: str, entries, ndim: int) -> np.ndarray:
 
 def state_from_json_dict(obj: dict) -> QuantumState:
     try:
-        dim = whole_number(obj["dim"])
+        dim = checked_dim(whole_number(obj["dim"]), 1)  # before any entry is decoded
         kind = obj.get("kind", "pure" if "amplitudes" in obj else "density")
         if kind == "pure":
             amps = _complex_entries("amplitudes", obj["amplitudes"], 1)

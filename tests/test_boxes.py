@@ -25,7 +25,6 @@ from getk.boxes import (
     in_convex_hull,
     in_separable_tensor_product,
     is_extremal,
-    is_generalized_unentangled_box,
     marginals,
     no_signalling_polytope,
     relabeling_orbit,
@@ -730,19 +729,27 @@ class TestConvexHullMembership:
 
 
 class TestGeneralizedUnentangledBox:
+    """A box table is generalized unentangled exactly when it is separable."""
+
     def test_product_vertices(self):
-        assert is_generalized_unentangled_box(canonical_product_vertex())
+        assert in_separable_tensor_product(canonical_product_vertex())
 
     def test_entangled_vertices(self):
         for v in relabeling_orbit(canonical_entangled_vertex()):
-            assert not is_generalized_unentangled_box(v)
+            assert not in_separable_tensor_product(v)
 
     def test_mixture_of_two_product_vertices(self):
         dets = deterministic_boxes(2, 2)
         v1 = dets[0].tensor(dets[1])
         v2 = dets[2].tensor(dets[3])
         mix = tuple((a + b) / 2 for a, b in zip(v1.probs, v2.probs))
-        assert is_generalized_unentangled_box(BoxState(shape=(2, 2, 2, 2), probs=mix))
+        assert in_separable_tensor_product(BoxState(shape=(2, 2, 2, 2), probs=mix))
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2, 2), (2, 2, 3, 2)])
+    def test_a_vertex_is_separable_exactly_when_it_is_a_product(self, shape):
+        # a vertex lies in the hull of the product vertices only as one of them
+        for v in vertices_of(shape):
+            assert in_separable_tensor_product(v) is (vertex_class(v) is VertexClass.PRODUCT)
 
 
 def with_labelling_box(two_box_probs, position):

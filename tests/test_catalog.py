@@ -1,4 +1,5 @@
 import re
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -8,22 +9,14 @@ from getk import catalog, coherent, states
 from getk.operators import (
     PAULI,
     ObservableSpace,
-    QuantumState,
     expectation,
     lie_closure,
     pauli_string,
 )
 from getk.purity import is_generalized_unentangled, rescaled_purity
-from random_states import random_pure_state
+from random_states import random_density_state, random_pure_state
 
 SX, SY, SZ, ID = PAULI["X"], PAULI["Y"], PAULI["Z"], PAULI["I"]
-
-
-def random_density_state(dim: int, rng, rank: int | None = None) -> QuantumState:
-    rank = rank or dim
-    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
-    m = g @ g.conj().T
-    return QuantumState(rho=m / np.trace(m).real)
 
 
 ALL_SPACES = [
@@ -129,6 +122,13 @@ class TestLocalAlgebra:
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
             catalog.local_algebra(11, 2)
+
+    def test_huge_site_count_refused_without_forming_the_power(self):
+        # 2 ** 10**9 is a 125 MB integer that takes seconds to build and divide
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"exceeds the supported {catalog.MAX_DIM}"):
+            catalog.local_algebra(10 ** 9, 2)
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("d0", [33, 64, 1024])
     def test_site_dimension_cap_before_the_site_basis(self, d0, monkeypatch):

@@ -43,6 +43,25 @@ def test_no_module_reads_another_modules_private_names(path):
     assert _private_reads(path) == []
 
 
+def _bit_length_owners(path: Path) -> list:
+    """The innermost function around each ``.bit_length`` in one module, as module.name."""
+    tree = ast.parse(path.read_text())
+    owners = {id(node): "<module>" for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and node.attr == "bit_length"}
+    for func in ast.walk(tree):  # breadth first: an inner function overwrites its outer one
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                if id(node) in owners:
+                    owners[id(node)] = func.name
+    return [f"{path.stem}.{name}" for name in owners.values()]
+
+
+def test_the_size_rule_lives_in_checked_dim():
+    # one size rule: every register dimension is formed by operators.checked_dim
+    owners = [o for path in sorted(PACKAGE.glob("*.py")) for o in _bit_length_owners(path)]
+    assert owners == ["operators.checked_dim"]
+
+
 @pytest.mark.parametrize("module", ["getk", "getk.boxes"])
 def test_import_leaves_numpy_out(module):
     # the box side is pure Fraction code, and the package exports nothing

@@ -19,20 +19,9 @@ from getk.operators import (
     pauli_string,
     trace_inner_product,
 )
-from random_states import random_pure_state
+from random_states import maximally_mixed, random_density_state, random_pure_state
 
 SX, SY, SZ, ID = PAULI["X"], PAULI["Y"], PAULI["Z"], PAULI["I"]
-
-
-def random_density_state(dim: int, rng, rank: int | None = None) -> QuantumState:
-    rank = rank or dim
-    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
-    m = g @ g.conj().T
-    return QuantumState(rho=m / np.trace(m).real)
-
-
-def maximally_mixed(dim: int) -> QuantumState:
-    return QuantumState(rho=np.eye(dim, dtype=complex) / dim)
 
 
 def sz_total():
@@ -401,6 +390,3 @@ class TestQuantumState:
         assert QuantumState.basis_state(3, 1).purity() == 1.0
         assert maximally_mixed(4).purity() == pytest.approx(0.25)
 
-    def test_fidelity(self):
-        a = QuantumState.basis_state(2, 0)
-        assert a.fidelity(maximally_mixed(2)) == pytest.approx(0.5)

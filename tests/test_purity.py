@@ -19,20 +19,9 @@ from getk.purity import (
     rescaled_purity,
     resolve_max_reference,
 )
-from random_states import random_pure_state
+from random_states import maximally_mixed, random_density_state, random_pure_state
 
 SX, SY, SZ, ID = PAULI["X"], PAULI["Y"], PAULI["Z"], PAULI["I"]
-
-
-def random_density_state(dim: int, rng, rank: int | None = None) -> QuantumState:
-    rank = rank or dim
-    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
-    m = g @ g.conj().T
-    return QuantumState(rho=m / np.trace(m).real)
-
-
-def maximally_mixed(dim: int) -> QuantumState:
-    return QuantumState(rho=np.eye(dim, dtype=complex) / dim)
 
 
 def project_onto(state, omega: ObservableSpace) -> np.ndarray:

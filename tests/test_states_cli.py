@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from getk import boxes, catalog, cli, coherent, fermion, purity, states
-from getk.operators import QuantumState
+from getk.operators import MAX_DIM, ObservableSpace, QuantumState, gell_mann_basis, pauli_string
 
 BUILTIN_EXAMPLES = (
     "bell:phi+", "bell:phi-", "bell:psi+", "bell:psi-",
@@ -81,7 +81,7 @@ class TestStateFiles:
     def test_round_trip_fidelity(self, name):
         st = states.builtin_state(name)
         back = states.state_from_json_dict(state_to_json_dict(st))
-        assert back.fidelity(st) == pytest.approx(1.0, abs=1e-12)
+        assert abs(np.vdot(back.vector, st.vector)) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_density_round_trip(self):
         rho = np.diag([0.25, 0.75]).astype(complex)
@@ -94,7 +94,7 @@ class TestStateFiles:
         path = tmp_path / "state.json"
         path.write_text(json.dumps(state_to_json_dict(st)))
         loaded = states.load_state(str(path))
-        assert loaded.fidelity(st) == pytest.approx(1.0, abs=1e-12)
+        assert abs(np.vdot(loaded.vector, st.vector)) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_bad_file(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -108,6 +108,49 @@ class TestStateFiles:
     def test_missing_file(self):
         with pytest.raises(states.StateParseError):
             states.load_state("/no/such/file.json")
+
+    def test_pure_file_above_max_dim_exit_2(self, capsys, tmp_path):
+        # once decoded and validated in full, then refused by the algebra with exit 3
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps({"dim": 2048, "amplitudes": [[1, 0]] + [[0, 0]] * 2047}))
+        code, out, err = run_cli(capsys, "purity", "--state", str(path), "--algebra", "omega1")
+        assert code == 2 and out == "" and f"supported {MAX_DIM}" in err
+
+    def test_density_file_above_max_dim_exit_2_before_decoding(self, capsys, tmp_path,
+                                                               monkeypatch):
+        def no_decode(*args):
+            raise AssertionError("the entries were decoded")
+
+        monkeypatch.setattr(states, "_complex_entries", no_decode)
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps({"dim": 1100, "kind": "density", "matrix": [[[1, 0]]]}))
+        code, out, err = run_cli(capsys, "purity", "--state", str(path), "--algebra", "omega1")
+        assert code == 2 and out == "" and f"supported {MAX_DIM}" in err
+
+
+# every entry point that forms a register dimension, one past the cap or with no register;
+# the state file's entries are never decoded
+OVER_CAP = f"exceeds the supported {MAX_DIM}"
+CAPPED = [
+    ("pauli_string", lambda: pauli_string("X" * 11), OVER_CAP),
+    ("ObservableSpace", lambda: ObservableSpace(gell_mann_basis(2), sites=11), OVER_CAP),
+    ("ObservableSpace-0-sites", lambda: ObservableSpace(gell_mann_basis(2), sites=0),
+     "needs at least one register"),
+    ("ObservableSpace-minus-1-sites", lambda: ObservableSpace(gell_mann_basis(2), sites=-1),
+     "needs at least one register"),
+    ("local_algebra", lambda: catalog.local_algebra(11, 2), OVER_CAP),
+    ("ghz", lambda: states.builtin_state("ghz:11"), OVER_CAP),
+    ("w", lambda: states.builtin_state("w:11"), OVER_CAP),
+    ("fock_register", lambda: fermion.fock_register(11), OVER_CAP),
+    ("state-file", lambda: states.state_from_json_dict({"dim": 1025, "amplitudes": None}),
+     OVER_CAP),
+]
+
+
+@pytest.mark.parametrize("build, message", [c[1:] for c in CAPPED], ids=[c[0] for c in CAPPED])
+def test_every_register_dimension_is_checked(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 class TestNumberTokens:
