@@ -11,9 +11,11 @@ mb*l + j.  Every function takes a table or a shape: the no-signalling
 polytope of a shape is one integer Collins-Gisin matrix, the N-fold
 Kronecker product of the single-box ones, built once per shape.  One box
 (N = 1) runs through the same code as a pair; the command line takes two.
+The one JSON input-file reader lives here too, so box commands load no numpy.
 """
 
 import itertools
+import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -25,6 +27,21 @@ F1 = Fraction(1)
 
 ENUMERATION_CAP = 6  # max n_inputs * n_outputs per side for vertex enumeration
 NO_EMPTY_SIDE = "need at least one input and one output per side"
+
+
+class StateParseError(ValueError):
+    """A state name, state file or box-table file could not be parsed."""
+
+
+def read_json_file(path: str):
+    """Decode a JSON input file; a missing or malformed file is a StateParseError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise StateParseError(f"state: cannot open {path!r}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise StateParseError(f"state: {path!r} is not valid JSON: {exc}") from exc
 
 
 class InfeasibleError(ValueError):

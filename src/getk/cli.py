@@ -4,9 +4,15 @@ Subcommands: purity, classify, boxes (vertices | classify | separable |
 orbit) and reproduce.  Records print as deterministic key=value lines, or
 as JSON with --json.  Exit codes: 0 success, 2 parse error, 3 dimension
 mismatch, 4 infeasible or signalling box input, 1 failed golden checks.
+
+Importing this module registers every getk module lazily: each runs at its
+first attribute access, so ``boxes`` commands load only the pure-Fraction
+``boxes`` module and never numpy.  Getk names are read through their module
+at call time, never bound by ``from .x import name``.
 """
 
 import argparse
+import importlib.util
 import json
 import os
 import sys
@@ -17,9 +23,23 @@ from fractions import Fraction
 if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from . import boxes, catalog, reproduce
-from .purity import is_generalized_unentangled, rescaled_purity
-from .states import load_state, read_json_file
+
+def _lazy(name: str):
+    """The module ``getk.<name>``, registered to run at its first attribute access."""
+    full = f"{__package__}.{name}"
+    module = sys.modules.get(full)  # one module object, however it was imported first
+    if module is None:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[full] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# all eight, as when they were imported eagerly: a tool that patches getk finds each one
+boxes, catalog, coherent, fermion, operators, purity, reproduce, states = map(_lazy, (
+    "boxes", "catalog", "coherent", "fermion", "operators", "purity", "reproduce", "states"))
 
 
 def _fmt_value(v) -> str:
@@ -78,15 +98,15 @@ def _rescale_value(text: str | None):
 
 def _cmd_purity(args) -> int:
     """``purity``, and ``classify``, which adds the verdict drawn from the same report."""
-    state = load_state(args.state)
+    state = states.load_state(args.state)
     omega = _load_algebra(args.algebra)
-    report = rescaled_purity(state, omega, max_reference=_rescale_value(args.rescale),
-                             seed=_seed())
+    report = purity.rescaled_purity(state, omega, max_reference=_rescale_value(args.rescale),
+                                    seed=_seed())
     record = {"state": args.state, **report.as_dict()}
     if args.json:  # JSON only: key=value records keep a fixed set of keys
         record["reference_source"] = report.reference_source
     if args.command == "classify":
-        verdict = is_generalized_unentangled(state, omega, tol=args.tol, report=report)
+        verdict = purity.is_generalized_unentangled(state, omega, tol=args.tol, report=report)
         record.update(unentangled=verdict.unentangled,
                       theorem_direction=verdict.theorem_direction)
     _emit(record, args.json)
@@ -105,8 +125,8 @@ def _parse_size(spec: str):
         raise ValueError(f"--size: entries must be integers, got {spec!r}") from None
 
 
-def _load_box(path: str) -> boxes.BoxState:
-    obj = read_json_file(path)
+def _load_box(path: str) -> "boxes.BoxState":
+    obj = boxes.read_json_file(path)
     try:
         if len(obj["n_inputs"]) != 2 or len(obj["n_outputs"]) != 2:
             raise ValueError("the command line takes two boxes")

@@ -7,18 +7,12 @@ superpositions (|01> +- |10>)/sqrt2 and psi+- the number superpositions
 (|00> +- |11>)/sqrt2.
 """
 
-import json
-
 import numpy as np
 
 from . import fermion
-from .boxes import whole_number
+from .boxes import StateParseError, read_json_file, whole_number
 from .coherent import spin_system
 from .operators import QuantumState, checked_dim
-
-
-class StateParseError(ValueError):
-    """A state name or state file could not be parsed."""
 
 
 def bell_state(kind: str) -> QuantumState:
@@ -148,17 +142,6 @@ def state_from_json_dict(obj: dict) -> QuantumState:
         raise
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise StateParseError(f"bad state file: {exc}") from exc
-
-
-def read_json_file(path: str):
-    """Decode a JSON input file; a missing or malformed file is a StateParseError."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise StateParseError(f"state: cannot open {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise StateParseError(f"state: {path!r} is not valid JSON: {exc}") from exc
 
 
 def load_state(source: str) -> QuantumState:

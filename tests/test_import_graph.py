@@ -62,9 +62,10 @@ def test_the_size_rule_lives_in_checked_dim():
     assert owners == ["operators.checked_dim"]
 
 
-@pytest.mark.parametrize("module", ["getk", "getk.boxes"])
+@pytest.mark.parametrize("module", ["getk", "getk.boxes", "getk.cli"])
 def test_import_leaves_numpy_out(module):
-    # the box side is pure Fraction code, and the package exports nothing
+    # the box side is pure Fraction code, the package exports nothing, and the
+    # command registers its modules without running them
     env = dict(os.environ, PYTHONPATH=SRC)
     probe = f"import sys, {module}; print('numpy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
@@ -72,25 +73,71 @@ def test_import_leaves_numpy_out(module):
     assert out.strip() == "False"
 
 
+LAZY_MODULES = ("boxes", "catalog", "coherent", "fermion", "operators", "purity",
+                "reproduce", "states")
+REGISTRY_PROBE = """\
+import json, sys, types
+{imports}
+print(json.dumps({{name: [type(m) is types.ModuleType, getattr(getk, name[5:], None) is m]
+                  for name, m in sys.modules.items() if name.startswith("getk.")}}))
+"""
+
+
+def _registry(imports):
+    """Each getk submodule in sys.modules after ``imports``: [has run, is the package attribute]."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", REGISTRY_PROBE.format(imports=imports)],
+                         env=env, check=True, capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+def test_cli_registers_every_module_without_running_it():
+    registry = _registry("import getk.cli")
+    assert registry == {"getk.cli": [True, True],
+                        **{f"getk.{name}": [False, True] for name in LAZY_MODULES}}
+
+
+def test_cli_keeps_a_module_imported_before_it():
+    # one module object: a class imported before the command is the class it uses
+    registry = _registry("import getk.purity as first, getk.cli\n"
+                         "assert getk.cli.purity is first is sys.modules['getk.purity'] is getk.purity")
+    assert registry["getk.purity"] == registry["getk.operators"] == [True, True]
+
+
+def test_cli_binds_no_name_from_another_module():
+    # a `from .x import name` would run x when the command is imported
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    imports = [f"{'.' * node.level}{node.module or ''}:{alias.name}"
+               for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").split(".")[0] == "getk")
+               for alias in node.names]
+    assert imports == []
+
+
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-PROBE = ("import json, os, sys, {module}\n"
+PROBE = ("import json, os, sys\n"
+         "{statement}\n"
          "tasks = '/proc/self/task'\n"
          "print(json.dumps({{'env': {{v: os.environ.get(v) for v in sys.argv[1:]}},\n"
+         "                  'numpy': 'numpy' in sys.modules,\n"
          "                  'threads': len(os.listdir(tasks)) if os.path.isdir(tasks) else None}}))")
+# the command's modules load numpy only after the command has set the environment
+COMMAND_LOADS_NUMPY = "import getk.cli, getk.operators\ngetk.operators.MAX_DIM"
 
 
-def _import_in_fresh_process(module, **preset):
-    """Import ``module`` with the BLAS thread variables cleared, then ``preset``."""
+def _run_in_fresh_process(statement, **preset):
+    """Run ``statement`` with the BLAS thread variables cleared, then ``preset``."""
     env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
     env.update(preset, PYTHONPATH=SRC)
-    out = subprocess.run([sys.executable, "-c", PROBE.format(module=module), *BLAS_VARS],
+    out = subprocess.run([sys.executable, "-c", PROBE.format(statement=statement), *BLAS_VARS],
                          env=env, check=True, capture_output=True, text=True).stdout
     return json.loads(out)
 
 
 def test_command_pins_one_blas_thread():
     # the command owns its process: OpenBLAS starts no idle workers to spin
-    probe = _import_in_fresh_process("getk.cli")
+    probe = _run_in_fresh_process(COMMAND_LOADS_NUMPY)
+    assert probe["numpy"]
     assert probe["env"] == {"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": None,
                             "OMP_NUM_THREADS": None}
     if probe["threads"] is None:
@@ -100,12 +147,14 @@ def test_command_pins_one_blas_thread():
 
 @pytest.mark.parametrize("var", BLAS_VARS)
 def test_user_thread_setting_is_kept(var):
-    probe = _import_in_fresh_process("getk.cli", **{var: "2"})
+    probe = _run_in_fresh_process(COMMAND_LOADS_NUMPY, **{var: "2"})
+    assert probe["numpy"]
     assert probe["env"] == {v: "2" if v == var else None for v in BLAS_VARS}
 
 
 def test_library_leaves_the_environment_alone():
-    probe = _import_in_fresh_process("getk.purity")
+    probe = _run_in_fresh_process("import getk.purity")
+    assert probe["numpy"]
     assert probe["env"] == dict.fromkeys(BLAS_VARS)
 
 
@@ -116,16 +165,48 @@ CATALOG_STATES = [
     ("u2", "bell:psi+"), ("so4-fermi", "fock:m2:11"), ("local:3x2", "ghz:3"),
     ("su2-spin:3/2", "spin:3/2,1/2"),
 ]
-RANDOM_PROBE = """\
+COMMAND_PROBE = """\
 import contextlib, io, json, sys
 from getk import cli
 loaded = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
-    loaded.append([argv, code, "numpy.random" in sys.modules])
+    loaded.append([argv, code, sys.argv[2] in sys.modules])
 print(json.dumps(loaded))
 """
+
+
+def _run_commands(runs, module):
+    """Run commands in turn in one fresh process: [argv, exit code, ``module`` loaded yet]."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", COMMAND_PROBE, json.dumps(runs), module],
+                         env=env, check=True, capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+SIGNALLING_TABLE = {  # Bob's outcome on input 0 follows Alice's input
+    "n_inputs": [2, 2], "n_outputs": [2, 2],
+    "p": [[1, 1], [0, 1], [1, 1], [0, 1], [0, 1], [0, 1], [0, 1], [0, 1],
+          [0, 1], [1, 1], [1, 1], [0, 1], [0, 1], [0, 1], [0, 1], [0, 1]],
+}
+
+
+@pytest.mark.parametrize("command", ["vertices", "classify", "separable", "orbit"])
+def test_box_commands_leave_numpy_out(tmp_path, command):
+    # a box command, its input errors included, runs on pure Fraction code
+    from getk.boxes import canonical_entangled_vertex
+    if command == "vertices":
+        cases = [(["--size", "2,2"], 0), (["--size", "2,2,2"], 2)]
+    else:
+        pr_box, signalling = tmp_path / "pr.json", tmp_path / "signalling.json"
+        pr_box.write_text(json.dumps(canonical_entangled_vertex().to_json_dict()))
+        signalling.write_text(json.dumps(SIGNALLING_TABLE))
+        cases = [(["--state", str(pr_box)], 0), (["--state", str(tmp_path / "missing.json")], 2),
+                 (["--state", str(signalling)], 4)]
+    runs = [["boxes", command, *args] for args, _ in cases]
+    assert _run_commands(runs, "numpy") == [[argv, code, False]
+                                            for argv, (_, code) in zip(runs, cases)]
 
 
 def test_purity_commands_leave_numpy_random_unloaded():
@@ -134,16 +215,10 @@ def test_purity_commands_leave_numpy_random_unloaded():
             for algebra, state in CATALOG_STATES
             for command in ("purity", "classify")
             for rescale in ([], ["--rescale", "auto"])]
-    env = dict(os.environ, PYTHONPATH=SRC)
-    out = subprocess.run([sys.executable, "-c", RANDOM_PROBE, json.dumps(runs)], env=env,
-                         check=True, capture_output=True, text=True).stdout
-    assert json.loads(out) == [[argv, 0, False] for argv in runs]
+    assert _run_commands(runs, "numpy.random") == [[argv, 0, False] for argv in runs]
 
 
 def test_reproduce_leaves_numpy_random_unloaded():
     # the seeded checks of the golden suite draw from the same stdlib generator
     runs = [["reproduce", "--table", "paper"]]
-    env = dict(os.environ, PYTHONPATH=SRC)
-    out = subprocess.run([sys.executable, "-c", RANDOM_PROBE, json.dumps(runs)], env=env,
-                         check=True, capture_output=True, text=True).stdout
-    assert json.loads(out) == [[argv, 0, False] for argv in runs]
+    assert _run_commands(runs, "numpy.random") == [[argv, 0, False] for argv in runs]

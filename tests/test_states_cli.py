@@ -499,7 +499,6 @@ class TestClassifyCommand:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(purity, "rescaled_purity", counted)
-        monkeypatch.setattr(cli, "rescaled_purity", counted)
         code, out, _ = run_cli(capsys, "classify", "--state", "spin:3,3", "--algebra", "su2-spin:3")
         assert code == 0 and "unentangled=true" in out
         assert len(calls) == 1
