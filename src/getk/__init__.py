@@ -5,9 +5,42 @@ catalog of distinguished observable spaces (:mod:`getk.catalog`),
 observable-relative purity and unentanglement tests (:mod:`getk.purity`),
 coherent states and the purity maximizer (:mod:`getk.coherent`), fermionic
 modes (:mod:`getk.fermion`), and exact no-signalling box polytopes
-(:mod:`getk.boxes`).  The package exports nothing itself: import the
-submodule you need.  :mod:`getk.boxes` is pure ``Fraction`` code and does
+(:mod:`getk.boxes`).  :mod:`getk.boxes` is pure ``Fraction`` code and does
 not import numpy.
+
+The package itself exports only the three input helpers that state files
+and box-table files share: :class:`StateParseError`, :func:`read_json_file`
+and :func:`whole_number`.  They live here, in the one module every command
+runs anyway, so that reading a state file runs no box code.  For everything
+else, import the submodule you need.
 """
 
+import json
+from fractions import Fraction
+
 __version__ = "0.1.0"
+
+
+class StateParseError(ValueError):
+    """A state name, state file or box-table file could not be parsed."""
+
+
+def read_json_file(path: str):
+    """Decode a JSON input file; a missing or malformed file is a StateParseError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise StateParseError(f"state: cannot open {path!r}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise StateParseError(f"state: {path!r} is not valid JSON: {exc}") from exc
+
+
+def whole_number(value) -> int:
+    """A JSON number (or numeric string) that must be a whole number; never truncated."""
+    if isinstance(value, bool):  # JSON true is not 1
+        raise TypeError(f"expected an integer, got {value!r}")
+    exact = Fraction(value)
+    if exact.denominator != 1:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return exact.numerator

@@ -11,37 +11,24 @@ mb*l + j.  Every function takes a table or a shape: the no-signalling
 polytope of a shape is one integer Collins-Gisin matrix, the N-fold
 Kronecker product of the single-box ones, built once per shape.  One box
 (N = 1) runs through the same code as a pair; the command line takes two.
-The one JSON input-file reader lives here too, so box commands load no numpy.
+Box-table files are read by the package's :func:`getk.read_json_file`, the
+reader state files share; it and :func:`getk.whole_number` are re-exported
+here.
 """
 
 import itertools
-import json
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd, lcm, prod
+
+from . import StateParseError, read_json_file, whole_number  # also read as boxes.<name>
 
 F0 = Fraction(0)
 F1 = Fraction(1)
 
 ENUMERATION_CAP = 6  # max n_inputs * n_outputs per side for vertex enumeration
 NO_EMPTY_SIDE = "need at least one input and one output per side"
-
-
-class StateParseError(ValueError):
-    """A state name, state file or box-table file could not be parsed."""
-
-
-def read_json_file(path: str):
-    """Decode a JSON input file; a missing or malformed file is a StateParseError."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise StateParseError(f"state: cannot open {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise StateParseError(f"state: {path!r} is not valid JSON: {exc}") from exc
 
 
 class InfeasibleError(ValueError):
@@ -60,16 +47,6 @@ def _coerce(value) -> Fraction:
     if isinstance(value, float):
         raise TypeError("box tables are exact; pass Fraction, int, or string, not float")
     return Fraction(value)
-
-
-def whole_number(value) -> int:
-    """A JSON number (or numeric string) that must be a whole number; never truncated."""
-    if isinstance(value, bool):  # JSON true is not 1
-        raise TypeError(f"expected an integer, got {value!r}")
-    exact = Fraction(value)
-    if exact.denominator != 1:
-        raise ValueError(f"expected an integer, got {value!r}")
-    return exact.numerator
 
 
 def _boxes(shape) -> list:
@@ -94,19 +71,17 @@ def _cell_inputs(shape: tuple) -> tuple:
                                      for n, m in _boxes(shape))))
 
 
-@dataclass(frozen=True)
 class BoxState:
-    """Conditional-probability table of one or more boxes, in the module's mixed-radix layout."""
+    """Conditional-probability table of one or more boxes, in the module's mixed-radix layout.
 
-    shape: tuple  # (n_1, m_1, ..., n_N, m_N)
-    probs: tuple
+    Immutable, hashable and equal only to a table of the same class with the
+    same ``shape`` (n_1, m_1, ..., n_N, m_N) and ``probs``.
+    """
 
-    def __post_init__(self):
-        shape = tuple(self.shape)
-        object.__setattr__(self, "shape", shape)
+    def __init__(self, shape, probs):
+        shape = tuple(shape)
         _boxes(shape)
-        probs = tuple(_coerce(p) for p in self.probs)
-        object.__setattr__(self, "probs", probs)
+        probs = tuple(_coerce(p) for p in probs)
         if len(probs) != prod(shape):
             raise ValueError(f"expected {prod(shape)} entries, got {len(probs)}")
         nums, den = _numerators(probs)  # a block sums to 1 iff its numerators sum to den
@@ -119,6 +94,24 @@ class BoxState:
             if total != den:
                 block = ",".join(map(str, inputs))
                 raise InfeasibleError(f"block ({block}) sums to {Fraction(total, den)}, not 1")
+        self.__dict__.update(shape=shape, probs=probs)  # past the __setattr__ guard
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.shape, self.probs) == (other.shape, other.probs)
+
+    def __hash__(self):
+        return hash((self.shape, self.probs))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(shape={self.shape!r}, probs={self.probs!r})"
 
     def tensor(self, other: "BoxState") -> "BoxState":
         """Product table p[ij|kl] = p_A[i|k] p_B[j|l]: this table's boxes, then other's."""

@@ -12,8 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import coherent
-from .fermion import fermionic_so4, fock_register
+from . import coherent, fermion
 from .operators import (
     MAX_DIM,
     PAULI,
@@ -151,7 +150,7 @@ def _norm_j(j: float) -> str:
     return f"{int(j)}" if float(j).is_integer() else f"{int(round(2 * j))}/2"
 
 
-def _nonzero_spin(j) -> coherent.SpinSystem:
+def _nonzero_spin(j) -> "coherent.SpinSystem":
     system = coherent.spin_system(j)
     if system.j == 0:  # its generators are zero: nothing to normalize
         raise ValueError("spin 0 has no su(2) observables (all generators vanish); need J >= 1/2")
@@ -212,7 +211,7 @@ def named_algebra(name: str) -> ObservableSpace:
     if name in fixed:
         return fixed[name]()
     if name == "so4-fermi":
-        return fermionic_so4(fock_register(2))
+        return fermion.fermionic_so4(fermion.fock_register(2))
     if name.startswith("local:"):
         spec = name.split(":", 1)[1]
         try:

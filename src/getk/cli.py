@@ -3,12 +3,17 @@
 Subcommands: purity, classify, boxes (vertices | classify | separable |
 orbit) and reproduce.  Records print as deterministic key=value lines, or
 as JSON with --json.  Exit codes: 0 success, 2 parse error, 3 dimension
-mismatch, 4 infeasible or signalling box input, 1 failed golden checks.
+mismatch, 4 infeasible or signalling box input, 1 failed golden checks or
+a broken pipe (the reader of stdout left early; no traceback).  A closed
+stdout is not an error: the records are dropped and the code is unchanged.
 
 Importing this module registers every getk module lazily: each runs at its
 first attribute access, so ``boxes`` commands load only the pure-Fraction
 ``boxes`` module and never numpy.  Getk names are read through their module
-at call time, never bound by ``from .x import name``.
+at call time, never bound by ``from .x import name``.  The ``getk`` command
+(:func:`entry_point`) ends with ``os._exit`` once its output is flushed:
+it writes no files and registers no exit handler, so interpreter teardown
+would only free memory the process is about to give back.
 """
 
 import argparse
@@ -270,7 +275,18 @@ def main(argv=None) -> int:
 
 
 def entry_point():
-    sys.exit(main())
+    """Run :func:`main` as a command: flush, then exit without interpreter teardown.
+
+    An exception that escapes ``main`` ends the usual way, with a traceback.
+    """
+    try:
+        code = main()
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the shell closed it (>&-)
+                stream.flush()
+    except BrokenPipeError:  # from a print or from the flush: exit 1, as for SIGPIPE
+        code = 1
+    os._exit(code)
 
 
 if __name__ == "__main__":

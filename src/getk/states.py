@@ -9,9 +9,7 @@ superpositions (|01> +- |10>)/sqrt2 and psi+- the number superpositions
 
 import numpy as np
 
-from . import fermion
-from .boxes import StateParseError, read_json_file, whole_number
-from .coherent import spin_system
+from . import StateParseError, coherent, fermion, read_json_file, whole_number
 from .operators import QuantumState, checked_dim
 
 
@@ -84,7 +82,7 @@ def spin_basis_state(j_token: str, m_token: str) -> QuantumState:
     j = parse_number_token(j_token)
     m = parse_number_token(m_token)
     try:
-        return spin_system(j).basis_state(m)
+        return coherent.spin_system(j).basis_state(m)
     except ValueError as exc:
         raise StateParseError(str(exc)) from exc
 

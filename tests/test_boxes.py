@@ -1,5 +1,7 @@
+import copy
 import itertools
 import json
+import pickle
 import random
 from fractions import Fraction
 from math import factorial, gcd
@@ -314,6 +316,33 @@ class TestBoxState:
     def test_deterministic_census(self):
         assert len(deterministic_boxes(2, 2)) == 4
         assert len(deterministic_boxes(2, 3)) == 9
+
+    def test_value_contract(self):
+        # immutable, hashable and compared by value, as a frozen dataclass would be
+        box = BoxState(shape=[1, 2, 1, 2], probs=(HALF, 0, "1/4", F(1, 4)))
+        same = BoxState((1, 2, 1, 2), (HALF, F(0), F(1, 4), F(1, 4)))
+        assert box == same and hash(box) == hash(same) == hash((box.shape, box.probs))
+        assert box != BoxState((1, 2, 1, 2), (F(1, 4), F(1, 4), HALF, F(0)))
+        assert box != BoxState((1, 4), (HALF, F(0), F(1, 4), F(1, 4)))
+        assert box != (box.shape, box.probs)  # equal only to a table of its own class
+        assert repr(box) == ("BoxState(shape=(1, 2, 1, 2), probs=(Fraction(1, 2), "
+                             "Fraction(0, 1), Fraction(1, 4), Fraction(1, 4)))")
+        for name in ("shape", "probs", "other"):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(box, name, ())
+            with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+                delattr(box, name)
+        assert box.shape == (1, 2, 1, 2)
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                       lambda b: pickle.loads(pickle.dumps(b))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_copies_are_equal_and_frozen(self, clone):
+        box = canonical_entangled_vertex()
+        twin = clone(box)
+        assert type(twin) is BoxState and twin == box and hash(twin) == hash(box)
+        with pytest.raises(AttributeError):
+            twin.probs = ()
 
     def test_tensor_factorizes(self):
         a = BoxState((2, 2), (F(1), F(0), HALF, HALF))

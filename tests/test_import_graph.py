@@ -166,21 +166,23 @@ CATALOG_STATES = [
     ("su2-spin:3/2", "spin:3/2,1/2"),
 ]
 COMMAND_PROBE = """\
-import contextlib, io, json, sys
+import contextlib, io, json, sys, types
 from getk import cli
 loaded = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
-    loaded.append([argv, code, sys.argv[2] in sys.modules])
+    # a getk module the command only registered is in sys.modules but has not run
+    loaded.append([argv, code, *(type(sys.modules.get(m)) is types.ModuleType
+                                 for m in sys.argv[2:])])
 print(json.dumps(loaded))
 """
 
 
-def _run_commands(runs, module):
-    """Run commands in turn in one fresh process: [argv, exit code, ``module`` loaded yet]."""
+def _run_commands(runs, *modules):
+    """Run commands in turn in one fresh process: [argv, exit code, each module run yet]."""
     env = dict(os.environ, PYTHONPATH=SRC)
-    out = subprocess.run([sys.executable, "-c", COMMAND_PROBE, json.dumps(runs), module],
+    out = subprocess.run([sys.executable, "-c", COMMAND_PROBE, json.dumps(runs), *modules],
                          env=env, check=True, capture_output=True, text=True).stdout
     return json.loads(out)
 
@@ -194,7 +196,8 @@ SIGNALLING_TABLE = {  # Bob's outcome on input 0 follows Alice's input
 
 @pytest.mark.parametrize("command", ["vertices", "classify", "separable", "orbit"])
 def test_box_commands_leave_numpy_out(tmp_path, command):
-    # a box command, its input errors included, runs on pure Fraction code
+    # a box command, its input errors included, runs on pure Fraction code, and
+    # BoxState is a plain class: the dataclass machinery would import inspect, ast and dis
     from getk.boxes import canonical_entangled_vertex
     if command == "vertices":
         cases = [(["--size", "2,2"], 0), (["--size", "2,2,2"], 2)]
@@ -205,8 +208,8 @@ def test_box_commands_leave_numpy_out(tmp_path, command):
         cases = [(["--state", str(pr_box)], 0), (["--state", str(tmp_path / "missing.json")], 2),
                  (["--state", str(signalling)], 4)]
     runs = [["boxes", command, *args] for args, _ in cases]
-    assert _run_commands(runs, "numpy") == [[argv, code, False]
-                                            for argv, (_, code) in zip(runs, cases)]
+    assert _run_commands(runs, "numpy", "dataclasses", "inspect") == [
+        [argv, code, False, False, False] for argv, (_, code) in zip(runs, cases)]
 
 
 def test_purity_commands_leave_numpy_random_unloaded():
@@ -216,6 +219,18 @@ def test_purity_commands_leave_numpy_random_unloaded():
             for command in ("purity", "classify")
             for rescale in ([], ["--rescale", "auto"])]
     assert _run_commands(runs, "numpy.random") == [[argv, 0, False] for argv in runs]
+
+
+def test_purity_commands_run_box_code_never_and_fermion_code_for_fermions():
+    # the so4-fermi runs come last: fermion run before them would show at the
+    # command that ran it
+    order = sorted(CATALOG_STATES, key=lambda pair: pair[0] == "so4-fermi")
+    runs = [[command, "--state", state, "--algebra", algebra, *rescale]
+            for algebra, state in order
+            for command in ("purity", "classify")
+            for rescale in ([], ["--rescale", "auto"])]
+    assert _run_commands(runs, "getk.boxes", "getk.fermion") == [
+        [argv, 0, False, argv[4] == "so4-fermi"] for argv in runs]
 
 
 def test_reproduce_leaves_numpy_random_unloaded():
