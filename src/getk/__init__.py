@@ -34,6 +34,8 @@ def read_json_file(path: str):
         raise StateParseError(f"state: cannot open {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise StateParseError(f"state: {path!r} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise StateParseError(f"state: {path!r} nests too deeply to decode") from None
 
 
 def whole_number(value) -> int:

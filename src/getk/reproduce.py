@@ -32,13 +32,6 @@ from .purity import (
 )
 
 
-@dataclass
-class CheckResult:
-    name: str
-    ok: bool | None  # None marks an informational record
-    detail: str
-
-
 def _fmt(x) -> str:
     return f"{float(x):.12g}"
 
@@ -51,25 +44,10 @@ def _max_abs(a) -> float:
     return float(np.max(np.abs(a)))
 
 
-def make_state_provider(corrupt: str | None = None):
-    """Builtin-state lookup, optionally perturbing one builtin (test hook)."""
-
-    def provider(name: str) -> QuantumState:
-        st = states.builtin_state(name)
-        if corrupt is not None and name == corrupt:
-            v = st.vector
-            if v is None:
-                raise ValueError("only pure builtins can be corrupted")
-            v[0] += 0.1
-            v[1] += 0.05
-            st = QuantumState(vector=v / np.linalg.norm(v))
-        return st
-
-    return provider
-
-
-def _fixed_product_state() -> QuantumState:
-    # deterministic non-axis product state for the "generic product" goldens
+def _three_qubit_state(name: str) -> QuantumState:
+    """A builtin, or for ``product`` a fixed non-axis product state (the generic product)."""
+    if name != "product":
+        return states.builtin_state(name)
     a = np.array([np.cos(0.3), np.exp(0.4j) * np.sin(0.3)])
     b = np.array([np.cos(1.1), np.exp(-0.2j) * np.sin(1.1)])
     c = np.array([1.0, 1.0]) / np.sqrt(2.0)
@@ -82,22 +60,11 @@ _P2_GOLD = {"product": 1.0, "bisep:12": 1.0, "bisep:13": 1 / 3, "bisep:23": 1 / 
             "ghz:3": 1 / 3, "w:3": 11 / 27}
 
 
-def _three_qubit_states(provider) -> dict:
-    out = {"product": _fixed_product_state()}
-    for name in ("bisep:12", "bisep:13", "bisep:23", "w:3", "ghz:3"):
-        out[name] = provider(name)
-    return out
-
-
 def omega2_value_table() -> dict:
     """Rescaled purities of the three-qubit classes under both pair readings."""
-    table = {}
-    for space in (catalog.first_pair_algebra(), catalog.bilocal_pair_algebra()):
-        vals = {}
-        for name, st in _three_qubit_states(states.builtin_state).items():
-            vals[name] = rescaled_purity(st, space).rescaled
-        table[space.label] = vals
-    return table
+    return {space.label: {name: rescaled_purity(_three_qubit_state(name), space).rescaled
+                          for name in _P2_GOLD}
+            for space in (catalog.first_pair_algebra(), catalog.bilocal_pair_algebra())}
 
 
 def omega2_discrepancy_report() -> str:
@@ -135,11 +102,10 @@ def _even_mixture(i, j) -> QuantumState:
 
 
 class _Run:
-    """One run of the suite: the state lookup, the seed, the objects several
-    checks share (each built on first use), and the measures ``CHECKS`` names."""
+    """One run of the suite: the seed, the objects several checks share (each
+    built on first use), and the measures ``CHECKS`` names."""
 
-    def __init__(self, provider, seed: int):
-        self.state = provider
+    def __init__(self, seed: int):
         self.seed = seed
 
     @cached_property
@@ -157,7 +123,7 @@ class _Run:
     def bell_reduction_error(self):
         worst = 0.0
         for kind in ("phi+", "phi-", "psi+", "psi-"):
-            st = self.state(f"bell:{kind}")
+            st = states.builtin_state(f"bell:{kind}")
             for q in (0, 1):
                 red = partial_trace(st, [2, 2], [q]).density()
                 worst = max(worst, _max_abs(red - np.eye(2) / 2))
@@ -178,30 +144,28 @@ class _Run:
 
     # --- three-qubit purity goldens --------------------------------------
     def golden_purity(self, space, name):
-        st = _fixed_product_state() if name == "product" else self.state(name)
-        return rescaled_purity(st, space()).rescaled
+        return rescaled_purity(_three_qubit_state(name), space()).rescaled
 
     def omega2_literal_values(self):
-        vals = {n: rescaled_purity(st, catalog.bilocal_pair_algebra()).rescaled
-                for n, st in _three_qubit_states(self.state).items()}
+        vals = omega2_value_table()["omega2-literal"]
         return None, " ".join(f"{n}={_fmt(v)}" for n, v in sorted(vals.items()))
 
     # --- conservation-law u(2) purities ----------------------------------
     def u2_bell_purity(self, kind):
-        return omega_purity(self.state(f"bell:{kind}"), catalog.z_conserving_u2())
+        return omega_purity(states.builtin_state(f"bell:{kind}"), catalog.z_conserving_u2())
 
     def u2_number_states_gap(self):
         u2 = catalog.z_conserving_u2()
-        ref_raw = omega_purity(self.state("bell:phi+"), u2)
+        ref_raw = omega_purity(states.builtin_state("bell:phi+"), u2)
         worst = 0.0
         for name in ("fock:m2:00", "fock:m2:01", "fock:m2:10", "fock:m2:11", "bell:phi-"):
-            worst = max(worst, abs(omega_purity(self.state(name), u2) - ref_raw))
+            worst = max(worst, abs(omega_purity(states.builtin_state(name), u2) - ref_raw))
         return worst
 
     # --- expectation indistinguishability --------------------------------
     def bell_vs_mixture_local(self):
-        return expectations_indistinguishable(self.state("bell:phi-"), _even_mixture(1, 2),
-                                              catalog.local_algebra(2, 2))
+        return expectations_indistinguishable(states.builtin_state("bell:phi-"),
+                                              _even_mixture(1, 2), catalog.local_algebra(2, 2))
 
     def product_vs_mixture_prime(self):
         return expectations_indistinguishable(QuantumState.basis_state(4, 0),
@@ -279,10 +243,11 @@ class _Run:
 
     def fermionic_purity_extremes(self):
         fu2 = self.fermions[1]
-        hi = [self.state(n) for n in ("fock:m2:00", "fock:m2:01", "fock:m2:10",
-                                      "fock:m2:11", "bell:phi+", "bell:phi-")]
+        hi = [states.builtin_state(n) for n in ("fock:m2:00", "fock:m2:01", "fock:m2:10",
+                                                "fock:m2:11", "bell:phi+", "bell:phi-")]
         worst_hi = max(abs(rescaled_purity(st, fu2, seed=self.seed).rescaled - 1.0) for st in hi)
-        worst_lo = max(omega_purity(self.state(f"bell:{k}"), fu2) for k in ("psi+", "psi-"))
+        worst_lo = max(omega_purity(states.builtin_state(f"bell:{k}"), fu2)
+                       for k in ("psi+", "psi-"))
         return (worst_hi <= 1e-9 and worst_lo <= 1e-12,
                 f"max|1-P|={_fmt(worst_hi)} max-zero={_fmt(worst_lo)}")
 
@@ -351,7 +316,8 @@ class Check:
     expected: float | bool | None = None
     tol: float = 1e-10
 
-    def result(self, run: _Run) -> CheckResult:
+    def result(self, run: _Run) -> tuple[bool | None, str]:
+        """``(ok, line)``: the verdict, None for an informational record, and its output line."""
         got = self.measure(run)
         if self.expected is None:
             ok, detail = got
@@ -361,7 +327,8 @@ class Check:
         else:
             ok = abs(float(got) - float(self.expected)) <= self.tol
             detail = f"value={_fmt(got)} expected={_fmt(self.expected)}"
-        return CheckResult(self.name, ok, detail)
+        tag = "INFO" if ok is None else "PASS" if ok else "FAIL"
+        return ok, f"{tag} {self.name} {detail}"
 
 
 def _golden_purity_rows(prefix, gold, space):
@@ -417,22 +384,9 @@ def check_names() -> list[str]:
     return [check.name for check in CHECKS]
 
 
-def run_table_paper(corrupt: str | None = None, seed: int = 0) -> list[CheckResult]:
-    run = _Run(make_state_provider(corrupt), seed)
-    return [check.result(run) for check in CHECKS]
-
-
-def format_results(results) -> tuple[list[str], int]:
-    lines = []
-    failed = False
-    for res in results:
-        if res.ok is None:
-            lines.append(f"INFO {res.name} {res.detail}")
-        elif res.ok:
-            lines.append(f"PASS {res.name} {res.detail}")
-        else:
-            lines.append(f"FAIL {res.name} {res.detail}")
-            failed = True
-    lines.append(f"checked={sum(1 for r in results if r.ok is not None)} "
-                 f"failed={sum(1 for r in results if r.ok is False)}")
-    return lines, (1 if failed else 0)
+def run_table_paper(seed: int = 0) -> tuple[list[str], int]:
+    """Run every check: its lines, then the ``checked= failed=`` summary; and the exit code."""
+    run = _Run(seed)
+    oks, lines = zip(*(check.result(run) for check in CHECKS))
+    failed = oks.count(False)
+    return [*lines, f"checked={len(oks) - oks.count(None)} failed={failed}"], int(failed > 0)

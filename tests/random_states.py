@@ -1,7 +1,9 @@
-"""Seeded random states, and the maximally mixed state, shared by the test modules."""
+"""Seeded random states, the maximally mixed state and a perturbed builtin, shared by the
+test modules."""
 
 import numpy as np
 
+from getk import states
 from getk.operators import QuantumState
 
 
@@ -21,3 +23,19 @@ def random_density_state(dim: int, rng, rank: int | None = None) -> QuantumState
 
 def maximally_mixed(dim: int) -> QuantumState:
     return QuantumState(rho=np.eye(dim, dtype=complex) / dim)
+
+
+def perturbed_builtins(target: str):
+    """A ``states.builtin_state`` that moves the pure builtin ``target`` off its golden values."""
+    real = states.builtin_state
+
+    def builtin_state(name: str) -> QuantumState:
+        st = real(name)
+        if name != target:
+            return st
+        v = st.vector
+        v[0] += 0.1
+        v[1] += 0.05
+        return QuantumState(vector=v / np.linalg.norm(v))
+
+    return builtin_state

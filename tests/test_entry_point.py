@@ -14,8 +14,11 @@ import sys
 
 import pytest
 
-from getk import boxes, cli
+from getk import boxes, cli, states
+from random_states import perturbed_builtins
 from test_import_graph import SIGNALLING_TABLE, SRC
+
+TESTS = os.path.dirname(os.path.abspath(__file__))
 
 
 def _env(unbuffered: bool = False) -> dict:
@@ -51,22 +54,50 @@ COMMANDS = {
     "boxes-separable": (["boxes", "separable", "--state", "{pr}"], 0),
     "boxes-orbit": (["boxes", "orbit", "--state", "{pr}", "--json"], 0),
     "reproduce": (["reproduce", "--table", "paper"], 0),
-    "failed-checks": (["reproduce", "--table", "paper", "--corrupt", "w:3"], 1),
+    "failed-checks": (["reproduce", "--table", "paper"], 1),  # with w:3 perturbed
     "parse-error": (["purity", "--state", "nosuch:3", "--algebra", "omega1"], 2),
     "dimension-mismatch": (["purity", "--state", "w:4", "--algebra", "omega1"], 3),
     "signalling": (["boxes", "orbit", "--state", "{signalling}"], 4),
 }
 
 
+# the getk command with w:3 moved off its golden values, as the test moves it in process
+PERTURBED_COMMAND = f"""\
+import sys
+sys.path.insert(0, {TESTS!r})
+from random_states import perturbed_builtins
+from getk import cli, states
+states.builtin_state = perturbed_builtins("w:3")
+cli.entry_point()
+"""
+
+
 @pytest.mark.parametrize("name", COMMANDS)
-def test_fresh_process_prints_what_main_prints(name, box_files):
+def test_fresh_process_prints_what_main_prints(name, box_files, monkeypatch):
     # with stdout block-buffered, output that the exit failed to flush would be lost
     template, code = COMMANDS[name]
     argv = [arg.format(**box_files) for arg in template]
-    proc = subprocess.run([sys.executable, "-m", "getk.cli", *argv], env=_env(),
-                          capture_output=True, timeout=120)
+    command = [sys.executable, "-m", "getk.cli"]
+    if name == "failed-checks":
+        monkeypatch.setattr(states, "builtin_state", perturbed_builtins("w:3"))
+        command = [sys.executable, "-c", PERTURBED_COMMAND]
+    proc = subprocess.run([*command, *argv], env=_env(), capture_output=True, timeout=120)
     assert _in_process(argv) == (code, proc.stdout, proc.stderr.decode())
     assert proc.returncode == code
+
+
+@pytest.mark.parametrize("argv", [
+    ["purity", "--algebra", "omega1", "--state"],
+    ["boxes", "classify", "--state"],
+], ids=["state-file", "box-file"])
+def test_too_deeply_nested_json_is_a_parse_error(argv, tmp_path):
+    # the JSON decoder refuses this depth with RecursionError; the command reads it as exit 2
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    proc = subprocess.run([sys.executable, "-m", "getk.cli", *argv, str(deep)], env=_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: state: {str(deep)!r} nests too deeply to decode\n"
 
 
 def _sh(script: str, unbuffered: bool = False, stdout=subprocess.PIPE):

@@ -64,8 +64,8 @@ def test_the_size_rule_lives_in_checked_dim():
 
 @pytest.mark.parametrize("module", ["getk", "getk.boxes", "getk.cli"])
 def test_import_leaves_numpy_out(module):
-    # the box side is pure Fraction code, the package exports nothing, and the
-    # command registers its modules without running them
+    # the box side is pure Fraction code, the package exports only its three
+    # numpy-free input helpers, and the command registers its modules without running them
     env = dict(os.environ, PYTHONPATH=SRC)
     probe = f"import sys, {module}; print('numpy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
@@ -203,10 +203,12 @@ def test_box_commands_leave_numpy_out(tmp_path, command):
         cases = [(["--size", "2,2"], 0), (["--size", "2,2,2"], 2)]
     else:
         pr_box, signalling = tmp_path / "pr.json", tmp_path / "signalling.json"
+        deep = tmp_path / "deep.json"
         pr_box.write_text(json.dumps(canonical_entangled_vertex().to_json_dict()))
         signalling.write_text(json.dumps(SIGNALLING_TABLE))
+        deep.write_text("[" * 100000 + "]" * 100000)
         cases = [(["--state", str(pr_box)], 0), (["--state", str(tmp_path / "missing.json")], 2),
-                 (["--state", str(signalling)], 4)]
+                 (["--state", str(deep)], 2), (["--state", str(signalling)], 4)]
     runs = [["boxes", command, *args] for args, _ in cases]
     assert _run_commands(runs, "numpy", "dataclasses", "inspect") == [
         [argv, code, False, False, False] for argv, (_, code) in zip(runs, cases)]

@@ -1,7 +1,9 @@
+import ast
 import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +13,7 @@ import pytest
 
 from getk import boxes, catalog, cli, coherent, fermion, purity, states
 from getk.operators import MAX_DIM, ObservableSpace, QuantumState, gell_mann_basis, pauli_string
+from random_states import perturbed_builtins
 
 BUILTIN_EXAMPLES = (
     "bell:phi+", "bell:phi-", "bell:psi+", "bell:psi-",
@@ -187,6 +190,20 @@ def _run_getk(*argv, rss=False):
         cmd = [sys.executable, "-c", _LAUNCHER, *cmd]
     env = dict(os.environ, PYTHONPATH=SRC)
     return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_every_flag_is_documented():
+    # a flag the README's Command line section does not name is a flag no user is told of
+    root = Path(SRC).parent
+    readme = (root / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    tree = ast.parse((Path(SRC) / "getk" / "cli.py").read_text())
+    flags = {arg.value for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "add_argument"
+             for arg in node.args
+             if isinstance(arg, ast.Constant) and str(arg.value).startswith("--")}
+    assert "--state" in flags
+    assert [f for f in sorted(flags) if not re.search(re.escape(f) + r"\b", section)] == []
 
 
 def run_cli(capsys, *argv):
@@ -447,6 +464,17 @@ class TestPurityCommand:
         code, _, err = run_cli(capsys, "purity", "--state", "bell:psi+", "--algebra", "u2")
         assert code == 2 and "GE_SEED" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("purity", "--state", "w:3", "--algebra", "omega1"),  # analytic: the seed goes unused
+        ("classify", "--state", "w:3", "--algebra", "omega1", "--rescale", "auto"),
+        ("reproduce", "--table", "paper"),
+    ], ids=["purity-analytic", "classify-auto", "reproduce"])
+    def test_negative_ge_seed_refused(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("GE_SEED", "-1")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: GE_SEED: expected a non-negative integer, got '-1'\n"
+
 
 class TestClassifyCommand:
     def test_spin_surface_state(self, capsys):
@@ -679,9 +707,9 @@ class TestReproduceCommand:
         code, out, _ = run_cli(capsys, "reproduce", "--table", "paper", "--list")
         assert code == 0 and "boxes/vertex-census" in out.splitlines()
 
-    def test_corrupted_builtin_fails(self, capsys):
-        code, out, _ = run_cli(capsys, "reproduce", "--table", "paper",
-                               "--corrupt", "ghz:3")
+    def test_corrupted_builtin_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(states, "builtin_state", perturbed_builtins("ghz:3"))
+        code, out, _ = run_cli(capsys, "reproduce", "--table", "paper")
         assert code == 1
         assert "FAIL p1/ghz:3" in out
 
