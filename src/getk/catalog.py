@@ -211,7 +211,7 @@ def named_algebra(name: str) -> ObservableSpace:
     if name in fixed:
         return fixed[name]()
     if name == "so4-fermi":
-        return fermion.fermionic_so4(fermion.fock_register(2))
+        return fermion.fermionic_so4()
     if name.startswith("local:"):
         spec = name.split(":", 1)[1]
         try:

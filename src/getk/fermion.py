@@ -1,73 +1,52 @@
-"""Second-quantized fermionic modes and their distinguished algebras.
+"""Second-quantized fermionic modes as Jordan-Wigner Pauli words.
 
-Mode operators are built by the parity-string construction on the
-occupation basis, with mode 1 stored in the least significant bit so the
-vacuum is the index-0 basis vector.  All matrices have entries in
-{0, +1, -1} (or +-1/2 after shifting number operators), so the canonical
-anticommutation relations hold exactly in floating point.
+Mode j's two Majorana operators are the words I..I X Z..Z and I..I Y Z..Z,
+with mode 1 as the last letter (the least significant bit, so the vacuum is
+the index-0 basis vector) and the Z string over the lower-indexed modes.
+Every quadratic term i gamma_a gamma_b is then +-1 times one word, so the
+so(2m) of m modes is a set of words; dense matrices are built only for the
+mode operators and the two-mode algebras.  All entries are in {0, +-1}
+(or +-1/2), so the canonical anticommutation relations hold exactly.
 """
 
-from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .operators import ObservableSpace, QuantumState, checked_dim, orthonormalize
+from .operators import ObservableSpace, QuantumState, checked_dim, pauli_string
 
-_SQRT2 = np.sqrt(2.0)
+_LETTERS = "IXZY"  # index = x bit + 2 * z bit, so the product of two letters is the XOR
 
 
-@dataclass(frozen=True)
-class FockRegister:
-    """m fermionic modes on the 2^m occupation basis.
+def majorana_words(m: int) -> list[str]:
+    """gamma_1 .. gamma_2m for m >= 1 modes, 2^m at most ``MAX_DIM``."""
+    checked_dim(2, m)
+    return [("I" * (m - j) + p + "Z" * (j - 1)) for j in range(1, m + 1) for p in "XY"]
 
-    ``c[j]`` annihilates mode j+1 and ``cdag[j]`` creates it; signs follow
-    the parity string over lower-indexed modes, so applying creators in
-    decreasing mode order to the vacuum gives + signs.
+
+def quadratic_words(m: int) -> list[str]:
+    """The word of gamma_a gamma_b, up to phase, for each pair a < b: so(2m)."""
+    gammas = majorana_words(m)
+    return ["".join(_LETTERS[_LETTERS.index(x) ^ _LETTERS.index(y)] for x, y in zip(a, b))
+            for i, a in enumerate(gammas) for b in gammas[i + 1:]]
+
+
+def annihilators(m: int) -> list[np.ndarray]:
+    """c_j = (gamma_2j-1 + i gamma_2j) / 2 for j = 1..m, dense on the 2^m occupation basis.
+
+    Creators applied in decreasing mode order to the vacuum give + signs.
     """
-
-    m: int
-    c: tuple = field(repr=False)
-    cdag: tuple = field(repr=False)
-
-    @property
-    def dim(self) -> int:
-        return 2 ** self.m
-
-    @property
-    def number_ops(self) -> tuple:
-        return tuple(self.cdag[j] @ self.c[j] for j in range(self.m))
-
-    def vacuum(self) -> QuantumState:
-        return QuantumState.basis_state(self.dim, 0)
+    words = majorana_words(m)
+    return [(pauli_string(x) + 1j * pauli_string(y)) / 2 for x, y in zip(words[::2], words[1::2])]
 
 
-def fock_register(m: int) -> FockRegister:
-    """Build the mode operators for m >= 1 modes, 2^m at most ``MAX_DIM``."""
-    dim = checked_dim(2, m)
-    cs = []
-    for j in range(1, m + 1):
-        bit = 1 << (j - 1)
-        mat = np.zeros((dim, dim), dtype=complex)
-        for b in range(dim):
-            if b & bit:
-                sign = (-1) ** bin(b & (bit - 1)).count("1")
-                mat[b ^ bit, b] = sign
-        cs.append(mat)
-    cds = [mat.conj().T.copy() for mat in cs]
-    for a in cs + cds:
-        a.setflags(write=False)
-    return FockRegister(m=m, c=tuple(cs), cdag=tuple(cds))
+def number_operator(m: int) -> np.ndarray:
+    """Total fermion number of m modes, diagonal with spectrum 0..m."""
+    return sum(c.conj().T @ c for c in annihilators(m))
 
 
-def number_operator(reg: FockRegister) -> np.ndarray:
-    """Total fermion number, diagonal with spectrum 0..m."""
-    total = np.zeros((reg.dim, reg.dim), dtype=complex)
-    for n in reg.number_ops:
-        total = total + n
-    return total
-
-
-def fermionic_u2(reg: FockRegister) -> ObservableSpace:
+@lru_cache(maxsize=None)
+def fermionic_u2() -> ObservableSpace:
     """The number-conserving u(2) of two modes.
 
     span{n1 - 1/2, n2 - 1/2, (c1+ c2 + c2+ c1)/sqrt2, i(c1+ c2 - c2+ c1)/sqrt2};
@@ -75,46 +54,23 @@ def fermionic_u2(reg: FockRegister) -> ObservableSpace:
     the total number operator.  Under the occupation/word dictionary the span
     coincides with the S_z-conserving spin u(2).
     """
-    if reg.m != 2:
-        raise ValueError("the fermionic u(2) is defined for exactly 2 modes")
-    n1, n2 = reg.number_ops
-    eye = np.eye(reg.dim, dtype=complex)
-    hop = reg.cdag[0] @ reg.c[1]
-    ops = [
-        n1 - 0.5 * eye,
-        n2 - 0.5 * eye,
-        (hop + hop.conj().T) / _SQRT2,
-        1.0j * (hop - hop.conj().T) / _SQRT2,
-    ]
+    c1, c2 = annihilators(2)
+    half = 0.5 * np.eye(4)
+    hop = c1.conj().T @ c2
+    ops = [c1.conj().T @ c1 - half, c2.conj().T @ c2 - half,
+           (hop + hop.conj().T) / np.sqrt(2.0), 1.0j * (hop - hop.conj().T) / np.sqrt(2.0)]
     return ObservableSpace(ops, "u2-fermi")
 
 
-def fermionic_so4(reg: FockRegister) -> ObservableSpace:
+@lru_cache(maxsize=None)
+def fermionic_so4() -> ObservableSpace:
     """The so(4) of all Hermitian bilinears in two modes, pairing terms included.
 
-    Adds (c1+ c2+ + h.c.) combinations to the number-conserving set; these
-    have nonzero matrix elements between states of different fermion number.
-    Dimension 6, closed under the bracket, and containing the u(2) span.
+    The six quadratic words IZ, XY, YY, XX, YX, ZI, each divided by 2.  The
+    pairing terms link states of different fermion number; the span is closed
+    under the bracket and contains the u(2) span.
     """
-    if reg.m != 2:
-        raise ValueError("the fermionic so(4) is defined for exactly 2 modes")
-    n1, n2 = reg.number_ops
-    eye = np.eye(reg.dim, dtype=complex)
-    hop = reg.cdag[0] @ reg.c[1]
-    pair = reg.cdag[0] @ reg.cdag[1]
-    raw = [
-        (hop + hop.conj().T) / _SQRT2,
-        1.0j * (hop - hop.conj().T) / _SQRT2,
-        (pair + pair.conj().T) / _SQRT2,
-        1.0j * (pair - pair.conj().T) / _SQRT2,
-        n1 - 0.5 * eye,
-        n2 - 0.5 * eye,
-    ]
-    space = orthonormalize(raw, label="so4-fermi")
-    return space
-
-
-_WORD_TO_INDEX = {"00": 0, "01": 1, "10": 2, "11": 3}
+    return ObservableSpace([pauli_string(w) / 2 for w in quadratic_words(2)], "so4-fermi")
 
 
 def jw_state_dictionary(label: str) -> QuantumState:
@@ -123,8 +79,7 @@ def jw_state_dictionary(label: str) -> QuantumState:
     00 is the vacuum, 01 puts one fermion in mode 1, 10 one in mode 2, and
     11 is c1+ c2+ |vac> (with + sign under this parity convention).
     """
-    try:
-        index = _WORD_TO_INDEX[str(label)]
-    except KeyError:
-        raise ValueError(f"unknown basis word {label!r}; expected one of 00, 01, 10, 11") from None
-    return QuantumState.basis_state(4, index)
+    label = str(label)
+    if len(label) != 2 or set(label) - set("01"):
+        raise ValueError(f"unknown basis word {label!r}; expected one of 00, 01, 10, 11")
+    return QuantumState.basis_state(4, int(label, 2))

@@ -109,12 +109,6 @@ class _Run:
         self.seed = seed
 
     @cached_property
-    def fermions(self):
-        """The two-mode register, its number-conserving u(2) and its so(4)."""
-        reg = fermion.fock_register(2)
-        return reg, fermion.fermionic_u2(reg), fermion.fermionic_so4(reg)
-
-    @cached_property
     def vertices(self):
         """The vertices of the (2,2,2,2) no-signalling polytope, enumerated once."""
         return boxes.enumerate_vertices(2, 2, 2, 2)
@@ -216,33 +210,33 @@ class _Run:
 
     # --- fermionic dictionary --------------------------------------------
     def anticommutation_error(self):
-        reg = self.fermions[0]
+        c = fermion.annihilators(2)
+        cdag = [x.conj().T for x in c]
         eye = np.eye(4)
         worst = 0.0
         for iop in range(2):
             for jop in range(2):
-                ci, cj = reg.c[iop], reg.c[jop]
-                di, dj = reg.cdag[iop], reg.cdag[jop]
+                ci, cj = c[iop], c[jop]
+                di, dj = cdag[iop], cdag[jop]
                 worst = max(worst, _max_abs(ci @ cj + cj @ ci))
                 worst = max(worst, _max_abs(di @ dj + dj @ di))
                 worst = max(worst, _max_abs(di @ cj + cj @ di - (eye if iop == jop else 0)))
         return worst
 
     def number_shift_error(self):
-        return _max_abs(fermion.number_operator(self.fermions[0]) + _sz_operator() - np.eye(4))
+        return _max_abs(fermion.number_operator(2) + _sz_operator() - np.eye(4))
 
     def u2_span_mismatch(self):
-        u2, fu2 = catalog.z_conserving_u2(), self.fermions[1]
+        u2, fu2 = catalog.z_conserving_u2(), fermion.fermionic_u2()
         return max([fu2.residual_norm(x) for x in u2.basis]
                    + [u2.residual_norm(x) for x in fu2.basis])
 
     def fermionic_u2_number_commutator(self):
-        reg, fu2, _ = self.fermions
-        nhat = fermion.number_operator(reg)
-        return max(_max_abs(x @ nhat - nhat @ x) for x in fu2.basis)
+        nhat = fermion.number_operator(2)
+        return max(_max_abs(x @ nhat - nhat @ x) for x in fermion.fermionic_u2().basis)
 
     def fermionic_purity_extremes(self):
-        fu2 = self.fermions[1]
+        fu2 = fermion.fermionic_u2()
         hi = [states.builtin_state(n) for n in ("fock:m2:00", "fock:m2:01", "fock:m2:10",
                                                 "fock:m2:11", "bell:phi+", "bell:phi-")]
         worst_hi = max(abs(rescaled_purity(st, fu2, seed=self.seed).rescaled - 1.0) for st in hi)
@@ -252,14 +246,16 @@ class _Run:
                 f"max|1-P|={_fmt(worst_hi)} max-zero={_fmt(worst_lo)}")
 
     def so4_u2_residual(self):
-        _, fu2, so4 = self.fermions
-        return max(so4.residual_norm(x) for x in fu2.basis)
+        so4 = fermion.fermionic_so4()
+        return max(so4.residual_norm(x) for x in fermion.fermionic_u2().basis)
 
     def so4_links_number_sectors(self):
-        reg, _, so4 = self.fermions
-        vac = reg.vacuum().vector
-        double = reg.cdag[0] @ reg.cdag[1] @ vac
-        return max(abs(vac.conj() @ (x @ double)) for x in so4.basis) > 0.5
+        # the squared overlaps summed over an orthonormal basis do not depend on the basis
+        c1, c2 = fermion.annihilators(2)
+        vac = QuantumState.basis_state(4, 0).vector
+        double = c1.conj().T @ c2.conj().T @ vac
+        basis = fermion.fermionic_so4().basis
+        return sum(abs(vac.conj() @ (x @ double)) ** 2 for x in basis) > 0.5
 
     # --- box polytope ----------------------------------------------------
     def vertex_census(self):

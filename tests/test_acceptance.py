@@ -111,16 +111,17 @@ def test_criterion_3_bridge_identity():
 
 
 def test_criterion_4_fermionic_suite():
-    reg = fermion.fock_register(2)
+    c = fermion.annihilators(2)
+    cdag = [x.conj().T for x in c]
     eye = np.eye(4)
     for i in range(2):
         for j in range(2):
-            assert np.max(np.abs(reg.c[i] @ reg.c[j] + reg.c[j] @ reg.c[i])) == 0.0
-            assert np.max(np.abs(reg.cdag[i] @ reg.cdag[j] + reg.cdag[j] @ reg.cdag[i])) == 0.0
+            assert np.max(np.abs(c[i] @ c[j] + c[j] @ c[i])) == 0.0
+            assert np.max(np.abs(cdag[i] @ cdag[j] + cdag[j] @ cdag[i])) == 0.0
             want = eye if i == j else 0.0
-            assert np.max(np.abs(reg.cdag[i] @ reg.c[j] + reg.c[j] @ reg.cdag[i] - want)) == 0.0
+            assert np.max(np.abs(cdag[i] @ c[j] + c[j] @ cdag[i] - want)) == 0.0
 
-    fu2 = fermion.fermionic_u2(reg)
+    fu2 = fermion.fermionic_u2()
     maximal = ["fock:m2:00", "fock:m2:01", "fock:m2:10", "fock:m2:11",
                "bell:phi+", "bell:phi-"]
     for name in maximal:
@@ -129,7 +130,7 @@ def test_criterion_4_fermionic_suite():
     for name in ("bell:psi+", "bell:psi-"):
         assert omega_purity(states.builtin_state(name), fu2) == 0.0
 
-    nhat = fermion.number_operator(reg)
+    nhat = fermion.number_operator(2)
     for x in fu2.basis:
         assert np.max(np.abs(x @ nhat - nhat @ x)) == 0.0
     _announce(4, "fermionic-suite")

@@ -144,7 +144,7 @@ CAPPED = [
     ("local_algebra", lambda: catalog.local_algebra(11, 2), OVER_CAP),
     ("ghz", lambda: states.builtin_state("ghz:11"), OVER_CAP),
     ("w", lambda: states.builtin_state("w:11"), OVER_CAP),
-    ("fock_register", lambda: fermion.fock_register(11), OVER_CAP),
+    ("majorana_words", lambda: fermion.majorana_words(11), OVER_CAP),
     ("state-file", lambda: states.state_from_json_dict({"dim": 1025, "amplitudes": None}),
      OVER_CAP),
 ]
@@ -703,7 +703,7 @@ class TestReproduceCommand:
             raise AssertionError("--list must not compute")
 
         monkeypatch.setattr(boxes, "enumerate_vertices", forbidden)
-        monkeypatch.setattr(fermion, "fock_register", forbidden)
+        monkeypatch.setattr(fermion, "annihilators", forbidden)
         code, out, _ = run_cli(capsys, "reproduce", "--table", "paper", "--list")
         assert code == 0 and "boxes/vertex-census" in out.splitlines()
 
