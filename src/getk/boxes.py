@@ -28,6 +28,7 @@ F0 = Fraction(0)
 F1 = Fraction(1)
 
 ENUMERATION_CAP = 6  # max n_inputs * n_outputs per side for vertex enumeration
+SEPARABILITY_CAP = 256  # max product vertices per separability test: (4,2,4,2) takes ~9 s
 NO_EMPTY_SIDE = "need at least one input and one output per side"
 
 
@@ -220,22 +221,18 @@ def _rref(rows):
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     pivots = []
-    r = 0
     for c in range(ncols):
+        r = len(pivots)
         pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        _pivot(m, r, c)
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
+        if pr is not None:
+            m[r], m[pr] = m[pr], m[r]
+            _pivot(m, r, c)
+            pivots.append(c)
     return m, pivots
 
 
 def _rank(rows) -> int:
-    return len(_rref(rows)[1]) if rows else 0
+    return len(_rref(rows)[1])
 
 
 def _integerize(frac_row):
@@ -390,43 +387,24 @@ def relabeling_orbit(state: BoxState) -> list:
 def _phase1_feasible(columns, target) -> bool:
     """Does target = sum_c mu_c columns[c] admit a solution with mu >= 0?
 
-    Phase-1 simplex with Bland's rule over exact rationals; all target
-    entries must be nonnegative (probability tables are).
+    Phase-1 simplex with Bland's rule over exact rationals, one artificial per row;
+    target entries must be nonnegative.  Row m is the reduced-cost row of the artificials'
+    sum, kept current by each pivot; its last entry, minus that sum, ends at 0 iff feasible.
     """
-    m = len(target)
-    n = len(columns)
-    tab = []
-    for r in range(m):
-        row = [columns[c][r] for c in range(n)]
-        row += [F1 if rr == r else F0 for rr in range(m)]
-        row.append(target[r])
-        tab.append(row)
+    m, n = len(target), len(columns)
+    tab = [[col[r] for col in columns] + [F1 if rr == r else F0 for rr in range(m)] + [target[r]]
+           for r in range(m)]
+    tab.append([-sum(col) for col in columns] + [F0] * m + [-sum(target)])
     basis = list(range(n, n + m))
-    total = n + m
-    while True:
-        entering = None
-        for j in range(total):
-            cost = F1 if j >= n else F0
-            red = cost - sum(tab[r][j] for r in range(m) if basis[r] >= n)
-            if red < 0:
-                entering = j
-                break
-        if entering is None:
-            break
-        leave = None
-        best = None
-        for r in range(m):
-            a = tab[r][entering]
-            if a > 0:
-                ratio = tab[r][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
-                    best, leave = ratio, r
-        if leave is None:
+    while (entering := next((j for j, red in enumerate(tab[m][:-1]) if red < 0), None)) is not None:
+        ratios = [(tab[r][-1] / tab[r][entering], basis[r], r)
+                  for r in range(m) if tab[r][entering] > 0]
+        if not ratios:
             raise ArithmeticError("phase-1 simplex became unbounded")
+        leave = min(ratios)[2]  # least ratio, ties to the least basic index (Bland)
         _pivot(tab, leave, entering)
         basis[leave] = entering
-    residual = sum(tab[r][-1] for r in range(m) if basis[r] >= n)
-    return residual == 0
+    return tab[m][-1] == 0
 
 
 def in_convex_hull(state: BoxState, vertices) -> bool:
@@ -439,14 +417,17 @@ def in_convex_hull(state: BoxState, vertices) -> bool:
     vertices = list(vertices)
     if any(v.shape != state.shape for v in vertices):
         raise ValueError("hull vertices must share the state's shape")
-    if not vertices:
-        return False
-    return _phase1_feasible([v.probs for v in vertices], state.probs)
+    return bool(vertices) and _phase1_feasible([v.probs for v in vertices], state.probs)
 
 
 def in_separable_tensor_product(state: BoxState) -> bool:
-    """Exact membership in the hull of product vertices (a vertex lies in it iff it is one)."""
+    """Exact membership in the hull of product vertices (a vertex lies in it iff it is one).
+
+    A shape over 100 entries or ``SEPARABILITY_CAP`` product vertices is refused first."""
     marginals(state)  # separability is asked of no-signalling states only
+    no_signalling_polytope(*state.shape)  # its table-size rule
+    if (count := prod(m ** n for n, m in _boxes(state.shape))) > SEPARABILITY_CAP:
+        raise ValueError(f"separability capped at {SEPARABILITY_CAP} product vertices, got {count}")
     products = [reduce(BoxState.tensor, dets) for dets in itertools.product(
         *(deterministic_boxes(n, m) for n, m in _boxes(state.shape)))]
     return in_convex_hull(state, products)

@@ -24,6 +24,7 @@ from .operators import (
 from .states import parse_number_token
 
 MAX_SITE_DIM = math.isqrt(MAX_DIM)  # 32: the largest site of any two-site space
+MAX_WORD_ENTRIES = 4 * MAX_DIM ** 2  # matrix entries of a Pauli-word space: four 10-letter words
 
 
 @lru_cache(maxsize=None)
@@ -58,6 +59,9 @@ def pauli_string_space(strings, label: str | None = None, *,
     length = len(words[0])
     if any(len(w) != length for w in words):
         raise ValueError("Pauli words must have uniform length")
+    if len(words) * checked_dim(2, length) ** 2 > MAX_WORD_ENTRIES:  # before any matrix
+        raise ValueError(f"{len(words)} Pauli words of length {length} exceed the supported "
+                         f"{MAX_WORD_ENTRIES} matrix entries")
     norm = np.sqrt(2.0 ** length)
     ops = [pauli_string(w) / norm for w in words]
     return ObservableSpace(ops, label or "pauli:" + ",".join(words),

@@ -112,8 +112,7 @@ def orbit_sample(omega: ObservableSpace, reference: QuantumState, angles) -> Qua
     angles = np.asarray(angles, dtype=float).reshape(-1)
     if angles.size != omega.size:
         raise ValueError(f"expected {omega.size} angles, got {angles.size}")
-    h = np.einsum("a,aij->ij", angles, omega.stack) if omega.size else np.zeros((omega.dim, omega.dim))
-    u = exp_i_hermitian(h)
+    u = exp_i_hermitian(np.einsum("a,aij->ij", angles, omega.stack))
     v = u @ reference.vector
     return QuantumState(vector=v / np.linalg.norm(v))
 

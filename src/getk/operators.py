@@ -231,15 +231,14 @@ class ObservableSpace:
     contracted site by site, and a multi-site ``stack`` is built when first read.
     """
 
-    def __init__(self, basis, label: str = "", *, dim: int | None = None,
-                 irreducible_lie: bool = False, max_purity: float | None = None,
-                 sites: int = 1):
+    def __init__(self, basis, label: str = "", *, irreducible_lie: bool = False,
+                 max_purity: float | None = None, sites: int = 1):
         ops = [np.asarray(b, dtype=complex) for b in basis]
-        if not ops and dim is None:
-            raise ValueError("empty basis requires an explicit dim")
-        d = int(dim) if dim is not None else ops[0].shape[0]
+        if not ops:
+            raise ValueError("an observable space needs at least one basis element")
+        d = ops[0].shape[0]
         total = checked_dim(d, int(sites))  # before any stack exists
-        mats = np.stack(ops) if ops else np.zeros((0, d, d), dtype=complex)
+        mats = np.stack(ops)
         mats.setflags(write=False)
         if mats.shape[1:] != (d, d):
             raise DimensionMismatch("basis elements have inconsistent dimensions")
@@ -252,7 +251,7 @@ class ObservableSpace:
         for a in mats:
             assert_hermitian(a)
         rows = _real_rows(mats)
-        dev = np.max(np.abs(rows @ rows.T - np.eye(len(mats))), initial=0.0)
+        dev = np.max(np.abs(rows @ rows.T - np.eye(len(mats))))
         if dev > EQUALITY_TOL:
             raise ValueError(f"basis is not trace-orthonormal (max deviation {dev:.3e})")
         # set last: from here on __setattr__ refuses every assignment
@@ -304,7 +303,7 @@ class ObservableSpace:
             vals = [np.einsum("xiyxjy,aji->a", state._rho.reshape(s * 2), self.site_basis)
                     for s in shapes]
         vals = np.concatenate(vals) * d ** (-(n - 1) / 2)
-        if vals.size and np.max(np.abs(vals.imag)) > EQUALITY_TOL:
+        if np.max(np.abs(vals.imag)) > EQUALITY_TOL:
             raise ValueError("expectation vector has a large imaginary part")
         return vals.real
 
@@ -403,40 +402,6 @@ def bracket(x, y) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
     return 1.0j * (x @ y - y @ x)
-
-
-def commutant_basis(generators, dim: int | None = None) -> ObservableSpace:
-    """Trace-orthonormal basis of the traceless Hermitian commutant.
-
-    Solves the linear system [X, g] = 0 for every generator g over the full
-    traceless Hermitian operator basis.  With no generators the whole
-    traceless space (dimension d**2 - 1) is returned.  The result may be the
-    zero-dimensional space.
-    """
-    gens = [assert_hermitian(g) for g in generators]
-    if gens:
-        d = gens[0].shape[0]
-        if any(g.shape[0] != d for g in gens):
-            raise DimensionMismatch("generators have inconsistent dimensions")
-        if dim is not None and dim != d:
-            raise DimensionMismatch("dim does not match the generators")
-    elif dim is None:
-        raise ValueError("commutant of an empty set requires an explicit dim")
-    else:
-        d = int(dim)
-    full = gell_mann_basis(d)
-    if not gens:
-        return ObservableSpace(full, dim=d, irreducible_lie=True, max_purity=1.0 - 1.0 / d)
-    full_stack = np.stack(full)
-    rows = _real_rows(full_stack)
-    # block g holds Re Tr(X_a i[X_b, g]) for every pair of basis elements
-    system = np.vstack([rows @ _real_rows(1j * (full_stack @ g - g @ full_stack)).T for g in gens])
-    _, svals, vt = np.linalg.svd(system)
-    n_basis = len(full)
-    null_rows = [vt[i] for i in range(n_basis) if i >= len(svals) or svals[i] < INDEPENDENCE_TOL]
-    ops = [np.einsum("a,aij->ij", c, full_stack) for c in null_rows]
-    ops = [0.5 * (o + o.conj().T) for o in ops]  # scrub roundoff asymmetry
-    return ObservableSpace(ops, dim=d)
 
 
 def lie_closure(generators) -> ObservableSpace:

@@ -180,8 +180,6 @@ def expectations_indistinguishable(s1: QuantumState, s2: QuantumState,
     """True when no basis observable of omega separates the two states."""
     e1 = omega.expectation_vector(s1)
     e2 = omega.expectation_vector(s2)
-    if e1.size == 0:
-        return True
     return bool(np.max(np.abs(e1 - e2)) < EQUALITY_TOL)
 
 

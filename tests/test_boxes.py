@@ -4,7 +4,7 @@ import json
 import pickle
 import random
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -720,6 +720,25 @@ class TestSeparability:
         mix = tuple(sum(v.probs[r] for v in verts[:4]) / 4 for r in range(16))
         assert in_separable_tensor_product(BoxState(shape=(2, 2, 2, 2), probs=mix))
 
+    def test_product_vertex_cap_checked_before_any_product(self, monkeypatch):
+        # (4,2,4,2) has 256 product vertices, the cap; (4,2,5,2) has 512
+        def no_products(*args):
+            raise LookupError("product tables built")
+
+        def uniform(shape):
+            return BoxState(shape, [F(1, shape[1] * shape[3])] * prod(shape))
+
+        monkeypatch.setattr(boxes, "deterministic_boxes", no_products)
+        for shape in [(4, 2, 4, 2), (2, 4, 2, 4), (1, 2, 7, 2)]:
+            with pytest.raises(LookupError):
+                in_separable_tensor_product(uniform(shape))
+        with pytest.raises(ValueError, match="capped at 256 product vertices, got 512"):
+            in_separable_tensor_product(uniform((4, 2, 5, 2)))
+        with pytest.raises(SignallingError):  # signalling is still reported first
+            in_separable_tensor_product(BoxState((5, 2, 5, 2), [  # Bob's outcome is k mod 2
+                HALF if j == k % 2 else F(0)
+                for k, i, l, j in itertools.product(range(5), range(2), range(5), range(2))]))
+
     def test_uniform_mixture_of_entangled_vertices_recorded(self):
         # no reference value exists; the exact LP decides (it is the uniform
         # table, a product of uniform marginals, hence separable)
@@ -779,6 +798,97 @@ class TestGeneralizedUnentangledBox:
         # a vertex lies in the hull of the product vertices only as one of them
         for v in vertices_of(shape):
             assert in_separable_tensor_product(v) is (vertex_class(v) is VertexClass.PRODUCT)
+
+
+def phase1_oracle(columns, target) -> bool:
+    """The phase-1 simplex that recomputes every reduced cost before each pivot.
+
+    Bland's rule over exact rationals, one artificial per row; it pivots
+    through ``boxes._pivot``, so a recorder patched there sees its steps.
+    """
+    m = len(target)
+    n = len(columns)
+    tab = []
+    for r in range(m):
+        row = [columns[c][r] for c in range(n)]
+        row += [F(1) if rr == r else F(0) for rr in range(m)]
+        row.append(target[r])
+        tab.append(row)
+    basis = list(range(n, n + m))
+    total = n + m
+    while True:
+        entering = None
+        for j in range(total):
+            cost = F(1) if j >= n else F(0)
+            red = cost - sum(tab[r][j] for r in range(m) if basis[r] >= n)
+            if red < 0:
+                entering = j
+                break
+        if entering is None:
+            break
+        leave = None
+        best = None
+        for r in range(m):
+            a = tab[r][entering]
+            if a > 0:
+                ratio = tab[r][-1] / a
+                if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
+                    best, leave = ratio, r
+        if leave is None:
+            raise ArithmeticError("phase-1 simplex became unbounded")
+        boxes._pivot(tab, leave, entering)
+        basis[leave] = entering
+    residual = sum(tab[r][-1] for r in range(m) if basis[r] >= n)
+    return residual == 0
+
+
+def product_columns(shape):
+    """The probability tables of every deterministic product box of a two-box shape."""
+    na, ma, nb, mb = shape
+    return [a.tensor(b).probs for a in deterministic_boxes(na, ma)
+            for b in deterministic_boxes(nb, mb)]
+
+
+class TestPhase1OracleSimplex:
+    """The simplex with its cost row in the tableau pivots exactly as the oracle does."""
+
+    @staticmethod
+    def solve_recorded(solver, columns, target, monkeypatch):
+        pivots = []
+        real = boxes._pivot
+
+        def recorder(rows, r, c):
+            pivots.append((r, c))
+            real(rows, r, c)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(boxes, "_pivot", recorder)
+            return solver(columns, target), pivots
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2, 2), (2, 2, 3, 2), (2, 2, 2, 3)])
+    def test_same_verdicts_and_pivots(self, shape, monkeypatch):
+        rng = random.Random(2003)
+        columns = product_columns(shape)
+        tables = vertices_of(shape) + [rational_mixture(shape, rng) for _ in range(20)]
+        verdicts = set()
+        for table in tables:
+            new = self.solve_recorded(boxes._phase1_feasible, columns, table.probs, monkeypatch)
+            old = self.solve_recorded(phase1_oracle, columns, table.probs, monkeypatch)
+            assert new == old
+            assert new[1]  # at least one pivot
+            verdicts.add(new[0])
+        assert verdicts == {True, False}
+
+    def test_same_pivots_on_hulls_of_all_vertices(self, monkeypatch):
+        # columns that are not product tables: the full vertex list, one vertex left out
+        verts = square_pair()
+        for k in (0, 5, len(verts) - 1):
+            columns = [v.probs for v in verts[:k] + verts[k + 1:]]
+            new = self.solve_recorded(boxes._phase1_feasible, columns, verts[k].probs,
+                                      monkeypatch)
+            assert new == self.solve_recorded(phase1_oracle, columns, verts[k].probs,
+                                              monkeypatch)
+            assert new[0] is False
 
 
 def with_labelling_box(two_box_probs, position):

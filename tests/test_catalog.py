@@ -1,3 +1,4 @@
+import itertools
 import re
 import time
 from fractions import Fraction
@@ -40,7 +41,7 @@ ALL_SPACES = [
 def test_catalog_spaces_are_valid(factory):
     space = factory()
     # the constructor re-validates orthonormality and hermiticity
-    ObservableSpace(space.basis, dim=space.dim)
+    ObservableSpace(space.basis)
     assert space.traceless
 
 
@@ -236,6 +237,20 @@ class TestPauliStringSpace:
             catalog.pauli_string_space(["XQ"])
         with pytest.raises(ValueError):
             catalog.pauli_string_space(["XX", "X"])
+
+    def test_word_count_bounded_before_any_matrix(self, monkeypatch):
+        # four 10-letter words fill the bound; one more is refused before pauli_string runs
+        def no_matrix(word):
+            raise LookupError(f"matrix built for {word}")
+
+        monkeypatch.setattr(catalog, "pauli_string", no_matrix)
+        words = ["".join(w) for w in itertools.product("XYZ", repeat=10)]
+        assert len(words[:4]) * 4 ** 10 == catalog.MAX_WORD_ENTRIES
+        with pytest.raises(LookupError):
+            catalog.pauli_string_space(words[:4])
+        for count in (5, 64):
+            with pytest.raises(ValueError, match=f"^{count} Pauli words of length 10 exceed"):
+                catalog.pauli_string_space(words[:count])
 
     def test_omega4_census(self):
         # 9 two-body strings per pair, three pairs

@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -60,6 +61,28 @@ def test_the_size_rule_lives_in_checked_dim():
     # one size rule: every register dimension is formed by operators.checked_dim
     owners = [o for path in sorted(PACKAGE.glob("*.py")) for o in _bit_length_owners(path)]
     assert owners == ["operators.checked_dim"]
+
+
+def test_every_public_function_has_a_reader():
+    # a public module-level function is referenced somewhere in src/ (a name, an
+    # attribute or an import) or documented in README; anything else is dead code
+    readme = (PACKAGE.parents[1] / "README.md").read_text()
+    defined, referenced = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined += [f"{path.stem}.{node.name}" for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not node.name.startswith("_")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    unread = [name for name in defined if name.split(".")[1] not in referenced
+              and not re.search(rf"\b{name.split('.')[1]}\b", readme)]
+    assert unread == []
 
 
 @pytest.mark.parametrize("module", ["getk", "getk.boxes", "getk.cli"])

@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import io
+import itertools
 import json
 import os
 import re
@@ -394,6 +395,22 @@ class TestPurityCommand:
                                  "--algebra", f"custom:{path}", "--rescale", "0.5")
         assert code == 2 and out == "" and f"supported {catalog.MAX_DIM}" in err
 
+    def test_many_long_custom_words_exit_2_before_building(self, capsys, tmp_path,
+                                                           monkeypatch):
+        # 64 ten-letter words would be about 2.5 GB of dense matrices
+        def no_matrix(word):
+            raise LookupError(f"matrix built for {word}")
+
+        monkeypatch.setattr(catalog, "pauli_string", no_matrix)
+        path = tmp_path / "many.txt"
+        path.write_text("".join(f"{''.join(w)}\n" for w in
+                                itertools.islice(itertools.product("XYZ", repeat=10), 64)))
+        code, out, err = run_cli(capsys, "purity", "--state", "ghz:10",
+                                 "--algebra", f"custom:{path}", "--rescale", "0.5")
+        assert code == 2 and out == ""
+        assert err == ("error: algebra: 64 Pauli words of length 10 exceed the supported "
+                       f"{catalog.MAX_WORD_ENTRIES} matrix entries\n")
+
     def test_dimension_mismatch_before_numerical_reference(self, capsys, tmp_path, monkeypatch):
         # the seeded optimizer once ran to completion on a state it could not be applied to
         calls = []
@@ -568,6 +585,26 @@ class TestBoxesCommands:
         code, out, _ = run_cli(capsys, "boxes", "separable", "--state",
                                self.entangled_file(tmp_path))
         assert code == 0 and "separable=false" in out
+
+    @pytest.mark.parametrize("n_inputs, message", [
+        ([5, 5], "separability capped at 256 product vertices, got 1024"),
+        ([24, 1], "separability capped at 256 product vertices, got 33554432"),
+        ([8, 8], "table size 256 too large"),
+        ([10, 10], "table size 400 too large"),
+    ], ids=["5,2,5,2", "24,2,1,2", "8,2,8,2", "10,2,10,2"])
+    def test_separable_over_cap_exit_2_before_any_product(self, capsys, tmp_path, monkeypatch,
+                                                          n_inputs, message):
+        # uniform tables, valid and no-signalling; the parent built every product first
+        def no_products(*args):
+            raise LookupError("product tables built")
+
+        monkeypatch.setattr(boxes, "deterministic_boxes", no_products)
+        entries = 4 * n_inputs[0] * n_inputs[1]
+        path = tmp_path / "uniform.json"
+        path.write_text(json.dumps({"n_inputs": n_inputs, "n_outputs": [2, 2],
+                                    "p": [[1, 4]] * entries}))
+        code, out, err = run_cli(capsys, "boxes", "separable", "--state", str(path))
+        assert code == 2 and out == "" and err == f"error: {message}\n"
 
     def test_orbit(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "boxes", "orbit", "--state",
