@@ -13,18 +13,10 @@ from functools import lru_cache
 import numpy as np
 
 from . import coherent, fermion
-from .operators import (
-    MAX_DIM,
-    PAULI,
-    ObservableSpace,
-    checked_dim,
-    gell_mann_basis,
-    pauli_string,
-)
+from .operators import MAX_DIM, ObservableSpace, checked_dim, gell_mann_basis, pauli_string
 from .states import parse_number_token
 
 MAX_SITE_DIM = math.isqrt(MAX_DIM)  # 32: the largest site of any two-site space
-MAX_WORD_ENTRIES = 4 * MAX_DIM ** 2  # matrix entries of a Pauli-word space: four 10-letter words
 
 
 @lru_cache(maxsize=None)
@@ -45,29 +37,6 @@ def local_algebra(n: int, d0: int, label: str | None = None) -> ObservableSpace:
                            irreducible_lie=True, max_purity=max_purity)
 
 
-def pauli_string_space(strings, label: str | None = None, *,
-                       irreducible_lie: bool = False,
-                       max_purity: float | None = None) -> ObservableSpace:
-    """Span of normalized Pauli strings P / sqrt(2^n), one per distinct word."""
-    words = []
-    for w in strings:
-        w = str(w).upper()
-        if w not in words:
-            words.append(w)
-    if not words:
-        raise ValueError("need at least one Pauli word")
-    length = len(words[0])
-    if any(len(w) != length for w in words):
-        raise ValueError("Pauli words must have uniform length")
-    if len(words) * checked_dim(2, length) ** 2 > MAX_WORD_ENTRIES:  # before any matrix
-        raise ValueError(f"{len(words)} Pauli words of length {length} exceed the supported "
-                         f"{MAX_WORD_ENTRIES} matrix entries")
-    norm = np.sqrt(2.0 ** length)
-    ops = [pauli_string(w) / norm for w in words]
-    return ObservableSpace(ops, label or "pauli:" + ",".join(words),
-                           irreducible_lie=irreducible_lie, max_purity=max_purity)
-
-
 def _two_body_words(pairs, n: int = 3) -> list[str]:
     words = []
     for (p, q) in pairs:
@@ -84,7 +53,7 @@ def omega_prime_loc() -> ObservableSpace:
 
     Not closed under the bracket; purity relative to it is still defined.
     """
-    return pauli_string_space(["XX", "ZZ", "XY", "YZ"], label="omega-prime-loc")
+    return ObservableSpace(["XX", "ZZ", "XY", "YZ"], "omega-prime-loc")
 
 
 @lru_cache(maxsize=None)
@@ -96,14 +65,9 @@ def z_conserving_u2() -> ObservableSpace:
     elements are trace-orthonormal as written; sigma_z x sigma_z is
     deliberately absent from the span.
     """
-    s = {k: v / 2.0 for k, v in PAULI.items() if k != "I"}
-    eye = np.eye(2, dtype=complex)
-    ops = [
-        np.kron(s["Z"], eye),
-        np.kron(eye, s["Z"]),
-        np.sqrt(2.0) * (np.kron(s["X"], s["X"]) + np.kron(s["Y"], s["Y"])),
-        np.sqrt(2.0) * (np.kron(s["X"], s["Y"]) - np.kron(s["Y"], s["X"])),
-    ]
+    ops = [pauli_string("ZI") / 2, pauli_string("IZ") / 2,
+           np.sqrt(2.0) * (pauli_string("XX") + pauli_string("YY")) / 4,
+           np.sqrt(2.0) * (pauli_string("XY") - pauli_string("YX")) / 4]
     return ObservableSpace(ops, "u2")
 
 
@@ -122,8 +86,7 @@ def bilocal_pair_algebra() -> ObservableSpace:
     """
     words = _two_body_words([(0, 1)]) + ["XII", "YII", "ZII", "IXI", "IYI", "IZI"]
     words += ["IIX", "IIY", "IIZ"]
-    return pauli_string_space(words, label="omega2-literal", irreducible_lie=True,
-                              max_purity=0.5)
+    return ObservableSpace(words, "omega2-literal", max_purity=0.5)
 
 
 @lru_cache(maxsize=None)
@@ -135,19 +98,19 @@ def first_pair_algebra() -> ObservableSpace:
     the published reference values for the bi-local observer.
     """
     words = _two_body_words([(0, 1)]) + ["XII", "YII", "ZII", "IXI", "IYI", "IZI"]
-    return pauli_string_space(words, label="omega2-paper-values", max_purity=3.0 / 8.0)
+    return ObservableSpace(words, "omega2-paper-values", max_purity=3.0 / 8.0)
 
 
 @lru_cache(maxsize=None)
 def omega3() -> ObservableSpace:
     """Nearest-neighbor two-body couplings on a three-qubit line (18 strings)."""
-    return pauli_string_space(_two_body_words([(0, 1), (1, 2)]), label="omega3")
+    return ObservableSpace(_two_body_words([(0, 1), (1, 2)]), "omega3")
 
 
 @lru_cache(maxsize=None)
 def omega4() -> ObservableSpace:
     """All two-body couplings on a three-qubit triangle (27 strings)."""
-    return pauli_string_space(_two_body_words([(0, 1), (1, 2), (0, 2)]), label="omega4")
+    return ObservableSpace(_two_body_words([(0, 1), (1, 2), (0, 2)]), "omega4")
 
 
 def _norm_j(j: float) -> str:
@@ -233,5 +196,5 @@ def named_algebra(name: str) -> ObservableSpace:
         path = name.split(":", 1)[1]
         with open(path, "r", encoding="utf-8") as fh:
             words = [line.strip() for line in fh if line.strip() and not line.startswith("#")]
-        return pauli_string_space(words, label=f"custom:{path}")
+        return ObservableSpace(words, f"custom:{path}")
     raise ValueError(f"unknown algebra name {name!r}")

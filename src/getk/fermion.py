@@ -4,18 +4,17 @@ Mode j's two Majorana operators are the words I..I X Z..Z and I..I Y Z..Z,
 with mode 1 as the last letter (the least significant bit, so the vacuum is
 the index-0 basis vector) and the Z string over the lower-indexed modes.
 Every quadratic term i gamma_a gamma_b is then +-1 times one word, so the
-so(2m) of m modes is a set of words; dense matrices are built only for the
-mode operators and the two-mode algebras.  All entries are in {0, +-1}
-(or +-1/2), so the canonical anticommutation relations hold exactly.
+so(2m) of m modes is a set of words, and ``so4-fermi`` a word space; only the
+mode operators and u(2) are dense.  All entries are in {0, +-1} (or +-1/2),
+so the canonical anticommutation relations hold exactly.
 """
 
 from functools import lru_cache
 
 import numpy as np
 
-from .operators import ObservableSpace, QuantumState, checked_dim, pauli_string
-
-_LETTERS = "IXZY"  # index = x bit + 2 * z bit, so the product of two letters is the XOR
+from .operators import (ObservableSpace, QuantumState, checked_dim, pauli_masks, pauli_string,
+                        pauli_word)
 
 
 def majorana_words(m: int) -> list[str]:
@@ -26,9 +25,9 @@ def majorana_words(m: int) -> list[str]:
 
 def quadratic_words(m: int) -> list[str]:
     """The word of gamma_a gamma_b, up to phase, for each pair a < b: so(2m)."""
-    gammas = majorana_words(m)
-    return ["".join(_LETTERS[_LETTERS.index(x) ^ _LETTERS.index(y)] for x, y in zip(a, b))
-            for i, a in enumerate(gammas) for b in gammas[i + 1:]]
+    gammas = [pauli_masks(w) for w in majorana_words(m)]
+    return [pauli_word(x ^ u, z ^ v, m)
+            for i, (x, z) in enumerate(gammas) for u, v in gammas[i + 1:]]
 
 
 def annihilators(m: int) -> list[np.ndarray]:
@@ -70,7 +69,7 @@ def fermionic_so4() -> ObservableSpace:
     pairing terms link states of different fermion number; the span is closed
     under the bracket and contains the u(2) span.
     """
-    return ObservableSpace([pauli_string(w) / 2 for w in quadratic_words(2)], "so4-fermi")
+    return ObservableSpace(quadratic_words(2), "so4-fermi")
 
 
 def jw_state_dictionary(label: str) -> QuantumState:

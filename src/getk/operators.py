@@ -1,12 +1,15 @@
-"""Dense complex linear algebra for finite-dimensional quantum systems.
+"""Dense complex linear algebra for finite-dimensional quantum systems, and Pauli words.
 
 Operators are plain numpy arrays of shape (d, d) and dtype complex; states
 are wrapped in :class:`QuantumState` so pure vectors and density matrices
-share one interface.  Real-linear spaces of Hermitian observables live in
-:class:`ObservableSpace`: N >= 1 sites of one trace-orthonormal basis, where
-a dense space is the one-site case.  Every register dimension (Pauli words,
-sites, qubits, fermionic modes, state files) is formed by :func:`checked_dim`
-against ``MAX_DIM``; a spin's 2J + 1 is a float, checked in ``coherent``.
+share one interface.  A Pauli word (a string over I, X, Y, Z, first letter
+the most significant qubit) is its symplectic (x, z) bit masks, X^x Z^z times
+i^|x & z| (:func:`pauli_masks`).  Real-linear spaces of Hermitian observables
+live in :class:`ObservableSpace`: N >= 1 sites of one trace-orthonormal basis
+(a dense space is the one-site case), or a set of Pauli words.  Every register
+dimension (Pauli words, sites, qubits, fermionic modes, state files) is formed
+by :func:`checked_dim` against ``MAX_DIM``; a spin's 2J + 1 is a float, checked
+in ``coherent``.
 """
 
 from functools import cached_property, lru_cache
@@ -14,19 +17,13 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 MAX_DIM = 1024  # largest Hilbert-space dimension a state or an algebra may allocate
+MAX_ENTRIES = 4 * MAX_DIM ** 2  # of a word space: size x dim when read, size x dim^2 in its stack
 
 # Fixed numerical policy: dimensions stay small (<= MAX_DIM), so double
 # precision leaves several orders of headroom around these cutoffs.
 HERMITICITY_TOL = 1e-12
 INDEPENDENCE_TOL = 1e-9
 EQUALITY_TOL = 1e-10
-
-PAULI = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
 
 
 class DimensionMismatch(ValueError):
@@ -90,13 +87,69 @@ def kron_all(factors) -> np.ndarray:
     return out
 
 
+_LETTERS = "IXZY"  # index = x bit + 2 * z bit, so the product of two letters is the XOR
+
+
+def pauli_masks(word: str) -> tuple[int, int]:
+    """The (x, z) bit masks of a word over I, X, Y, Z (either case), first letter highest."""
+    if not word or set(word.upper()) - set(_LETTERS):
+        raise ValueError(f"malformed Pauli word {word!r}")
+    x = z = 0
+    for k in map(_LETTERS.index, word.upper()):
+        x, z = 2 * x + (k & 1), 2 * z + (k >> 1)
+    return x, z
+
+
+def pauli_word(x: int, z: int, length: int) -> str:
+    """The word of ``length`` letters with masks (x, z): the inverse of :func:`pauli_masks`."""
+    return "".join(_LETTERS[(x >> k & 1) + 2 * (z >> k & 1)] for k in reversed(range(length)))
+
+
+def _parity_signs(dim: int) -> np.ndarray:
+    """(-1)^|i| for i < dim (a power of two): the Kronecker product of (1, -1) factors."""
+    signs = np.ones(1)
+    while signs.size < dim:
+        signs = np.concatenate([signs, -signs])
+    return signs
+
+
+def _word_matrices(masks, dim: int, norm: float = 1.0) -> np.ndarray:
+    """Column i of word (x, z) holds i^|x & z| (-1)^|i & z| / norm in row i ^ x."""
+    idx, signs = np.arange(dim), _parity_signs(dim)
+    out = np.zeros((len(masks), dim, dim), dtype=complex)
+    for m, (x, z) in zip(out, masks):
+        m[idx ^ x, idx] = 1j ** bin(x & z).count("1") * signs[idx & z] / norm
+    return out
+
+
 def pauli_string(word: str) -> np.ndarray:
     """Tensor product of single-qubit Paulis named by a word over I, X, Y, Z."""
-    bad = set(word.upper()) - set("IXYZ")
-    if not word or bad:
-        raise ValueError(f"malformed Pauli word {word!r}")
-    checked_dim(2, len(word))  # before any kron
-    return kron_all([PAULI[c] for c in word.upper()])
+    return _word_matrices([pauli_masks(word)], checked_dim(2, len(word)))[0]
+
+
+def _decide_lie(masks, dim: int) -> bool:
+    """Whether the real span of the words is a Lie algebra represented irreducibly: exact.
+
+    Irreducible (Schur) when the masks span GF(2)^(2L), so only the identity commutes
+    with every word; closed when each anticommuting pair's XOR word is in the set,
+    since i[P, Q] is then +-2 times that word.
+    """
+    xs, zs = masks[:, 0], masks[:, 1]
+    rows, rank, bit = xs * dim + zs, 0, 1
+    while bit < dim * dim:  # Gaussian elimination over GF(2), one bit at a time
+        has = rows & bit != 0
+        if has.any():
+            rows, rank = np.where(has, rows ^ rows[has.argmax()], rows), rank + 1
+        bit *= 2
+    if 2 ** rank < dim * dim:
+        return False
+    odd, present = _parity_signs(dim) < 0, np.zeros(dim * dim, dtype=bool)
+    present[xs * dim + zs] = True
+    for x, z in masks:  # the words anticommuting with (x, z): an odd symplectic product
+        anti = odd[x & zs] != odd[z & xs]
+        if not present[(x ^ xs[anti]) * dim + (z ^ zs[anti])].all():
+            return False
+    return True
 
 
 class QuantumState:
@@ -222,31 +275,51 @@ class ObservableSpace:
     is immutable once built: the catalog hands the same instance to every
     caller.
 
-    Every space is ``sites`` copies of one site: ``basis`` is a trace-orthonormal
+    A space of sites is ``sites`` copies of one: ``basis`` is a trace-orthonormal
     basis on C^D, and the space holds each x on each site, times 1/sqrt(D) on
     the other sites, so dim = D**sites (at most MAX_DIM) and size = len(basis) *
     sites.  A dense space is the one-site case.  With more than one site the
     site basis must be traceless (traceless elements on different sites are
     then orthogonal).  Only the D x D basis is validated, expectations are
     contracted site by site, and a multi-site ``stack`` is built when first read.
+
+    A word space is given Pauli words of one length L (case and duplicates
+    collapse), each normalized as P / sqrt(2^L), and keeps their (x, z) ``masks``:
+    distinct words are orthonormal, an expectation costs O(dim) per word,
+    ``irreducible_lie`` is decided, not declared, and ``stack`` (``site_basis``,
+    its one site) is built when first read.  Size x dim, and size x dim^2 for
+    the stack, are checked against MAX_ENTRIES first.
     """
 
     def __init__(self, basis, label: str = "", *, irreducible_lie: bool = False,
                  max_purity: float | None = None, sites: int = 1):
-        ops = [np.asarray(b, dtype=complex) for b in basis]
-        if not ops:
+        basis = list(basis)
+        if not basis:
             raise ValueError("an observable space needs at least one basis element")
+        self.label = label
+        self.max_purity = None if max_purity is None else float(max_purity)
+        if isinstance(basis[0], str):
+            words = list(dict.fromkeys(w.upper() for w in basis))
+            if any(len(w) != len(words[0]) for w in words):
+                raise ValueError("Pauli words must have uniform length")
+            self.sites, self.dim, self.size = 1, checked_dim(2, len(words[0])), len(words)
+            if self.size * self.dim > MAX_ENTRIES:  # before any mask array
+                raise ValueError(f"{self.size} Pauli words of length {len(words[0])} exceed "
+                                 f"the supported {MAX_ENTRIES} words x dimension")
+            self.masks = np.array([pauli_masks(w) for w in words])
+            self.masks.setflags(write=False)
+            self.irreducible_lie = _decide_lie(self.masks, self.dim)
+            self.traceless = bool(self.masks.any(axis=1).all())  # set last: now immutable
+            return
+        self.masks, self.sites = None, int(sites)
+        ops = [np.asarray(b, dtype=complex) for b in basis]
         d = ops[0].shape[0]
-        total = checked_dim(d, int(sites))  # before any stack exists
+        self.dim, self.size = checked_dim(d, self.sites), len(ops) * self.sites  # before any stack
         mats = np.stack(ops)
         mats.setflags(write=False)
         if mats.shape[1:] != (d, d):
             raise DimensionMismatch("basis elements have inconsistent dimensions")
-        self.label = label
         self.irreducible_lie = bool(irreducible_lie)
-        self.max_purity = None if max_purity is None else float(max_purity)
-        self.sites = int(sites)
-        self.dim, self.size = total, len(mats) * self.sites
         self.site_basis = mats
         for a in mats:
             assert_hermitian(a)
@@ -267,16 +340,26 @@ class ObservableSpace:
     def __delattr__(self, name):
         raise AttributeError(f"ObservableSpace is immutable; cannot delete {name!r}")
 
+    @cached_property  # a word space's, when first read; a space of sites sets it in __init__
+    def site_basis(self) -> np.ndarray:
+        return self.stack
+
     @cached_property  # writes the instance __dict__ directly, past __setattr__
     def stack(self) -> np.ndarray:
         """The dense (size, dim, dim) basis: the site basis itself on one site, else
-        built from Kronecker products when first read."""
-        if self.sites == 1:
+        built from the words' masks or from Kronecker products when first read."""
+        if self.masks is not None:
+            if self.size * self.dim ** 2 > MAX_ENTRIES:
+                raise ValueError(f"the stack of {self.size} Pauli words of dimension {self.dim} "
+                                 f"exceeds the supported {MAX_ENTRIES} matrix entries")
+            stack = _word_matrices(self.masks, self.dim, np.sqrt(self.dim))
+        elif self.sites == 1:
             return self.site_basis
-        d = self.site_basis.shape[1]
-        factors = [np.eye(d, dtype=complex) / np.sqrt(d)] * self.sites
-        stack = np.stack([kron_all(factors[:pos] + [x] + factors[pos + 1:])
-                          for pos in range(self.sites) for x in self.site_basis])
+        else:
+            d = self.site_basis.shape[1]
+            factors = [np.eye(d, dtype=complex) / np.sqrt(d)] * self.sites
+            stack = np.stack([kron_all(factors[:pos] + [x] + factors[pos + 1:])
+                              for pos in range(self.sites) for x in self.site_basis])
         stack.setflags(write=False)
         return stack
 
@@ -287,22 +370,31 @@ class ObservableSpace:
     def expectation_vector(self, state: QuantumState) -> np.ndarray:
         """Vector of expectation values of the basis elements in ``state``.
 
-        Site l's block is Tr(rho (1 (x) x (x) 1)) D^(-(n-1)/2) with x on site l,
-        contracted on the state reshaped as (left, site, right); on one site it
-        is Tr(rho x).
+        Word (x, z) gives i^|x & z| sum_i conj(psi[i ^ x]) (-1)^|i & z| psi[i] / sqrt(dim),
+        with rho[i, i ^ x] for conj(psi[i ^ x]) psi[i] on a density matrix.  Site l's
+        block is Tr(rho (1 (x) x (x) 1)) D^(-(n-1)/2) with x on site l, contracted on
+        the state reshaped as (left, site, right); on one site it is Tr(rho x).
         """
         if state.dim != self.dim:
             raise DimensionMismatch(f"dimension mismatch: state {state.dim} vs space {self.dim}")
-        n, d = self.sites, self.site_basis.shape[1]
-        shapes = [(d ** pos, d, d ** (n - pos - 1)) for pos in range(n)]
-        # einsum, not a BLAS product: the sums stay exactly zero where they cancel
-        if state.is_pure:
-            vs = [state._vector.reshape(shape) for shape in shapes]
-            vals = [np.einsum("xiy,aij,xjy->a", v.conj(), self.site_basis, v) for v in vs]
+        if self.masks is not None:
+            idx, signs, v = np.arange(self.dim), _parity_signs(self.dim), state._vector
+            vals = np.empty(self.size, dtype=complex)
+            for a, (x, z) in enumerate(self.masks):
+                pairs = v[idx ^ x].conj() * v if state.is_pure else state._rho[idx, idx ^ x]
+                vals[a] = 1j ** bin(x & z).count("1") * np.sum(pairs * signs[idx & z])
+            vals /= np.sqrt(self.dim)
         else:
-            vals = [np.einsum("xiyxjy,aji->a", state._rho.reshape(s * 2), self.site_basis)
-                    for s in shapes]
-        vals = np.concatenate(vals) * d ** (-(n - 1) / 2)
+            n, d = self.sites, self.site_basis.shape[1]
+            shapes = [(d ** pos, d, d ** (n - pos - 1)) for pos in range(n)]
+            # einsum, not a BLAS product: the sums stay exactly zero where they cancel
+            if state.is_pure:
+                vs = [state._vector.reshape(shape) for shape in shapes]
+                vals = [np.einsum("xiy,aij,xjy->a", v.conj(), self.site_basis, v) for v in vs]
+            else:
+                vals = [np.einsum("xiyxjy,aji->a", state._rho.reshape(s * 2), self.site_basis)
+                        for s in shapes]
+            vals = np.concatenate(vals) * d ** (-(n - 1) / 2)
         if np.max(np.abs(vals.imag)) > EQUALITY_TOL:
             raise ValueError("expectation vector has a large imaginary part")
         return vals.real
@@ -331,6 +423,10 @@ class ObservableSpace:
         """Project out the identity component and re-orthonormalize; built once per space."""
         if self.traceless:
             return self
+        if self.masks is not None and self.size > 1:  # drop the identity word
+            length = round(np.log2(self.dim))
+            return ObservableSpace([pauli_word(x, z, length) for x, z in self.masks if x or z],
+                                   label=self.label + "-traceless")
         eye = np.eye(self.dim)
         shifted = [a - (np.trace(a) / self.dim) * eye for a in self.basis]
         if all(np.linalg.norm(a) < INDEPENDENCE_TOL for a in shifted):

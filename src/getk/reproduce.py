@@ -15,14 +15,7 @@ from typing import Callable
 import numpy as np
 
 from . import boxes, catalog, coherent, fermion, states
-from .operators import (
-    PAULI,
-    QuantumState,
-    kron_all,
-    lie_closure,
-    orthonormalize,
-    partial_trace,
-)
+from .operators import QuantumState, kron_all, lie_closure, orthonormalize, partial_trace, pauli_string
 from .purity import (
     expectations_indistinguishable,
     invariant_uncertainty,
@@ -91,8 +84,7 @@ def omega2_discrepancy_report() -> str:
 
 
 def _sz_operator() -> np.ndarray:
-    eye = np.eye(2, dtype=complex)
-    return 0.5 * (np.kron(PAULI["Z"], eye) + np.kron(eye, PAULI["Z"]))
+    return 0.5 * (pauli_string("ZI") + pauli_string("IZ"))
 
 
 def _even_mixture(i, j) -> QuantumState:
@@ -128,7 +120,7 @@ class _Run:
         return max(_max_abs(x @ sz - sz @ x) for x in catalog.z_conserving_u2().basis)
 
     def u2_excludes_zz(self):
-        zz = np.kron(PAULI["Z"], PAULI["Z"]) / 2.0
+        zz = pauli_string("ZZ") / 2.0
         return catalog.z_conserving_u2().residual_norm(zz) > 0.9
 
     def u2_reorthonormalized_change(self):

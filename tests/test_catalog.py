@@ -6,9 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from getk import catalog, coherent, states
+from getk import catalog, coherent, operators, states
 from getk.operators import (
-    PAULI,
     ObservableSpace,
     expectation,
     lie_closure,
@@ -17,7 +16,7 @@ from getk.operators import (
 from getk.purity import is_generalized_unentangled, rescaled_purity
 from random_states import random_density_state, random_pure_state
 
-SX, SY, SZ, ID = PAULI["X"], PAULI["Y"], PAULI["Z"], PAULI["I"]
+SX, SY, SZ, ID = map(pauli_string, "XYZI")
 
 
 ALL_SPACES = [
@@ -225,32 +224,43 @@ class TestPauliStringSpace:
         assert closure.size > 4
 
     def test_duplicates_collapse(self):
-        space = catalog.pauli_string_space(["XX", "xx", "ZZ"])
+        space = ObservableSpace(["XX", "xx", "ZZ"])
         assert space.size == 2
 
     def test_distinct_count(self):
-        space = catalog.pauli_string_space(["XI", "IY", "ZZ"])
+        space = ObservableSpace(["XI", "IY", "ZZ"])
         assert space.size == 3
 
     def test_malformed_word(self):
         with pytest.raises(ValueError):
-            catalog.pauli_string_space(["XQ"])
+            ObservableSpace(["XQ"])
         with pytest.raises(ValueError):
-            catalog.pauli_string_space(["XX", "X"])
+            ObservableSpace(["XX", "X"])
 
     def test_word_count_bounded_before_any_matrix(self, monkeypatch):
-        # four 10-letter words fill the bound; one more is refused before pauli_string runs
-        def no_matrix(word):
-            raise LookupError(f"matrix built for {word}")
+        # size x dim is checked before any mask array exists: 4,096 ten-letter words fill
+        # MAX_ENTRIES and one more is refused; size x dim^2 is checked before the stack exists
+        def no_masks(word):
+            raise LookupError(f"masks read for {word}")
 
-        monkeypatch.setattr(catalog, "pauli_string", no_matrix)
-        words = ["".join(w) for w in itertools.product("XYZ", repeat=10)]
-        assert len(words[:4]) * 4 ** 10 == catalog.MAX_WORD_ENTRIES
+        def no_matrix(*args):
+            raise LookupError("matrices built")
+
+        words = ["".join(w) for w in itertools.islice(itertools.product("XYZ", repeat=10), 4097)]
+        assert 4096 * 2 ** 10 == operators.MAX_ENTRIES == 4 * 4 ** 10
+        with monkeypatch.context() as patch:
+            patch.setattr(operators, "pauli_masks", no_masks)
+            with pytest.raises(LookupError):
+                ObservableSpace(words[:4096])
+            with pytest.raises(ValueError, match="^4097 Pauli words of length 10 exceed"):
+                ObservableSpace(words)
+        monkeypatch.setattr(operators, "_word_matrices", no_matrix)
         with pytest.raises(LookupError):
-            catalog.pauli_string_space(words[:4])
+            ObservableSpace(words[:4]).stack
         for count in (5, 64):
-            with pytest.raises(ValueError, match=f"^{count} Pauli words of length 10 exceed"):
-                catalog.pauli_string_space(words[:count])
+            with pytest.raises(ValueError, match=f"^the stack of {count} Pauli words of "
+                                                 "dimension 1024 exceeds"):
+                ObservableSpace(words[:count]).stack
 
     def test_omega4_census(self):
         # 9 two-body strings per pair, three pairs

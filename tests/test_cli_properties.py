@@ -1,7 +1,7 @@
 """Property tests: any --rescale and --tol text ends in exit 0 or 2, any spin:
-and su2-spin: number tokens and any state JSON file in exit 0, 2 or 3, and any
-box JSON file in exit 0, 2 or 4 (2 unless it describes two boxes), never a
-traceback."""
+and su2-spin: number tokens, any state JSON file and any custom: word file in
+exit 0, 2 or 3, and any box JSON file in exit 0, 2 or 4 (2 unless it describes
+two boxes), never a traceback."""
 
 import contextlib
 import io
@@ -261,3 +261,62 @@ def test_state_file_exit_0_2_or_3(obj):
         assert out == "" and err.startswith("error: ")
     else:
         assert err == "" and "rescaled=" in out
+
+
+FOREIGN = st.sampled_from("IXYZixyzQ1 ")
+
+
+@st.composite
+def word_files(draw):
+    """The lines of a custom: file: words of one length from 0 to 11, now and then in
+    lowercase, with foreign letters, repeated, the identity word, a word of another length,
+    a blank line or a # comment.  Returns the length and the lines."""
+    length = draw(st.integers(2, 10) | st.integers(2, 10) | st.sampled_from([0, 1, 11]))
+    lines = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["word", "word", "word", "word", "lower", "foreign",
+                                     "identity", "repeat", "other", "blank", "comment"]))
+        n = draw(st.integers(0, 11)) if kind == "other" else length
+        letters = FOREIGN if kind == "foreign" else st.sampled_from("IXYZ")
+        word = "".join(draw(st.lists(letters, min_size=n, max_size=n)))
+        if kind == "identity":
+            word = "I" * length
+        elif kind == "repeat" and lines:
+            word = draw(st.sampled_from(lines))
+        elif kind in ("blank", "comment"):
+            word = draw(st.sampled_from(["", "   "] if kind == "blank" else ["# note", "#XX"]))
+        lines.append(word.lower() if kind in ("lower", "repeat") else word)
+    return length, lines
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(command=st.sampled_from(["purity", "classify"]), content=word_files(),
+       qubits=st.none() | st.none() | st.none() | st.integers(1, 11),
+       rescale=st.sampled_from([None, "auto", "1", "0.5"]))
+@example(command="classify", content=(3, ["XII", "yii", "ZII", "IIX", "IIY", "iiz", "IXI",
+                                          "IYI", "IZI"]), qubits=None, rescale=None)
+@example(command="purity", content=(10, ["XYZXYZXYZX"] * 2 + ["IIIIIIIIII"]), qubits=None,
+         rescale="1")
+def test_custom_word_file_exit_0_2_or_3(command, content, qubits, rescale):
+    length, lines = content
+    qubits = length if qubits is None else qubits
+    if rescale in (None, "auto") and length > 4:
+        rescale = "1"  # the fixed-point reference takes minutes on ten-letter words
+    words = {line.strip().upper() for line in lines if line.strip() and not line.startswith("#")}
+    valid = (words and all(len(w) == length and set(w) <= set("IXYZ") for w in words)
+             and words != {"I" * length} and length <= 10)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "words.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        state = f"w:{qubits}" if qubits > 1 else "spin:1/2,1/2"
+        argv = [command, "--state", state, "--algebra", f"custom:{path}"]
+        code, out, err = run(argv + (["--rescale", rescale] if rescale else []))
+    assert code in (0, 2, 3), (lines, code, err)
+    assert "Traceback" not in err
+    if code:
+        assert out == "" and err.startswith("error: ")
+    else:
+        assert "rescaled=" in out
+    if valid and qubits == length and rescale == "1":
+        assert code == 0, (lines, err)  # raw purity stays below 1 - 1/dim

@@ -11,11 +11,11 @@ from getk.coherent import (
     spin_system,
 )
 from getk.operators import (
-    PAULI,
     ObservableSpace,
     QuantumState,
     orthonormalize,
     partial_trace,
+    pauli_string,
 )
 from getk.purity import numeric_max_reference, omega_purity, rescaled_purity
 from random_states import random_pure_state
@@ -37,9 +37,9 @@ def raw_purity_and_gradient(omega: ObservableSpace, psi: np.ndarray):
 class TestSpinSystem:
     def test_half_spin_is_half_paulis(self):
         system = spin_system(0.5)
-        assert np.allclose(system.jx, PAULI["X"] / 2)
-        assert np.allclose(system.jy, PAULI["Y"] / 2)
-        assert np.allclose(system.jz, PAULI["Z"] / 2)
+        assert np.allclose(system.jx, pauli_string("X") / 2)
+        assert np.allclose(system.jy, pauli_string("Y") / 2)
+        assert np.allclose(system.jz, pauli_string("Z") / 2)
 
     def test_spin_one_jz(self):
         system = spin_system(1)
@@ -172,7 +172,7 @@ class TestExpIHermitian:
 
     def test_matches_series_on_pauli(self):
         theta = 0.7
-        u = exp_i_hermitian(theta * PAULI["Z"])
+        u = exp_i_hermitian(theta * pauli_string("Z"))
         want = np.diag([np.exp(1j * theta), np.exp(-1j * theta)])
         assert np.allclose(u, want, atol=1e-12)
 

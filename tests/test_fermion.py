@@ -169,9 +169,8 @@ class TestNumberOperator:
 
     def test_identity_shift_of_sz(self):
         # under the occupation/word dictionary: N + S_z = identity exactly
-        from getk.operators import PAULI
         eye2 = np.eye(2)
-        sz = 0.5 * (np.kron(PAULI["Z"], eye2) + np.kron(eye2, PAULI["Z"]))
+        sz = 0.5 * (np.kron(pauli_string("Z"), eye2) + np.kron(eye2, pauli_string("Z")))
         assert np.max(np.abs(number_operator(2) + sz - np.eye(4))) == 0.0
 
 

@@ -3,9 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
+from getk import fermion
 from getk.operators import (
     INDEPENDENCE_TOL,
-    PAULI,
     DimensionMismatch,
     ObservableSpace,
     QuantumState,
@@ -18,12 +18,15 @@ from getk.operators import (
     lie_closure,
     orthonormalize,
     partial_trace,
+    pauli_masks,
     pauli_string,
+    pauli_word,
     trace_inner_product,
 )
+from getk.purity import is_generalized_unentangled, rescaled_purity
 from random_states import maximally_mixed, random_density_state, random_pure_state
 
-SX, SY, SZ, ID = PAULI["X"], PAULI["Y"], PAULI["Z"], PAULI["I"]
+SX, SY, SZ, ID = map(pauli_string, "XYZI")
 
 
 def sz_total():
@@ -31,7 +34,7 @@ def sz_total():
 
 
 def u2_generators():
-    s = {k: m / 2 for k, m in PAULI.items()}
+    s = {k: pauli_string(k) / 2 for k in "IXYZ"}
     r2 = np.sqrt(2.0)
     return [
         np.kron(s["Z"], ID),
@@ -419,3 +422,131 @@ class TestQuantumState:
         assert QuantumState.basis_state(3, 1).purity() == 1.0
         assert maximally_mixed(4).purity() == pytest.approx(0.25)
 
+
+
+# Pauli words written out by hand, independent of the mask arithmetic in getk.operators
+DENSE = {"I": np.eye(2), "X": np.array([[0, 1], [1, 0]]),
+         "Y": np.array([[0, -1j], [1j, 0]]), "Z": np.diag([1, -1])}
+
+
+def dense_word(word: str) -> np.ndarray:
+    """The Kronecker product of the word's letters, as a complex matrix."""
+    return kron_all([DENSE[c] for c in word.upper()])
+
+
+def random_words(rng, length: int, count: int) -> list:
+    return ["".join(rng.choice(list("IXYZ"), size=length)) for _ in range(count)]
+
+
+class TestPauliWords:
+    @pytest.mark.parametrize("length", [1, 2, 3])
+    def test_matrix_and_masks_match_the_kronecker_product(self, length):
+        for letters in itertools.product("IXYZ", repeat=length):
+            word = "".join(letters)
+            assert np.array_equal(pauli_string(word), dense_word(word))
+            assert pauli_word(*pauli_masks(word), length) == word
+            assert pauli_masks(word.lower()) == pauli_masks(word)
+
+    @pytest.mark.parametrize("word", ["", "XQ", "X Y", "1"])
+    def test_malformed_word_refused(self, word):
+        with pytest.raises(ValueError, match="malformed Pauli word"):
+            pauli_masks(word)
+
+
+class TestWordSpaceExpectations:
+    """A word space's expectations, from the masks, against a dense stack built here."""
+
+    @pytest.mark.parametrize("kind", ["pure", "density"])
+    @pytest.mark.parametrize("length", [1, 2, 3, 4, 5])
+    def test_equal_to_a_dense_contraction(self, length, kind):
+        rng = np.random.default_rng(40 + length)
+        for _ in range(3):
+            words = random_words(rng, length, int(rng.integers(1, 12)))
+            words += [w.lower() for w in words[:2]]  # lowercase duplicates collapse
+            space = ObservableSpace(words)
+            distinct = list(dict.fromkeys(w.upper() for w in words))
+            stack = np.stack([dense_word(w) for w in distinct]) / np.sqrt(2.0 ** length)
+            assert space.size == len(distinct)
+            if kind == "pure":
+                state = random_pure_state(2 ** length, rng)
+                v = state.vector
+                dense = np.einsum("i,aij,j->a", v.conj(), stack, v).real
+            else:
+                state = random_density_state(2 ** length, rng)
+                dense = np.einsum("aij,ji->a", stack, state.density()).real
+            assert np.max(np.abs(space.expectation_vector(state) - dense)) <= 1e-14
+            assert "stack" not in vars(space) and "site_basis" not in vars(space)
+            assert np.max(np.abs(space.stack - stack)) <= 1e-15
+
+    @pytest.mark.parametrize("kind", ["pure", "density"])
+    @pytest.mark.parametrize("length", [1, 3, 5])
+    def test_identity_word_leaves_in_the_traceless_sector(self, length, kind):
+        rng = np.random.default_rng(70 + length)
+        words = ["I" * length, "i" * length] + random_words(rng, length, 6)
+        space = ObservableSpace(words)
+        sector = space.traceless_sector()
+        kept = [w for w in dict.fromkeys(w.upper() for w in words) if set(w) != {"I"}]
+        assert not space.traceless and sector.traceless and sector.size == len(kept)
+        stack = np.stack([dense_word(w) for w in kept]) / np.sqrt(2.0 ** length)
+        state = (random_pure_state if kind == "pure" else random_density_state)(2 ** length, rng)
+        dense = np.einsum("aij,ji->a", stack, state.density()).real
+        assert np.max(np.abs(sector.expectation_vector(state) - dense)) <= 1e-14
+        assert "stack" not in vars(space) and "stack" not in vars(sector)
+
+
+def lie_oracle(words) -> bool:
+    """Dense route: the span equals its bracket closure, and its traceless commutant is empty."""
+    ops = [dense_word(w) for w in words]
+    return lie_closure(ops).size == len(ops) and commutant_basis(ops) == []
+
+
+def closed_word_set(rng, length: int) -> list:
+    """Every word in the dense bracket closure of a few seeded words: a closed set."""
+    count = int(rng.integers(length, 2 * length + 2))  # irreducible needs 2 * length or more
+    closure = lie_closure([dense_word(w) for w in random_words(rng, length, count)])
+    return ["".join(w) for w in itertools.product("IXYZ", repeat=length)
+            if closure.contains(dense_word("".join(w)))]
+
+
+class TestWordLieStructure:
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("length", [1, 2, 3])
+    def test_decided_flag_equals_the_dense_oracle(self, length, seed):
+        rng = np.random.default_rng(1000 * length + seed)
+        drawn = list(dict.fromkeys(random_words(rng, length, int(rng.integers(1, 2 * length + 4)))))
+        for words in (drawn, closed_word_set(rng, length)):
+            assert ObservableSpace(words).irreducible_lie == lie_oracle(words), words
+
+    def test_oracle_sees_both_answers(self):
+        # the seeded sets above hold irreducible algebras as well as reducible and open sets
+        rng = np.random.default_rng(5)
+        answers = [lie_oracle(closed_word_set(rng, 2)) for _ in range(8)]
+        assert True in answers and False in answers
+
+    def test_two_local_su2_are_irreducible(self):
+        # XI .. IZ span su(2) + su(2) on C^2 x C^2, which only multiples of 1 commute with;
+        # a product of two Bloch vectors of length 1 reaches (1 + 1) / 4 = 1/2
+        words = ["XI", "YI", "ZI", "IX", "IY", "IZ"]
+        assert lie_oracle(words)
+        space = ObservableSpace(words)
+        assert space.irreducible_lie
+        report = rescaled_purity(QuantumState.basis_state(4, 0), space, "auto")
+        assert report.reference_source == "highest-weight"
+        assert report.max_reference == pytest.approx(0.5, abs=1e-12)
+        verdict = is_generalized_unentangled(QuantumState.basis_state(4, 0), space)
+        assert verdict.unentangled and verdict.theorem_direction == "iff"
+
+    def test_x_and_z_are_not_closed(self):
+        # i[X, Z] = 2Y, and Y is not in span{X, Z}
+        assert np.array_equal(bracket(DENSE["X"], DENSE["Z"]), 2 * DENSE["Y"])
+        assert not ObservableSpace(["X", "Z"]).irreducible_lie
+        assert lie_closure([DENSE["X"], DENSE["Z"]]).size == 3
+
+    def test_so4_fermi_is_closed_but_reducible(self):
+        # the parity word ZZ commutes with each of the six quadratic words
+        words = fermion.quadratic_words(2)
+        zz = dense_word("ZZ")
+        assert all(np.array_equal(zz @ dense_word(w), dense_word(w) @ zz) for w in words)
+        assert lie_closure([dense_word(w) for w in words]).size == 6
+        assert not fermion.fermionic_so4().irreducible_lie
+        assert not lie_oracle(words)

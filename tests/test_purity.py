@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from getk import catalog, coherent, states
-from getk.catalog import pauli_string_space
 from getk.operators import (
-    PAULI,
     ObservableSpace,
     QuantumState,
     partial_trace,
+    pauli_string,
 )
 from getk.purity import (
     expectations_indistinguishable,
@@ -21,7 +20,7 @@ from getk.purity import (
 )
 from random_states import maximally_mixed, random_density_state, random_pure_state
 
-SX, SY, SZ, ID = PAULI["X"], PAULI["Y"], PAULI["Z"], PAULI["I"]
+SX, SY, SZ, ID = map(pauli_string, "XYZI")
 
 
 def project_onto(state, omega: ObservableSpace) -> np.ndarray:
@@ -175,7 +174,7 @@ class TestResolveMaxReference:
             return real(omega, **kwargs)
 
         monkeypatch.setattr(coherent, "max_purity_estimate", counted)
-        space = pauli_string_space(["XY", "YX", "ZZ"])
+        space = ObservableSpace(["XY", "YX", "ZZ"])
         for seed in (0, 0, 1, 0, 1):
             resolve_max_reference(space, "auto", seed)
         assert calls == [{"seed": 0}, {"seed": 1}]

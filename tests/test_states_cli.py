@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from getk import boxes, catalog, cli, coherent, fermion, purity, states
+from getk import boxes, catalog, cli, coherent, fermion, operators, purity, states
 from getk.operators import MAX_DIM, ObservableSpace, QuantumState, gell_mann_basis, pauli_string
 from random_states import perturbed_builtins
 
@@ -397,19 +397,54 @@ class TestPurityCommand:
 
     def test_many_long_custom_words_exit_2_before_building(self, capsys, tmp_path,
                                                            monkeypatch):
-        # 64 ten-letter words would be about 2.5 GB of dense matrices
-        def no_matrix(word):
-            raise LookupError(f"matrix built for {word}")
+        # 64 ten-letter words would be about 1 GB as a dense stack: only the default --rescale
+        # (the numerical reference) needs it, and is refused before it exists; 4,097 words
+        # are refused before any mask array exists
+        def no_matrix(*args):
+            raise LookupError("matrices built")
 
-        monkeypatch.setattr(catalog, "pauli_string", no_matrix)
-        path = tmp_path / "many.txt"
+        def no_masks(word):
+            raise LookupError(f"masks read for {word}")
+
+        words = ["".join(w) for w in itertools.islice(itertools.product("XYZ", repeat=10), 4097)]
+        path, many = tmp_path / "words64.txt", tmp_path / "words4097.txt"
+        path.write_text("".join(f"{w}\n" for w in words[:64]))
+        many.write_text("".join(f"{w}\n" for w in words))
+        monkeypatch.setattr(operators, "_word_matrices", no_matrix)
+        argv = ["purity", "--state", "ghz:10", "--algebra", f"custom:{path}"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == ("error: the stack of 64 Pauli words of dimension 1024 exceeds the "
+                       f"supported {operators.MAX_ENTRIES} matrix entries\n")
+        code, out, err = run_cli(capsys, *argv, "--rescale", "0.5")
+        assert code == 0 and err == "" and "rescaled=" in out
+        monkeypatch.setattr(operators, "pauli_masks", no_masks)
+        code, out, err = run_cli(capsys, "purity", "--state", "ghz:10",
+                                 "--algebra", f"custom:{many}", "--rescale", "0.5")
+        assert code == 2 and out == ""
+        assert err == ("error: algebra: 4097 Pauli words of length 10 exceed the supported "
+                       f"{operators.MAX_ENTRIES} words x dimension\n")
+
+    def test_word_spaces_read_no_dense_basis(self, capsys, tmp_path, monkeypatch):
+        # with an analytic or explicit reference, the purity of a word space comes from its
+        # masks alone: reading a dense stack or site basis fails the command
+        def no_matrix(space):
+            raise LookupError(f"dense basis of {space.label} read")
+
+        monkeypatch.setattr(ObservableSpace, "stack", property(no_matrix))
+        monkeypatch.setattr(ObservableSpace, "site_basis", property(no_matrix))
+        path = tmp_path / "words64.txt"
         path.write_text("".join(f"{''.join(w)}\n" for w in
                                 itertools.islice(itertools.product("XYZ", repeat=10), 64)))
-        code, out, err = run_cli(capsys, "purity", "--state", "ghz:10",
-                                 "--algebra", f"custom:{path}", "--rescale", "0.5")
-        assert code == 2 and out == ""
-        assert err == ("error: algebra: 64 Pauli words of length 10 exceed the supported "
-                       f"{catalog.MAX_WORD_ENTRIES} matrix entries\n")
+        cases = [("omega2-literal", "ghz:3", "analytic"),
+                 ("omega2-paper-values", "w:3", "analytic"), ("omega3", "w:3", "1"), ("omega4", "bisep:23", "0.875"),
+                 ("omega-prime-loc", "bell:phi+", "1"), ("so4-fermi", "fock:m2:11", "1"),
+                 (f"custom:{path}", "ghz:10", "0.5")]
+        for command in ("purity", "classify"):
+            for algebra, state, rescale in cases:
+                code, out, err = run_cli(capsys, command, "--state", state,
+                                         "--algebra", algebra, "--rescale", rescale)
+                assert code == 0 and err == "" and "rescaled=" in out, (algebra, err)
 
     def test_dimension_mismatch_before_numerical_reference(self, capsys, tmp_path, monkeypatch):
         # the seeded optimizer once ran to completion on a state it could not be applied to
