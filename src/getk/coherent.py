@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import MAX_DIM, ObservableSpace, QuantumState, assert_hermitian, kron_all
+from .operators import MAX_DIM, MAX_ENTRIES, ObservableSpace, QuantumState, assert_hermitian, kron_all
 
 _MAX_FIXED_POINT_STEPS = 1000  # per restart; catalog algebras stop rising within 40 steps
 _DEGENERATE_GAP = 1e-9  # top eigenvalue gap, relative to the spectral radius, below which it is shared
@@ -109,10 +109,7 @@ def orbit_sample(omega: ObservableSpace, reference: QuantumState, angles) -> Qua
     """Apply exp(i sum_a angles[a] X_a) to a pure reference state."""
     if not reference.is_pure:
         raise ValueError("orbit sampling needs a pure reference state")
-    angles = np.asarray(angles, dtype=float).reshape(-1)
-    if angles.size != omega.size:
-        raise ValueError(f"expected {omega.size} angles, got {angles.size}")
-    u = exp_i_hermitian(np.einsum("a,aij->ij", angles, omega.stack))
+    u = exp_i_hermitian(omega.element(angles))
     v = u @ reference.vector
     return QuantumState(vector=v / np.linalg.norm(v))
 
@@ -150,14 +147,13 @@ def highest_weight_purity(omega: ObservableSpace, seed: int = 0) -> float | None
     107902 (2004)).  A generic element is regular, and its top eigenvector is a
     highest-weight vector for the Weyl chamber that holds it, so the value is the
     exact maximum.  It is the purity of an actual state, hence a lower bound on
-    any space.  The element is a sum of single-site terms, and its top
-    eigenvector is the product of the site eigenvectors, so no dense stack is
-    built.  Returns None when a top eigenvalue is degenerate.
+    any space.  The element is a sum of ``site_element`` terms (a word space is one
+    site), and its top eigenvector is the product of the site eigenvectors, so only
+    D x D matrices are built.  Returns None when a top eigenvalue is degenerate.
     """
     rng = seeded_rng(seed)
-    k = len(omega.site_basis)
-    factors = [_top_eigenvector(np.einsum("a,aij->ij", gaussians(rng, k), omega.site_basis))
-               for _ in range(omega.sites)]
+    k = omega.size // omega.sites
+    factors = [_top_eigenvector(omega.site_element(gaussians(rng, k))) for _ in range(omega.sites)]
     if any(f is None for f in factors):
         return None
     psi = kron_all(factors)
@@ -175,10 +171,13 @@ def max_purity_estimate(omega: ObservableSpace, restarts: int = 32, seed: int = 
     purity's gradient, 4 sum_a <X_a> X_a psi, vanishes.  Deterministic for a
     fixed seed; the returned value is a lower bound on the true maximum.
     The restarts run one after another: stacking their H matrices would hold
-    restarts * dim^2 complex numbers at once.
+    restarts * dim^2 complex numbers at once.  Size x dim^2 over MAX_ENTRIES is refused.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
+    if omega.size * omega.dim ** 2 > MAX_ENTRIES:
+        raise ValueError(f"a numerical reference for {omega.size} observables of dimension "
+                         f"{omega.dim} exceeds the supported {MAX_ENTRIES} size x dimension^2")
     rng = seeded_rng(seed)
     best = 0.0
     for _ in range(restarts):
@@ -186,7 +185,7 @@ def max_purity_estimate(omega: ObservableSpace, restarts: int = 32, seed: int = 
         psi /= np.linalg.norm(psi)
         val = -1.0
         for _ in range(_MAX_FIXED_POINT_STEPS):
-            h = omega.project_operator(np.outer(psi, psi.conj()))
+            h = omega.element(omega.coefficients(psi).real)
             step_val = float(np.vdot(psi, h @ psi).real)
             if step_val <= val:
                 break

@@ -5,19 +5,20 @@ are wrapped in :class:`QuantumState` so pure vectors and density matrices
 share one interface.  A Pauli word (a string over I, X, Y, Z, first letter
 the most significant qubit) is its symplectic (x, z) bit masks, X^x Z^z times
 i^|x & z| (:func:`pauli_masks`).  Real-linear spaces of Hermitian observables
-live in :class:`ObservableSpace`: N >= 1 sites of one trace-orthonormal basis
-(a dense space is the one-site case), or a set of Pauli words.  Every register
-dimension (Pauli words, sites, qubits, fermionic modes, state files) is formed
-by :func:`checked_dim` against ``MAX_DIM``; a spin's 2J + 1 is a float, checked
-in ``coherent``.
+live in :class:`ObservableSpace` (N >= 1 sites of one trace-orthonormal basis,
+or Pauli words), read through two linear maps, ``coefficients`` and ``element``.
+Every register dimension (Pauli words, sites, qubits, fermionic modes, state
+files) is formed by :func:`checked_dim` against ``MAX_DIM``; a spin's 2J + 1 is
+a float, checked in ``coherent``.
 """
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
 MAX_DIM = 1024  # largest Hilbert-space dimension a state or an algebra may allocate
-MAX_ENTRIES = 4 * MAX_DIM ** 2  # of a word space: size x dim when read, size x dim^2 in its stack
+MAX_ENTRIES = 4 * MAX_DIM ** 2  # words x dim of a word space; size x dim^2 of a numerical reference
+_BLOCK_ENTRIES = 2 ** 14  # words x dim contracted at once, so temporaries stay O(block)
 
 # Fixed numerical policy: dimensions stay small (<= MAX_DIM), so double
 # precision leaves several orders of headroom around these cutoffs.
@@ -105,26 +106,43 @@ def pauli_word(x: int, z: int, length: int) -> str:
     return "".join(_LETTERS[(x >> k & 1) + 2 * (z >> k & 1)] for k in reversed(range(length)))
 
 
+@lru_cache(maxsize=None)  # one array per dimension; callers only read it
 def _parity_signs(dim: int) -> np.ndarray:
-    """(-1)^|i| for i < dim (a power of two): the Kronecker product of (1, -1) factors."""
-    signs = np.ones(1)
-    while signs.size < dim:
-        signs = np.concatenate([signs, -signs])
-    return signs
+    """(-1)^|i| for i < dim (a power of two >= 2): the Kronecker product of (1, -1) factors."""
+    return kron_all([[1, -1]] * round(np.log2(dim))).real
 
 
-def _word_matrices(masks, dim: int, norm: float = 1.0) -> np.ndarray:
-    """Column i of word (x, z) holds i^|x & z| (-1)^|i & z| / norm in row i ^ x."""
-    idx, signs = np.arange(dim), _parity_signs(dim)
-    out = np.zeros((len(masks), dim, dim), dtype=complex)
-    for m, (x, z) in zip(out, masks):
-        m[idx ^ x, idx] = 1j ** bin(x & z).count("1") * signs[idx & z] / norm
+# Under the numerical reference's work rule a space has at most four blocks, so a fixed
+# point finds all of its tables here at every step.  Callers only read the arrays.
+@lru_cache(maxsize=4)
+def _word_block(block: bytes, dim: int):
+    """Indices i, rows i ^ x and entries i^|x & z| (-1)^|i & z|, (words, dim) each, of a block of
+    int64 masks: word (x, z) holds its entry in column i, row i ^ x; 1j ** n keeps it exact."""
+    x, z = np.frombuffer(block, dtype=np.int64).reshape(-1, 2).T[:, :, None]
+    phases = np.array([[1j ** bin(p).count("1")] for p in (x & z).ravel().tolist()])
+    idx = np.arange(dim)
+    return idx, x ^ idx, phases * _parity_signs(dim)[z & idx]
+
+
+def _word_blocks(masks, dim: int):
+    """(slice, indices, rows, entries) of each block of _BLOCK_ENTRIES // dim words."""
+    step = max(1, _BLOCK_ENTRIES // dim)
+    for start in range(0, len(masks), step):
+        yield (slice(start, start + step), *_word_block(masks[start:start + step].tobytes(), dim))
+
+
+def _word_sum(masks, weights, dim: int) -> np.ndarray:
+    """sum_a weights[a] P_a over the words P_a = i^|x & z| X^x Z^z of the masks."""
+    out = np.zeros((dim, dim), dtype=complex)
+    for block, idx, rows, entries in _word_blocks(masks, dim):
+        np.add.at(out, (rows, idx), weights[block, None] * entries)
     return out
 
 
 def pauli_string(word: str) -> np.ndarray:
     """Tensor product of single-qubit Paulis named by a word over I, X, Y, Z."""
-    return _word_matrices([pauli_masks(word)], checked_dim(2, len(word)))[0]
+    return _word_sum(np.array([pauli_masks(word)], dtype=np.int64), np.ones(1),
+                     checked_dim(2, len(word)))
 
 
 def _decide_lie(masks, dim: int) -> bool:
@@ -275,20 +293,22 @@ class ObservableSpace:
     is immutable once built: the catalog hands the same instance to every
     caller.
 
-    A space of sites is ``sites`` copies of one: ``basis`` is a trace-orthonormal
+    A space is two linear maps: ``coefficients`` takes an operator A to (Tr X_a A)_a
+    (a vector psi to (<psi|X_a|psi>)_a), and its adjoint ``element`` takes c to
+    sum_a c_a X_a.  No (size, dim, dim) array is held; ``basis`` builds fresh matrices.
+
+    A space of sites is ``sites`` copies of one: ``site_basis`` is a trace-orthonormal
     basis on C^D, and the space holds each x on each site, times 1/sqrt(D) on
     the other sites, so dim = D**sites (at most MAX_DIM) and size = len(basis) *
     sites.  A dense space is the one-site case.  With more than one site the
     site basis must be traceless (traceless elements on different sites are
-    then orthogonal).  Only the D x D basis is validated, expectations are
-    contracted site by site, and a multi-site ``stack`` is built when first read.
+    then orthogonal).  Only the D x D basis is validated and held.
 
     A word space is given Pauli words of one length L (case and duplicates
     collapse), each normalized as P / sqrt(2^L), and keeps their (x, z) ``masks``:
-    distinct words are orthonormal, an expectation costs O(dim) per word,
-    ``irreducible_lie`` is decided, not declared, and ``stack`` (``site_basis``,
-    its one site) is built when first read.  Size x dim, and size x dim^2 for
-    the stack, are checked against MAX_ENTRIES first.
+    distinct words are orthonormal, both maps cost O(dim) per word, ``irreducible_lie``
+    is decided, not declared, and the space is one site.  Size x dim is checked
+    against MAX_ENTRIES before any mask array exists.
     """
 
     def __init__(self, basis, label: str = "", *, irreducible_lie: bool = False,
@@ -306,7 +326,7 @@ class ObservableSpace:
             if self.size * self.dim > MAX_ENTRIES:  # before any mask array
                 raise ValueError(f"{self.size} Pauli words of length {len(words[0])} exceed "
                                  f"the supported {MAX_ENTRIES} words x dimension")
-            self.masks = np.array([pauli_masks(w) for w in words])
+            self.masks = np.array([pauli_masks(w) for w in words], dtype=np.int64)
             self.masks.setflags(write=False)
             self.irreducible_lie = _decide_lie(self.masks, self.dim)
             self.traceless = bool(self.masks.any(axis=1).all())  # set last: now immutable
@@ -314,7 +334,7 @@ class ObservableSpace:
         self.masks, self.sites = None, int(sites)
         ops = [np.asarray(b, dtype=complex) for b in basis]
         d = ops[0].shape[0]
-        self.dim, self.size = checked_dim(d, self.sites), len(ops) * self.sites  # before any stack
+        self.dim, self.size = checked_dim(d, self.sites), len(ops) * self.sites  # before stacking
         mats = np.stack(ops)
         mats.setflags(write=False)
         if mats.shape[1:] != (d, d):
@@ -340,73 +360,64 @@ class ObservableSpace:
     def __delattr__(self, name):
         raise AttributeError(f"ObservableSpace is immutable; cannot delete {name!r}")
 
-    @cached_property  # a word space's, when first read; a space of sites sets it in __init__
-    def site_basis(self) -> np.ndarray:
-        return self.stack
-
-    @cached_property  # writes the instance __dict__ directly, past __setattr__
-    def stack(self) -> np.ndarray:
-        """The dense (size, dim, dim) basis: the site basis itself on one site, else
-        built from the words' masks or from Kronecker products when first read."""
-        if self.masks is not None:
-            if self.size * self.dim ** 2 > MAX_ENTRIES:
-                raise ValueError(f"the stack of {self.size} Pauli words of dimension {self.dim} "
-                                 f"exceeds the supported {MAX_ENTRIES} matrix entries")
-            stack = _word_matrices(self.masks, self.dim, np.sqrt(self.dim))
-        elif self.sites == 1:
-            return self.site_basis
-        else:
-            d = self.site_basis.shape[1]
-            factors = [np.eye(d, dtype=complex) / np.sqrt(d)] * self.sites
-            stack = np.stack([kron_all(factors[:pos] + [x] + factors[pos + 1:])
-                              for pos in range(self.sites) for x in self.site_basis])
-        stack.setflags(write=False)
-        return stack
-
     @property
     def basis(self) -> list[np.ndarray]:
-        return [self.stack[i] for i in range(self.size)]
+        """The elements X_a as fresh dim x dim matrices."""
+        return [self.element(e) for e in np.eye(self.size)]
+
+    def coefficients(self, a) -> np.ndarray:
+        """(Tr X_a a)_a of a dim x dim matrix, or (<a|X_a|a>)_a of a vector, as complex numbers.
+
+        Word (x, z) gives i^|x & z| sum_i conj(a[i ^ x]) (-1)^|i & z| a[i] / sqrt(dim), with
+        a[i, i ^ x] for conj(a[i ^ x]) a[i] on a matrix.  Site l's block is x on site l,
+        contracted on a reshaped as (left, site, right), times D^(-(n-1)/2).
+        """
+        a = np.asarray(a, dtype=complex)
+        if a.shape not in ((self.dim,), (self.dim, self.dim)):
+            raise DimensionMismatch(f"dimension mismatch: operand {a.shape} vs space {self.dim}")
+        if self.masks is not None:
+            sums = []  # the sum, then 1/sqrt(dim): the order of a word-by-word contraction
+            for _, idx, rows, entries in _word_blocks(self.masks, self.dim):
+                pairs = a[rows].conj() * a if a.ndim == 1 else a[idx, rows]
+                sums.append((pairs * entries).sum(axis=1))
+            return np.concatenate(sums) / np.sqrt(self.dim)
+        n, d = self.sites, self.site_basis.shape[1]
+        # einsum, not a BLAS product: the sums stay exactly zero where they cancel
+        vals = [np.einsum("xiy,aij,xjy->a", a.reshape(s).conj(), self.site_basis, a.reshape(s))
+                if a.ndim == 1 else np.einsum("xiyxjy,aji->a", a.reshape(s * 2), self.site_basis)
+                for s in ((d ** pos, d, d ** (n - pos - 1)) for pos in range(n))]
+        return np.concatenate(vals) * d ** (-(n - 1) / 2)
+
+    def site_element(self, c) -> np.ndarray:
+        """sum_a c_a x_a over one site's basis; a word space is one site, filled from its masks."""
+        c, k = np.asarray(c, dtype=float), self.size // self.sites
+        if c.shape != (k,):
+            raise ValueError(f"expected {k} coefficients a site, got shape {c.shape}")
+        if self.masks is not None:
+            return _word_sum(self.masks, c * (1 / np.sqrt(self.dim)), self.dim)
+        return np.einsum("a,aij->ij", c, self.site_basis)
+
+    def element(self, c) -> np.ndarray:
+        """sum_a c_a X_a: sum_l 1 (x) h_l (x) 1 D^(-(n-1)/2), h_l the element of site l."""
+        if self.sites == 1:
+            return self.site_element(c)
+        n, d = self.sites, self.site_basis.shape[1]
+        out = sum(kron_all([np.eye(d ** pos), self.site_element(part), np.eye(d ** (n - pos - 1))])
+                  for pos, part in enumerate(np.split(np.asarray(c, dtype=float), n)))
+        return out * d ** (-(n - 1) / 2)
 
     def expectation_vector(self, state: QuantumState) -> np.ndarray:
-        """Vector of expectation values of the basis elements in ``state``.
-
-        Word (x, z) gives i^|x & z| sum_i conj(psi[i ^ x]) (-1)^|i & z| psi[i] / sqrt(dim),
-        with rho[i, i ^ x] for conj(psi[i ^ x]) psi[i] on a density matrix.  Site l's
-        block is Tr(rho (1 (x) x (x) 1)) D^(-(n-1)/2) with x on site l, contracted on
-        the state reshaped as (left, site, right); on one site it is Tr(rho x).
-        """
+        """Vector of expectation values Tr(rho X_a) of the basis elements in ``state``."""
         if state.dim != self.dim:
             raise DimensionMismatch(f"dimension mismatch: state {state.dim} vs space {self.dim}")
-        if self.masks is not None:
-            idx, signs, v = np.arange(self.dim), _parity_signs(self.dim), state._vector
-            vals = np.empty(self.size, dtype=complex)
-            for a, (x, z) in enumerate(self.masks):
-                pairs = v[idx ^ x].conj() * v if state.is_pure else state._rho[idx, idx ^ x]
-                vals[a] = 1j ** bin(x & z).count("1") * np.sum(pairs * signs[idx & z])
-            vals /= np.sqrt(self.dim)
-        else:
-            n, d = self.sites, self.site_basis.shape[1]
-            shapes = [(d ** pos, d, d ** (n - pos - 1)) for pos in range(n)]
-            # einsum, not a BLAS product: the sums stay exactly zero where they cancel
-            if state.is_pure:
-                vs = [state._vector.reshape(shape) for shape in shapes]
-                vals = [np.einsum("xiy,aij,xjy->a", v.conj(), self.site_basis, v) for v in vs]
-            else:
-                vals = [np.einsum("xiyxjy,aji->a", state._rho.reshape(s * 2), self.site_basis)
-                        for s in shapes]
-            vals = np.concatenate(vals) * d ** (-(n - 1) / 2)
+        vals = self.coefficients(state._vector if state.is_pure else state._rho)
         if np.max(np.abs(vals.imag)) > EQUALITY_TOL:
             raise ValueError("expectation vector has a large imaginary part")
         return vals.real
 
     def project_operator(self, a) -> np.ndarray:
         """Orthogonal projection of a Hermitian operator onto this span."""
-        a = assert_hermitian(a)
-        if a.shape[0] != self.dim:
-            raise DimensionMismatch(f"dimension mismatch: operator {a.shape[0]} vs space {self.dim}")
-        rows = _real_rows(self.stack)
-        coeffs = rows @ _real_rows(a)
-        return (coeffs @ rows).view(complex).reshape(self.dim, self.dim)
+        return self.element(self.coefficients(assert_hermitian(a)).real)
 
     def residual_norm(self, a) -> float:
         a = assert_hermitian(a)
@@ -432,7 +443,7 @@ class ObservableSpace:
         if all(np.linalg.norm(a) < INDEPENDENCE_TOL for a in shifted):
             raise ValueError(f"algebra {self.label!r} has no traceless part")
         sector = orthonormalize(shifted)
-        return ObservableSpace(sector.stack, label=self.label + "-traceless",
+        return ObservableSpace(sector.site_basis, label=self.label + "-traceless",
                                irreducible_lie=self.irreducible_lie)
 
     def __repr__(self):

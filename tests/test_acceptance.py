@@ -30,7 +30,7 @@ def raw_purity_and_gradient(omega: ObservableSpace, psi: np.ndarray):
     The gradient is taken with respect to the real and imaginary parts of
     the unnormalized amplitudes: grad = 4 sum_a <X_a> X_a psi.
     """
-    xpsi = omega.stack @ psi
+    xpsi = np.stack(omega.basis) @ psi
     evals = (psi.conj()[None, :] @ xpsi[..., None]).ravel().real
     value = float(np.dot(evals, evals))
     grad = 4.0 * np.einsum("a,ai->i", evals, xpsi)
@@ -194,7 +194,7 @@ def test_criterion_7_property_suites():
     for _ in range(100):
         q, r = np.linalg.qr(rng.normal(size=(space.size, space.size)))
         rot = q * np.sign(np.diag(r))
-        rotated = ObservableSpace(list(np.einsum("ab,bij->aij", rot, space.stack)))
+        rotated = ObservableSpace(list(np.einsum("ab,bij->aij", rot, np.stack(space.basis))))
         st = random_pure_state(4, rng)
         assert abs(omega_purity(st, rotated) - omega_purity(st, space)) <= 1e-10
 
@@ -231,7 +231,7 @@ def test_criterion_7_property_suites():
                 x = x0.copy()
                 x[i] += sgn * step
                 v = x[:sp.dim] + 1j * x[sp.dim:]
-                vals = np.einsum("i,aij,j->a", v.conj(), sp.stack, v).real
+                vals = np.einsum("i,aij,j->a", v.conj(), np.stack(sp.basis), v).real
                 num[i] += sgn * float(np.dot(vals, vals))
             num[i] /= 2 * step
         num_c = num[:sp.dim] + 1j * num[sp.dim:]

@@ -83,9 +83,17 @@ class TestSharedSpacesImmutable:
             del catalog.omega1().max_purity
         assert catalog.omega1().max_purity == 0.375
 
-    def test_stack_read_only(self):
+    def test_site_basis_read_only(self):
         with pytest.raises(ValueError):
-            catalog.omega1().stack[0, 0, 0] = 1.0
+            catalog.omega1().site_basis[0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("factory", [catalog.omega1, catalog.omega3, catalog.z_conserving_u2])
+    def test_basis_elements_are_fresh(self, factory):
+        # basis builds new matrices on every read: writing into one changes no shared space
+        before = np.stack(factory().basis)
+        for x in factory().basis:
+            x[...] = 7.0
+        assert np.array_equal(np.stack(factory().basis), before)
 
 
 class TestLocalAlgebra:
@@ -102,7 +110,6 @@ class TestLocalAlgebra:
         expected = [p / np.sqrt(2) for p in (SX, SY, SZ)]
         for got, want in zip(space.basis, expected):
             assert np.max(np.abs(got - want)) < 1e-14
-        assert space.stack is space.site_basis  # one site: the basis is the stack, uncopied
 
     def test_three_qubits_is_omega1(self):
         space = catalog.local_algebra(3, 2)
@@ -157,21 +164,20 @@ class TestSiteFactoredLocalAlgebra:
             if kind == "pure":
                 state = random_pure_state(d0 ** n, rng)
                 v = state.vector
-                dense = np.einsum("i,aij,j->a", v.conj(), space.stack, v).real
+                dense = np.einsum("i,aij,j->a", v.conj(), np.stack(space.basis), v).real
             else:
                 state = random_density_state(d0 ** n, rng)
-                dense = np.einsum("aij,ji->a", space.stack, state.density()).real
+                dense = np.einsum("aij,ji->a", np.stack(space.basis), state.density()).real
             got = space.expectation_vector(state)
             assert got.shape == (space.size,)
             assert np.max(np.abs(got - dense)) <= 1e-14
 
-    def test_lazy_stack_equals_the_kron_embedding(self):
+    def test_basis_equals_the_kron_embedding(self):
         space = catalog.local_algebra(2, 3)
         ident = np.eye(3) / np.sqrt(3)
         expected = [np.kron(x, ident) for x in space.site_basis]
         expected += [np.kron(ident, x) for x in space.site_basis]
-        assert np.array_equal(space.stack, np.stack(expected))
-        assert not space.stack.flags.writeable
+        assert np.max(np.abs(np.stack(space.basis) - np.stack(expected))) <= 1e-15
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_ghz_is_exactly_zero(self, n):
@@ -239,12 +245,13 @@ class TestPauliStringSpace:
 
     def test_word_count_bounded_before_any_matrix(self, monkeypatch):
         # size x dim is checked before any mask array exists: 4,096 ten-letter words fill
-        # MAX_ENTRIES and one more is refused; size x dim^2 is checked before the stack exists
+        # MAX_ENTRIES and one more is refused; the numerical reference refuses size x dim^2
+        # over MAX_ENTRIES before any dim x dim matrix exists
         def no_masks(word):
             raise LookupError(f"masks read for {word}")
 
         def no_matrix(*args):
-            raise LookupError("matrices built")
+            raise LookupError("matrix built")
 
         words = ["".join(w) for w in itertools.islice(itertools.product("XYZ", repeat=10), 4097)]
         assert 4096 * 2 ** 10 == operators.MAX_ENTRIES == 4 * 4 ** 10
@@ -254,13 +261,15 @@ class TestPauliStringSpace:
                 ObservableSpace(words[:4096])
             with pytest.raises(ValueError, match="^4097 Pauli words of length 10 exceed"):
                 ObservableSpace(words)
-        monkeypatch.setattr(operators, "_word_matrices", no_matrix)
+        monkeypatch.setattr(ObservableSpace, "element", no_matrix)
+        monkeypatch.setattr(ObservableSpace, "site_element", no_matrix)
         with pytest.raises(LookupError):
-            ObservableSpace(words[:4]).stack
-        for count in (5, 64):
-            with pytest.raises(ValueError, match=f"^the stack of {count} Pauli words of "
-                                                 "dimension 1024 exceeds"):
-                ObservableSpace(words[:count]).stack
+            coherent.max_purity_estimate(ObservableSpace(words[:4]))
+        for space in (ObservableSpace(words[:5]), ObservableSpace(words[:64]),
+                      catalog.local_algebra(10, 2)):
+            with pytest.raises(ValueError, match=f"^a numerical reference for {space.size} "
+                                                 "observables of dimension 1024 exceeds"):
+                coherent.max_purity_estimate(space)
 
     def test_omega4_census(self):
         # 9 two-body strings per pair, three pairs
@@ -336,7 +345,8 @@ class TestRestrictedLocalSpins:
         eye = np.eye(d, dtype=complex)
         ops = [np.kron(g, eye) / nrm for g in system.generators]
         ops += [np.kron(eye, g) / nrm for g in system.generators]
-        assert np.max(np.abs(catalog.restricted_local_spins(j).stack - np.stack(ops))) <= 1e-15
+        basis = np.stack(catalog.restricted_local_spins(j).basis)
+        assert np.max(np.abs(basis - np.stack(ops))) <= 1e-15
 
     def test_above_max_dim_rejected(self):
         # 33^2 = 1089 > MAX_DIM: the space refuses it before any stack exists

@@ -27,7 +27,7 @@ def raw_purity_and_gradient(omega: ObservableSpace, psi: np.ndarray):
     The gradient is taken with respect to the real and imaginary parts of
     the unnormalized amplitudes: grad = 4 sum_a <X_a> X_a psi.
     """
-    xpsi = omega.stack @ psi
+    xpsi = np.stack(omega.basis) @ psi
     evals = (psi.conj()[None, :] @ xpsi[..., None]).ravel().real
     value = float(np.dot(evals, evals))
     grad = 4.0 * np.einsum("a,ai->i", evals, xpsi)
@@ -183,7 +183,7 @@ def numeric_gradient(space, psi, h=1e-5):
 
     def f(x):
         v = x[:d] + 1j * x[d:]
-        vals = np.einsum("i,aij,j->a", v.conj(), space.stack, v).real
+        vals = np.einsum("i,aij,j->a", v.conj(), np.stack(space.basis), v).real
         return float(np.dot(vals, vals))
 
     grad = np.zeros(2 * d)
@@ -208,7 +208,7 @@ class TestMaxPurityEstimate:
         rng = np.random.default_rng(99)
         draws = rng.normal(size=(100_000, 4)) + 1j * rng.normal(size=(100_000, 4))
         draws /= np.linalg.norm(draws, axis=1)[:, None]
-        vals = np.einsum("si,aij,sj->sa", draws.conj(), space.stack, draws).real
+        vals = np.einsum("si,aij,sj->sa", draws.conj(), np.stack(space.basis), draws).real
         sampled_max = float(np.max(np.sum(vals ** 2, axis=1)))
         assert sampled_max <= est + 1e-6
         # oracle 2: the analytic value attained on the one-particle pair state

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from getk import fermion
+from getk import catalog, fermion, operators
 from getk.operators import (
     INDEPENDENCE_TOL,
     DimensionMismatch,
@@ -476,7 +476,7 @@ class TestWordSpaceExpectations:
                 dense = np.einsum("aij,ji->a", stack, state.density()).real
             assert np.max(np.abs(space.expectation_vector(state) - dense)) <= 1e-14
             assert "stack" not in vars(space) and "site_basis" not in vars(space)
-            assert np.max(np.abs(space.stack - stack)) <= 1e-15
+            assert np.max(np.abs(np.stack(space.basis) - stack)) <= 1e-15
 
     @pytest.mark.parametrize("kind", ["pure", "density"])
     @pytest.mark.parametrize("length", [1, 3, 5])
@@ -492,6 +492,84 @@ class TestWordSpaceExpectations:
         dense = np.einsum("aij,ji->a", stack, state.density()).real
         assert np.max(np.abs(sector.expectation_vector(state) - dense)) <= 1e-14
         assert "stack" not in vars(space) and "stack" not in vars(sector)
+
+
+def dense_oracle(space) -> np.ndarray:
+    """The elements X_a as a (size, dim, dim) array built here, never read from ``basis``:
+    Pauli words written out by hand, or each site element embedded by Kronecker products."""
+    if space.masks is not None:
+        length = space.dim.bit_length() - 1
+        words = [dense_word(pauli_word(x, z, length)) for x, z in space.masks]
+        return np.stack(words) / np.sqrt(space.dim)
+    d, n = space.site_basis.shape[1], space.sites
+    ident = np.eye(d) / np.sqrt(d)
+    return np.stack([kron_all([x if k == pos else ident for k in range(n)])
+                     for pos in range(n) for x in space.site_basis])
+
+
+ORACLE_SPACES = [
+    *[lambda name=name: catalog.named_algebra(name) for name in (
+        "omega1", "omega2-literal", "omega2-paper-values", "omega3", "omega4", "omega-prime-loc",
+        "u2", "so4-fermi", "su2-spin:3/2", "local:2x2", "local:3x3", "local:2x4")],
+    lambda: catalog.restricted_local_spins(1), lambda: catalog.restricted_local_spins(1.5),
+]
+
+
+def seeded_word_spaces():
+    """Seeded word sets at L <= 5 with lowercase duplicates and the identity word."""
+    rng = np.random.default_rng(2003)
+    for length in range(1, 6):
+        words = random_words(rng, length, int(rng.integers(length, 8 * length)))
+        yield ObservableSpace(words + [w.lower() for w in words[:2]] + ["i" * length])
+
+
+class TestTheTwoMaps:
+    """``element`` and ``coefficients``, and their composite ``project_operator``, against a
+    dense oracle."""
+
+    @staticmethod
+    def check(space, rng):
+        oracle = dense_oracle(space)
+        assert not hasattr(space, "stack") and (space.masks is None) == hasattr(space, "site_basis")
+        c = rng.normal(size=space.size)
+        assert np.max(np.abs(space.element(c) - np.einsum("a,aij->ij", c, oracle))) <= 1e-14
+        g = rng.normal(size=(space.dim, space.dim)) + 1j * rng.normal(size=(space.dim, space.dim))
+        a, v = g / np.linalg.norm(g), g[0] / np.linalg.norm(g[0])
+        want = np.einsum("aij,ji->a", oracle, a)
+        assert np.max(np.abs(space.coefficients(a) - want)) <= 1e-14
+        want = np.einsum("i,aij,j->a", v.conj(), oracle, v)
+        assert np.max(np.abs(space.coefficients(v) - want)) <= 1e-14
+        h = a + a.conj().T
+        want = np.einsum("a,aij->ij", np.einsum("aij,ji->a", oracle, h).real, oracle)
+        assert np.max(np.abs(space.project_operator(h) - want)) <= 1e-14
+
+    @pytest.mark.parametrize("factory", ORACLE_SPACES)
+    def test_catalog_spaces(self, factory):
+        space = factory()
+        self.check(space, np.random.default_rng(space.dim * space.size))
+
+    @pytest.mark.parametrize("entries", [operators._BLOCK_ENTRIES, 64])
+    def test_seeded_word_sets(self, entries, monkeypatch):
+        # at 64 entries a block holds two words at L = 5: both maps cross block edges
+        monkeypatch.setattr(operators, "_BLOCK_ENTRIES", entries)
+        rng = np.random.default_rng(5)
+        for space in seeded_word_spaces():
+            self.check(space, rng)
+
+    @pytest.mark.parametrize("factory", [catalog.omega3, catalog.z_conserving_u2,
+                                         catalog.omega1])
+    def test_wrong_lengths_and_dimensions_refused(self, factory):
+        space = factory()
+        for size in (space.size - 1, space.size + 1, 2 * space.size):
+            with pytest.raises(ValueError):
+                space.element(np.ones(size))
+        with pytest.raises(ValueError, match="coefficients a site"):
+            space.site_element(np.ones(space.size // space.sites + 1))
+        for shape in ((space.dim + 1,), (space.dim - 1, space.dim - 1), (2 * space.dim,)):
+            with pytest.raises(DimensionMismatch):
+                space.coefficients(np.ones(shape))
+        with pytest.raises(DimensionMismatch):
+            space.project_operator(np.eye(space.dim + 1))
 
 
 def lie_oracle(words) -> bool:

@@ -334,7 +334,7 @@ class TestStructuralInvariants:
         space = catalog.z_conserving_u2()
         for _ in range(25):
             rot = random_rotation(space.size, rng)
-            rotated = ObservableSpace(list(np.einsum("ab,bij->aij", rot, space.stack)))
+            rotated = ObservableSpace(list(np.einsum("ab,bij->aij", rot, np.stack(space.basis))))
             st = random_pure_state(4, rng)
             assert omega_purity(st, rotated) == pytest.approx(
                 omega_purity(st, space), abs=1e-10)
@@ -345,7 +345,7 @@ class TestStructuralInvariants:
             for _ in range(10):
                 rho = random_density_state(4, rng)
                 angles = rng.normal(scale=0.8, size=space.size)
-                h = np.einsum("a,aij->ij", angles, space.stack)
+                h = np.einsum("a,aij->ij", angles, np.stack(space.basis))
                 u = coherent.exp_i_hermitian(h)
                 moved = QuantumState(rho=u @ rho.density() @ u.conj().T)
                 assert omega_purity(moved, space) == pytest.approx(

@@ -397,11 +397,11 @@ class TestPurityCommand:
 
     def test_many_long_custom_words_exit_2_before_building(self, capsys, tmp_path,
                                                            monkeypatch):
-        # 64 ten-letter words would be about 1 GB as a dense stack: only the default --rescale
-        # (the numerical reference) needs it, and is refused before it exists; 4,097 words
-        # are refused before any mask array exists
+        # the numerical reference (the default --rescale of a reducible word set) refuses
+        # 64 ten-letter words before any dim x dim matrix exists; 4,097 words are refused
+        # before any mask array exists
         def no_matrix(*args):
-            raise LookupError("matrices built")
+            raise LookupError("matrix built")
 
         def no_masks(word):
             raise LookupError(f"masks read for {word}")
@@ -410,12 +410,13 @@ class TestPurityCommand:
         path, many = tmp_path / "words64.txt", tmp_path / "words4097.txt"
         path.write_text("".join(f"{w}\n" for w in words[:64]))
         many.write_text("".join(f"{w}\n" for w in words))
-        monkeypatch.setattr(operators, "_word_matrices", no_matrix)
+        monkeypatch.setattr(ObservableSpace, "element", no_matrix)
+        monkeypatch.setattr(ObservableSpace, "site_element", no_matrix)
         argv = ["purity", "--state", "ghz:10", "--algebra", f"custom:{path}"]
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
-        assert err == ("error: the stack of 64 Pauli words of dimension 1024 exceeds the "
-                       f"supported {operators.MAX_ENTRIES} matrix entries\n")
+        assert err == ("error: a numerical reference for 64 observables of dimension 1024 "
+                       f"exceeds the supported {operators.MAX_ENTRIES} size x dimension^2\n")
         code, out, err = run_cli(capsys, *argv, "--rescale", "0.5")
         assert code == 0 and err == "" and "rescaled=" in out
         monkeypatch.setattr(operators, "pauli_masks", no_masks)
@@ -425,26 +426,81 @@ class TestPurityCommand:
         assert err == ("error: algebra: 4097 Pauli words of length 10 exceed the supported "
                        f"{operators.MAX_ENTRIES} words x dimension\n")
 
-    def test_word_spaces_read_no_dense_basis(self, capsys, tmp_path, monkeypatch):
-        # with an analytic or explicit reference, the purity of a word space comes from its
-        # masks alone: reading a dense stack or site basis fails the command
-        def no_matrix(space):
+    def test_local_numerical_reference_over_the_work_rule_exit_2(self, capsys, monkeypatch):
+        # local:10x2 without a highest-weight value would need the fixed point at dimension
+        # 1024 on 30 observables: refused at once, before any dim x dim matrix exists
+        def no_matrix(*args):
+            raise LookupError("matrix built")
+
+        monkeypatch.setattr(coherent, "highest_weight_purity", lambda *args: None)
+        monkeypatch.setattr(ObservableSpace, "element", no_matrix)
+        monkeypatch.setattr(ObservableSpace, "site_element", no_matrix)
+        purity.numeric_max_reference.cache_clear()
+        code, out, err = run_cli(capsys, "purity", "--state", "w:10", "--algebra", "local:10x2",
+                                 "--rescale", "auto")
+        purity.numeric_max_reference.cache_clear()
+        assert code == 2 and out == ""
+        assert err == ("error: a numerical reference for 30 observables of dimension 1024 "
+                       f"exceeds the supported {operators.MAX_ENTRIES} size x dimension^2\n")
+
+    def test_irreducible_ten_letter_words_get_the_highest_weight_reference(self, capsys,
+                                                                          tmp_path):
+        # the 30 one-qubit words on ten qubits span local:10x2: under the default --rescale
+        # the reference is one generic element's top eigenvector, n (d - 1) / d^n
+        n, d = 10, 2
+        words = ["I" * q + a + "I" * (n - q - 1) for q in range(n) for a in "XYZ"]
+        path = tmp_path / "one_qubit_words.txt"
+        path.write_text("".join(f"{w}\n" for w in words))
+        argv = ["classify", "--state", f"w:{n}", "--algebra"]
+        code, out, err = run_cli(capsys, *argv, f"custom:{path}", "--json")
+        record = json.loads(out)
+        assert code == 0 and err == ""
+        assert (record["theorem_direction"], record["reference_source"]) == ("iff",
+                                                                              "highest-weight")
+        assert abs(record["max_reference"] - n * (d - 1) / d ** n) <= 1e-12
+        assert abs(record["rescaled"] - ((n - 2) / n) ** 2) <= 1e-12
+        code, out, _ = run_cli(capsys, *argv, f"custom:{path}")
+        _, local, _ = run_cli(capsys, *argv, f"local:{n}x{d}")
+        assert code == 0
+        assert out.replace(f"custom:{path}", f"local:{n}x{d}") == local
+
+    def test_commands_read_no_dense_basis(self, capsys, tmp_path, monkeypatch):
+        # every catalog algebra's purity and verdict, under every kind of --rescale, come from
+        # the two linear maps alone: reading the dense basis fails the command
+        def no_basis(space):
             raise LookupError(f"dense basis of {space.label} read")
 
-        monkeypatch.setattr(ObservableSpace, "stack", property(no_matrix))
-        monkeypatch.setattr(ObservableSpace, "site_basis", property(no_matrix))
+        monkeypatch.setattr(ObservableSpace, "basis", property(no_basis))
+        purity.numeric_max_reference.cache_clear()  # every reference is computed afresh
         path = tmp_path / "words64.txt"
         path.write_text("".join(f"{''.join(w)}\n" for w in
                                 itertools.islice(itertools.product("XYZ", repeat=10), 64)))
-        cases = [("omega2-literal", "ghz:3", "analytic"),
-                 ("omega2-paper-values", "w:3", "analytic"), ("omega3", "w:3", "1"), ("omega4", "bisep:23", "0.875"),
-                 ("omega-prime-loc", "bell:phi+", "1"), ("so4-fermi", "fock:m2:11", "1"),
-                 (f"custom:{path}", "ghz:10", "0.5")]
+        cases = [("omega1", "w:3", "analytic"), ("omega2-literal", "ghz:3", "analytic"),
+                 ("omega2-paper-values", "w:3", "analytic"), ("omega3", "w:3", "1"),
+                 ("omega4", "bisep:23", "0.875"), ("omega-prime-loc", "bell:phi+", "1"),
+                 ("u2", "bell:psi+", "1"), ("so4-fermi", "fock:m2:11", "1"),
+                 ("local:3x2", "ghz:3", "analytic"), ("local:2x3", "spin:4,4", "1"),
+                 ("su2-spin:1", "spin:1,1", "analytic")]
         for command in ("purity", "classify"):
             for algebra, state, rescale in cases:
-                code, out, err = run_cli(capsys, command, "--state", state,
-                                         "--algebra", algebra, "--rescale", rescale)
-                assert code == 0 and err == "" and "rescaled=" in out, (algebra, err)
+                for flags in ([], ["--rescale", "auto"], ["--rescale", rescale]):
+                    code, out, err = run_cli(capsys, command, "--state", state,
+                                             "--algebra", algebra, *flags)
+                    assert code == 0 and err == "" and "rescaled=" in out, (algebra, flags, err)
+            code, out, err = run_cli(capsys, command, "--state", "ghz:10",
+                                     "--algebra", f"custom:{path}", "--rescale", "0.5")
+            assert code == 0 and err == "" and "rescaled=" in out, err
+
+    def test_local_auto_reference_builds_no_element(self, capsys, monkeypatch):
+        # the highest-weight vector of local:10x2 is a product of site eigenvectors
+        def no_matrix(*args):
+            raise LookupError("element built")
+
+        monkeypatch.setattr(ObservableSpace, "element", no_matrix)
+        purity.numeric_max_reference.cache_clear()
+        code, out, err = run_cli(capsys, "purity", "--state", "w:10", "--algebra", "local:10x2",
+                                 "--rescale", "auto")
+        assert code == 0 and err == "" and "\nrescaled=0.64\n" in out
 
     def test_dimension_mismatch_before_numerical_reference(self, capsys, tmp_path, monkeypatch):
         # the seeded optimizer once ran to completion on a state it could not be applied to
