@@ -5,8 +5,8 @@ catalog of distinguished observable spaces (:mod:`getk.catalog`),
 observable-relative purity and unentanglement tests (:mod:`getk.purity`),
 coherent states and the purity maximizer (:mod:`getk.coherent`), fermionic
 modes (:mod:`getk.fermion`), and exact no-signalling box polytopes
-(:mod:`getk.boxes`).  :mod:`getk.boxes` is pure ``Fraction`` code and does
-not import numpy.
+(:mod:`getk.boxes`).  :mod:`getk.boxes` is pure ``int`` and ``Fraction`` code
+and does not import numpy.
 
 The package itself exports only the three input helpers that state files
 and box-table files share: :class:`StateParseError`, :func:`read_json_file`

@@ -13,7 +13,8 @@ Kronecker product of the single-box ones, built once per shape.  One box
 (N = 1) runs through the same code as a pair; the command line takes two.
 Box-table files are read by the package's :func:`getk.read_json_file`, the
 reader state files share; it and :func:`getk.whole_number` are re-exported
-here.
+here.  The module's linear algebra runs on integer rows: ``Fraction``
+appears only where a table is read or written.
 """
 
 import itertools
@@ -24,11 +25,8 @@ from math import gcd, lcm, prod
 
 from . import StateParseError, read_json_file, whole_number  # also read as boxes.<name>
 
-F0 = Fraction(0)
-F1 = Fraction(1)
-
 ENUMERATION_CAP = 6  # max n_inputs * n_outputs per side for vertex enumeration
-SEPARABILITY_CAP = 256  # max product vertices per separability test: (4,2,4,2) takes ~9 s
+SEPARABILITY_CAP = 256  # max product vertices per separability test: (4,2,4,2) takes < 1 s
 NO_EMPTY_SIDE = "need at least one input and one output per side"
 
 
@@ -135,7 +133,7 @@ class BoxState:
 
 def deterministic_boxes(n_inputs: int, n_outputs: int) -> list:
     """All M^N deterministic single-box tables, in lexicographic order."""
-    return [BoxState((n_inputs, n_outputs), tuple(F1 if i == o else F0  # flat index M*k + i
+    return [BoxState((n_inputs, n_outputs), tuple(Fraction(int(i == o))  # flat index M*k + i
                                                   for o in outcomes for i in range(n_outputs)))
             for outcomes in itertools.product(range(n_outputs), repeat=n_inputs)]
 
@@ -203,27 +201,31 @@ def no_signalling_polytope(*shape: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra over Fraction
+# exact linear algebra over the integers (fraction-free)
+
+
+def _primitive(row):
+    g = gcd(*row) or 1  # a zero row stays zero
+    return [x // g for x in row]
 
 
 def _pivot(rows, r, c):
-    """One exact Gauss-Jordan step in place: scale row r to 1 at column c, clear c elsewhere."""
-    pv = rows[r][c]
-    rows[r] = [x / pv for x in rows[r]]
-    for i in range(len(rows)):
-        if i != r and rows[i][c] != 0:
-            f = rows[i][c]
-            rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+    """One fraction-free Gauss-Jordan step in place: every other row becomes pv * row -
+    f * rows[r] over its gcd (pv = rows[r][c]), a multiple of the rational step's row,
+    by a positive factor when pv > 0."""
+    pv, prow = rows[r][c], rows[r]
+    for i, row in enumerate(rows):
+        if i != r and (f := row[c]):
+            rows[i] = _primitive([pv * a - f * b for a, b in zip(row, prow)])
 
 
 def _rref(rows):
-    m = [[Fraction(x) for x in r] for r in rows]  # an int / int would be a float
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots = []
-    for c in range(ncols):
+    """Integer rows in reduced echelon form, and the pivot columns; a pivot entry need not
+    be 1, but row i over its pivot entry is the rational form's row i."""
+    m, pivots = [list(r) for r in rows], []
+    for c in range(len(m[0]) if m else 0):
         r = len(pivots)
-        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
         if pr is not None:
             m[r], m[pr] = m[pr], m[r]
             _pivot(m, r, c)
@@ -233,13 +235,6 @@ def _rref(rows):
 
 def _rank(rows) -> int:
     return len(_rref(rows)[1])
-
-
-def _integerize(frac_row):
-    mult = lcm(*(f.denominator for f in frac_row)) if frac_row else 1
-    ints = [int(f * mult) for f in frac_row]
-    g = gcd(*ints)
-    return [v // g for v in ints] if g > 1 else ints
 
 
 def _extreme_rays(rows, dim):
@@ -256,8 +251,11 @@ def _extreme_rays(rows, dim):
     _, basis = _rref([[row[c] for row in rows] for c in range(dim)])
     inv, _ = _rref([list(rows[b]) + [int(i == k) for k in range(dim)]
                     for i, b in enumerate(basis)])
+    # row c is p_c (e_c | row c of B^-1): scaled to one common positive pivot, column i is ray i
+    scale = lcm(*(row[c] for c, row in enumerate(inv)))
+    rays = [_primitive([row[dim + i] * (scale // row[c]) for c, row in enumerate(inv)])
+            for i in range(dim)]
     full = sum(1 << b for b in basis)
-    rays = [_integerize([inv[c][dim + i] for c in range(dim)]) for i in range(dim)]
     masks = [full & ~(1 << b) for b in basis]
     done = set(basis)
     for h, row in enumerate(rows):
@@ -279,8 +277,7 @@ def _extreme_rays(rows, dim):
                     continue
                 vi, vj = vals[i], -vals[j]  # both positive; the combination is tight at h
                 ray = [vi * yj + vj * yi for yi, yj in zip(rays[i], rays[j])]
-                g = gcd(*ray)
-                new_rays.append([v // g for v in ray])
+                new_rays.append(_primitive(ray))
                 new_masks.append(common | bit)
         rays, masks = new_rays, new_masks
     return rays
@@ -387,17 +384,18 @@ def relabeling_orbit(state: BoxState) -> list:
 def _phase1_feasible(columns, target) -> bool:
     """Does target = sum_c mu_c columns[c] admit a solution with mu >= 0?
 
-    Phase-1 simplex with Bland's rule over exact rationals, one artificial per row;
-    target entries must be nonnegative.  Row m is the reduced-cost row of the artificials'
+    Phase-1 simplex with Bland's rule on an integer tableau, one artificial per row; entries
+    are integers, target's nonnegative.  Row m is the reduced-cost row of the artificials'
     sum, kept current by each pivot; its last entry, minus that sum, ends at 0 iff feasible.
+    Pivots scale rows by positive factors, which keep every ratio and reduced-cost sign.
     """
     m, n = len(target), len(columns)
-    tab = [[col[r] for col in columns] + [F1 if rr == r else F0 for rr in range(m)] + [target[r]]
+    tab = [[col[r] for col in columns] + [int(rr == r) for rr in range(m)] + [target[r]]
            for r in range(m)]
-    tab.append([-sum(col) for col in columns] + [F0] * m + [-sum(target)])
+    tab.append([-sum(col) for col in columns] + [0] * m + [-sum(target)])
     basis = list(range(n, n + m))
     while (entering := next((j for j, red in enumerate(tab[m][:-1]) if red < 0), None)) is not None:
-        ratios = [(tab[r][-1] / tab[r][entering], basis[r], r)
+        ratios = [(Fraction(tab[r][-1], tab[r][entering]), basis[r], r)
                   for r in range(m) if tab[r][entering] > 0]
         if not ratios:
             raise ArithmeticError("phase-1 simplex became unbounded")
@@ -417,7 +415,8 @@ def in_convex_hull(state: BoxState, vertices) -> bool:
     vertices = list(vertices)
     if any(v.shape != state.shape for v in vertices):
         raise ValueError("hull vertices must share the state's shape")
-    return bool(vertices) and _phase1_feasible([v.probs for v in vertices], state.probs)
+    columns = [_numerators(v.probs)[0] for v in vertices]  # a column scaled by its denominator
+    return bool(vertices) and _phase1_feasible(columns, _numerators(state.probs)[0])
 
 
 def in_separable_tensor_product(state: BoxState) -> bool:
@@ -441,6 +440,6 @@ def canonical_product_vertex() -> BoxState:
 
 def canonical_entangled_vertex() -> BoxState:
     """The correlated-box vertex: outcomes agree unless both inputs are 1."""
-    probs = (Fraction(1, 2) if (i ^ j) == (k & l) else F0  # row-major: k, i, then l, j
+    probs = (Fraction(int((i ^ j) == (k & l)), 2)  # row-major: k, i, then l, j
              for k, i, l, j in itertools.product(range(2), repeat=4))
     return BoxState(shape=(2, 2, 2, 2), probs=tuple(probs))

@@ -4,7 +4,7 @@ import json
 import pickle
 import random
 from fractions import Fraction
-from math import factorial, gcd, prod
+from math import factorial, gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +16,6 @@ from getk.boxes import (
     InfeasibleError,
     SignallingError,
     VertexClass,
-    _integerize,
     _rank,
     _rref,
     _side_generators,
@@ -124,9 +123,47 @@ def h_representation(shape):
     return eqs, unit
 
 
+def fraction_pivot(rows, r, c):
+    """One rational Gauss-Jordan step in place: scale row r to 1 at column c, clear c elsewhere."""
+    pv = rows[r][c]
+    rows[r] = [x / pv for x in rows[r]]
+    for i in range(len(rows)):
+        if i != r and rows[i][c] != 0:
+            f = rows[i][c]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+
+
+def fraction_rref(rows):
+    """Reduced row echelon form over the rationals, with pivot entries 1, and its pivots."""
+    m = [[F(x) for x in r] for r in rows]  # an int / int would be a float
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if pr is not None:
+            m[r], m[pr] = m[pr], m[r]
+            fraction_pivot(m, r, c)
+            pivots.append(c)
+    return m, pivots
+
+
+def oracle_rank(rows) -> int:
+    return len(fraction_rref(rows)[1])
+
+
+def integerize(frac_row):
+    """The primitive integer row that is a positive multiple of a rational row."""
+    mult = lcm(*(f.denominator for f in frac_row)) if frac_row else 1
+    ints = [int(f * mult) for f in frac_row]
+    g = gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
+
+
 def affine_solution(aug_rows, ncols):
     """Particular solution and nullspace basis of [A | b] over the rationals."""
-    m, pivots = _rref(aug_rows)
+    m, pivots = fraction_rref(aug_rows)
     assert ncols not in pivots, "equality system is inconsistent"
     x0 = [F(0)] * ncols
     for r, c in enumerate(pivots):
@@ -157,7 +194,7 @@ def brute_force_vertices(shape):
     ambient = len(unit)
     x0, null = affine_solution([e + [F(0)] for e in eqs] + [unit + [F(1)]], ambient)
     p = len(null)
-    base_rows = [_integerize([null[q][r] for q in range(p)] + [x0[r]])
+    base_rows = [integerize([null[q][r] for q in range(p)] + [x0[r]])
                  for r in range(ambient)]
     found = set()
 
@@ -449,14 +486,15 @@ class TestPolytope:
             assert [sum(a * x for a, x in zip(unit, col)) for col in columns] == \
                 [1] + [0] * (len(columns) - 1), shape
             free = [row[1:] for row in matrix]
-            hull_dim = len(matrix) - _rank(eqs + [unit])
+            hull_dim = len(matrix) - oracle_rank(eqs + [unit])
             assert _rank(free) == hull_dim == len(matrix[0]) - 1, shape
 
     def test_rref_is_exact_on_integer_rows(self):
         m, pivots = _rref([[2, 1, 0], [1, 3, 5]])
         assert pivots == [0, 1]
-        assert all(type(x) is Fraction for row in m for x in row)
-        assert m == [[1, 0, F(-1)], [0, 1, 2]]
+        assert all(type(x) is int for row in m for x in row)
+        # each row over its pivot entry is the rational form
+        assert [[F(x, row[c]) for x in row] for row, c in zip(m, pivots)] == [[1, 0, -1], [0, 1, 2]]
 
     def test_sizes_capped(self):
         with pytest.raises(ValueError):
@@ -588,7 +626,7 @@ class TestExtremality:
             rows = eqs + [unit]
             rows += [[F(int(c == r)) for c in range(entries)]
                      for r, val in enumerate(state.probs) if val == 0]
-            assert is_extremal(state) is (_rank(rows) == entries)
+            assert is_extremal(state) is (oracle_rank(rows) == entries)
 
 
 class TestClassification:
@@ -800,11 +838,11 @@ class TestGeneralizedUnentangledBox:
             assert in_separable_tensor_product(v) is (vertex_class(v) is VertexClass.PRODUCT)
 
 
-def phase1_oracle(columns, target) -> bool:
+def phase1_oracle(columns, target, pivot=fraction_pivot) -> bool:
     """The phase-1 simplex that recomputes every reduced cost before each pivot.
 
-    Bland's rule over exact rationals, one artificial per row; it pivots
-    through ``boxes._pivot``, so a recorder patched there sees its steps.
+    Bland's rule over exact rationals, one artificial per row; each step is
+    ``pivot``, the rational Gauss-Jordan step unless a recorder is passed.
     """
     m = len(target)
     n = len(columns)
@@ -836,44 +874,50 @@ def phase1_oracle(columns, target) -> bool:
                     best, leave = ratio, r
         if leave is None:
             raise ArithmeticError("phase-1 simplex became unbounded")
-        boxes._pivot(tab, leave, entering)
+        pivot(tab, leave, entering)
         basis[leave] = entering
     residual = sum(tab[r][-1] for r in range(m) if basis[r] >= n)
     return residual == 0
 
 
-def product_columns(shape):
-    """The probability tables of every deterministic product box of a two-box shape."""
+def product_tables(shape):
+    """Every deterministic product box of a two-box shape."""
     na, ma, nb, mb = shape
-    return [a.tensor(b).probs for a in deterministic_boxes(na, ma)
-            for b in deterministic_boxes(nb, mb)]
+    return [a.tensor(b) for a in deterministic_boxes(na, ma) for b in deterministic_boxes(nb, mb)]
 
 
 class TestPhase1OracleSimplex:
-    """The simplex with its cost row in the tableau pivots exactly as the oracle does."""
+    """The integer simplex pivots exactly as the rational oracle does."""
 
     @staticmethod
-    def solve_recorded(solver, columns, target, monkeypatch):
-        pivots = []
+    def solve_both(table, hull, monkeypatch):
+        """Verdict and pivots of in_convex_hull (the integer tableau on the tables'
+        numerators), then of the oracle on their probabilities."""
+        new, old = [], []
         real = boxes._pivot
 
         def recorder(rows, r, c):
-            pivots.append((r, c))
+            new.append((r, c))
             real(rows, r, c)
+
+        def oracle_recorder(rows, r, c):
+            old.append((r, c))
+            fraction_pivot(rows, r, c)
 
         with monkeypatch.context() as patch:
             patch.setattr(boxes, "_pivot", recorder)
-            return solver(columns, target), pivots
+            verdict = in_convex_hull(table, hull)
+        return (verdict, new), (phase1_oracle([v.probs for v in hull], table.probs,
+                                              oracle_recorder), old)
 
     @pytest.mark.parametrize("shape", [(2, 2, 2, 2), (2, 2, 3, 2), (2, 2, 2, 3)])
     def test_same_verdicts_and_pivots(self, shape, monkeypatch):
         rng = random.Random(2003)
-        columns = product_columns(shape)
+        hull = product_tables(shape)
         tables = vertices_of(shape) + [rational_mixture(shape, rng) for _ in range(20)]
         verdicts = set()
         for table in tables:
-            new = self.solve_recorded(boxes._phase1_feasible, columns, table.probs, monkeypatch)
-            old = self.solve_recorded(phase1_oracle, columns, table.probs, monkeypatch)
+            new, old = self.solve_both(table, hull, monkeypatch)
             assert new == old
             assert new[1]  # at least one pivot
             verdicts.add(new[0])
@@ -883,12 +927,99 @@ class TestPhase1OracleSimplex:
         # columns that are not product tables: the full vertex list, one vertex left out
         verts = square_pair()
         for k in (0, 5, len(verts) - 1):
-            columns = [v.probs for v in verts[:k] + verts[k + 1:]]
-            new = self.solve_recorded(boxes._phase1_feasible, columns, verts[k].probs,
-                                      monkeypatch)
-            assert new == self.solve_recorded(phase1_oracle, columns, verts[k].probs,
-                                              monkeypatch)
+            new, old = self.solve_both(verts[k], verts[:k] + verts[k + 1:], monkeypatch)
+            assert new == old
             assert new[0] is False
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2, 2), (2, 3, 2, 2)])
+    def test_same_pivots_on_columns_with_unequal_denominators(self, shape, monkeypatch):
+        # each column is scaled by its own denominator, the target by another
+        rng = random.Random(1968)
+        hull = [rational_mixture(shape, rng, terms) for terms in (2, 2, 3, 3, 4, 5)]
+        assert len({lcm(*(p.denominator for p in v.probs)) for v in hull}) > 2
+        weights = [rng.randint(1, 7) for _ in hull]
+        inside = BoxState(shape, tuple(sum(F(w, sum(weights)) * v.probs[r]
+                                           for w, v in zip(weights, hull))
+                                       for r in range(prod(shape))))
+        mixtures = [rational_mixture(shape, rng) for _ in range(8)]
+        tables = [inside, *mixtures, *vertices_of(shape)[:4]]
+        verdicts = set()
+        for table in tables:
+            new, old = self.solve_both(table, hull, monkeypatch)
+            assert new == old and new[1]
+            verdicts.add(new[0])
+        assert verdicts == {True, False}
+
+
+class TestIntegerElimination:
+    """The fraction-free core against the rational oracle; no row it touches holds a Fraction."""
+
+    @staticmethod
+    def seeded_matrices():
+        """Integer products of random low-rank factors: negative and zero entries, zero
+        columns, and rows that vanish on elimination."""
+        rng = random.Random(1967)
+        out = [[[0, 2, -3], [-4, 1, 0], [2, 0, 5]], [[0, 0], [0, 0]], [[-6, 4, 2]]]
+        for _ in range(80):
+            rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+            rank = rng.randint(0, min(rows, cols))
+            left = [[rng.choice((-3, -2, -1, 0, 0, 1, 2)) for _ in range(rank)]
+                    for _ in range(rows)]
+            right = [[rng.choice((-2, -1, 0, 0, 1, 3)) for _ in range(cols)]
+                     for _ in range(rank)]
+            out.append([[sum(left[i][k] * right[k][j] for k in range(rank)) for j in range(cols)]
+                        for i in range(rows)])
+        return out
+
+    def test_rank_and_rows_equal_the_rational_oracle(self, monkeypatch):
+        signs = []
+        real = boxes._pivot
+
+        def recorder(rows, r, c):
+            signs.append(rows[r][c] > 0)
+            real(rows, r, c)
+
+        monkeypatch.setattr(boxes, "_pivot", recorder)
+        matrices = self.seeded_matrices()
+        for rows in matrices:
+            m, pivots = _rref(rows)
+            want, want_pivots = fraction_rref(rows)
+            assert pivots == want_pivots and _rank(rows) == len(pivots), rows
+            assert all(type(x) is int for row in m for x in row)
+            assert [[F(x, row[c]) for x in row] for row, c in zip(m, pivots)] == \
+                want[:len(pivots)], rows
+            assert not any(x for row in m[len(pivots):] for x in row)
+        # the seeds reach negative pivots, leading zeros that need a row swap, and lost rank
+        assert False in signs and True in signs
+        assert any(rows[0][0] == 0 and any(row[0] for row in rows) for rows in matrices)
+        assert any(_rank(rows) < min(len(rows), len(rows[0])) for rows in matrices)
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2, 2), (2, 2, 3, 2)])
+    def test_every_pivoted_row_holds_only_ints(self, shape, monkeypatch):
+        calls = []
+        real = boxes._pivot
+
+        def int_only(rows, r, c):
+            assert all(type(x) is int for row in rows for x in row)
+            real(rows, r, c)
+            assert all(type(x) is int for row in rows for x in row)
+            calls.append(c)
+
+        monkeypatch.setattr(boxes, "_pivot", int_only)
+        rng = random.Random(17)
+        verts = vertices_of(shape)
+        mixture = rational_mixture(shape, rng)
+        hull = [rational_mixture(shape, rng, terms) for terms in (2, 3, 4)] + verts[:2]
+        tables = (verts[0], verts[-1], mixture)
+        runs = [("enumerate_vertices", lambda: enumerate_vertices(*shape)),
+                ("is_extremal", lambda: [is_extremal(t) for t in tables]),
+                ("in_separable_tensor_product",
+                 lambda: [in_separable_tensor_product(t) for t in tables]),
+                ("in_convex_hull", lambda: [in_convex_hull(t, hull) for t in (mixture, verts[-1])])]
+        for name, run in runs:
+            before = len(calls)
+            run()
+            assert len(calls) > before, name
 
 
 def with_labelling_box(two_box_probs, position):

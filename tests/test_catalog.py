@@ -19,6 +19,15 @@ from random_states import random_density_state, random_pure_state
 SX, SY, SZ, ID = map(pauli_string, "XYZI")
 
 
+def forbid_dense_elements(monkeypatch):
+    """Make building any element X_a, alone or as the dense basis, fail."""
+    def no_matrix(*args):
+        raise LookupError("dense element built")
+
+    monkeypatch.setattr(ObservableSpace, "element", no_matrix)
+    monkeypatch.setattr(ObservableSpace, "basis", property(no_matrix))
+
+
 ALL_SPACES = [
     lambda: catalog.local_algebra(1, 2),
     lambda: catalog.local_algebra(2, 2),
@@ -193,20 +202,20 @@ class TestSiteFactoredLocalAlgebra:
         assert abs(report.rescaled - want) <= 1e-14
         assert f"{report.rescaled:.12g}" == f"{want:.12g}"
 
-    def test_purity_leaves_the_stack_unbuilt(self):
+    def test_purity_leaves_the_stack_unbuilt(self, monkeypatch):
         space = catalog.local_algebra.__wrapped__(10, 2)  # a fresh, uncached instance
         w10 = states.builtin_state("w:10")
+        forbid_dense_elements(monkeypatch)
         report = rescaled_purity(w10, space)
         verdict = is_generalized_unentangled(w10, space)
-        assert "stack" not in vars(space)
         assert (report.raw, report.max_reference) == (pytest.approx(0.00625), 0.009765625)
         assert not verdict.unentangled and verdict.rescaled == report.rescaled
 
-    def test_auto_reference_leaves_the_stack_unbuilt(self):
+    def test_auto_reference_leaves_the_stack_unbuilt(self, monkeypatch):
         # the highest-weight vector of a sum of site terms is a product of site eigenvectors
         space = catalog.local_algebra.__wrapped__(3, 2)
+        forbid_dense_elements(monkeypatch)
         report = rescaled_purity(states.builtin_state("w:3"), space, "auto")
-        assert "stack" not in vars(space)
         assert report.reference_source == "highest-weight"
         assert report.max_reference == pytest.approx(0.375, abs=1e-12)
 
@@ -353,10 +362,10 @@ class TestRestrictedLocalSpins:
         with pytest.raises(ValueError, match=rf"33\^2 exceeds the supported {catalog.MAX_DIM}"):
             catalog.restricted_local_spins(16)
 
-    def test_largest_spin_builds_without_its_stack(self):
-        space = catalog.restricted_local_spins(15.5)
+    def test_largest_spin_builds_without_its_stack(self, monkeypatch):
+        forbid_dense_elements(monkeypatch)
+        space = catalog.restricted_local_spins.__wrapped__(15.5)  # built here, under the guard
         assert space.dim == catalog.MAX_DIM == 1024
-        assert "stack" not in vars(space)
 
 
 class TestSpinAlgebra:

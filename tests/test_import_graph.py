@@ -63,6 +63,21 @@ def test_the_size_rule_lives_in_checked_dim():
     assert owners == ["operators.checked_dim"]
 
 
+INTEGER_CORE = ("_pivot", "_rref", "_rank", "_extreme_rays", "_phase1_feasible")
+
+
+def test_integer_core_divides_only_with_floor_division():
+    # the box side's elimination runs on int rows: a true division would make a row
+    # float or Fraction without a word, where // stays exact on the divisors it takes
+    tree = ast.parse((PACKAGE / "boxes.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert set(INTEGER_CORE) <= functions.keys()
+    divisions = [f"{name}:{node.lineno}" for name in INTEGER_CORE
+                 for node in ast.walk(functions[name])
+                 if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)]
+    assert divisions == []
+
+
 def test_every_public_function_has_a_reader():
     # a public module-level function is referenced somewhere in src/ (a name, an
     # attribute or an import) or documented in README; anything else is dead code
@@ -87,7 +102,7 @@ def test_every_public_function_has_a_reader():
 
 @pytest.mark.parametrize("module", ["getk", "getk.boxes", "getk.cli"])
 def test_import_leaves_numpy_out(module):
-    # the box side is pure Fraction code, the package exports only its three
+    # the box side is pure int and Fraction code, the package exports only its three
     # numpy-free input helpers, and the command registers its modules without running them
     env = dict(os.environ, PYTHONPATH=SRC)
     probe = f"import sys, {module}; print('numpy' in sys.modules)"
@@ -219,7 +234,7 @@ SIGNALLING_TABLE = {  # Bob's outcome on input 0 follows Alice's input
 
 @pytest.mark.parametrize("command", ["vertices", "classify", "separable", "orbit"])
 def test_box_commands_leave_numpy_out(tmp_path, command):
-    # a box command, its input errors included, runs on pure Fraction code, and
+    # a box command, its input errors included, runs on pure int and Fraction code, and
     # BoxState is a plain class: the dataclass machinery would import inspect, ast and dis
     from getk.boxes import canonical_entangled_vertex
     if command == "vertices":

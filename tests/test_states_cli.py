@@ -4,9 +4,12 @@ import io
 import itertools
 import json
 import os
+import random
 import re
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -545,16 +548,19 @@ class TestPurityCommand:
 
     @pytest.mark.parametrize("command", ["purity", "classify"])
     def test_local_auto_reference_leaves_the_stack_unbuilt(self, command):
+        # no element is built in the command's own process, so no dense basis either
         probe = ("import contextlib, io, sys\n"
-                 "from getk import catalog, cli\n"
+                 "from getk import cli, operators\n"
+                 "calls, element = [], operators.ObservableSpace.element\n"
+                 "operators.ObservableSpace.element = lambda *a: calls.append(1) or element(*a)\n"
                  "with contextlib.redirect_stdout(io.StringIO()):\n"
                  "    code = cli.main(sys.argv[1:])\n"
-                 "print(code, 'stack' in vars(catalog.local_algebra(4, 2)))\n")
+                 "print(code, len(calls))\n")
         proc = subprocess.run([sys.executable, "-c", probe, command, "--state", "w:4",
                                "--algebra", "local:4x2", "--rescale", "auto"],
                               env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
                               text=True, timeout=120)
-        assert proc.stdout == "0 False\n"
+        assert proc.stdout == "0 0\n"
 
     def test_local_10_qubits_auto_reference_small_process(self):
         # the fixed point would need the (30, 1024, 1024) stack; the site eigenvectors do not
@@ -676,6 +682,24 @@ class TestBoxesCommands:
         code, out, _ = run_cli(capsys, "boxes", "separable", "--state",
                                self.entangled_file(tmp_path))
         assert code == 0 and "separable=false" in out
+
+    def test_generic_product_table_separable_in_a_fresh_process(self, tmp_path):
+        # the largest tables the cap admits, (4,2,4,2), with distinct rational rows: the
+        # integer tableau decides in well under a second where a rational one took 15 s
+        rng = random.Random(4242)
+        sides = []
+        for _ in range(2):
+            numerators = rng.sample(range(1, 97), 4)
+            sides.append(boxes.BoxState((4, 2), [p for k, a in enumerate(numerators)
+                                                 for p in (Fraction(a, 97 + k),
+                                                           1 - Fraction(a, 97 + k))]))
+        path = tmp_path / "generic.json"
+        path.write_text(json.dumps(sides[0].tensor(sides[1]).to_json_dict()))
+        start = time.perf_counter()
+        proc = _run_getk("boxes", "separable", "--state", str(path))
+        elapsed = time.perf_counter() - start
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "separable=true\n", "")
+        assert elapsed < 5.0
 
     @pytest.mark.parametrize("n_inputs, message", [
         ([5, 5], "separability capped at 256 product vertices, got 1024"),
