@@ -131,13 +131,6 @@ class BoxState:
         return cls(shape=tuple(itertools.chain(*zip(inputs, outputs))), probs=probs)
 
 
-def deterministic_boxes(n_inputs: int, n_outputs: int) -> list:
-    """All M^N deterministic single-box tables, in lexicographic order."""
-    return [BoxState((n_inputs, n_outputs), tuple(Fraction(int(i == o))  # flat index M*k + i
-                                                  for o in outcomes for i in range(n_outputs)))
-            for outcomes in itertools.product(range(n_outputs), repeat=n_inputs)]
-
-
 def marginals(state: BoxState) -> tuple:
     """Exact single-box marginal tables, one per box; the reduction map of this setting.
 
@@ -178,6 +171,11 @@ def _side_matrix(n: int, m: int) -> list:
     return rows
 
 
+def _kron(a, b) -> list:
+    """Kronecker product of two lists of integer rows, a's index most significant."""
+    return [tuple(x * y for x in ra for y in rb) for ra in a for rb in b]
+
+
 @lru_cache(maxsize=32)  # bounded: one entry per table shape
 def no_signalling_polytope(*shape: int) -> tuple:
     """The normalized no-signalling tables of boxes of shape (n_1, m_1, ..., n_N, m_N).
@@ -193,11 +191,7 @@ def no_signalling_polytope(*shape: int) -> tuple:
     if prod(shape) ** 2 > 10_000:
         raise ValueError(f"table size {prod(shape)} too large")
     # the Kronecker row order is the table's mixed-radix order
-    matrix = [(1,)]
-    for n, m in pairs:
-        matrix = [tuple(a * b for a in row for b in side)
-                  for row in matrix for side in _side_matrix(n, m)]
-    return tuple(matrix)
+    return tuple(reduce(_kron, (_side_matrix(n, m) for n, m in pairs), [(1,)]))
 
 
 # ---------------------------------------------------------------------------
@@ -427,15 +421,21 @@ def in_separable_tensor_product(state: BoxState) -> bool:
     no_signalling_polytope(*state.shape)  # its table-size rule
     if (count := prod(m ** n for n, m in _boxes(state.shape))) > SEPARABILITY_CAP:
         raise ValueError(f"separability capped at {SEPARABILITY_CAP} product vertices, got {count}")
-    products = [reduce(BoxState.tensor, dets) for dets in itertools.product(
-        *(deterministic_boxes(n, m) for n, m in _boxes(state.shape)))]
-    return in_convex_hull(state, products)
+    return _phase1_feasible(_product_columns(state.shape), _numerators(state.probs)[0])
+
+
+def _product_columns(shape) -> list:
+    """The 0/1 product vertices of a shape, in lexicographic order of each box's outcomes.
+
+    Each is the Kronecker product of one deterministic row per box: p(i|k) = [i == o_k]."""
+    return reduce(_kron, ([[int(i == o) for o in outcomes for i in range(m)]  # flat index m*k + i
+                           for outcomes in itertools.product(range(m), repeat=n)]
+                          for n, m in _boxes(shape)), [(1,)])
 
 
 def canonical_product_vertex() -> BoxState:
     """The product vertex with outcome 0 certain on every measurement."""
-    det = deterministic_boxes(2, 2)[0]
-    return det.tensor(det)
+    return BoxState((2, 2, 2, 2), _product_columns((2, 2, 2, 2))[0])
 
 
 def canonical_entangled_vertex() -> BoxState:

@@ -77,6 +77,11 @@ def omega1() -> ObservableSpace:
     return local_algebra(3, 2, label="omega1")
 
 
+def _first_pair_words() -> list[str]:
+    """The 15 traceless words on qubits 1,2 of three: two-body, then one-body."""
+    return _two_body_words([(0, 1)]) + ["XII", "YII", "ZII", "IXI", "IYI", "IZI"]
+
+
 @lru_cache(maxsize=None)
 def bilocal_pair_algebra() -> ObservableSpace:
     """su(4) on qubits 1,2 plus su(2) on qubit 3, read literally (18 elements).
@@ -84,9 +89,8 @@ def bilocal_pair_algebra() -> ObservableSpace:
     Raw purity decomposes as (Tr rho_12^2 - 1/4)/2 + (Tr rho_3^2 - 1/2)/4,
     so the maximum over pure states is 1/2.
     """
-    words = _two_body_words([(0, 1)]) + ["XII", "YII", "ZII", "IXI", "IYI", "IZI"]
-    words += ["IIX", "IIY", "IIZ"]
-    return ObservableSpace(words, "omega2-literal", max_purity=0.5)
+    return ObservableSpace(_first_pair_words() + ["IIX", "IIY", "IIZ"], "omega2-literal",
+                           max_purity=0.5)
 
 
 @lru_cache(maxsize=None)
@@ -97,8 +101,7 @@ def first_pair_algebra() -> ObservableSpace:
     purity (4/3)(Tr rho_12^2 - 1/4); this is the reading that reproduces
     the published reference values for the bi-local observer.
     """
-    words = _two_body_words([(0, 1)]) + ["XII", "YII", "ZII", "IXI", "IYI", "IZI"]
-    return ObservableSpace(words, "omega2-paper-values", max_purity=3.0 / 8.0)
+    return ObservableSpace(_first_pair_words(), "omega2-paper-values", max_purity=3.0 / 8.0)
 
 
 @lru_cache(maxsize=None)
@@ -159,6 +162,17 @@ def full_traceless_algebra(d: int) -> ObservableSpace:
     return local_algebra(1, d, label=f"full:{d}")
 
 
+_FIXED = {
+    "omega1": omega1,
+    "omega2-literal": bilocal_pair_algebra,
+    "omega2-paper-values": first_pair_algebra,
+    "omega3": omega3,
+    "omega4": omega4,
+    "omega-prime-loc": omega_prime_loc,
+    "u2": z_conserving_u2,
+}
+
+
 def named_algebra(name: str) -> ObservableSpace:
     """Resolve a catalog name as used by the command-line front end.
 
@@ -166,17 +180,8 @@ def named_algebra(name: str) -> ObservableSpace:
     omega4, omega-prime-loc, u2, so4-fermi, local:NxD, su2-spin:J and
     custom:<file> where the file lists Pauli words one per line.
     """
-    fixed = {
-        "omega1": omega1,
-        "omega2-literal": bilocal_pair_algebra,
-        "omega2-paper-values": first_pair_algebra,
-        "omega3": omega3,
-        "omega4": omega4,
-        "omega-prime-loc": omega_prime_loc,
-        "u2": z_conserving_u2,
-    }
-    if name in fixed:
-        return fixed[name]()
+    if name in _FIXED:
+        return _FIXED[name]()
     if name == "so4-fermi":
         return fermion.fermionic_so4()
     if name.startswith("local:"):

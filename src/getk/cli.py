@@ -114,9 +114,8 @@ def _cmd_purity(args) -> int:
     if args.json:  # JSON only: key=value records keep a fixed set of keys
         record["reference_source"] = report.reference_source
     if args.command == "classify":
-        verdict = purity.is_generalized_unentangled(state, omega, tol=args.tol, report=report)
-        record.update(unentangled=verdict.unentangled,
-                      theorem_direction=verdict.theorem_direction)
+        record.update(unentangled=report.unentangled(args.tol),
+                      theorem_direction=report.theorem_direction)
     _emit(record, args.json)
     return 0
 

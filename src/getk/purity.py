@@ -4,6 +4,7 @@ The central quantity is the squared length of the projection of a state
 onto a distinguished observable space: P(rho) = sum_a Tr(rho X_a)^2 for a
 trace-orthonormal basis {X_a}.  Rescaled so that its maximum over pure
 states is 1, maximal purity certifies extremality of the reduced state.
+A :class:`PurityReport` holds the purity; its ``unentangled`` is the whole verdict rule.
 """
 
 import math
@@ -30,6 +31,9 @@ class PurityReport:
 
     ``reference_source`` says where ``max_reference`` came from: ``analytic``,
     ``highest-weight``, ``numerical`` (the fixed-point estimate) or ``explicit``.
+    ``theorem_direction`` is "iff" when the space is an irreducibly represented
+    Lie algebra, where maximal purity is equivalent to generalized unentanglement,
+    and "sufficient" otherwise, where a False verdict only means "not certified".
     """
 
     raw: float
@@ -37,6 +41,8 @@ class PurityReport:
     max_reference: float
     omega_label: str
     reference_source: str
+    theorem_direction: str
+    pure: bool
 
     def as_dict(self) -> dict:
         return {
@@ -46,23 +52,15 @@ class PurityReport:
             "max_reference": self.max_reference,
         }
 
+    def unentangled(self, tol: float) -> bool:
+        """The maximal-purity verdict: rescaled purity within ``tol`` (finite, >= 0) of 1.
 
-@dataclass(frozen=True)
-class UnentangledVerdict:
-    """Boolean verdict plus the direction of the maximal-purity criterion.
-
-    ``theorem_direction`` is "iff" for irreducibly represented Lie algebras,
-    where maximal purity is equivalent to generalized unentanglement, and
-    "sufficient" otherwise, where a False only means "not certified".
-    """
-
-    unentangled: bool
-    theorem_direction: str
-    rescaled: float
-    max_reference: float
-
-    def __bool__(self) -> bool:
-        return self.unentangled
+        Mixed states are rejected: their verdict needs a convex decomposition search."""
+        if not self.pure:
+            raise ValueError("the maximal-purity test applies to pure states only")
+        if not (math.isfinite(tol) and tol >= 0):
+            raise ValueError(f"tolerance must be a finite non-negative number, got {tol}")
+        return bool(self.rescaled >= 1.0 - tol)
 
 
 def omega_purity(state: QuantumState, omega: ObservableSpace) -> float:
@@ -115,6 +113,7 @@ def resolve_max_reference(omega: ObservableSpace, max_reference: float | str | N
 def rescaled_purity(state: QuantumState, omega: ObservableSpace,
                     max_reference: float | str | None = None, *, seed: int = 0) -> PurityReport:
     """Purity report with the traceless-sector value rescaled to maximum 1."""
+    direction = "iff" if omega.irreducible_lie else "sufficient"  # of the space as given
     omega = omega.traceless_sector()
     raw = omega_purity(state, omega)  # a state of the wrong dimension fails before any reference
     ref, source = resolve_max_reference(omega, max_reference, seed)
@@ -123,8 +122,9 @@ def rescaled_purity(state: QuantumState, omega: ObservableSpace,
         raise ValueError(
             f"rescaled purity {rescaled} exceeds 1: reference {ref} is below the "
             f"true maximum (explicit value too small, or too few optimizer restarts)")
-    return PurityReport(raw=raw, rescaled=rescaled, max_reference=ref,
-                        omega_label=omega.label, reference_source=source)
+    return PurityReport(raw=raw, rescaled=rescaled, max_reference=ref, omega_label=omega.label,
+                        reference_source=source, theorem_direction=direction,
+                        pure=state.is_pure)
 
 
 def local_purity_formula(psi: QuantumState, n: int, d0: int) -> float:
@@ -150,29 +150,10 @@ def meyer_wallach_q(psi: QuantumState) -> float:
     return 1.0 - local_purity_formula(psi, n, 2)
 
 
-def is_generalized_unentangled(psi: QuantumState, omega: ObservableSpace, tol: float = 1e-8, *,
-                               report: PurityReport | None = None) -> UnentangledVerdict:
-    """Maximal-purity test for generalized unentanglement of a pure state.
-
-    For irreducibly represented Lie algebras maximal rescaled purity is
-    equivalent to unentanglement; in general it is only sufficient, and the
-    verdict records which direction applies.  Mixed states are rejected:
-    deciding their unentanglement needs a convex decomposition search that
-    is out of scope here.  ``tol`` must be finite and non-negative.  A
-    ``report`` already computed for ``psi`` and ``omega`` is used in place
-    of computing the purity again.
-    """
-    if not psi.is_pure:
-        raise ValueError("the maximal-purity test applies to pure states only")
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tolerance must be a finite non-negative number, got {tol}")
-    if report is None:
-        report = rescaled_purity(psi, omega)
-    direction = "iff" if omega.irreducible_lie else "sufficient"
-    return UnentangledVerdict(unentangled=bool(report.rescaled >= 1.0 - tol),
-                              theorem_direction=direction,
-                              rescaled=report.rescaled,
-                              max_reference=report.max_reference)
+def is_generalized_unentangled(psi: QuantumState, omega: ObservableSpace,
+                               tol: float = 1e-8) -> bool:
+    """Maximal-purity test for generalized unentanglement of a pure state."""
+    return rescaled_purity(psi, omega).unentangled(tol)
 
 
 def expectations_indistinguishable(s1: QuantumState, s2: QuantumState,

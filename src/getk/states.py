@@ -1,10 +1,11 @@
 """Named quantum states and the JSON state-file format.
 
-Builtin names: bell:phi+|phi-|psi+|psi-, ghz:N, w:N, bisep:12|13|23,
-spin:J,M and fock:m2:W.  The Bell letters follow the one-particle
-convention used by the fermionic dictionary: phi+- are the one-particle
-superpositions (|01> +- |10>)/sqrt2 and psi+- the number superpositions
-(|00> +- |11>)/sqrt2.
+A builtin name is a prefix, a colon and the text that prefix's constructor in
+``_BUILTINS`` reads: bell:phi+|phi-|psi+|psi-, ghz:N, w:N, bisep:12|13|23,
+spin:J,M and fock:m2:W.  Any other name is a state-file path.  The Bell
+letters follow the one-particle convention used by the fermionic dictionary:
+phi+- are the one-particle superpositions (|01> +- |10>)/sqrt2 and psi+- the
+number superpositions (|00> +- |11>)/sqrt2.
 """
 
 import numpy as np
@@ -13,55 +14,40 @@ from . import StateParseError, coherent, fermion, read_json_file, whole_number
 from .operators import QuantumState, checked_dim
 
 
-def bell_state(kind: str) -> QuantumState:
-    v = np.zeros(4, dtype=complex)
-    s = 1.0 / np.sqrt(2.0)
-    if kind == "phi+":
-        v[1], v[2] = s, s
-    elif kind == "phi-":
-        v[1], v[2] = s, -s
-    elif kind == "psi+":
-        v[0], v[3] = s, s
-    elif kind == "psi-":
-        v[0], v[3] = s, -s
-    else:
-        raise StateParseError(f"unknown Bell state {kind!r}")
+def _even(dim: int, indices, signs=1) -> QuantumState:
+    """The basis states ``indices`` of C^dim in equal weight, each with its sign."""
+    v = np.zeros(dim, dtype=complex)
+    v[indices] = np.asarray(signs) / np.sqrt(len(indices))
     return QuantumState(vector=v)
 
 
-def _register_dim(kind: str, n: int) -> int:
-    """2**n for an n-qubit state, checked against ``MAX_DIM`` before any allocation."""
+def _bell(kind: str) -> QuantumState:
+    basis = {"phi+": (1, 2, 1), "phi-": (1, 2, -1), "psi+": (0, 3, 1), "psi-": (0, 3, -1)}
+    if kind not in basis:
+        raise StateParseError(f"unknown Bell state {kind!r}")
+    *indices, sign = basis[kind]
+    return _even(4, indices, (1, sign))
+
+
+def _register(kind: str, text: str) -> tuple[int, int]:
+    """n and 2**n for ``kind:n``, checked against ``MAX_DIM`` before any allocation."""
+    n = int(text)
     if n < 2:
         raise StateParseError(f"{kind} needs at least 2 qubits")
-    return checked_dim(2, n)
+    return n, checked_dim(2, n)
 
 
-def ghz_state(n: int = 3) -> QuantumState:
-    v = np.zeros(_register_dim("ghz", n), dtype=complex)
-    v[0] = v[-1] = 1.0 / np.sqrt(2.0)
-    return QuantumState(vector=v)
+def _w(text: str) -> QuantumState:
+    n, dim = _register("w", text)
+    return _even(dim, [1 << q for q in range(n)])
 
 
-def w_state(n: int = 3) -> QuantumState:
-    v = np.zeros(_register_dim("w", n), dtype=complex)
-    for q in range(n):
-        v[1 << q] = 1.0 / np.sqrt(n)
-    return QuantumState(vector=v)
-
-
-def biseparable_state(pair: str) -> QuantumState:
+def _bisep(pair: str) -> QuantumState:
     """Three-qubit state with a (|00>+|11>)/sqrt2 pair and a |0> spectator."""
-    if pair not in ("12", "13", "23"):
+    both = {"12": 6, "13": 5, "23": 3}  # |000> plus the pair's two bits
+    if pair not in both:
         raise StateParseError(f"biseparable pair must be 12, 13 or 23, got {pair!r}")
-    bell = (QuantumState.basis_state(4, 0).vector + QuantumState.basis_state(4, 3).vector)
-    bell = bell / np.linalg.norm(bell)
-    v = np.zeros(8, dtype=complex)
-    qubits = {"12": (0, 1), "13": (0, 2), "23": (1, 2)}[pair]
-    for amp_index in (0, 3):
-        b1, b0 = (amp_index >> 1) & 1, amp_index & 1
-        full = (b1 << (2 - qubits[0])) | (b0 << (2 - qubits[1]))
-        v[full] = bell[amp_index]
-    return QuantumState(vector=v)
+    return _even(8, [0, both[pair]])
 
 
 def parse_number_token(token: str) -> float:
@@ -78,37 +64,39 @@ def parse_number_token(token: str) -> float:
     return float(token)
 
 
-def spin_basis_state(j_token: str, m_token: str) -> QuantumState:
-    j = parse_number_token(j_token)
-    m = parse_number_token(m_token)
+def _spin(text: str) -> QuantumState:
+    j_token, m_token = text.split(",", 1)
+    j, m = parse_number_token(j_token), parse_number_token(m_token)
     try:
         return coherent.spin_system(j).basis_state(m)
     except ValueError as exc:
         raise StateParseError(str(exc)) from exc
 
 
+_BUILTINS = {  # prefix -> the constructor of the text after its colon; None: no such name
+    "bell": _bell,
+    "ghz": lambda text: _even(_register("ghz", text)[1], [0, -1]),
+    "w": _w,
+    "bisep": _bisep,
+    "spin": _spin,
+    "fock": lambda text: (fermion.jw_state_dictionary(text.rsplit(":", 1)[1])
+                          if text.startswith("m2:") else None),
+}
+
+
 def builtin_state(name: str) -> QuantumState:
-    """Resolve a builtin state name."""
+    """Resolve a builtin state name through ``_BUILTINS``."""
+    prefix, colon, text = name.partition(":")
+    make = _BUILTINS.get(prefix) if colon else None
     try:
-        if name.startswith("bell:"):
-            return bell_state(name.split(":", 1)[1])
-        if name.startswith("ghz:"):
-            return ghz_state(int(name.split(":", 1)[1]))
-        if name.startswith("w:"):
-            return w_state(int(name.split(":", 1)[1]))
-        if name.startswith("bisep:"):
-            return biseparable_state(name.split(":", 1)[1])
-        if name.startswith("spin:"):
-            spec = name.split(":", 1)[1]
-            j_token, m_token = spec.split(",", 1)
-            return spin_basis_state(j_token, m_token)
-        if name.startswith("fock:m2:"):
-            return fermion.jw_state_dictionary(name.rsplit(":", 1)[1])
+        state = make(text) if make else None
     except StateParseError:
         raise
     except (ValueError, IndexError) as exc:
         raise StateParseError(f"bad state name {name!r}: {exc}") from exc
-    raise StateParseError(f"unknown state name {name!r}")
+    if state is None:
+        raise StateParseError(f"unknown state name {name!r}")
+    return state
 
 
 def _complex_entries(field: str, entries, ndim: int) -> np.ndarray:
@@ -143,8 +131,8 @@ def state_from_json_dict(obj: dict) -> QuantumState:
 
 
 def load_state(source: str) -> QuantumState:
-    """Resolve a builtin name or load a JSON state file."""
-    prefixes = ("bell:", "ghz:", "w:", "bisep:", "spin:", "fock:")
-    if any(source.startswith(p) for p in prefixes):
+    """Resolve a builtin name (a ``_BUILTINS`` prefix and a colon) or load a JSON state file."""
+    prefix, colon, _ = source.partition(":")
+    if colon and prefix in _BUILTINS:
         return builtin_state(source)
     return state_from_json_dict(read_json_file(source))

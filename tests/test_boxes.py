@@ -21,7 +21,6 @@ from getk.boxes import (
     _side_generators,
     canonical_entangled_vertex,
     canonical_product_vertex,
-    deterministic_boxes,
     enumerate_vertices,
     in_convex_hull,
     in_separable_tensor_product,
@@ -36,6 +35,13 @@ F = Fraction
 HALF = F(1, 2)
 
 _SQUARE_PAIR_CACHE = {}
+
+
+def deterministic_boxes(n_inputs: int, n_outputs: int) -> list:
+    """Oracle: all M^N deterministic single-box tables, in lexicographic order of outcomes."""
+    return [BoxState((n_inputs, n_outputs), tuple(F(int(i == o))  # flat index M*k + i
+                                                  for o in outcomes for i in range(n_outputs)))
+            for outcomes in itertools.product(range(n_outputs), repeat=n_inputs)]
 
 
 def square_pair():
@@ -758,6 +764,21 @@ class TestSeparability:
         mix = tuple(sum(v.probs[r] for v in verts[:4]) / 4 for r in range(16))
         assert in_separable_tensor_product(BoxState(shape=(2, 2, 2, 2), probs=mix))
 
+    @pytest.mark.parametrize("shape", [(2, 2, 2, 2), (2, 3, 1, 2), (3, 2, 2, 3), (4, 2, 4, 2),
+                                       (1, 3, 2, 2, 2, 1)])
+    def test_product_columns_are_the_tensor_products_in_order(self, shape):
+        # the integer columns the simplex reads are the oracle's product tables, in its order
+        sides = [deterministic_boxes(n, m) for n, m in zip(shape[::2], shape[1::2])]
+        want = []
+        for dets in itertools.product(*sides):
+            table = dets[0]
+            for d in dets[1:]:
+                table = table.tensor(d)
+            want.append(list(table.probs))
+        got = boxes._product_columns(shape)
+        assert all(type(x) is int for col in got for x in col)
+        assert [list(col) for col in got] == want
+
     def test_product_vertex_cap_checked_before_any_product(self, monkeypatch):
         # (4,2,4,2) has 256 product vertices, the cap; (4,2,5,2) has 512
         def no_products(*args):
@@ -766,7 +787,7 @@ class TestSeparability:
         def uniform(shape):
             return BoxState(shape, [F(1, shape[1] * shape[3])] * prod(shape))
 
-        monkeypatch.setattr(boxes, "deterministic_boxes", no_products)
+        monkeypatch.setattr(boxes, "_product_columns", no_products)
         for shape in [(4, 2, 4, 2), (2, 4, 2, 4), (1, 2, 7, 2)]:
             with pytest.raises(LookupError):
                 in_separable_tensor_product(uniform(shape))

@@ -1,7 +1,7 @@
-"""Property tests: any --rescale and --tol text ends in exit 0 or 2, any spin:
-and su2-spin: number tokens, any state JSON file and any custom: word file in
-exit 0, 2 or 3, and any box JSON file in exit 0, 2 or 4 (2 unless it describes
-two boxes), never a traceback."""
+"""Property tests: any --rescale and --tol text ends in exit 0 or 2, any builtin
+state name, spin: and su2-spin: number tokens, any state JSON file and any
+custom: word file in exit 0, 2 or 3, and any box JSON file in exit 0, 2 or 4
+(2 unless it describes two boxes), never a traceback."""
 
 import contextlib
 import io
@@ -87,6 +87,44 @@ def test_spin_tokens_exit_0_2_or_3(j, m, algebra_j):
         assert out == "" and err.startswith("error: ")
     else:
         assert "rescaled=" in out
+
+
+# the algebra of each builtin prefix's dimension; su2-spin:1 (dimension 3) matches none of them
+MATCHING_ALGEBRA = {"bell": "u2", "ghz": "omega1", "w": "omega1", "bisep": "omega4",
+                    "fock": "so4-fermi"}
+NAME_PIECE = st.one_of(
+    st.text("0123456789+-", max_size=3), st.sampled_from(["/", ",", ":"]),
+    st.text("abcdefghijklmnopqrstuvwxyzXYZ", min_size=1, max_size=4),
+    st.integers(-2, 2).map(lambda d: str(10 ** 400 + d)), st.just("nan"))
+# valid names, alone or with one piece appended, so that exit 0 and 3 come up too
+VALID_NAME = st.sampled_from(["bell:phi+", "bell:psi-", "ghz:2", "ghz:3", "w:3", "w:4",
+                              "bisep:12", "bisep:23", "fock:m2:00", "fock:m2:11"])
+PREFIX = st.sampled_from(["bell:", "ghz:", "w:", "bisep:", "fock:", "fock:m2:"])
+STATE_NAME = st.one_of(
+    st.tuples(VALID_NAME, st.just("") | NAME_PIECE).map("".join),
+    st.tuples(PREFIX, st.lists(NAME_PIECE, max_size=4).map("".join)).map("".join),
+    st.sampled_from(["bell", "ghz", "w", "bisep", "fock", "spin"]),  # no colon: a file path
+    st.tuples(st.sampled_from(["bel:", "ghz3:", "fermi:", "BELL:", ":"]),
+              st.lists(NAME_PIECE, max_size=2).map("".join)).map("".join))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(name=STATE_NAME, matching=st.booleans())
+@example(name="bell", matching=True)
+@example(name="fock:m3:00", matching=True)
+def test_state_names_exit_0_2_or_3(name, matching):
+    algebra = MATCHING_ALGEBRA.get(name.partition(":")[0], "omega1") if matching else "su2-spin:1"
+    argv = ["purity", "--state", name, "--algebra", algebra]
+    code, out, err = run(argv)
+    assert code in (0, 2, 3), (argv, code, err)
+    assert "Traceback" not in err
+    if code:
+        assert out == "" and err.startswith("error: ")
+    else:
+        assert "rescaled=" in out
+    prefix, colon, _ = name.partition(":")
+    if not colon or prefix not in states._BUILTINS:  # a bare prefix too is a file path
+        assert err.startswith("error: state: cannot open "), (argv, err)
 
 
 SHAPE_ENTRY = st.sampled_from([-1, 0, 1, 2, 2.5, "2", True])

@@ -78,16 +78,31 @@ def test_integer_core_divides_only_with_floor_division():
     assert divisions == []
 
 
+FUNCTION_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _public_defs(tree: ast.Module, module: str) -> list:
+    """A module's public functions and classes, and each such class's public methods."""
+    out = []
+    for node in tree.body:
+        if not isinstance(node, (*FUNCTION_DEFS, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        out.append(f"{module}.{node.name}")
+        if isinstance(node, ast.ClassDef):
+            out += [f"{module}.{node.name}.{m.name}" for m in node.body
+                    if isinstance(m, FUNCTION_DEFS) and not m.name.startswith("_")]
+    return out
+
+
 def test_every_public_function_has_a_reader():
-    # a public module-level function is referenced somewhere in src/ (a name, an
-    # attribute or an import) or documented in README; anything else is dead code
+    # a public module-level function or class, or a public method of such a class, is
+    # referenced somewhere in src/ (a name, an attribute or an import) or documented in
+    # README; anything else is dead code
     readme = (PACKAGE.parents[1] / "README.md").read_text()
     defined, referenced = [], set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
-        defined += [f"{path.stem}.{node.name}" for node in tree.body
-                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and not node.name.startswith("_")]
+        defined += _public_defs(tree, path.stem)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 referenced.add(node.id)
@@ -95,8 +110,9 @@ def test_every_public_function_has_a_reader():
                 referenced.add(node.attr)
             elif isinstance(node, ast.alias):
                 referenced.add(node.name)
-    unread = [name for name in defined if name.split(".")[1] not in referenced
-              and not re.search(rf"\b{name.split('.')[1]}\b", readme)]
+    unread = [name for name in defined if name.rsplit(".", 1)[1] not in referenced
+              and not re.search(rf"\b{name.rsplit('.', 1)[1]}\b", readme)]
+    assert any(name.count(".") == 2 for name in defined)  # methods are checked too
     assert unread == []
 
 

@@ -622,8 +622,8 @@ class TestWordLieStructure:
         report = rescaled_purity(QuantumState.basis_state(4, 0), space, "auto")
         assert report.reference_source == "highest-weight"
         assert report.max_reference == pytest.approx(0.5, abs=1e-12)
-        verdict = is_generalized_unentangled(QuantumState.basis_state(4, 0), space)
-        assert verdict.unentangled and verdict.theorem_direction == "iff"
+        assert report.theorem_direction == "iff" and report.unentangled(1e-8)
+        assert is_generalized_unentangled(QuantumState.basis_state(4, 0), space)
 
     def test_x_and_z_are_not_closed(self):
         # i[X, Z] = 2Y, and Y is not in span{X, Z}

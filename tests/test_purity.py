@@ -243,8 +243,8 @@ class TestUnentanglementTest:
     def test_coherent_state_is_unentangled(self):
         space = catalog.spin_algebra(3)
         system = coherent.spin_system(3)
-        verdict = is_generalized_unentangled(system.basis_state(3), space)
-        assert verdict and verdict.theorem_direction == "iff"
+        assert is_generalized_unentangled(system.basis_state(3), space) is True
+        assert rescaled_purity(system.basis_state(3), space).theorem_direction == "iff"
 
     def test_center_state_is_entangled(self):
         space = catalog.spin_algebra(3)
@@ -258,9 +258,8 @@ class TestUnentanglementTest:
             assert is_generalized_unentangled(random_pure_state(4, rng), space)
 
     def test_sufficiency_annotation_for_non_lie_space(self):
-        verdict = is_generalized_unentangled(states.builtin_state("bell:psi+"),
-                                             catalog.omega_prime_loc())
-        assert verdict.theorem_direction == "sufficient"
+        report = rescaled_purity(states.builtin_state("bell:psi+"), catalog.omega_prime_loc())
+        assert report.theorem_direction == "sufficient" and report.pure
 
     def test_mixed_input_rejected(self):
         with pytest.raises(ValueError):
@@ -272,14 +271,23 @@ class TestUnentanglementTest:
         with pytest.raises(ValueError, match="tolerance"):
             is_generalized_unentangled(states.builtin_state("w:3"), catalog.omega1(), tol=tol)
 
-    def test_given_report_is_not_recomputed(self, monkeypatch):
+    def test_classify_calls_rescaled_purity_once(self, monkeypatch, capsys):
+        # the verdict and its direction come from the report the record prints
         import getk.purity
+        from getk import cli
 
-        st, space = states.builtin_state("bisep:13"), catalog.first_pair_algebra()
-        report = rescaled_purity(st, space)
-        monkeypatch.setattr(getk.purity, "rescaled_purity", None)  # a call would fail
-        verdict = is_generalized_unentangled(st, space, tol=0.7, report=report)
-        assert verdict.unentangled and verdict.rescaled == report.rescaled
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return rescaled_purity(*args, **kwargs)
+
+        monkeypatch.setattr(getk.purity, "rescaled_purity", counted)
+        code = cli.main(["classify", "--state", "bisep:13", "--algebra", "omega2-paper-values",
+                         "--tol", "0.7"])
+        out = capsys.readouterr().out
+        assert code == 0 and len(calls) == 1
+        assert "rescaled=0.333333333333\nmax_reference=0.375\nunentangled=true\n" in out
 
 
 class TestIndistinguishability:

@@ -210,6 +210,39 @@ def test_every_flag_is_documented():
     assert [f for f in sorted(flags) if not re.search(re.escape(f) + r"\b", section)] == []
 
 
+def _readme_section(title: str) -> str:
+    readme = (Path(SRC).parent / "README.md").read_text()
+    return readme.split(f"\n### {title}\n", 1)[1].split("\n#", 1)[0]
+
+
+def _algebra_names() -> set:
+    """The names ``named_algebra`` accepts: the fixed table, and each literal it compares
+    the name with (``name == "..."``, ``name.startswith("...")``)."""
+    tree = ast.parse((Path(SRC) / "getk" / "catalog.py").read_text())
+    func = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "named_algebra")
+    compared = {node.comparators[0].value for node in ast.walk(func)
+                if isinstance(node, ast.Compare) and getattr(node.left, "id", "") == "name"
+                and isinstance(node.comparators[0], ast.Constant)}
+    prefixes = {node.args[0].value for node in ast.walk(func)
+                if isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "startswith"
+                and getattr(node.func.value, "id", "") == "name"}
+    return set(catalog._FIXED) | compared | prefixes
+
+
+def test_every_state_and_algebra_name_is_documented():
+    # a builtin prefix or an algebra name the README's lists leave out is one no user is told of
+    states_section, algebras = _readme_section("States"), _readme_section("Algebras")
+    undocumented = [f"{prefix}:" for prefix in states._BUILTINS
+                    if f"`{prefix}:" not in states_section]
+    names = _algebra_names()
+    assert {"omega1", "so4-fermi", "local:", "su2-spin:", "custom:"} <= names
+    undocumented += [name for name in sorted(names)
+                     if not re.search(rf"`{re.escape(name)}" + ("" if name.endswith(":") else "`"),
+                                      algebras)]
+    assert len(states._BUILTINS) == 6 and undocumented == []
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -713,7 +746,7 @@ class TestBoxesCommands:
         def no_products(*args):
             raise LookupError("product tables built")
 
-        monkeypatch.setattr(boxes, "deterministic_boxes", no_products)
+        monkeypatch.setattr(boxes, "_product_columns", no_products)
         entries = 4 * n_inputs[0] * n_inputs[1]
         path = tmp_path / "uniform.json"
         path.write_text(json.dumps({"n_inputs": n_inputs, "n_outputs": [2, 2],
