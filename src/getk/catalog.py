@@ -19,7 +19,7 @@ from .states import parse_number_token
 MAX_SITE_DIM = math.isqrt(MAX_DIM)  # 32: the largest site of any two-site space
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)  # bounded: keyed by caller input, each entry keeps its space alive
 def local_algebra(n: int, d0: int, label: str | None = None) -> ObservableSpace:
     """Traceless local observables su(d0) x n, one summand per site.
 
@@ -127,7 +127,7 @@ def _nonzero_spin(j) -> "coherent.SpinSystem":
     return system
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)  # bounded: keyed by caller input, each entry keeps its space alive
 def spin_algebra(j) -> ObservableSpace:
     """Trace-orthonormalized su(2) spanned by the spin-J generators.
 
@@ -143,7 +143,7 @@ def spin_algebra(j) -> ObservableSpace:
                            max_purity=max_ref)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)  # bounded: keyed by caller input, each entry keeps its space alive
 def restricted_local_spins(j) -> ObservableSpace:
     """Two spin-J parties with only the angular momentum generators local.
 

@@ -6,6 +6,8 @@ as JSON with --json.  Exit codes: 0 success, 2 parse error, 3 dimension
 mismatch, 4 infeasible or signalling box input, 1 failed golden checks or
 a broken pipe (the reader of stdout left early; no traceback).  A closed
 stdout is not an error: the records are dropped and the code is unchanged.
+Each flag is declared once, and its text goes unchanged to the one function
+that reads it: ``--rescale`` to ``purity.resolve_max_reference``.
 
 Importing this module registers every getk module lazily: each runs at its
 first attribute access, so ``boxes`` commands load only the pure-Fraction
@@ -95,21 +97,11 @@ def _load_algebra(name: str):
         raise ValueError(f"algebra: {exc}") from exc
 
 
-def _rescale_value(text: str | None):
-    """The ``--rescale`` text as ``purity.resolve_max_reference`` takes it."""
-    try:
-        return text if text in (None, "auto", "analytic") else float(text)
-    except ValueError:
-        raise ValueError(
-            f"--rescale: expected auto, analytic, or a number, got {text!r}") from None
-
-
 def _cmd_purity(args) -> int:
     """``purity``, and ``classify``, which adds the verdict drawn from the same report."""
     state = states.load_state(args.state)
     omega = _load_algebra(args.algebra)
-    report = purity.rescaled_purity(state, omega, max_reference=_rescale_value(args.rescale),
-                                    seed=_seed())
+    report = purity.rescaled_purity(state, omega, max_reference=args.rescale, seed=_seed())
     record = {"state": args.state, **report.as_dict()}
     if args.json:  # JSON only: key=value records keep a fixed set of keys
         record["reference_source"] = report.reference_source
@@ -202,8 +194,8 @@ def _cmd_reproduce(args) -> int:
     if args.table != "paper":
         raise ValueError(f"--table: unknown table {args.table!r}")
     if args.list:
-        for name in reproduce.check_names():
-            print(name)
+        for check in reproduce.CHECKS:
+            print(check.name)
         return 0
     lines, code = reproduce.run_table_paper(seed=_seed())
     print("\n".join(lines))
@@ -216,44 +208,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="Observable-relative entanglement toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_pur = sub.add_parser("purity", help="purity of a state relative to an observable set")
-    p_pur.add_argument("--state", required=True, help="builtin name or JSON state file")
-    p_pur.add_argument("--algebra", required=True, help="catalog name (e.g. omega1, u2, local:2x2)")
-    p_pur.add_argument("--rescale", default=None,
-                       help="auto | analytic | explicit reference value")
-    p_pur.add_argument("--json", action="store_true")
-    p_pur.set_defaults(func=_cmd_purity)
-
-    p_cls = sub.add_parser("classify", help="maximal-purity unentanglement test")
-    p_cls.add_argument("--state", required=True)
-    p_cls.add_argument("--algebra", required=True)
-    p_cls.add_argument("--rescale", default=None)
-    p_cls.add_argument("--tol", type=float, default=1e-8)
-    p_cls.add_argument("--json", action="store_true")
-    p_cls.set_defaults(func=_cmd_purity)
+    for name, help_text in (("purity", "purity of a state relative to an observable set"),
+                            ("classify", "maximal-purity unentanglement test")):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--state", required=True, help="builtin name or JSON state file")
+        p.add_argument("--algebra", required=True, help="catalog name (e.g. omega1, u2, local:2x2)")
+        p.add_argument("--rescale", default=None, help="auto | analytic | explicit reference value")
+        if name == "classify":
+            p.add_argument("--tol", type=float, default=1e-8)
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(func=_cmd_purity)
 
     p_box = sub.add_parser("boxes", help="exact no-signalling box polytope tools")
     box_sub = p_box.add_subparsers(dest="box_command", required=True)
-
-    b_vert = box_sub.add_parser("vertices", help="enumerate and classify all vertices")
-    b_vert.add_argument("--size", required=True, help="NA,MA,NB,MB (or NA,MA for a symmetric pair)")
-    b_vert.add_argument("--json", action="store_true")
-    b_vert.set_defaults(func=_cmd_boxes_vertices)
-
-    b_cls = box_sub.add_parser("classify", help="extremality and class of one table")
-    b_cls.add_argument("--state", required=True, help="JSON box-table file")
-    b_cls.add_argument("--json", action="store_true")
-    b_cls.set_defaults(func=_cmd_boxes_classify)
-
-    b_sep = box_sub.add_parser("separable", help="exact separable-hull membership")
-    b_sep.add_argument("--state", required=True)
-    b_sep.add_argument("--json", action="store_true")
-    b_sep.set_defaults(func=_cmd_boxes_separable)
-
-    b_orb = box_sub.add_parser("orbit", help="orbit under local relabelings")
-    b_orb.add_argument("--state", required=True)
-    b_orb.add_argument("--json", action="store_true")
-    b_orb.set_defaults(func=_cmd_boxes_orbit)
+    for name, help_text, func in (
+            ("vertices", "enumerate and classify all vertices", _cmd_boxes_vertices),
+            ("classify", "extremality and class of one table", _cmd_boxes_classify),
+            ("separable", "exact separable-hull membership", _cmd_boxes_separable),
+            ("orbit", "orbit under local relabelings", _cmd_boxes_orbit)):
+        b_cmd = box_sub.add_parser(name, help=help_text)
+        if name == "vertices":
+            b_cmd.add_argument("--size", required=True,
+                               help="NA,MA,NB,MB (or NA,MA for a symmetric pair)")
+        else:
+            b_cmd.add_argument("--state", required=True, help="JSON box-table file")
+        b_cmd.add_argument("--json", action="store_true")
+        b_cmd.set_defaults(func=func)
 
     p_rep = sub.add_parser("reproduce", help="run the golden reference-value suite")
     p_rep.add_argument("--table", default="paper")

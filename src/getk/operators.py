@@ -106,7 +106,7 @@ def pauli_word(x: int, z: int, length: int) -> str:
     return "".join(_LETTERS[(x >> k & 1) + 2 * (z >> k & 1)] for k in reversed(range(length)))
 
 
-@lru_cache(maxsize=None)  # one array per dimension; callers only read it
+@lru_cache(maxsize=32)  # one array per power of two up to MAX_DIM; callers only read it
 def _parity_signs(dim: int) -> np.ndarray:
     """(-1)^|i| for i < dim (a power of two >= 2): the Kronecker product of (1, -1) factors."""
     return kron_all([[1, -1]] * round(np.log2(dim))).real
@@ -442,16 +442,15 @@ class ObservableSpace:
         shifted = [a - (np.trace(a) / self.dim) * eye for a in self.basis]
         if all(np.linalg.norm(a) < INDEPENDENCE_TOL for a in shifted):
             raise ValueError(f"algebra {self.label!r} has no traceless part")
-        sector = orthonormalize(shifted)
-        return ObservableSpace(sector.site_basis, label=self.label + "-traceless",
+        return ObservableSpace(orthonormalize(shifted), label=self.label + "-traceless",
                                irreducible_lie=self.irreducible_lie)
 
     def __repr__(self):
         return f"ObservableSpace(label={self.label!r}, dim={self.dim}, size={self.size})"
 
 
-def orthonormalize(ops, label: str = "") -> ObservableSpace:
-    """Gram-Schmidt in the trace inner product, preserving input order.
+def orthonormalize(ops) -> np.ndarray:
+    """Gram-Schmidt in the trace inner product, preserving input order: a (k, d, d) array.
 
     Two passes of classical Gram-Schmidt on the real rows of the operators.
     Inputs that are numerically dependent on earlier ones (residual norm
@@ -476,7 +475,7 @@ def orthonormalize(ops, label: str = "") -> ObservableSpace:
             kept += 1
     if not kept:
         raise ValueError("all inputs are numerically zero")
-    return ObservableSpace(stack[:kept], label=label)
+    return stack[:kept]
 
 
 def gell_mann_basis(d: int) -> list[np.ndarray]:
@@ -512,16 +511,14 @@ def bracket(x, y) -> np.ndarray:
 
 
 def lie_closure(generators) -> ObservableSpace:
-    """Close a set of Hermitian operators under the bracket i[x, y].
+    """Close a set of Hermitian operators under the bracket i[x, y]: the space they generate.
 
     Repeatedly adjoins brackets of basis pairs and re-orthonormalizes until
-    the spanned dimension stabilizes.
+    the spanned dimension stabilizes; only the last basis becomes a space.
     """
-    space = orthonormalize(generators)
-    while True:
-        ops = space.basis
-        new = [bracket(ops[a], ops[b]) for a in range(len(ops)) for b in range(a + 1, len(ops))]
-        candidate = orthonormalize(ops + new)
-        if candidate.size == space.size:
-            return candidate
-        space = candidate
+    ops, size = list(orthonormalize(generators)), 0
+    while len(ops) > size:
+        size = len(ops)
+        pairs = [bracket(a, b) for i, a in enumerate(ops) for b in ops[i + 1:]]
+        ops = list(orthonormalize(ops + pairs))
+    return ObservableSpace(ops)

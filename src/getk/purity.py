@@ -4,7 +4,8 @@ The central quantity is the squared length of the projection of a state
 onto a distinguished observable space: P(rho) = sum_a Tr(rho X_a)^2 for a
 trace-orthonormal basis {X_a}.  Rescaled so that its maximum over pure
 states is 1, maximal purity certifies extremality of the reduced state.
-A :class:`PurityReport` holds the purity; its ``unentangled`` is the whole verdict rule.
+A :class:`PurityReport` holds the purity; its ``unentangled`` is the whole verdict rule,
+and :func:`resolve_max_reference` the whole rescaling rule, the ``--rescale`` text included.
 """
 
 import math
@@ -93,8 +94,8 @@ def resolve_max_reference(omega: ObservableSpace, max_reference: float | str | N
     """The rescaling constant of a traceless space and its source: the one ``--rescale`` rule.
 
     ``"analytic"`` is the maximum the space carries, ``"auto"`` the seeded
-    ``numeric_max_reference``, and ``None`` the first of these that exists.  A
-    number must be positive and finite.
+    ``numeric_max_reference``, and ``None`` the first of these that exists.  Anything
+    else is read with ``float()``, so a number or its text, and must be positive and finite.
     """
     if max_reference is None:
         max_reference = "auto" if omega.max_purity is None else "analytic"
@@ -104,10 +105,14 @@ def resolve_max_reference(omega: ObservableSpace, max_reference: float | str | N
         raise ValueError(f"--rescale analytic: no analytic reference for algebra {omega.label!r}")
     if max_reference == "analytic":
         return omega.max_purity, "analytic"
-    if isinstance(max_reference, str) or not (math.isfinite(max_reference) and max_reference > 0):
+    try:
+        value = float(max_reference)
+    except ValueError:  # text that is not a number: refused below, with the non-positive ones
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
         raise ValueError("rescaling reference must be auto, analytic or a positive finite "
                          f"number, got {max_reference!r}")
-    return float(max_reference), "explicit"
+    return value, "explicit"
 
 
 def rescaled_purity(state: QuantumState, omega: ObservableSpace,

@@ -124,9 +124,8 @@ class _Run:
         return catalog.z_conserving_u2().residual_norm(zz) > 0.9
 
     def u2_reorthonormalized_change(self):
-        u2 = catalog.z_conserving_u2()
-        redone = orthonormalize(u2.basis)
-        return max(_max_abs(a - b) for a, b in zip(redone.basis, u2.basis))
+        basis = catalog.z_conserving_u2().basis
+        return max(_max_abs(a - b) for a, b in zip(orthonormalize(basis), basis))
 
     # --- three-qubit purity goldens --------------------------------------
     def golden_purity(self, space, name):
@@ -366,10 +365,6 @@ CHECKS = (
     Check("boxes/separability-goldens", _Run.separability_goldens),
     Check("info/uniform-entangled-mixture-separable", _Run.entangled_mixture_separable),
 )
-
-
-def check_names() -> list[str]:
-    return [check.name for check in CHECKS]
 
 
 def run_table_paper(seed: int = 0) -> tuple[list[str], int]:

@@ -382,6 +382,15 @@ class TestSpinAlgebra:
         with pytest.raises(ValueError, match="spin 0 has no su"):
             catalog.spin_algebra(0)
 
+    def test_cache_is_bounded(self):
+        # su2-spin:J holds 3 (2J+1)^2 entries: forty spins keep the latest 32 spaces alive
+        for k in range(1, 41):
+            catalog.spin_algebra(k / 2)
+        assert catalog.spin_algebra.cache_info().currsize == 32
+        assert catalog.named_algebra("su2-spin:3/2") is catalog.named_algebra("su2-spin:3/2")
+        for factory in (catalog.local_algebra, catalog.restricted_local_spins):
+            assert factory.cache_info().maxsize == 32
+
 
 class TestNamedAlgebra:
     @pytest.mark.parametrize("name,size", [

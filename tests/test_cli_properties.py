@@ -1,7 +1,8 @@
-"""Property tests: any --rescale and --tol text ends in exit 0 or 2, any builtin
-state name, spin: and su2-spin: number tokens, any state JSON file and any
-custom: word file in exit 0, 2 or 3, and any box JSON file in exit 0, 2 or 4
-(2 unless it describes two boxes), never a traceback."""
+"""Property tests: any --rescale, --tol and --size text ends in exit 0 or 2, any
+--table text but paper in exit 2, any builtin state name, spin: and su2-spin:
+number tokens, any state JSON file and any custom: word file in exit 0, 2 or 3,
+and any box JSON file in exit 0, 2 or 4 (2 unless it describes two boxes), never
+a traceback."""
 
 import contextlib
 import io
@@ -358,3 +359,44 @@ def test_custom_word_file_exit_0_2_or_3(command, content, qubits, rescale):
         assert "rescaled=" in out
     if valid and qubits == length and rescale == "1":
         assert code == 0, (lines, err)  # raw purity stays below 1 - 1/dim
+
+
+# entries 0-2, or any output count after a one-input side: every shape that parses
+# and fits the cap enumerates in milliseconds ((3,2,3,2) would take seconds)
+SIDE = (st.tuples(st.integers(0, 2), st.integers(0, 2)).map("{0[0]},{0[1]}".format)
+        | st.integers(1, 7).map(lambda m: f"1,{m}"))
+SIZE_TOKEN = st.one_of(
+    st.integers(0, 2).map(str), SIDE,
+    st.text("0129+- ", max_size=3), st.text("abcxyzXYZ", min_size=1, max_size=3), st.just(""),
+    st.integers(-2, 2).map(lambda d: str(10 ** 400 + d)),
+    st.integers(4300, 4302).map(lambda k: "1" * k))  # int() refuses past 4,300 digits
+SIZE_EDGE = {"1,6,1,6": 0, "1,7,1,6": 2}  # the enumeration cap is 6 input*output per side
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(tokens=st.lists(SIZE_TOKEN, min_size=1, max_size=6) | st.lists(SIDE, min_size=1, max_size=2),
+       json_mode=st.booleans())
+@example(tokens=["1,6", "1,6"], json_mode=False)
+@example(tokens=["1,7", "1,6"], json_mode=False)
+def test_size_text_exit_0_or_2(tokens, json_mode):
+    size = ",".join(",".join(tokens).split(",")[:6])  # 1-6 comma-separated tokens
+    code, out, err = run(["boxes", "vertices", "--size", size] + ["--json"] * json_mode)
+    assert code in (0, 2), (size, code, err)
+    assert code == SIZE_EDGE.get(size, code), (size, err)
+    assert "Traceback" not in err
+    if code:
+        assert out == "" and "--size" in err  # argparse, or the shape check
+    else:
+        assert "total" in out
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(table=st.text(max_size=8) | st.sampled_from(["PAPER", "paper ", "--list", "-h", "-1"]))
+@example(table="paper")
+def test_table_text_exit_2_unless_paper(table):
+    # --list keeps the one accepted table fast: the names, no checks run
+    code, out, err = run(["reproduce", "--table", table, "--list"])
+    assert code == (0 if table == "paper" else 2), (table, err)
+    assert "Traceback" not in err
+    if code:
+        assert out == "" and "--table" in err

@@ -325,7 +325,7 @@ class TestGradient:
         for _ in range(5):
             g1 = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             g2 = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            space = orthonormalize([g1 + g1.conj().T, 1j * (g2 - g2.conj().T)])
+            space = ObservableSpace(orthonormalize([g1 + g1.conj().T, 1j * (g2 - g2.conj().T)]))
             psi = random_pure_state(4, rng).vector
             _, grad = raw_purity_and_gradient(space, psi)
             num = numeric_gradient(space, psi)

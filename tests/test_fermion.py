@@ -11,7 +11,7 @@ from getk.fermion import (
     number_operator,
     quadratic_words,
 )
-from getk.operators import QuantumState, lie_closure, orthonormalize, pauli_string
+from getk.operators import ObservableSpace, QuantumState, lie_closure, orthonormalize, pauli_string
 from getk.purity import omega_purity, rescaled_purity
 from random_states import random_pure_state
 from test_import_graph import CATALOG_STATES
@@ -55,7 +55,7 @@ def gram_schmidt_so4():
     raw = [(hop + hop.conj().T) / s, 1.0j * (hop - hop.conj().T) / s,
            (pair + pair.conj().T) / s, 1.0j * (pair - pair.conj().T) / s,
            d1 @ c1 - 0.5 * eye, d2 @ c2 - 0.5 * eye]
-    return orthonormalize(raw, label="so4-fermi")
+    return ObservableSpace(orthonormalize(raw), "so4-fermi")
 
 
 def anticommute(p, q):

@@ -116,6 +116,36 @@ def test_every_public_function_has_a_reader():
     assert unread == []
 
 
+def _unbounded_caches(path: Path) -> list:
+    """Functions of one module, as module.name, that take a parameter besides ``self``
+    under ``functools.cache`` or an ``lru_cache`` of maxsize None."""
+    out = []
+    for func in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(func, FUNCTION_DEFS):
+            continue
+        args = func.args
+        if not ([a for a in args.posonlyargs + args.args + args.kwonlyargs if a.arg != "self"]
+                or args.vararg or args.kwarg):
+            continue
+        for deco in func.decorator_list:
+            target = deco.func if isinstance(deco, ast.Call) else deco
+            name = getattr(target, "id", getattr(target, "attr", None))
+            # maxsize, by keyword or first argument; a bare @lru_cache keeps 128
+            sizes = [k.value for k in getattr(deco, "keywords", []) if k.arg == "maxsize"]
+            sizes += getattr(deco, "args", [])
+            unbounded = sizes and isinstance(sizes[0], ast.Constant) and sizes[0].value is None
+            if name == "cache" or (name == "lru_cache" and unbounded):
+                out.append(f"{path.stem}.{func.name}")
+    return out
+
+
+def test_caches_keyed_by_arguments_are_bounded():
+    # a cache keyed by caller input keeps every value it was asked for: an unbounded one
+    # grows with every distinct argument, spaces of many megabytes included
+    unbounded = [f for path in sorted(PACKAGE.glob("*.py")) for f in _unbounded_caches(path)]
+    assert unbounded == []
+
+
 @pytest.mark.parametrize("module", ["getk", "getk.boxes", "getk.cli"])
 def test_import_leaves_numpy_out(module):
     # the box side is pure int and Fraction code, the package exports only its three

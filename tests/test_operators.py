@@ -67,23 +67,36 @@ class TestTraceInnerProduct:
             trace_inner_product(SX, np.kron(SX, SX))
 
 
+def spaces_built(monkeypatch) -> list:
+    """The ObservableSpace instances built from here on, in order."""
+    built, init = [], ObservableSpace.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(ObservableSpace, "__init__", counted)
+    return built
+
+
 class TestOrthonormalize:
     def test_dependent_input_dropped(self):
-        space = orthonormalize([SZ, 2 * SZ, SX])
-        assert space.size == 2
+        basis = orthonormalize([SZ, 2 * SZ, SX])
+        assert isinstance(basis, np.ndarray) and basis.shape == (2, 2, 2)
+        space = ObservableSpace(basis)
         assert space.contains(SZ) and space.contains(SX)
 
     def test_already_orthonormal_unchanged(self):
         gens = u2_generators()
-        space = orthonormalize(gens)
-        for got, given in zip(space.basis, gens):
+        for got, given in zip(orthonormalize(gens), gens):
             assert np.max(np.abs(got - given)) < 1e-12
 
     def test_hand_gram_schmidt(self):
         # worked by hand: (sx+sz)/2 then (sz-sx)/2
-        space = orthonormalize([SX + SZ, SZ])
-        assert np.allclose(space.basis[0], (SX + SZ) / 2, atol=1e-12)
-        assert np.allclose(space.basis[1], (SZ - SX) / 2, atol=1e-12)
+        basis = orthonormalize([SX + SZ, SZ])
+        assert np.allclose(basis[0], (SX + SZ) / 2, atol=1e-12)
+        assert np.allclose(basis[1], (SZ - SX) / 2, atol=1e-12)
+        space = ObservableSpace(basis)
         assert space.contains(SX) and space.contains(SZ)
 
     def test_all_zero_raises(self):
@@ -114,7 +127,7 @@ class TestOrthonormalize:
             ops = [g + g.conj().T for g in gs]
             ops.insert(2, 2.0 * ops[0] - ops[1])  # dependent: dropped by both
             want = loop_gram_schmidt(ops)
-            got = orthonormalize(ops).basis
+            got = orthonormalize(ops)
             assert len(got) == len(want) == min(n, d * d)
             assert max(np.max(np.abs(a - b)) for a, b in zip(got, want)) < 1e-12
 
@@ -262,7 +275,7 @@ class TestCommutant:
         zz = np.kron(SZ, SZ) / 2
         assert space.contains(zz)
         # the conservation-law u(2) is a proper subspace of this commutant
-        u2 = orthonormalize(u2_generators())
+        u2 = ObservableSpace(orthonormalize(u2_generators()))
         assert u2.size == 4
         assert not u2.contains(zz)
 
@@ -270,7 +283,7 @@ class TestCommutant:
         space = ObservableSpace(commutant_basis([sz_total()]))
         oracle_ops = pauli_commutant_oracle(sz_total())
         assert len(oracle_ops) == space.size
-        oracle_space = orthonormalize(oracle_ops)
+        oracle_space = ObservableSpace(orthonormalize(oracle_ops))
         for a in space.basis:
             assert oracle_space.contains(a)
         for a in oracle_space.basis:
@@ -304,6 +317,12 @@ class TestLieClosure:
         again = lie_closure(space.basis)
         assert again.size == space.size
 
+    def test_rounds_build_no_space(self, monkeypatch):
+        # two rounds of Gram-Schmidt stay (k, d, d) arrays; only the closed basis is a space
+        built = spaces_built(monkeypatch)
+        space = lie_closure([np.kron(SX, SX), np.kron(SZ, ID)])
+        assert built == [space]
+
 
 class TestObservableSpace:
     def test_orthonormality_enforced(self):
@@ -314,11 +333,17 @@ class TestObservableSpace:
         assert ObservableSpace([SZ / np.sqrt(2)]).traceless
         mixed = ObservableSpace([ID / np.sqrt(2)])
         assert not mixed.traceless
-        sector_ready = orthonormalize([ID + SZ, SZ])
+        sector_ready = ObservableSpace(orthonormalize([ID + SZ, SZ]))
         assert not sector_ready.traceless
         sector = sector_ready.traceless_sector()
         assert sector.traceless and sector.size == 1
         assert sector.contains(SZ)
+
+    def test_traceless_sector_builds_one_space(self, monkeypatch):
+        space = ObservableSpace(orthonormalize([ID + SZ, SZ, SX]))
+        built = spaces_built(monkeypatch)
+        sector = space.traceless_sector()
+        assert built == [sector] and sector.size == 2
 
     def test_traceless_sector_keeps_the_lie_flag(self):
         space = ObservableSpace([ID / np.sqrt(2), SZ / np.sqrt(2)], irreducible_lie=True)
@@ -348,8 +373,8 @@ class TestInvariants:
         for _ in range(20):
             g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             ops = [g + g.conj().T, 1j * (g - g.conj().T)]
-            for space in (orthonormalize(ops), lie_closure(ops)):
-                for a in space.basis:
+            for basis in (orthonormalize(ops), lie_closure(ops).basis):
+                for a in basis:
                     assert np.max(np.abs(a - a.conj().T)) < 1e-12
 
     def test_partial_trace_of_products_exact(self):
@@ -464,6 +489,16 @@ def forbid_dense_elements(patch):
 
 class TestWordSpaceExpectations:
     """A word space's expectations, from the masks, against a dense stack built here."""
+
+    def test_a_fixed_point_fits_the_block_cache(self):
+        # under the numerical reference's work rule (words x dim^2 <= MAX_ENTRIES) a word
+        # space has at most as many blocks as _word_block keeps, so no step rebuilds one
+        counts = []
+        for length in range(1, 11):
+            words = min(4 ** length, operators.MAX_ENTRIES // 4 ** length)
+            step = max(1, operators._BLOCK_ENTRIES // 2 ** length)
+            counts.append(-(-words // step))
+        assert counts[5] == max(counts) == 4 <= operators._word_block.cache_info().maxsize
 
     @pytest.mark.parametrize("kind", ["pure", "density"])
     @pytest.mark.parametrize("length", [1, 2, 3, 4, 5])

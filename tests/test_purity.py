@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -160,10 +162,15 @@ class TestResolveMaxReference:
         with pytest.raises(ValueError, match="no analytic reference"):
             resolve_max_reference(catalog.omega3(), "analytic")
 
-    @pytest.mark.parametrize("ref", ["junk", "", "0.5"])
+    @pytest.mark.parametrize("ref", ["junk", "", "nan", "-1", "0"])
     def test_other_text_rejected(self, ref):
-        with pytest.raises(ValueError, match="positive finite"):
+        # quoted as given: the text is read by float() here, nowhere before
+        with pytest.raises(ValueError, match=re.escape(f"positive finite number, got {ref!r}")):
             resolve_max_reference(catalog.omega1(), ref)
+
+    @pytest.mark.parametrize("ref", ["0.5", "5e-1", " +.5"])
+    def test_number_text_is_read(self, ref):
+        assert resolve_max_reference(catalog.omega1(), ref) == (0.5, "explicit")
 
     def test_numerical_reference_computed_once_per_space_and_seed(self, monkeypatch):
         calls = []

@@ -210,6 +210,22 @@ def test_every_flag_is_documented():
     assert [f for f in sorted(flags) if not re.search(re.escape(f) + r"\b", section)] == []
 
 
+@pytest.mark.parametrize("argv, helps", [
+    (["purity"], ["builtin name or JSON state file", "catalog name", "auto | analytic"]),
+    (["classify"], ["builtin name or JSON state file", "catalog name", "auto | analytic"]),
+    (["boxes", "classify"], ["JSON box-table file"]),
+    (["boxes", "separable"], ["JSON box-table file"]),
+    (["boxes", "orbit"], ["JSON box-table file"]),
+])
+def test_shared_flags_show_one_help_text(capsys, monkeypatch, argv, helps):
+    # a flag shared by several subcommands is declared once, with its help text
+    monkeypatch.setenv("COLUMNS", "200")  # argparse wraps help to the terminal's width
+    with pytest.raises(SystemExit):
+        cli.main([*argv, "--help"])
+    out = capsys.readouterr().out
+    assert [text for text in helps if text not in out] == []
+
+
 def _readme_section(title: str) -> str:
     readme = (Path(SRC).parent / "README.md").read_text()
     return readme.split(f"\n### {title}\n", 1)[1].split("\n#", 1)[0]
@@ -329,6 +345,30 @@ class TestPurityCommand:
         code, out, err = run_cli(capsys, command, "--state", "w:3", "--algebra", "omega1",
                                  "--rescale", value)
         assert code == 2 and out == "" and "positive finite" in err
+
+    @pytest.mark.parametrize("value", ["foo", "nan", "-1"])
+    def test_rescale_read_after_the_dimension(self, capsys, value):
+        # purity.resolve_max_reference reads the text, after the state meets the space
+        code, out, err = run_cli(capsys, "purity", "--state", "bell:phi+", "--algebra", "omega1",
+                                 "--rescale", value)
+        assert (code, out) == (3, "") and "dimension" in err
+        code, out, err = run_cli(capsys, "purity", "--state", "w:3", "--algebra", "omega1",
+                                 "--rescale", value)
+        assert (code, out) == (2, "")
+        assert err == ("error: rescaling reference must be auto, analytic or a positive finite "
+                       f"number, got {value!r}\n")
+
+    def test_rescale_read_after_the_seed_and_the_traceless_part(self, capsys, monkeypatch,
+                                                                tmp_path):
+        path = tmp_path / "identity.txt"
+        path.write_text("II\n")
+        code, _, err = run_cli(capsys, "purity", "--state", "bell:phi+",
+                               "--algebra", f"custom:{path}", "--rescale", "foo")
+        assert code == 2 and err == f"error: algebra 'custom:{path}' has no traceless part\n"
+        monkeypatch.setenv("GE_SEED", "-1")
+        code, _, err = run_cli(capsys, "purity", "--state", "w:3", "--algebra", "omega1",
+                               "--rescale", "foo")
+        assert code == 2 and err == "error: GE_SEED: expected a non-negative integer, got '-1'\n"
 
     def test_zero_denominator_in_names_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "purity", "--state", "spin:3/0,0",
@@ -901,3 +941,8 @@ class TestReproduceCommand:
     def test_unknown_table(self, capsys):
         code, _, err = run_cli(capsys, "reproduce", "--table", "arxiv")
         assert code == 2 and "--table" in err
+
+    def test_list_reads_no_seed(self, capsys, monkeypatch):
+        monkeypatch.setenv("GE_SEED", "-1")
+        code, out, err = run_cli(capsys, "reproduce", "--table", "paper", "--list")
+        assert code == 0 and err == "" and "p1/ghz:3" in out.splitlines()
