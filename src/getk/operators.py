@@ -223,7 +223,7 @@ class QuantumState:
     def purity(self) -> float:
         if self.is_pure:
             return 1.0
-        return float(np.trace(self._rho @ self._rho).real)
+        return float(np.vdot(self._rho, self._rho).real)  # sum |rho_ij|^2 = Tr rho^2, rho Hermitian
 
     def tensor(self, other: "QuantumState") -> "QuantumState":
         if self.is_pure and other.is_pure:

@@ -107,7 +107,7 @@ def resolve_max_reference(omega: ObservableSpace, max_reference: float | str | N
         return omega.max_purity, "analytic"
     try:
         value = float(max_reference)
-    except ValueError:  # text that is not a number: refused below, with the non-positive ones
+    except (OverflowError, ValueError):  # not a number, or an int past float range: refused below
         value = math.nan
     if not (math.isfinite(value) and value > 0):
         raise ValueError("rescaling reference must be auto, analytic or a positive finite "

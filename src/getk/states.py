@@ -6,7 +6,16 @@ spin:J,M and fock:m2:W.  Any other name is a state-file path.  The Bell
 letters follow the one-particle convention used by the fermionic dictionary:
 phi+- are the one-particle superpositions (|01> +- |10>)/sqrt2 and psi+- the
 number superpositions (|00> +- |11>)/sqrt2.
+
+A state file is JSON decoded by ``StateFileDecoder``: json's own scanner reads
+every key, value and matrix row, but each row of a top-level ``"matrix"``
+becomes a float array as soon as it is read, so the nested lists of a whole
+density matrix never exist at once.  ``dim`` is checked against ``MAX_DIM``
+before the rows are stacked into one matrix.
 """
+
+import json
+import re
 
 import numpy as np
 
@@ -99,14 +108,92 @@ def builtin_state(name: str) -> QuantumState:
     return state
 
 
+def _float_array(entries) -> np.ndarray | None:
+    """Nested lists of JSON numbers (or of their float arrays) as one float array; None if
+    an entry is not a number.  Integers past 64 bits are read too, and past a float's
+    range raise OverflowError; ragged lists raise numpy's ValueError."""
+    numbers = np.asarray(entries)
+    if numbers.dtype == object and all(isinstance(x, (int, float)) for x in numbers.flat):
+        numbers = numbers.astype(float)
+    return numbers.astype(float, copy=False) if numbers.dtype.kind in "biuf" else None
+
+
 def _complex_entries(field: str, entries, ndim: int) -> np.ndarray:
     """JSON [re, im] number pairs, nested ``ndim`` lists deep, as one complex array."""
-    pairs = np.asarray(entries)
-    if pairs.dtype == object and all(isinstance(x, (int, float)) for x in pairs.flat):
-        pairs = pairs.astype(float)  # integers past 64 bits; past a float's range, OverflowError
-    if pairs.dtype.kind not in "biuf" or pairs.ndim != ndim + 1 or pairs.shape[-1] != 2:
+    pairs = _float_array(entries)
+    if pairs is None or pairs.ndim != ndim + 1 or pairs.shape[-1] != 2:
         raise StateParseError(f"{field}: entries must be [re, im] pairs of numbers")
-    return np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
+    return np.ascontiguousarray(pairs).view(complex)[..., 0]
+
+
+def _matrix_row(entry):
+    """A decoded element of ``"matrix"``: a float array if it is a list of numbers, else as
+    decoded, so ``_complex_entries`` reads (or refuses) the rows as it would the lists."""
+    try:
+        row = _float_array(entry) if isinstance(entry, list) else None
+    except (OverflowError, ValueError):
+        row = None
+    return entry if row is None else row
+
+
+_SPACE = re.compile(r"[ \t\n\r]*")  # JSON whitespace
+
+
+class StateFileDecoder(json.JSONDecoder):
+    """``json.loads`` for a state file, except that each element of a top-level
+    ``"matrix"`` array passes through ``_matrix_row`` as soon as it is read.
+
+    Only that envelope, the top-level object and the ``"matrix"`` array, is walked here,
+    with json's delimiter rules and messages; ``raw_decode`` (json's C scanner) reads every
+    key, value and row.  Any other text is json's to decode.
+    """
+
+    def decode(self, s):
+        start = _SPACE.match(s).end()
+        if not s.startswith("{", start):
+            return super().decode(s)
+        obj = {}
+        end = self._items(s, start + 1, "}", lambda idx: self._member(s, idx, obj))
+        end = _SPACE.match(s, end).end()
+        if end != len(s):
+            raise json.JSONDecodeError("Extra data", s, end)
+        return obj
+
+    def _member(self, s: str, idx: int, obj: dict) -> int:
+        """Read the ``"key": value`` at ``idx`` into ``obj``; the index after it."""
+        if not s.startswith('"', idx):
+            raise json.JSONDecodeError("Expecting property name enclosed in double quotes", s, idx)
+        key, idx = self.raw_decode(s, idx)
+        idx = _SPACE.match(s, idx).end()
+        if not s.startswith(":", idx):
+            raise json.JSONDecodeError("Expecting ':' delimiter", s, idx)
+        idx = _SPACE.match(s, idx + 1).end()
+        if key == "matrix" and s.startswith("[", idx):
+            rows = obj[key] = []
+
+            def read_row(idx):
+                entry, idx = self.raw_decode(s, idx)
+                rows.append(_matrix_row(entry))
+                return idx
+
+            return self._items(s, idx + 1, "]", read_row)
+        obj[key], idx = self.raw_decode(s, idx)
+        return idx
+
+    @staticmethod
+    def _items(s: str, idx: int, close: str, read) -> int:
+        """Call ``read`` at each item of the object or array opened just before ``idx``;
+        ``read`` returns the index after its item.  The index after ``close``."""
+        idx = _SPACE.match(s, idx).end()
+        if s.startswith(close, idx):
+            return idx + 1
+        while True:
+            idx = _SPACE.match(s, read(idx)).end()
+            if s.startswith(close, idx):
+                return idx + 1
+            if not s.startswith(",", idx):
+                raise json.JSONDecodeError("Expecting ',' delimiter", s, idx)
+            idx = _SPACE.match(s, idx + 1).end()
 
 
 def state_from_json_dict(obj: dict) -> QuantumState:
@@ -135,4 +222,4 @@ def load_state(source: str) -> QuantumState:
     prefix, colon, _ = source.partition(":")
     if colon and prefix in _BUILTINS:
         return builtin_state(source)
-    return state_from_json_dict(read_json_file(source))
+    return state_from_json_dict(read_json_file(source, StateFileDecoder))

@@ -2,7 +2,7 @@
 --table text but paper in exit 2, any builtin state name, spin: and su2-spin:
 number tokens, any state JSON file and any custom: word file in exit 0, 2 or 3,
 and any box JSON file in exit 0, 2 or 4 (2 unless it describes two boxes), never
-a traceback."""
+a traceback; and any state-file text loads as the tree json.load builds of it."""
 
 import contextlib
 import io
@@ -16,7 +16,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from getk import boxes, cli, states
+from getk import boxes, cli, read_json_file, states
 from getk.operators import QuantumState
 
 # one state per catalog algebra, of matching dimension
@@ -300,6 +300,111 @@ def test_state_file_exit_0_2_or_3(obj):
         assert out == "" and err.startswith("error: ")
     else:
         assert err == "" and "rescaled=" in out
+
+
+# JSON texts for the decoding oracle: leaves written out, so that number forms, NaN,
+# integers past 64 bits and past a float's range reach the decoder as a file holds them
+LEAF = st.sampled_from(["0", "1", "-1", "0.5", "1.0", "-0.0", "1e0", "true", "false", "null",
+                        '""', '"0"', '"pure"', '"density"', "NaN", "Infinity", "-Infinity",
+                        str(2 ** 63), str(2 ** 64 + 1), str(-2 ** 64), "1" + "0" * 400])
+ONE = st.sampled_from([["1", "0"], ["1.0", "-0.0"], ["true", "false"], ["1e0", "0"]])
+ZERO = st.sampled_from([["0", "0"], ["0.0", "-0.0"], ["false", "false"], ["0", "0e5"]])
+TREE = st.recursive(
+    LEAF, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(['"a"', '"dim"', '"matrix"']), inner, max_size=2).map(
+        lambda d: tuple(d.items())), max_leaves=6)
+SPACE = st.sampled_from(["", "", " ", "\n", "\t ", "\r\n  "])
+KEY = st.sampled_from(['"dim"', '"kind"', '"amplitudes"', '"matrix"', '"m\\u0061trix"', '"note"'])
+
+
+def nested(value, depth: int):
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+def json_text(draw, value) -> str:
+    """``value`` as JSON text with drawn whitespace around every item: a str is written as
+    it is, a list is an array and a tuple of (key text, value) pairs an object."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, tuple):
+        items = [f"{key}{draw(SPACE)}:{draw(SPACE)}{json_text(draw, v)}" for key, v in value]
+    else:
+        items = [json_text(draw, v) for v in value]
+    body = ",".join(draw(SPACE) + item + draw(SPACE) for item in items) or draw(SPACE)
+    return ("{%s}" if isinstance(value, tuple) else "[%s]") % body
+
+
+@st.composite
+def state_texts(draw):
+    """State-file texts: a pure or density basis state of dimension 1-3, then perhaps
+    corrupted (an entry, a pair or a row swapped for any JSON value, a row made ragged,
+    emptied or nested deeper), its members in any order, duplicated, with extra keys of any
+    value, perhaps truncated, edited or followed by more text; or any JSON value at the top."""
+    if draw(st.integers(0, 9)) == 0:
+        return json_text(draw, draw(TREE))
+    dim, pure = draw(st.integers(1, 3)), draw(st.booleans())
+    k, one = draw(st.integers(0, dim - 1)), draw(ONE)
+    rows = [[one if j == k and (pure or i == k) else draw(ZERO) for j in range(dim)]
+            for i in range(1 if pure else dim)]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(rows) - 1))
+        row, change = rows[i], draw(st.sampled_from(["entry", "pair", "ragged", "empty",
+                                                      "row", "deeper"]))
+        j = draw(st.integers(0, len(row) - 1)) if isinstance(row, list) and row else None
+        if change == "row":
+            rows[i] = draw(TREE)
+        elif change == "deeper":
+            rows[i] = nested(row, draw(st.sampled_from([1, 2, 70])))
+        elif change == "ragged" and isinstance(row, list):
+            row.pop() if row and draw(st.booleans()) else row.append(draw(ONE | ZERO))
+        elif change == "empty" and isinstance(row, list):
+            row.clear()
+        elif change == "pair" and j is not None:
+            row[j] = draw(TREE)
+        elif change == "entry" and j is not None and isinstance(row[j], list):
+            row[j] = row[j][:1] + [draw(TREE)]
+    members = [('"dim"', draw(st.just(str(dim)) | LEAF)),
+               ('"amplitudes"', rows[0]) if pure else
+               (draw(st.sampled_from(['"matrix"', '"m\\u0061trix"'])), rows)]
+    if draw(st.booleans()):
+        members.append(('"kind"', '"pure"' if pure else '"density"'))
+    for _ in range(draw(st.integers(0, 2))):  # 5000 deep is past the decoder's recursion limit
+        members.append((draw(KEY), draw(TREE | TREE | st.sampled_from([nested("0", 40),
+                                                                      "[" * 5000 + "]" * 5000]))))
+    text = json_text(draw, tuple(draw(st.permutations(members))))
+    end = draw(st.sampled_from(["", "", "", "", "", "\n", " ", " x", "]", "{}", "cut", "edit"]))
+    if end in ("cut", "edit"):  # truncated, or one character dropped or put in
+        at = draw(st.integers(0, len(text) - 1))
+        put = draw(st.sampled_from(["", '"', ",", ":", "[", "]", "{", "}", "x"]))
+        return text[:at] + (put + text[at + 1:] if end == "edit" else "")
+    return text + end
+
+
+def loaded(load):
+    """What ``load()`` gives: the state's kind and array bits, or the parse error's text."""
+    try:
+        state = load()
+    except states.StateParseError as exc:
+        return "error", str(exc)
+    return state.is_pure, (state.vector if state.is_pure else state.density()).tobytes()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(text=state_texts())
+@example(text='{"dim": 2, "kind": "pure", "amplitudes": [[1, 0], [0, 0]], "note": [[1, [2]]]}')
+@example(text="[1, 2]")
+@example(text='{"dim": 2, "kind": "density", "matrix": [[[1, 0], [0, 0]], [[0, 0]]]}')
+def test_state_file_text_loads_as_json_load_reads_it(text):
+    # the row decoder only changes how the matrix is held: the state's bits, or the error's
+    # text (json's message, numpy's for rows that cannot stack), are what json.load's gives
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "state.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        expected = loaded(lambda: states.state_from_json_dict(read_json_file(path)))
+        assert loaded(lambda: states.load_state(path)) == expected
 
 
 FOREIGN = st.sampled_from("IXYZixyzQ1 ")

@@ -447,6 +447,12 @@ class TestQuantumState:
         assert QuantumState.basis_state(3, 1).purity() == 1.0
         assert maximally_mixed(4).purity() == pytest.approx(0.25)
 
+    @pytest.mark.parametrize("dim", [2, 7, 64, 243])
+    def test_purity_is_the_trace_of_the_square(self, dim):
+        # purity() sums |rho_ij|^2, which equals Tr rho^2 only because rho is Hermitian
+        state = random_density_state(dim, np.random.default_rng(dim), rank=max(1, dim // 3))
+        rho = state.density()
+        assert abs(state.purity() - np.trace(rho @ rho).real) <= 1e-14
 
 
 # Pauli words written out by hand, independent of the mask arithmetic in getk.operators

@@ -168,6 +168,12 @@ class TestResolveMaxReference:
         with pytest.raises(ValueError, match=re.escape(f"positive finite number, got {ref!r}")):
             resolve_max_reference(catalog.omega1(), ref)
 
+    @pytest.mark.parametrize("ref", [10**400, -10**400])
+    def test_int_past_float_range_rejected(self, ref):
+        # float() overflows on these: the same ValueError as any other bad reference
+        with pytest.raises(ValueError, match="positive finite number, got "):
+            resolve_max_reference(catalog.omega1(), ref)
+
     @pytest.mark.parametrize("ref", ["0.5", "5e-1", " +.5"])
     def test_number_text_is_read(self, ref):
         assert resolve_max_reference(catalog.omega1(), ref) == (0.5, "explicit")

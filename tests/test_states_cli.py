@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +18,7 @@ import pytest
 
 from getk import boxes, catalog, cli, coherent, fermion, operators, purity, states
 from getk.operators import MAX_DIM, ObservableSpace, QuantumState, gell_mann_basis, pauli_string
-from random_states import perturbed_builtins
+from random_states import perturbed_builtins, random_density_state
 
 BUILTIN_EXAMPLES = (
     "bell:phi+", "bell:phi-", "bell:psi+", "bell:psi-",
@@ -116,8 +117,37 @@ class TestStateFiles:
         with pytest.raises(states.StateParseError):
             states.load_state("/no/such/file.json")
 
+    def test_density_file_is_decoded_row_by_row(self, tmp_path):
+        # as nested lists a matrix costs ~110 bytes an entry; read row by row into float
+        # arrays, the traced peak stays within twice the text plus twice the matrix
+        rho = random_density_state(243, np.random.default_rng(243), rank=4).density()
+        path = tmp_path / "density.json"
+        path.write_text(json.dumps(state_to_json_dict(QuantumState(rho=rho))))
+        states.load_state(str(path))  # anything the first load builds once is not counted
+        tracemalloc.start()
+        try:
+            state = states.load_state(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(state.density(), rho)
+        assert peak <= 2 * path.stat().st_size + 2 * rho.nbytes
+
+    def test_max_dim_density_file_small_process(self, tmp_path):
+        # a 52 MB file: 248 MB as nested lists, about 129 MB read row by row
+        rho = random_density_state(MAX_DIM, np.random.default_rng(MAX_DIM), rank=4).density()
+        path = tmp_path / "density.json"
+        with open(path, "w", encoding="utf-8") as fh:  # row by row: no tree in this process
+            fh.write(f'{{"dim": {MAX_DIM}, "kind": "density", "matrix": [')
+            for i, row in enumerate(rho):
+                fh.write("," * (i > 0) + json.dumps(row.view(float).reshape(-1, 2).tolist()))
+            fh.write("]}")
+        proc = _run_getk("purity", "--state", str(path), "--algebra", "local:10x2", rss=True)
+        assert proc.returncode == 0 and "\nrescaled=" in proc.stdout
+        assert int(proc.stderr.splitlines()[-1]) < 150 * 1024
+
     def test_pure_file_above_max_dim_exit_2(self, capsys, tmp_path):
-        # once decoded and validated in full, then refused by the algebra with exit 3
+        # the dim is refused (exit 2) before the amplitudes become an array or meet an algebra
         path = tmp_path / "large.json"
         path.write_text(json.dumps({"dim": 2048, "amplitudes": [[1, 0]] + [[0, 0]] * 2047}))
         code, out, err = run_cli(capsys, "purity", "--state", str(path), "--algebra", "omega1")
