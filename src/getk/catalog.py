@@ -2,8 +2,8 @@
 
 Every constructor returns a trace-orthonormal :class:`ObservableSpace` with
 a canonical label.  Analytic maxima of the raw purity are attached where the
-subsystem-purity identity gives them in closed form; other spaces leave the
-rescaling reference to numerical estimation.
+subsystem-purity identity gives them in closed form; any other space's reference is
+computed from its Lie structure, which ``ObservableSpace`` decides (none is declared).
 """
 
 import itertools
@@ -34,7 +34,7 @@ def local_algebra(n: int, d0: int, label: str | None = None) -> ObservableSpace:
     if d0 > MAX_SITE_DIM:  # checked before the (d0^2 - 1) d0^2 entries of the site basis exist
         raise ValueError(f"site dimension {d0} exceeds the supported {MAX_SITE_DIM}")
     return ObservableSpace(gell_mann_basis(d0), label or f"local:{n}x{d0}", sites=n,
-                           irreducible_lie=True, max_purity=max_purity)
+                           max_purity=max_purity)
 
 
 def _two_body_words(pairs, n: int = 3) -> list[str]:
@@ -139,8 +139,7 @@ def spin_algebra(j) -> ObservableSpace:
     nrm = np.sqrt(system.j * (system.j + 1) * system.dim / 3.0)
     ops = [g / nrm for g in system.generators]
     max_ref = 3.0 * system.j / ((system.j + 1) * (2 * system.j + 1))
-    return ObservableSpace(ops, f"su2-spin:{_norm_j(system.j)}", irreducible_lie=True,
-                           max_purity=max_ref)
+    return ObservableSpace(ops, f"su2-spin:{_norm_j(system.j)}", max_purity=max_ref)
 
 
 @lru_cache(maxsize=32)  # bounded: keyed by caller input, each entry keeps its space alive
@@ -154,7 +153,7 @@ def restricted_local_spins(j) -> ObservableSpace:
     system = _nonzero_spin(j)
     max_ref = 6.0 * system.j / ((system.j + 1) * (2 * system.j + 1) ** 2)
     return ObservableSpace(spin_algebra(j).site_basis, f"su2x2-spin:{_norm_j(system.j)}",
-                           sites=2, irreducible_lie=True, max_purity=max_ref)
+                           sites=2, max_purity=max_ref)
 
 
 def full_traceless_algebra(d: int) -> ObservableSpace:

@@ -12,7 +12,9 @@ files) is formed by :func:`checked_dim` against ``MAX_DIM``; a spin's 2J + 1 is
 a float, checked in ``coherent``.
 """
 
-from functools import lru_cache
+import itertools
+import random
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -170,6 +172,41 @@ def _decide_lie(masks, dim: int) -> bool:
     return True
 
 
+def _simple_spectrum(w) -> bool:  # sorted, not np.sort, whose kernels add resident pages
+    return bool(np.diff(sorted(w)).min() > INDEPENDENCE_TOL * np.abs(w).max())
+
+
+def _decide_site_lie(basis) -> bool:
+    """Whether the span of a traceless trace-orthonormal basis on C^D is a Lie algebra
+    represented irreducibly (so is n sites of it), True only when proved.  D^2 - 1 elements
+    span su(D).  Otherwise each i[x_a, x_b] = i(P - P^dagger), P = x_a x_b, lies in the span,
+    and (Schur) a diagonal x_a, else a fixed-seed generic element, has a simple spectrum and
+    a connected graph on its eigenvectors, with an edge where some x_a has an entry above
+    INDEPENDENCE_TOL: only the scalars then commute with every x_a."""
+    k, d = basis.shape[:2]
+    if k == d * d - 1:
+        return True
+    rows = _real_rows(basis)
+    diag = [np.count_nonzero(x) == np.count_nonzero(x.diagonal()) for x in basis]
+    for a, b in itertools.combinations(range(k), 2):
+        p = basis[a] * basis[b].diagonal() if diag[b] else basis[a] @ basis[b]
+        r = _real_rows(1j * (p - p.conj().T))
+        if np.linalg.norm(r - rows.T @ (rows @ r)) > INDEPENDENCE_TOL * np.linalg.norm(r):
+            return False
+    if not any(is_diag and _simple_spectrum(x.diagonal().real) for x, is_diag in zip(basis, diag)):
+        rng = random.Random(0)  # structural, so independent of GE_SEED
+        w, v = np.linalg.eigh(np.einsum("a,aij->ij", [rng.gauss(0, 1) for _ in range(k)], basis))
+        if not _simple_spectrum(w):
+            return False
+        basis = [v.conj().T @ x @ v for x in basis]  # in that element's eigenbasis
+    adjacent = np.any([np.abs(x) > INDEPENDENCE_TOL for x in basis], axis=0)
+    seen = frontier = np.arange(d) == 0  # breadth-first: each vertex's row is read once
+    while frontier.any():
+        frontier = adjacent[frontier].any(axis=0) & ~seen
+        seen = seen | frontier
+    return bool(seen.all())
+
+
 class QuantumState:
     """A pure state vector or a density operator on dimension ``dim``."""
 
@@ -286,9 +323,9 @@ def _real_rows(ops) -> np.ndarray:
 class ObservableSpace:
     """Real-linear span of Hermitian operators with a trace-orthonormal basis.
 
-    ``irreducible_lie`` marks spaces that are Lie algebras represented
-    irreducibly on the carrier space (this decides which direction of the
-    maximal-purity criterion applies).  ``max_purity`` optionally records the
+    ``irreducible_lie``, decided when first read, says whether the span is a Lie algebra
+    represented irreducibly (this decides which direction of the maximal-purity
+    criterion applies).  ``max_purity`` optionally records the
     analytic maximum of the raw traceless purity over pure states.  A space
     is immutable once built: the catalog hands the same instance to every
     caller.
@@ -306,13 +343,11 @@ class ObservableSpace:
 
     A word space is given Pauli words of one length L (case and duplicates
     collapse), each normalized as P / sqrt(2^L), and keeps their (x, z) ``masks``:
-    distinct words are orthonormal, both maps cost O(dim) per word, ``irreducible_lie``
-    is decided, not declared, and the space is one site.  Size x dim is checked
-    against MAX_ENTRIES before any mask array exists.
+    distinct words are orthonormal, both maps cost O(dim) per word, and the space is
+    one site.  Size x dim is checked against MAX_ENTRIES before any mask array exists.
     """
 
-    def __init__(self, basis, label: str = "", *, irreducible_lie: bool = False,
-                 max_purity: float | None = None, sites: int = 1):
+    def __init__(self, basis, label: str = "", *, max_purity: float | None = None, sites: int = 1):
         basis = list(basis)
         if not basis:
             raise ValueError("an observable space needs at least one basis element")
@@ -328,7 +363,6 @@ class ObservableSpace:
                                  f"the supported {MAX_ENTRIES} words x dimension")
             self.masks = np.array([pauli_masks(w) for w in words], dtype=np.int64)
             self.masks.setflags(write=False)
-            self.irreducible_lie = _decide_lie(self.masks, self.dim)
             self.traceless = bool(self.masks.any(axis=1).all())  # set last: now immutable
             return
         self.masks, self.sites = None, int(sites)
@@ -339,7 +373,6 @@ class ObservableSpace:
         mats.setflags(write=False)
         if mats.shape[1:] != (d, d):
             raise DimensionMismatch("basis elements have inconsistent dimensions")
-        self.irreducible_lie = bool(irreducible_lie)
         self.site_basis = mats
         for a in mats:
             assert_hermitian(a)
@@ -359,6 +392,14 @@ class ObservableSpace:
 
     def __delattr__(self, name):
         raise AttributeError(f"ObservableSpace is immutable; cannot delete {name!r}")
+
+    @cached_property  # stored in the instance dict directly, past __setattr__
+    def irreducible_lie(self) -> bool:
+        """Decided from the masks, or else from the traceless sector's D x D site basis.  One
+        element spans an abelian algebra, reducible on C^D for D >= 2 (a lone 1 has no sector)."""
+        if self.masks is not None:
+            return _decide_lie(self.masks, self.dim)
+        return self.size > 1 and _decide_site_lie(self.traceless_sector().site_basis)
 
     @property
     def basis(self) -> list[np.ndarray]:
@@ -442,8 +483,7 @@ class ObservableSpace:
         shifted = [a - (np.trace(a) / self.dim) * eye for a in self.basis]
         if all(np.linalg.norm(a) < INDEPENDENCE_TOL for a in shifted):
             raise ValueError(f"algebra {self.label!r} has no traceless part")
-        return ObservableSpace(orthonormalize(shifted), label=self.label + "-traceless",
-                               irreducible_lie=self.irreducible_lie)
+        return ObservableSpace(orthonormalize(shifted), label=self.label + "-traceless")
 
     def __repr__(self):
         return f"ObservableSpace(label={self.label!r}, dim={self.dim}, size={self.size})"

@@ -32,22 +32,26 @@ class PurityReport:
 
     ``reference_source`` says where ``max_reference`` came from: ``analytic``,
     ``highest-weight``, ``numerical`` (the fixed-point estimate) or ``explicit``.
-    ``theorem_direction`` is "iff" when the space is an irreducibly represented
-    Lie algebra, where maximal purity is equivalent to generalized unentanglement,
-    and "sufficient" otherwise, where a False verdict only means "not certified".
+    ``theorem_direction`` is "iff" when ``space`` (the traceless sector measured) is an
+    irreducibly represented Lie algebra, where maximal purity is equivalent to generalized
+    unentanglement, and "sufficient" otherwise, where a False verdict only means "not
+    certified"; the structure is decided only when it is read.
     """
 
     raw: float
     rescaled: float
     max_reference: float
-    omega_label: str
+    space: ObservableSpace
     reference_source: str
-    theorem_direction: str
     pure: bool
+
+    @property
+    def theorem_direction(self) -> str:
+        return "iff" if self.space.irreducible_lie else "sufficient"
 
     def as_dict(self) -> dict:
         return {
-            "algebra": self.omega_label,
+            "algebra": self.space.label,
             "raw": self.raw,
             "rescaled": self.rescaled,
             "max_reference": self.max_reference,
@@ -118,7 +122,6 @@ def resolve_max_reference(omega: ObservableSpace, max_reference: float | str | N
 def rescaled_purity(state: QuantumState, omega: ObservableSpace,
                     max_reference: float | str | None = None, *, seed: int = 0) -> PurityReport:
     """Purity report with the traceless-sector value rescaled to maximum 1."""
-    direction = "iff" if omega.irreducible_lie else "sufficient"  # of the space as given
     omega = omega.traceless_sector()
     raw = omega_purity(state, omega)  # a state of the wrong dimension fails before any reference
     ref, source = resolve_max_reference(omega, max_reference, seed)
@@ -127,9 +130,8 @@ def rescaled_purity(state: QuantumState, omega: ObservableSpace,
         raise ValueError(
             f"rescaled purity {rescaled} exceeds 1: reference {ref} is below the "
             f"true maximum (explicit value too small, or too few optimizer restarts)")
-    return PurityReport(raw=raw, rescaled=rescaled, max_reference=ref, omega_label=omega.label,
-                        reference_source=source, theorem_direction=direction,
-                        pure=state.is_pure)
+    return PurityReport(raw=raw, rescaled=rescaled, max_reference=ref, space=omega,
+                        reference_source=source, pure=state.is_pure)
 
 
 def local_purity_formula(psi: QuantumState, n: int, d0: int) -> float:

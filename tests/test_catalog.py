@@ -6,9 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from getk import catalog, coherent, operators, states
+from getk import catalog, cli, coherent, fermion, operators, states
 from getk.operators import (
     ObservableSpace,
+    QuantumState,
     expectation,
     lie_closure,
     pauli_string,
@@ -409,6 +410,46 @@ class TestNamedAlgebra:
     ])
     def test_resolves(self, name, size):
         assert catalog.named_algebra(name).size == size
+
+    # each catalog name, a builtin state of its dimension and the direction classify prints
+    @pytest.mark.parametrize("name,state,direction", [
+        ("omega1", "w:3", "iff"),
+        ("omega2-literal", "ghz:3", "iff"),
+        ("local:2x2", "bell:phi+", "iff"),
+        ("local:2x3", "spin:4,0", "iff"),
+        ("su2-spin:3/2", "spin:3/2,1/2", "iff"),
+        ("su2-spin:100", "spin:100,100", "iff"),
+        ("omega2-paper-values", "bisep:13", "sufficient"),
+        ("omega3", "w:3", "sufficient"),
+        ("omega4", "bisep:23", "sufficient"),
+        ("omega-prime-loc", "bell:phi+", "sufficient"),
+        ("u2", "bell:psi+", "sufficient"),
+        ("so4-fermi", "fock:m2:11", "sufficient"),
+    ])
+    def test_decided_structure_is_the_printed_direction(self, capsys, name, state, direction):
+        assert catalog.named_algebra(name).irreducible_lie == (direction == "iff")
+        assert cli.main(["classify", "--state", state, "--algebra", name]) == 0
+        assert f"theorem_direction={direction}\n" in capsys.readouterr().out
+
+    # library spaces that no catalog name reaches, two lie_closure results among them
+    @pytest.mark.parametrize("factory,irreducible", [
+        (lambda: catalog.restricted_local_spins(0.5), True),
+        (lambda: catalog.restricted_local_spins(1), True),
+        (lambda: catalog.restricted_local_spins(2), True),
+        (lambda: catalog.restricted_local_spins(3.5), True),
+        (lambda: catalog.restricted_local_spins(15.5), True),
+        (lambda: catalog.full_traceless_algebra(2), True),
+        (lambda: catalog.full_traceless_algebra(4), True),
+        (fermion.fermionic_u2, False),
+        (lambda: lie_closure(coherent.spin_system(1).generators[::2]), True),
+        (lambda: lie_closure(catalog.z_conserving_u2().basis), False),
+    ], ids=["su2x2-spin:1/2", "su2x2-spin:1", "su2x2-spin:2", "su2x2-spin:7/2",
+            "su2x2-spin:31/2", "full:2", "full:4", "u2-fermi", "closure-spin-1", "closure-u2"])
+    def test_library_spaces_decide_their_direction(self, factory, irreducible):
+        space = factory()
+        report = rescaled_purity(QuantumState.basis_state(space.dim, 0), space)
+        assert space.irreducible_lie is irreducible
+        assert report.theorem_direction == ("iff" if irreducible else "sufficient")
 
     def test_custom_file(self, tmp_path):
         path = tmp_path / "strings.txt"

@@ -299,12 +299,14 @@ def test_box_commands_leave_numpy_out(tmp_path, command):
 
 
 def test_purity_commands_leave_numpy_random_unloaded():
-    # both rescaling references draw from the stdlib generator numpy has already loaded
+    # both rescaling references and the Lie-structure decision draw from the stdlib generator
+    # numpy has already loaded; numpy.ma (which np.unique loads) would cost every command
     runs = [[command, "--state", state, "--algebra", algebra, *rescale]
             for algebra, state in CATALOG_STATES
             for command in ("purity", "classify")
             for rescale in ([], ["--rescale", "auto"])]
-    assert _run_commands(runs, "numpy.random") == [[argv, 0, False] for argv in runs]
+    assert _run_commands(runs, "numpy.random", "numpy.ma") == [[argv, 0, False, False]
+                                                               for argv in runs]
 
 
 def test_purity_commands_run_box_code_never_and_fermion_code_for_fermions():
@@ -322,4 +324,5 @@ def test_purity_commands_run_box_code_never_and_fermion_code_for_fermions():
 def test_reproduce_leaves_numpy_random_unloaded():
     # the seeded checks of the golden suite draw from the same stdlib generator
     runs = [["reproduce", "--table", "paper"]]
-    assert _run_commands(runs, "numpy.random") == [[argv, 0, False] for argv in runs]
+    assert _run_commands(runs, "numpy.random", "numpy.ma") == [[argv, 0, False, False]
+                                                               for argv in runs]

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from getk import catalog, fermion, operators
+from getk import catalog, coherent, fermion, operators
 from getk.operators import (
     INDEPENDENCE_TOL,
     DimensionMismatch,
@@ -346,8 +346,12 @@ class TestObservableSpace:
         assert built == [sector] and sector.size == 2
 
     def test_traceless_sector_keeps_the_lie_flag(self):
-        space = ObservableSpace([ID / np.sqrt(2), SZ / np.sqrt(2)], irreducible_lie=True)
-        assert space.traceless_sector().irreducible_lie
+        # the flag of a space with an identity part is its sector's, decided from the sector:
+        # {S_z} on C^2 is abelian, so reducible; u(2) = 1 + su(2) is irreducible
+        abelian = ObservableSpace([ID / np.sqrt(2), SZ / np.sqrt(2)])
+        assert not abelian.irreducible_lie and not abelian.traceless_sector().irreducible_lie
+        u2 = ObservableSpace([p / np.sqrt(2) for p in (ID, SX, SY, SZ)])
+        assert u2.irreducible_lie and u2.traceless_sector().irreducible_lie
 
     def test_projection_matches_loop_reference(self):
         rng = np.random.default_rng(12)
@@ -624,10 +628,28 @@ class TestTheTwoMaps:
             space.project_operator(np.eye(space.dim + 1))
 
 
-def lie_oracle(words) -> bool:
+def dense_lie_oracle(ops) -> bool:
     """Dense route: the span equals its bracket closure, and its traceless commutant is empty."""
-    ops = [dense_word(w) for w in words]
-    return lie_closure(ops).size == len(ops) and commutant_basis(ops) == []
+    return lie_closure(ops).size == len(orthonormalize(ops)) and commutant_basis(ops) == []
+
+
+def lie_oracle(words) -> bool:
+    return dense_lie_oracle([dense_word(w) for w in words])
+
+
+def dense_word_space(words) -> ObservableSpace:
+    """The words as a dense one-site space: their matrices over sqrt(2^L)."""
+    return ObservableSpace([dense_word(w) / np.sqrt(2 ** len(w)) for w in words])
+
+
+def direct_sums(ops) -> list:
+    """Two reducible forms of a trace-orthonormal set, x (x) 1 on one more qubit (1 (x) Z
+    commutes with it) and x (+) -conj(x), the set beside its dual (so does 1 (+) 0): each is
+    closed exactly when the set is."""
+    d = ops[0].shape[0]
+    zero = np.zeros((d, d))
+    return [[np.kron(x, np.eye(2)) / np.sqrt(2) for x in ops],
+            [np.block([[x, zero], [zero, -x.conj()]]) / np.sqrt(2) for x in ops]]
 
 
 def closed_word_set(rng, length: int) -> list:
@@ -645,7 +667,10 @@ class TestWordLieStructure:
         rng = np.random.default_rng(1000 * length + seed)
         drawn = list(dict.fromkeys(random_words(rng, length, int(rng.integers(1, 2 * length + 4)))))
         for words in (drawn, closed_word_set(rng, length)):
-            assert ObservableSpace(words).irreducible_lie == lie_oracle(words), words
+            flag = ObservableSpace(words).irreducible_lie
+            assert flag == dense_word_space(words).irreducible_lie == lie_oracle(words), words
+            for ops in direct_sums(dense_word_space(words).basis):
+                assert not ObservableSpace(ops).irreducible_lie, words
 
     def test_oracle_sees_both_answers(self):
         # the seeded sets above hold irreducible algebras as well as reducible and open sets
@@ -665,6 +690,25 @@ class TestWordLieStructure:
         assert report.max_reference == pytest.approx(0.5, abs=1e-12)
         assert report.theorem_direction == "iff" and report.unentangled(1e-8)
         assert is_generalized_unentangled(QuantumState.basis_state(4, 0), space)
+
+    def test_spin_half_beside_spin_one_is_reducible(self):
+        # su(2) on C^2 (+) C^3 is closed, and J_z (+) J_z has the simple spectrum 1/2, -1/2,
+        # 1, 0, -1: no rotated entry joins the two blocks, so the graph has two components
+        half, one = coherent.spin_system(0.5), coherent.spin_system(1)
+        ops = orthonormalize([np.block([[a, np.zeros((2, 3))], [np.zeros((3, 2)), b]])
+                              for a, b in zip(half.generators, one.generators)])
+        assert lie_closure(ops).size == 3 and commutant_basis(ops) != []
+        assert not ObservableSpace(ops).irreducible_lie
+
+    def test_su3_adjoint_is_decided_false(self):
+        # the adjoint representation of su(3) is irreducible, but weight 0 appears twice in it,
+        # so every element's spectrum is degenerate: no element proves irreducibility, and a
+        # flag that is True only when proved reads False
+        su3 = np.stack(gell_mann_basis(3))
+        ops = [np.einsum("cij,bji->cb", su3, bracket(x, su3)).real * 1j for x in su3]
+        ops = [h / np.sqrt(np.trace(h @ h).real) for h in ops]
+        assert dense_lie_oracle(ops)
+        assert not ObservableSpace(ops).irreducible_lie
 
     def test_x_and_z_are_not_closed(self):
         # i[X, Z] = 2Y, and Y is not in span{X, Z}

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from getk import catalog, coherent, states
+from getk import catalog, coherent, operators, states
 from getk.operators import (
     ObservableSpace,
     QuantumState,
@@ -258,6 +258,17 @@ class TestUnentanglementTest:
         system = coherent.spin_system(3)
         assert is_generalized_unentangled(system.basis_state(3), space) is True
         assert rescaled_purity(system.basis_state(3), space).theorem_direction == "iff"
+
+    def test_structure_is_decided_once_when_the_direction_is_read(self, monkeypatch):
+        decided = []
+        monkeypatch.setattr(operators, "_decide_site_lie",
+                            lambda basis: decided.append(len(basis)) or True)
+        spin = catalog.spin_algebra(1)
+        space = ObservableSpace(spin.site_basis, max_purity=spin.max_purity)
+        report = rescaled_purity(coherent.spin_system(1).basis_state(1), space)
+        assert decided == []  # a purity record never reads the direction
+        assert report.theorem_direction == report.theorem_direction == "iff"
+        assert decided == [3]
 
     def test_center_state_is_entangled(self):
         space = catalog.spin_algebra(3)
