@@ -8,6 +8,7 @@ computed from its Lie structure, which ``ObservableSpace`` decides (none is decl
 
 import itertools
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -116,10 +117,6 @@ def omega4() -> ObservableSpace:
     return ObservableSpace(_two_body_words([(0, 1), (1, 2), (0, 2)]), "omega4")
 
 
-def _norm_j(j: float) -> str:
-    return f"{int(j)}" if float(j).is_integer() else f"{int(round(2 * j))}/2"
-
-
 def _nonzero_spin(j) -> "coherent.SpinSystem":
     system = coherent.spin_system(j)
     if system.j == 0:  # its generators are zero: nothing to normalize
@@ -139,7 +136,7 @@ def spin_algebra(j) -> ObservableSpace:
     nrm = np.sqrt(system.j * (system.j + 1) * system.dim / 3.0)
     ops = [g / nrm for g in system.generators]
     max_ref = 3.0 * system.j / ((system.j + 1) * (2 * system.j + 1))
-    return ObservableSpace(ops, f"su2-spin:{_norm_j(system.j)}", max_purity=max_ref)
+    return ObservableSpace(ops, f"su2-spin:{Fraction(system.j)}", max_purity=max_ref)
 
 
 @lru_cache(maxsize=32)  # bounded: keyed by caller input, each entry keeps its space alive
@@ -152,7 +149,7 @@ def restricted_local_spins(j) -> ObservableSpace:
     """
     system = _nonzero_spin(j)
     max_ref = 6.0 * system.j / ((system.j + 1) * (2 * system.j + 1) ** 2)
-    return ObservableSpace(spin_algebra(j).site_basis, f"su2x2-spin:{_norm_j(system.j)}",
+    return ObservableSpace(spin_algebra(j).site_basis, f"su2x2-spin:{Fraction(system.j)}",
                            sites=2, max_purity=max_ref)
 
 

@@ -63,20 +63,11 @@ def _fmt_value(v) -> str:
 
 def _emit(record: dict, json_mode: bool):
     if json_mode:
-        print(json.dumps(_jsonable(record)))
+        # default= sees only Fractions, the one non-JSON type any record holds
+        print(json.dumps(record, default=lambda q: [q.numerator, q.denominator]))
     else:
         for key, value in record.items():
             print(f"{key}={_fmt_value(value)}")
-
-
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, Fraction):
-        return [value.numerator, value.denominator]
-    return value
 
 
 def _seed() -> int:

@@ -301,12 +301,8 @@ def partial_trace(state: QuantumState, dims, keep) -> QuantumState:
     if not keep or any(k < 0 or k >= n for k in keep):
         raise ValueError(f"keep set {keep} out of range for {n} factors")
     rho = state.density().reshape(dims + dims)
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    row = list(letters[:n])
-    col = [letters[n + i] if i in keep else letters[i] for i in range(n)]
-    out = [letters[i] for i in keep] + [letters[n + i] for i in keep]
-    sub = "".join(row) + "".join(col) + "->" + "".join(out)
-    reduced = np.einsum(sub, rho)
+    col = [n + i if i in keep else i for i in range(n)]  # a traced factor's column is its row
+    reduced = np.einsum(rho, [*range(n), *col], [*keep, *(n + i for i in keep)])
     d_keep = int(np.prod([dims[k] for k in keep]))
     reduced = reduced.reshape(d_keep, d_keep)
     # symmetrize away roundoff before re-validating

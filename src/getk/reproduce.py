@@ -186,7 +186,7 @@ class _Run:
 
     def spin_estimate_ratio(self):
         space = catalog.spin_algebra(2)
-        return coherent.max_purity_estimate(space, restarts=8, seed=self.seed) / space.max_purity
+        return coherent.max_purity_estimate(space, seed=self.seed) / space.max_purity
 
     # --- restricted local spins ------------------------------------------
     def restricted_spin_extremes(self):

@@ -7,15 +7,14 @@ letters follow the one-particle convention used by the fermionic dictionary:
 phi+- are the one-particle superpositions (|01> +- |10>)/sqrt2 and psi+- the
 number superpositions (|00> +- |11>)/sqrt2.
 
-A state file is JSON decoded by ``StateFileDecoder``: json's own scanner reads
-every key, value and matrix row, but each row of a top-level ``"matrix"``
-becomes a float array as soon as it is read, so the nested lists of a whole
-density matrix never exist at once.  ``dim`` is checked against ``MAX_DIM``
-before the rows are stacked into one matrix.
+A state file is JSON decoded by ``StateFileDecoder``: json's own object and
+array parsers and its scanner read every key, value and matrix row, but each
+row of a top-level ``"matrix"`` becomes a float array as soon as it is read,
+so the nested lists of a whole density matrix never exist at once.  ``dim`` is
+checked against ``MAX_DIM`` before the rows are stacked into one matrix.
 """
 
 import json
-import re
 
 import numpy as np
 
@@ -136,64 +135,48 @@ def _matrix_row(entry):
     return entry if row is None else row
 
 
-_SPACE = re.compile(r"[ \t\n\r]*")  # JSON whitespace
+class _LastKey(dict):
+    """A ``memo`` for json's ``JSONObject``, which passes each key through
+    ``memo.setdefault(key, key)`` just before it scans that key's value."""
+
+    last = None
+
+    def setdefault(self, key, default=None):
+        self.last = key
+        return default
 
 
 class StateFileDecoder(json.JSONDecoder):
     """``json.loads`` for a state file, except that each element of a top-level
     ``"matrix"`` array passes through ``_matrix_row`` as soon as it is read.
 
-    Only that envelope, the top-level object and the ``"matrix"`` array, is walked here,
-    with json's delimiter rules and messages; ``raw_decode`` (json's C scanner) reads every
-    key, value and row.  Any other text is json's to decode.
+    json's own ``parse_object`` and ``parse_array`` read that envelope, so its grammar and
+    messages are the running Python's json's; json's C scanner reads every key, value and
+    row.  Any text whose top level is not an object is json's to decode.
     """
 
-    def decode(self, s):
-        start = _SPACE.match(s).end()
-        if not s.startswith("{", start):
-            return super().decode(s)
-        obj = {}
-        end = self._items(s, start + 1, "}", lambda idx: self._member(s, idx, obj))
-        end = _SPACE.match(s, end).end()
-        if end != len(s):
-            raise json.JSONDecodeError("Extra data", s, end)
-        return obj
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        scan = self.scan_once
 
-    def _member(self, s: str, idx: int, obj: dict) -> int:
-        """Read the ``"key": value`` at ``idx`` into ``obj``; the index after it."""
-        if not s.startswith('"', idx):
-            raise json.JSONDecodeError("Expecting property name enclosed in double quotes", s, idx)
-        key, idx = self.raw_decode(s, idx)
-        idx = _SPACE.match(s, idx).end()
-        if not s.startswith(":", idx):
-            raise json.JSONDecodeError("Expecting ':' delimiter", s, idx)
-        idx = _SPACE.match(s, idx + 1).end()
-        if key == "matrix" and s.startswith("[", idx):
-            rows = obj[key] = []
+        def scan_row(s, idx):
+            entry, idx = scan(s, idx)
+            return _matrix_row(entry), idx
 
-            def read_row(idx):
-                entry, idx = self.raw_decode(s, idx)
-                rows.append(_matrix_row(entry))
-                return idx
+        def scan_top(s, idx):
+            if not s.startswith("{", idx):
+                return scan(s, idx)
+            keys = _LastKey()
 
-            return self._items(s, idx + 1, "]", read_row)
-        obj[key], idx = self.raw_decode(s, idx)
-        return idx
+            def scan_value(s, idx):
+                if keys.last == "matrix" and s.startswith("[", idx):
+                    return self.parse_array((s, idx + 1), scan_row)
+                return scan(s, idx)
 
-    @staticmethod
-    def _items(s: str, idx: int, close: str, read) -> int:
-        """Call ``read`` at each item of the object or array opened just before ``idx``;
-        ``read`` returns the index after its item.  The index after ``close``."""
-        idx = _SPACE.match(s, idx).end()
-        if s.startswith(close, idx):
-            return idx + 1
-        while True:
-            idx = _SPACE.match(s, read(idx)).end()
-            if s.startswith(close, idx):
-                return idx + 1
-            if not s.startswith(",", idx):
-                raise json.JSONDecodeError("Expecting ',' delimiter", s, idx)
-            idx = _SPACE.match(s, idx + 1).end()
+            return self.parse_object((s, idx + 1), self.strict, scan_value,
+                                     self.object_hook, self.object_pairs_hook, keys)
+
+        self.scan_once = scan_top
 
 
 def state_from_json_dict(obj: dict) -> QuantumState:

@@ -396,6 +396,12 @@ def loaded(load):
 @example(text='{"dim": 2, "kind": "pure", "amplitudes": [[1, 0], [0, 0]], "note": [[1, [2]]]}')
 @example(text="[1, 2]")
 @example(text='{"dim": 2, "kind": "density", "matrix": [[[1, 0], [0, 0]], [[0, 0]]]}')
+# json's messages for these differ between Python versions (3.13 names a trailing comma)
+@example(text='{"dim": 1,}')
+@example(text='{"dim": 2, "matrix": [[[1,0],[0,0]],]}')
+@example(text='{"dim": 2 "kind": 1}')
+@example(text='{"dim": 2, "matrix": [[[0, 1], [0, 0]]], '
+              '"matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}')  # the last one wins
 def test_state_file_text_loads_as_json_load_reads_it(text):
     # the row decoder only changes how the matrix is held: the state's bits, or the error's
     # text (json's message, numpy's for rows that cannot stack), are what json.load's gives

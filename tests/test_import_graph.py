@@ -63,6 +63,15 @@ def test_the_size_rule_lives_in_checked_dim():
     assert owners == ["operators.checked_dim"]
 
 
+def test_no_module_constructs_a_json_decode_error():
+    # json's own parsers read state files, so a malformed file gets json's message
+    built = [f"{path.stem}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", getattr(node.func, "id", None)) == "JSONDecodeError"]
+    assert built == []
+
+
 INTEGER_CORE = ("_pivot", "_rref", "_rank", "_extreme_rays", "_phase1_feasible")
 
 

@@ -215,6 +215,15 @@ class TestPartialTrace:
         with pytest.raises(ValueError):
             partial_trace(QuantumState.basis_state(4, 0), [2, 2], [])
 
+    def test_many_unit_factors(self):
+        # fourteen factors need 28 einsum labels; a 26-letter alphabet ran out
+        red = partial_trace(QuantumState.basis_state(2, 0), [1] * 13 + [2], [13])
+        assert np.array_equal(red.density(), np.diag([1, 0]).astype(complex))
+
+    def test_more_factors_than_einsum_labels(self):
+        with pytest.raises(ValueError):
+            partial_trace(QuantumState.basis_state(2, 0), [1] * 26 + [2], [26])
+
 
 def pauli_commutant_oracle(generator):
     """Independent route: brute-force nullspace over the 15 Pauli strings."""

@@ -897,11 +897,18 @@ class TestBoxesCommands:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(boxes, "is_extremal", counted)
-        code, out, _ = run_cli(capsys, "boxes", "classify", "--state",
-                               self.entangled_file(tmp_path))
-        assert code == 0 and len(calls) == 1
-        assert out == ("extremal=true\nclass=entangled\n"
-                       "marginal_alice=(1/2,1/2,1/2,1/2)\nmarginal_bob=(1/2,1/2,1/2,1/2)\n")
+        path = self.entangled_file(tmp_path)
+        for flags, expected in [
+            ((), "extremal=true\nclass=entangled\n"
+                 "marginal_alice=(1/2,1/2,1/2,1/2)\nmarginal_bob=(1/2,1/2,1/2,1/2)\n"),
+            (("--json",), '{"extremal": true, "class": "entangled", '
+                          '"marginal_alice": [[1, 2], [1, 2], [1, 2], [1, 2]], '
+                          '"marginal_bob": [[1, 2], [1, 2], [1, 2], [1, 2]]}\n'),
+        ]:
+            calls.clear()
+            code, out, _ = run_cli(capsys, "boxes", "classify", "--state", path, *flags)
+            assert code == 0 and len(calls) == 1
+            assert out == expected
 
     def test_bad_size_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "boxes", "vertices", "--size", "2,2,2")
@@ -911,6 +918,9 @@ class TestBoxesCommands:
         code, out, _ = run_cli(capsys, "boxes", "vertices", "--size", "1,2,1,2", "--json")
         record = json.loads(out)
         assert record["total"] == 4 and record["product"] == 4
+        # each probability is a [numerator, denominator] pair, as box-table files write it
+        assert all(len(q) == 2 and all(type(x) is int for x in q)
+                   for vertex in record["vertices"] for q in vertex["p"])
 
 
 @pytest.fixture(scope="module")
