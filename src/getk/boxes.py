@@ -227,10 +227,6 @@ def _rref(rows):
     return m, pivots
 
 
-def _rank(rows) -> int:
-    return len(_rref(rows)[1])
-
-
 def _extreme_rays(rows, dim):
     """Extreme rays of the pointed cone {y : row . y >= 0 for every row}, exactly.
 
@@ -306,7 +302,7 @@ def is_extremal(state: BoxState) -> bool:
     # the table is M (1, t) for one t, and (1, t) spans the null space of the
     # zero entries' rows exactly when those rows have rank len(t)
     zeros = [row for row, val in zip(matrix, state.probs) if val == 0]
-    return _rank(zeros) == len(matrix[0]) - 1
+    return len(_rref(zeros)[1]) == len(matrix[0]) - 1
 
 
 class VertexClass(Enum):

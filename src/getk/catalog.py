@@ -153,11 +153,6 @@ def restricted_local_spins(j) -> ObservableSpace:
                            sites=2, max_purity=max_ref)
 
 
-def full_traceless_algebra(d: int) -> ObservableSpace:
-    """The complete traceless Hermitian space su(d): the local algebra on one site."""
-    return local_algebra(1, d, label=f"full:{d}")
-
-
 _FIXED = {
     "omega1": omega1,
     "omega2-literal": bilocal_pair_algebra,
@@ -196,6 +191,6 @@ def named_algebra(name: str) -> ObservableSpace:
     if name.startswith("custom:"):
         path = name.split(":", 1)[1]
         with open(path, "r", encoding="utf-8") as fh:
-            words = [line.strip() for line in fh if line.strip() and not line.startswith("#")]
+            words = [w for w in map(str.strip, fh) if w and not w.startswith("#")]
         return ObservableSpace(words, f"custom:{path}")
     raise ValueError(f"unknown algebra name {name!r}")

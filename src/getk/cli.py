@@ -23,7 +23,6 @@ import importlib.util
 import json
 import os
 import sys
-from fractions import Fraction
 
 # OpenBLAS reads this once, when numpy loads it. Its idle worker threads busy-wait
 # before they sleep, and no getk matrix is large enough to be worth splitting.
@@ -54,8 +53,6 @@ def _fmt_value(v) -> str:
         return "true" if v else "false"
     if isinstance(v, float):
         return f"{v:.12g}"
-    if isinstance(v, Fraction):
-        return str(v)
     if isinstance(v, tuple):
         return "(" + ",".join(_fmt_value(x) for x in v) + ")"
     return str(v)

@@ -50,12 +50,18 @@ class SpinSystem:
     def generators(self) -> list[np.ndarray]:
         return [self.jx, self.jy, self.jz]
 
-    def basis_state(self, m) -> QuantumState:
-        """The eigenstate |J, m> of jz."""
-        index = round(self.j - m, 0)  # a float: an infinite or nan m fails the range test
-        if not 0 <= index < self.dim:
-            raise ValueError(f"m={m} outside -J..J for J={self.j}")
-        return QuantumState.basis_state(self.dim, int(index))
+
+def spin_basis_state(j, m) -> QuantumState:
+    """The eigenstate |J, m> of jz in the basis of :class:`SpinSystem`, built without its
+    generators.  J - m must be a whole number in [0, 2J], within the 1e-12 allowed 2J."""
+    j = _validate_spin(j)
+    dim = round(2 * j) + 1
+    index = round(j - m, 0)  # a float: an infinite or nan m fails the range test
+    if not 0 <= index < dim:
+        raise ValueError(f"m={m} outside -J..J for J={j}")
+    if abs(j - m - index) > 1e-12:
+        raise ValueError(f"m={m} is not J minus a whole number for J={j}")
+    return QuantumState.basis_state(dim, int(index))
 
 
 def spin_system(j) -> SpinSystem:
@@ -98,18 +104,13 @@ def scs(system: SpinSystem, direction) -> QuantumState:
     return QuantumState(vector=v)
 
 
-def exp_i_hermitian(h) -> np.ndarray:
-    """Unitary exp(i h) of a Hermitian matrix via eigendecomposition."""
-    h = assert_hermitian(h, tol=1e-10)
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(1.0j * w)) @ v.conj().T
-
-
 def orbit_sample(omega: ObservableSpace, reference: QuantumState, angles) -> QuantumState:
     """Apply exp(i sum_a angles[a] X_a) to a pure reference state."""
     if not reference.is_pure:
         raise ValueError("orbit sampling needs a pure reference state")
-    u = exp_i_hermitian(omega.element(angles))
+    h = assert_hermitian(omega.element(angles), tol=1e-10)
+    w, evecs = np.linalg.eigh(h)
+    u = (evecs * np.exp(1.0j * w)) @ evecs.conj().T  # exp(i h)
     v = u @ reference.vector
     return QuantumState(vector=v / np.linalg.norm(v))
 

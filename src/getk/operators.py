@@ -53,22 +53,6 @@ def assert_hermitian(a, tol: float = HERMITICITY_TOL) -> np.ndarray:
     return a
 
 
-def trace_inner_product(a, b) -> float:
-    """Real trace inner product Re Tr(a b) of two Hermitian operators.
-
-    For exactly Hermitian inputs the imaginary part of Tr(a b) vanishes
-    analytically; a residual above 1e-12 signals a non-Hermitian argument.
-    """
-    a = _as_operator(a)
-    b = _as_operator(b)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    val = np.trace(a @ b)
-    if abs(val.imag) > HERMITICITY_TOL * max(1.0, abs(val.real)):
-        raise ValueError(f"trace inner product has imaginary part {val.imag:.3e}")
-    return float(val.real)
-
-
 def checked_dim(base: int, count: int) -> int:
     """``base**count``, the dimension of ``count`` registers of dimension ``base``.
 
@@ -459,27 +443,28 @@ class ObservableSpace:
     def residual_norm(self, a) -> float:
         a = assert_hermitian(a)
         resid = a - self.project_operator(a)
-        return float(np.sqrt(max(trace_inner_product(resid, resid), 0.0)))
+        return float(np.sqrt(max(float(np.trace(resid @ resid).real), 0.0)))
 
     def contains(self, a, tol: float = INDEPENDENCE_TOL) -> bool:
         a = assert_hermitian(a)
-        scale = max(np.sqrt(max(trace_inner_product(a, a), 0.0)), 1.0)
+        scale = max(np.sqrt(max(float(np.trace(a @ a).real), 0.0)), 1.0)
         return self.residual_norm(a) <= tol * scale
 
-    @lru_cache(maxsize=32)  # spaces are immutable and hash by identity
     def traceless_sector(self) -> "ObservableSpace":
-        """Project out the identity component and re-orthonormalize; built once per space."""
-        if self.traceless:
-            return self
+        """Project out the identity component and re-orthonormalize.  Built once and kept in the
+        space's own __dict__ (past __setattr__); a method, so it can be wrapped on the class."""
+        if self.traceless or "_sector" in vars(self):
+            return vars(self).get("_sector", self)
         if self.masks is not None and self.size > 1:  # drop the identity word
             length = round(np.log2(self.dim))
-            return ObservableSpace([pauli_word(x, z, length) for x, z in self.masks if x or z],
-                                   label=self.label + "-traceless")
-        eye = np.eye(self.dim)
-        shifted = [a - (np.trace(a) / self.dim) * eye for a in self.basis]
-        if all(np.linalg.norm(a) < INDEPENDENCE_TOL for a in shifted):
-            raise ValueError(f"algebra {self.label!r} has no traceless part")
-        return ObservableSpace(orthonormalize(shifted), label=self.label + "-traceless")
+            basis = [pauli_word(x, z, length) for x, z in self.masks if x or z]
+        else:
+            eye = np.eye(self.dim)
+            shifted = [a - (np.trace(a) / self.dim) * eye for a in self.basis]
+            if all(np.linalg.norm(a) < INDEPENDENCE_TOL for a in shifted):
+                raise ValueError(f"algebra {self.label!r} has no traceless part")
+            basis = orthonormalize(shifted)
+        return vars(self).setdefault("_sector", ObservableSpace(basis, self.label + "-traceless"))
 
     def __repr__(self):
         return f"ObservableSpace(label={self.label!r}, dim={self.dim}, size={self.size})"

@@ -134,33 +134,16 @@ def rescaled_purity(state: QuantumState, omega: ObservableSpace,
                         reference_source=source, pure=state.is_pure)
 
 
-def local_purity_formula(psi: QuantumState, n: int, d0: int) -> float:
-    """Average-subsystem-purity form of the local purity of a pure state.
-
-    (d0/(d0-1)) ((1/n) sum_l Tr(rho_l^2) - 1/d0), computed by partial
-    traces over the n isodimensional factors.
-    """
-    if not psi.is_pure:
-        raise ValueError("the local purity formula applies to pure states")
-    if d0 ** n != psi.dim:
-        raise DimensionMismatch(f"state dim {psi.dim} is not {d0}^{n}")
-    dims = [d0] * n
-    avg = np.mean([partial_trace(psi, dims, [l]).purity() for l in range(n)])
-    return float(d0 / (d0 - 1) * (avg - 1.0 / d0))
-
-
 def meyer_wallach_q(psi: QuantumState) -> float:
-    """Global multiqubit entanglement Q = 1 - local purity."""
+    """Global multiqubit entanglement Q = 1 - local purity of a pure state of n qubits, the
+    local purity being 2 ((1/n) sum_l Tr(rho_l^2) - 1/2) over single-qubit partial traces."""
     n = int(round(np.log2(psi.dim)))
     if 2 ** n != psi.dim:
         raise DimensionMismatch(f"state dim {psi.dim} is not a power of 2")
-    return 1.0 - local_purity_formula(psi, n, 2)
-
-
-def is_generalized_unentangled(psi: QuantumState, omega: ObservableSpace,
-                               tol: float = 1e-8) -> bool:
-    """Maximal-purity test for generalized unentanglement of a pure state."""
-    return rescaled_purity(psi, omega).unentangled(tol)
+    if not psi.is_pure:
+        raise ValueError("the local purity formula applies to pure states")
+    avg = np.mean([partial_trace(psi, [2] * n, [l]).purity() for l in range(n)])
+    return 1.0 - float(2.0 * (avg - 0.5))
 
 
 def expectations_indistinguishable(s1: QuantumState, s2: QuantumState,

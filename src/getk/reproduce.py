@@ -19,7 +19,6 @@ from .operators import QuantumState, kron_all, lie_closure, orthonormalize, part
 from .purity import (
     expectations_indistinguishable,
     invariant_uncertainty,
-    is_generalized_unentangled,
     omega_purity,
     rescaled_purity,
 )
@@ -159,25 +158,24 @@ class _Run:
     # --- spin-J geometry -------------------------------------------------
     def spin_extremes(self, j):
         space = catalog.spin_algebra(j)
-        system = coherent.spin_system(j)
-        top, bottom, center = (bool(is_generalized_unentangled(system.basis_state(m), space))
-                               for m in (j, -j, j % 1))
+        top, bottom, center = (rescaled_purity(coherent.spin_basis_state(j, m), space)
+                               .unentangled(1e-8) for m in (j, -j, j % 1))
         return (top and bottom and not center,
                 f"top={_bool(top)} bottom={_bool(bottom)} center={_bool(center)}")
 
     def spin_center_uncertainty(self):
-        system = coherent.spin_system(3)
-        return invariant_uncertainty(system.basis_state(0), system.generators)
+        return invariant_uncertainty(coherent.spin_basis_state(3, 0),
+                                     coherent.spin_system(3).generators)
 
     def full_algebra_unentangled(self):
         psi = coherent.gaussians(coherent.seeded_rng(self.seed + 17), 8).view(complex)
-        return is_generalized_unentangled(QuantumState(vector=psi / np.linalg.norm(psi)),
-                                          catalog.full_traceless_algebra(4))
+        return rescaled_purity(QuantumState(vector=psi / np.linalg.norm(psi)),
+                               catalog.local_algebra(1, 4)).unentangled(1e-8)
 
     def orbit_purity_drift(self):
         space = catalog.spin_algebra(2)
         rng = coherent.seeded_rng(self.seed + 3)
-        st = coherent.spin_system(2).basis_state(2)
+        st = coherent.spin_basis_state(2, 2)
         worst = 0.0
         for _ in range(5):
             moved = coherent.orbit_sample(space, st, 0.7 * coherent.gaussians(rng, space.size))
@@ -193,9 +191,9 @@ class _Run:
         space = catalog.restricted_local_spins(1)
         system = coherent.spin_system(1)
         scs_pair = coherent.scs(system, [0, 0, 1]).tensor(coherent.scs(system, [1, 0, 0]))
-        center = system.basis_state(0).tensor(system.basis_state(0))
+        center = coherent.spin_basis_state(1, 0)
         hi = rescaled_purity(scs_pair, space).rescaled
-        lo = rescaled_purity(center, space).rescaled
+        lo = rescaled_purity(center.tensor(center), space).rescaled
         return (abs(hi - 1) <= 1e-9 and abs(lo) <= 1e-12,
                 f"scs-pair={_fmt(hi)} center-pair={_fmt(lo)}")
 

@@ -76,7 +76,7 @@ def _spin(text: str) -> QuantumState:
     j_token, m_token = text.split(",", 1)
     j, m = parse_number_token(j_token), parse_number_token(m_token)
     try:
-        return coherent.spin_system(j).basis_state(m)
+        return coherent.spin_basis_state(j, m)
     except ValueError as exc:
         raise StateParseError(str(exc)) from exc
 

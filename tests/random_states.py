@@ -1,10 +1,10 @@
-"""Seeded random states, the maximally mixed state and a perturbed builtin, shared by the
-test modules."""
+"""Seeded random states, the maximally mixed state, a perturbed builtin and the local purity
+formula, shared by the test modules."""
 
 import numpy as np
 
 from getk import states
-from getk.operators import QuantumState
+from getk.operators import DimensionMismatch, QuantumState, partial_trace
 
 
 def random_pure_state(dim: int, rng) -> QuantumState:
@@ -39,3 +39,19 @@ def perturbed_builtins(target: str):
         return QuantumState(vector=v / np.linalg.norm(v))
 
     return builtin_state
+
+
+def local_purity_formula(psi: QuantumState, n: int, d0: int) -> float:
+    """Average-subsystem-purity form of the local purity of a pure state: the oracle of
+    ``rescaled_purity`` on ``local:NxD`` and of ``meyer_wallach_q``.
+
+    (d0/(d0-1)) ((1/n) sum_l Tr(rho_l^2) - 1/d0), computed by partial
+    traces over the n isodimensional factors.
+    """
+    if not psi.is_pure:
+        raise ValueError("the local purity formula applies to pure states")
+    if d0 ** n != psi.dim:
+        raise DimensionMismatch(f"state dim {psi.dim} is not {d0}^{n}")
+    dims = [d0] * n
+    avg = np.mean([partial_trace(psi, dims, [l]).purity() for l in range(n)])
+    return float(d0 / (d0 - 1) * (avg - 1.0 / d0))

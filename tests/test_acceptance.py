@@ -14,12 +14,11 @@ from getk import boxes, catalog, cli, coherent, fermion, reproduce, states
 from getk.operators import ObservableSpace, QuantumState
 from getk.purity import (
     invariant_uncertainty,
-    local_purity_formula,
     meyer_wallach_q,
     omega_purity,
     rescaled_purity,
 )
-from random_states import random_pure_state
+from random_states import local_purity_formula, random_pure_state
 
 RNG_SEED = 20240817
 
@@ -142,10 +141,10 @@ def test_criterion_5_spin_suite():
         system = coherent.spin_system(j)
         space = catalog.spin_algebra(j)
         for m in (j, -j):
-            got = rescaled_purity(system.basis_state(m), space).rescaled
+            got = rescaled_purity(coherent.spin_basis_state(j, m), space).rescaled
             assert abs(got - 1.0) <= 1e-10
         center_m = 0 if float(j).is_integer() else 0.5
-        center = system.basis_state(center_m)
+        center = coherent.spin_basis_state(j, center_m)
         # the reference formula: sum of squared generator expectations over J^2
         from getk.operators import expectation
         formula = sum(expectation(center, g) ** 2 for g in system.generators) / j ** 2
@@ -211,7 +210,7 @@ def test_criterion_7_property_suites():
 
     # monotonicity under subspace inclusion
     chains = [(catalog.omega1(), catalog.bilocal_pair_algebra(), 8),
-              (catalog.z_conserving_u2(), catalog.full_traceless_algebra(4), 4)]
+              (catalog.z_conserving_u2(), catalog.local_algebra(1, 4), 4)]
     for _ in range(50):
         for small, big, dim in chains:
             st = random_pure_state(dim, rng)

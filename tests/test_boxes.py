@@ -16,7 +16,6 @@ from getk.boxes import (
     InfeasibleError,
     SignallingError,
     VertexClass,
-    _rank,
     _rref,
     _side_generators,
     canonical_entangled_vertex,
@@ -344,6 +343,11 @@ class TestBoxState:
         with pytest.raises(InfeasibleError):
             BoxState((1, 2), (F(2), F(-1)))
 
+    @pytest.mark.parametrize("shape", [(), (2,), (2, 2, 2)])
+    def test_shape_pairs_inputs_with_outcomes(self, shape):
+        with pytest.raises(ValueError, match="a shape lists inputs and outcomes per box"):
+            BoxState(shape, (HALF, HALF))
+
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
             BoxState((1, 2), (0.5, 0.5))
@@ -435,6 +439,13 @@ class TestBipartiteBoxState:
         back = BoxState.from_json_dict(json.loads(blob))
         assert back.probs == ent.probs and back.shape == ent.shape
 
+    @pytest.mark.parametrize("inputs, outputs", [([2, 2], [2, 2, 2]), ([1, 1, 1], [2, 2])])
+    def test_json_counts_must_pair(self, inputs, outputs):
+        obj = {"n_inputs": inputs, "n_outputs": outputs, "p": []}
+        with pytest.raises(ValueError, match=f"^{len(inputs)} input counts but "
+                                             f"{len(outputs)} output counts$"):
+            BoxState.from_json_dict(obj)
+
 
 class TestMarginals:
     def test_product_vertex(self):
@@ -493,7 +504,7 @@ class TestPolytope:
                 [1] + [0] * (len(columns) - 1), shape
             free = [row[1:] for row in matrix]
             hull_dim = len(matrix) - oracle_rank(eqs + [unit])
-            assert _rank(free) == hull_dim == len(matrix[0]) - 1, shape
+            assert len(_rref(free)[1]) == hull_dim == len(matrix[0]) - 1, shape
 
     def test_rref_is_exact_on_integer_rows(self):
         m, pivots = _rref([[2, 1, 0], [1, 3, 5]])
@@ -1005,7 +1016,7 @@ class TestIntegerElimination:
         for rows in matrices:
             m, pivots = _rref(rows)
             want, want_pivots = fraction_rref(rows)
-            assert pivots == want_pivots and _rank(rows) == len(pivots), rows
+            assert pivots == want_pivots, rows
             assert all(type(x) is int for row in m for x in row)
             assert [[F(x, row[c]) for x in row] for row, c in zip(m, pivots)] == \
                 want[:len(pivots)], rows
@@ -1013,7 +1024,7 @@ class TestIntegerElimination:
         # the seeds reach negative pivots, leading zeros that need a row swap, and lost rank
         assert False in signs and True in signs
         assert any(rows[0][0] == 0 and any(row[0] for row in rows) for rows in matrices)
-        assert any(_rank(rows) < min(len(rows), len(rows[0])) for rows in matrices)
+        assert any(len(_rref(rows)[1]) < min(len(rows), len(rows[0])) for rows in matrices)
 
     @pytest.mark.parametrize("shape", [(2, 2, 2, 2), (2, 2, 3, 2)])
     def test_every_pivoted_row_holds_only_ints(self, shape, monkeypatch):

@@ -14,7 +14,7 @@ from getk.operators import (
     lie_closure,
     pauli_string,
 )
-from getk.purity import is_generalized_unentangled, rescaled_purity
+from getk.purity import rescaled_purity
 from random_states import random_density_state, random_pure_state
 
 SX, SY, SZ, ID = map(pauli_string, "XYZI")
@@ -42,7 +42,7 @@ ALL_SPACES = [
     lambda: catalog.omega4(),
     lambda: catalog.spin_algebra(1.5),
     lambda: catalog.restricted_local_spins(1),
-    lambda: catalog.full_traceless_algebra(4),
+    lambda: catalog.local_algebra(1, 4, label="full:4"),
 ]
 
 
@@ -58,9 +58,8 @@ def test_catalog_spaces_are_valid(factory):
 ORACLE_SPACES = ALL_SPACES + [
     lambda: catalog.restricted_local_spins(0.5),
     lambda: catalog.restricted_local_spins(2.5),
-    lambda: catalog.full_traceless_algebra(2),
-    lambda: catalog.full_traceless_algebra(3),
-    lambda: catalog.full_traceless_algebra(7),
+    # su(D) on one site, labelled as the complete traceless space on C^D
+    *(lambda d=d: catalog.local_algebra(1, d, label=f"full:{d}") for d in (2, 3, 7)),
 ]
 
 
@@ -209,7 +208,7 @@ class TestSiteFactoredLocalAlgebra:
         forbid_dense_elements(monkeypatch)
         report = rescaled_purity(w10, space)
         assert (report.raw, report.max_reference) == (pytest.approx(0.00625), 0.009765625)
-        assert is_generalized_unentangled(w10, space) is False
+        assert rescaled_purity(w10, space).unentangled(1e-8) is False
 
     def test_auto_reference_leaves_the_stack_unbuilt(self, monkeypatch):
         # the highest-weight vector of a sum of site terms is a product of site eigenvectors
@@ -438,8 +437,8 @@ class TestNamedAlgebra:
         (lambda: catalog.restricted_local_spins(2), True),
         (lambda: catalog.restricted_local_spins(3.5), True),
         (lambda: catalog.restricted_local_spins(15.5), True),
-        (lambda: catalog.full_traceless_algebra(2), True),
-        (lambda: catalog.full_traceless_algebra(4), True),
+        (lambda: catalog.local_algebra(1, 2), True),
+        (lambda: catalog.local_algebra(1, 4), True),
         (fermion.fermionic_u2, False),
         (lambda: lie_closure(coherent.spin_system(1).generators[::2]), True),
         (lambda: lie_closure(catalog.z_conserving_u2().basis), False),
@@ -456,6 +455,15 @@ class TestNamedAlgebra:
         path.write_text("XX\nZZ\n# comment\nXY\n")
         space = catalog.named_algebra(f"custom:{path}")
         assert space.size == 3
+
+    @pytest.mark.parametrize("comment", ["# note", "  # note", "\t#note"],
+                             ids=["column-0", "indented", "tab"])
+    def test_custom_file_skips_comment_lines(self, tmp_path, comment):
+        # an indented comment was once read as a word: "Pauli words must have uniform length"
+        path = tmp_path / "words.txt"
+        path.write_text(f"XX\n{comment}\n\n  ZZ\n")
+        space = catalog.named_algebra(f"custom:{path}")
+        assert space.size == 2 and space.contains(pauli_string("ZZ"))
 
     def test_identity_only_custom_file(self, tmp_path):
         path = tmp_path / "identity.txt"

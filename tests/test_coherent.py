@@ -3,11 +3,11 @@ import pytest
 
 from getk import catalog
 from getk.coherent import (
-    exp_i_hermitian,
     highest_weight_purity,
     max_purity_estimate,
     orbit_sample,
     scs,
+    spin_basis_state,
     spin_system,
 )
 from getk.operators import (
@@ -79,17 +79,48 @@ class TestSpinSystem:
             spin_system(0.3)
 
 
+class TestSpinBasisState:
+    @pytest.mark.parametrize("j", [0, 0.5, 1, 1.5, 3, 7.5])
+    def test_is_the_jz_eigenstate(self, j):
+        jz = spin_system(j).jz
+        for k in range(round(2 * j) + 1):
+            v = spin_basis_state(j, j - k).vector
+            assert v[k] == 1.0 and np.linalg.norm(v) == 1.0
+            assert np.array_equal(jz @ v, (j - k) * v)
+
+    @pytest.mark.parametrize("j, m", [(1, 1 + 1e-13), (1.5, -1.5 - 1e-13), (2, 3e-13)])
+    def test_m_within_roundoff_of_the_grid(self, j, m):
+        assert spin_basis_state(j, m).vector[round(j - m)] == 1.0
+
+    @pytest.mark.parametrize("j, m", [(1, -1.4), (1, 0.4), (1.5, 1 / 3), (1.5, 1), (2, 1e-9)])
+    def test_off_grid_m_refused(self, j, m):
+        # these once rounded to the nearest basis state
+        with pytest.raises(ValueError, match=f"m={m} is not J minus a whole number"):
+            spin_basis_state(j, m)
+
+    @pytest.mark.parametrize("j, m", [(1, 2), (1, -1.6), (0.5, 1.5), (1, float("inf")),
+                                      (1, float("nan"))])
+    def test_m_outside_the_range_refused(self, j, m):
+        with pytest.raises(ValueError, match=f"m={m} outside -J..J"):
+            spin_basis_state(j, m)
+
+    def test_builds_no_generators(self, monkeypatch):
+        # spin:511.5,M names one vector: the three 1024 x 1024 generators are never built
+        monkeypatch.setattr("getk.coherent.spin_system", None)
+        assert spin_basis_state(511.5, 511.5).dim == 1024
+
+
 class TestSCS:
     def test_north_pole(self):
         system = spin_system(2)
         st = scs(system, [0, 0, 1])
-        north = system.basis_state(2).vector
+        north = spin_basis_state(2, 2).vector
         assert abs(np.vdot(st.vector, north)) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_south_pole(self):
         system = spin_system(2)
         st = scs(system, [0, 0, -1])
-        south = system.basis_state(-2).vector
+        south = spin_basis_state(2, -2).vector
         assert abs(np.vdot(st.vector, south)) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_x_direction_qubit(self):
@@ -128,14 +159,14 @@ class TestSCS:
 class TestOrbitSample:
     def test_zero_angles_identity(self):
         space = catalog.spin_algebra(1)
-        ref = spin_system(1).basis_state(1)
+        ref = spin_basis_state(1, 1)
         out = orbit_sample(space, ref, [0.0, 0.0, 0.0])
         assert abs(np.vdot(out.vector, ref.vector)) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_spin_orbit_stays_extremal(self):
         rng = np.random.default_rng(12)
         space = catalog.spin_algebra(2)
-        ref = spin_system(2).basis_state(2)
+        ref = spin_basis_state(2, 2)
         for _ in range(10):
             out = orbit_sample(space, ref, rng.normal(size=3))
             assert rescaled_purity(out, space).rescaled == pytest.approx(1.0, abs=1e-9)
@@ -160,19 +191,31 @@ class TestOrbitSample:
 
     def test_angle_count_checked(self):
         with pytest.raises(ValueError):
-            orbit_sample(catalog.spin_algebra(1), spin_system(1).basis_state(1), [0.0])
+            orbit_sample(catalog.spin_algebra(1), spin_basis_state(1, 1), [0.0])
+
+    def test_density_reference_refused(self):
+        mixed = QuantumState(rho=np.eye(3) / 3)
+        with pytest.raises(ValueError, match="needs a pure reference state"):
+            orbit_sample(catalog.spin_algebra(1), mixed, [0.0, 0.0, 0.0])
 
 
 class TestExpIHermitian:
+    """The unitary exp(i h) that ``orbit_sample`` applies, read off its images of a basis."""
+
     def test_unitary(self):
+        # the images of an orthonormal basis stay orthonormal
         rng = np.random.default_rng(15)
-        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        u = exp_i_hermitian(g + g.conj().T)
+        space = catalog.local_algebra(1, 4)
+        angles = rng.normal(size=space.size)
+        u = np.stack([orbit_sample(space, QuantumState.basis_state(4, k), angles).vector
+                      for k in range(4)], axis=1)
         assert np.allclose(u @ u.conj().T, np.eye(4), atol=1e-12)
 
     def test_matches_series_on_pauli(self):
         theta = 0.7
-        u = exp_i_hermitian(theta * pauli_string("Z"))
+        space = ObservableSpace([pauli_string("Z") / np.sqrt(2.0)])
+        u = np.stack([orbit_sample(space, QuantumState.basis_state(2, k), [theta * np.sqrt(2.0)])
+                      .vector for k in range(2)], axis=1)
         want = np.diag([np.exp(1j * theta), np.exp(-1j * theta)])
         assert np.allclose(u, want, atol=1e-12)
 
@@ -197,7 +240,7 @@ def numeric_gradient(space, psi, h=1e-5):
 
 class TestMaxPurityEstimate:
     def test_full_traceless_space(self):
-        space = catalog.full_traceless_algebra(3)
+        space = catalog.local_algebra(1, 3)
         est = max_purity_estimate(space, restarts=8, seed=0)
         assert est == pytest.approx(1 - 1 / 3, abs=1e-6)
 
@@ -250,7 +293,7 @@ class TestMaxPurityEstimate:
             assert space.max_purity == pytest.approx(maximum, abs=1e-15)
 
     def test_reaches_the_full_space_maximum(self):
-        space = catalog.full_traceless_algebra(3)
+        space = catalog.local_algebra(1, 3)
         assert max_purity_estimate(space, seed=0) == pytest.approx(2 / 3, abs=1e-12)
 
     def test_restart_validation(self):
@@ -268,8 +311,8 @@ class TestHighestWeightPurity:
         catalog.spin_algebra(200),
         catalog.restricted_local_spins(0.5), catalog.restricted_local_spins(1),
         catalog.restricted_local_spins(2.5),
-        catalog.full_traceless_algebra(2), catalog.full_traceless_algebra(3),
-        catalog.full_traceless_algebra(7),
+        # su(D) on one site, labelled as the complete traceless space on C^D
+        *(catalog.local_algebra(1, d, label=f"full:{d}") for d in (2, 3, 7)),
     ], ids=lambda space: space.label)
     @pytest.mark.parametrize("seed", [0, 7])
     def test_equals_the_analytic_maximum(self, space, seed):

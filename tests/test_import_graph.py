@@ -72,7 +72,7 @@ def test_no_module_constructs_a_json_decode_error():
     assert built == []
 
 
-INTEGER_CORE = ("_pivot", "_rref", "_rank", "_extreme_rays", "_phase1_feasible")
+INTEGER_CORE = ("_pivot", "_rref", "_extreme_rays", "_phase1_feasible")
 
 
 def test_integer_core_divides_only_with_floor_division():

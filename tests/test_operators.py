@@ -21,9 +21,8 @@ from getk.operators import (
     pauli_masks,
     pauli_string,
     pauli_word,
-    trace_inner_product,
 )
-from getk.purity import is_generalized_unentangled, rescaled_purity
+from getk.purity import rescaled_purity
 from random_states import maximally_mixed, random_density_state, random_pure_state
 
 SX, SY, SZ, ID = map(pauli_string, "XYZI")
@@ -44,6 +43,12 @@ def u2_generators():
     ]
 
 
+def trace_inner_product(a, b) -> float:
+    """Re Tr(a b) of Hermitian a, b as the dot product of their ``_real_rows``: the inner
+    product that ``orthonormalize`` and the orthonormality check of a space compute."""
+    return float(_real_rows(a) @ _real_rows(b))
+
+
 class TestTraceInnerProduct:
     def test_normalized_pauli(self):
         a = SZ / np.sqrt(2.0)
@@ -61,10 +66,7 @@ class TestTraceInnerProduct:
         g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         a, b = g + g.conj().T, g @ g.conj().T
         assert trace_inner_product(a, b) == pytest.approx(trace_inner_product(b, a))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            trace_inner_product(SX, np.kron(SX, SX))
+        assert trace_inner_product(a, b) == pytest.approx(np.trace(a @ b).real, abs=1e-12)
 
 
 def spaces_built(monkeypatch) -> list:
@@ -103,6 +105,10 @@ class TestOrthonormalize:
         with pytest.raises(ValueError):
             orthonormalize([np.zeros((2, 2)), 1e-12 * SZ])
 
+    def test_no_input_raises(self):
+        with pytest.raises(ValueError, match="requires at least one operator"):
+            orthonormalize([])
+
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError):
             orthonormalize([np.array([[0.0, 1.0], [0.0, 0.0]])])
@@ -115,8 +121,8 @@ class TestOrthonormalize:
                 v = a.astype(complex)
                 for _ in range(2):
                     for b in basis:
-                        v = v - trace_inner_product(b, v) * b
-                nrm = np.sqrt(max(trace_inner_product(v, v), 0.0))
+                        v = v - np.trace(b @ v).real * b
+                nrm = np.sqrt(max(np.trace(v @ v).real, 0.0))
                 if nrm >= 1e-9:
                     basis.append(v / nrm)
             return basis
@@ -149,6 +155,18 @@ class TestExpectation:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             expectation(QuantumState.basis_state(2, 0), np.kron(SX, SX))
+
+    @pytest.mark.parametrize("op, message", [
+        (np.zeros((2, 3)), r"operator must be square, got shape \(2, 3\)"),
+        (np.zeros(2), r"operator must be square, got shape \(2,\)"),
+        (np.diag([np.nan, 1.0]), "operator has non-finite entries"),
+        (np.diag([np.inf, 1.0]), "operator has non-finite entries"),
+    ], ids=["non-square", "vector", "nan", "inf"])
+    def test_malformed_operator_refused(self, op, message):
+        with pytest.raises(ValueError, match=message):
+            expectation(QuantumState.basis_state(2, 0), op)
+        with pytest.raises(ValueError, match=message):
+            assert_hermitian(op)
 
 
 class TestTensor:
@@ -367,7 +385,7 @@ class TestObservableSpace:
         space = lie_closure([np.kron(SX, SX), np.kron(SZ, ID)])
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         a = g + g.conj().T
-        want = sum(trace_inner_product(x, a) * x for x in space.basis)
+        want = sum(np.trace(x @ a).real * x for x in space.basis)
         assert np.max(np.abs(space.project_operator(a) - want)) < 1e-12
 
     def test_empty_basis_refused(self):
@@ -438,6 +456,11 @@ class TestGellMann:
         for a in gell_mann_basis(4):
             assert abs(np.trace(a)) < 1e-14
 
+    @pytest.mark.parametrize("d", [1, 0])
+    def test_dimension_below_two_refused(self, d):
+        with pytest.raises(ValueError, match="dimension must be at least 2"):
+            gell_mann_basis(d)
+
 
 class TestQuantumState:
     def test_norm_validation(self):
@@ -455,6 +478,20 @@ class TestQuantumState:
             QuantumState(rho=np.array([[0.5, 0.0], [0.1, 0.5]]))
         with pytest.raises(ValueError):
             QuantumState(rho=np.diag([1.5, -0.5]).astype(complex))
+
+    @pytest.mark.parametrize("kwargs", [{}, {"vector": [1.0], "rho": [[1.0]]}],
+                             ids=["neither", "both"])
+    def test_exactly_one_of_vector_or_rho(self, kwargs):
+        with pytest.raises(ValueError, match="exactly one of vector or rho is required"):
+            QuantumState(**kwargs)
+
+    @pytest.mark.parametrize("pure_first", [True, False])
+    def test_pure_tensor_mixed_is_a_density(self, pure_first):
+        pure, mixed = QuantumState.basis_state(2, 1), maximally_mixed(3)
+        a, b = (pure, mixed) if pure_first else (mixed, pure)
+        out = a.tensor(b)
+        assert not out.is_pure and out.dim == 6
+        assert np.array_equal(out.density(), np.kron(a.density(), b.density()))
 
     def test_purity(self):
         assert QuantumState.basis_state(3, 1).purity() == 1.0
@@ -698,7 +735,7 @@ class TestWordLieStructure:
         assert report.reference_source == "highest-weight"
         assert report.max_reference == pytest.approx(0.5, abs=1e-12)
         assert report.theorem_direction == "iff" and report.unentangled(1e-8)
-        assert is_generalized_unentangled(QuantumState.basis_state(4, 0), space)
+        assert rescaled_purity(QuantumState.basis_state(4, 0), space).unentangled(1e-8)
 
     def test_spin_half_beside_spin_one_is_reducible(self):
         # su(2) on C^2 (+) C^3 is closed, and J_z (+) J_z has the simple spectrum 1/2, -1/2,

@@ -5,6 +5,7 @@ import pytest
 
 from getk import catalog, coherent, operators, states
 from getk.operators import (
+    DimensionMismatch,
     ObservableSpace,
     QuantumState,
     partial_trace,
@@ -13,14 +14,17 @@ from getk.operators import (
 from getk.purity import (
     expectations_indistinguishable,
     invariant_uncertainty,
-    is_generalized_unentangled,
-    local_purity_formula,
     meyer_wallach_q,
     omega_purity,
     rescaled_purity,
     resolve_max_reference,
 )
-from random_states import maximally_mixed, random_density_state, random_pure_state
+from random_states import (
+    local_purity_formula,
+    maximally_mixed,
+    random_density_state,
+    random_pure_state,
+)
 
 SX, SY, SZ, ID = map(pauli_string, "XYZI")
 
@@ -79,7 +83,7 @@ class TestOmegaPurity:
 
     def test_full_traceless_space_gives_state_purity(self):
         rng = np.random.default_rng(8)
-        space = catalog.full_traceless_algebra(4)
+        space = catalog.local_algebra(1, 4)
         for _ in range(5):
             st = random_pure_state(4, rng)
             assert omega_purity(st, space) == pytest.approx(1 - 1 / 4, abs=1e-10)
@@ -251,13 +255,22 @@ class TestMeyerWallach:
     def test_w_eight_ninths(self):
         assert meyer_wallach_q(states.builtin_state("w:3")) == pytest.approx(8 / 9, abs=1e-12)
 
+    @pytest.mark.parametrize("dim", [3, 6, 12])
+    def test_dimension_not_a_power_of_two_refused(self, dim):
+        with pytest.raises(DimensionMismatch, match=f"state dim {dim} is not a power of 2"):
+            meyer_wallach_q(QuantumState.basis_state(dim, 0))
+
+    def test_mixed_state_refused(self):
+        with pytest.raises(ValueError, match="applies to pure states"):
+            meyer_wallach_q(maximally_mixed(4))
+
 
 class TestUnentanglementTest:
     def test_coherent_state_is_unentangled(self):
         space = catalog.spin_algebra(3)
-        system = coherent.spin_system(3)
-        assert is_generalized_unentangled(system.basis_state(3), space) is True
-        assert rescaled_purity(system.basis_state(3), space).theorem_direction == "iff"
+        report = rescaled_purity(coherent.spin_basis_state(3, 3), space)
+        assert report.unentangled(1e-8) is True
+        assert report.theorem_direction == "iff"
 
     def test_structure_is_decided_once_when_the_direction_is_read(self, monkeypatch):
         decided = []
@@ -265,21 +278,20 @@ class TestUnentanglementTest:
                             lambda basis: decided.append(len(basis)) or True)
         spin = catalog.spin_algebra(1)
         space = ObservableSpace(spin.site_basis, max_purity=spin.max_purity)
-        report = rescaled_purity(coherent.spin_system(1).basis_state(1), space)
+        report = rescaled_purity(coherent.spin_basis_state(1, 1), space)
         assert decided == []  # a purity record never reads the direction
         assert report.theorem_direction == report.theorem_direction == "iff"
         assert decided == [3]
 
     def test_center_state_is_entangled(self):
         space = catalog.spin_algebra(3)
-        system = coherent.spin_system(3)
-        assert not is_generalized_unentangled(system.basis_state(0), space)
+        assert not rescaled_purity(coherent.spin_basis_state(3, 0), space).unentangled(1e-8)
 
     def test_full_algebra_everything_unentangled(self):
         rng = np.random.default_rng(41)
-        space = catalog.full_traceless_algebra(4)
+        space = catalog.local_algebra(1, 4)
         for _ in range(5):
-            assert is_generalized_unentangled(random_pure_state(4, rng), space)
+            assert rescaled_purity(random_pure_state(4, rng), space).unentangled(1e-8)
 
     def test_sufficiency_annotation_for_non_lie_space(self):
         report = rescaled_purity(states.builtin_state("bell:psi+"), catalog.omega_prime_loc())
@@ -287,13 +299,12 @@ class TestUnentanglementTest:
 
     def test_mixed_input_rejected(self):
         with pytest.raises(ValueError):
-            is_generalized_unentangled(maximally_mixed(4),
-                                       catalog.z_conserving_u2())
+            rescaled_purity(maximally_mixed(4), catalog.z_conserving_u2()).unentangled(1e-8)
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
     def test_tolerance_must_be_finite_and_non_negative(self, tol):
         with pytest.raises(ValueError, match="tolerance"):
-            is_generalized_unentangled(states.builtin_state("w:3"), catalog.omega1(), tol=tol)
+            rescaled_purity(states.builtin_state("w:3"), catalog.omega1()).unentangled(tol)
 
     def test_classify_calls_rescaled_purity_once(self, monkeypatch, capsys):
         # the verdict and its direction come from the report the record prints
@@ -334,19 +345,19 @@ class TestIndistinguishability:
         mix[1, 1] = mix[2, 2] = 0.5
         assert not expectations_indistinguishable(states.builtin_state("bell:phi-"),
                                                   QuantumState(rho=mix),
-                                                  catalog.full_traceless_algebra(4))
+                                                  catalog.local_algebra(1, 4))
 
 
 class TestInvariantUncertainty:
     def test_coherent_state(self):
         for j in (1, 1.5, 2):
             system = coherent.spin_system(j)
-            got = invariant_uncertainty(system.basis_state(j), system.generators)
+            got = invariant_uncertainty(coherent.spin_basis_state(j, j), system.generators)
             assert got == pytest.approx(j, abs=1e-10)
 
     def test_center_state(self):
         system = coherent.spin_system(3)
-        got = invariant_uncertainty(system.basis_state(0), system.generators)
+        got = invariant_uncertainty(coherent.spin_basis_state(3, 0), system.generators)
         assert got == pytest.approx(12.0, abs=1e-10)
 
     def test_qubit_ground_state(self):
@@ -378,7 +389,8 @@ class TestStructuralInvariants:
                 rho = random_density_state(4, rng)
                 angles = rng.normal(scale=0.8, size=space.size)
                 h = np.einsum("a,aij->ij", angles, np.stack(space.basis))
-                u = coherent.exp_i_hermitian(h)
+                w, v = np.linalg.eigh(h)
+                u = (v * np.exp(1j * w)) @ v.conj().T  # exp(i h)
                 moved = QuantumState(rho=u @ rho.density() @ u.conj().T)
                 assert omega_purity(moved, space) == pytest.approx(
                     omega_purity(rho, space), abs=1e-9)
@@ -399,8 +411,8 @@ class TestStructuralInvariants:
         rng = np.random.default_rng(58)
         chains = [
             (catalog.omega1(), catalog.bilocal_pair_algebra(), 8),
-            (catalog.omega_prime_loc(), catalog.full_traceless_algebra(4), 4),
-            (catalog.z_conserving_u2(), catalog.full_traceless_algebra(4), 4),
+            (catalog.omega_prime_loc(), catalog.local_algebra(1, 4), 4),
+            (catalog.z_conserving_u2(), catalog.local_algebra(1, 4), 4),
         ]
         for small, big, dim in chains:
             for _ in range(10):

@@ -79,7 +79,8 @@ class TestBuiltins:
         assert states.builtin_state("fock:m2:10").vector[2] == 1.0
 
     def test_unknown_names(self):
-        for bad in ("bell:chi+", "spin:0.3,0", "fock:m2:02", "nonsense:1"):
+        for bad in ("bell:chi+", "spin:0.3,0", "spin:1,-1.4", "spin:3/2,1/3", "fock:m2:02",
+                    "nonsense:1"):
             with pytest.raises(states.StateParseError):
                 states.builtin_state(bad)
 
@@ -176,8 +177,11 @@ CAPPED = [
     ("ObservableSpace-minus-1-sites", lambda: ObservableSpace(gell_mann_basis(2), sites=-1),
      "needs at least one register"),
     ("local_algebra", lambda: catalog.local_algebra(11, 2), OVER_CAP),
+    ("local_algebra-0-sites", lambda: catalog.named_algebra("local:0x2"), "need n >= 1 sites"),
     ("ghz", lambda: states.builtin_state("ghz:11"), OVER_CAP),
+    ("ghz-1-qubit", lambda: states.builtin_state("ghz:1"), "ghz needs at least 2 qubits"),
     ("w", lambda: states.builtin_state("w:11"), OVER_CAP),
+    ("w-1-qubit", lambda: states.builtin_state("w:1"), "w needs at least 2 qubits"),
     ("majorana_words", lambda: fermion.majorana_words(11), OVER_CAP),
     ("state-file", lambda: states.state_from_json_dict({"dim": 1025, "amplitudes": None}),
      OVER_CAP),
@@ -287,6 +291,19 @@ def test_every_state_and_algebra_name_is_documented():
                      if not re.search(rf"`{re.escape(name)}" + ("" if name.endswith(":") else "`"),
                                       algebras)]
     assert len(states._BUILTINS) == 6 and undocumented == []
+
+
+def test_library_example_runs():
+    # the README's Library example is code a reader copies: a name it uses must still exist
+    readme = (Path(SRC).parent / "README.md").read_text()
+    section = readme.split("\n## Library example\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    p1, q, *verdicts = proc.stdout.splitlines()
+    assert (float(p1), float(q)) == (pytest.approx(1 / 9), pytest.approx(8 / 9))
+    assert verdicts == ["False", "True"]
 
 
 def run_cli(capsys, *argv):
@@ -429,6 +446,20 @@ class TestPurityCommand:
     def test_nan_spin_exit_2(self, capsys, state, algebra):
         code, out, err = run_cli(capsys, "purity", "--state", state, "--algebra", algebra)
         assert code == 2 and out == "" and "nonnegative half-integer, got nan" in err
+
+    @pytest.mark.parametrize("state, algebra", [("spin:1,-1.4", "su2-spin:1"),
+                                                ("spin:3/2,1/3", "su2-spin:3/2"),
+                                                ("spin:511.5,511.4", "local:10x2")])
+    @pytest.mark.parametrize("command", ["purity", "classify"])
+    def test_off_grid_spin_m_exit_2(self, capsys, command, state, algebra):
+        # m once rounded to the nearest basis state: spin:1,-1.4 measured |1,-1>
+        code, out, err = run_cli(capsys, command, "--state", state, "--algebra", algebra)
+        assert code == 2 and out == "" and "is not J minus a whole number" in err
+
+    def test_half_integer_spin_m_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "purity", "--state", "spin:3/2,-1/2",
+                               "--algebra", "su2-spin:3/2")
+        assert code == 0 and "rescaled=0.111111111111\n" in out
 
     @pytest.mark.parametrize("command", ["purity", "classify"])
     def test_nan_amplitude_exit_2(self, capsys, tmp_path, command):
