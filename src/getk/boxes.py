@@ -112,11 +112,6 @@ class BoxState:
     def __repr__(self):
         return f"{type(self).__qualname__}(shape={self.shape!r}, probs={self.probs!r})"
 
-    def tensor(self, other: "BoxState") -> "BoxState":
-        """Product table p[ij|kl] = p_A[i|k] p_B[j|l]: this table's boxes, then other's."""
-        return BoxState(shape=self.shape + other.shape,
-                        probs=tuple(a * b for a in self.probs for b in other.probs))
-
     def to_json_dict(self) -> dict:
         return {"n_inputs": list(self.shape[::2]), "n_outputs": list(self.shape[1::2]),
                 "p": [[p.numerator, p.denominator] for p in self.probs]}
@@ -312,11 +307,10 @@ class VertexClass(Enum):
 
 def vertex_class(vertex: BoxState) -> VertexClass:
     """Class of a known vertex (see :func:`is_extremal`): a product exactly when every
-    marginal is deterministic, and then the joint table must factorize, which is verified."""
+    marginal is deterministic.  No-signalling then fixes the table to that product: an
+    entry is at most each of its marginal probabilities, and every block sums to 1."""
     parts = marginals(vertex)
     if all(p == 0 or p == 1 for part in parts for p in part.probs):
-        if reduce(BoxState.tensor, parts).probs != vertex.probs:
-            raise AssertionError("deterministic marginals without exact factorization")
         return VertexClass.PRODUCT
     return VertexClass.ENTANGLED
 

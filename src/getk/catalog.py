@@ -117,13 +117,6 @@ def omega4() -> ObservableSpace:
     return ObservableSpace(_two_body_words([(0, 1), (1, 2), (0, 2)]), "omega4")
 
 
-def _nonzero_spin(j) -> "coherent.SpinSystem":
-    system = coherent.spin_system(j)
-    if system.j == 0:  # its generators are zero: nothing to normalize
-        raise ValueError("spin 0 has no su(2) observables (all generators vanish); need J >= 1/2")
-    return system
-
-
 @lru_cache(maxsize=32)  # bounded: keyed by caller input, each entry keeps its space alive
 def spin_algebra(j) -> ObservableSpace:
     """Trace-orthonormalized su(2) spanned by the spin-J generators.
@@ -132,11 +125,15 @@ def spin_algebra(j) -> ObservableSpace:
     on the spin coherent states; rescaling by it reproduces the
     sum_a <J_a>^2 / J^2 normalization.
     """
-    system = _nonzero_spin(j)
-    nrm = np.sqrt(system.j * (system.j + 1) * system.dim / 3.0)
-    ops = [g / nrm for g in system.generators]
-    max_ref = 3.0 * system.j / ((system.j + 1) * (2 * system.j + 1))
-    return ObservableSpace(ops, f"su2-spin:{Fraction(system.j)}", max_purity=max_ref)
+    generators = coherent.spin_generators(j)
+    dim = len(generators[2])
+    if dim == 1:  # spin 0: its generators are zero, nothing to normalize
+        raise ValueError("spin 0 has no su(2) observables (all generators vanish); need J >= 1/2")
+    j = (dim - 1) / 2
+    nrm = np.sqrt(j * (j + 1) * dim / 3.0)
+    ops = [g / nrm for g in generators]
+    max_ref = 3.0 * j / ((j + 1) * (2 * j + 1))
+    return ObservableSpace(ops, f"su2-spin:{Fraction(j)}", max_purity=max_ref)
 
 
 @lru_cache(maxsize=32)  # bounded: keyed by caller input, each entry keeps its space alive
@@ -147,10 +144,11 @@ def restricted_local_spins(j) -> ObservableSpace:
     of spin coherent states maximize the associated purity, while other
     product states such as |J,0> x |J,0> score zero.
     """
-    system = _nonzero_spin(j)
-    max_ref = 6.0 * system.j / ((system.j + 1) * (2 * system.j + 1) ** 2)
-    return ObservableSpace(spin_algebra(j).site_basis, f"su2x2-spin:{Fraction(system.j)}",
-                           sites=2, max_purity=max_ref)
+    site = spin_algebra(j)
+    j = (site.dim - 1) / 2
+    max_ref = 6.0 * j / ((j + 1) * (2 * j + 1) ** 2)
+    return ObservableSpace(site.site_basis, f"su2x2-spin:{Fraction(j)}", sites=2,
+                           max_purity=max_ref)
 
 
 _FIXED = {

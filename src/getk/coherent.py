@@ -1,16 +1,16 @@
 """Coherent states for distinguished observable algebras.
 
-Provides spin-J systems with physically normalized angular momentum
-generators, spin coherent states as extremal eigenvectors, group-orbit
-sampling through the matrix exponential, and the two maximal-raw-purity
-references: the highest-weight value for irreducibly represented Lie algebras
-and a fixed-point estimate for every other space.  Both draw from the stdlib
-``random.Random``, as do the seeded checks of ``reproduce``, so no purity or
-reproduce command loads ``numpy.random``.
+Provides the physically normalized spin-J angular momentum generators, built
+from their two bands, the |J, m> basis states, spin coherent states in closed
+form, group-orbit sampling through the matrix exponential, and the two
+maximal-raw-purity references: the highest-weight value for irreducibly
+represented Lie algebras and a fixed-point estimate for every other space.
+Both draw from the stdlib ``random.Random``, as do the seeded checks of
+``reproduce``, so no purity or reproduce command loads ``numpy.random``.
 """
 
+import math
 import random
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,31 +29,20 @@ def _validate_spin(j) -> float:
     return round(2 * j) / 2.0
 
 
-@dataclass(frozen=True)
-class SpinSystem:
-    """Spin-J generators in the basis |J,J>, |J,J-1>, ..., |J,-J>.
-
-    Physical normalization: jz has eigenvalues J, J-1, ..., -J and the
-    ladder operators act with the standard sqrt(J(J+1) - m(m+1)) weights.
-    """
-
-    j: float
-    jx: np.ndarray = field(repr=False)
-    jy: np.ndarray = field(repr=False)
-    jz: np.ndarray = field(repr=False)
-
-    @property
-    def dim(self) -> int:
-        return int(round(2 * self.j)) + 1
-
-    @property
-    def generators(self) -> list[np.ndarray]:
-        return [self.jx, self.jy, self.jz]
+def spin_generators(j) -> list[np.ndarray]:
+    """[J_x, J_y, J_z] of spin J in the basis |J,J>, |J,J-1>, ..., |J,-J>, from its two bands:
+    J_z is the diagonal m = J, ..., -J, and the ladder operator J_+ the superdiagonal
+    sqrt(J(J+1) - m(m+1)) that takes |J, m> to |J, m+1>."""
+    j = _validate_spin(j)
+    m = j - np.arange(round(2 * j) + 1)
+    jplus = np.diag(np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1)), 1).astype(complex)
+    jminus = jplus.conj().T
+    return [0.5 * (jplus + jminus), -0.5j * (jplus - jminus), np.diag(m).astype(complex)]
 
 
 def spin_basis_state(j, m) -> QuantumState:
-    """The eigenstate |J, m> of jz in the basis of :class:`SpinSystem`, built without its
-    generators.  J - m must be a whole number in [0, 2J], within the 1e-12 allowed 2J."""
+    """The eigenstate |J, m> of J_z in the basis of :func:`spin_generators`, built without
+    them.  J - m must be a whole number in [0, 2J], within the 1e-12 allowed 2J."""
     j = _validate_spin(j)
     dim = round(2 * j) + 1
     index = round(j - m, 0)  # a float: an infinite or nan m fails the range test
@@ -64,44 +53,25 @@ def spin_basis_state(j, m) -> QuantumState:
     return QuantumState.basis_state(dim, int(index))
 
 
-def spin_system(j) -> SpinSystem:
-    """Build the spin-J system of dimension 2J+1 from ladder operators."""
-    j = _validate_spin(j)
-    dim = int(round(2 * j)) + 1
-    m = j - np.arange(dim)  # m values top-down: J, J-1, ..., -J
-    jz = np.diag(m).astype(complex)
-    jplus = np.zeros((dim, dim), dtype=complex)
-    for k in range(1, dim):
-        # |J, m[k]> -> sqrt(J(J+1) - m(m+1)) |J, m[k]+1>
-        jplus[k - 1, k] = np.sqrt(j * (j + 1) - m[k] * (m[k] + 1))
-    jminus = jplus.conj().T
-    jx = 0.5 * (jplus + jminus)
-    jy = -0.5j * (jplus - jminus)
-    return SpinSystem(j=j, jx=jx, jy=jy, jz=jz)
+def scs(j, direction) -> QuantumState:
+    """Spin coherent state of spin J along a unit vector n: the top eigenvector of n . J.
 
-
-def scs(system: SpinSystem, direction) -> QuantumState:
-    """Spin coherent state: top eigenvector of n . J for a unit vector n.
-
-    The phase is fixed by making the largest-magnitude amplitude real and
-    positive.  The top eigenvalue is J and is simple for every unit n.
+    In closed form (Arecchi, Courtens, Gilmore & Thomas 1972), with theta and phi the
+    polar angles of n, its amplitude on |J, J-k> is
+    sqrt(C(2J, k)) cos(theta/2)^(2J-k) (sin(theta/2) e^(i phi))^k.  The phase is fixed by
+    making the largest-magnitude amplitude (the first, on a tie) real and positive.
     """
+    two_j = round(2 * _validate_spin(j))
     n = np.asarray(direction, dtype=float).reshape(3)
     if abs(np.linalg.norm(n) - 1.0) > 1e-10:
         raise ValueError(f"direction must be a unit vector, norm {np.linalg.norm(n)!r}")
-    h = n[0] * system.jx + n[1] * system.jy + n[2] * system.jz
-    evals, evecs = np.linalg.eigh(h)
-    if system.dim > 1 and evals[-1] - evals[-2] < 1e-9:
-        raise ValueError("top eigenvalue of n.J is degenerate")
-    if abs(evals[-1] - system.j) > 1e-10:
-        raise ValueError(f"top eigenvalue {evals[-1]} differs from J={system.j}")
-    v = evecs[:, -1]
-    k = int(np.argmax(np.abs(v)))
-    v = v * (abs(v[k]) / v[k])
-    resid = np.linalg.norm(h @ v - system.j * v)
-    if resid > 1e-9:
-        raise ValueError(f"coherent-state residual {resid:.3e} too large")
-    return QuantumState(vector=v)
+    half_theta = np.arctan2(np.hypot(n[0], n[1]), n[2]) / 2
+    k = np.arange(two_j + 1)
+    binomials = np.array([float(math.comb(two_j, i)) for i in range(two_j + 1)])  # < 1e307
+    v = (np.sqrt(binomials) * np.cos(half_theta) ** (two_j - k) * np.sin(half_theta) ** k
+         * np.exp(1j * np.arctan2(n[1], n[0]) * k))
+    top = int(np.argmax(np.abs(v)))
+    return QuantumState(vector=v * (abs(v[top]) / v[top]))
 
 
 def orbit_sample(omega: ObservableSpace, reference: QuantumState, angles) -> QuantumState:

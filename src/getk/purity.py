@@ -136,9 +136,10 @@ def rescaled_purity(state: QuantumState, omega: ObservableSpace,
 
 def meyer_wallach_q(psi: QuantumState) -> float:
     """Global multiqubit entanglement Q = 1 - local purity of a pure state of n qubits, the
-    local purity being 2 ((1/n) sum_l Tr(rho_l^2) - 1/2) over single-qubit partial traces."""
+    local purity being 2 ((1/n) sum_l Tr(rho_l^2) - 1/2) over single-qubit partial traces.
+    A one-dimensional state holds no qubit and is refused, as any dimension but 2^n is."""
     n = int(round(np.log2(psi.dim)))
-    if 2 ** n != psi.dim:
+    if n == 0 or 2 ** n != psi.dim:
         raise DimensionMismatch(f"state dim {psi.dim} is not a power of 2")
     if not psi.is_pure:
         raise ValueError("the local purity formula applies to pure states")

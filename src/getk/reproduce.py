@@ -164,8 +164,7 @@ class _Run:
                 f"top={_bool(top)} bottom={_bool(bottom)} center={_bool(center)}")
 
     def spin_center_uncertainty(self):
-        return invariant_uncertainty(coherent.spin_basis_state(3, 0),
-                                     coherent.spin_system(3).generators)
+        return invariant_uncertainty(coherent.spin_basis_state(3, 0), coherent.spin_generators(3))
 
     def full_algebra_unentangled(self):
         psi = coherent.gaussians(coherent.seeded_rng(self.seed + 17), 8).view(complex)
@@ -189,8 +188,7 @@ class _Run:
     # --- restricted local spins ------------------------------------------
     def restricted_spin_extremes(self):
         space = catalog.restricted_local_spins(1)
-        system = coherent.spin_system(1)
-        scs_pair = coherent.scs(system, [0, 0, 1]).tensor(coherent.scs(system, [1, 0, 0]))
+        scs_pair = coherent.scs(1, [0, 0, 1]).tensor(coherent.scs(1, [1, 0, 0]))
         center = coherent.spin_basis_state(1, 0)
         hi = rescaled_purity(scs_pair, space).rescaled
         lo = rescaled_purity(center.tensor(center), space).rescaled

@@ -138,7 +138,7 @@ def test_criterion_4_fermionic_suite():
 def test_criterion_5_spin_suite():
     rng = np.random.default_rng(RNG_SEED + 3)
     for j in (1, 1.5, 2, 5):
-        system = coherent.spin_system(j)
+        generators = coherent.spin_generators(j)
         space = catalog.spin_algebra(j)
         for m in (j, -j):
             got = rescaled_purity(coherent.spin_basis_state(j, m), space).rescaled
@@ -147,14 +147,14 @@ def test_criterion_5_spin_suite():
         center = coherent.spin_basis_state(j, center_m)
         # the reference formula: sum of squared generator expectations over J^2
         from getk.operators import expectation
-        formula = sum(expectation(center, g) ** 2 for g in system.generators) / j ** 2
+        formula = sum(expectation(center, g) ** 2 for g in generators) / j ** 2
         got = rescaled_purity(center, space).rescaled
         assert abs(got - formula) <= 1e-10
         if float(j).is_integer():
             assert abs(got) <= 1e-10
         for _ in range(100):
-            st = random_pure_state(system.dim, rng)
-            lhs = invariant_uncertainty(st, system.generators)
+            st = random_pure_state(len(generators[2]), rng)
+            lhs = invariant_uncertainty(st, generators)
             rhs = j * (j + 1) - j ** 2 * rescaled_purity(st, space).rescaled
             assert abs(lhs - rhs) <= 1e-9
     _announce(5, "spin-J-suite (J in {1, 3/2, 2, 5})")
@@ -239,11 +239,11 @@ def test_criterion_7_property_suites():
     # coherent-state eigenvalue residuals
     for idx in range(100):
         j = (0.5, 1, 1.5, 2, 3)[idx % 5]
-        system = coherent.spin_system(j)
+        jx, jy, jz = coherent.spin_generators(j)
         n = rng.normal(size=3)
         n /= np.linalg.norm(n)
-        st = coherent.scs(system, n)
-        op = n[0] * system.jx + n[1] * system.jy + n[2] * system.jz
+        st = coherent.scs(j, n)
+        op = n[0] * jx + n[1] * jy + n[2] * jz
         assert np.linalg.norm(op @ st.vector - j * st.vector) < 1e-9
 
     _announce(7, "property-suites (>=100 instances each)")

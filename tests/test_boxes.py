@@ -43,6 +43,12 @@ def deterministic_boxes(n_inputs: int, n_outputs: int) -> list:
             for outcomes in itertools.product(range(n_outputs), repeat=n_inputs)]
 
 
+def product_table(*tables: BoxState) -> BoxState:
+    """Oracle: the product table p[ij|kl] = p_A[i|k] p_B[j|l], the first table's boxes first."""
+    return BoxState(sum((t.shape for t in tables), ()),
+                    tuple(prod(ps) for ps in itertools.product(*(t.probs for t in tables))))
+
+
 def square_pair():
     """Shared vertex list for the (2,2)x(2,2) pair (enumeration is the slow part)."""
     if "v" not in _SQUARE_PAIR_CACHE:
@@ -269,6 +275,8 @@ def oracle_orbit(state):
 
 
 _VERTEX_CACHE = {}
+# every single box (inputs, outputs) that vertex enumeration takes
+CAP_SIDES = [(n, m) for n in range(1, 7) for m in range(1, 7) if n * m <= boxes.ENUMERATION_CAP]
 
 
 def vertices_of(shape):
@@ -394,7 +402,7 @@ class TestBoxState:
     def test_tensor_factorizes(self):
         a = BoxState((2, 2), (F(1), F(0), HALF, HALF))
         b = BoxState((2, 2), (F(0), F(1), F(1), F(0)))
-        prod = a.tensor(b)
+        prod = product_table(a, b)
         assert prod.shape == (2, 2, 2, 2)
         for i, j, k, l in itertools.product(range(2), repeat=4):
             assert entry(prod, i, j, k, l) == a.probs[2 * k + i] * b.probs[2 * l + j]
@@ -461,7 +469,7 @@ class TestMarginals:
     def test_product_recovers_factors(self):
         a = BoxState((2, 2), (F(1, 3), F(2, 3), HALF, HALF))
         b = BoxState((2, 2), (F(1), F(0), F(1, 4), F(3, 4)))
-        got_a, got_b = marginals(a.tensor(b))
+        got_a, got_b = marginals(product_table(a, b))
         assert got_a.probs == a.probs and got_b.probs == b.probs
 
     def test_signalling_detected(self):
@@ -597,12 +605,12 @@ class TestDoubleDescription:
         with pytest.raises(ValueError, match="capped at 36 table entries, got 64"):
             enumerate_vertices(2, 2, 2, 2, 2, 2)
 
-    @pytest.mark.parametrize("shape", [(2, 2, 2, 2), (2, 2, 3, 2)])
+    @pytest.mark.parametrize("shape", [a + b for a in CAP_SIDES for b in CAP_SIDES
+                                       if not {a, b} <= {(2, 3), (3, 2)}])
     def test_vertex_class_agrees_with_factorization(self, shape):
-        # a vertex is a product exactly when it is one of the deterministic products
-        na, ma, nb, mb = shape
-        products = {a.tensor(b).probs for a in deterministic_boxes(na, ma)
-                    for b in deterministic_boxes(nb, mb)}
+        # a vertex is a product exactly when it is one of the deterministic products; every
+        # size in the cap but the four with sides of 2x3 or 3x2 (0.25-0.6 s each to enumerate)
+        products = {t.probs for t in product_tables(shape)}
         for v in vertices_of(shape):
             assert (vertex_class(v) is VertexClass.PRODUCT) is (v.probs in products)
 
@@ -663,14 +671,14 @@ class TestClassification:
         for v in verts:
             if vertex_class(v) is VertexClass.PRODUCT:
                 a, b = marginals(v)
-                assert a.tensor(b).probs == v.probs
+                assert product_table(a, b).probs == v.probs
 
     def test_either_marginal_extremal_implies_product(self):
         # for every enumerated vertex: one deterministic marginal forces factorization
         for v in square_pair():
             a, b = marginals(v)
             if is_extremal(a) or is_extremal(b):
-                assert a.tensor(b).probs == v.probs
+                assert product_table(a, b).probs == v.probs
 
 
 class TestRelabeling:
@@ -765,7 +773,7 @@ class TestSeparability:
     def test_products_are_separable(self):
         a = BoxState((2, 2), (F(1, 3), F(2, 3), HALF, HALF))
         b = BoxState((2, 2), (F(1), F(0), F(1, 4), F(3, 4)))
-        assert in_separable_tensor_product(a.tensor(b))
+        assert in_separable_tensor_product(product_table(a, b))
 
     def test_entangled_vertex_is_not(self):
         assert not in_separable_tensor_product(displayed_entangled_matrix())
@@ -782,10 +790,7 @@ class TestSeparability:
         sides = [deterministic_boxes(n, m) for n, m in zip(shape[::2], shape[1::2])]
         want = []
         for dets in itertools.product(*sides):
-            table = dets[0]
-            for d in dets[1:]:
-                table = table.tensor(d)
-            want.append(list(table.probs))
+            want.append(list(product_table(*dets).probs))
         got = boxes._product_columns(shape)
         assert all(type(x) is int for col in got for x in col)
         assert [list(col) for col in got] == want
@@ -826,7 +831,7 @@ class TestConvexHullMembership:
 
     def test_entangled_vertex_outside_product_hull(self):
         dets = deterministic_boxes(2, 2)
-        products = [a.tensor(b) for a in dets for b in dets]
+        products = [product_table(a, b) for a in dets for b in dets]
         assert not in_convex_hull(displayed_entangled_matrix(), products)
 
     def test_mixture_in_two_vertex_hull(self):
@@ -838,7 +843,7 @@ class TestConvexHullMembership:
         assert not in_convex_hull(verts[0], verts[1:])
 
     def test_shape_mismatch(self):
-        small = deterministic_boxes(1, 2)[0].tensor(deterministic_boxes(1, 2)[0])
+        small = product_table(deterministic_boxes(1, 2)[0], deterministic_boxes(1, 2)[0])
         with pytest.raises(ValueError):
             in_convex_hull(displayed_entangled_matrix(), [small])
 
@@ -858,8 +863,8 @@ class TestGeneralizedUnentangledBox:
 
     def test_mixture_of_two_product_vertices(self):
         dets = deterministic_boxes(2, 2)
-        v1 = dets[0].tensor(dets[1])
-        v2 = dets[2].tensor(dets[3])
+        v1 = product_table(dets[0], dets[1])
+        v2 = product_table(dets[2], dets[3])
         mix = tuple((a + b) / 2 for a, b in zip(v1.probs, v2.probs))
         assert in_separable_tensor_product(BoxState(shape=(2, 2, 2, 2), probs=mix))
 
@@ -915,7 +920,8 @@ def phase1_oracle(columns, target, pivot=fraction_pivot) -> bool:
 def product_tables(shape):
     """Every deterministic product box of a two-box shape."""
     na, ma, nb, mb = shape
-    return [a.tensor(b) for a in deterministic_boxes(na, ma) for b in deterministic_boxes(nb, mb)]
+    return [product_table(a, b) for a in deterministic_boxes(na, ma)
+            for b in deterministic_boxes(nb, mb)]
 
 
 class TestPhase1OracleSimplex:
@@ -1090,19 +1096,19 @@ class TestThreeBoxes:
 
     def test_orbit_of_the_all_zero_product_vertex(self):
         dets = [deterministic_boxes(n, m) for n, m in [(2, 2), (2, 2), (1, 2)]]
-        vertex = dets[0][0].tensor(dets[1][0]).tensor(dets[2][0])
+        vertex = product_table(dets[0][0], dets[1][0], dets[2][0])
         assert vertex.shape == (2, 2, 2, 2, 1, 2)
         orbit = relabeling_orbit(vertex)
         # relabelings move each box's deterministic table to every other one: 4 * 4 * 2
         assert len(orbit) == 4 * 4 * 2 == len({m.probs for m in orbit})
-        products = {a.tensor(b).tensor(c).probs for a, b, c in itertools.product(*dets)}
+        products = {product_table(*abc).probs for abc in itertools.product(*dets)}
         assert {m.probs for m in orbit} == products
 
     def test_marginals_recover_the_factors(self):
         a = BoxState((2, 2), (F(1, 3), F(2, 3), HALF, HALF))
         b = BoxState((1, 3), (F(1, 6), F(1, 2), F(1, 3)))
         c = BoxState((2, 2), (F(1), F(0), F(1, 4), F(3, 4)))
-        assert marginals(a.tensor(b).tensor(c)) == (a, b, c)
+        assert marginals(product_table(a, b, c)) == (a, b, c)
 
     def test_box_three_copying_box_one_input_signals(self):
         # p(i, j, c | k, l) = [i = 0][j = 0][c = k]: box 1's input shows in box 3's outcome

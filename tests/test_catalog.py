@@ -16,6 +16,7 @@ from getk.operators import (
 )
 from getk.purity import rescaled_purity
 from random_states import random_density_state, random_pure_state
+from spin_oracle import ORACLE_SPINS, dense_spin_generators
 
 SX, SY, SZ, ID = map(pauli_string, "XYZI")
 
@@ -347,12 +348,12 @@ class TestRestrictedLocalSpins:
 
     @pytest.mark.parametrize("j", [0.5, 1, 2.5])
     def test_stack_equals_the_kron_construction(self, j):
-        system = coherent.spin_system(j)
-        d = system.dim
-        nrm = np.sqrt(system.j * (system.j + 1) * d / 3.0) * np.sqrt(d)
+        generators = dense_spin_generators(j)
+        d = len(generators[2])
+        nrm = np.sqrt(j * (j + 1) * d / 3.0) * np.sqrt(d)
         eye = np.eye(d, dtype=complex)
-        ops = [np.kron(g, eye) / nrm for g in system.generators]
-        ops += [np.kron(eye, g) / nrm for g in system.generators]
+        ops = [np.kron(g, eye) / nrm for g in generators]
+        ops += [np.kron(eye, g) / nrm for g in generators]
         basis = np.stack(catalog.restricted_local_spins(j).basis)
         assert np.max(np.abs(basis - np.stack(ops))) <= 1e-15
 
@@ -374,6 +375,15 @@ class TestSpinAlgebra:
         assert space.max_purity == pytest.approx(6 / 15)
         half = catalog.spin_algebra(1.5)
         assert half.label == "su2-spin:3/2"
+
+    @pytest.mark.parametrize("j", ORACLE_SPINS)
+    def test_site_basis_is_the_dense_construction(self, j):
+        # the generators filled in entry by entry, each divided by sqrt(J(J+1)(2J+1)/3)
+        generators = dense_spin_generators(j)
+        want = np.stack([g / np.sqrt(j * (j + 1) * len(g) / 3.0) for g in generators])
+        space = catalog.spin_algebra.__wrapped__(j)  # built here: the cache keeps 32 spaces
+        assert space.site_basis.tobytes() == want.tobytes()
+        assert space.max_purity == 3.0 * j / ((j + 1) * (2 * j + 1))
 
     def test_closed(self):
         assert lie_closure(catalog.spin_algebra(1).basis).size == 3
@@ -440,7 +450,7 @@ class TestNamedAlgebra:
         (lambda: catalog.local_algebra(1, 2), True),
         (lambda: catalog.local_algebra(1, 4), True),
         (fermion.fermionic_u2, False),
-        (lambda: lie_closure(coherent.spin_system(1).generators[::2]), True),
+        (lambda: lie_closure(coherent.spin_generators(1)[::2]), True),
         (lambda: lie_closure(catalog.z_conserving_u2().basis), False),
     ], ids=["su2x2-spin:1/2", "su2x2-spin:1", "su2x2-spin:2", "su2x2-spin:7/2",
             "su2x2-spin:31/2", "full:2", "full:4", "u2-fermi", "closure-spin-1", "closure-u2"])

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from getk import boxes, cli, read_json_file, states
 from getk.operators import QuantumState
+from test_boxes import product_table
 
 # one state per catalog algebra, of matching dimension
 ALGEBRA_STATES = [
@@ -144,7 +145,7 @@ def valid_tables(draw):
                                            (2, 2, 2, 2)]))
     alice = boxes.BoxState((na, ma), [p for _ in range(na) for p in _distribution(draw, ma)])
     bob = boxes.BoxState((nb, mb), [p for _ in range(nb) for p in _distribution(draw, mb)])
-    table = alice.tensor(bob)
+    table = product_table(alice, bob)
     if table.shape == (2, 2, 2, 2) and draw(st.booleans()):
         w = Fraction(draw(st.integers(0, 4)), 4)
         pr = boxes.canonical_entangled_vertex().probs

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from getk.coherent import (
     orbit_sample,
     scs,
     spin_basis_state,
-    spin_system,
+    spin_generators,
 )
 from getk.operators import (
     ObservableSpace,
@@ -19,6 +21,7 @@ from getk.operators import (
 )
 from getk.purity import numeric_max_reference, omega_purity, rescaled_purity
 from random_states import random_pure_state
+from spin_oracle import ORACLE_SPINS, dense_spin_generators, eigh_scs
 
 
 def raw_purity_and_gradient(omega: ObservableSpace, psi: np.ndarray):
@@ -34,27 +37,30 @@ def raw_purity_and_gradient(omega: ObservableSpace, psi: np.ndarray):
     return value, grad
 
 
+def unit_directions(seed: int, count: int) -> list[np.ndarray]:
+    rng = np.random.default_rng(seed)
+    return [n / np.linalg.norm(n) for n in rng.normal(size=(count, 3))]
+
+
 class TestSpinSystem:
     def test_half_spin_is_half_paulis(self):
-        system = spin_system(0.5)
-        assert np.allclose(system.jx, pauli_string("X") / 2)
-        assert np.allclose(system.jy, pauli_string("Y") / 2)
-        assert np.allclose(system.jz, pauli_string("Z") / 2)
+        jx, jy, jz = spin_generators(0.5)
+        assert np.allclose(jx, pauli_string("X") / 2)
+        assert np.allclose(jy, pauli_string("Y") / 2)
+        assert np.allclose(jz, pauli_string("Z") / 2)
 
     def test_spin_one_jz(self):
-        system = spin_system(1)
-        assert np.allclose(system.jz, np.diag([1.0, 0.0, -1.0]))
+        assert np.allclose(spin_generators(1)[2], np.diag([1.0, 0.0, -1.0]))
 
     def test_spin_three_halves_spectrum(self):
-        system = spin_system(1.5)
-        assert np.allclose(np.diag(system.jz), [1.5, 0.5, -0.5, -1.5])
+        assert np.allclose(np.diag(spin_generators(1.5)[2]), [1.5, 0.5, -0.5, -1.5])
 
     @pytest.mark.parametrize("j", [0.5, 1, 1.5, 2, 3])
     def test_ladder_relations(self, j):
-        system = spin_system(j)
-        jplus = system.jx + 1j * system.jy
-        for k, m in enumerate(j - np.arange(system.dim)):
-            v = np.zeros(system.dim)
+        jx, jy, _ = spin_generators(j)
+        jplus = jx + 1j * jy
+        for k, m in enumerate(j - np.arange(len(jx))):
+            v = np.zeros(len(jx))
             v[k] = 1.0
             out = jplus @ v
             want = np.sqrt(j * (j + 1) - m * (m + 1)) if m < j else 0.0
@@ -65,24 +71,37 @@ class TestSpinSystem:
 
     @pytest.mark.parametrize("j", [0.5, 1, 2.5])
     def test_standard_commutator(self, j):
-        system = spin_system(j)
-        comm = system.jx @ system.jy - system.jy @ system.jx
-        assert np.max(np.abs(comm - 1j * system.jz)) < 1e-12
+        jx, jy, jz = spin_generators(j)
+        assert np.max(np.abs(jx @ jy - jy @ jx - 1j * jz)) < 1e-12
 
     def test_casimir(self):
-        system = spin_system(2)
-        casimir = sum(g @ g for g in system.generators)
+        casimir = sum(g @ g for g in spin_generators(2))
         assert np.allclose(casimir, 2 * 3 * np.eye(5))
 
+    @pytest.mark.parametrize("j", ORACLE_SPINS)
+    def test_bit_equal_to_the_dense_oracle(self, j):
+        got, want = spin_generators(j), dense_spin_generators(j)
+        assert [(g.dtype, g.shape, g.tobytes()) for g in got] == \
+            [(g.dtype, g.shape, g.tobytes()) for g in want]
+
+    def test_spin_zero_is_three_zero_scalars(self):
+        assert [(g.shape, g[0, 0]) for g in spin_generators(0)] == [((1, 1), 0)] * 3
+
     def test_invalid_spin(self):
-        with pytest.raises(ValueError):
-            spin_system(0.3)
+        # off the half-integer grid, negative, nan, and past MAX_DIM: refused by both builders
+        for j, message in [(0.3, "nonnegative half-integer, got 0.3"),
+                           (-1, "nonnegative half-integer, got -1"),
+                           (float("nan"), "nonnegative half-integer, got nan"),
+                           (512, "spin 512 has dimension 1025, above the supported 1024")]:
+            for build in (spin_generators, lambda j: scs(j, [0, 0, 1])):
+                with pytest.raises(ValueError, match=message):
+                    build(j)
 
 
 class TestSpinBasisState:
     @pytest.mark.parametrize("j", [0, 0.5, 1, 1.5, 3, 7.5])
     def test_is_the_jz_eigenstate(self, j):
-        jz = spin_system(j).jz
+        jz = spin_generators(j)[2]
         for k in range(round(2 * j) + 1):
             v = spin_basis_state(j, j - k).vector
             assert v[k] == 1.0 and np.linalg.norm(v) == 1.0
@@ -106,54 +125,65 @@ class TestSpinBasisState:
 
     def test_builds_no_generators(self, monkeypatch):
         # spin:511.5,M names one vector: the three 1024 x 1024 generators are never built
-        monkeypatch.setattr("getk.coherent.spin_system", None)
+        monkeypatch.setattr("getk.coherent.spin_generators", None)
         assert spin_basis_state(511.5, 511.5).dim == 1024
 
 
 class TestSCS:
     def test_north_pole(self):
-        system = spin_system(2)
-        st = scs(system, [0, 0, 1])
-        north = spin_basis_state(2, 2).vector
-        assert abs(np.vdot(st.vector, north)) ** 2 == pytest.approx(1.0, abs=1e-12)
+        for j in ORACLE_SPINS[:-1]:
+            north = spin_basis_state(j, j).vector
+            assert np.max(np.abs(scs(j, [0, 0, 1]).vector - north)) <= 1e-15
 
     def test_south_pole(self):
-        system = spin_system(2)
-        st = scs(system, [0, 0, -1])
-        south = spin_basis_state(2, -2).vector
-        assert abs(np.vdot(st.vector, south)) ** 2 == pytest.approx(1.0, abs=1e-12)
+        for j in ORACLE_SPINS[:-1]:
+            south = spin_basis_state(j, -j).vector
+            assert np.max(np.abs(scs(j, [0, 0, -1]).vector - south)) <= 1e-15
 
     def test_x_direction_qubit(self):
-        st = scs(spin_system(0.5), [1, 0, 0])
+        st = scs(0.5, [1, 0, 0])
         assert np.allclose(st.vector, np.array([1.0, 1.0]) / np.sqrt(2), atol=1e-12)
 
     def test_requires_unit_direction(self):
         with pytest.raises(ValueError):
-            scs(spin_system(1), [0, 0, 2])
+            scs(1, [0, 0, 2])
+
+    @pytest.mark.parametrize("j", ORACLE_SPINS)
+    def test_equals_the_eigh_oracle(self, j):
+        # +-z, +x and seeded directions; on the rest of the equator two amplitudes tie in
+        # magnitude, and which of them the phase rule makes positive is a matter of roundoff
+        directions = [[0, 0, 1], [0, 0, -1], [1, 0, 0]] + unit_directions(int(2 * j), 6)
+        for n in directions:
+            assert np.max(np.abs(scs(j, n).vector - eigh_scs(j, n).vector)) <= 1e-12
 
     def test_eigenvalue_residual_randomized(self):
-        rng = np.random.default_rng(2)
         count = 0
         for j in (0.5, 1, 1.5, 2, 3, 5):
-            system = spin_system(j)
-            ndotj = None
-            for _ in range(20):
-                n = rng.normal(size=3)
-                n /= np.linalg.norm(n)
-                st = scs(system, n)
-                ndotj = n[0] * system.jx + n[1] * system.jy + n[2] * system.jz
-                resid = np.linalg.norm(ndotj @ st.vector - j * st.vector)
-                assert resid < 1e-9
+            jx, jy, jz = dense_spin_generators(j)
+            for n in unit_directions(2 + count, 20):
+                st = scs(j, n)
+                ndotj = n[0] * jx + n[1] * jy + n[2] * jz
+                assert np.linalg.norm(ndotj @ st.vector - j * st.vector) < 1e-9
+                assert np.vdot(st.vector, ndotj @ st.vector).real == pytest.approx(j, abs=1e-12)
                 count += 1
         assert count >= 100
 
     def test_phase_deterministic(self):
-        system = spin_system(1.5)
-        a = scs(system, [0.6, 0.0, 0.8]).vector
-        b = scs(system, [0.6, 0.0, 0.8]).vector
+        a = scs(1.5, [0.6, 0.0, 0.8]).vector
+        b = scs(1.5, [0.6, 0.0, 0.8]).vector
         assert np.array_equal(a, b)
         k = int(np.argmax(np.abs(a)))
         assert a[k].imag == pytest.approx(0.0, abs=1e-14) and a[k].real > 0
+
+    def test_largest_spin_builds_no_matrix(self):
+        # 1024 amplitudes: a single 1024 x 1024 complex array would take 16 MiB
+        tracemalloc.start()
+        try:
+            st = scs(511.5, unit_directions(511, 1)[0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert st.dim == 1024 and peak < 2 ** 20
 
 
 class TestOrbitSample:

@@ -740,9 +740,9 @@ class TestWordLieStructure:
     def test_spin_half_beside_spin_one_is_reducible(self):
         # su(2) on C^2 (+) C^3 is closed, and J_z (+) J_z has the simple spectrum 1/2, -1/2,
         # 1, 0, -1: no rotated entry joins the two blocks, so the graph has two components
-        half, one = coherent.spin_system(0.5), coherent.spin_system(1)
+        half, one = coherent.spin_generators(0.5), coherent.spin_generators(1)
         ops = orthonormalize([np.block([[a, np.zeros((2, 3))], [np.zeros((3, 2)), b]])
-                              for a, b in zip(half.generators, one.generators)])
+                              for a, b in zip(half, one)])
         assert lie_closure(ops).size == 3 and commutant_basis(ops) != []
         assert not ObservableSpace(ops).irreducible_lie
 

@@ -255,7 +255,7 @@ class TestMeyerWallach:
     def test_w_eight_ninths(self):
         assert meyer_wallach_q(states.builtin_state("w:3")) == pytest.approx(8 / 9, abs=1e-12)
 
-    @pytest.mark.parametrize("dim", [3, 6, 12])
+    @pytest.mark.parametrize("dim", [1, 3, 6, 12])
     def test_dimension_not_a_power_of_two_refused(self, dim):
         with pytest.raises(DimensionMismatch, match=f"state dim {dim} is not a power of 2"):
             meyer_wallach_q(QuantumState.basis_state(dim, 0))
@@ -351,18 +351,16 @@ class TestIndistinguishability:
 class TestInvariantUncertainty:
     def test_coherent_state(self):
         for j in (1, 1.5, 2):
-            system = coherent.spin_system(j)
-            got = invariant_uncertainty(coherent.spin_basis_state(j, j), system.generators)
+            got = invariant_uncertainty(coherent.spin_basis_state(j, j),
+                                        coherent.spin_generators(j))
             assert got == pytest.approx(j, abs=1e-10)
 
     def test_center_state(self):
-        system = coherent.spin_system(3)
-        got = invariant_uncertainty(coherent.spin_basis_state(3, 0), system.generators)
+        got = invariant_uncertainty(coherent.spin_basis_state(3, 0), coherent.spin_generators(3))
         assert got == pytest.approx(12.0, abs=1e-10)
 
     def test_qubit_ground_state(self):
-        system = coherent.spin_system(0.5)
-        got = invariant_uncertainty(QuantumState.basis_state(2, 0), system.generators)
+        got = invariant_uncertainty(QuantumState.basis_state(2, 0), coherent.spin_generators(0.5))
         assert got == pytest.approx(0.5, abs=1e-12)
 
 

@@ -19,6 +19,7 @@ import pytest
 from getk import boxes, catalog, cli, coherent, fermion, operators, purity, states
 from getk.operators import MAX_DIM, ObservableSpace, QuantumState, gell_mann_basis, pauli_string
 from random_states import perturbed_builtins, random_density_state
+from test_boxes import product_table
 
 BUILTIN_EXAMPLES = (
     "bell:phi+", "bell:phi-", "bell:psi+", "bell:psi-",
@@ -828,7 +829,7 @@ class TestBoxesCommands:
                                                  for p in (Fraction(a, 97 + k),
                                                            1 - Fraction(a, 97 + k))]))
         path = tmp_path / "generic.json"
-        path.write_text(json.dumps(sides[0].tensor(sides[1]).to_json_dict()))
+        path.write_text(json.dumps(product_table(*sides).to_json_dict()))
         start = time.perf_counter()
         proc = _run_getk("boxes", "separable", "--state", str(path))
         elapsed = time.perf_counter() - start
