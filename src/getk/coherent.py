@@ -2,10 +2,11 @@
 
 Provides the physically normalized spin-J angular momentum generators, built
 from their two bands, the |J, m> basis states, spin coherent states in closed
-form, group-orbit sampling through the matrix exponential, and the two
+form, group-orbit sampling through the matrix exponential, and the three
 maximal-raw-purity references: the highest-weight value for irreducibly
-represented Lie algebras and a fixed-point estimate for every other space.
-Both draw from the stdlib ``random.Random``, as do the seeded checks of
+represented Lie algebras, the stabilizer value for word spaces whose exact
+bracket closes, and a fixed-point estimate for every other space.  The two
+that sample draw from the stdlib ``random.Random``, as do the seeded checks of
 ``reproduce``, so no purity or reproduce command loads ``numpy.random``.
 """
 
@@ -14,10 +15,13 @@ import random
 
 import numpy as np
 
-from .operators import MAX_DIM, MAX_ENTRIES, ObservableSpace, QuantumState, assert_hermitian, kron_all
+from .operators import (MAX_DIM, MAX_ENTRIES, ObservableSpace, QuantumState, anticommutation_rows,
+                        assert_hermitian, kron_all)
 
 _MAX_FIXED_POINT_STEPS = 1000  # per restart; catalog algebras stop rising within 40 steps
 _DEGENERATE_GAP = 1e-9  # top eigenvalue gap, relative to the spectral radius, below which it is shared
+_TIE = 1e-12  # relative gap below which two amplitude magnitudes of a coherent state tie
+STABILIZER_WORD_CAP = 24  # most words a stabilizer bracket searches: 24 take under 2 ms (README)
 
 
 def _validate_spin(j) -> float:
@@ -59,7 +63,9 @@ def scs(j, direction) -> QuantumState:
     In closed form (Arecchi, Courtens, Gilmore & Thomas 1972), with theta and phi the
     polar angles of n, its amplitude on |J, J-k> is
     sqrt(C(2J, k)) cos(theta/2)^(2J-k) (sin(theta/2) e^(i phi))^k.  The phase is fixed by
-    making the largest-magnitude amplitude (the first, on a tie) real and positive.
+    making the largest-magnitude amplitude real and positive: the first one within a relative
+    1e-12 of the largest, so that the exact ties of the equator (k and 2J - k) go by index,
+    not by roundoff.
     """
     two_j = round(2 * _validate_spin(j))
     n = np.asarray(direction, dtype=float).reshape(3)
@@ -70,7 +76,8 @@ def scs(j, direction) -> QuantumState:
     binomials = np.array([float(math.comb(two_j, i)) for i in range(two_j + 1)])  # < 1e307
     v = (np.sqrt(binomials) * np.cos(half_theta) ** (two_j - k) * np.sin(half_theta) ** k
          * np.exp(1j * np.arctan2(n[1], n[0]) * k))
-    top = int(np.argmax(np.abs(v)))
+    size = np.abs(v)
+    top = int(np.argmax(size >= size.max() * (1 - _TIE)))  # the first of the largest
     return QuantumState(vector=v * (abs(v[top]) / v[top]))
 
 
@@ -130,6 +137,71 @@ def highest_weight_purity(omega: ObservableSpace, seed: int = 0) -> float | None
     psi = kron_all(factors)
     vals = omega.expectation_vector(QuantumState(vector=psi))
     return float(np.dot(vals, vals))
+
+
+def stabilizer_bracket(omega: ObservableSpace) -> tuple[list[int], list[list[int]] | None]:
+    """Bracket the maximal raw purity of a word space by two exact bounds, from its masks alone.
+
+    Returns a largest set of pairwise-commuting words, as ascending indices into
+    ``omega.masks``, and a split of all the words into that many pairwise-anticommuting
+    sets, or None when there is no such split.  With alpha the size of the commuting set:
+
+    - Lower bound: commuting words share an eigenvector (a stabilizer state), on which
+      each word P has <P> = +-1, so that state's raw purity is at least alpha / dim.
+    - Upper bound: pairwise-anticommuting words satisfy (sum_a c_a P_a)^2 = |c|^2 for real
+      c, so with c_a = <P_a> the sum of <P_a>^2 over one set is at most 1, and a split into
+      k sets bounds the raw purity of every state by k / dim.
+
+    When the split exists the bounds meet and alpha / dim is the exact maximum (de Gois,
+    Hansenne & Gühne 2023; Xu, Schwonnek & Winter 2024).  Both searches are branch and
+    bound on int bit masks of the commutation graph: a largest clique, then an alpha-colouring
+    that starts from that clique and next colours the word with the fewest colours open
+    (DSATUR, Brélaz 1979).  More than ``STABILIZER_WORD_CAP`` words are refused at once.
+    """
+    n = omega.size
+    if omega.masks is None or n > STABILIZER_WORD_CAP:
+        raise ValueError(f"a stabilizer bracket needs a word space of at most "
+                         f"{STABILIZER_WORD_CAP} words, got {omega!r}")
+    everyone = (1 << n) - 1
+    # commuting[a]: bit b set when words a != b commute
+    commuting = [everyone ^ 1 << a ^ int.from_bytes(np.packbits(anti, bitorder="little"), "little")
+                 for a, anti in enumerate(anticommutation_rows(omega.masks, omega.dim))]
+    clique: list[int] = []
+
+    def grow(chosen: list[int], candidates: int):
+        nonlocal clique
+        if len(chosen) > len(clique):
+            clique = chosen
+        while len(chosen) + candidates.bit_count() > len(clique):
+            low = candidates & -candidates
+            candidates ^= low
+            word = (low - 1).bit_count()
+            grow(chosen + [word], candidates & commuting[word])
+
+    grow([], everyone)
+    classes = [1 << word for word in clique]  # each colour class: pairwise-anticommuting words
+
+    def place(left: int) -> bool:
+        if not left:
+            return True
+        fewest = None
+        for word in (w for w in range(n) if left >> w & 1):
+            options = [c for c, members in enumerate(classes) if not members & commuting[word]]
+            if fewest is None or len(options) < len(fewest[1]):
+                fewest = word, options
+                if not options:
+                    return False
+        word, options = fewest
+        for c in options:
+            classes[c] |= 1 << word
+            if place(left ^ 1 << word):
+                return True
+            classes[c] ^= 1 << word
+        return False
+
+    if not place(everyone ^ sum(classes)):
+        return clique, None
+    return clique, [[w for w in range(n) if members >> w & 1] for members in classes]
 
 
 def max_purity_estimate(omega: ObservableSpace, restarts: int = 32, seed: int = 0) -> float:

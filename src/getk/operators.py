@@ -4,9 +4,11 @@ Operators are plain numpy arrays of shape (d, d) and dtype complex; states
 are wrapped in :class:`QuantumState` so pure vectors and density matrices
 share one interface.  A Pauli word (a string over I, X, Y, Z, first letter
 the most significant qubit) is its symplectic (x, z) bit masks, X^x Z^z times
-i^|x & z| (:func:`pauli_masks`).  Real-linear spaces of Hermitian observables
-live in :class:`ObservableSpace` (N >= 1 sites of one trace-orthonormal basis,
-or Pauli words), read through two linear maps, ``coefficients`` and ``element``.
+i^|x & z| (:func:`pauli_masks`), and two words anticommute exactly when their
+symplectic product is odd (:func:`anticommutation_rows`).  Real-linear spaces
+of Hermitian observables live in :class:`ObservableSpace` (N >= 1 sites of one
+trace-orthonormal basis, or Pauli words), read through two linear maps,
+``coefficients`` and ``element``.
 Every register dimension (Pauli words, sites, qubits, fermionic modes, state
 files) is formed by :func:`checked_dim` against ``MAX_DIM``; a spin's 2J + 1 is
 a float, checked in ``coherent``.
@@ -131,6 +133,14 @@ def pauli_string(word: str) -> np.ndarray:
                      checked_dim(2, len(word)))
 
 
+def anticommutation_rows(masks, dim: int):
+    """For each word (x, z) of ``masks`` in turn, which of the words anticommute with it: those
+    (x', z') with an odd symplectic product |x & z'| + |z & x'|.  Words of dimension ``dim``."""
+    odd, xs, zs = _parity_signs(dim) < 0, masks[:, 0], masks[:, 1]
+    for x, z in masks:
+        yield odd[x & zs] != odd[z & xs]
+
+
 def _decide_lie(masks, dim: int) -> bool:
     """Whether the real span of the words is a Lie algebra represented irreducibly: exact.
 
@@ -147,10 +157,9 @@ def _decide_lie(masks, dim: int) -> bool:
         bit *= 2
     if 2 ** rank < dim * dim:
         return False
-    odd, present = _parity_signs(dim) < 0, np.zeros(dim * dim, dtype=bool)
+    present = np.zeros(dim * dim, dtype=bool)
     present[xs * dim + zs] = True
-    for x, z in masks:  # the words anticommuting with (x, z): an odd symplectic product
-        anti = odd[x & zs] != odd[z & xs]
+    for (x, z), anti in zip(masks, anticommutation_rows(masks, dim)):
         if not present[(x ^ xs[anti]) * dim + (z ^ zs[anti])].all():
             return False
     return True

@@ -31,7 +31,8 @@ class PurityReport:
     """Raw and max-rescaled purity of one state relative to one space.
 
     ``reference_source`` says where ``max_reference`` came from: ``analytic``,
-    ``highest-weight``, ``numerical`` (the fixed-point estimate) or ``explicit``.
+    ``highest-weight``, ``stabilizer`` (a word space's closed bracket, exact),
+    ``numerical`` (the fixed-point estimate, a lower bound) or ``explicit``.
     ``theorem_direction`` is "iff" when ``space`` (the traceless sector measured) is an
     irreducibly represented Lie algebra, where maximal purity is equivalent to generalized
     unentanglement, and "sufficient" otherwise, where a False verdict only means "not
@@ -83,13 +84,20 @@ def numeric_max_reference(omega: ObservableSpace, seed: int = 0) -> tuple[float,
     """The ``auto`` reference and its source, cached per space and seed.
 
     An irreducibly represented Lie algebra gets the highest-weight value, an
-    exact maximum; any other space, or one whose seeded element has a degenerate
-    top eigenvalue, gets the fixed-point estimate, a lower bound.
+    exact maximum.  A word space of at most ``coherent.STABILIZER_WORD_CAP`` words
+    whose stabilizer bracket closes gets alpha / dim, also exact: a stabilizer state
+    attains it, and a split of the words into alpha pairwise-anticommuting sets bounds
+    every state by it.  Any other space, or a Lie algebra whose seeded element has a
+    degenerate top eigenvalue, gets the fixed-point estimate, a lower bound.
     """
     if omega.irreducible_lie:
         value = coherent.highest_weight_purity(omega, seed)
         if value is not None:
             return value, "highest-weight"
+    if omega.masks is not None and omega.size <= coherent.STABILIZER_WORD_CAP:
+        commuting, split = coherent.stabilizer_bracket(omega)
+        if split is not None:
+            return len(commuting) / omega.dim, "stabilizer"
     return coherent.max_purity_estimate(omega, seed=seed), "numerical"
 
 

@@ -31,8 +31,9 @@ def dense_spin_generators(j) -> list[np.ndarray]:
 
 
 def eigh_scs(j, direction) -> QuantumState:
-    """Top eigenvector of n . J for a unit vector n, its largest-magnitude amplitude made real
-    and positive; refused when the top eigenvalue is degenerate, is not J, or leaves a residual."""
+    """Top eigenvector of n . J for a unit vector n, its largest-magnitude amplitude (the first
+    within a relative 1e-12 of the largest) made real and positive; refused when the top
+    eigenvalue is degenerate, is not J, or leaves a residual."""
     j = _validate_spin(j)
     jx, jy, jz = dense_spin_generators(j)
     n = np.asarray(direction, dtype=float).reshape(3)
@@ -45,7 +46,8 @@ def eigh_scs(j, direction) -> QuantumState:
     if abs(evals[-1] - j) > 1e-10:
         raise ValueError(f"top eigenvalue {evals[-1]} differs from J={j}")
     v = evecs[:, -1]
-    k = int(np.argmax(np.abs(v)))
+    size = np.abs(v)
+    k = int(np.argmax(size >= size.max() * (1 - 1e-12)))  # the first of the largest
     v = v * (abs(v[k]) / v[k])
     resid = np.linalg.norm(h @ v - j * v)
     if resid > 1e-9:

@@ -451,11 +451,14 @@ def word_files(draw):
 def test_custom_word_file_exit_0_2_or_3(command, content, qubits, rescale):
     length, lines = content
     qubits = length if qubits is None else qubits
-    if rescale in (None, "auto") and length > 4:
-        rescale = "1"  # the fixed-point reference takes minutes on ten-letter words
     words = {line.strip().upper() for line in lines if line.strip() and not line.startswith("#")}
     valid = (words and all(len(w) == length and set(w) <= set("IXYZ") for w in words)
              and words != {"I" * length} and length <= 10)
+    # four or fewer words commute along a perfect graph (Lovász 1972), so their stabilizer
+    # bracket closes: the default and auto references are exact and take milliseconds
+    exact = len(words - {"I" * length}) <= 4
+    if rescale in (None, "auto") and length > 4 and not exact:
+        rescale = "1"  # the fixed-point reference takes minutes on ten-letter words
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "words.txt")
         with open(path, "w", encoding="utf-8") as fh:
@@ -471,6 +474,8 @@ def test_custom_word_file_exit_0_2_or_3(command, content, qubits, rescale):
         assert "rescaled=" in out
     if valid and qubits == length and rescale == "1":
         assert code == 0, (lines, err)  # raw purity stays below 1 - 1/dim
+    if valid and qubits == length and exact and rescale in (None, "auto"):
+        assert code == 0, (lines, err)  # an exact reference bounds every state
 
 
 # entries 0-2, or any output count after a one-input side: every shape that parses

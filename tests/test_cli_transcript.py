@@ -40,6 +40,10 @@ INPUTS = {
     "mixture.json": _box(MIXTURE_BOX),  # half the PR box, half a product vertex
     "signalling.json": _box(SIGNALLING_BOX),
     "words.txt": "XX\n# a comment\nZZ\n\nXY\n",
+    # two of the four commute and they split into two anticommuting pairs: exactly 2 / 1024
+    "ten.txt": "IZZIXZZYXI\nZYIXYIZXYZ\nZYYZXYYXZX\nZZIIXXXYYX\n",
+    # they commute along a 5-cycle: 2 commuting, 3 anticommuting sets, so the fixed point
+    "cycle.txt": "IX\nIY\nXX\nYI\nZY\n",
     "pure.json": '{"dim": 4, "kind": "pure", '
                  '"amplitudes": [[0.6, 0], [0, 0], [0, 0.48], [0.64, 0]]}',
     "mixed.json": '{"dim": 2, "kind": "density", "matrix": [[[0.75, 0], [0, 0.25]], '
@@ -65,6 +69,9 @@ def _commands() -> list[list[str]]:
                 for json_flag in ([], ["--json"]):
                     commands.append([command, "--state", state, "--algebra", algebra,
                                      *rescale, *json_flag])
+    for algebra, state in (("custom:ten.txt", "ghz:10"), ("custom:cycle.txt", "bell:phi+")):
+        for json_flag in ([], ["--json"]):
+            commands.append(["purity", "--state", state, "--algebra", algebra, *json_flag])
     for j, m in SPINS:
         for command in ("purity", "classify"):
             for flags in ([], ["--json"], ["--rescale", "auto", "--json"]):

@@ -1,3 +1,5 @@
+import itertools
+import random
 import tracemalloc
 
 import numpy as np
@@ -5,12 +7,14 @@ import pytest
 
 from getk import catalog
 from getk.coherent import (
+    STABILIZER_WORD_CAP,
     highest_weight_purity,
     max_purity_estimate,
     orbit_sample,
     scs,
     spin_basis_state,
     spin_generators,
+    stabilizer_bracket,
 )
 from getk.operators import (
     ObservableSpace,
@@ -150,11 +154,22 @@ class TestSCS:
 
     @pytest.mark.parametrize("j", ORACLE_SPINS)
     def test_equals_the_eigh_oracle(self, j):
-        # +-z, +x and seeded directions; on the rest of the equator two amplitudes tie in
-        # magnitude, and which of them the phase rule makes positive is a matter of roundoff
+        # +-z, +x and seeded directions; the rest of the equator, where two amplitudes tie
+        # in magnitude, is test_equator_ties_go_to_the_first_amplitude
         directions = [[0, 0, 1], [0, 0, -1], [1, 0, 0]] + unit_directions(int(2 * j), 6)
         for n in directions:
             assert np.max(np.abs(scs(j, n).vector - eigh_scs(j, n).vector)) <= 1e-12
+
+    @pytest.mark.parametrize("j", [k / 2 for k in range(1, 28)])
+    def test_equator_ties_go_to_the_first_amplitude(self, j):
+        # on the equator amplitudes k and 2J - k have equal magnitude: the first of them is
+        # made real and positive, whichever of the two roundoff leaves larger
+        for phi in np.arange(12) * np.pi / 6:
+            n = [np.cos(phi), np.sin(phi), 0.0]
+            v = scs(j, n).vector
+            first = int(np.argmax(np.abs(v) >= np.abs(v).max() * (1 - 1e-12)))
+            assert v[first].real > 0 and abs(v[first].imag) <= 1e-15
+            assert np.max(np.abs(v - eigh_scs(j, n).vector)) <= 1e-12
 
     def test_eigenvalue_residual_randomized(self):
         count = 0
@@ -376,6 +391,159 @@ class TestHighestWeightPurity:
         for estimate in (highest_weight_purity, max_purity_estimate):
             with pytest.raises(ValueError, match="non-negative"):
                 estimate(catalog.omega1(), seed=-1)
+
+
+def seeded_words(seed: int, length: int, count: int) -> list[str]:
+    """``count`` distinct words of ``length`` letters other than the identity, drawn in order
+    by ``random.Random(seed)``."""
+    rng, words = random.Random(seed), []
+    while len(words) < count:
+        word = "".join(rng.choice("IXYZ") for _ in range(length))
+        if word != "I" * length and word not in words:
+            words.append(word)
+    return words
+
+
+def brute_force_bracket(words) -> tuple[int, int]:
+    """The largest pairwise-commuting subset's size and the fewest pairwise-anticommuting sets
+    covering the words, over every subset, with commutation read from dense products."""
+    mats = [pauli_string(w) for w in words]
+    n = len(words)
+    anti = [[not np.any(a @ b + b @ a) for b in mats] for a in mats]
+
+    def pairwise(subset, relation):
+        members = [a for a in range(n) if subset >> a & 1]
+        return all(relation(anti[a][b]) for a in members for b in members if a < b)
+
+    alpha = max(bin(s).count("1") for s in range(1 << n) if pairwise(s, lambda x: not x))
+    anticommuting = {s for s in range(1, 1 << n) if pairwise(s, bool)}
+    cover = [0] * (1 << n)
+    for subset in range(1, 1 << n):
+        low, rest, best = subset & -subset, subset ^ (subset & -subset), n
+        part = rest
+        while True:  # every part of the subset that holds its lowest word
+            if part | low in anticommuting:
+                best = min(best, cover[subset ^ (part | low)] + 1)
+            if not part:
+                break
+            part = (part - 1) & rest
+        cover[subset] = best
+    return alpha, cover[-1]
+
+
+def joint_eigenvector(words, members) -> np.ndarray:
+    """The top eigenvector of a seeded generic sum of the commuting words ``members``: a joint
+    eigenvector of all of them (their sign patterns give the sum distinct eigenvalues)."""
+    rng = np.random.default_rng(len(words))
+    h = sum(c * pauli_string(words[a]) for c, a in zip(rng.normal(size=len(members)), members))
+    return np.linalg.eigh(h)[1][:, -1]
+
+
+def check_certificates(words, commuting, split):
+    """The commuting set commutes pairwise; the split, if any, has as many sets, each of them
+    pairwise anticommuting, and holds every word once."""
+    mats = [pauli_string(w) for w in words]
+    for a, b in itertools.combinations(commuting, 2):
+        assert np.array_equal(mats[a] @ mats[b], mats[b] @ mats[a]), (words, a, b)
+    if split is not None:
+        assert len(split) == len(commuting)
+        assert sorted(a for part in split for a in part) == list(range(len(words)))
+        for part in split:
+            for a, b in itertools.combinations(part, 2):
+                assert not np.any(mats[a] @ mats[b] + mats[b] @ mats[a]), (words, a, b)
+
+
+FIVE_CYCLE = ["IX", "IY", "XX", "YI", "ZY"]  # they commute along a 5-cycle: no 2-colouring
+
+
+class TestStabilizerBracket:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_equals_the_brute_force_bracket(self, seed):
+        rng = random.Random(seed)
+        length = rng.randint(1, 4)
+        words = seeded_words(seed, length, rng.randint(1, min(10, 4 ** length - 1)))
+        commuting, split = stabilizer_bracket(ObservableSpace(words))
+        check_certificates(words, commuting, split)
+        alpha, cover = brute_force_bracket(words)
+        assert (len(commuting), split is not None) == (alpha, cover == alpha), words
+
+    def test_brute_force_sees_both_answers(self):
+        brackets = [brute_force_bracket(seeded_words(seed, 3, 8)) for seed in range(20)]
+        assert any(a == c for a, c in brackets) and any(a < c for a, c in brackets)
+
+    def test_five_cycle_stays_open(self):
+        # alpha = 2 and the cover is 3, so the fixed point keeps the reference
+        space = ObservableSpace(FIVE_CYCLE)
+        commuting, split = stabilizer_bracket(space)
+        check_certificates(FIVE_CYCLE, commuting, split)
+        assert (len(commuting), split) == (2, None)
+        assert brute_force_bracket(FIVE_CYCLE) == (2, 3)
+        value, source = numeric_max_reference(space, 0)
+        assert source == "numerical" and 2 / 4 - 1e-12 <= value <= 3 / 4 + 1e-12
+
+    @pytest.mark.parametrize("name, value", [
+        ("omega3", 3 / 8), ("omega-prime-loc", 1 / 2), ("so4-fermi", 1 / 2)])
+    def test_catalog_references_are_exact(self, name, value):
+        assert numeric_max_reference(catalog.named_algebra(name), 0) == (value, "stabilizer")
+
+    @pytest.mark.parametrize("name", ["omega2-paper-values", "omega4"])
+    def test_catalog_spaces_left_to_the_fixed_point(self, name):
+        # su(4) on two of three qubits: alpha = 3 but no split into 3 anticommuting sets;
+        # omega4 has 27 words, above the cap
+        space = catalog.named_algebra(name)
+        assert numeric_max_reference(space, 0)[1] == "numerical"
+        if space.size <= STABILIZER_WORD_CAP:
+            assert stabilizer_bracket(space)[1] is None
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_the_joint_eigenvector_attains_alpha(self, seed):
+        # every commuting word has <P> = +-1 on it, so its raw purity is at least alpha / 2^L,
+        # and exactly that where the split bounds every state
+        rng = random.Random(seed)
+        length = rng.randint(2, 6)
+        words = seeded_words(seed, length, rng.randint(1, min(STABILIZER_WORD_CAP,
+                                                                4 ** length - 1)))
+        space = ObservableSpace(words)
+        commuting, split = stabilizer_bracket(space)
+        check_certificates(words, commuting, split)
+        psi = QuantumState(vector=joint_eigenvector(words, commuting))
+        signs = [np.vdot(psi.vector, pauli_string(words[a]) @ psi.vector).real
+                 for a in commuting]
+        assert np.allclose(np.abs(signs), 1, atol=1e-12, rtol=0)
+        raw, alpha = omega_purity(psi, space), len(commuting) / space.dim
+        assert raw >= alpha - 1e-12
+        if split is not None:
+            assert abs(raw - alpha) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_the_fixed_point_is_bracketed(self, seed):
+        # the fixed point, the oracle here, reaches alpha / 2^L at least, and no higher where
+        # the bracket closes
+        rng = random.Random(100 + seed)
+        length = rng.randint(2, 6)
+        words = seeded_words(100 + seed, length, rng.randint(2, min(STABILIZER_WORD_CAP,
+                                                                    4 ** length - 1)))
+        space = ObservableSpace(words)
+        commuting, split = stabilizer_bracket(space)
+        estimate, alpha = max_purity_estimate(space, seed=0), len(commuting) / space.dim
+        assert estimate >= alpha - 1e-12, words
+        if split is not None:
+            assert abs(estimate - alpha) <= 1e-12, words
+
+    def test_the_cap_is_checked_before_any_search(self, monkeypatch):
+        monkeypatch.setattr("getk.coherent.anticommutation_rows", None)  # no search may start
+        words = seeded_words(0, 3, STABILIZER_WORD_CAP + 1)
+        for space in (ObservableSpace(words), catalog.z_conserving_u2()):
+            with pytest.raises(ValueError, match="at most 24 words"):
+                stabilizer_bracket(space)
+
+    def test_the_cap_sends_larger_spaces_to_the_fixed_point(self, monkeypatch):
+        # the first 24 of these words close their bracket; all 25 are over the cap, so the
+        # fixed point runs and no search starts
+        words = seeded_words(0, 3, STABILIZER_WORD_CAP + 1)
+        assert numeric_max_reference(ObservableSpace(words[:-1]), 0)[1] == "stabilizer"
+        monkeypatch.setattr("getk.coherent.stabilizer_bracket", None)
+        assert numeric_max_reference(ObservableSpace(words), 0)[1] == "numerical"
 
 
 class TestGradient:

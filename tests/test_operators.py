@@ -10,6 +10,7 @@ from getk.operators import (
     ObservableSpace,
     QuantumState,
     _real_rows,
+    anticommutation_rows,
     assert_hermitian,
     bracket,
     expectation,
@@ -527,6 +528,17 @@ class TestPauliWords:
             assert np.array_equal(pauli_string(word), dense_word(word))
             assert pauli_word(*pauli_masks(word), length) == word
             assert pauli_masks(word.lower()) == pauli_masks(word)
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 5])
+    def test_anticommutation_rows_match_the_dense_products(self, length):
+        # every word up to two letters; 30 drawn words of three and five
+        words = (["".join(w) for w in itertools.product("IXYZ", repeat=length)] if length < 3
+                 else list(dict.fromkeys(random_words(np.random.default_rng(length), length, 30))))
+        masks = np.array([pauli_masks(w) for w in words], dtype=np.int64)
+        rows = list(anticommutation_rows(masks, 2 ** length))
+        mats = [dense_word(w) for w in words]
+        assert [[not np.any(p @ q + q @ p) for q in mats] for p in mats] == [
+            row.tolist() for row in rows]
 
     @pytest.mark.parametrize("word", ["", "XQ", "X Y", "1"])
     def test_malformed_word_refused(self, word):

@@ -25,6 +25,7 @@ from random_states import (
     random_density_state,
     random_pure_state,
 )
+from test_coherent import FIVE_CYCLE
 
 SX, SY, SZ, ID = map(pauli_string, "XYZI")
 
@@ -156,9 +157,12 @@ class TestResolveMaxReference:
         assert resolve_max_reference(catalog.omega1(), "analytic") == (0.375, "analytic")
 
     def test_auto_and_default_without_analytic_are_numerical(self):
-        omega3 = catalog.omega3()  # not closed under the bracket: the fixed point
+        omega4 = catalog.omega4()  # not closed under the bracket, 27 words: the fixed point
+        assert resolve_max_reference(omega4) == resolve_max_reference(omega4, "auto")
+        assert resolve_max_reference(omega4)[1] == "numerical"
+        omega3 = catalog.omega3()  # 18 words whose stabilizer bracket closes at 3 / 8
         assert resolve_max_reference(omega3) == resolve_max_reference(omega3, "auto")
-        assert resolve_max_reference(omega3)[1] == "numerical"
+        assert resolve_max_reference(omega3) == (0.375, "stabilizer")
         value, source = resolve_max_reference(catalog.omega1(), "auto")
         assert source == "highest-weight" and value == pytest.approx(0.375, abs=1e-12)
 
@@ -191,7 +195,7 @@ class TestResolveMaxReference:
             return real(omega, **kwargs)
 
         monkeypatch.setattr(coherent, "max_purity_estimate", counted)
-        space = ObservableSpace(["XY", "YX", "ZZ"])
+        space = ObservableSpace(FIVE_CYCLE)  # its stabilizer bracket stays open
         for seed in (0, 0, 1, 0, 1):
             resolve_max_reference(space, "auto", seed)
         assert calls == [{"seed": 0}, {"seed": 1}]
@@ -207,7 +211,7 @@ class TestResolveMaxReference:
 
         monkeypatch.setattr(coherent, "max_purity_estimate", counted)
         path = tmp_path / "words.txt"
-        path.write_text("II\nXX\nZZ\nXY\n")
+        path.write_text("II\n" + "".join(f"{w}\n" for w in FIVE_CYCLE))
         space = catalog.named_algebra(f"custom:{path}")
         assert not space.traceless
         state = states.builtin_state("bell:phi+")

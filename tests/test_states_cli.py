@@ -294,6 +294,25 @@ def test_every_state_and_algebra_name_is_documented():
     assert len(states._BUILTINS) == 6 and undocumented == []
 
 
+def _reference_sources() -> set:
+    """The ``reference_source`` values ``purity`` can return: the text that ends each returned
+    pair (``return value, "..."``)."""
+    tree = ast.parse((Path(SRC) / "getk" / "purity.py").read_text())
+    return {node.value.elts[1].value for node in ast.walk(tree)
+            if isinstance(node, ast.Return) and isinstance(node.value, ast.Tuple)
+            and len(node.value.elts) == 2 and isinstance(node.value.elts[1], ast.Constant)}
+
+
+def test_every_reference_source_is_documented():
+    # a --json record can carry any of these; README's list and the report's docstring name each
+    sources = _reference_sources()
+    assert {"analytic", "highest-weight", "stabilizer", "numerical", "explicit"} <= sources
+    listing = next(p for p in _readme_section("Algebras").split("\n\n")
+                   if "carry `reference_source`" in p)
+    assert [s for s in sorted(sources) if f"`{s}`" not in listing] == []
+    assert [s for s in sorted(sources) if f"``{s}``" not in purity.PurityReport.__doc__] == []
+
+
 def test_library_example_runs():
     # the README's Library example is code a reader copies: a name it uses must still exist
     readme = (Path(SRC).parent / "README.md").read_text()
@@ -357,8 +376,9 @@ class TestPurityCommand:
     @pytest.mark.parametrize("algebra, rescale, source", [
         ("omega1", [], "analytic"),
         ("omega1", ["--rescale", "auto"], "highest-weight"),
-        ("omega3", [], "numerical"),
+        ("omega3", [], "stabilizer"),
         ("omega1", ["--rescale", "0.375"], "explicit"),
+        ("omega4", [], "numerical"),
     ])
     def test_json_reference_source(self, capsys, algebra, rescale, source):
         argv = ["purity", "--state", "w:3", "--algebra", algebra, *rescale]
@@ -602,6 +622,20 @@ class TestPurityCommand:
         assert code == 0
         assert out.replace(f"custom:{path}", f"local:{n}x{d}") == local
 
+    def test_ten_letter_words_get_the_stabilizer_reference(self, tmp_path):
+        # the first four distinct words random.Random(10) draws over IXYZ: two of them commute,
+        # and the four split into two anticommuting pairs, so the reference is exactly 2 / 1024
+        # with no 1024 x 1024 matrix (the fixed point gave no result in 100 s)
+        path = tmp_path / "ten_letter_words.txt"
+        path.write_text("IZZIXZZYXI\nZYIXYIZXYZ\nZYYZXYYXZX\nZZIIXXXYYX\n")
+        argv = [sys.executable, "-m", "getk.cli", "purity", "--state", "ghz:10",
+                "--algebra", f"custom:{path}", "--json"]
+        proc = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
+                              text=True, timeout=30)
+        assert proc.returncode == 0 and proc.stderr == ""
+        record = json.loads(proc.stdout)
+        assert (record["max_reference"], record["reference_source"]) == (2 / 1024, "stabilizer")
+
     def test_commands_read_no_dense_basis(self, capsys, tmp_path, monkeypatch):
         # every catalog algebra's purity and verdict, under every kind of --rescale, come from
         # the two linear maps alone: reading the dense basis fails the command
@@ -645,6 +679,8 @@ class TestPurityCommand:
         calls = []
         monkeypatch.setattr(coherent, "max_purity_estimate",
                             lambda *args, **kwargs: calls.append(args) or 1.0)
+        monkeypatch.setattr(coherent, "stabilizer_bracket",
+                            lambda *args: calls.append(args) or ([0], [[0]]))
         path = tmp_path / "three_qubit.txt"  # read afresh: no cached reference to hit
         path.write_text("XXI\nIZZ\n")
         code, out, err = run_cli(capsys, "purity", "--state", "bell:phi+",
