@@ -13,10 +13,12 @@ and box-table files share: :class:`StateParseError`, :func:`read_json_file`
 and :func:`whole_number`.  They live here, in the one module every command
 runs anyway, so that reading a state file runs no box code.  For everything
 else, import the submodule you need.
-"""
 
-import json
-from fractions import Fraction
+Neither helper's stdlib loads with the package: ``json`` is imported when a JSON file
+is read, and ``fractions`` (with the ``decimal`` it loads) when a number that is not a
+plain ``int`` is checked, so a command that reads no file and builds no exact number
+starts without them.
+"""
 
 __version__ = "0.1.0"
 
@@ -25,13 +27,15 @@ class StateParseError(ValueError):
     """A state name, state file or box-table file could not be parsed."""
 
 
-def read_json_file(path: str, decoder: type[json.JSONDecoder] | None = None):
+def read_json_file(path: str, decoder: "type[json.JSONDecoder] | None" = None):
     """Decode a JSON input file; a missing or malformed file is a StateParseError.
 
     ``decoder`` is the ``json.JSONDecoder`` class that ``json.load`` uses (json's own by
     default; state files pass ``states.StateFileDecoder``).  Whichever decodes, an
     unopenable file, invalid JSON and nesting too deep to decode map to the same errors.
     """
+    import json
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh, cls=decoder)
@@ -44,9 +48,16 @@ def read_json_file(path: str, decoder: type[json.JSONDecoder] | None = None):
 
 
 def whole_number(value) -> int:
-    """A JSON number (or numeric string) that must be a whole number; never truncated."""
+    """A JSON number (or numeric string) that must be a whole number; never truncated.
+
+    A plain ``int`` (every integer JSON decodes) is returned as it is; any other value is
+    read by ``fractions.Fraction``, whose errors a value it cannot read raises."""
     if isinstance(value, bool):  # JSON true is not 1
         raise TypeError(f"expected an integer, got {value!r}")
+    if type(value) is int:
+        return value
+    from fractions import Fraction
+
     exact = Fraction(value)
     if exact.denominator != 1:
         raise ValueError(f"expected an integer, got {value!r}")

@@ -8,7 +8,6 @@ computed from its Lie structure, which ``ObservableSpace`` decides (none is decl
 
 import itertools
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -36,6 +35,12 @@ def local_algebra(n: int, d0: int, label: str | None = None) -> ObservableSpace:
         raise ValueError(f"site dimension {d0} exceeds the supported {MAX_SITE_DIM}")
     return ObservableSpace(gell_mann_basis(d0), label or f"local:{n}x{d0}", sites=n,
                            max_purity=max_purity)
+
+
+def _spin_text(dim: int) -> str:
+    """J = (dim - 1) / 2 as ``str(Fraction(J))`` writes it ("1", "3/2"), read from 2J."""
+    two_j = dim - 1
+    return str(two_j // 2) if two_j % 2 == 0 else f"{two_j}/2"
 
 
 def _two_body_words(pairs, n: int = 3) -> list[str]:
@@ -133,7 +138,7 @@ def spin_algebra(j) -> ObservableSpace:
     nrm = np.sqrt(j * (j + 1) * dim / 3.0)
     ops = [g / nrm for g in generators]
     max_ref = 3.0 * j / ((j + 1) * (2 * j + 1))
-    return ObservableSpace(ops, f"su2-spin:{Fraction(j)}", max_purity=max_ref)
+    return ObservableSpace(ops, f"su2-spin:{_spin_text(dim)}", max_purity=max_ref)
 
 
 @lru_cache(maxsize=32)  # bounded: keyed by caller input, each entry keeps its space alive
@@ -147,7 +152,7 @@ def restricted_local_spins(j) -> ObservableSpace:
     site = spin_algebra(j)
     j = (site.dim - 1) / 2
     max_ref = 6.0 * j / ((j + 1) * (2 * j + 1) ** 2)
-    return ObservableSpace(site.site_basis, f"su2x2-spin:{Fraction(j)}", sites=2,
+    return ObservableSpace(site.site_basis, f"su2x2-spin:{_spin_text(site.dim)}", sites=2,
                            max_purity=max_ref)
 
 

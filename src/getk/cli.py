@@ -11,7 +11,9 @@ that reads it: ``--rescale`` to ``purity.resolve_max_reference``.
 
 Importing this module registers every getk module lazily: each runs at its
 first attribute access, so ``boxes`` commands load only the pure-Fraction
-``boxes`` module and never numpy.  Getk names are read through their module
+``boxes`` module and never numpy.  Of the stdlib, this module loads only what
+parses the command line; ``json`` is imported by the ``--json`` branch of
+``_emit`` and by the file readers.  Getk names are read through their module
 at call time, never bound by ``from .x import name``.  The ``getk`` command
 (:func:`entry_point`) ends with ``os._exit`` once its output is flushed:
 it writes no files and registers no exit handler, so interpreter teardown
@@ -20,7 +22,6 @@ would only free memory the process is about to give back.
 
 import argparse
 import importlib.util
-import json
 import os
 import sys
 
@@ -60,6 +61,8 @@ def _fmt_value(v) -> str:
 
 def _emit(record: dict, json_mode: bool):
     if json_mode:
+        import json  # only --json writes JSON: the key=value commands start without it
+
         # default= sees only Fractions, the one non-JSON type any record holds
         print(json.dumps(record, default=lambda q: [q.numerator, q.denominator]))
     else:

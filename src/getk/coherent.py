@@ -212,7 +212,11 @@ def max_purity_estimate(omega: ObservableSpace, restarts: int = 32, seed: int = 
     convex in rho and the new psi maximizes <H> over pure states, so no step
     lowers it; at a fixed point H psi = lambda psi, so the tangent part of the
     purity's gradient, 4 sum_a <X_a> X_a psi, vanishes.  Deterministic for a
-    fixed seed; the returned value is a lower bound on the true maximum.
+    fixed seed.  The returned value is the purity of an actual state, so in exact
+    arithmetic a lower bound on the true maximum; in floating point it can exceed
+    that maximum by roundoff of about 1e-15 relative (0.5000000000000009 on
+    ``omega-prime-loc``, whose maximum is 1/2), so a caller comparing it with an
+    exact bound needs a tolerance.
     The restarts run one after another: stacking their H matrices would hold
     restarts * dim^2 complex numbers at once.  Size x dim^2 over MAX_ENTRIES is refused.
     """

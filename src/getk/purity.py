@@ -9,7 +9,6 @@ and :func:`resolve_max_reference` the whole rescaling rule, the ``--rescale`` te
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -26,25 +25,48 @@ from .operators import (
 )
 
 
-@dataclass(frozen=True)
 class PurityReport:
     """Raw and max-rescaled purity of one state relative to one space.
 
     ``reference_source`` says where ``max_reference`` came from: ``analytic``,
     ``highest-weight``, ``stabilizer`` (a word space's closed bracket, exact),
-    ``numerical`` (the fixed-point estimate, a lower bound) or ``explicit``.
+    ``numerical`` (the fixed-point estimate, a lower bound up to roundoff) or ``explicit``.
     ``theorem_direction`` is "iff" when ``space`` (the traceless sector measured) is an
     irreducibly represented Lie algebra, where maximal purity is equivalent to generalized
     unentanglement, and "sufficient" otherwise, where a False verdict only means "not
     certified"; the structure is decided only when it is read.
+
+    Immutable, hashable and equal only to a report of the same class with equal fields.
     """
 
-    raw: float
-    rescaled: float
-    max_reference: float
-    space: ObservableSpace
-    reference_source: str
-    pure: bool
+    __slots__ = ("raw", "rescaled", "max_reference", "space", "reference_source", "pure")
+
+    def __init__(self, raw: float, rescaled: float, max_reference: float, space: ObservableSpace,
+                 reference_source: str, pure: bool):
+        for name, value in zip(self.__slots__, (raw, rescaled, max_reference, space,
+                                                reference_source, pure)):
+            object.__setattr__(self, name, value)  # past the __setattr__ guard
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
+        return f"{type(self).__qualname__}({fields})"
 
     @property
     def theorem_direction(self) -> str:
@@ -88,7 +110,7 @@ def numeric_max_reference(omega: ObservableSpace, seed: int = 0) -> tuple[float,
     whose stabilizer bracket closes gets alpha / dim, also exact: a stabilizer state
     attains it, and a split of the words into alpha pairwise-anticommuting sets bounds
     every state by it.  Any other space, or a Lie algebra whose seeded element has a
-    degenerate top eigenvalue, gets the fixed-point estimate, a lower bound.
+    degenerate top eigenvalue, gets the fixed-point estimate, a lower bound up to roundoff.
     """
     if omega.irreducible_lie:
         value = coherent.highest_weight_purity(omega, seed)

@@ -7,7 +7,6 @@ the reference and reports one PASS/FAIL line; informational records
 never fail the run.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from typing import Callable
@@ -285,19 +284,27 @@ class _Run:
         return None, f"separable={_bool(sep)} (recorded, no reference value)"
 
 
-@dataclass(frozen=True)
 class Check:
     """One golden check: ``measure(run)`` against ``expected``.
 
     A numeric ``expected`` passes within ``tol``; ``True`` passes when the
     measure is truthy.  With ``expected=None`` the measure judges itself and
     returns ``(ok, detail)``, where ``ok=None`` marks an informational record.
+    A check is immutable.
     """
 
-    name: str
-    measure: Callable
-    expected: float | bool | None = None
-    tol: float = 1e-10
+    __slots__ = ("name", "measure", "expected", "tol")
+
+    def __init__(self, name: str, measure: Callable, expected: float | bool | None = None,
+                 tol: float = 1e-10):
+        for field, value in zip(self.__slots__, (name, measure, expected, tol)):
+            object.__setattr__(self, field, value)  # past the __setattr__ guard
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def result(self, run: _Run) -> tuple[bool | None, str]:
         """``(ok, line)``: the verdict, None for an informational record, and its output line."""

@@ -376,6 +376,15 @@ class TestSpinAlgebra:
         half = catalog.spin_algebra(1.5)
         assert half.label == "su2-spin:3/2"
 
+    def test_label_writes_j_as_its_fraction(self):
+        # J is written from 2J, exactly as Fraction writes it, for every spin under MAX_DIM
+        assert all(catalog._spin_text(two_j + 1) == str(Fraction(two_j, 2))
+                   for two_j in range(1, catalog.MAX_DIM))
+        for two_j in (1, 2, 3, 4, 7, 8, 31):  # both spaces, up to the largest two-site spin
+            j = Fraction(two_j, 2)
+            assert catalog.spin_algebra(two_j / 2).label == f"su2-spin:{j}"
+            assert catalog.restricted_local_spins(two_j / 2).label == f"su2x2-spin:{j}"
+
     @pytest.mark.parametrize("j", ORACLE_SPINS)
     def test_site_basis_is_the_dense_construction(self, j):
         # the generators filled in entry by entry, each divided by sqrt(J(J+1)(2J+1)/3)

@@ -155,6 +155,17 @@ def test_caches_keyed_by_arguments_are_bounded():
     assert unbounded == []
 
 
+def test_cli_import_leaves_json_and_exact_numbers_out():
+    # the command line is parsed with argparse alone: json is loaded to read or write JSON,
+    # fractions (and the decimal it loads) to make an exact number, dataclasses never
+    env = dict(os.environ, PYTHONPATH=SRC)
+    probe = ("import sys, getk.cli\n"
+             "print([m for m in ('json', 'fractions', 'decimal', 'dataclasses') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
 @pytest.mark.parametrize("module", ["getk", "getk.boxes", "getk.cli"])
 def test_import_leaves_numpy_out(module):
     # the box side is pure int and Fraction code, the package exports only its three
@@ -258,26 +269,27 @@ CATALOG_STATES = [
     ("u2", "bell:psi+"), ("so4-fermi", "fock:m2:11"), ("local:3x2", "ghz:3"),
     ("su2-spin:3/2", "spin:3/2,1/2"),
 ]
+# no json in the probe: the commands alone decide whether it loads
 COMMAND_PROBE = """\
-import contextlib, io, json, sys, types
+import ast, contextlib, io, sys, types
 from getk import cli
 loaded = []
-for argv in json.loads(sys.argv[1]):
+for argv in ast.literal_eval(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
     # a getk module the command only registered is in sys.modules but has not run
     loaded.append([argv, code, *(type(sys.modules.get(m)) is types.ModuleType
                                  for m in sys.argv[2:])])
-print(json.dumps(loaded))
+print(repr(loaded))
 """
 
 
 def _run_commands(runs, *modules):
     """Run commands in turn in one fresh process: [argv, exit code, each module run yet]."""
     env = dict(os.environ, PYTHONPATH=SRC)
-    out = subprocess.run([sys.executable, "-c", COMMAND_PROBE, json.dumps(runs), *modules],
+    out = subprocess.run([sys.executable, "-c", COMMAND_PROBE, repr(runs), *modules],
                          env=env, check=True, capture_output=True, text=True).stdout
-    return json.loads(out)
+    return ast.literal_eval(out)
 
 
 SIGNALLING_TABLE = {  # Bob's outcome on input 0 follows Alice's input
@@ -305,6 +317,35 @@ def test_box_commands_leave_numpy_out(tmp_path, command):
     runs = [["boxes", command, *args] for args, _ in cases]
     assert _run_commands(runs, "numpy", "dataclasses", "inspect") == [
         [argv, code, False, False, False] for argv, (_, code) in zip(runs, cases)]
+
+
+def test_box_vertices_leaves_json_out():
+    # the key=value vertex table reads and writes no JSON; --json loads the encoder
+    runs = [["boxes", "vertices", "--size", "2,2"], ["boxes", "vertices", "--size", "2,2", "--json"]]
+    assert _run_commands(runs, "json") == [[runs[0], 0, False], [runs[1], 0, True]]
+
+
+def _state_files(tmp_path):
+    """[algebra, state file] pairs: a pure and a density state of dimension 4."""
+    pure, density = tmp_path / "pure.json", tmp_path / "density.json"
+    pure.write_text(json.dumps({"dim": 4, "amplitudes": [[0.6, 0], [0, 0.8], [0, 0], [0, 0]]}))
+    density.write_text(json.dumps({"dim": 4, "kind": "density", "matrix": [
+        [[0.25 * (i == j), 0] for j in range(4)] for i in range(4)]}))
+    return [("omega-prime-loc", str(pure)), ("u2", str(density))]
+
+
+def test_purity_commands_load_no_dataclasses_and_no_exact_numbers(tmp_path):
+    # a report is a plain class, a JSON dim is a plain int, and a spin label is formatted
+    # from 2J, so no purity or classify command loads dataclasses, fractions or decimal
+    # (classify refuses the mixed state, exit 2)
+    runs = [[command, "--state", state, "--algebra", algebra, *rescale]
+            for algebra, state in CATALOG_STATES + _state_files(tmp_path)
+            for command in ("purity", "classify")
+            for rescale in ([], ["--rescale", "auto"])]
+    expected_code = [2 if argv[0] == "classify" and argv[2].endswith("density.json") else 0
+                     for argv in runs]
+    assert _run_commands(runs, "dataclasses", "fractions", "decimal") == [
+        [argv, code, False, False, False] for argv, code in zip(runs, expected_code)]
 
 
 def test_purity_commands_leave_numpy_random_unloaded():

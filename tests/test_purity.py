@@ -137,6 +137,19 @@ class TestRescaledPurity:
             got = rescaled_purity(states.builtin_state(name), space).rescaled
             assert got == pytest.approx(val, abs=1e-10)
 
+    def test_report_is_immutable_and_compared_by_value(self):
+        # as a frozen dataclass would be, without the dataclass machinery
+        state, omega = states.builtin_state("ghz:3"), catalog.omega1()
+        report, twin = rescaled_purity(state, omega), rescaled_purity(state, omega)
+        assert report == twin and hash(report) == hash(twin) and report is not twin
+        assert report != rescaled_purity(state, omega, max_reference=0.5)
+        assert repr(report).startswith("PurityReport(raw=")
+        for name in ("raw", "rescaled", "max_reference", "space", "reference_source", "pure"):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(report, name, None)
+            with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+                delattr(report, name)
+
     def test_explicit_reference(self):
         rep = rescaled_purity(states.builtin_state("ghz:3"), catalog.omega1(), max_reference=0.375)
         assert rep.max_reference == 0.375

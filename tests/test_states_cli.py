@@ -3,6 +3,7 @@ import contextlib
 import io
 import itertools
 import json
+import math
 import os
 import random
 import re
@@ -16,7 +17,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from getk import boxes, catalog, cli, coherent, fermion, operators, purity, states
+from getk import (boxes, catalog, cli, coherent, fermion, operators, purity, reproduce, states,
+                  whole_number)
 from getk.operators import MAX_DIM, ObservableSpace, QuantumState, gell_mann_basis, pauli_string
 from random_states import perturbed_builtins, random_density_state
 from test_boxes import product_table
@@ -207,6 +209,29 @@ class TestNumberTokens:
 
     def test_catalog_uses_the_same_parser(self):
         assert catalog.named_algebra("su2-spin:3/2") is catalog.spin_algebra(1.5)
+
+
+class TestWholeNumber:
+    # the integer rule of state and box files: exact, never truncated; a value it cannot
+    # read raises what Fraction raises for it
+    @pytest.mark.parametrize("value, want", [(2, 2), (10 ** 30, 10 ** 30), (2.0, 2), ("2", 2),
+                                             ("6/3", 2)])
+    def test_whole_values(self, value, want):
+        got = whole_number(value)
+        assert type(got) is int and got == want
+
+    @pytest.mark.parametrize("value, error, message", [
+        (True, TypeError, "expected an integer, got True"),
+        (2.5, ValueError, "expected an integer, got 2.5"),
+        (math.inf, OverflowError, "cannot convert Infinity to integer ratio"),
+        (math.nan, ValueError, "cannot convert NaN to integer ratio"),
+        ("abc", ValueError, "Invalid literal for Fraction: 'abc'"),
+        (None, TypeError, "argument should be a string or a Rational instance"),
+    ], ids=["true", "2.5", "inf", "nan", "abc", "none"])
+    def test_refused_values(self, value, error, message):
+        with pytest.raises(error) as info:
+            whole_number(value)
+        assert type(info.value) is error and str(info.value) == message
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -1015,6 +1040,13 @@ class TestReproduceCommand:
         names = out.strip().splitlines()
         assert "p1/ghz:3" in names and "boxes/vertex-census" in names
         assert len(names) >= 30
+
+    def test_check_is_immutable_with_its_defaults(self):
+        check = reproduce.Check("name", len)
+        assert (check.expected, check.tol) == (None, 1e-10)
+        for name in ("name", "measure", "expected", "tol"):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(check, name, None)
 
     def test_full_run_passes(self, paper_run):
         code, out, _ = paper_run
