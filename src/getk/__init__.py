@@ -27,18 +27,19 @@ class StateParseError(ValueError):
     """A state name, state file or box-table file could not be parsed."""
 
 
-def read_json_file(path: str, decoder: "type[json.JSONDecoder] | None" = None):
-    """Decode a JSON input file; a missing or malformed file is a StateParseError.
+def read_json_file(path: str):
+    """Decode a JSON input file whole with ``json.load``; a missing or malformed file is a
+    StateParseError.
 
-    ``decoder`` is the ``json.JSONDecoder`` class that ``json.load`` uses (json's own by
-    default; state files pass ``states.StateFileDecoder``).  Whichever decodes, an
-    unopenable file, invalid JSON and nesting too deep to decode map to the same errors.
+    Box-table files are read here.  State files are streamed by ``states``, which hands a
+    text it cannot read as one complete object to this function, so a malformed state file
+    gets the same error as any other JSON input.
     """
     import json
 
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, cls=decoder)
+            return json.load(fh)
     except OSError as exc:
         raise StateParseError(f"state: cannot open {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -7,14 +7,21 @@ letters follow the one-particle convention used by the fermionic dictionary:
 phi+- are the one-particle superpositions (|01> +- |10>)/sqrt2 and psi+- the
 number superpositions (|00> +- |11>)/sqrt2.
 
-A state file is JSON decoded by ``StateFileDecoder``: json's own object and
-array parsers and its scanner read every key, value and matrix row, but each
-row of a top-level ``"matrix"`` becomes a float array as soon as it is read,
-so the nested lists of a whole density matrix never exist at once.  ``dim`` is
-checked against ``MAX_DIM`` before the rows are stacked into one matrix.
+A state file is read as a stream (``_stream_state_file``): ``_CHUNK`` characters
+at a time, its top-level object member by member with json's public
+``JSONDecoder.raw_decode``, and each row of a top-level ``"matrix"`` array into a
+float array as soon as the row is whole, so neither the whole text nor the
+nested lists of a density matrix are ever held.  A text that is not one complete
+JSON object (malformed, truncated, a BOM, trailing data, another top-level
+value) is read whole by ``json.load`` instead, so the state or the error is
+json's.  ``dim`` is checked against ``MAX_DIM`` before the rows are stacked into
+one matrix, and the rows are dropped before the matrix is validated.  ``json``
+loads only when a file is read.
 """
 
-import json
+import os
+import re
+import stat
 
 import numpy as np
 
@@ -135,51 +142,143 @@ def _matrix_row(entry):
     return entry if row is None else row
 
 
-class _LastKey(dict):
-    """A ``memo`` for json's ``JSONObject``, which passes each key through
-    ``memo.setdefault(key, key)`` just before it scans that key's value."""
-
-    last = None
-
-    def setdefault(self, key, default=None):
-        self.last = key
-        return default
+_CHUNK = 1 << 16  # characters a state file is read by
+_WHITESPACE = re.compile(r"[ \t\n\r]*")  # JSON's four whitespace characters
+_ROW_END = re.compile(r"\][ \t\n\r]*\]")  # how a row of [re, im] pairs ends
 
 
-class StateFileDecoder(json.JSONDecoder):
-    """``json.loads`` for a state file, except that each element of a top-level
-    ``"matrix"`` array passes through ``_matrix_row`` as soon as it is read.
+class _NotOneObject(ValueError):
+    """The streamed text is not one complete JSON object; json.load reads it whole."""
 
-    json's own ``parse_object`` and ``parse_array`` read that envelope, so its grammar and
-    messages are the running Python's json's; json's C scanner reads every key, value and
-    row.  Any text whose top level is not an object is json's to decode.
+
+class _StateText:
+    """A state file's text, read ``_CHUNK`` characters at a time.
+
+    ``buf[pos:]`` is the text not yet consumed; ``cut`` is an index past the end of a
+    ``"matrix"`` row at or after ``pos`` (0 when none is known).  A value is accepted only
+    when at least three characters follow it in the buffer, or at EOF: a read may end in
+    the middle of a number, as in ``24|3`` or ``1e-|5``, whose start json would read as 24
+    or 1.
     """
 
-    def __init__(self, **kwargs):
-        super().__init__(**kwargs)
-        scan = self.scan_once
+    __slots__ = ("fh", "decode", "buf", "pos", "cut", "eof")
 
-        def scan_row(s, idx):
-            entry, idx = scan(s, idx)
-            return _matrix_row(entry), idx
+    def __init__(self, fh, decode):
+        self.fh, self.decode = fh, decode
+        self.buf, self.pos, self.cut, self.eof = "", 0, 0, False
 
-        def scan_top(s, idx):
-            if not s.startswith("{", idx):
-                return scan(s, idx)
-            keys = _LastKey()
+    def more(self) -> None:
+        """Drop the consumed text and read on, at least as much as is left unconsumed, so
+        a value that keeps running past the buffer is scanned O(1) times per character."""
+        size = max(_CHUNK, len(self.buf) - self.pos)
+        text = self.fh.read(size)
+        self.buf = self.buf[self.pos:] + text
+        self.pos, self.cut, self.eof = 0, 0, len(text) < size
 
-            def scan_value(s, idx):
-                if keys.last == "matrix" and s.startswith("[", idx):
-                    return self.parse_array((s, idx + 1), scan_row)
-                return scan(s, idx)
+    def peek(self) -> str:
+        """Skip whitespace; the next character, or "" at EOF."""
+        while True:
+            self.pos = _WHITESPACE.match(self.buf, self.pos).end()
+            if self.pos < len(self.buf) or self.eof:
+                return self.buf[self.pos:self.pos + 1]
+            self.more()
 
-            return self.parse_object((s, idx + 1), self.strict, scan_value,
-                                     self.object_hook, self.object_pairs_hook, keys)
+    def take(self, allowed: str) -> str:
+        """The next character past whitespace, which must be one of ``allowed``."""
+        char = self.peek()
+        if not char or char not in allowed:
+            raise _NotOneObject
+        self.pos += 1
+        return char
 
-        self.scan_once = scan_top
+    def value(self):
+        """The JSON value at ``pos``, read by json's ``raw_decode``."""
+        while True:
+            try:
+                value, end = self.decode(self.buf, self.pos)
+            except (ValueError, RecursionError):  # cut off by the read, or not JSON at all
+                if self.eof:
+                    raise _NotOneObject from None
+            else:
+                if end + 2 < len(self.buf) or self.eof:
+                    self.pos = end
+                    return value
+            self.more()
+
+    def rows(self) -> list:
+        """The array at ``pos``, each element through ``_matrix_row`` as soon as it is read."""
+        self.take("[")
+        rows = []
+        if self.peek() == "]":
+            self.pos += 1
+            return rows
+        while True:
+            self.peek()
+            if self.pos >= self.cut:
+                self.cut = self._row_end()
+            rows.append(_matrix_row(self.value()))
+            if self.take(",]") == "]":
+                return rows
+
+    def _row_end(self) -> int:
+        """Past the last row end that ``value`` would accept, reading on until there is
+        one; ``len(buf)`` at EOF.  Rows written by ``json.dumps`` end in "]]", found from
+        the end of the buffer; a stretch longer than a read without one is searched for
+        "]", whitespace and "]", as indented JSON ends a row.  So a row is scanned only
+        once the buffer holds its end."""
+        while not self.eof:
+            limit = len(self.buf) - 3
+            end = self.buf.rfind("]]", self.pos, limit)
+            if end >= 0:
+                return end + 2
+            if limit - self.pos > _CHUNK:
+                ends = [m.end() for m in _ROW_END.finditer(self.buf, self.pos, limit)]
+                if ends:
+                    return ends[-1]
+            self.more()
+        return len(self.buf)
+
+
+def _stream_state_file(path: str) -> dict | None:
+    """The top-level object of a state file, read in ``_CHUNK``-character pieces by json's
+    ``JSONDecoder.raw_decode``, each row of a ``"matrix"`` array through ``_matrix_row`` as
+    soon as it is whole; the text already read is dropped.  None if the file cannot be
+    read so, or its text is not one complete JSON object with nothing but whitespace after
+    it: ``read_json_file`` then reads it whole, for the state or the error json gives.  A
+    file that is not a regular one (a pipe) is left to ``read_json_file`` unread, since
+    its text can be read only once."""
+    import json
+
+    try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            return None
+        with open(path, "r", encoding="utf-8") as fh:
+            text = _StateText(fh, json.JSONDecoder().raw_decode)
+            obj = {}
+            text.take("{")
+            if text.peek() == "}":
+                text.pos += 1
+            else:
+                while True:
+                    if text.peek() != '"':
+                        raise _NotOneObject
+                    key = text.value()
+                    text.take(":")
+                    is_matrix = text.peek() == "[" and key == "matrix"
+                    obj[key] = text.rows() if is_matrix else text.value()
+                    if text.take(",}") == "}":
+                        break
+            if text.peek():  # json.load's "Extra data"
+                raise _NotOneObject
+            return obj
+    except (OSError, ValueError, RecursionError):
+        return None
 
 
 def state_from_json_dict(obj: dict) -> QuantumState:
+    """The state a decoded state file describes.  A ``"matrix"`` is taken out of ``obj``,
+    so its rows are freed once they are joined into one matrix, before that matrix is
+    validated."""
     try:
         dim = checked_dim(whole_number(obj["dim"]), 1)  # before any entry is decoded
         kind = obj.get("kind", "pure" if "amplitudes" in obj else "density")
@@ -189,7 +288,7 @@ def state_from_json_dict(obj: dict) -> QuantumState:
                 raise StateParseError(f"amplitudes: expected {dim} entries, got {amps.size}")
             return QuantumState(vector=amps)
         if kind == "density":
-            m = _complex_entries("matrix", obj["matrix"], 2)
+            m = _complex_entries("matrix", obj.pop("matrix"), 2)
             if m.shape != (dim, dim):
                 raise StateParseError(f"matrix: expected {dim}x{dim}, got {m.shape}")
             return QuantumState(rho=m)
@@ -205,4 +304,5 @@ def load_state(source: str) -> QuantumState:
     prefix, colon, _ = source.partition(":")
     if colon and prefix in _BUILTINS:
         return builtin_state(source)
-    return state_from_json_dict(read_json_file(source, StateFileDecoder))
+    obj = _stream_state_file(source)
+    return state_from_json_dict(read_json_file(source) if obj is None else obj)

@@ -11,8 +11,10 @@ import os
 import tempfile
 from fractions import Fraction
 from math import prod
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -404,14 +406,65 @@ def loaded(load):
 @example(text='{"dim": 2, "matrix": [[[0, 1], [0, 0]]], '
               '"matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}')  # the last one wins
 def test_state_file_text_loads_as_json_load_reads_it(text):
-    # the row decoder only changes how the matrix is held: the state's bits, or the error's
-    # text (json's message, numpy's for rows that cannot stack), are what json.load's gives
+    # the streaming reader only changes how the text and the matrix are held: the state's
+    # bits, or the error's text (json's message, numpy's for rows that cannot stack), are
+    # what json.load's tree gives
+    assert_loads_as_json_load_reads_it(text)
+
+
+def assert_loads_as_json_load_reads_it(text, streams=None):
+    """``load_state`` on a file of ``text`` gives what json.load's tree of it gives; with
+    ``streams``, the text is read by the streaming reader (True) or by json.load (False)."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "state.json")
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         expected = loaded(lambda: states.state_from_json_dict(read_json_file(path)))
         assert loaded(lambda: states.load_state(path)) == expected
+        if streams is not None:
+            assert (states._stream_state_file(path) is not None) == streams
+
+
+@pytest.mark.parametrize("chunk", [3, 7])
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(text=state_texts())
+def test_state_file_text_loads_the_same_read_a_few_characters_at_a_time(chunk, text):
+    # every token, a row's end and the object's end among them, crosses a read
+    with mock.patch.object(states, "_CHUNK", chunk):
+        assert_loads_as_json_load_reads_it(text)
+
+
+DENSITY = '"matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]'
+# (text, read as a stream): each text is read with its first read ending at every index
+SPLIT_TEXTS = {
+    "dim-digits": ('{"dim": 12, "amplitudes": [[1, 0]' + ", [0, 0]" * 11 + "]}", True),
+    "nan-infinity": ('{"x": NaN, "y": -Infinity, "dim": 1, "amplitudes": [[NaN, -Infinity]]}',
+                     True),
+    "nan-infinity-row": ('{"dim": 1, "matrix": [[[-Infinity, NaN]]]}', True),
+    "exponents": ('{"dim": 2e0, "w": 1.5e-3, "amplitudes": [[1e0, 0], [0, 0E+1]]}', True),
+    "duplicate-matrix": ('{"dim": 2, "matrix": [[[0, 1], [0, 0]]], ' + DENSITY + "}", True),
+    "matrix-first": ("{" + DENSITY + ', "kind": "density", "dim": 2}', True),
+    "whitespace": ('\t\r\n{\r\n\t"dim"\t:\n2 ,\r"matrix":\n[ [ [0.5,0] ,[0,0]\t]\r,\n'
+                   '[[0, 0], [0.5, 0] ]\n ]\t}\r\n', True),
+    "empty-object": ("{ }", True),
+    "empty-matrix": ('{"dim": 2, "matrix": [ ]}', True),
+    "bom": ('\ufeff{"dim": 2, ' + DENSITY + "}", False),
+    "trailing-comma": ('{"dim": 2, ' + DENSITY + ",}", False),
+    "trailing-comma-row": ('{"dim": 2, "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]],]}',
+                           False),
+    "trailing-text": ('{"dim": 2, ' + DENSITY + "} x", False),
+    "truncated-row": ('{"dim": 2, "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5', False),
+    "top-level-list": ("[1, 2]", False),
+}
+
+
+@pytest.mark.parametrize("name", SPLIT_TEXTS)
+def test_state_file_text_split_at_every_index_loads_as_json_load_reads_it(name):
+    # a read that ends inside "12" must not give dim 1, nor one inside "-Infinity" an error
+    text, streams = SPLIT_TEXTS[name]
+    for chunk in range(1, len(text) + 2):
+        with mock.patch.object(states, "_CHUNK", chunk):
+            assert_loads_as_json_load_reads_it(text, streams)
 
 
 FOREIGN = st.sampled_from("IXYZixyzQ1 ")

@@ -348,6 +348,17 @@ def test_purity_commands_load_no_dataclasses_and_no_exact_numbers(tmp_path):
         [argv, code, False, False, False] for argv, code in zip(runs, expected_code)]
 
 
+def test_only_a_state_file_loads_json(tmp_path):
+    # a builtin state is built from its name; json loads when a state file is read (the
+    # file runs come last: json stays loaded)
+    runs = [[command, "--state", state, "--algebra", algebra]
+            for algebra, state in CATALOG_STATES for command in ("purity", "classify")]
+    files = [["purity", "--state", state, "--algebra", algebra]
+             for algebra, state in _state_files(tmp_path)]
+    assert _run_commands(runs + files, "json") == (
+        [[argv, 0, False] for argv in runs] + [[argv, 0, True] for argv in files])
+
+
 def test_purity_commands_leave_numpy_random_unloaded():
     # both rescaling references and the Lie-structure decision draw from the stdlib generator
     # numpy has already loaded; numpy.ma (which np.unique loads) would cost every command

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -168,6 +169,25 @@ class TestExpectation:
             expectation(QuantumState.basis_state(2, 0), op)
         with pytest.raises(ValueError, match=message):
             assert_hermitian(op)
+
+
+BLOCK_SIDE = math.isqrt(operators._BLOCK_ENTRIES)  # the largest matrix checked in one block
+
+
+@pytest.mark.parametrize("n", [1, BLOCK_SIDE - 1, BLOCK_SIDE, BLOCK_SIDE + 1, 243])
+@pytest.mark.parametrize("scale", [1e-13, 1e-3])
+def test_hermitian_deviation_is_the_dense_formulas(n, scale):
+    # the blockwise deviation is the dense max |a - a^H| bit for bit: a tol of exactly
+    # that passes, the next float below it fails with the dense formula's message
+    rng = np.random.default_rng(n)
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    a = g + g.conj().T + scale * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    dense = np.max(np.abs(a - a.conj().T))
+    assert dense > 0
+    assert np.array_equal(assert_hermitian(a, tol=dense), a)
+    with pytest.raises(ValueError) as refused:
+        assert_hermitian(a, tol=np.nextafter(dense, 0))
+    assert str(refused.value) == f"matrix is not Hermitian (max deviation {dense:.3e})"
 
 
 class TestTensor:

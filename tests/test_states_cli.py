@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -122,8 +123,9 @@ class TestStateFiles:
             states.load_state("/no/such/file.json")
 
     def test_density_file_is_decoded_row_by_row(self, tmp_path):
-        # as nested lists a matrix costs ~110 bytes an entry; read row by row into float
-        # arrays, the traced peak stays within twice the text plus twice the matrix
+        # as nested lists a matrix costs ~110 bytes an entry; streamed a few reads at a time
+        # and decoded row by row into float arrays, the traced peak is the rows, the matrix
+        # they join into and a few reads, however long the text (it is ~3 matrices here)
         rho = random_density_state(243, np.random.default_rng(243), rank=4).density()
         path = tmp_path / "density.json"
         path.write_text(json.dumps(state_to_json_dict(QuantumState(rho=rho))))
@@ -135,10 +137,58 @@ class TestStateFiles:
         finally:
             tracemalloc.stop()
         assert np.array_equal(state.density(), rho)
-        assert peak <= 2 * path.stat().st_size + 2 * rho.nbytes
+        assert peak <= 3 * rho.nbytes + 4 * states._CHUNK
+
+    def test_rows_are_freed_before_the_matrix_is_validated(self, tmp_path, monkeypatch):
+        rho = random_density_state(16, np.random.default_rng(16), rank=4).density()
+        path = tmp_path / "density.json"
+        path.write_text(json.dumps(state_to_json_dict(QuantumState(rho=rho))))
+        rows, matrix_row = [], states._matrix_row
+
+        def row(entry):
+            out = matrix_row(entry)
+            rows.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(states, "_matrix_row", row)
+        monkeypatch.setattr(states, "QuantumState", lambda rho: [r() for r in rows])
+        assert states.load_state(str(path)) == [None] * 16
+
+    @pytest.mark.parametrize("indent", [None, 1])
+    def test_each_row_is_scanned_once(self, tmp_path, monkeypatch, indent):
+        # a row that a read cuts off is scanned when the reads hold its end, not before:
+        # json.dumps's "]]" and an indented "]\n ]" both end a row
+        rho = random_density_state(40, np.random.default_rng(40), rank=4).density()
+        path = tmp_path / "density.json"
+        path.write_text(json.dumps(state_to_json_dict(QuantumState(rho=rho)), indent=indent))
+        scans, raw_decode = [], json.JSONDecoder.raw_decode
+
+        def counted(self, s, idx=0):
+            scans.append(idx)
+            return raw_decode(self, s, idx)
+
+        monkeypatch.setattr(json.JSONDecoder, "raw_decode", counted)
+        monkeypatch.setattr(states, "_CHUNK", 500)  # a row is ~1,800 characters
+        assert np.array_equal(states.load_state(str(path)).density(), rho)
+        assert len(scans) == 5 + 40  # three keys, two values and the rows
+        # and the text already read is dropped: no scan starts past two rows and two reads
+        assert max(scans) < 2 * path.stat().st_size / 40 + 2 * 500
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+    def test_piped_state_gets_json_loads_error(self):
+        # a pipe's text can be read only once: it is read whole, never streamed first
+        text = '{"dim": 2, "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5'
+        with pytest.raises(json.JSONDecodeError) as error:
+            json.loads(text)
+        proc = subprocess.run([sys.executable, "-m", "getk.cli", "purity", "--state", "/dev/stdin",
+                               "--algebra", "omega1"], input=text, capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=SRC), timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: state: '/dev/stdin' is not valid JSON: {error.value}\n"
 
     def test_max_dim_density_file_small_process(self, tmp_path):
-        # a 52 MB file: 248 MB as nested lists, about 129 MB read row by row
+        # a 52 MB file: 248 MB as nested lists, 129 MB read whole and decoded row by row,
+        # 70-74 MB streamed
         rho = random_density_state(MAX_DIM, np.random.default_rng(MAX_DIM), rank=4).density()
         path = tmp_path / "density.json"
         with open(path, "w", encoding="utf-8") as fh:  # row by row: no tree in this process
@@ -148,7 +198,7 @@ class TestStateFiles:
             fh.write("]}")
         proc = _run_getk("purity", "--state", str(path), "--algebra", "local:10x2", rss=True)
         assert proc.returncode == 0 and "\nrescaled=" in proc.stdout
-        assert int(proc.stderr.splitlines()[-1]) < 150 * 1024
+        assert int(proc.stderr.splitlines()[-1]) < 90 * 1024
 
     def test_pure_file_above_max_dim_exit_2(self, capsys, tmp_path):
         # the dim is refused (exit 2) before the amplitudes become an array or meet an algebra
