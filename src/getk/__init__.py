@@ -8,10 +8,11 @@ modes (:mod:`getk.fermion`), and exact no-signalling box polytopes
 (:mod:`getk.boxes`).  :mod:`getk.boxes` is pure ``int`` and ``Fraction`` code
 and does not import numpy.
 
-The package itself exports only the three input helpers that state files
-and box-table files share: :class:`StateParseError`, :func:`read_json_file`
-and :func:`whole_number`.  They live here, in the one module every command
-runs anyway, so that reading a state file runs no box code.  For everything
+The package itself exports four names, which live here, in the one module every
+command runs anyway, so that no module loads another just to share them: the three
+input helpers that state files and box-table files share (:class:`StateParseError`,
+:func:`read_json_file` and :func:`whole_number`), so that reading a state file runs no
+box code, and :class:`Frozen`, the base of getk's immutable values.  For everything
 else, import the submodule you need.
 
 Neither helper's stdlib loads with the package: ``json`` is imported when a JSON file
@@ -21,6 +22,50 @@ starts without them.
 """
 
 __version__ = "0.1.0"
+
+
+class Frozen:
+    """An immutable value whose fields are its class's ``__slots__``.
+
+    ``__init__`` takes one value per field, in slot order, and sets each once; assigning
+    or deleting any attribute afterwards raises ``AttributeError``.  A value is equal only
+    to one of the same class with equal fields, and is hashed and written (``repr``) by
+    its fields.  A copy or a pickle calls the class again with the fields, so a subclass
+    whose ``__init__`` validates and then calls ``super().__init__`` checks every copy.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__qualname__} takes {len(self.__slots__)} fields, "
+                            f"got {len(values)}")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)  # past the __setattr__ guard
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
 
 
 class StateParseError(ValueError):

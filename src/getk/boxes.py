@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd, lcm, prod
 
-from . import StateParseError, read_json_file, whole_number  # also read as boxes.<name>
+from . import Frozen, StateParseError, read_json_file, whole_number  # helpers also read as boxes.<name>
 
 ENUMERATION_CAP = 6  # max n_inputs * n_outputs per side for vertex enumeration
 SEPARABILITY_CAP = 256  # max product vertices per separability test: (4,2,4,2) takes < 1 s
@@ -70,12 +70,14 @@ def _cell_inputs(shape: tuple) -> tuple:
                                      for n, m in _boxes(shape))))
 
 
-class BoxState:
+class BoxState(Frozen):
     """Conditional-probability table of one or more boxes, in the module's mixed-radix layout.
 
-    Immutable, hashable and equal only to a table of the same class with the
-    same ``shape`` (n_1, m_1, ..., n_N, m_N) and ``probs``.
+    An immutable :class:`getk.Frozen` value with fields ``shape`` (n_1, m_1, ..., n_N, m_N)
+    and ``probs``; a copy or a pickle is checked again, as every new table is.
     """
+
+    __slots__ = ("shape", "probs")
 
     def __init__(self, shape, probs):
         shape = tuple(shape)
@@ -93,24 +95,7 @@ class BoxState:
             if total != den:
                 block = ",".join(map(str, inputs))
                 raise InfeasibleError(f"block ({block}) sums to {Fraction(total, den)}, not 1")
-        self.__dict__.update(shape=shape, probs=probs)  # past the __setattr__ guard
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.shape, self.probs) == (other.shape, other.probs)
-
-    def __hash__(self):
-        return hash((self.shape, self.probs))
-
-    def __repr__(self):
-        return f"{type(self).__qualname__}(shape={self.shape!r}, probs={self.probs!r})"
+        super().__init__(shape, probs)
 
     def to_json_dict(self) -> dict:
         return {"n_inputs": list(self.shape[::2]), "n_outputs": list(self.shape[1::2]),

@@ -18,6 +18,7 @@ import numpy as np
 from .operators import (MAX_DIM, MAX_ENTRIES, ObservableSpace, QuantumState, anticommutation_rows,
                         assert_hermitian, kron_all)
 
+_RESTARTS = 32  # seeded random starts of the fixed-point search
 _MAX_FIXED_POINT_STEPS = 1000  # per restart; catalog algebras stop rising within 40 steps
 _DEGENERATE_GAP = 1e-9  # top eigenvalue gap, relative to the spectral radius, below which it is shared
 _TIE = 1e-12  # relative gap below which two amplitude magnitudes of a coherent state tie
@@ -204,10 +205,10 @@ def stabilizer_bracket(omega: ObservableSpace) -> tuple[list[int], list[list[int
     return clique, [[w for w in range(n) if members >> w & 1] for members in classes]
 
 
-def max_purity_estimate(omega: ObservableSpace, restarts: int = 32, seed: int = 0) -> float:
+def max_purity_estimate(omega: ObservableSpace, seed: int = 0) -> float:
     """Maximize the raw purity sum_a <X_a>^2 over pure states by a fixed-point iteration.
 
-    From each seeded random start, psi becomes the top eigenvector of
+    From each of ``_RESTARTS`` seeded random starts, psi becomes the top eigenvector of
     H = sum_a <X_a>_psi X_a until the purity stops rising.  The purity is
     convex in rho and the new psi maximizes <H> over pure states, so no step
     lowers it; at a fixed point H psi = lambda psi, so the tangent part of the
@@ -218,16 +219,14 @@ def max_purity_estimate(omega: ObservableSpace, restarts: int = 32, seed: int = 
     ``omega-prime-loc``, whose maximum is 1/2), so a caller comparing it with an
     exact bound needs a tolerance.
     The restarts run one after another: stacking their H matrices would hold
-    restarts * dim^2 complex numbers at once.  Size x dim^2 over MAX_ENTRIES is refused.
+    _RESTARTS * dim^2 complex numbers at once.  Size x dim^2 over MAX_ENTRIES is refused.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
     if omega.size * omega.dim ** 2 > MAX_ENTRIES:
         raise ValueError(f"a numerical reference for {omega.size} observables of dimension "
                          f"{omega.dim} exceeds the supported {MAX_ENTRIES} size x dimension^2")
     rng = seeded_rng(seed)
     best = 0.0
-    for _ in range(restarts):
+    for _ in range(_RESTARTS):
         psi = gaussians(rng, 2 * omega.dim).view(complex)
         psi /= np.linalg.norm(psi)
         val = -1.0

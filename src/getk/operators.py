@@ -323,7 +323,9 @@ class ObservableSpace:
     criterion applies).  ``max_purity`` optionally records the
     analytic maximum of the raw traceless purity over pure states.  A space
     is immutable once built: the catalog hands the same instance to every
-    caller.
+    caller.  It keeps its own guard, not :class:`getk.Frozen`'s: a space is compared by
+    identity, is a key of ``lru_cache``s, and keeps ``cached_property`` values in its
+    ``__dict__``.
 
     A space is two linear maps: ``coefficients`` takes an operator A to (Tr X_a A)_a
     (a vector psi to (<psi|X_a|psi>)_a), and its adjoint ``element`` takes c to

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import coherent
+from . import Frozen, coherent
 from .operators import (
     EQUALITY_TOL,
     DimensionMismatch,
@@ -25,7 +25,7 @@ from .operators import (
 )
 
 
-class PurityReport:
+class PurityReport(Frozen):
     """Raw and max-rescaled purity of one state relative to one space.
 
     ``reference_source`` says where ``max_reference`` came from: ``analytic``,
@@ -36,37 +36,10 @@ class PurityReport:
     unentanglement, and "sufficient" otherwise, where a False verdict only means "not
     certified"; the structure is decided only when it is read.
 
-    Immutable, hashable and equal only to a report of the same class with equal fields.
+    An immutable :class:`getk.Frozen` value.
     """
 
     __slots__ = ("raw", "rescaled", "max_reference", "space", "reference_source", "pure")
-
-    def __init__(self, raw: float, rescaled: float, max_reference: float, space: ObservableSpace,
-                 reference_source: str, pure: bool):
-        for name, value in zip(self.__slots__, (raw, rescaled, max_reference, space,
-                                                reference_source, pure)):
-            object.__setattr__(self, name, value)  # past the __setattr__ guard
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
-        return f"{type(self).__qualname__}({fields})"
 
     @property
     def theorem_direction(self) -> str:
@@ -160,8 +133,7 @@ def rescaled_purity(state: QuantumState, omega: ObservableSpace,
         raise ValueError(
             f"rescaled purity {rescaled} exceeds 1: reference {ref} is below the "
             f"true maximum (explicit value too small, or too few optimizer restarts)")
-    return PurityReport(raw=raw, rescaled=rescaled, max_reference=ref, space=omega,
-                        reference_source=source, pure=state.is_pure)
+    return PurityReport(raw, rescaled, ref, omega, source, state.is_pure)
 
 
 def meyer_wallach_q(psi: QuantumState) -> float:

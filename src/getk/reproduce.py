@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import boxes, catalog, coherent, fermion, states
+from . import Frozen, boxes, catalog, coherent, fermion, states
 from .operators import QuantumState, kron_all, lie_closure, orthonormalize, partial_trace, pauli_string
 from .purity import (
     expectations_indistinguishable,
@@ -284,27 +284,20 @@ class _Run:
         return None, f"separable={_bool(sep)} (recorded, no reference value)"
 
 
-class Check:
+class Check(Frozen):
     """One golden check: ``measure(run)`` against ``expected``.
 
     A numeric ``expected`` passes within ``tol``; ``True`` passes when the
     measure is truthy.  With ``expected=None`` the measure judges itself and
     returns ``(ok, detail)``, where ``ok=None`` marks an informational record.
-    A check is immutable.
+    An immutable :class:`getk.Frozen` value.
     """
 
     __slots__ = ("name", "measure", "expected", "tol")
 
     def __init__(self, name: str, measure: Callable, expected: float | bool | None = None,
                  tol: float = 1e-10):
-        for field, value in zip(self.__slots__, (name, measure, expected, tol)):
-            object.__setattr__(self, field, value)  # past the __setattr__ guard
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+        super().__init__(name, measure, expected, tol)
 
     def result(self, run: _Run) -> tuple[bool | None, str]:
         """``(ok, line)``: the verdict, None for an informational record, and its output line."""

@@ -399,6 +399,16 @@ class TestBoxState:
         with pytest.raises(AttributeError):
             twin.probs = ()
 
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                       lambda b: pickle.loads(pickle.dumps(b))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_copies_are_rebuilt_through_the_validating_init(self, clone, monkeypatch):
+        # a copy or an unpickled table passes the block-sum check every new table passes
+        box, calls, numerators = canonical_entangled_vertex(), [], boxes._numerators
+        monkeypatch.setattr(boxes, "_numerators", lambda probs: calls.append(probs) or numerators(probs))
+        twin = clone(box)
+        assert twin == box and calls == [box.probs]
+
     def test_tensor_factorizes(self):
         a = BoxState((2, 2), (F(1), F(0), HALF, HALF))
         b = BoxState((2, 2), (F(0), F(1), F(1), F(0)))

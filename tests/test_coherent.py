@@ -286,12 +286,12 @@ def numeric_gradient(space, psi, h=1e-5):
 class TestMaxPurityEstimate:
     def test_full_traceless_space(self):
         space = catalog.local_algebra(1, 3)
-        est = max_purity_estimate(space, restarts=8, seed=0)
+        est = max_purity_estimate(space, seed=0)
         assert est == pytest.approx(1 - 1 / 3, abs=1e-6)
 
     def test_u2_against_sampling_oracle(self):
         space = catalog.z_conserving_u2()
-        est = max_purity_estimate(space, restarts=16, seed=0)
+        est = max_purity_estimate(space, seed=0)
         # oracle 1: dense random sampling never exceeds the estimate by much
         rng = np.random.default_rng(99)
         draws = rng.normal(size=(100_000, 4)) + 1j * rng.normal(size=(100_000, 4))
@@ -309,18 +309,18 @@ class TestMaxPurityEstimate:
     @pytest.mark.parametrize("j", [1, 1.5, 2])
     def test_spin_maximum_rescales_to_one(self, j):
         space = catalog.spin_algebra(j)
-        est = max_purity_estimate(space, restarts=8, seed=0)
+        est = max_purity_estimate(space, seed=0)
         assert est / space.max_purity == pytest.approx(1.0, abs=1e-6)
 
     def test_deterministic_for_fixed_seed(self):
         space = catalog.z_conserving_u2()
-        a = max_purity_estimate(space, restarts=4, seed=7)
-        b = max_purity_estimate(space, restarts=4, seed=7)
+        a = max_purity_estimate(space, seed=7)
+        b = max_purity_estimate(space, seed=7)
         assert a == b
 
     def test_bound_respected(self):
         space = catalog.omega_prime_loc()
-        est = max_purity_estimate(space, restarts=8, seed=1)
+        est = max_purity_estimate(space, seed=1)
         assert est <= 1 - 1 / 4 + 1e-8
 
     @pytest.mark.parametrize("name, maximum", [
@@ -340,10 +340,6 @@ class TestMaxPurityEstimate:
     def test_reaches_the_full_space_maximum(self):
         space = catalog.local_algebra(1, 3)
         assert max_purity_estimate(space, seed=0) == pytest.approx(2 / 3, abs=1e-12)
-
-    def test_restart_validation(self):
-        with pytest.raises(ValueError):
-            max_purity_estimate(catalog.z_conserving_u2(), restarts=0)
 
 
 class TestHighestWeightPurity:

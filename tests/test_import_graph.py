@@ -72,6 +72,40 @@ def test_no_module_constructs_a_json_decode_error():
     assert built == []
 
 
+VALUE_METHODS = ("__eq__", "__hash__", "__setattr__", "__delattr__")
+
+
+def _value_method_owners(path: Path) -> list:
+    """(method, module.Class) for each of VALUE_METHODS that a class of one module defines or
+    assigns in its body."""
+    module = "getk" if path.stem == "__init__" else f"getk.{path.stem}"
+    out = []
+    for cls in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, FUNCTION_DEFS):
+                names = [node.name]
+            else:
+                targets = getattr(node, "targets", [getattr(node, "target", None)])
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            out += [(name, f"{module}.{cls.name}") for name in names if name in VALUE_METHODS]
+    return out
+
+
+def test_only_frozen_writes_equality_hashing_and_the_assignment_guard():
+    # getk.Frozen is the one immutable value base, so no class writes these by hand again.
+    # ObservableSpace keeps its own guard: it is compared by identity, is a key of
+    # lru_caches and keeps cached_property values in its __dict__.
+    owners = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, owner in _value_method_owners(path):
+            owners.setdefault(name, []).append(owner)
+    guard = ["getk.Frozen", "getk.operators.ObservableSpace"]
+    assert owners == {"__eq__": ["getk.Frozen"], "__hash__": ["getk.Frozen"],
+                      "__setattr__": guard, "__delattr__": guard}
+
+
 INTEGER_CORE = ("_pivot", "_rref", "_extreme_rays", "_phase1_feasible")
 
 

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import re
 
 import numpy as np
@@ -149,6 +151,27 @@ class TestRescaledPurity:
                 setattr(report, name, None)
             with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
                 delattr(report, name)
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                       lambda r: pickle.loads(pickle.dumps(r))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_report_copies_are_equal_and_frozen(self, clone):
+        # a copy shares the space, so it equals the report; a deep copy or a pickle holds a
+        # new space, which compares by identity, and equals the report on every other field
+        report = rescaled_purity(states.builtin_state("w:3"), catalog.omega1())
+        twin = clone(report)
+        assert type(twin) is type(report)
+        if clone is copy.copy:
+            assert twin == report and twin.space is report.space
+        else:
+            assert twin != report and twin.space is not report.space
+            assert (twin.space.label, twin.space.dim, twin.space.size) == (
+                report.space.label, report.space.dim, report.space.size)
+        for name in ("raw", "rescaled", "max_reference", "reference_source", "pure"):
+            assert getattr(twin, name) == getattr(report, name)
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(twin, name, None)
+        assert twin.unentangled(1e-8) == report.unentangled(1e-8)
 
     def test_explicit_reference(self):
         rep = rescaled_purity(states.builtin_state("ghz:3"), catalog.omega1(), max_reference=0.375)

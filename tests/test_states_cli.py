@@ -1,10 +1,12 @@
 import ast
 import contextlib
+import copy
 import io
 import itertools
 import json
 import math
 import os
+import pickle
 import random
 import re
 import subprocess
@@ -18,8 +20,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from getk import (boxes, catalog, cli, coherent, fermion, operators, purity, reproduce, states,
-                  whole_number)
+from getk import (Frozen, boxes, catalog, cli, coherent, fermion, operators, purity, reproduce,
+                  states, whole_number)
 from getk.operators import MAX_DIM, ObservableSpace, QuantumState, gell_mann_basis, pauli_string
 from random_states import perturbed_builtins, random_density_state
 from test_boxes import product_table
@@ -282,6 +284,19 @@ class TestWholeNumber:
         with pytest.raises(error) as info:
             whole_number(value)
         assert type(info.value) is error and str(info.value) == message
+
+
+class _Pair(Frozen):
+    __slots__ = ("left", "right")
+
+
+def test_frozen_takes_one_value_per_field():
+    pair = _Pair(1, "a")
+    assert (pair.left, pair.right) == (1, "a") and not hasattr(pair, "__dict__")
+    with pytest.raises(TypeError, match="_Pair takes 2 fields, got 1"):
+        _Pair(1)
+    with pytest.raises(TypeError, match="_Pair takes 2 fields, got 3"):
+        _Pair(1, 2, 3)
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -1097,6 +1112,17 @@ class TestReproduceCommand:
         for name in ("name", "measure", "expected", "tol"):
             with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
                 setattr(check, name, None)
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                       lambda c: pickle.loads(pickle.dumps(c))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_check_copies_are_equal_and_frozen(self, clone):
+        check = reproduce.Check("name", len)
+        twin = clone(check)
+        assert type(twin) is reproduce.Check and twin == check and hash(twin) == hash(check)
+        assert (twin.name, twin.measure, twin.expected, twin.tol) == ("name", len, None, 1e-10)
+        with pytest.raises(AttributeError, match="cannot assign to field 'tol'"):
+            twin.tol = 0
 
     def test_full_run_passes(self, paper_run):
         code, out, _ = paper_run
