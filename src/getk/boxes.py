@@ -292,10 +292,11 @@ class VertexClass(Enum):
 
 def vertex_class(vertex: BoxState) -> VertexClass:
     """Class of a known vertex (see :func:`is_extremal`): a product exactly when every
-    marginal is deterministic.  No-signalling then fixes the table to that product: an
-    entry is at most each of its marginal probabilities, and every block sums to 1."""
-    parts = marginals(vertex)
-    if all(p == 0 or p == 1 for part in parts for p in part.probs):
+    entry is 0 or 1, that is when every marginal is deterministic (a marginal probability
+    sums entries of one block, and a block sums to 1).  No-signalling then fixes the table
+    to that product: an entry is at most each of its marginal probabilities, and every
+    block sums to 1."""
+    if all(p == 0 or p == 1 for p in vertex.probs):
         return VertexClass.PRODUCT
     return VertexClass.ENTANGLED
 

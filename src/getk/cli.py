@@ -6,13 +6,18 @@ as JSON with --json.  Exit codes: 0 success, 2 parse error, 3 dimension
 mismatch, 4 infeasible or signalling box input, 1 failed golden checks or
 a broken pipe (the reader of stdout left early; no traceback).  A closed
 stdout is not an error: the records are dropped and the code is unchanged.
-Each flag is declared once, and its text goes unchanged to the one function
-that reads it: ``--rescale`` to ``purity.resolve_max_reference``.
+Each subcommand and each flag is declared once, in :data:`COMMANDS`, and a
+flag's text goes unchanged to the one function that reads it: ``--rescale``
+to ``purity.resolve_max_reference``.  :func:`read_argv` reads a well-formed
+command line from that table; argparse, built from the same table by
+:func:`build_parser`, reads every other one and writes all help and usage
+errors.
 
 Importing this module registers every getk module lazily: each runs at its
 first attribute access, so ``boxes`` commands load only the pure-Fraction
-``boxes`` module and never numpy.  Of the stdlib, this module loads only what
-parses the command line; ``json`` is imported by the ``--json`` branch of
+``boxes`` module and never numpy.  Of the stdlib, this module loads only
+``importlib.util``; ``argparse`` (with ``gettext`` and ``locale``) is
+imported by :func:`build_parser`, and ``json`` by the ``--json`` branch of
 ``_emit`` and by the file readers.  Getk names are read through their module
 at call time, never bound by ``from .x import name``.  The ``getk`` command
 (:func:`entry_point`) ends with ``os._exit`` once its output is flushed:
@@ -20,10 +25,10 @@ it writes no files and registers no exit handler, so interpreter teardown
 would only free memory the process is about to give back.
 """
 
-import argparse
 import importlib.util
 import os
 import sys
+import types
 
 # OpenBLAS reads this once, when numpy loads it. Its idle worker threads busy-wait
 # before they sleep, and no getk matrix is large enough to be worth splitting.
@@ -193,49 +198,107 @@ def _cmd_reproduce(args) -> int:
     return code
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Each flag once: (option, kind, default, help).  Its attribute is the option without
+# "--"; kind is "required" (a value that must be given), "value", "float" (a value read
+# by float()) or "switch" (True when given).
+_STATE = ("--state", "required", None, "builtin name or JSON state file")
+_ALGEBRA = ("--algebra", "required", None, "catalog name (e.g. omega1, u2, local:2x2)")
+_RESCALE = ("--rescale", "value", None, "auto | analytic | explicit reference value")
+_TOL = ("--tol", "float", 1e-8, None)
+_JSON = ("--json", "switch", False, None)
+_SIZE = ("--size", "required", None, "NA,MA,NB,MB (or NA,MA for a symmetric pair)")
+_BOX_STATE = ("--state", "required", None, "JSON box-table file")
+_TABLE = ("--table", "value", "paper", None)
+_LIST = ("--list", "switch", False, "list check names without running")
+
+# Each subcommand once, in help order: (words, help, handler, flags).  A group has no
+# handler; its subcommands follow it.  Word i of a command is the attribute _DESTS[i].
+COMMANDS = (
+    (("purity",), "purity of a state relative to an observable set", _cmd_purity,
+     (_STATE, _ALGEBRA, _RESCALE, _JSON)),
+    (("classify",), "maximal-purity unentanglement test", _cmd_purity,
+     (_STATE, _ALGEBRA, _RESCALE, _TOL, _JSON)),
+    (("boxes",), "exact no-signalling box polytope tools", None, ()),
+    (("boxes", "vertices"), "enumerate and classify all vertices", _cmd_boxes_vertices,
+     (_SIZE, _JSON)),
+    (("boxes", "classify"), "extremality and class of one table", _cmd_boxes_classify,
+     (_BOX_STATE, _JSON)),
+    (("boxes", "separable"), "exact separable-hull membership", _cmd_boxes_separable,
+     (_BOX_STATE, _JSON)),
+    (("boxes", "orbit"), "orbit under local relabelings", _cmd_boxes_orbit, (_BOX_STATE, _JSON)),
+    (("reproduce",), "run the golden reference-value suite", _cmd_reproduce, (_TABLE, _LIST)),
+)
+_DESTS = ("command", "box_command")
+
+
+def build_parser() -> "argparse.ArgumentParser":
+    """The argparse parser of :data:`COMMANDS`: it writes every help text and every usage
+    error, and reads the command lines :func:`read_argv` declines."""
+    import argparse  # with gettext and locale: a well-formed command line never needs them
+
     parser = argparse.ArgumentParser(
         prog="getk",
         description="Observable-relative entanglement toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, help_text in (("purity", "purity of a state relative to an observable set"),
-                            ("classify", "maximal-purity unentanglement test")):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--state", required=True, help="builtin name or JSON state file")
-        p.add_argument("--algebra", required=True, help="catalog name (e.g. omega1, u2, local:2x2)")
-        p.add_argument("--rescale", default=None, help="auto | analytic | explicit reference value")
-        if name == "classify":
-            p.add_argument("--tol", type=float, default=1e-8)
-        p.add_argument("--json", action="store_true")
-        p.set_defaults(func=_cmd_purity)
-
-    p_box = sub.add_parser("boxes", help="exact no-signalling box polytope tools")
-    box_sub = p_box.add_subparsers(dest="box_command", required=True)
-    for name, help_text, func in (
-            ("vertices", "enumerate and classify all vertices", _cmd_boxes_vertices),
-            ("classify", "extremality and class of one table", _cmd_boxes_classify),
-            ("separable", "exact separable-hull membership", _cmd_boxes_separable),
-            ("orbit", "orbit under local relabelings", _cmd_boxes_orbit)):
-        b_cmd = box_sub.add_parser(name, help=help_text)
-        if name == "vertices":
-            b_cmd.add_argument("--size", required=True,
-                               help="NA,MA,NB,MB (or NA,MA for a symmetric pair)")
-        else:
-            b_cmd.add_argument("--state", required=True, help="JSON box-table file")
-        b_cmd.add_argument("--json", action="store_true")
-        b_cmd.set_defaults(func=func)
-
-    p_rep = sub.add_parser("reproduce", help="run the golden reference-value suite")
-    p_rep.add_argument("--table", default="paper")
-    p_rep.add_argument("--list", action="store_true", help="list check names without running")
-    p_rep.set_defaults(func=_cmd_reproduce)
+    groups = {(): parser.add_subparsers(dest=_DESTS[0], required=True)}
+    for words, help_text, func, flags in COMMANDS:
+        p = groups[words[:-1]].add_parser(words[-1], help=help_text)
+        if func is None:
+            groups[words] = p.add_subparsers(dest=_DESTS[len(words)], required=True)
+            continue
+        for option, kind, default, flag_help in flags:
+            if kind == "switch":
+                p.add_argument(option, action="store_true", help=flag_help)
+            else:
+                p.add_argument(option, required=kind == "required", default=default,
+                               type=float if kind == "float" else None, help=flag_help)
+        p.set_defaults(func=func)
     return parser
 
 
+def read_argv(argv):
+    """The attributes ``build_parser().parse_args(argv)`` sets, for a well-formed ``argv``.
+
+    Well-formed is strict: a command's words, then full flag names of that command, each
+    at most once, each valued flag followed by a value that does not start with ``-``
+    (``--tol``'s read by ``float``), and every required flag given.  Any other ``argv``
+    gives ``None``, and argparse reads it: help, abbreviations, ``--flag=value``, repeats,
+    values such as ``-1``, stray tokens and missing flags.
+    """
+    for words, _, func, flags in COMMANDS:
+        if func is None or tuple(argv[:len(words)]) != words:
+            continue
+        kinds = {option: kind for option, kind, _, _ in flags}
+        given = {}
+        tokens = iter(argv[len(words):])
+        for token in tokens:
+            kind = kinds.get(token)
+            if kind is None or token in given:
+                return None
+            if kind == "switch":
+                given[token] = True
+                continue
+            value = next(tokens, "-")  # a missing value declines as a flag-like one does
+            if value.startswith("-"):
+                return None
+            if kind == "float":
+                try:
+                    value = float(value)
+                except ValueError:
+                    return None
+            given[token] = value
+        if any(kind == "required" and option not in given for option, kind, _, _ in flags):
+            return None
+        return types.SimpleNamespace(
+            **{option[2:]: given.get(option, default) for option, _, default, _ in flags},
+            **dict(zip(_DESTS, words)), func=func)
+    return None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = read_argv(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:  # every input error; its class may carry its own exit code

@@ -570,3 +570,87 @@ def test_table_text_exit_2_unless_paper(table):
     assert "Traceback" not in err
     if code:
         assert out == "" and "--table" in err
+
+
+# The command-line reader against argparse, its oracle: every argv the reader accepts gets
+# the attributes argparse sets, and argparse reads everything else.
+HANDLED = [(words, flags) for words, _, func, flags in cli.COMMANDS if func is not None]
+ALL_FLAGS = sorted({option for _, flags in HANDLED for option, *_ in flags})
+ARG_VALUES = ["", "-1", "-x", "--json", "nan", "1_0", "0x10", "1e-3", "w:3", "2,2", "paper",
+              "purity"]
+
+
+def parsed_by_argparse(argv):
+    """``vars`` of argparse's namespace for ``argv``, its handler popped: (attrs, func)."""
+    attrs = vars(cli.build_parser().parse_args(argv))
+    return attrs, attrs.pop("func")
+
+
+def read(argv):
+    """The reader's attributes for ``argv``, as ``parsed_by_argparse`` gives them, or None."""
+    args = cli.read_argv(argv)
+    if args is None:
+        return None
+    attrs = dict(vars(args))
+    return attrs, attrs.pop("func")
+
+
+@st.composite
+def command_lines(draw):
+    words = draw(st.sampled_from([words for words, _ in HANDLED]
+                                 + [(), ("boxes",), ("nope",), ("boxes", "nope")]))
+    own = next((flags for w, flags in HANDLED if w == words), ())
+    options = [option for option, *_ in own] or ALL_FLAGS
+    flag = st.sampled_from(options) | st.sampled_from(ALL_FLAGS)
+    value = st.sampled_from(ARG_VALUES) | st.floats(min_value=0).map(repr)
+    odd = st.one_of(
+        flag.flatmap(lambda f: st.integers(3, len(f) - 1).map(lambda n: (f[:n],))),  # abbreviated
+        st.tuples(flag, value).map(lambda fv: ("=".join(fv),)),  # --flag=value
+        st.tuples(flag, value), flag.map(lambda f: (f,)),  # repeats, or a missing value
+        st.sampled_from([("-h",), ("--help",), ("--",), ("stray",)]),
+        value.map(lambda v: (v,)))  # a stray value
+    # the command's own flags in any order, each kept with odds 3 to 1, and in half the
+    # command lines odd tokens among them
+    units = [(option,) if kind == "switch" else (option, draw(value))
+             for option, kind, _, _ in draw(st.permutations(own))
+             if draw(st.sampled_from((True, True, True, False)))]
+    for unit in draw(st.lists(odd, max_size=3)) if draw(st.booleans()) else []:
+        units.insert(draw(st.integers(0, len(units))), unit)
+    return [*words, *(token for unit in units for token in unit)]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(argv=command_lines())
+def test_reader_sets_what_argparse_sets(argv):
+    got = read(argv)
+    if got is not None:
+        (attrs, func), (want, want_func) = got, parsed_by_argparse(argv)
+        assert func is want_func
+        # repr: a nan --tol equals itself, and a float never equals its text
+        assert repr(sorted(attrs.items())) == repr(sorted(want.items()))
+
+
+@pytest.mark.parametrize("words, flags", HANDLED, ids=[" ".join(w) for w, _ in HANDLED])
+def test_reader_accepts_every_flag_of_every_command(words, flags):
+    # the strict form: every flag of the command, valued ones with a value such as "1_0"
+    argv = [*words, *(token for option, kind, _, _ in flags
+                      for token in ([option] if kind == "switch" else [option, "1_0"]))]
+    attrs, func = read(argv)
+    want, want_func = parsed_by_argparse(argv)
+    assert func is want_func and attrs == want
+
+
+@pytest.mark.parametrize("tail", [
+    ["--stat", "w:3", "--algebra", "omega1"],  # an abbreviation
+    ["--state=w:3", "--algebra", "omega1"],
+    ["--state", "w:3", "--state", "w:3", "--algebra", "omega1"],  # a repeat
+    ["--state", "w:3", "--algebra", "omega1", "--rescale", "-1"],  # a value that starts with -
+    ["--state", "w:3", "--algebra", "omega1", "stray"],
+    ["--state", "w:3", "--algebra", "omega1", "--"],
+    ["--state", "w:3", "--algebra", "omega1", "-h"],
+    ["--state", "w:3", "--algebra"],  # a missing value
+    ["--state", "w:3"],  # a missing flag
+    ["--state", "w:3", "--algebra", "omega1", "--tol", "0x10"],  # not a float
+])
+def test_reader_declines_what_argparse_must_read(tail):
+    assert read(["classify", *tail]) is None

@@ -190,7 +190,8 @@ def test_caches_keyed_by_arguments_are_bounded():
 
 
 def test_cli_import_leaves_json_and_exact_numbers_out():
-    # the command line is parsed with argparse alone: json is loaded to read or write JSON,
+    # the command line is read from cli's flag table (argparse only for help and usage
+    # errors): json is loaded to read or write JSON,
     # fractions (and the decimal it loads) to make an exact number, dataclasses never
     env = dict(os.environ, PYTHONPATH=SRC)
     probe = ("import sys, getk.cli\n"
@@ -351,6 +352,49 @@ def test_box_commands_leave_numpy_out(tmp_path, command):
     runs = [["boxes", command, *args] for args, _ in cases]
     assert _run_commands(runs, "numpy", "dataclasses", "inspect") == [
         [argv, code, False, False, False] for argv, (_, code) in zip(runs, cases)]
+
+
+PARSER_PROBE = """\
+import ast, contextlib, io, sys
+from getk import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        code = cli.main(ast.literal_eval(sys.argv[1]))
+    except SystemExit as exc:  # argparse's help and usage errors
+        code = exc.code
+print(repr([code, *(m in sys.modules for m in ("argparse", "gettext", "locale"))]))
+"""
+
+
+def _parser_modules(argv):
+    """[exit code, argparse, gettext, locale loaded] after one command in a fresh process."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", PARSER_PROBE, repr(argv)], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    return ast.literal_eval(out)
+
+
+def test_well_formed_commands_leave_argparse_out(tmp_path):
+    # a well-formed command line is read from cli's flag table: argparse, and the gettext
+    # and locale it loads, are for help and usage errors alone
+    from getk.boxes import canonical_entangled_vertex
+    pr_box = tmp_path / "pr.json"
+    pr_box.write_text(json.dumps(canonical_entangled_vertex().to_json_dict()))
+    runs = [["purity", "--state", "w:3", "--algebra", "omega1"],
+            ["classify", "--state", "w:3", "--algebra", "omega1", "--tol", "1e-6", "--json"],
+            ["boxes", "vertices", "--size", "2,2"],
+            *(["boxes", command, "--state", str(pr_box)]
+              for command in ("classify", "separable", "orbit")),
+            ["reproduce"], ["reproduce", "--list"]]
+    assert [_parser_modules(argv) for argv in runs] == [[0, False, False, False]] * len(runs)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0), (["purity", "--help"], 0),
+    (["purity", "--stat", "w:3", "--algebra", "omega1"], 0),  # an abbreviation
+    (["purity", "--state", "w:3"], 2)])
+def test_help_and_other_command_lines_go_to_argparse(argv, code):
+    assert _parser_modules(argv)[:2] == [code, True]
 
 
 def test_box_vertices_leaves_json_out():

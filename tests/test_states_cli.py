@@ -326,11 +326,16 @@ def test_every_flag_is_documented():
     root = Path(SRC).parent
     readme = (root / "README.md").read_text()
     section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
-    tree = ast.parse((Path(SRC) / "getk" / "cli.py").read_text())
-    flags = {arg.value for node in ast.walk(tree)
-             if isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "add_argument"
-             for arg in node.args
-             if isinstance(arg, ast.Constant) and str(arg.value).startswith("--")}
+
+    def parsers(parser):  # the parser and, depth first, every subcommand's parser
+        yield parser
+        for action in parser._actions:
+            if isinstance(action.choices, dict):  # subcommand name -> its parser
+                for sub in action.choices.values():
+                    yield from parsers(sub)
+
+    flags = {option for parser in parsers(cli.build_parser()) for action in parser._actions
+             for option in action.option_strings if option not in ("-h", "--help")}
     assert "--state" in flags
     assert [f for f in sorted(flags) if not re.search(re.escape(f) + r"\b", section)] == []
 
