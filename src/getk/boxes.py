@@ -18,7 +18,6 @@ appears only where a table is read or written.
 """
 
 import itertools
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd, lcm, prod
@@ -285,20 +284,15 @@ def is_extremal(state: BoxState) -> bool:
     return len(_rref(zeros)[1]) == len(matrix[0]) - 1
 
 
-class VertexClass(Enum):
-    PRODUCT = "product"
-    ENTANGLED = "entangled"
-
-
-def vertex_class(vertex: BoxState) -> VertexClass:
-    """Class of a known vertex (see :func:`is_extremal`): a product exactly when every
-    entry is 0 or 1, that is when every marginal is deterministic (a marginal probability
-    sums entries of one block, and a block sums to 1).  No-signalling then fixes the table
-    to that product: an entry is at most each of its marginal probabilities, and every
-    block sums to 1."""
+def vertex_class(vertex: BoxState) -> str:
+    """Class of a known vertex (see :func:`is_extremal`) as the word the command line
+    prints: ``"product"`` exactly when every entry is 0 or 1, that is when every marginal
+    is deterministic (a marginal probability sums entries of one block, and a block sums
+    to 1), else ``"entangled"``.  No-signalling then fixes a product's table: an entry is
+    at most each of its marginal probabilities, and every block sums to 1."""
     if all(p == 0 or p == 1 for p in vertex.probs):
-        return VertexClass.PRODUCT
-    return VertexClass.ENTANGLED
+        return "product"
+    return "entangled"
 
 
 def _side_generators(n: int, m: int) -> list:

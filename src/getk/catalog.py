@@ -164,6 +164,7 @@ _FIXED = {
     "omega4": omega4,
     "omega-prime-loc": omega_prime_loc,
     "u2": z_conserving_u2,
+    "so4-fermi": lambda: fermion.fermionic_so4(),  # deferred: fermion loads only for fermions
 }
 
 
@@ -176,8 +177,6 @@ def named_algebra(name: str) -> ObservableSpace:
     """
     if name in _FIXED:
         return _FIXED[name]()
-    if name == "so4-fermi":
-        return fermion.fermionic_so4()
     if name.startswith("local:"):
         spec = name.split(":", 1)[1]
         try:

@@ -139,17 +139,17 @@ def _cmd_boxes_vertices(args) -> int:
     except ValueError as exc:
         raise ValueError(f"--size: {exc}") from exc
     classified = [(v, boxes.vertex_class(v)) for v in verts]  # vertices by construction
-    n_prod = sum(1 for _, c in classified if c is boxes.VertexClass.PRODUCT)
+    n_prod = sum(1 for _, c in classified if c == "product")
     if args.json:
         record = {
-            "vertices": [{"p": v.probs, "class": c.value} for v, c in classified],
+            "vertices": [{"p": v.probs, "class": c} for v, c in classified],
             "product": n_prod, "entangled": len(verts) - n_prod, "total": len(verts),
         }
         _emit(record, True)
     else:
         for v, c in classified:
             flat = ",".join(str(p) for p in v.probs)
-            print(f"vertex={flat} class={c.value}")
+            print(f"vertex={flat} class={c}")
         print(f"product={n_prod} entangled={len(verts) - n_prod} total={len(verts)}")
     return 0
 
@@ -159,7 +159,7 @@ def _cmd_boxes_classify(args) -> int:
     extremal = boxes.is_extremal(state)
     record: dict = {"extremal": extremal}
     if extremal:
-        record["class"] = boxes.vertex_class(state).value  # a vertex: no second rank test
+        record["class"] = boxes.vertex_class(state)  # a vertex: no second rank test
     a, b = boxes.marginals(state)
     record["marginal_alice"] = a.probs
     record["marginal_bob"] = b.probs

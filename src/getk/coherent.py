@@ -3,10 +3,10 @@
 Provides the physically normalized spin-J angular momentum generators, built
 from their two bands, the |J, m> basis states, spin coherent states in closed
 form, group-orbit sampling through the matrix exponential, and the three
-maximal-raw-purity references: the highest-weight value for irreducibly
-represented Lie algebras, the stabilizer value for word spaces whose exact
-bracket closes, and a fixed-point estimate for every other space.  The two
-that sample draw from the stdlib ``random.Random``, as do the seeded checks of
+maximal-raw-purity references: the highest-weight state, whose raw purity is
+the reference of an irreducibly represented Lie algebra, the stabilizer value
+for word spaces whose exact bracket closes, and a fixed-point estimate for
+every other space.  The two that sample draw from the stdlib ``random.Random``, as do the seeded checks of
 ``reproduce``, so no purity or reproduce command loads ``numpy.random``.
 """
 
@@ -15,13 +15,14 @@ import random
 
 import numpy as np
 
-from .operators import (MAX_DIM, MAX_ENTRIES, ObservableSpace, QuantumState, anticommutation_rows,
-                        assert_hermitian, kron_all)
+from .operators import (EQUALITY_TOL, MAX_DIM, MAX_ENTRIES, ROUNDOFF_ALLOWANCE, ObservableSpace,
+                        QuantumState, anticommutation_rows, assert_hermitian, kron_all)
 
 _RESTARTS = 32  # seeded random starts of the fixed-point search
 _MAX_FIXED_POINT_STEPS = 1000  # per restart; catalog algebras stop rising within 40 steps
 _DEGENERATE_GAP = 1e-9  # top eigenvalue gap, relative to the spectral radius, below which it is shared
 _TIE = 1e-12  # relative gap below which two amplitude magnitudes of a coherent state tie
+_HALF_INTEGER_TOL = 1e-12  # how far 2J, and J - m, may sit from a whole number
 STABILIZER_WORD_CAP = 24  # most words a stabilizer bracket searches: 24 take under 2 ms (README)
 
 
@@ -29,7 +30,7 @@ def _validate_spin(j) -> float:
     j = float(j)
     if 2 * j + 1 > MAX_DIM:
         raise ValueError(f"spin {j:g} has dimension {2 * j + 1:.0f}, above the supported {MAX_DIM}")
-    if not j >= 0 or abs(2 * j - round(2 * j)) > 1e-12:  # not >= also rejects nan
+    if not j >= 0 or abs(2 * j - round(2 * j)) > _HALF_INTEGER_TOL:  # not >= also rejects nan
         raise ValueError(f"spin must be a nonnegative half-integer, got {j}")
     return round(2 * j) / 2.0
 
@@ -53,7 +54,7 @@ def spin_basis_state(j, m) -> QuantumState:
     index = round(j - m, 0)  # a float: an infinite or nan m fails the range test
     if not 0 <= index < dim:
         raise ValueError(f"m={m} outside -J..J for J={j}")
-    if abs(j - m - index) > 1e-12:
+    if abs(j - m - index) > _HALF_INTEGER_TOL:
         raise ValueError(f"m={m} is not J minus a whole number for J={j}")
     return QuantumState.basis_state(dim, int(index))
 
@@ -70,7 +71,7 @@ def scs(j, direction) -> QuantumState:
     """
     two_j = round(2 * _validate_spin(j))
     n = np.asarray(direction, dtype=float).reshape(3)
-    if abs(np.linalg.norm(n) - 1.0) > 1e-10:
+    if abs(np.linalg.norm(n) - 1.0) > EQUALITY_TOL:
         raise ValueError(f"direction must be a unit vector, norm {np.linalg.norm(n)!r}")
     half_theta = np.arctan2(np.hypot(n[0], n[1]), n[2]) / 2
     k = np.arange(two_j + 1)
@@ -86,7 +87,7 @@ def orbit_sample(omega: ObservableSpace, reference: QuantumState, angles) -> Qua
     """Apply exp(i sum_a angles[a] X_a) to a pure reference state."""
     if not reference.is_pure:
         raise ValueError("orbit sampling needs a pure reference state")
-    h = assert_hermitian(omega.element(angles), tol=1e-10)
+    h = assert_hermitian(omega.element(angles), tol=EQUALITY_TOL)
     w, evecs = np.linalg.eigh(h)
     u = (evecs * np.exp(1.0j * w)) @ evecs.conj().T  # exp(i h)
     v = u @ reference.vector
@@ -117,27 +118,26 @@ def _top_eigenvector(h: np.ndarray):
     return evecs[:, -1]
 
 
-def highest_weight_purity(omega: ObservableSpace, seed: int = 0) -> float | None:
-    """Raw purity of the top eigenvector of one seeded generic element sum_a c_a X_a.
+def highest_weight_state(omega: ObservableSpace, seed: int = 0) -> QuantumState | None:
+    """The top eigenvector of one seeded generic element sum_a c_a X_a.
 
     On a Lie algebra represented irreducibly, the maximal-purity states are the
     generalized coherent states, the orbit of a highest-weight vector (Perelomov
     1972; Klyachko, quant-ph/0206012; Barnum, Knill, Ortiz, Somma & Viola, PRL 92,
     107902 (2004)).  A generic element is regular, and its top eigenvector is a
-    highest-weight vector for the Weyl chamber that holds it, so the value is the
-    exact maximum.  It is the purity of an actual state, hence a lower bound on
-    any space.  The element is a sum of ``site_element`` terms (a word space is one
-    site), and its top eigenvector is the product of the site eigenvectors, so only
-    D x D matrices are built.  Returns None when a top eigenvalue is degenerate.
+    highest-weight vector for the Weyl chamber that holds it, so its raw purity
+    (``purity.omega_purity``) is the exact maximum.  It is an actual state, so on
+    any space its purity is a lower bound.  The element is a sum of ``site_element``
+    terms (a word space is one site), and its top eigenvector is the product of the
+    site eigenvectors, so only D x D matrices are built.  Returns None when a top
+    eigenvalue is degenerate.
     """
     rng = seeded_rng(seed)
     k = omega.size // omega.sites
     factors = [_top_eigenvector(omega.site_element(gaussians(rng, k))) for _ in range(omega.sites)]
     if any(f is None for f in factors):
         return None
-    psi = kron_all(factors)
-    vals = omega.expectation_vector(QuantumState(vector=psi))
-    return float(np.dot(vals, vals))
+    return QuantumState(vector=kron_all(factors))
 
 
 def stabilizer_bracket(omega: ObservableSpace) -> tuple[list[int], list[list[int]] | None]:
@@ -240,6 +240,6 @@ def max_purity_estimate(omega: ObservableSpace, seed: int = 0) -> float:
         best = max(best, val)
     if omega.traceless:
         bound = 1.0 - 1.0 / omega.dim
-        if best > bound + 1e-8:
+        if best > bound + ROUNDOFF_ALLOWANCE:
             raise AssertionError(f"purity estimate {best} exceeds the bound {bound}")
     return best

@@ -29,6 +29,7 @@ _BLOCK_ENTRIES = 2 ** 14  # entries a blocked kernel takes at once, so temporari
 HERMITICITY_TOL = 1e-12
 INDEPENDENCE_TOL = 1e-9
 EQUALITY_TOL = 1e-10
+ROUNDOFF_ALLOWANCE = 1e-8  # how far a computed value may pass a proved bound (README)
 
 
 class DimensionMismatch(ValueError):
@@ -231,7 +232,7 @@ class QuantumState:
             if abs(tr - 1.0) > HERMITICITY_TOL:
                 raise ValueError(f"density matrix trace {float(tr)} is not 1")
             evals = np.linalg.eigvalsh(m)
-            if evals.min() < -1e-10:
+            if evals.min() < -EQUALITY_TOL:
                 raise ValueError(f"density matrix has negative eigenvalue {evals.min():.3e}")
             self._vector = None
             self._rho = m
@@ -462,10 +463,10 @@ class ObservableSpace:
         resid = a - self.project_operator(a)
         return float(np.sqrt(max(float(np.trace(resid @ resid).real), 0.0)))
 
-    def contains(self, a, tol: float = INDEPENDENCE_TOL) -> bool:
+    def contains(self, a) -> bool:
         a = assert_hermitian(a)
         scale = max(np.sqrt(max(float(np.trace(a @ a).real), 0.0)), 1.0)
-        return self.residual_norm(a) <= tol * scale
+        return self.residual_norm(a) <= INDEPENDENCE_TOL * scale
 
     def traceless_sector(self) -> "ObservableSpace":
         """Project out the identity component and re-orthonormalize.  Built once and kept in the

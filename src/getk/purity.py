@@ -16,6 +16,7 @@ import numpy as np
 from . import Frozen, coherent
 from .operators import (
     EQUALITY_TOL,
+    ROUNDOFF_ALLOWANCE,
     DimensionMismatch,
     ObservableSpace,
     QuantumState,
@@ -86,9 +87,9 @@ def numeric_max_reference(omega: ObservableSpace, seed: int = 0) -> tuple[float,
     degenerate top eigenvalue, gets the fixed-point estimate, a lower bound up to roundoff.
     """
     if omega.irreducible_lie:
-        value = coherent.highest_weight_purity(omega, seed)
-        if value is not None:
-            return value, "highest-weight"
+        state = coherent.highest_weight_state(omega, seed)
+        if state is not None:
+            return omega_purity(state, omega), "highest-weight"
     if omega.masks is not None and omega.size <= coherent.STABILIZER_WORD_CAP:
         commuting, split = coherent.stabilizer_bracket(omega)
         if split is not None:
@@ -129,7 +130,7 @@ def rescaled_purity(state: QuantumState, omega: ObservableSpace,
     raw = omega_purity(state, omega)  # a state of the wrong dimension fails before any reference
     ref, source = resolve_max_reference(omega, max_reference, seed)
     rescaled = raw / ref
-    if rescaled > 1.0 + 1e-8:
+    if rescaled > 1.0 + ROUNDOFF_ALLOWANCE:
         raise ValueError(
             f"rescaled purity {rescaled} exceeds 1: reference {ref} is below the "
             f"true maximum (explicit value too small, or too few optimizer restarts)")
@@ -165,6 +166,6 @@ def invariant_uncertainty(state: QuantumState, generators) -> float:
     """
     total = 0.0
     for g in generators:
-        g = assert_hermitian(g, tol=1e-10)
+        g = assert_hermitian(g, tol=EQUALITY_TOL)
         total += expectation(state, g @ g) - expectation(state, g) ** 2
     return float(total)

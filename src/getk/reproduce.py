@@ -246,7 +246,7 @@ class _Run:
     # --- box polytope ----------------------------------------------------
     def vertex_census(self):
         verts = self.vertices
-        n_prod = sum(1 for v in verts if boxes.vertex_class(v) is boxes.VertexClass.PRODUCT)
+        n_prod = sum(1 for v in verts if boxes.vertex_class(v) == "product")
         n_ent = len(verts) - n_prod
         return ((len(verts), n_prod, n_ent) == (24, 16, 8),
                 f"total={len(verts)} product={n_prod} entangled={n_ent}")

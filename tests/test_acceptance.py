@@ -166,8 +166,8 @@ def test_criterion_6_pr_box_polytope():
     assert len(verts) == 24
     assert all(boxes.is_extremal(v) for v in verts)
     classes = [boxes.vertex_class(v) for v in verts]
-    assert sum(1 for c in classes if c is boxes.VertexClass.PRODUCT) == 16
-    assert sum(1 for c in classes if c is boxes.VertexClass.ENTANGLED) == 8
+    assert sum(1 for c in classes if c == "product") == 16
+    assert sum(1 for c in classes if c == "entangled") == 8
 
     table = {v.probs for v in verts}
     ent = boxes.canonical_entangled_vertex()

@@ -15,7 +15,6 @@ from getk.boxes import (
     BoxState,
     InfeasibleError,
     SignallingError,
-    VertexClass,
     _rref,
     _side_generators,
     canonical_entangled_vertex,
@@ -560,7 +559,7 @@ class TestPolytope:
         verts = enumerate_vertices(1, 2, 1, 2)
         assert len(verts) == 4
         for v in verts:
-            assert is_extremal(v) and vertex_class(v) is VertexClass.PRODUCT
+            assert is_extremal(v) and vertex_class(v) == "product"
 
 
 class TestDoubleDescription:
@@ -583,7 +582,7 @@ class TestDoubleDescription:
             assert is_extremal(v)
             for move in moves:
                 assert tuple([code[x] for x in move]) in found
-        n_prod = sum(1 for v in verts if vertex_class(v) is VertexClass.PRODUCT)
+        n_prod = sum(1 for v in verts if vertex_class(v) == "product")
         assert n_prod == ma ** na * mb ** nb
 
     @pytest.mark.parametrize("shape, total", [
@@ -593,7 +592,7 @@ class TestDoubleDescription:
         na, ma, nb, mb = shape
         verts = enumerate_vertices(*shape)
         assert len(verts) == total
-        n_prod = sum(1 for v in verts if vertex_class(v) is VertexClass.PRODUCT)
+        n_prod = sum(1 for v in verts if vertex_class(v) == "product")
         assert n_prod == ma ** na * mb ** nb
 
     @staticmethod
@@ -622,7 +621,14 @@ class TestDoubleDescription:
         # size in the cap but the four with sides of 2x3 or 3x2 (0.25-0.6 s each to enumerate)
         products = {t.probs for t in product_tables(shape)}
         for v in vertices_of(shape):
-            assert (vertex_class(v) is VertexClass.PRODUCT) is (v.probs in products)
+            assert (vertex_class(v) == "product") is (v.probs in products)
+
+    def test_vertex_class_is_the_printed_word(self):
+        # the class is the word getk prints, not an enum the command line converts
+        assert not hasattr(boxes, "VertexClass")
+        for vertex, word in ((canonical_product_vertex(), "product"),
+                             (canonical_entangled_vertex(), "entangled")):
+            assert type(vertex_class(vertex)) is str and vertex_class(vertex) == word
 
 
 class TestExtremality:
@@ -668,18 +674,18 @@ class TestClassification:
     def test_census(self):
         verts = square_pair()
         classes = [vertex_class(v) for v in verts]
-        assert sum(1 for c in classes if c is VertexClass.PRODUCT) == 16
-        assert sum(1 for c in classes if c is VertexClass.ENTANGLED) == 8
+        assert sum(1 for c in classes if c == "product") == 16
+        assert sum(1 for c in classes if c == "entangled") == 8
 
     def test_displayed_states(self):
-        for state, cls in ((displayed_product_matrix(), VertexClass.PRODUCT),
-                           (displayed_entangled_matrix(), VertexClass.ENTANGLED)):
-            assert is_extremal(state) and vertex_class(state) is cls
+        for state, cls in ((displayed_product_matrix(), "product"),
+                           (displayed_entangled_matrix(), "entangled")):
+            assert is_extremal(state) and vertex_class(state) == cls
 
     def test_product_vertices_factorize(self):
         verts = square_pair()
         for v in verts:
-            if vertex_class(v) is VertexClass.PRODUCT:
+            if vertex_class(v) == "product":
                 a, b = marginals(v)
                 assert product_table(a, b).probs == v.probs
 
@@ -743,13 +749,13 @@ class TestRelabeling:
         assert ent | prod == verts and not ent & prod
 
     def test_preserves_class_and_extremality(self):
-        for state, cls in ((canonical_entangled_vertex(), VertexClass.ENTANGLED),
-                        (canonical_product_vertex(), VertexClass.PRODUCT)):
+        for state, cls in ((canonical_entangled_vertex(), "entangled"),
+                        (canonical_product_vertex(), "product")):
             for ra in side_relabelings(2, 2):
                 for rb in side_relabelings(2, 2):
                     moved = relabel(state, joint_map(state.shape, ra, rb))
                     assert is_extremal(moved)
-                    assert vertex_class(moved) is cls
+                    assert vertex_class(moved) == cls
 
     def test_preserves_no_signalling(self):
         state = displayed_entangled_matrix()
@@ -776,7 +782,7 @@ def test_orbit_is_a_class_function(shape, seed, mixed):
         assert relabeling_orbit(x) == orbit
         assert is_extremal(x) is extremal
         if extremal:
-            assert vertex_class(x) is cls
+            assert vertex_class(x) == cls
 
 
 class TestSeparability:
@@ -789,7 +795,7 @@ class TestSeparability:
         assert not in_separable_tensor_product(displayed_entangled_matrix())
 
     def test_mixture_of_product_vertices(self):
-        verts = [v for v in square_pair() if vertex_class(v) is VertexClass.PRODUCT]
+        verts = [v for v in square_pair() if vertex_class(v) == "product"]
         mix = tuple(sum(v.probs[r] for v in verts[:4]) / 4 for r in range(16))
         assert in_separable_tensor_product(BoxState(shape=(2, 2, 2, 2), probs=mix))
 
@@ -882,7 +888,7 @@ class TestGeneralizedUnentangledBox:
     def test_a_vertex_is_separable_exactly_when_it_is_a_product(self, shape):
         # a vertex lies in the hull of the product vertices only as one of them
         for v in vertices_of(shape):
-            assert in_separable_tensor_product(v) is (vertex_class(v) is VertexClass.PRODUCT)
+            assert in_separable_tensor_product(v) is (vertex_class(v) == "product")
 
 
 def phase1_oracle(columns, target, pivot=fraction_pivot) -> bool:
@@ -1100,7 +1106,7 @@ class TestThreeBoxes:
         verts = enumerate_vertices(*shape)
         assert len(verts) == len(expected) == 2 * 24
         assert {v.probs for v in verts} == expected
-        n_prod = sum(1 for v in verts if vertex_class(v) is VertexClass.PRODUCT)
+        n_prod = sum(1 for v in verts if vertex_class(v) == "product")
         assert n_prod == 2 * 16
         assert all(is_extremal(v) for v in verts[::5])
 

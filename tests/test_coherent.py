@@ -8,7 +8,7 @@ import pytest
 from getk import catalog
 from getk.coherent import (
     STABILIZER_WORD_CAP,
-    highest_weight_purity,
+    highest_weight_state,
     max_purity_estimate,
     orbit_sample,
     scs,
@@ -39,6 +39,12 @@ def raw_purity_and_gradient(omega: ObservableSpace, psi: np.ndarray):
     value = float(np.dot(evals, evals))
     grad = 4.0 * np.einsum("a,ai->i", evals, xpsi)
     return value, grad
+
+
+def highest_weight_purity(omega: ObservableSpace, seed: int = 0) -> float | None:
+    """Raw purity of the seeded highest-weight state, or None when it has none."""
+    state = highest_weight_state(omega, seed)
+    return None if state is None else omega_purity(state, omega)
 
 
 def unit_directions(seed: int, count: int) -> list[np.ndarray]:
@@ -382,6 +388,19 @@ class TestHighestWeightPurity:
         value, source = numeric_max_reference(space, 0)
         assert source == "numerical"
         assert value == pytest.approx(0.25 if sites == 1 else 0.125, abs=1e-12)
+
+    @pytest.mark.parametrize("space", [
+        *map(catalog.named_algebra, ["omega1", "omega2-literal", "local:3x2", "local:10x2",
+                                     "local:2x5", "su2-spin:1/2", "su2-spin:5", "su2-spin:200"]),
+        catalog.restricted_local_spins(1), catalog.restricted_local_spins(2.5),
+    ], ids=lambda space: space.label)
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_reference_is_omega_purity_of_the_state(self, space, seed):
+        # one measurement of the raw purity: the reference is omega_purity's value, bit for bit
+        assert space.irreducible_lie
+        value, source = numeric_max_reference(space, seed)
+        assert source == "highest-weight"
+        assert omega_purity(highest_weight_state(space, seed), space) == value
 
     def test_negative_seed_refused(self):
         for estimate in (highest_weight_purity, max_purity_estimate):

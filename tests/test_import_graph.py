@@ -72,6 +72,24 @@ def test_no_module_constructs_a_json_decode_error():
     assert built == []
 
 
+def _loose_tolerances(path: Path) -> list:
+    """module:line of each float literal 0 < |x| < 1e-6 outside a module-level assignment."""
+    tree = ast.parse(path.read_text())
+    named = {id(node) for stmt in tree.body if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+             for node in ast.walk(stmt)}
+    return [f"{path.stem}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and type(node.value) is float
+            and 0 < abs(node.value) < 1e-6 and id(node) not in named]
+
+
+def test_every_tolerance_is_a_named_constant():
+    # a cutoff is named once, at module level, and read by name; reproduce's golden rows
+    # state their own tolerances
+    loose = [where for path in sorted(PACKAGE.glob("*.py")) if path.stem != "reproduce"
+             for where in _loose_tolerances(path)]
+    assert loose == []
+
+
 VALUE_METHODS = ("__eq__", "__hash__", "__setattr__", "__delattr__")
 
 

@@ -685,7 +685,7 @@ class TestPurityCommand:
         def no_matrix(*args):
             raise LookupError("matrix built")
 
-        monkeypatch.setattr(coherent, "highest_weight_purity", lambda *args: None)
+        monkeypatch.setattr(coherent, "highest_weight_state", lambda *args: None)
         monkeypatch.setattr(ObservableSpace, "element", no_matrix)
         monkeypatch.setattr(ObservableSpace, "site_element", no_matrix)
         purity.numeric_max_reference.cache_clear()
