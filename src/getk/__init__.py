@@ -72,9 +72,9 @@ class StateParseError(ValueError):
     """A state name, state file or box-table file could not be parsed."""
 
 
-def read_json_file(path: str):
-    """Decode a JSON input file whole with ``json.load``; a missing or malformed file is a
-    StateParseError.
+def read_json_file(path: str) -> dict:
+    """Decode a JSON input file whole with ``json.load``; a missing or malformed file, or one
+    whose top level is not an object, is a StateParseError.
 
     Box-table files are read here.  State files are streamed by ``states``, which hands a
     text it cannot read as one complete object to this function, so a malformed state file
@@ -84,13 +84,16 @@ def read_json_file(path: str):
 
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except OSError as exc:
         raise StateParseError(f"state: cannot open {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise StateParseError(f"state: {path!r} is not valid JSON: {exc}") from exc
     except RecursionError:
         raise StateParseError(f"state: {path!r} nests too deeply to decode") from None
+    if not isinstance(obj, dict):
+        raise StateParseError(f"state: {path!r} is not a JSON object")
+    return obj
 
 
 def whole_number(value) -> int:

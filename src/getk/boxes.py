@@ -22,8 +22,9 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd, lcm, prod
 
-from . import Frozen, StateParseError, read_json_file, whole_number  # helpers also read as boxes.<name>
+from . import Frozen, read_json_file, whole_number  # helpers also read as boxes.<name>
 
+TABLE_CAP = 100  # max entries of a table whose polytope is built
 ENUMERATION_CAP = 6  # max n_inputs * n_outputs per side for vertex enumeration
 SEPARABILITY_CAP = 256  # max product vertices per separability test: (4,2,4,2) takes < 1 s
 NO_EMPTY_SIDE = "need at least one input and one output per side"
@@ -63,10 +64,10 @@ def _numerators(probs) -> tuple:
 
 
 @lru_cache(maxsize=32)  # bounded: one entry per table shape
-def _cell_inputs(shape: tuple) -> tuple:
-    """Each flat cell's joint input (k_1, ..., k_N), in table order."""
-    return tuple(itertools.product(*([k for k in range(n) for _ in range(m)]
-                                     for n, m in _boxes(shape))))
+def _cells(shape: tuple) -> tuple:
+    """Per cell, in table order: its per-box flat indices m_s*k_s + i_s and joint input."""
+    return tuple((flat, tuple(f // m for f, m in zip(flat, shape[1::2])))
+                 for flat in itertools.product(*(range(n * m) for n, m in _boxes(shape))))
 
 
 class BoxState(Frozen):
@@ -88,7 +89,7 @@ class BoxState(Frozen):
         if any(n < 0 for n in nums):
             raise InfeasibleError("negative probability entry")
         totals = {}
-        for num, inputs in zip(nums, _cell_inputs(shape)):
+        for num, (_, inputs) in zip(nums, _cells(shape)):
             totals[inputs] = totals.get(inputs, 0) + num
         for inputs, total in totals.items():
             if total != den:
@@ -114,28 +115,26 @@ def marginals(state: BoxState) -> tuple:
     """Exact single-box marginal tables, one per box; the reduction map of this setting.
 
     No box may signal: summed over box s's outcomes, the table must not
-    depend on box s's input (else :class:`SignallingError`).  Box s's
-    marginal then sums out the other boxes' outcomes at any one choice of
-    their inputs: the sum over every choice, divided by their number.
+    depend on box s's input (else :class:`SignallingError`, naming the first
+    cell in table order where it does).  Box s's marginal then sums out the
+    other boxes' outcomes at any one choice of their inputs: the sum over
+    every choice, divided by their number.
     """
-    shape = state.shape
     nums, den = _numerators(state.probs)
     out = []
-    for s, (n, m) in enumerate(_boxes(shape)):
-        inner = prod(shape[2 * s + 2:])  # cells per flat index of box s
-        # runs of cells in mixed-radix order (earlier boxes' indices, k, i)
-        runs = [nums[c:c + inner] for c in range(0, len(nums), inner)]
-        for o in range(0, len(runs), n * m):
-            summed = [[sum(col) for col in zip(*runs[o + m * k:o + m * (k + 1)])]
-                      for k in range(n)]
-            k = next((k for k in range(1, n) if summed[k] != summed[0]), None)
-            if k is not None:
+    for s, (n, m) in enumerate(_boxes(state.shape)):
+        # sums by (the other boxes' flat indices, k_s), and by box s's own flat index
+        blocks, own = {}, [0] * (n * m)
+        for num, (flat, inputs) in zip(nums, _cells(state.shape)):
+            key = (flat[:s] + flat[s + 1:], inputs[s])
+            blocks[key] = blocks.get(key, 0) + num
+            own[flat[s]] += num
+        for (rest, k), total in blocks.items():  # in cell order: the least input first
+            if total != blocks[rest, 0]:
                 raise SignallingError(f"box {s + 1}'s input signals: the other boxes' "
                                       f"marginal differs between its inputs 0 and {k}")
-        choices = prod(shape[::2]) // n
-        out.append(BoxState((n, m), tuple(
-            Fraction(sum(sum(runs[o + r]) for o in range(0, len(runs), n * m)), den * choices)
-            for r in range(n * m))))
+        choices = prod(state.shape[::2]) // n
+        out.append(BoxState((n, m), tuple(Fraction(t, den * choices) for t in own)))
     return tuple(out)
 
 
@@ -167,7 +166,7 @@ def no_signalling_polytope(*shape: int) -> tuple:
     (Barrett 2007).  Column 0 is the constant; the affine hull has dimension len(M[0]) - 1.
     """
     pairs = _boxes(shape)
-    if prod(shape) ** 2 > 10_000:
+    if prod(shape) > TABLE_CAP:
         raise ValueError(f"table size {prod(shape)} too large")
     # the Kronecker row order is the table's mixed-radix order
     return tuple(reduce(_kron, (_side_matrix(n, m) for n, m in pairs), [(1,)]))
@@ -316,11 +315,9 @@ def _side_generators(n: int, m: int) -> list:
 @lru_cache(maxsize=32)
 def _lifted_generators(shape: tuple) -> tuple:
     """Every box's relabeling generators, lifted to maps from new joint index to old."""
-    pairs = _boxes(shape)
-    digits = list(itertools.product(*(range(n * m) for n, m in pairs)))  # per-box flat indices
-    cell = {d: c for c, d in enumerate(digits)}
-    return tuple(tuple(cell[d[:s] + (g[d[s]],) + d[s + 1:]] for d in digits)
-                 for s, (n, m) in enumerate(pairs) for g in _side_generators(n, m))
+    cell = {flat: c for c, (flat, _) in enumerate(_cells(shape))}
+    return tuple(tuple(cell[d[:s] + (g[d[s]],) + d[s + 1:]] for d in cell)
+                 for s, (n, m) in enumerate(_boxes(shape)) for g in _side_generators(n, m))
 
 
 def relabeling_orbit(state: BoxState) -> list:
@@ -386,7 +383,7 @@ def in_convex_hull(state: BoxState, vertices) -> bool:
 def in_separable_tensor_product(state: BoxState) -> bool:
     """Exact membership in the hull of product vertices (a vertex lies in it iff it is one).
 
-    A shape over 100 entries or ``SEPARABILITY_CAP`` product vertices is refused first."""
+    A shape over ``TABLE_CAP`` entries or ``SEPARABILITY_CAP`` product vertices is refused first."""
     marginals(state)  # separability is asked of no-signalling states only
     no_signalling_polytope(*state.shape)  # its table-size rule
     if (count := prod(m ** n for n, m in _boxes(state.shape))) > SEPARABILITY_CAP:

@@ -8,10 +8,11 @@ a broken pipe (the reader of stdout left early; no traceback).  A closed
 stdout is not an error: the records are dropped and the code is unchanged.
 Each subcommand and each flag is declared once, in :data:`COMMANDS`, and a
 flag's text goes unchanged to the one function that reads it: ``--rescale``
-to ``purity.resolve_max_reference``.  :func:`read_argv` reads a well-formed
-command line from that table; argparse, built from the same table by
-:func:`build_parser`, reads every other one and writes all help and usage
-errors.
+to ``purity.resolve_max_reference`` and ``--tol`` to ``purity.PurityReport.unentangled``,
+so an unreadable text of either is refused there, once the state and algebra are read.
+:func:`read_argv` reads a well-formed command line from that table; argparse, built from
+the same table by :func:`build_parser`, reads every other one and writes all help and
+usage errors.
 
 Importing this module registers every getk module lazily: each runs at its
 first attribute access, so ``boxes`` commands load only the pure-Fraction
@@ -199,12 +200,12 @@ def _cmd_reproduce(args) -> int:
 
 
 # Each flag once: (option, kind, default, help).  Its attribute is the option without
-# "--"; kind is "required" (a value that must be given), "value", "float" (a value read
-# by float()) or "switch" (True when given).
+# "--"; kind is "required" (a value that must be given), "value" or "switch" (True when
+# given).  A value is the flag's text, read by the function it goes to.
 _STATE = ("--state", "required", None, "builtin name or JSON state file")
 _ALGEBRA = ("--algebra", "required", None, "catalog name (e.g. omega1, u2, local:2x2)")
 _RESCALE = ("--rescale", "value", None, "auto | analytic | explicit reference value")
-_TOL = ("--tol", "float", 1e-8, None)
+_TOL = ("--tol", "value", 1e-8, None)
 _JSON = ("--json", "switch", False, None)
 _SIZE = ("--size", "required", None, "NA,MA,NB,MB (or NA,MA for a symmetric pair)")
 _BOX_STATE = ("--state", "required", None, "JSON box-table file")
@@ -249,8 +250,7 @@ def build_parser() -> "argparse.ArgumentParser":
             if kind == "switch":
                 p.add_argument(option, action="store_true", help=flag_help)
             else:
-                p.add_argument(option, required=kind == "required", default=default,
-                               type=float if kind == "float" else None, help=flag_help)
+                p.add_argument(option, required=kind == "required", default=default, help=flag_help)
         p.set_defaults(func=func)
     return parser
 
@@ -259,10 +259,10 @@ def read_argv(argv):
     """The attributes ``build_parser().parse_args(argv)`` sets, for a well-formed ``argv``.
 
     Well-formed is strict: a command's words, then full flag names of that command, each
-    at most once, each valued flag followed by a value that does not start with ``-``
-    (``--tol``'s read by ``float``), and every required flag given.  Any other ``argv``
-    gives ``None``, and argparse reads it: help, abbreviations, ``--flag=value``, repeats,
-    values such as ``-1``, stray tokens and missing flags.
+    at most once, each valued flag followed by a value that does not start with ``-``, and
+    every required flag given.  Any other ``argv`` gives ``None``, and argparse reads it:
+    help, abbreviations, ``--flag=value``, repeats, values such as ``-1``, stray tokens and
+    missing flags.
     """
     for words, _, func, flags in COMMANDS:
         if func is None or tuple(argv[:len(words)]) != words:
@@ -280,11 +280,6 @@ def read_argv(argv):
             value = next(tokens, "-")  # a missing value declines as a flag-like one does
             if value.startswith("-"):
                 return None
-            if kind == "float":
-                try:
-                    value = float(value)
-                except ValueError:
-                    return None
             given[token] = value
         if any(kind == "required" and option not in given for option, kind, _, _ in flags):
             return None

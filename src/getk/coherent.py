@@ -15,12 +15,12 @@ import random
 
 import numpy as np
 
-from .operators import (EQUALITY_TOL, MAX_DIM, MAX_ENTRIES, ROUNDOFF_ALLOWANCE, ObservableSpace,
-                        QuantumState, anticommutation_rows, assert_hermitian, kron_all)
+from .operators import (EQUALITY_TOL, MAX_DIM, MAX_ENTRIES, ROUNDOFF_ALLOWANCE, SPECTRAL_GAP,
+                        ObservableSpace, QuantumState, anticommutation_rows, assert_hermitian,
+                        kron_all)
 
 _RESTARTS = 32  # seeded random starts of the fixed-point search
 _MAX_FIXED_POINT_STEPS = 1000  # per restart; catalog algebras stop rising within 40 steps
-_DEGENERATE_GAP = 1e-9  # top eigenvalue gap, relative to the spectral radius, below which it is shared
 _TIE = 1e-12  # relative gap below which two amplitude magnitudes of a coherent state tie
 _HALF_INTEGER_TOL = 1e-12  # how far 2J, and J - m, may sit from a whole number
 STABILIZER_WORD_CAP = 24  # most words a stabilizer bracket searches: 24 take under 2 ms (README)
@@ -113,7 +113,7 @@ def _top_eigenvector(h: np.ndarray):
     """The unit eigenvector of the largest eigenvalue of ``h``, or None when that eigenvalue
     is degenerate and so picks no vector."""
     evals, evecs = np.linalg.eigh(h)
-    if len(evals) > 1 and evals[-1] - evals[-2] <= _DEGENERATE_GAP * np.max(np.abs(evals)):
+    if len(evals) > 1 and evals[-1] - evals[-2] <= SPECTRAL_GAP * np.max(np.abs(evals)):
         return None
     return evecs[:, -1]
 

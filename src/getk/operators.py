@@ -30,6 +30,7 @@ HERMITICITY_TOL = 1e-12
 INDEPENDENCE_TOL = 1e-9
 EQUALITY_TOL = 1e-10
 ROUNDOFF_ALLOWANCE = 1e-8  # how far a computed value may pass a proved bound (README)
+SPECTRAL_GAP = 1e-9  # an eigenvalue gap at most this share of the spectral radius is no gap
 
 
 class DimensionMismatch(ValueError):
@@ -173,7 +174,7 @@ def _decide_lie(masks, dim: int) -> bool:
 
 
 def _simple_spectrum(w) -> bool:  # sorted, not np.sort, whose kernels add resident pages
-    return bool(np.diff(sorted(w)).min() > INDEPENDENCE_TOL * np.abs(w).max())
+    return bool(np.diff(sorted(w)).min() > SPECTRAL_GAP * np.abs(w).max())
 
 
 def _decide_site_lie(basis) -> bool:

@@ -4,8 +4,8 @@ The central quantity is the squared length of the projection of a state
 onto a distinguished observable space: P(rho) = sum_a Tr(rho X_a)^2 for a
 trace-orthonormal basis {X_a}.  Rescaled so that its maximum over pure
 states is 1, maximal purity certifies extremality of the reduced state.
-A :class:`PurityReport` holds the purity; its ``unentangled`` is the whole verdict rule,
-and :func:`resolve_max_reference` the whole rescaling rule, the ``--rescale`` text included.
+A :class:`PurityReport` holds the purity; its ``unentangled`` is the whole verdict rule and
+:func:`resolve_max_reference` the whole rescaling rule, the ``--tol`` and ``--rescale`` texts too.
 """
 
 import math
@@ -54,15 +54,23 @@ class PurityReport(Frozen):
             "max_reference": self.max_reference,
         }
 
-    def unentangled(self, tol: float) -> bool:
+    def unentangled(self, tol: float | str) -> bool:
         """The maximal-purity verdict: rescaled purity within ``tol`` (finite, >= 0) of 1.
 
         Mixed states are rejected: their verdict needs a convex decomposition search."""
         if not self.pure:
             raise ValueError("the maximal-purity test applies to pure states only")
-        if not (math.isfinite(tol) and tol >= 0):
-            raise ValueError(f"tolerance must be a finite non-negative number, got {tol}")
-        return bool(self.rescaled >= 1.0 - tol)
+        if not (math.isfinite(value := _number(tol)) and value >= 0):
+            raise ValueError(f"tolerance must be a finite non-negative number, got {tol!r}")
+        return bool(self.rescaled >= 1.0 - value)
+
+
+def _number(value: float | str) -> float:
+    """``float()`` of a number or its text; nan, which every range check refuses, if it fails."""
+    try:
+        return float(value)
+    except (OverflowError, ValueError):
+        return math.nan
 
 
 def omega_purity(state: QuantumState, omega: ObservableSpace) -> float:
@@ -103,7 +111,7 @@ def resolve_max_reference(omega: ObservableSpace, max_reference: float | str | N
 
     ``"analytic"`` is the maximum the space carries, ``"auto"`` the seeded
     ``numeric_max_reference``, and ``None`` the first of these that exists.  Anything
-    else is read with ``float()``, so a number or its text, and must be positive and finite.
+    else is a number or its text (:func:`_number`), and must be positive and finite.
     """
     if max_reference is None:
         max_reference = "auto" if omega.max_purity is None else "analytic"
@@ -113,11 +121,7 @@ def resolve_max_reference(omega: ObservableSpace, max_reference: float | str | N
         raise ValueError(f"--rescale analytic: no analytic reference for algebra {omega.label!r}")
     if max_reference == "analytic":
         return omega.max_purity, "analytic"
-    try:
-        value = float(max_reference)
-    except (OverflowError, ValueError):  # not a number, or an int past float range: refused below
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
+    if not (math.isfinite(value := _number(max_reference)) and value > 0):
         raise ValueError("rescaling reference must be auto, analytic or a positive finite "
                          f"number, got {max_reference!r}")
     return value, "explicit"

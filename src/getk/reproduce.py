@@ -69,10 +69,9 @@ def omega2_discrepancy_report() -> str:
     omega2-literal (the full direct sum, maximum 1/2) is recorded here.
     """
     table = omega2_value_table()
-    order = ["product", "bisep:12", "bisep:13", "bisep:23", "ghz:3", "w:3"]
     lines = ["bi-local purity readings (rescaled to maximum 1):",
              f"{'state':<10} {'omega2-paper-values':>20} {'omega2-literal':>16}"]
-    for name in order:
+    for name in _P2_GOLD:
         a = table["omega2-paper-values"][name]
         b = table["omega2-literal"][name]
         lines.append(f"{name:<10} {_fmt(a):>20} {_fmt(b):>16}")

@@ -295,6 +295,15 @@ def rational_mixture(shape, rng, terms=3):
     return BoxState(shape=shape, probs=probs)
 
 
+def shapes_up_to(entries: int, n_boxes: int) -> list:
+    """Every shape of 1 to ``n_boxes`` boxes and at most ``entries`` table entries."""
+    grown = [((), 1)]
+    for count in range(n_boxes):
+        grown += [(shape + (n, m), size * n * m) for shape, size in grown if len(shape) == 2 * count
+                  for n in range(1, entries // size + 1) for m in range(1, entries // (size * n) + 1)]
+    return [shape for shape, _ in grown if shape]
+
+
 def from_matrix(rows, shape=(2, 2, 2, 2)):
     """A two-box table from the nested block-matrix layout (rows of the joint table)."""
     return BoxState(shape=shape, probs=tuple(v for row in rows for v in row))
@@ -522,6 +531,25 @@ class TestPolytope:
             free = [row[1:] for row in matrix]
             hull_dim = len(matrix) - oracle_rank(eqs + [unit])
             assert len(_rref(free)[1]) == hull_dim == len(matrix[0]) - 1, shape
+
+    def test_cell_map_is_the_polytope_row_order(self, monkeypatch):
+        # With box s's side matrix one column of powers of the s-th prime, row r of the
+        # polytope's Kronecker product is prod_s p_s ** d_s, which names its per-box flat
+        # indices d_s; each joint input is checked against a construction of its own.
+        primes = []  # one per box, in the order the polytope asks for the side matrices
+
+        def labelled(n, m):
+            primes.append((2, 3, 5)[len(primes)])
+            return [(primes[-1] ** d,) for d in range(n * m)]
+
+        monkeypatch.setattr(boxes, "_side_matrix", labelled)
+        for shape in shapes_up_to(100, n_boxes=2) + shapes_up_to(24, n_boxes=3):
+            primes.clear()
+            cells = boxes._cells(shape)
+            assert no_signalling_polytope.__wrapped__(*shape) == tuple(
+                (prod(p ** d for p, d in zip(primes, flat)),) for flat, _ in cells), shape
+            assert [inputs for _, inputs in cells] == list(itertools.product(
+                *([k for k in range(n) for _ in range(m)] for n, m in zip(shape[::2], shape[1::2]))))
 
     def test_rref_is_exact_on_integer_rows(self):
         m, pivots = _rref([[2, 1, 0], [1, 3, 5]])
@@ -1137,3 +1165,21 @@ class TestThreeBoxes:
                                    "differs between its inputs 0 and 1")
         with pytest.raises(SignallingError):
             is_extremal(table)
+
+    @pytest.mark.parametrize("shape, outcome_1, box", [
+        # box 1's outcome is 1 where box 2's input is 2 and box 1's is 0, or where box 2's
+        # input is 1 and box 1's is 1: the first cell that shows it has box 2's input 2
+        ((2, 2, 3, 2, 2, 2), lambda k1, k2, k3: k2 == (2 if k1 == 0 else 1), 2),
+        # box 1's outcome is 1 where box 3's input is 2: inputs 0 and 1 of box 3 agree
+        ((2, 2, 2, 2, 3, 2), lambda k1, k2, k3: k3 == 2, 3)], ids=["box-2", "box-3-input-2"])
+    def test_signalling_names_the_least_input_of_the_first_cell_that_shows_it(
+            self, shape, outcome_1, box):
+        # p(i1, i2, i3 | k1, k2, k3) = [i1 = outcome_1(k1, k2, k3)][i2 = 0][i3 = 0]
+        probs = tuple(F(int(i1 == outcome_1(k1, k2, k3) and i2 == i3 == 0))
+                      for (k1, i1), (k2, i2), (k3, i3) in itertools.product(
+                          *(itertools.product(range(n), range(m))
+                            for n, m in zip(shape[::2], shape[1::2]))))
+        with pytest.raises(SignallingError) as info:
+            marginals(BoxState(shape, probs))
+        assert str(info.value) == (f"box {box}'s input signals: the other boxes' marginal "
+                                   "differs between its inputs 0 and 2")

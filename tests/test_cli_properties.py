@@ -650,7 +650,23 @@ def test_reader_accepts_every_flag_of_every_command(words, flags):
     ["--state", "w:3", "--algebra", "omega1", "-h"],
     ["--state", "w:3", "--algebra"],  # a missing value
     ["--state", "w:3"],  # a missing flag
-    ["--state", "w:3", "--algebra", "omega1", "--tol", "0x10"],  # not a float
 ])
 def test_reader_declines_what_argparse_must_read(tail):
     assert read(["classify", *tail]) is None
+
+
+def test_reader_passes_a_tol_text_that_is_no_float():
+    # --tol's text goes unchanged to PurityReport.unentangled, as --rescale's goes to
+    # resolve_max_reference: the reader takes it, and the verdict rule refuses it
+    argv = ["classify", "--state", "w:3", "--algebra", "omega1", "--tol", "0x10"]
+    assert read(argv)[0]["tol"] == "0x10"
+    assert run(argv) == (
+        2, "", "error: tolerance must be a finite non-negative number, got '0x10'\n")
+
+
+@pytest.mark.parametrize("tol", ["abc", "0x10", "", "nan", "inf", "-1"])
+def test_tol_text_refused_by_the_verdict_rule_exit_2(tol):
+    # "-1" goes through argparse, the others through the reader: both pass the text on
+    code, out, err = run(["classify", "--state", "w:3", "--algebra", "omega1", "--tol", tol])
+    assert (code, out) == (2, "")
+    assert err == f"error: tolerance must be a finite non-negative number, got {tol!r}\n"

@@ -407,6 +407,12 @@ def test_well_formed_commands_leave_argparse_out(tmp_path):
     assert [_parser_modules(argv) for argv in runs] == [[0, False, False, False]] * len(runs)
 
 
+def test_a_tol_text_that_is_no_float_leaves_argparse_out():
+    # the reader passes any --tol text on, and the verdict rule refuses this one
+    argv = ["classify", "--state", "w:3", "--algebra", "omega1", "--tol", "abc"]
+    assert _parser_modules(argv) == [2, False, False, False]
+
+
 @pytest.mark.parametrize("argv, code", [
     (["--help"], 0), (["purity", "--help"], 0),
     (["purity", "--stat", "w:3", "--algebra", "omega1"], 0),  # an abbreviation

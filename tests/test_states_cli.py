@@ -124,6 +124,17 @@ class TestStateFiles:
         with pytest.raises(states.StateParseError):
             states.load_state("/no/such/file.json")
 
+    @pytest.mark.parametrize("text", ["[1, 2]", '"abc"', "3", "null"])
+    @pytest.mark.parametrize("command", [["purity", "--algebra", "omega1"], ["boxes", "classify"]],
+                             ids=["state", "box"])
+    def test_top_level_not_an_object_exit_2(self, capsys, tmp_path, text, command):
+        # valid JSON that is no object gets getk's own message, not Python's indexing text
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, *command, "--state", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: state: {str(path)!r} is not a JSON object\n"
+
     def test_density_file_is_decoded_row_by_row(self, tmp_path):
         # as nested lists a matrix costs ~110 bytes an entry; streamed a few reads at a time
         # and decoded row by row into float arrays, the traced peak is the rows, the matrix

@@ -21,6 +21,8 @@ COMMANDS = {
     "purity": ["purity", "--state", "ghz:3", "--algebra", "omega3", "--rescale", "auto"],
     "classify": ["classify", "--state", "spin:3,3", "--algebra", "su2-spin:3"],
     "vertices": ["boxes", "vertices", "--size", "2,2"],
+    "box-classify": ["boxes", "classify", "--state", "pr.json"],
+    "separable": ["boxes", "separable", "--state", "pr.json"],
     "orbit": ["boxes", "orbit", "--state", "pr.json"],
     "reproduce": ["reproduce", "--table", "paper"],
 }
