@@ -23,10 +23,11 @@ import os
 import re
 import stat
 
-import numpy as np
-
 from . import StateParseError, coherent, fermion, read_json_file, whole_number
 from .operators import QuantumState, checked_dim
+
+# last: the getk modules imported above compile before numpy loads, not on top of its memory
+import numpy as np
 
 
 def _even(dim: int, indices, signs=1) -> QuantumState:
@@ -144,7 +145,9 @@ def _matrix_row(entry):
 
 _CHUNK = 1 << 16  # characters a state file is read by
 _WHITESPACE = re.compile(r"[ \t\n\r]*")  # JSON's four whitespace characters
-_ROW_END = re.compile(r"\][ \t\n\r]*\]")  # how a row of [re, im] pairs ends
+# the last "]", whitespace, "]" (how an indented row of [re, im] pairs ends) in a range:
+# the greedy ".*" runs to the range's end and backs off, reading only the text past that row end
+_LAST_ROW_END = re.compile(r".*\][ \t\n\r]*\]", re.DOTALL)
 
 
 class _NotOneObject(ValueError):
@@ -223,18 +226,18 @@ class _StateText:
     def _row_end(self) -> int:
         """Past the last row end that ``value`` would accept, reading on until there is
         one; ``len(buf)`` at EOF.  Rows written by ``json.dumps`` end in "]]", found from
-        the end of the buffer; a stretch longer than a read without one is searched for
-        "]", whitespace and "]", as indented JSON ends a row.  So a row is scanned only
-        once the buffer holds its end."""
+        the end of the buffer; a stretch longer than a read without one is searched, also
+        from the end, for "]", whitespace and "]", as indented JSON ends a row.  So a row is
+        scanned only once the buffer holds its end."""
         while not self.eof:
             limit = len(self.buf) - 3
             end = self.buf.rfind("]]", self.pos, limit)
             if end >= 0:
                 return end + 2
             if limit - self.pos > _CHUNK:
-                ends = [m.end() for m in _ROW_END.finditer(self.buf, self.pos, limit)]
-                if ends:
-                    return ends[-1]
+                last = _LAST_ROW_END.match(self.buf, self.pos, limit)
+                if last:
+                    return last.end()
             self.more()
         return len(self.buf)
 

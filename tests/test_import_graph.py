@@ -230,6 +230,71 @@ def test_import_leaves_numpy_out(module):
     assert out.strip() == "False"
 
 
+def _numpy_after_package_imports(path: Path):
+    """Whether one module's top-level numpy import follows all its package-relative imports;
+    None if it imports no numpy at top level."""
+    body = ast.parse(path.read_text()).body
+    imported = [[a.name for a in node.names] if isinstance(node, ast.Import)
+                else [node.module or ""] if isinstance(node, ast.ImportFrom) and not node.level
+                else [] for node in body]
+    numpy = [i for i, names in enumerate(imported) if any(n.split(".")[0] == "numpy" for n in names)]
+    package = [i for i, node in enumerate(body) if isinstance(node, ast.ImportFrom) and node.level]
+    return min(numpy) > max(package, default=-1) if numpy else None
+
+
+def test_numpy_is_imported_after_the_package_imports():
+    # a command enters cli -> states -> operators: both compile before numpy loads, so the
+    # compiler's working memory is freed before numpy's is taken (README "Start-up")
+    order = {path.stem: _numpy_after_package_imports(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert [module for module, after in order.items() if after is False] == []
+    assert order["states"] is order["operators"] is True
+
+
+COMPILE_PROBE = """\
+import contextlib, io, json, os, sys
+package = os.path.join(sys.argv[1], "getk")
+numpy, before, after = [], [], []
+
+def record(event, args):
+    if event == "compile" and os.path.dirname(str(args[1])) == package:
+        (after if numpy else before).append(os.path.basename(args[1]))
+    elif event == "import" and args[0] == "numpy":
+        numpy.append(True)
+
+sys.addaudithook(record)
+from getk import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(json.loads(sys.argv[2]))
+print(json.dumps([code, before, sorted(after)]))
+"""
+PURITY_ENTRY = ["__init__.py", "cli.py", "states.py", "operators.py"]
+
+
+@pytest.mark.parametrize("argv, before, after", [
+    (["purity", "--state", "w:3", "--algebra", "omega1"],
+     PURITY_ENTRY, ["catalog.py", "purity.py"]),
+    (["purity", "--state", "density.json", "--algebra", "u2"],
+     PURITY_ENTRY, ["catalog.py", "coherent.py", "purity.py"]),
+    (["classify", "--state", "w:3", "--algebra", "omega4", "--rescale", "auto"],
+     PURITY_ENTRY, ["catalog.py", "coherent.py", "purity.py"]),
+    (["reproduce", "--table", "paper"],
+     ["__init__.py", "cli.py", "reproduce.py", "operators.py"],
+     ["boxes.py", "catalog.py", "coherent.py", "fermion.py", "purity.py", "states.py"]),
+], ids=["builtin", "density-file", "rescale-auto", "reproduce"])
+def test_commands_compile_their_entry_modules_before_numpy(tmp_path, argv, before, after):
+    # [exit code, getk files compiled before numpy is imported, those compiled after], from
+    # the compile and import audit events of one command on a copy of the package with no
+    # bytecode cache, as a checkout runs with PYTHONDONTWRITEBYTECODE=1
+    (tmp_path / "getk").mkdir()
+    for source in PACKAGE.glob("*.py"):
+        (tmp_path / "getk" / source.name).write_bytes(source.read_bytes())
+    _state_files(tmp_path)
+    env = dict(os.environ, PYTHONPATH=str(tmp_path), PYTHONDONTWRITEBYTECODE="1")
+    out = subprocess.run([sys.executable, "-c", COMPILE_PROBE, str(tmp_path), json.dumps(argv)],
+                         env=env, cwd=tmp_path, check=True, capture_output=True, text=True).stdout
+    assert json.loads(out) == [0, before, after]
+
+
 LAZY_MODULES = ("boxes", "catalog", "coherent", "fermion", "operators", "purity",
                 "reproduce", "states")
 REGISTRY_PROBE = """\

@@ -167,7 +167,7 @@ class TestStateFiles:
         monkeypatch.setattr(states, "QuantumState", lambda rho: [r() for r in rows])
         assert states.load_state(str(path)) == [None] * 16
 
-    @pytest.mark.parametrize("indent", [None, 1])
+    @pytest.mark.parametrize("indent", [None, 1, 2, "\t"])
     def test_each_row_is_scanned_once(self, tmp_path, monkeypatch, indent):
         # a row that a read cuts off is scanned when the reads hold its end, not before:
         # json.dumps's "]]" and an indented "]\n ]" both end a row
@@ -186,6 +186,22 @@ class TestStateFiles:
         assert len(scans) == 5 + 40  # three keys, two values and the rows
         # and the text already read is dropped: no scan starts past two rows and two reads
         assert max(scans) < 2 * path.stat().st_size / 40 + 2 * 500
+
+    @pytest.mark.parametrize("chunk", [None, 50, 1000], ids=["one-read", "50", "1000"])
+    @pytest.mark.parametrize("indent", [None, 1, 2, "\t"], ids=["compact", "1", "2", "tab"])
+    def test_indented_file_decodes_as_json_load_reads_it(self, tmp_path, monkeypatch, indent,
+                                                         chunk):
+        # an indented row ends in "]", whitespace and "]", searched for back from the end of
+        # the text read; reads of 50 or 1,000 characters put row ends across two reads
+        rho = random_density_state(24, np.random.default_rng(24), rank=4).density()
+        path = tmp_path / "density.json"
+        path.write_text(json.dumps(state_to_json_dict(QuantumState(rho=rho)), indent=indent))
+        with open(path, encoding="utf-8") as fh:
+            expected = states.state_from_json_dict(json.load(fh)).density()
+        if chunk:
+            monkeypatch.setattr(states, "_CHUNK", chunk)
+        assert states._stream_state_file(str(path)) is not None  # streamed, not read whole
+        assert np.array_equal(states.load_state(str(path)).density(), expected)
 
     @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
     def test_piped_state_gets_json_loads_error(self):
