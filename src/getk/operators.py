@@ -208,6 +208,20 @@ def _decide_site_lie(basis) -> bool:
     return bool(seen.all())
 
 
+def _factors_with_shift(m) -> bool:
+    """Whether m + (EQUALITY_TOL/2) I has a Cholesky factor, read from m's lower triangle as
+    ``eigvalsh`` reads it; True proves no eigenvalue below -EQUALITY_TOL (Higham 2002, 10.1)."""
+    # left-looking: one matrix-vector product per column, one n x n factor, no shifted copy
+    f = np.empty_like(m)
+    for k in range(len(m)):
+        col = m[k:, k] - f[k:, :k] @ f[k, :k].conj()
+        pivot = col[0].real + EQUALITY_TOL / 2
+        if not pivot > 0:
+            return False
+        f[k + 1:, k] = col[1:] / pivot ** 0.5  # the diagonal is never read again
+    return True
+
+
 class QuantumState:
     """A pure state vector or a density operator on dimension ``dim``."""
 
@@ -232,9 +246,10 @@ class QuantumState:
             tr = np.trace(m).real
             if abs(tr - 1.0) > HERMITICITY_TOL:
                 raise ValueError(f"density matrix trace {float(tr)} is not 1")
-            evals = np.linalg.eigvalsh(m)
-            if evals.min() < -EQUALITY_TOL:
-                raise ValueError(f"density matrix has negative eigenvalue {evals.min():.3e}")
+            if not _factors_with_shift(m):  # eigvalsh decides only what the factor cannot
+                least = np.linalg.eigvalsh(m).min()
+                if least < -EQUALITY_TOL:
+                    raise ValueError(f"density matrix has negative eigenvalue {least:.3e}")
             self._vector = None
             self._rho = m
             self.dim = m.shape[0]

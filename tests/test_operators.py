@@ -6,6 +6,7 @@ import pytest
 
 from getk import catalog, coherent, fermion, operators
 from getk.operators import (
+    EQUALITY_TOL,
     INDEPENDENCE_TOL,
     DimensionMismatch,
     ObservableSpace,
@@ -28,6 +29,37 @@ from getk.purity import rescaled_purity
 from random_states import maximally_mixed, random_density_state, random_pure_state
 
 SX, SY, SZ, ID = map(pauli_string, "XYZI")
+
+
+def spectrum_density(d, least, rng, first=None):
+    """A seeded Hermitian matrix of dimension d whose eigenvalues are ``least`` (with
+    eigenvector ``first`` if given), zeros up to half the spectrum, and positive values that
+    bring the trace to 1; at d = 1 it is [[least]]."""
+    w = rng.uniform(0.1, 1.0, size=d)
+    w[:d // 2] = 0.0
+    w[0] = least
+    if d > 1:
+        w[1:] *= (1.0 - least) / w[1:].sum()
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    if first is not None:
+        g[:, 0] = first
+    q = np.linalg.qr(g)[0]
+    m = (q * w) @ q.conj().T
+    return (m + m.conj().T) / 2
+
+
+def eigvalsh_rule(m):
+    """The eigvalsh rule's verdict: its refusal message, or None to accept."""
+    least = np.linalg.eigvalsh(m).min()
+    return f"density matrix has negative eigenvalue {least:.3e}" if least < -EQUALITY_TOL else None
+
+
+def density_verdict(m):
+    try:
+        QuantumState(rho=m)
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 def sz_total():
@@ -495,9 +527,43 @@ class TestQuantumState:
             QuantumState(vector=np.array([bad, 1.0]))
 
     def test_density_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not Hermitian"):
             QuantumState(rho=np.array([[0.5, 0.0], [0.1, 0.5]]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="negative eigenvalue -5.000e-01"):
+            QuantumState(rho=np.diag([1.5, -0.5]).astype(complex))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 16, 64, 243])
+    def test_positivity_verdict_is_the_eigvalsh_rule(self, d):
+        # the least eigenvalue at or above 0 (rank-deficient), near the factor's shift
+        # -EQUALITY_TOL/2, near the threshold -EQUALITY_TOL, and far below it
+        rng = np.random.default_rng(d)
+        bands = (0.0, -EQUALITY_TOL / 2, -EQUALITY_TOL, -1e-3)
+        for least in [1.0] if d == 1 else [band * scale for band in bands for scale in (0.9, 1.1)]:
+            m = spectrum_density(d, least, rng)
+            assert density_verdict(m) == eigvalsh_rule(m), (d, least)
+
+    @pytest.mark.parametrize("lower_accepts", [True, False])
+    def test_positivity_reads_the_lower_triangle(self, lower_accepts):
+        # a PSD matrix A with null vector u = (1, ..., 1)/sqrt(d), and B = A - 0.9e-12 (J - I),
+        # J the all-ones matrix: off the diagonal |A - B| = 0.9e-12, within HERMITICITY_TOL,
+        # but B's least eigenvalue is about -0.9e-12 d = -2.2e-10.  The verdict follows the
+        # lower triangle, as eigvalsh's does
+        d = 243
+        a = spectrum_density(d, 0.0, np.random.default_rng(7), first=np.full(d, d ** -0.5))
+        b = a - 0.9e-12 * (np.ones((d, d)) - np.eye(d))
+        low, high = (a, b) if lower_accepts else (b, a)
+        m = np.tril(low) + np.triu(high, 1)
+        assert density_verdict(m) == eigvalsh_rule(m)
+        assert (density_verdict(m) is None) == lower_accepts
+
+    def test_positive_semidefinite_densities_never_call_eigvalsh(self, monkeypatch):
+        def no_eigvalsh(m):
+            raise AssertionError("eigvalsh ran")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        for d in (2, 8, 243):
+            assert random_density_state(d, np.random.default_rng(d), rank=4).dim == d
+        with pytest.raises(AssertionError, match="eigvalsh ran"):
             QuantumState(rho=np.diag([1.5, -0.5]).astype(complex))
 
     @pytest.mark.parametrize("kwargs", [{}, {"vector": [1.0], "rho": [[1.0]]}],

@@ -651,6 +651,25 @@ class TestPurityCommand:
         code, out, err = run_cli(capsys, "purity", "--state", str(path), "--algebra", "omega1")
         assert code == 2 and out == "" and message in err and "np." not in err
 
+    @pytest.mark.parametrize("diagonal, refusal", [
+        ([1.5, -0.5], "-5.000e-01"),
+        ([1 + 2e-10, -2e-10], "-2.000e-10"),
+        ([1 + 5e-11, -5e-11], None),
+    ], ids=["far-below", "past-threshold", "within-threshold"])
+    def test_negative_eigenvalue_threshold(self, capsys, tmp_path, diagonal, refusal):
+        # a least eigenvalue below -EQUALITY_TOL = -1e-10 is refused, and the message prints it
+        path = tmp_path / "diagonal.json"
+        path.write_text(json.dumps({"dim": 2, "kind": "density", "matrix": [
+            [[diagonal[0], 0], [0, 0]], [[0, 0], [diagonal[1], 0]]]}))
+        code, out, err = run_cli(capsys, "purity", "--state", str(path),
+                                 "--algebra", "su2-spin:1/2")
+        if refusal:
+            assert (code, out) == (2, "")
+            assert err == ("error: bad state file: density matrix has negative eigenvalue "
+                           f"{refusal}\n")
+        else:
+            assert (code, err) == (0, "") and "\nrescaled=1.0000000002\n" in out
+
     def test_spin_zero_algebra_exit_2_without_warning(self):
         # J = 0 once divided by zero: a numpy warning, then a misleading error
         proc = _run_getk("purity", "--state", "spin:0,0", "--algebra", "su2-spin:0")
