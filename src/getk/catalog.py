@@ -10,12 +10,11 @@ import itertools
 import math
 from functools import lru_cache
 
+import numpy as np
+
 from . import coherent, fermion
 from .operators import MAX_DIM, ObservableSpace, checked_dim, gell_mann_basis, pauli_string
 from .states import parse_number_token
-
-# last: the getk modules imported above compile before numpy loads, not on top of its memory
-import numpy as np
 
 MAX_SITE_DIM = math.isqrt(MAX_DIM)  # 32: the largest site of any two-site space
 

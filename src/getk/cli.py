@@ -16,8 +16,8 @@ usage errors.
 
 Importing this module registers every getk module lazily: each runs at its
 first attribute access, so ``boxes`` commands load only the pure-Fraction
-``boxes`` module and never numpy.  Of the stdlib, this module loads only
-``importlib.util``; ``argparse`` (with ``gettext`` and ``locale``) is
+``boxes`` module and never numpy.  Of the stdlib, it loads only ``importlib``'s
+``util`` and ``machinery``; ``argparse`` (with ``gettext`` and ``locale``) is
 imported by :func:`build_parser`, and ``json`` by the ``--json`` branch of
 ``_emit`` and by the file readers.  Getk names are read through their module
 at call time, never bound by ``from .x import name``.  The ``getk`` command
@@ -26,6 +26,7 @@ it writes no files and registers no exit handler, so interpreter teardown
 would only free memory the process is about to give back.
 """
 
+import importlib.machinery
 import importlib.util
 import os
 import sys
@@ -37,13 +38,18 @@ if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.envi
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 
+class _Loader(importlib.machinery.SourceFileLoader):
+    def get_code(self, fullname):  # the code _compile_ahead built, if it did, handed over once
+        return vars(self).pop("code", None) or super().get_code(fullname)
+
+
 def _lazy(name: str):
     """The module ``getk.<name>``, registered to run at its first attribute access."""
     full = f"{__package__}.{name}"
     module = sys.modules.get(full)  # one module object, however it was imported first
     if module is None:
         spec = importlib.util.find_spec(full)
-        spec.loader = importlib.util.LazyLoader(spec.loader)
+        spec.loader = importlib.util.LazyLoader(_Loader(full, spec.origin))
         module = sys.modules[full] = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
         setattr(sys.modules[__package__], name, module)
@@ -53,6 +59,14 @@ def _lazy(name: str):
 # all eight, as when they were imported eagerly: a tool that patches getk finds each one
 boxes, catalog, coherent, fermion, operators, purity, reproduce, states = map(_lazy, (
     "boxes", "catalog", "coherent", "fermion", "operators", "purity", "reproduce", "states"))
+
+
+def _compile_ahead(*modules):
+    """Build the code of registered modules that have not run, so it compiles before numpy loads."""
+    for module in modules:
+        if type(module) is not types.ModuleType:  # not run: reading its __spec__ would run it
+            loader = object.__getattribute__(module, "__spec__").loader
+            loader.code = loader.get_code(loader.name)
 
 
 def _fmt_value(v) -> str:
@@ -96,6 +110,7 @@ def _load_algebra(name: str):
 
 def _cmd_purity(args) -> int:
     """``purity``, and ``classify``, which adds the verdict drawn from the same report."""
+    _compile_ahead(states, operators, catalog, purity)
     state = states.load_state(args.state)
     omega = _load_algebra(args.algebra)
     report = purity.rescaled_purity(state, omega, max_reference=args.rescale, seed=_seed())
@@ -194,6 +209,7 @@ def _cmd_reproduce(args) -> int:
         for check in reproduce.CHECKS:
             print(check.name)
         return 0
+    _compile_ahead(boxes, catalog, coherent, fermion, operators, purity, reproduce, states)
     lines, code = reproduce.run_table_paper(seed=_seed())
     print("\n".join(lines))
     return code

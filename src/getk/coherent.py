@@ -13,12 +13,11 @@ every other space.  The two that sample draw from the stdlib ``random.Random``, 
 import math
 import random
 
+import numpy as np
+
 from .operators import (EQUALITY_TOL, MAX_DIM, MAX_ENTRIES, ROUNDOFF_ALLOWANCE, SPECTRAL_GAP,
                         ObservableSpace, QuantumState, anticommutation_rows, assert_hermitian,
                         kron_all)
-
-# last: the getk modules imported above compile before numpy loads, not on top of its memory
-import numpy as np
 
 _RESTARTS = 32  # seeded random starts of the fixed-point search
 _MAX_FIXED_POINT_STEPS = 1000  # per restart; catalog algebras stop rising within 40 steps

@@ -11,11 +11,10 @@ so the canonical anticommutation relations hold exactly.
 
 from functools import lru_cache
 
+import numpy as np
+
 from .operators import (ObservableSpace, QuantumState, checked_dim, pauli_masks, pauli_string,
                         pauli_word)
-
-# last: the getk modules imported above compile before numpy loads, not on top of its memory
-import numpy as np
 
 
 def majorana_words(m: int) -> list[str]:

@@ -11,6 +11,8 @@ A :class:`PurityReport` holds the purity; its ``unentangled`` is the whole verdi
 import math
 from functools import lru_cache
 
+import numpy as np
+
 from . import Frozen, coherent
 from .operators import (
     EQUALITY_TOL,
@@ -22,9 +24,6 @@ from .operators import (
     expectation,
     partial_trace,
 )
-
-# last: the getk modules imported above compile before numpy loads, not on top of its memory
-import numpy as np
 
 
 class PurityReport(Frozen):

@@ -11,6 +11,8 @@ from fractions import Fraction
 from functools import cached_property, partial
 from typing import Callable
 
+import numpy as np
+
 from . import Frozen, boxes, catalog, coherent, fermion, states
 from .operators import QuantumState, kron_all, lie_closure, orthonormalize, partial_trace, pauli_string
 from .purity import (
@@ -19,9 +21,6 @@ from .purity import (
     omega_purity,
     rescaled_purity,
 )
-
-# last: the getk modules imported above compile before numpy loads, not on top of its memory
-import numpy as np
 
 
 def _fmt(x) -> str:

@@ -23,11 +23,10 @@ import os
 import re
 import stat
 
+import numpy as np
+
 from . import StateParseError, coherent, fermion, read_json_file, whole_number
 from .operators import QuantumState, checked_dim
-
-# last: the getk modules imported above compile before numpy loads, not on top of its memory
-import numpy as np
 
 
 def _even(dim: int, indices, signs=1) -> QuantumState:

@@ -230,69 +230,90 @@ def test_import_leaves_numpy_out(module):
     assert out.strip() == "False"
 
 
-def _numpy_after_package_imports(path: Path):
-    """Whether one module's top-level numpy import follows all its package-relative imports;
-    None if it imports no numpy at top level."""
-    body = ast.parse(path.read_text()).body
-    imported = [[a.name for a in node.names] if isinstance(node, ast.Import)
-                else [node.module or ""] if isinstance(node, ast.ImportFrom) and not node.level
-                else [] for node in body]
-    numpy = [i for i, names in enumerate(imported) if any(n.split(".")[0] == "numpy" for n in names)]
-    package = [i for i, node in enumerate(body) if isinstance(node, ast.ImportFrom) and node.level]
-    return min(numpy) > max(package, default=-1) if numpy else None
-
-
-def test_numpy_is_imported_after_the_package_imports():
-    # a command enters cli -> states -> operators: both compile before numpy loads, so the
-    # compiler's working memory is freed before numpy's is taken (README "Start-up")
-    order = {path.stem: _numpy_after_package_imports(path) for path in sorted(PACKAGE.glob("*.py"))}
-    assert [module for module, after in order.items() if after is False] == []
-    assert order["states"] is order["operators"] is True
-
-
 COMPILE_PROBE = """\
 import contextlib, io, json, os, sys
 package = os.path.join(sys.argv[1], "getk")
-numpy, before, after = [], [], []
+numpy, compiled = [], []
 
 def record(event, args):
     if event == "compile" and os.path.dirname(str(args[1])) == package:
-        (after if numpy else before).append(os.path.basename(args[1]))
+        compiled.append([os.path.basename(args[1]), bool(numpy)])
     elif event == "import" and args[0] == "numpy":
         numpy.append(True)
 
 sys.addaudithook(record)
+{imports}
 from getk import cli
-with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(json.loads(sys.argv[2]))
-print(json.dumps([code, before, sorted(after)]))
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    codes = [cli.main(argv) for argv in json.loads(sys.argv[2])]
+print(json.dumps([codes, compiled, bool(numpy), out.getvalue()]))
 """
-PURITY_ENTRY = ["__init__.py", "cli.py", "states.py", "operators.py"]
+
+
+def _compile_audit(tmp_path, runs, imports=""):
+    """[exit codes, [getk file, numpy already imported] per compile event, numpy imported,
+    stdout] of commands run in turn in one process, on a copy of the package at tmp_path,
+    with PYTHONDONTWRITEBYTECODE=1 as a checkout runs."""
+    if not (tmp_path / "getk").is_dir():
+        (tmp_path / "getk").mkdir()
+        for source in PACKAGE.glob("*.py"):
+            (tmp_path / "getk" / source.name).write_bytes(source.read_bytes())
+        _state_files(tmp_path)
+    env = dict(os.environ, PYTHONPATH=str(tmp_path), PYTHONDONTWRITEBYTECODE="1")
+    probe = COMPILE_PROBE.format(imports=imports)
+    out = subprocess.run([sys.executable, "-c", probe, str(tmp_path), json.dumps(runs)],
+                         env=env, cwd=tmp_path, check=True, capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+PURITY_AHEAD = ["__init__.py", "cli.py", "states.py", "operators.py", "catalog.py", "purity.py"]
+GETK_FILES = sorted(path.name for path in PACKAGE.glob("*.py"))
 
 
 @pytest.mark.parametrize("argv, before, after", [
-    (["purity", "--state", "w:3", "--algebra", "omega1"],
-     PURITY_ENTRY, ["catalog.py", "purity.py"]),
-    (["purity", "--state", "density.json", "--algebra", "u2"],
-     PURITY_ENTRY, ["catalog.py", "coherent.py", "purity.py"]),
+    (["purity", "--state", "w:3", "--algebra", "omega1"], PURITY_AHEAD, []),
+    (["purity", "--state", "density.json", "--algebra", "u2"], PURITY_AHEAD, ["coherent.py"]),
     (["classify", "--state", "w:3", "--algebra", "omega4", "--rescale", "auto"],
-     PURITY_ENTRY, ["catalog.py", "coherent.py", "purity.py"]),
+     PURITY_AHEAD, ["coherent.py"]),
+    (["classify", "--state", "fock:m2:01", "--algebra", "u2"],
+     PURITY_AHEAD, ["coherent.py", "fermion.py"]),
     (["reproduce", "--table", "paper"],
-     ["__init__.py", "cli.py", "reproduce.py", "operators.py"],
-     ["boxes.py", "catalog.py", "coherent.py", "fermion.py", "purity.py", "states.py"]),
-], ids=["builtin", "density-file", "rescale-auto", "reproduce"])
+     ["__init__.py", "cli.py", "boxes.py", "catalog.py", "coherent.py", "fermion.py",
+      "operators.py", "purity.py", "reproduce.py", "states.py"], []),
+    # --list never runs boxes, coherent or fermion, so nothing is compiled ahead
+    (["reproduce", "--list"], ["__init__.py", "cli.py", "reproduce.py"],
+     ["catalog.py", "operators.py", "purity.py", "states.py"]),
+    (["boxes", "vertices", "--size", "2,2"], ["__init__.py", "cli.py", "boxes.py"], None),
+], ids=["builtin", "density-file", "rescale-auto", "fock", "reproduce", "list", "box-vertices"])
 def test_commands_compile_their_entry_modules_before_numpy(tmp_path, argv, before, after):
-    # [exit code, getk files compiled before numpy is imported, those compiled after], from
-    # the compile and import audit events of one command on a copy of the package with no
-    # bytecode cache, as a checkout runs with PYTHONDONTWRITEBYTECODE=1
-    (tmp_path / "getk").mkdir()
-    for source in PACKAGE.glob("*.py"):
-        (tmp_path / "getk" / source.name).write_bytes(source.read_bytes())
-    _state_files(tmp_path)
-    env = dict(os.environ, PYTHONPATH=str(tmp_path), PYTHONDONTWRITEBYTECODE="1")
-    out = subprocess.run([sys.executable, "-c", COMPILE_PROBE, str(tmp_path), json.dumps(argv)],
-                         env=env, cwd=tmp_path, check=True, capture_output=True, text=True).stdout
-    assert json.loads(out) == [0, before, after]
+    # [exit code, getk files compiled before numpy is imported, those compiled after (None
+    # when numpy is never imported)], from the compile and import audit events of one command
+    # on a copy of the package with no bytecode cache; and no bytecode is written
+    codes, compiled, numpy, _ = _compile_audit(tmp_path, [argv])
+    assert [codes[0], [name for name, late in compiled if not late],
+            sorted(name for name, late in compiled if late) if numpy else None] == [0, before, after]
+    assert list(tmp_path.rglob("__pycache__")) == []
+
+
+@pytest.mark.parametrize("imports", ["", "import getk.purity"], ids=["cli-first", "purity-first"])
+def test_every_getk_file_compiles_once(tmp_path, imports):
+    # code compiled ahead is run, not compiled again: by a later command, after a command that
+    # stopped before running it (an unknown state), or for a module imported before cli
+    runs = [["purity", "--state", "no-such-state", "--algebra", "omega1"],
+            ["reproduce", "--table", "paper"], ["purity", "--state", "w:3", "--algebra", "omega1"],
+            ["reproduce", "--table", "paper"]]
+    codes, compiled, _, _ = _compile_audit(tmp_path, runs, imports)
+    assert codes == [2, 0, 0, 0]
+    assert sorted(name for name, _ in compiled) == GETK_FILES
+
+
+def test_a_bytecode_cache_is_read_not_compiled(tmp_path):
+    # compiling ahead goes through the loader's own get_code, which reads a valid cache
+    runs = [["reproduce", "--table", "paper"], ["purity", "--state", "density.json", "--algebra", "u2"]]
+    codes, compiled, _, stdout = _compile_audit(tmp_path, runs)
+    assert sorted(name for name, _ in compiled) == GETK_FILES
+    subprocess.run([sys.executable, "-m", "compileall", "-q", str(tmp_path / "getk")], check=True)
+    assert _compile_audit(tmp_path, runs) == [codes, [], True, stdout]
 
 
 LAZY_MODULES = ("boxes", "catalog", "coherent", "fermion", "operators", "purity",
