@@ -69,12 +69,14 @@ def z_conserving_u2() -> ObservableSpace:
     Basis (with s_a = sigma_a / 2): s_z x 1, 1 x s_z,
     sqrt(2)(s_x s_x + s_y s_y), sqrt(2)(s_x s_y - s_y s_x).  The four
     elements are trace-orthonormal as written; sigma_z x sigma_z is
-    deliberately absent from the span.
+    deliberately absent from the span.  With p_ij the populations and r = <01|rho|10>,
+    the raw purity is [(p00 - p11)^2 + (p01 - p10)^2] / 2 + 2|r|^2, and |r|^2 <= p01 p10
+    bounds it by [(p00 - p11)^2 + (p01 + p10)^2] / 2 <= 1/2, attained on |01>.
     """
     ops = [pauli_string("ZI") / 2, pauli_string("IZ") / 2,
            np.sqrt(2.0) * (pauli_string("XX") + pauli_string("YY")) / 4,
            np.sqrt(2.0) * (pauli_string("XY") - pauli_string("YX")) / 4]
-    return ObservableSpace(ops, "u2")
+    return ObservableSpace(ops, "u2", max_purity=0.5)
 
 
 @lru_cache(maxsize=None)
@@ -118,8 +120,14 @@ def omega3() -> ObservableSpace:
 
 @lru_cache(maxsize=None)
 def omega4() -> ObservableSpace:
-    """All two-body couplings on a three-qubit triangle (27 strings)."""
-    return ObservableSpace(_two_body_words([(0, 1), (1, 2), (0, 2)]), "omega4")
+    """All two-body couplings on a three-qubit triangle (27 strings).
+
+    The words on a pair B have sum <P>^2 = 4 Tr rho_B^2 - 2 Tr rho_p^2 - 2 Tr rho_q^2 + 1 over
+    its qubits p, q (Shor & Laflamme, quant-ph/9610040), and a pure state has Tr rho_B^2 =
+    Tr rho_r^2 for the third qubit r, so the three pairs sum to 3: the raw purity is 3/8 on
+    every pure state.
+    """
+    return ObservableSpace(_two_body_words([(0, 1), (1, 2), (0, 2)]), "omega4", max_purity=3 / 8)
 
 
 @lru_cache(maxsize=32)  # bounded: keyed by caller input, each entry keeps its space alive

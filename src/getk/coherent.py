@@ -5,9 +5,10 @@ from their two bands, the |J, m> basis states, spin coherent states in closed
 form, group-orbit sampling through the matrix exponential, and the three
 maximal-raw-purity references: the highest-weight state, whose raw purity is
 the reference of an irreducibly represented Lie algebra, the stabilizer value
-for word spaces whose exact bracket closes, and a fixed-point estimate for
-every other space.  The two that sample draw from the stdlib ``random.Random``, as do the seeded checks of
-``reproduce``, so no purity or reproduce command loads ``numpy.random``.
+for word spaces whose exact bracket closes, and a fixed-point estimate for a space
+that gets neither and carries no maximum.  The two that sample draw from the stdlib
+``random.Random``, as do the seeded checks of ``reproduce``, so no purity or reproduce
+command loads ``numpy.random``.
 """
 
 import math
@@ -109,32 +110,31 @@ def gaussians(rng: random.Random, n: int) -> np.ndarray:
     return np.array([rng.gauss(0.0, 1.0) for _ in range(n)])
 
 
-def _top_eigenvector(h: np.ndarray):
-    """The unit eigenvector of the largest eigenvalue of ``h``, or None when that eigenvalue
-    is degenerate and so picks no vector."""
-    evals, evecs = np.linalg.eigh(h)
+def _top_eigenvector(omega: ObservableSpace, rng: random.Random):
+    """The top unit eigenvector of a seeded element of one site: the basis vector at the top of
+    ``omega.regular_diagonal``, else a generic element's, or None when that one is degenerate."""
+    if (diagonal := omega.regular_diagonal(rng)) is not None:
+        return np.arange(len(diagonal)) == diagonal.argmax()
+    evals, evecs = np.linalg.eigh(omega.site_element(gaussians(rng, omega.size // omega.sites)))
     if len(evals) > 1 and evals[-1] - evals[-2] <= SPECTRAL_GAP * np.max(np.abs(evals)):
         return None
     return evecs[:, -1]
 
 
 def highest_weight_state(omega: ObservableSpace, seed: int = 0) -> QuantumState | None:
-    """The top eigenvector of one seeded generic element sum_a c_a X_a.
+    """The top eigenvector of one seeded regular element sum_a c_a X_a.
 
     On a Lie algebra represented irreducibly, the maximal-purity states are the
     generalized coherent states, the orbit of a highest-weight vector (Perelomov
     1972; Klyachko, quant-ph/0206012; Barnum, Knill, Ortiz, Somma & Viola, PRL 92,
-    107902 (2004)).  A generic element is regular, and its top eigenvector is a
-    highest-weight vector for the Weyl chamber that holds it, so its raw purity
-    (``purity.omega_purity``) is the exact maximum.  It is an actual state, so on
-    any space its purity is a lower bound.  The element is a sum of ``site_element``
-    terms (a word space is one site), and its top eigenvector is the product of the
-    site eigenvectors, so only D x D matrices are built.  Returns None when a top
-    eigenvalue is degenerate.
+    107902 (2004)).  An element with a simple spectrum, or a generic one, is regular, and its
+    top eigenvector is a highest-weight vector for the Weyl chamber that holds it, so its raw
+    purity (``purity.omega_purity``) is the exact maximum; on any space it is a lower bound.
+    The element is a sum of site terms (a word space is one site), and its top eigenvector
+    the product of the site eigenvectors.  Returns None when a top eigenvalue is degenerate.
     """
     rng = seeded_rng(seed)
-    k = omega.size // omega.sites
-    factors = [_top_eigenvector(omega.site_element(gaussians(rng, k))) for _ in range(omega.sites)]
+    factors = [_top_eigenvector(omega, rng) for _ in range(omega.sites)]
     if any(f is None for f in factors):
         return None
     return QuantumState(vector=kron_all(factors))

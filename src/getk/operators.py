@@ -177,25 +177,38 @@ def _simple_spectrum(w) -> bool:  # sorted, not np.sort, whose kernels add resid
     return bool(np.diff(sorted(w)).min() > SPECTRAL_GAP * np.abs(w).max())
 
 
+def _is_diagonal(x) -> bool:
+    return np.count_nonzero(x) == np.count_nonzero(x.diagonal())
+
+
+def _regular_diagonal(diagonals, rng: random.Random):
+    """sum_a c_a d_a over the diagonals d_a, c_a = rng.gauss(0, 1) in turn, when its entries are
+    distinct, else None: in an irreducible representation such an element is regular.  Summed
+    elementwise: an einsum or a product here loads kernels that add resident pages."""
+    combined = sum(rng.gauss(0, 1) * d for d in diagonals)  # 0 when there are none
+    return combined if np.size(combined) > 1 and _simple_spectrum(combined) else None
+
+
 def _decide_site_lie(basis) -> bool:
     """Whether the span of a traceless trace-orthonormal basis on C^D is a Lie algebra
     represented irreducibly (so is n sites of it), True only when proved.  D^2 - 1 elements
     span su(D).  Otherwise each i[x_a, x_b] = i(P - P^dagger), P = x_a x_b, lies in the span,
-    and (Schur) a diagonal x_a, else a fixed-seed generic element, has a simple spectrum and
-    a connected graph on its eigenvectors, with an edge where some x_a has an entry above
-    INDEPENDENCE_TOL: only the scalars then commute with every x_a."""
+    and (Schur) a fixed-seed combination of the diagonal x_a, else a fixed-seed generic element,
+    has a simple spectrum and a connected graph on its eigenvectors, with an edge where some
+    x_a has an entry above INDEPENDENCE_TOL: only the scalars then commute with every x_a."""
     k, d = basis.shape[:2]
     if k == d * d - 1:
         return True
     rows = _real_rows(basis)
-    diag = [np.count_nonzero(x) == np.count_nonzero(x.diagonal()) for x in basis]
+    diag = [_is_diagonal(x) for x in basis]
     for a, b in itertools.combinations(range(k), 2):
         p = basis[a] * basis[b].diagonal() if diag[b] else basis[a] @ basis[b]
         r = _real_rows(1j * (p - p.conj().T))
         if np.linalg.norm(r - rows.T @ (rows @ r)) > INDEPENDENCE_TOL * np.linalg.norm(r):
             return False
-    if not any(is_diag and _simple_spectrum(x.diagonal().real) for x, is_diag in zip(basis, diag)):
-        rng = random.Random(0)  # structural, so independent of GE_SEED
+    diagonals = [x.diagonal().real for x, is_diag in zip(basis, diag) if is_diag]
+    if _regular_diagonal(diagonals, random.Random(0)) is None:  # seeds structural, not GE_SEED
+        rng = random.Random(0)
         w, v = np.linalg.eigh(np.einsum("a,aij->ij", [rng.gauss(0, 1) for _ in range(k)], basis))
         if not _simple_spectrum(w):
             return False
@@ -442,6 +455,16 @@ class ObservableSpace:
                 if a.ndim == 1 else np.einsum("xiyxjy,aji->a", a.reshape(s * 2), self.site_basis)
                 for s in ((d ** pos, d, d ** (n - pos - 1)) for pos in range(n))]
         return np.concatenate(vals) * d ** (-(n - 1) / 2)
+
+    def regular_diagonal(self, rng: random.Random) -> np.ndarray | None:
+        """``_regular_diagonal`` of a site's diagonal elements, read without a D x D matrix: the
+        diagonal site-basis elements, or a word space's words with x = 0."""
+        if self.masks is None:
+            return _regular_diagonal([x.diagonal().real for x in self.site_basis
+                                      if _is_diagonal(x)], rng)
+        signs, idx = _parity_signs(self.dim), np.arange(self.dim)
+        return _regular_diagonal([signs[z & idx] / np.sqrt(self.dim)
+                                  for x, z in self.masks.tolist() if not x], rng)
 
     def site_element(self, c) -> np.ndarray:
         """sum_a c_a x_a over one site's basis; a word space is one site, filled from its masks."""

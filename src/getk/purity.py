@@ -92,7 +92,8 @@ def numeric_max_reference(omega: ObservableSpace, seed: int = 0) -> tuple[float,
     whose stabilizer bracket closes gets alpha / dim, also exact: a stabilizer state
     attains it, and a split of the words into alpha pairwise-anticommuting sets bounds
     every state by it.  Any other space, or a Lie algebra whose seeded element has a
-    degenerate top eigenvalue, gets the fixed-point estimate, a lower bound up to roundoff.
+    degenerate top eigenvalue, gets the maximum it carries, else the fixed-point estimate,
+    a lower bound up to roundoff.
     """
     if omega.irreducible_lie:
         state = coherent.highest_weight_state(omega, seed)
@@ -102,6 +103,8 @@ def numeric_max_reference(omega: ObservableSpace, seed: int = 0) -> tuple[float,
         commuting, split = coherent.stabilizer_bracket(omega)
         if split is not None:
             return len(commuting) / omega.dim, "stabilizer"
+    if omega.max_purity is not None:
+        return omega.max_purity, "analytic"
     return coherent.max_purity_estimate(omega, seed=seed), "numerical"
 
 

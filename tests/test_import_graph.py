@@ -272,11 +272,10 @@ GETK_FILES = sorted(path.name for path in PACKAGE.glob("*.py"))
 
 @pytest.mark.parametrize("argv, before, after", [
     (["purity", "--state", "w:3", "--algebra", "omega1"], PURITY_AHEAD, []),
-    (["purity", "--state", "density.json", "--algebra", "u2"], PURITY_AHEAD, ["coherent.py"]),
+    (["purity", "--state", "density.json", "--algebra", "u2"], PURITY_AHEAD, []),
     (["classify", "--state", "w:3", "--algebra", "omega4", "--rescale", "auto"],
      PURITY_AHEAD, ["coherent.py"]),
-    (["classify", "--state", "fock:m2:01", "--algebra", "u2"],
-     PURITY_AHEAD, ["coherent.py", "fermion.py"]),
+    (["classify", "--state", "fock:m2:01", "--algebra", "u2"], PURITY_AHEAD, ["fermion.py"]),
     (["reproduce", "--table", "paper"],
      ["__init__.py", "cli.py", "boxes.py", "catalog.py", "coherent.py", "fermion.py",
       "operators.py", "purity.py", "reproduce.py", "states.py"], []),

@@ -193,9 +193,12 @@ class TestResolveMaxReference:
         assert resolve_max_reference(catalog.omega1(), "analytic") == (0.375, "analytic")
 
     def test_auto_and_default_without_analytic_are_numerical(self):
-        omega4 = catalog.omega4()  # not closed under the bracket, 27 words: the fixed point
+        cycle = ObservableSpace(FIVE_CYCLE)  # its stabilizer bracket stays open: the fixed point
+        assert resolve_max_reference(cycle) == resolve_max_reference(cycle, "auto")
+        assert resolve_max_reference(cycle)[1] == "numerical"
+        omega4 = catalog.omega4()  # not closed under the bracket, 27 words: its carried 3/8
         assert resolve_max_reference(omega4) == resolve_max_reference(omega4, "auto")
-        assert resolve_max_reference(omega4)[1] == "numerical"
+        assert resolve_max_reference(omega4) == (0.375, "analytic")
         omega3 = catalog.omega3()  # 18 words whose stabilizer bracket closes at 3 / 8
         assert resolve_max_reference(omega3) == resolve_max_reference(omega3, "auto")
         assert resolve_max_reference(omega3) == (0.375, "stabilizer")

@@ -500,9 +500,13 @@ class TestPurityCommand:
         ("omega1", ["--rescale", "auto"], "highest-weight"),
         ("omega3", [], "stabilizer"),
         ("omega1", ["--rescale", "0.375"], "explicit"),
-        ("omega4", [], "numerical"),
+        ("omega4", [], "analytic"),
+        ("custom:cycle.txt", [], "numerical"),
     ])
-    def test_json_reference_source(self, capsys, algebra, rescale, source):
+    def test_json_reference_source(self, capsys, tmp_path, monkeypatch, algebra, rescale, source):
+        # the 5-cycle IX IY XX YI ZY, padded to three qubits: its stabilizer bracket stays open
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cycle.txt").write_text("IXI\nIYI\nXXI\nYII\nZYI\n")
         argv = ["purity", "--state", "w:3", "--algebra", algebra, *rescale]
         code, out, _ = run_cli(capsys, *argv, "--json")
         assert code == 0 and json.loads(out)["reference_source"] == source
@@ -725,17 +729,21 @@ class TestPurityCommand:
         assert err == ("error: algebra: 4097 Pauli words of length 10 exceed the supported "
                        f"{operators.MAX_ENTRIES} words x dimension\n")
 
-    def test_local_numerical_reference_over_the_work_rule_exit_2(self, capsys, monkeypatch):
-        # local:10x2 without a highest-weight value would need the fixed point at dimension
-        # 1024 on 30 observables: refused at once, before any dim x dim matrix exists
+    def test_local_numerical_reference_over_the_work_rule_exit_2(self, capsys, monkeypatch,
+                                                                 tmp_path):
+        # the 30 one-qubit words on ten qubits, without a highest-weight value, carry no maximum
+        # (local:10x2, their span, carries one) and are above the bracket's cap, so they would
+        # need the fixed point at dimension 1024: refused at once, before any dim x dim matrix
         def no_matrix(*args):
             raise LookupError("matrix built")
 
+        path = tmp_path / "one_qubit_words.txt"
+        path.write_text("".join(f"{'I' * q}{a}{'I' * (9 - q)}\n" for q in range(10) for a in "XYZ"))
         monkeypatch.setattr(coherent, "highest_weight_state", lambda *args: None)
         monkeypatch.setattr(ObservableSpace, "element", no_matrix)
         monkeypatch.setattr(ObservableSpace, "site_element", no_matrix)
         purity.numeric_max_reference.cache_clear()
-        code, out, err = run_cli(capsys, "purity", "--state", "w:10", "--algebra", "local:10x2",
+        code, out, err = run_cli(capsys, "purity", "--state", "w:10", "--algebra", f"custom:{path}",
                                  "--rescale", "auto")
         purity.numeric_max_reference.cache_clear()
         assert code == 2 and out == ""
