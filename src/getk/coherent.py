@@ -110,17 +110,6 @@ def gaussians(rng: random.Random, n: int) -> np.ndarray:
     return np.array([rng.gauss(0.0, 1.0) for _ in range(n)])
 
 
-def _top_eigenvector(omega: ObservableSpace, rng: random.Random):
-    """The top unit eigenvector of a seeded element of one site: the basis vector at the top of
-    ``omega.regular_diagonal``, else a generic element's, or None when that one is degenerate."""
-    if (diagonal := omega.regular_diagonal(rng)) is not None:
-        return np.arange(len(diagonal)) == diagonal.argmax()
-    evals, evecs = np.linalg.eigh(omega.site_element(gaussians(rng, omega.size // omega.sites)))
-    if len(evals) > 1 and evals[-1] - evals[-2] <= SPECTRAL_GAP * np.max(np.abs(evals)):
-        return None
-    return evecs[:, -1]
-
-
 def highest_weight_state(omega: ObservableSpace, seed: int = 0) -> QuantumState | None:
     """The top eigenvector of one seeded regular element sum_a c_a X_a.
 
@@ -130,13 +119,15 @@ def highest_weight_state(omega: ObservableSpace, seed: int = 0) -> QuantumState 
     107902 (2004)).  An element with a simple spectrum, or a generic one, is regular, and its
     top eigenvector is a highest-weight vector for the Weyl chamber that holds it, so its raw
     purity (``purity.omega_purity``) is the exact maximum; on any space it is a lower bound.
-    The element is a sum of site terms (a word space is one site), and its top eigenvector
-    the product of the site eigenvectors.  Returns None when a top eigenvalue is degenerate.
-    """
-    rng = seeded_rng(seed)
-    factors = [_top_eigenvector(omega, rng) for _ in range(omega.sites)]
-    if any(f is None for f in factors):
-        return None
+    The element is a sum of site terms, each from ``ObservableSpace.regular_eigenbasis`` (a word
+    space is one site), and its top eigenvector the product of theirs.  Returns None when a
+    top eigenvalue is degenerate."""
+    rng, factors = seeded_rng(seed), []
+    for _ in range(omega.sites):
+        w, v = omega.regular_eigenbasis(rng)  # v None: the standard basis, w's entries distinct
+        if v is not None and len(w) > 1 and w[-1] - w[-2] <= SPECTRAL_GAP * np.max(np.abs(w)):
+            return None  # only the top one: su(3)'s adjoint, weight 0 twice, still gets a state
+        factors.append(np.arange(len(w)) == w.argmax() if v is None else v[:, -1])
     return QuantumState(vector=kron_all(factors))
 
 

@@ -181,21 +181,17 @@ def _is_diagonal(x) -> bool:
     return np.count_nonzero(x) == np.count_nonzero(x.diagonal())
 
 
-def _regular_diagonal(diagonals, rng: random.Random):
-    """sum_a c_a d_a over the diagonals d_a, c_a = rng.gauss(0, 1) in turn, when its entries are
-    distinct, else None: in an irreducible representation such an element is regular.  Summed
-    elementwise: an einsum or a product here loads kernels that add resident pages."""
-    combined = sum(rng.gauss(0, 1) * d for d in diagonals)  # 0 when there are none
-    return combined if np.size(combined) > 1 and _simple_spectrum(combined) else None
+def _in_span(residual, norm) -> bool:  # relative above norm 1, absolute below: roundoff is 0
+    return residual <= INDEPENDENCE_TOL * max(norm, 1.0)
 
 
-def _decide_site_lie(basis) -> bool:
-    """Whether the span of a traceless trace-orthonormal basis on C^D is a Lie algebra
-    represented irreducibly (so is n sites of it), True only when proved.  D^2 - 1 elements
-    span su(D).  Otherwise each i[x_a, x_b] = i(P - P^dagger), P = x_a x_b, lies in the span,
-    and (Schur) a fixed-seed combination of the diagonal x_a, else a fixed-seed generic element,
-    has a simple spectrum and a connected graph on its eigenvectors, with an edge where some
-    x_a has an entry above INDEPENDENCE_TOL: only the scalars then commute with every x_a."""
+def _decide_site_lie(space) -> bool:
+    """Whether a traceless space of sites is a Lie algebra represented irreducibly, True only
+    when proved.  D^2 - 1 site elements x_a on C^D span su(D).  Otherwise each i[x_a, x_b] =
+    i(P - P^dagger), P = x_a x_b, lies in the span, and (Schur) ``space.regular_eigenbasis``'s
+    element has a simple spectrum and a connected graph on its eigenvectors, with an edge where
+    some x_a has an entry above INDEPENDENCE_TOL: only the scalars then commute with every x_a."""
+    basis = space.site_basis
     k, d = basis.shape[:2]
     if k == d * d - 1:
         return True
@@ -204,12 +200,10 @@ def _decide_site_lie(basis) -> bool:
     for a, b in itertools.combinations(range(k), 2):
         p = basis[a] * basis[b].diagonal() if diag[b] else basis[a] @ basis[b]
         r = _real_rows(1j * (p - p.conj().T))
-        if np.linalg.norm(r - rows.T @ (rows @ r)) > INDEPENDENCE_TOL * np.linalg.norm(r):
+        if not _in_span(np.linalg.norm(r - rows.T @ (rows @ r)), np.linalg.norm(r)):
             return False
-    diagonals = [x.diagonal().real for x, is_diag in zip(basis, diag) if is_diag]
-    if _regular_diagonal(diagonals, random.Random(0)) is None:  # seeds structural, not GE_SEED
-        rng = random.Random(0)
-        w, v = np.linalg.eigh(np.einsum("a,aij->ij", [rng.gauss(0, 1) for _ in range(k)], basis))
+    w, v = space.regular_eigenbasis(random.Random(0))  # seeds structural, not GE_SEED
+    if v is not None:
         if not _simple_spectrum(w):
             return False
         basis = [v.conj().T @ x @ v for x in basis]  # in that element's eigenbasis
@@ -394,12 +388,12 @@ class ObservableSpace:
             return
         self.masks, self.sites = None, int(sites)
         ops = [np.asarray(b, dtype=complex) for b in basis]
-        d = ops[0].shape[0]
+        d = ops[0].shape[0] if ops[0].ndim else 0  # a scalar is refused with the rest
+        if any(x.shape != (d, d) for x in ops):  # before np.stack, which refuses in its own words
+            raise DimensionMismatch("basis elements have inconsistent dimensions")
         self.dim, self.size = checked_dim(d, self.sites), len(ops) * self.sites  # before stacking
         mats = np.stack(ops)
         mats.setflags(write=False)
-        if mats.shape[1:] != (d, d):
-            raise DimensionMismatch("basis elements have inconsistent dimensions")
         self.site_basis = mats
         for a in mats:
             assert_hermitian(a)
@@ -426,7 +420,7 @@ class ObservableSpace:
         element spans an abelian algebra, reducible on C^D for D >= 2 (a lone 1 has no sector)."""
         if self.masks is not None:
             return _decide_lie(self.masks, self.dim)
-        return self.size > 1 and _decide_site_lie(self.traceless_sector().site_basis)
+        return self.size > 1 and _decide_site_lie(self.traceless_sector())
 
     @property
     def basis(self) -> list[np.ndarray]:
@@ -456,15 +450,22 @@ class ObservableSpace:
                 for s in ((d ** pos, d, d ** (n - pos - 1)) for pos in range(n))]
         return np.concatenate(vals) * d ** (-(n - 1) / 2)
 
-    def regular_diagonal(self, rng: random.Random) -> np.ndarray | None:
-        """``_regular_diagonal`` of a site's diagonal elements, read without a D x D matrix: the
-        diagonal site-basis elements, or a word space's words with x = 0."""
+    def regular_eigenbasis(self, rng: random.Random) -> tuple[np.ndarray, np.ndarray | None]:
+        """(w, v): eigenvalues and eigenvectors (None: the standard basis) of a seeded element of
+        one site, c_a = rng.gauss(0, 1) in turn: sum_a c_a d_a over its diagonal elements (diagonal
+        site-basis elements, or words with x = 0) if its entries are distinct, summed elementwise
+        (an einsum or a product loads kernels that add resident pages); else eigh of the element
+        sum_a c_a x_a of ``site_element``, the stream going on."""
         if self.masks is None:
-            return _regular_diagonal([x.diagonal().real for x in self.site_basis
-                                      if _is_diagonal(x)], rng)
-        signs, idx = _parity_signs(self.dim), np.arange(self.dim)
-        return _regular_diagonal([signs[z & idx] / np.sqrt(self.dim)
-                                  for x, z in self.masks.tolist() if not x], rng)
+            diagonals = [x.diagonal().real for x in self.site_basis if _is_diagonal(x)]
+        else:
+            signs, idx = _parity_signs(self.dim) / np.sqrt(self.dim), np.arange(self.dim)
+            diagonals = [signs[z & idx] for x, z in self.masks.tolist() if not x]
+        w = sum(rng.gauss(0, 1) * d for d in diagonals)  # 0 when there are none
+        if np.size(w) > 1 and _simple_spectrum(w):
+            return w, None
+        c = [rng.gauss(0, 1) for _ in range(self.size // self.sites)]
+        return np.linalg.eigh(self.site_element(c))
 
     def site_element(self, c) -> np.ndarray:
         """sum_a c_a x_a over one site's basis; a word space is one site, filled from its masks."""
@@ -504,8 +505,7 @@ class ObservableSpace:
 
     def contains(self, a) -> bool:
         a = assert_hermitian(a)
-        scale = max(np.sqrt(max(float(np.trace(a @ a).real), 0.0)), 1.0)
-        return self.residual_norm(a) <= INDEPENDENCE_TOL * scale
+        return _in_span(self.residual_norm(a), np.sqrt(max(float(np.trace(a @ a).real), 0.0)))
 
     def traceless_sector(self) -> "ObservableSpace":
         """Project out the identity component and re-orthonormalize.  Built once and kept in the

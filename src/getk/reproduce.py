@@ -125,8 +125,8 @@ class _Run:
         return max(_max_abs(a - b) for a, b in zip(orthonormalize(basis), basis))
 
     # --- three-qubit purity goldens --------------------------------------
-    def golden_purity(self, space, name):
-        return rescaled_purity(_three_qubit_state(name), space()).rescaled
+    def golden_purity(self, algebra, name):
+        return rescaled_purity(_three_qubit_state(name), catalog.named_algebra(algebra)).rescaled
 
     def omega2_literal_values(self):
         vals = omega2_value_table()["omega2-literal"]
@@ -313,9 +313,9 @@ class Check(Frozen):
         return ok, f"{tag} {self.name} {detail}"
 
 
-def _golden_purity_rows(prefix, gold, space):
-    """One row per state of a three-qubit golden table, measured relative to ``space()``."""
-    return tuple(Check(f"{prefix}/{name}", partial(_Run.golden_purity, space=space, name=name),
+def _golden_purity_rows(prefix, gold, algebra):
+    """One row per state of a three-qubit golden table, on catalog ``algebra``, read as it runs."""
+    return tuple(Check(f"{prefix}/{name}", partial(_Run.golden_purity, algebra=algebra, name=name),
                        expected)
                  for name, expected in gold.items())
 
@@ -330,8 +330,8 @@ CHECKS = (
     Check("catalog/local-2x2-count", lambda run: catalog.local_algebra(2, 2).size, 6, tol=0),
     Check("catalog/omega1-count", lambda run: catalog.omega1().size, 9, tol=0),
     Check("catalog/omega-prime-count", lambda run: catalog.omega_prime_loc().size, 4, tol=0),
-    *_golden_purity_rows("p1", _P1_GOLD, catalog.omega1),
-    *_golden_purity_rows("p2", _P2_GOLD, catalog.first_pair_algebra),
+    *_golden_purity_rows("p1", _P1_GOLD, "omega1"),
+    *_golden_purity_rows("p2", _P2_GOLD, "omega2-paper-values"),
     Check("info/omega2-literal-values", _Run.omega2_literal_values),
     *(Check(f"u2-purity/bell:{kind}", partial(_Run.u2_bell_purity, kind=kind), 0.0, tol=1e-12)
       for kind in ("psi+", "psi-")),

@@ -25,8 +25,9 @@ from getk.operators import (
     pauli_string,
     pauli_word,
 )
-from getk.purity import rescaled_purity
+from getk.purity import omega_purity, rescaled_purity
 from random_states import maximally_mixed, random_density_state, random_pure_state
+from test_exact_references import generic_highest_weight
 
 SX, SY, SZ, ID = map(pauli_string, "XYZI")
 
@@ -146,6 +147,10 @@ class TestOrthonormalize:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError):
             orthonormalize([np.array([[0.0, 1.0], [0.0, 0.0]])])
+
+    def test_mixed_dimensions_refused(self):
+        with pytest.raises(DimensionMismatch, match="operators have inconsistent dimensions"):
+            orthonormalize([SZ, np.diag([1.0, 0.0, -1.0])])
 
     def test_matches_loop_reference(self):
         # the pairwise trace-inner-product loop the row matmuls replaced
@@ -444,6 +449,14 @@ class TestObservableSpace:
     def test_empty_basis_refused(self):
         with pytest.raises(ValueError, match="needs at least one basis element"):
             ObservableSpace([])
+
+    @pytest.mark.parametrize("basis", [[np.eye(2) / np.sqrt(2), np.eye(3) / np.sqrt(3)],
+                                       [np.ones((2, 3)), np.ones((2, 3))], [1.0]],
+                             ids=["mixed-dimensions", "non-square", "scalar"])
+    def test_inconsistent_dimensions_refused(self, basis):
+        # checked before the elements are stacked, so numpy's own error never shows
+        with pytest.raises(DimensionMismatch, match="basis elements have inconsistent dimensions"):
+            ObservableSpace(basis)
 
     def test_total_dimension_capped(self):
         with pytest.raises(ValueError, match="2\\^11 exceeds the supported 1024"):
@@ -834,6 +847,22 @@ class TestWordLieStructure:
         assert report.max_reference == pytest.approx(0.5, abs=1e-12)
         assert report.theorem_direction == "iff" and report.unentangled(1e-8)
         assert rescaled_purity(QuantumState.basis_state(4, 0), space).unentangled(1e-8)
+        # the same as dense matrices conjugated by a unitary, Hermitian only to roundoff: two
+        # commuting elements have a roundoff bracket, in the span by the threshold of ``contains``.
+        # Rotating qubit 2 alone leaves Z (x) 1/2 the one diagonal element, whose combination
+        # repeats a value, so the decision and the highest weight both take the eigh path
+        rng = np.random.default_rng(3)
+        u4, u2 = (np.linalg.qr(g[0] + 1j * g[1])[0]
+                  for g in (rng.normal(size=(2, d, d)) for d in (4, 2)))
+        dense, second = [pauli_string(w) / 2 for w in words], kron_all([ID, u2])
+        for ops in ([u4 @ x @ u4.conj().T for x in dense],
+                    [x if w[1] == "I" else second @ x @ second.conj().T
+                     for w, x in zip(words, dense)]):
+            space = ObservableSpace(ops)
+            assert space.irreducible_lie
+            report = rescaled_purity(QuantumState.basis_state(4, 0), space, "auto")
+            assert report.reference_source == "highest-weight" and report.theorem_direction == "iff"
+            assert report.max_reference == pytest.approx(0.5, abs=1e-12)
 
     def test_spin_half_beside_spin_one_is_reducible(self):
         # su(2) on C^2 (+) C^3 is closed, and J_z (+) J_z has the simple spectrum 1/2, -1/2,
@@ -852,7 +881,13 @@ class TestWordLieStructure:
         ops = [np.einsum("cij,bji->cb", su3, bracket(x, su3)).real * 1j for x in su3]
         ops = [h / np.sqrt(np.trace(h @ h).real) for h in ops]
         assert dense_lie_oracle(ops)
-        assert not ObservableSpace(ops).irreducible_lie
+        space = ObservableSpace(ops)
+        assert not space.irreducible_lie
+        # the highest weight asks only for a simple top eigenvalue, which weight 0 leaves alone
+        for seed in (0, 7):
+            state = coherent.highest_weight_state(space, seed)
+            assert state is not None
+            assert abs(omega_purity(state, space) - generic_highest_weight(space, seed)) <= 1e-12
 
     def test_x_and_z_are_not_closed(self):
         # i[X, Z] = 2Y, and Y is not in span{X, Z}

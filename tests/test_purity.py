@@ -318,7 +318,7 @@ class TestUnentanglementTest:
     def test_structure_is_decided_once_when_the_direction_is_read(self, monkeypatch):
         decided = []
         monkeypatch.setattr(operators, "_decide_site_lie",
-                            lambda basis: decided.append(len(basis)) or True)
+                            lambda space: decided.append(space.size) or True)
         spin = catalog.spin_algebra(1)
         space = ObservableSpace(spin.site_basis, max_purity=spin.max_purity)
         report = rescaled_purity(coherent.spin_basis_state(1, 1), space)
