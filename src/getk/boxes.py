@@ -254,11 +254,9 @@ def _extreme_rays(rows, dim):
 def enumerate_vertices(*shape: int) -> list:
     """All vertices of the normalized polytope of boxes of the given shape, exactly.
 
-    With the constant column moved last as s, each row of the
-    parametrization is an integer row on (t, s) with row . (t, s) = s x_r,
-    and the vertices are the extreme rays of the cone of (t, s) on which
-    every row is nonnegative, x_r = row . (t, s) / s.  Every block of the
-    table sums to s, so that cone is pointed and s > 0 on each ray.
+    They are x_r = row . y / y[0] over the extreme rays y of the cone {y : row . y >= 0 for
+    every row of ``no_signalling_polytope``}, whose column 0 is the constant: every block of
+    the table sums to y[0], so the cone is pointed and y[0] > 0 on each ray.
     """
     if any(n * m > ENUMERATION_CAP for n, m in _boxes(shape)):
         raise ValueError(f"enumeration capped at {ENUMERATION_CAP} input*output per side")
@@ -266,10 +264,8 @@ def enumerate_vertices(*shape: int) -> list:
         raise ValueError(f"enumeration capped at {ENUMERATION_CAP ** 2} table entries, "
                          f"got {prod(shape)}")
     matrix = no_signalling_polytope(*shape)
-    p = len(matrix[0]) - 1
-    rows = [row[1:] + row[:1] for row in matrix]
-    found = [tuple(Fraction(sum(a * y for a, y in zip(row, ray)), ray[p]) for row in rows)
-             for ray in _extreme_rays(rows, p + 1)]
+    found = [tuple(Fraction(sum(a * y for a, y in zip(row, ray)), ray[0]) for row in matrix)
+             for ray in _extreme_rays(matrix, len(matrix[0]))]
     return [BoxState(shape=shape, probs=probs) for probs in sorted(found)]
 
 

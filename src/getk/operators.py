@@ -355,30 +355,31 @@ class ObservableSpace:
     (a vector psi to (<psi|X_a|psi>)_a), and its adjoint ``element`` takes c to
     sum_a c_a X_a.  No (size, dim, dim) array is held; ``basis`` builds fresh matrices.
 
-    A space of sites is ``sites`` copies of one: ``site_basis`` is a trace-orthonormal
-    basis on C^D, and the space holds each x on each site, times 1/sqrt(D) on
-    the other sites, so dim = D**sites (at most MAX_DIM) and size = len(basis) *
-    sites.  A dense space is the one-site case.  With more than one site the
-    site basis must be traceless (traceless elements on different sites are
-    then orthogonal).  Only the D x D basis is validated and held.
+    A space of sites is ``sites`` copies of one: ``site_basis`` is a trace-orthonormal basis on
+    C^D, and the space holds each x on each site, times 1/sqrt(D) on the other sites, so dim =
+    D**sites (at most MAX_DIM) and size = len(basis) * sites.  A dense space is the one-site
+    case.  With more than one site the site basis must be traceless (traceless elements on
+    different sites are then orthogonal).  Only the D x D basis is validated and held.
 
     A word space is given Pauli words of one length L (case and duplicates
     collapse), each normalized as P / sqrt(2^L), and keeps their (x, z) ``masks``:
     distinct words are orthonormal, both maps cost O(dim) per word, and the space is
-    one site.  Size x dim is checked against MAX_ENTRIES before any mask array exists.
+    one site (``sites`` is 1).  Size x dim is checked against MAX_ENTRIES before any mask array.
     """
 
     def __init__(self, basis, label: str = "", *, max_purity: float | None = None, sites: int = 1):
         basis = list(basis)
         if not basis:
             raise ValueError("an observable space needs at least one basis element")
-        self.label = label
+        if type(sites) is not int or sites != 1 and isinstance(basis[0], str):
+            raise ValueError(f"sites must be an int, 1 for Pauli words; got {sites!r}")
+        self.label, self.sites = label, sites
         self.max_purity = None if max_purity is None else float(max_purity)
         if isinstance(basis[0], str):
             words = list(dict.fromkeys(w.upper() for w in basis))
             if any(len(w) != len(words[0]) for w in words):
                 raise ValueError("Pauli words must have uniform length")
-            self.sites, self.dim, self.size = 1, checked_dim(2, len(words[0])), len(words)
+            self.dim, self.size = checked_dim(2, len(words[0])), len(words)
             if self.size * self.dim > MAX_ENTRIES:  # before any mask array
                 raise ValueError(f"{self.size} Pauli words of length {len(words[0])} exceed "
                                  f"the supported {MAX_ENTRIES} words x dimension")
@@ -386,7 +387,7 @@ class ObservableSpace:
             self.masks.setflags(write=False)
             self.traceless = bool(self.masks.any(axis=1).all())  # set last: now immutable
             return
-        self.masks, self.sites = None, int(sites)
+        self.masks = None
         ops = [np.asarray(b, dtype=complex) for b in basis]
         d = ops[0].shape[0] if ops[0].ndim else 0  # a scalar is refused with the rest
         if any(x.shape != (d, d) for x in ops):  # before np.stack, which refuses in its own words
@@ -499,28 +500,28 @@ class ObservableSpace:
         return self.element(self.coefficients(assert_hermitian(a)).real)
 
     def residual_norm(self, a) -> float:
-        a = assert_hermitian(a)
-        resid = a - self.project_operator(a)
-        return float(np.sqrt(max(float(np.trace(resid @ resid).real), 0.0)))
+        return next(self._norms(a))
 
     def contains(self, a) -> bool:
+        return _in_span(*self._norms(a))
+
+    def _norms(self, a):  # one validation for |a - P a| and |a|
         a = assert_hermitian(a)
-        return _in_span(self.residual_norm(a), np.sqrt(max(float(np.trace(a @ a).real), 0.0)))
+        for m in (a - self.element(self.coefficients(a).real), a):
+            yield float(np.sqrt(max(np.trace(m @ m).real, 0.0)))
 
     def traceless_sector(self) -> "ObservableSpace":
-        """Project out the identity component and re-orthonormalize.  Built once and kept in the
-        space's own __dict__ (past __setattr__); a method, so it can be wrapped on the class."""
+        """Orthonormalize after the identity, then drop it.  Built once and kept in the space's
+        own __dict__ (past __setattr__); a method, so it can be wrapped on the class."""
         if self.traceless or "_sector" in vars(self):
             return vars(self).get("_sector", self)
         if self.masks is not None and self.size > 1:  # drop the identity word
             length = round(np.log2(self.dim))
             basis = [pauli_word(x, z, length) for x, z in self.masks if x or z]
         else:
-            eye = np.eye(self.dim)
-            shifted = [a - (np.trace(a) / self.dim) * eye for a in self.basis]
-            if all(np.linalg.norm(a) < INDEPENDENCE_TOL for a in shifted):
+            basis = orthonormalize([np.eye(self.dim), *self.basis])[1:]
+            if not len(basis):
                 raise ValueError(f"algebra {self.label!r} has no traceless part")
-            basis = orthonormalize(shifted)
         return vars(self).setdefault("_sector", ObservableSpace(basis, self.label + "-traceless"))
 
     def __repr__(self):
@@ -530,9 +531,8 @@ class ObservableSpace:
 def orthonormalize(ops) -> np.ndarray:
     """Gram-Schmidt in the trace inner product, preserving input order: a (k, d, d) array.
 
-    Two passes of classical Gram-Schmidt on the real rows of the operators.
-    Inputs that are numerically dependent on earlier ones (residual norm
-    below 1e-9) are dropped.  Raises if every input is numerically zero.
+    Two passes of classical Gram-Schmidt on the real rows; an input whose residual and norm
+    pass ``_in_span`` is dropped.  Raises if none is kept.
     """
     mats = [assert_hermitian(o) for o in ops]
     if not mats:
@@ -544,11 +544,11 @@ def orthonormalize(ops) -> np.ndarray:
     rows = _real_rows(stack)  # a view: the loop below rewrites stack in place
     kept = 0
     for i in range(len(rows)):
-        v, done = rows[i], rows[:kept]
+        v, done, norm = rows[i], rows[:kept], np.linalg.norm(rows[i])
         for _ in range(2):  # second pass stabilizes nearly-dependent inputs
             v -= done.T @ (done @ v)
         nrm = np.linalg.norm(v)
-        if nrm >= INDEPENDENCE_TOL:
+        if not _in_span(nrm, norm):
             rows[kept] = v / nrm
             kept += 1
     if not kept:

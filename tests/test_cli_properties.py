@@ -214,6 +214,28 @@ def test_box_json_exit_0_2_or_4(command, obj):
         json.loads(json.dumps(table.to_json_dict()))) == table
 
 
+# two (5,3) boxes: Alice's outcome copies Bob's input mod 3, so Bob's input signals, and
+# the 225 entries are over boxes.TABLE_CAP
+OVERSIZED_SIGNALLING = {"n_inputs": [5, 5], "n_outputs": [3, 3],
+                        "p": [[int(a == l % 3 and b == 0), 1] for k in range(5) for a in range(3)
+                              for l in range(5) for b in range(3)]}
+
+
+@pytest.mark.parametrize("command, code, message", [
+    ("classify", 2, "error: table size 225 too large\n"),
+    ("separable", 4, "error: box 2's input signals"),
+    ("orbit", 4, "error: box 2's input signals")])
+def test_an_oversized_signalling_table_exits_by_each_commands_first_check(
+        tmp_path, command, code, message):
+    # classify's extremality test builds the polytope, whose table cap comes first;
+    # separable and orbit read the marginals first (README, exit codes)
+    path = tmp_path / "box.json"
+    path.write_text(json.dumps(OVERSIZED_SIGNALLING))
+    assert len(OVERSIZED_SIGNALLING["p"]) > boxes.TABLE_CAP
+    got, out, err = run(["boxes", command, "--state", str(path)])
+    assert (got, out) == (code, "") and err.startswith(message), err
+
+
 def complex_per_entry(obj):
     """The state-file decoding the array decoder replaced: one complex() per [re, im] pair."""
     try:

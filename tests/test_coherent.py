@@ -17,6 +17,7 @@ from getk.coherent import (
     stabilizer_bracket,
 )
 from getk.operators import (
+    ROUNDOFF_ALLOWANCE,
     ObservableSpace,
     QuantumState,
     orthonormalize,
@@ -546,6 +547,21 @@ class TestStabilizerBracket:
         assert estimate >= alpha - 1e-12, words
         if split is not None:
             assert abs(estimate - alpha) <= 1e-12, words
+
+    @pytest.mark.parametrize("seed", [127, 960, 1499, 1439])  # L = 2, 3, 3, 4; alpha = 2, 3, 2, 4
+    def test_an_open_bracket_holds_the_fixed_point(self, seed):
+        # where no split exists, the fixed point lies between the largest commuting set and the
+        # fewest anticommuting sets covering the words (the commutation graph's chromatic
+        # number), both found by brute force: alpha / 2^L <= estimate <= chi / 2^L
+        rng = random.Random(seed)
+        length = rng.randint(2, 4)
+        words = seeded_words(seed, length, rng.randint(4, 10))
+        space = ObservableSpace(words)
+        assert stabilizer_bracket(space)[1] is None, words
+        alpha, chi = brute_force_bracket(words)
+        estimate = max_purity_estimate(space, seed=0)
+        assert alpha < chi and alpha / 2 ** length - 1e-12 <= estimate, words
+        assert estimate <= chi / 2 ** length + ROUNDOFF_ALLOWANCE, words
 
     def test_the_cap_is_checked_before_any_search(self, monkeypatch):
         monkeypatch.setattr("getk.coherent.anticommutation_rows", None)  # no search may start

@@ -330,3 +330,18 @@ class TestRegularDiagonalAndItsFallback:
         monkeypatch.setattr(ObservableSpace, "element", no_matrix)
         space = ObservableSpace(["I" * q + a + "I" * (9 - q) for q in range(10) for a in "XYZ"])
         assert abs(omega_purity(highest_weight_state(space, 0), space) - 10 / 1024) <= 1e-15
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_a_symmetric_state_reads_the_same_on_sites_and_spin(n):
+    # a permutation-symmetric state of n qubits, sum_k c_k |D_k> over the Dicke states with k
+    # ones, has on local:Nx2 (the site einsum) the rescaled purity that c has on su2-spin:N/2
+    # (the dense spin path): both are |<J>|^2 / J^2, and |D_k> is |J, J - k>
+    c = np.random.default_rng(700 + n).normal(size=(n + 1, 2)) @ [1, 1j]
+    c /= np.linalg.norm(c)
+    ones = np.array([bin(i).count("1") for i in range(2 ** n)])
+    dicke = np.array([(ones == k) / np.sqrt(np.count_nonzero(ones == k)) for k in range(n + 1)])
+    sites = rescaled_purity(QuantumState(vector=c @ dicke), catalog.named_algebra(f"local:{n}x2"))
+    spin = rescaled_purity(QuantumState(vector=c), catalog.named_algebra(f"su2-spin:{n}/2"))
+    assert abs(sites.rescaled - spin.rescaled) <= 1e-12
+    assert 0 < spin.rescaled <= 1 + 1e-12

@@ -44,23 +44,34 @@ def test_no_module_reads_another_modules_private_names(path):
     assert _private_reads(path) == []
 
 
-def _bit_length_owners(path: Path) -> list:
-    """The innermost function around each ``.bit_length`` in one module, as module.name."""
+def _readers(path: Path, name: str) -> list:
+    """The innermost function around each read of ``name`` (``name`` or ``x.name``) in one
+    module, as module.function."""
     tree = ast.parse(path.read_text())
     owners = {id(node): "<module>" for node in ast.walk(tree)
-              if isinstance(node, ast.Attribute) and node.attr == "bit_length"}
+              if getattr(node, "attr", getattr(node, "id", None)) == name
+              and isinstance(node.ctx, ast.Load)}
     for func in ast.walk(tree):  # breadth first: an inner function overwrites its outer one
         if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
             for node in ast.walk(func):
                 if id(node) in owners:
                     owners[id(node)] = func.name
-    return [f"{path.stem}.{name}" for name in owners.values()]
+    return [f"{path.stem}.{owner}" for owner in owners.values()]
 
 
 def test_the_size_rule_lives_in_checked_dim():
     # one size rule: every register dimension is formed by operators.checked_dim
-    owners = [o for path in sorted(PACKAGE.glob("*.py")) for o in _bit_length_owners(path)]
+    owners = [o for path in sorted(PACKAGE.glob("*.py")) for o in _readers(path, "bit_length")]
     assert owners == ["operators.checked_dim"]
+
+
+def test_the_span_rule_lives_in_in_span():
+    # one span rule: operators._in_span reads the independence tolerance, and so decides
+    # contains, orthonormalize's drops and the sector's refusal; the Schur edge rule reads
+    # it as an entry threshold, not a span test
+    owners = [o for path in sorted(PACKAGE.glob("*.py"))
+              for o in _readers(path, "INDEPENDENCE_TOL")]
+    assert sorted(owners) == ["operators._decide_site_lie", "operators._in_span"]
 
 
 def test_no_module_constructs_a_json_decode_error():

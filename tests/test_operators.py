@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -152,8 +153,19 @@ class TestOrthonormalize:
         with pytest.raises(DimensionMismatch, match="operators have inconsistent dimensions"):
             orthonormalize([SZ, np.diag([1.0, 0.0, -1.0])])
 
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e6])
+    @pytest.mark.parametrize("first, second", [("Z", "X"), ("XY", "ZI"), ("IXZ", "YYI")])
+    def test_the_drop_rule_is_the_span_rule_at_every_scale(self, first, second, scale):
+        # an input goes exactly when _in_span holds for its residual and its own norm, so
+        # scaling both inputs above norm 1 keeps the count; an absolute 1e-9 residual test
+        # would keep the perturbed copy at 1e3 and 1e6 but not at 1
+        a, b = pauli_string(first), pauli_string(second)
+        assert len(orthonormalize([scale * a, scale * (a + 1e-11 * b)])) == 1
+        assert len(orthonormalize([scale * a, scale * (a + 1e-6 * b)])) == 2
+
     def test_matches_loop_reference(self):
-        # the pairwise trace-inner-product loop the row matmuls replaced
+        # the pairwise trace-inner-product loop the row matmuls replaced, dropping by the
+        # span rule: residual <= 1e-9 max(norm, 1)
         def loop_gram_schmidt(ops):
             basis = []
             for a in ops:
@@ -162,7 +174,7 @@ class TestOrthonormalize:
                     for b in basis:
                         v = v - np.trace(b @ v).real * b
                 nrm = np.sqrt(max(np.trace(v @ v).real, 0.0))
-                if nrm >= 1e-9:
+                if nrm > 1e-9 * max(np.sqrt(np.trace(a @ a).real), 1.0):
                     basis.append(v / nrm)
             return basis
 
@@ -457,6 +469,40 @@ class TestObservableSpace:
         # checked before the elements are stacked, so numpy's own error never shows
         with pytest.raises(DimensionMismatch, match="basis elements have inconsistent dimensions"):
             ObservableSpace(basis)
+
+    def test_contains_validates_its_operand_once(self, monkeypatch):
+        space, checked = catalog.omega1(), []
+        monkeypatch.setattr(operators, "assert_hermitian",
+                            lambda a, _check=assert_hermitian: checked.append(1) or _check(a))
+        assert space.contains(np.kron(np.kron(SX, ID), ID) / 2) and checked == [1]
+        assert space.residual_norm(np.kron(np.kron(SX, SX), ID)) == pytest.approx(2 ** 1.5)
+        assert checked == [1, 1]
+        with pytest.raises(ValueError, match="not Hermitian"):
+            space.contains(np.triu(np.ones((8, 8))))
+        with pytest.raises(DimensionMismatch):
+            space.contains(np.eye(4))
+
+    @pytest.mark.parametrize("basis, sites", [
+        (["XI", "IZ"], 3), (["XI", "IZ"], 0), (["X" * 11], 2), (gell_mann_basis(2), 2.9),
+        (gell_mann_basis(2), 2.0), (gell_mann_basis(2), True), (["XI", "IZ"], False)],
+        ids=["words-3", "words-0", "long-words-2", "float", "whole-float", "true", "false"])
+    def test_sites_is_an_int_and_one_for_words(self, basis, sites):
+        # refused before any mask or matrix exists: the 11-letter word would exceed MAX_DIM,
+        # and a float never reaches int(), which would truncate 2.9 to 2 sites
+        message = f"sites must be an int, 1 for Pauli words; got {sites!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ObservableSpace(basis, sites=sites)
+
+    def test_a_sector_within_roundoff_of_the_identity_is_refused(self):
+        # the sector's refusal reads the span rule: a unit element's traceless part is its
+        # residual off the identity, in the span at 1e-11 and kept at 1e-6
+        def near_identity(eps):
+            x = ID + eps * SZ
+            return ObservableSpace([x / np.sqrt(np.trace(x @ x).real)], "near-identity")
+
+        with pytest.raises(ValueError, match="'near-identity' has no traceless part"):
+            near_identity(1e-11).traceless_sector()
+        assert near_identity(1e-6).traceless_sector().size == 1
 
     def test_total_dimension_capped(self):
         with pytest.raises(ValueError, match="2\\^11 exceeds the supported 1024"):
