@@ -3,7 +3,7 @@
 Every constructor returns a trace-orthonormal :class:`ObservableSpace` with
 a canonical label.  Analytic maxima of the raw purity are attached where the
 subsystem-purity identity gives them in closed form; any other space's reference is
-computed from its Lie structure, which ``ObservableSpace`` decides (none is declared).
+computed in ``purity`` from its Lie structure, which ``ObservableSpace`` decides (none is declared).
 """
 
 import itertools
@@ -12,8 +12,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import coherent, fermion
-from .operators import MAX_DIM, ObservableSpace, checked_dim, gell_mann_basis, pauli_string
+from . import fermion
+from .operators import (MAX_DIM, ObservableSpace, checked_dim, gell_mann_basis, pauli_string,
+                        spin_generators)
 from .states import parse_number_token
 
 MAX_SITE_DIM = math.isqrt(MAX_DIM)  # 32: the largest site of any two-site space
@@ -138,7 +139,7 @@ def spin_algebra(j) -> ObservableSpace:
     on the spin coherent states; rescaling by it reproduces the
     sum_a <J_a>^2 / J^2 normalization.
     """
-    generators = coherent.spin_generators(j)
+    generators = spin_generators(j)
     dim = len(generators[2])
     if dim == 1:  # spin 0: its generators are zero, nothing to normalize
         raise ValueError("spin 0 has no su(2) observables (all generators vanish); need J >= 1/2")

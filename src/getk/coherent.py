@@ -1,14 +1,12 @@
-"""Coherent states for distinguished observable algebras.
+"""Coherent states and the fixed-point purity maximizer.
 
-Provides the physically normalized spin-J angular momentum generators, built
-from their two bands, the |J, m> basis states, spin coherent states in closed
-form, group-orbit sampling through the matrix exponential, and the three
-maximal-raw-purity references: the highest-weight state, whose raw purity is
-the reference of an irreducibly represented Lie algebra, the stabilizer value
-for word spaces whose exact bracket closes, and a fixed-point estimate for a space
-that gets neither and carries no maximum.  The two that sample draw from the stdlib
-``random.Random``, as do the seeded checks of ``reproduce``, so no purity or reproduce
-command loads ``numpy.random``.
+Provides spin coherent states in closed form, group-orbit sampling through the
+matrix exponential, and the fixed-point estimate of the maximal raw purity: the
+reference of a space that gets no exact one (``purity.numeric_max_reference``)
+and carries no maximum.  The spin-J generators and |J, m> states live in
+``operators``, the exact references in ``purity``.  The fixed point draws from the
+stdlib ``random.Random`` of ``operators.seeded_rng``, as do the seeded checks of
+``reproduce``, so no purity or reproduce command loads ``numpy.random``.
 """
 
 import math
@@ -16,48 +14,12 @@ import random
 
 import numpy as np
 
-from .operators import (EQUALITY_TOL, MAX_DIM, MAX_ENTRIES, ROUNDOFF_ALLOWANCE, SPECTRAL_GAP,
-                        ObservableSpace, QuantumState, anticommutation_rows, assert_hermitian,
-                        kron_all)
+from .operators import (EQUALITY_TOL, MAX_ENTRIES, ROUNDOFF_ALLOWANCE, ObservableSpace,
+                        QuantumState, assert_hermitian, checked_spin, seeded_rng)
 
 _RESTARTS = 32  # seeded random starts of the fixed-point search
 _MAX_FIXED_POINT_STEPS = 1000  # per restart; catalog algebras stop rising within 40 steps
 _TIE = 1e-12  # relative gap below which two amplitude magnitudes of a coherent state tie
-_HALF_INTEGER_TOL = 1e-12  # how far 2J, and J - m, may sit from a whole number
-STABILIZER_WORD_CAP = 24  # most words a stabilizer bracket searches: 24 take under 2 ms (README)
-
-
-def _validate_spin(j) -> float:
-    j = float(j)
-    if 2 * j + 1 > MAX_DIM:
-        raise ValueError(f"spin {j:g} has dimension {2 * j + 1:.0f}, above the supported {MAX_DIM}")
-    if not j >= 0 or abs(2 * j - round(2 * j)) > _HALF_INTEGER_TOL:  # not >= also rejects nan
-        raise ValueError(f"spin must be a nonnegative half-integer, got {j}")
-    return round(2 * j) / 2.0
-
-
-def spin_generators(j) -> list[np.ndarray]:
-    """[J_x, J_y, J_z] of spin J in the basis |J,J>, |J,J-1>, ..., |J,-J>, from its two bands:
-    J_z is the diagonal m = J, ..., -J, and the ladder operator J_+ the superdiagonal
-    sqrt(J(J+1) - m(m+1)) that takes |J, m> to |J, m+1>."""
-    j = _validate_spin(j)
-    m = j - np.arange(round(2 * j) + 1)
-    jplus = np.diag(np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1)), 1).astype(complex)
-    jminus = jplus.conj().T
-    return [0.5 * (jplus + jminus), -0.5j * (jplus - jminus), np.diag(m).astype(complex)]
-
-
-def spin_basis_state(j, m) -> QuantumState:
-    """The eigenstate |J, m> of J_z in the basis of :func:`spin_generators`, built without
-    them.  J - m must be a whole number in [0, 2J], within the 1e-12 allowed 2J."""
-    j = _validate_spin(j)
-    dim = round(2 * j) + 1
-    index = round(j - m, 0)  # a float: an infinite or nan m fails the range test
-    if not 0 <= index < dim:
-        raise ValueError(f"m={m} outside -J..J for J={j}")
-    if abs(j - m - index) > _HALF_INTEGER_TOL:
-        raise ValueError(f"m={m} is not J minus a whole number for J={j}")
-    return QuantumState.basis_state(dim, int(index))
 
 
 def scs(j, direction) -> QuantumState:
@@ -70,7 +32,7 @@ def scs(j, direction) -> QuantumState:
     1e-12 of the largest, so that the exact ties of the equator (k and 2J - k) go by index,
     not by roundoff.
     """
-    two_j = round(2 * _validate_spin(j))
+    two_j = round(2 * checked_spin(j))
     n = np.asarray(direction, dtype=float).reshape(3)
     if abs(np.linalg.norm(n) - 1.0) > EQUALITY_TOL:
         raise ValueError(f"direction must be a unit vector, norm {np.linalg.norm(n)!r}")
@@ -95,105 +57,9 @@ def orbit_sample(omega: ObservableSpace, reference: QuantumState, angles) -> Qua
     return QuantumState(vector=v / np.linalg.norm(v))
 
 
-def seeded_rng(seed: int) -> random.Random:
-    """The seeded generator of both references and of the golden suite's seeded checks.
-
-    Negative seeds are refused: ``random.Random`` would fold -s onto s.
-    """
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    return random.Random(seed)
-
-
 def gaussians(rng: random.Random, n: int) -> np.ndarray:
     """n standard normal draws from ``rng``, in order."""
     return np.array([rng.gauss(0.0, 1.0) for _ in range(n)])
-
-
-def highest_weight_state(omega: ObservableSpace, seed: int = 0) -> QuantumState | None:
-    """The top eigenvector of one seeded regular element sum_a c_a X_a.
-
-    On a Lie algebra represented irreducibly, the maximal-purity states are the
-    generalized coherent states, the orbit of a highest-weight vector (Perelomov
-    1972; Klyachko, quant-ph/0206012; Barnum, Knill, Ortiz, Somma & Viola, PRL 92,
-    107902 (2004)).  An element with a simple spectrum, or a generic one, is regular, and its
-    top eigenvector is a highest-weight vector for the Weyl chamber that holds it, so its raw
-    purity (``purity.omega_purity``) is the exact maximum; on any space it is a lower bound.
-    The element is a sum of site terms, each from ``ObservableSpace.regular_eigenbasis`` (a word
-    space is one site), and its top eigenvector the product of theirs.  Returns None when a
-    top eigenvalue is degenerate."""
-    rng, factors = seeded_rng(seed), []
-    for _ in range(omega.sites):
-        w, v = omega.regular_eigenbasis(rng)  # v None: the standard basis, w's entries distinct
-        if v is not None and len(w) > 1 and w[-1] - w[-2] <= SPECTRAL_GAP * np.max(np.abs(w)):
-            return None  # only the top one: su(3)'s adjoint, weight 0 twice, still gets a state
-        factors.append(np.arange(len(w)) == w.argmax() if v is None else v[:, -1])
-    return QuantumState(vector=kron_all(factors))
-
-
-def stabilizer_bracket(omega: ObservableSpace) -> tuple[list[int], list[list[int]] | None]:
-    """Bracket the maximal raw purity of a word space by two exact bounds, from its masks alone.
-
-    Returns a largest set of pairwise-commuting words, as ascending indices into
-    ``omega.masks``, and a split of all the words into that many pairwise-anticommuting
-    sets, or None when there is no such split.  With alpha the size of the commuting set:
-
-    - Lower bound: commuting words share an eigenvector (a stabilizer state), on which
-      each word P has <P> = +-1, so that state's raw purity is at least alpha / dim.
-    - Upper bound: pairwise-anticommuting words satisfy (sum_a c_a P_a)^2 = |c|^2 for real
-      c, so with c_a = <P_a> the sum of <P_a>^2 over one set is at most 1, and a split into
-      k sets bounds the raw purity of every state by k / dim.
-
-    When the split exists the bounds meet and alpha / dim is the exact maximum (de Gois,
-    Hansenne & Gühne 2023; Xu, Schwonnek & Winter 2024).  Both searches are branch and
-    bound on int bit masks of the commutation graph: a largest clique, then an alpha-colouring
-    that starts from that clique and next colours the word with the fewest colours open
-    (DSATUR, Brélaz 1979).  More than ``STABILIZER_WORD_CAP`` words are refused at once.
-    """
-    n = omega.size
-    if omega.masks is None or n > STABILIZER_WORD_CAP:
-        raise ValueError(f"a stabilizer bracket needs a word space of at most "
-                         f"{STABILIZER_WORD_CAP} words, got {omega!r}")
-    everyone = (1 << n) - 1
-    # commuting[a]: bit b set when words a != b commute
-    commuting = [everyone ^ 1 << a ^ int.from_bytes(np.packbits(anti, bitorder="little"), "little")
-                 for a, anti in enumerate(anticommutation_rows(omega.masks, omega.dim))]
-    clique: list[int] = []
-
-    def grow(chosen: list[int], candidates: int):
-        nonlocal clique
-        if len(chosen) > len(clique):
-            clique = chosen
-        while len(chosen) + candidates.bit_count() > len(clique):
-            low = candidates & -candidates
-            candidates ^= low
-            word = (low - 1).bit_count()
-            grow(chosen + [word], candidates & commuting[word])
-
-    grow([], everyone)
-    classes = [1 << word for word in clique]  # each colour class: pairwise-anticommuting words
-
-    def place(left: int) -> bool:
-        if not left:
-            return True
-        fewest = None
-        for word in (w for w in range(n) if left >> w & 1):
-            options = [c for c, members in enumerate(classes) if not members & commuting[word]]
-            if fewest is None or len(options) < len(fewest[1]):
-                fewest = word, options
-                if not options:
-                    return False
-        word, options = fewest
-        for c in options:
-            classes[c] |= 1 << word
-            if place(left ^ 1 << word):
-                return True
-            classes[c] ^= 1 << word
-        return False
-
-    if not place(everyone ^ sum(classes)):
-        return clique, None
-    return clique, [[w for w in range(n) if members >> w & 1] for members in classes]
 
 
 def max_purity_estimate(omega: ObservableSpace, seed: int = 0) -> float:

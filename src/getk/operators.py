@@ -11,7 +11,7 @@ trace-orthonormal basis, or Pauli words), read through two linear maps,
 ``coefficients`` and ``element``.
 Every register dimension (Pauli words, sites, qubits, fermionic modes, state
 files) is formed by :func:`checked_dim` against ``MAX_DIM``; a spin's 2J + 1 is
-a float, checked in ``coherent``.
+a float, checked by :func:`checked_spin`.
 """
 
 import itertools
@@ -31,6 +31,7 @@ INDEPENDENCE_TOL = 1e-9
 EQUALITY_TOL = 1e-10
 ROUNDOFF_ALLOWANCE = 1e-8  # how far a computed value may pass a proved bound (README)
 SPECTRAL_GAP = 1e-9  # an eigenvalue gap at most this share of the spectral radius is no gap
+_HALF_INTEGER_TOL = 1e-12  # how far 2J, and J - m, may sit from a whole number
 
 
 class DimensionMismatch(ValueError):
@@ -75,6 +76,25 @@ def checked_dim(base: int, count: int) -> int:
     if base ** min(count, MAX_DIM.bit_length()) > MAX_DIM:
         raise ValueError(f"dimension {base}^{count} exceeds the supported {MAX_DIM}")
     return base ** count
+
+
+def checked_spin(j) -> float:
+    j = float(j)
+    if 2 * j + 1 > MAX_DIM:
+        raise ValueError(f"spin {j:g} has dimension {2 * j + 1:.0f}, above the supported {MAX_DIM}")
+    if not j >= 0 or abs(2 * j - round(2 * j)) > _HALF_INTEGER_TOL:  # not >= also rejects nan
+        raise ValueError(f"spin must be a nonnegative half-integer, got {j}")
+    return round(2 * j) / 2.0
+
+
+def seeded_rng(seed: int) -> random.Random:
+    """The seeded generator of both references and of the golden suite's seeded checks.
+
+    Negative seeds are refused: ``random.Random`` would fold -s onto s.
+    """
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return random.Random(seed)
 
 
 def kron_all(factors) -> np.ndarray:
@@ -579,6 +599,30 @@ def gell_mann_basis(d: int) -> list[np.ndarray]:
         diag[k, k] = -k
         out.append(diag / np.sqrt(k * (k + 1)))
     return out
+
+
+def spin_generators(j) -> list[np.ndarray]:
+    """[J_x, J_y, J_z] of spin J in the basis |J,J>, |J,J-1>, ..., |J,-J>, from its two bands:
+    J_z is the diagonal m = J, ..., -J, and the ladder operator J_+ the superdiagonal
+    sqrt(J(J+1) - m(m+1)) that takes |J, m> to |J, m+1>."""
+    j = checked_spin(j)
+    m = j - np.arange(round(2 * j) + 1)
+    jplus = np.diag(np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1)), 1).astype(complex)
+    jminus = jplus.conj().T
+    return [0.5 * (jplus + jminus), -0.5j * (jplus - jminus), np.diag(m).astype(complex)]
+
+
+def spin_basis_state(j, m) -> QuantumState:
+    """The eigenstate |J, m> of J_z in the basis of :func:`spin_generators`, built without
+    them.  J - m must be a whole number in [0, 2J], within the 1e-12 allowed 2J."""
+    j = checked_spin(j)
+    dim = round(2 * j) + 1
+    index = round(j - m, 0)  # a float: an infinite or nan m fails the range test
+    if not 0 <= index < dim:
+        raise ValueError(f"m={m} outside -J..J for J={j}")
+    if abs(j - m - index) > _HALF_INTEGER_TOL:
+        raise ValueError(f"m={m} is not J minus a whole number for J={j}")
+    return QuantumState.basis_state(dim, int(index))
 
 
 def bracket(x, y) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Observable-relative purity and the generalized-unentanglement test.
 
-The central quantity is the squared length of the projection of a state
-onto a distinguished observable space: P(rho) = sum_a Tr(rho X_a)^2 for a
-trace-orthonormal basis {X_a}.  Rescaled so that its maximum over pure
-states is 1, maximal purity certifies extremality of the reduced state.
+The central quantity is the squared length of the projection of a state onto a distinguished
+observable space: P(rho) = sum_a Tr(rho X_a)^2 for a trace-orthonormal basis {X_a}.  Rescaled so
+that its maximum over pure states is 1, maximal purity certifies extremality of the reduced state;
+both exact maxima, the highest-weight state's and a closed stabilizer bracket's, are found here.
 A :class:`PurityReport` holds the purity; its ``unentangled`` is the whole verdict rule and
 :func:`resolve_max_reference` the whole rescaling rule, the ``--tol`` and ``--rescale`` texts too.
 """
@@ -17,13 +17,19 @@ from . import Frozen, coherent
 from .operators import (
     EQUALITY_TOL,
     ROUNDOFF_ALLOWANCE,
+    SPECTRAL_GAP,
     DimensionMismatch,
     ObservableSpace,
     QuantumState,
+    anticommutation_rows,
     assert_hermitian,
     expectation,
+    kron_all,
     partial_trace,
+    seeded_rng,
 )
+
+STABILIZER_WORD_CAP = 24  # most words a stabilizer bracket searches: 24 take under 2 ms (README)
 
 
 class PurityReport(Frozen):
@@ -83,12 +89,98 @@ def omega_purity(state: QuantumState, omega: ObservableSpace) -> float:
     return raw
 
 
+def highest_weight_state(omega: ObservableSpace, seed: int = 0) -> QuantumState | None:
+    """The top eigenvector of one seeded regular element sum_a c_a X_a.
+
+    On a Lie algebra represented irreducibly, the maximal-purity states are the
+    generalized coherent states, the orbit of a highest-weight vector (Perelomov
+    1972; Klyachko, quant-ph/0206012; Barnum, Knill, Ortiz, Somma & Viola, PRL 92,
+    107902 (2004)).  An element with a simple spectrum, or a generic one, is regular, and its
+    top eigenvector is a highest-weight vector for the Weyl chamber that holds it, so its raw
+    purity (``purity.omega_purity``) is the exact maximum; on any space it is a lower bound.
+    The element is a sum of site terms, each from ``ObservableSpace.regular_eigenbasis`` (a word
+    space is one site), and its top eigenvector the product of theirs.  Returns None when a
+    top eigenvalue is degenerate."""
+    rng, factors = seeded_rng(seed), []
+    for _ in range(omega.sites):
+        w, v = omega.regular_eigenbasis(rng)  # v None: the standard basis, w's entries distinct
+        if v is not None and len(w) > 1 and w[-1] - w[-2] <= SPECTRAL_GAP * np.max(np.abs(w)):
+            return None  # only the top one: su(3)'s adjoint, weight 0 twice, still gets a state
+        factors.append(np.arange(len(w)) == w.argmax() if v is None else v[:, -1])
+    return QuantumState(vector=kron_all(factors))
+
+
+def stabilizer_bracket(omega: ObservableSpace) -> tuple[list[int], list[list[int]] | None]:
+    """Bracket the maximal raw purity of a word space by two exact bounds, from its masks alone.
+
+    Returns a largest set of pairwise-commuting words, as ascending indices into
+    ``omega.masks``, and a split of all the words into that many pairwise-anticommuting
+    sets, or None when there is no such split.  With alpha the size of the commuting set:
+
+    - Lower bound: commuting words share an eigenvector (a stabilizer state), on which
+      each word P has <P> = +-1, so that state's raw purity is at least alpha / dim.
+    - Upper bound: pairwise-anticommuting words satisfy (sum_a c_a P_a)^2 = |c|^2 for real
+      c, so with c_a = <P_a> the sum of <P_a>^2 over one set is at most 1, and a split into
+      k sets bounds the raw purity of every state by k / dim.
+
+    When the split exists the bounds meet and alpha / dim is the exact maximum (de Gois,
+    Hansenne & Gühne 2023; Xu, Schwonnek & Winter 2024).  Both searches are branch and
+    bound on int bit masks of the commutation graph: a largest clique, then an alpha-colouring
+    that starts from that clique and next colours the word with the fewest colours open
+    (DSATUR, Brélaz 1979).  More than ``STABILIZER_WORD_CAP`` words are refused at once.
+    """
+    n = omega.size
+    if omega.masks is None or n > STABILIZER_WORD_CAP:
+        raise ValueError(f"a stabilizer bracket needs a word space of at most "
+                         f"{STABILIZER_WORD_CAP} words, got {omega!r}")
+    everyone = (1 << n) - 1
+    # commuting[a]: bit b set when words a != b commute
+    commuting = [everyone ^ 1 << a ^ int.from_bytes(np.packbits(anti, bitorder="little"), "little")
+                 for a, anti in enumerate(anticommutation_rows(omega.masks, omega.dim))]
+    clique: list[int] = []
+
+    def grow(chosen: list[int], candidates: int):
+        nonlocal clique
+        if len(chosen) > len(clique):
+            clique = chosen
+        while len(chosen) + candidates.bit_count() > len(clique):
+            low = candidates & -candidates
+            candidates ^= low
+            word = (low - 1).bit_count()
+            grow(chosen + [word], candidates & commuting[word])
+
+    grow([], everyone)
+    classes = [1 << word for word in clique]  # each colour class: pairwise-anticommuting words
+
+    def place(left: int) -> bool:
+        if not left:
+            return True
+        fewest = None
+        for word in (w for w in range(n) if left >> w & 1):
+            options = [c for c, members in enumerate(classes) if not members & commuting[word]]
+            if fewest is None or len(options) < len(fewest[1]):
+                fewest = word, options
+                if not options:
+                    return False
+        word, options = fewest
+        for c in options:
+            classes[c] |= 1 << word
+            if place(left ^ 1 << word):
+                return True
+            classes[c] ^= 1 << word
+        return False
+
+    if not place(everyone ^ sum(classes)):
+        return clique, None
+    return clique, [[w for w in range(n) if members >> w & 1] for members in classes]
+
+
 @lru_cache(maxsize=32)  # bounded: each entry keeps its space alive
 def numeric_max_reference(omega: ObservableSpace, seed: int = 0) -> tuple[float, str]:
     """The ``auto`` reference and its source, cached per space and seed.
 
     An irreducibly represented Lie algebra gets the highest-weight value, an
-    exact maximum.  A word space of at most ``coherent.STABILIZER_WORD_CAP`` words
+    exact maximum.  A word space of at most ``STABILIZER_WORD_CAP`` words
     whose stabilizer bracket closes gets alpha / dim, also exact: a stabilizer state
     attains it, and a split of the words into alpha pairwise-anticommuting sets bounds
     every state by it.  Any other space, or a Lie algebra whose seeded element has a
@@ -96,11 +188,11 @@ def numeric_max_reference(omega: ObservableSpace, seed: int = 0) -> tuple[float,
     a lower bound up to roundoff.
     """
     if omega.irreducible_lie:
-        state = coherent.highest_weight_state(omega, seed)
+        state = highest_weight_state(omega, seed)
         if state is not None:
             return omega_purity(state, omega), "highest-weight"
-    if omega.masks is not None and omega.size <= coherent.STABILIZER_WORD_CAP:
-        commuting, split = coherent.stabilizer_bracket(omega)
+    if omega.masks is not None and omega.size <= STABILIZER_WORD_CAP:
+        commuting, split = stabilizer_bracket(omega)
         if split is not None:
             return len(commuting) / omega.dim, "stabilizer"
     if omega.max_purity is not None:

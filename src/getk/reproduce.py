@@ -14,7 +14,8 @@ from typing import Callable
 import numpy as np
 
 from . import Frozen, boxes, catalog, coherent, fermion, states
-from .operators import QuantumState, kron_all, lie_closure, orthonormalize, partial_trace, pauli_string
+from .operators import (QuantumState, kron_all, lie_closure, orthonormalize, partial_trace,
+                        pauli_string, seeded_rng, spin_basis_state, spin_generators)
 from .purity import (
     expectations_indistinguishable,
     invariant_uncertainty,
@@ -156,23 +157,23 @@ class _Run:
     # --- spin-J geometry -------------------------------------------------
     def spin_extremes(self, j):
         space = catalog.spin_algebra(j)
-        top, bottom, center = (rescaled_purity(coherent.spin_basis_state(j, m), space)
+        top, bottom, center = (rescaled_purity(spin_basis_state(j, m), space)
                                .unentangled(1e-8) for m in (j, -j, j % 1))
         return (top and bottom and not center,
                 f"top={_bool(top)} bottom={_bool(bottom)} center={_bool(center)}")
 
     def spin_center_uncertainty(self):
-        return invariant_uncertainty(coherent.spin_basis_state(3, 0), coherent.spin_generators(3))
+        return invariant_uncertainty(spin_basis_state(3, 0), spin_generators(3))
 
     def full_algebra_unentangled(self):
-        psi = coherent.gaussians(coherent.seeded_rng(self.seed + 17), 8).view(complex)
+        psi = coherent.gaussians(seeded_rng(self.seed + 17), 8).view(complex)
         return rescaled_purity(QuantumState(vector=psi / np.linalg.norm(psi)),
                                catalog.local_algebra(1, 4)).unentangled(1e-8)
 
     def orbit_purity_drift(self):
         space = catalog.spin_algebra(2)
-        rng = coherent.seeded_rng(self.seed + 3)
-        st = coherent.spin_basis_state(2, 2)
+        rng = seeded_rng(self.seed + 3)
+        st = spin_basis_state(2, 2)
         worst = 0.0
         for _ in range(5):
             moved = coherent.orbit_sample(space, st, 0.7 * coherent.gaussians(rng, space.size))
@@ -187,7 +188,7 @@ class _Run:
     def restricted_spin_extremes(self):
         space = catalog.restricted_local_spins(1)
         scs_pair = coherent.scs(1, [0, 0, 1]).tensor(coherent.scs(1, [1, 0, 0]))
-        center = coherent.spin_basis_state(1, 0)
+        center = spin_basis_state(1, 0)
         hi = rescaled_purity(scs_pair, space).rescaled
         lo = rescaled_purity(center.tensor(center), space).rescaled
         return (abs(hi - 1) <= 1e-9 and abs(lo) <= 1e-12,

@@ -1,8 +1,8 @@
 """Named quantum states and the JSON state-file format.
 
-A builtin name is a prefix, a colon and the text that prefix's constructor in
-``_BUILTINS`` reads: bell:phi+|phi-|psi+|psi-, ghz:N, w:N, bisep:12|13|23,
-spin:J,M and fock:m2:W.  Any other name is a state-file path.  The Bell
+A builtin name is a prefix, a colon and the text that prefix's constructor in ``_BUILTINS``
+reads: bell:phi+|phi-|psi+|psi-, ghz:N, w:N, bisep:12|13|23, spin:J,M (built by
+``operators.spin_basis_state``) and fock:m2:W.  Any other name is a state-file path.  The Bell
 letters follow the one-particle convention used by the fermionic dictionary:
 phi+- are the one-particle superpositions (|01> +- |10>)/sqrt2 and psi+- the
 number superpositions (|00> +- |11>)/sqrt2.
@@ -25,8 +25,8 @@ import stat
 
 import numpy as np
 
-from . import StateParseError, coherent, fermion, read_json_file, whole_number
-from .operators import QuantumState, checked_dim
+from . import StateParseError, fermion, read_json_file, whole_number
+from .operators import QuantumState, checked_dim, spin_basis_state
 
 
 def _even(dim: int, indices, signs=1) -> QuantumState:
@@ -83,7 +83,7 @@ def _spin(text: str) -> QuantumState:
     j_token, m_token = text.split(",", 1)
     j, m = parse_number_token(j_token), parse_number_token(m_token)
     try:
-        return coherent.spin_basis_state(j, m)
+        return spin_basis_state(j, m)
     except ValueError as exc:
         raise StateParseError(str(exc)) from exc
 

@@ -1,14 +1,13 @@
 """Dense spin-J oracles for the tests: the generators filled in entry by entry, and the spin
 coherent state as the top eigenvector of n . J.
 
-These are the constructions that ``coherent.spin_generators`` (two bands) and
+These are the constructions that ``operators.spin_generators`` (two bands) and
 ``coherent.scs`` (closed form) replace, kept here so that tests can hold the library to them.
 """
 
 import numpy as np
 
-from getk.coherent import _validate_spin
-from getk.operators import QuantumState
+from getk.operators import QuantumState, checked_spin
 
 # every half-integer J from 1/2 to 13, and the largest spin under MAX_DIM
 ORACLE_SPINS = [k / 2 for k in range(1, 27)] + [511.5]
@@ -16,7 +15,7 @@ ORACLE_SPINS = [k / 2 for k in range(1, 27)] + [511.5]
 
 def dense_spin_generators(j) -> list[np.ndarray]:
     """[J_x, J_y, J_z] of spin J in the basis |J,J>, ..., |J,-J>, one ladder entry at a time."""
-    j = _validate_spin(j)
+    j = checked_spin(j)
     dim = int(round(2 * j)) + 1
     m = j - np.arange(dim)  # m values top-down: J, J-1, ..., -J
     jz = np.diag(m).astype(complex)
@@ -34,7 +33,7 @@ def eigh_scs(j, direction) -> QuantumState:
     """Top eigenvector of n . J for a unit vector n, its largest-magnitude amplitude (the first
     within a relative 1e-12 of the largest) made real and positive; refused when the top
     eigenvalue is degenerate, is not J, or leaves a residual."""
-    j = _validate_spin(j)
+    j = checked_spin(j)
     jx, jy, jz = dense_spin_generators(j)
     n = np.asarray(direction, dtype=float).reshape(3)
     if abs(np.linalg.norm(n) - 1.0) > 1e-10:

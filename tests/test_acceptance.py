@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from getk import boxes, catalog, cli, coherent, fermion, reproduce, states
+from getk import boxes, catalog, cli, coherent, fermion, operators, reproduce, states
 from getk.operators import ObservableSpace, QuantumState
 from getk.purity import (
     invariant_uncertainty,
@@ -138,13 +138,13 @@ def test_criterion_4_fermionic_suite():
 def test_criterion_5_spin_suite():
     rng = np.random.default_rng(RNG_SEED + 3)
     for j in (1, 1.5, 2, 5):
-        generators = coherent.spin_generators(j)
+        generators = operators.spin_generators(j)
         space = catalog.spin_algebra(j)
         for m in (j, -j):
-            got = rescaled_purity(coherent.spin_basis_state(j, m), space).rescaled
+            got = rescaled_purity(operators.spin_basis_state(j, m), space).rescaled
             assert abs(got - 1.0) <= 1e-10
         center_m = 0 if float(j).is_integer() else 0.5
-        center = coherent.spin_basis_state(j, center_m)
+        center = operators.spin_basis_state(j, center_m)
         # the reference formula: sum of squared generator expectations over J^2
         from getk.operators import expectation
         formula = sum(expectation(center, g) ** 2 for g in generators) / j ** 2
@@ -239,7 +239,7 @@ def test_criterion_7_property_suites():
     # coherent-state eigenvalue residuals
     for idx in range(100):
         j = (0.5, 1, 1.5, 2, 3)[idx % 5]
-        jx, jy, jz = coherent.spin_generators(j)
+        jx, jy, jz = operators.spin_generators(j)
         n = rng.normal(size=3)
         n /= np.linalg.norm(n)
         st = coherent.scs(j, n)

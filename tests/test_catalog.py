@@ -459,7 +459,7 @@ class TestNamedAlgebra:
         (lambda: catalog.local_algebra(1, 2), True),
         (lambda: catalog.local_algebra(1, 4), True),
         (fermion.fermionic_u2, False),
-        (lambda: lie_closure(coherent.spin_generators(1)[::2]), True),
+        (lambda: lie_closure(operators.spin_generators(1)[::2]), True),
         (lambda: lie_closure(catalog.z_conserving_u2().basis), False),
     ], ids=["su2x2-spin:1/2", "su2x2-spin:1", "su2x2-spin:2", "su2x2-spin:7/2",
             "su2x2-spin:31/2", "full:2", "full:4", "u2-fermi", "closure-spin-1", "closure-u2"])

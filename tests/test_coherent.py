@@ -6,16 +6,7 @@ import numpy as np
 import pytest
 
 from getk import catalog
-from getk.coherent import (
-    STABILIZER_WORD_CAP,
-    highest_weight_state,
-    max_purity_estimate,
-    orbit_sample,
-    scs,
-    spin_basis_state,
-    spin_generators,
-    stabilizer_bracket,
-)
+from getk.coherent import max_purity_estimate, orbit_sample, scs
 from getk.operators import (
     ROUNDOFF_ALLOWANCE,
     ObservableSpace,
@@ -23,8 +14,17 @@ from getk.operators import (
     orthonormalize,
     partial_trace,
     pauli_string,
+    spin_basis_state,
+    spin_generators,
 )
-from getk.purity import numeric_max_reference, omega_purity, rescaled_purity
+from getk.purity import (
+    STABILIZER_WORD_CAP,
+    highest_weight_state,
+    numeric_max_reference,
+    omega_purity,
+    rescaled_purity,
+    stabilizer_bracket,
+)
 from random_states import random_pure_state
 from spin_oracle import ORACLE_SPINS, dense_spin_generators, eigh_scs
 
@@ -136,7 +136,7 @@ class TestSpinBasisState:
 
     def test_builds_no_generators(self, monkeypatch):
         # spin:511.5,M names one vector: the three 1024 x 1024 generators are never built
-        monkeypatch.setattr("getk.coherent.spin_generators", None)
+        monkeypatch.setattr("getk.operators.spin_generators", None)
         assert spin_basis_state(511.5, 511.5).dim == 1024
 
 
@@ -564,7 +564,7 @@ class TestStabilizerBracket:
         assert estimate <= chi / 2 ** length + ROUNDOFF_ALLOWANCE, words
 
     def test_the_cap_is_checked_before_any_search(self, monkeypatch):
-        monkeypatch.setattr("getk.coherent.anticommutation_rows", None)  # no search may start
+        monkeypatch.setattr("getk.purity.anticommutation_rows", None)  # no search may start
         words = seeded_words(0, 3, STABILIZER_WORD_CAP + 1)
         for space in (ObservableSpace(words), catalog.z_conserving_u2()):
             with pytest.raises(ValueError, match="at most 24 words"):
@@ -575,7 +575,7 @@ class TestStabilizerBracket:
         # fixed point runs and no search starts
         words = seeded_words(0, 3, STABILIZER_WORD_CAP + 1)
         assert numeric_max_reference(ObservableSpace(words[:-1]), 0)[1] == "stabilizer"
-        monkeypatch.setattr("getk.coherent.stabilizer_bracket", None)
+        monkeypatch.setattr("getk.purity.stabilizer_bracket", None)
         assert numeric_max_reference(ObservableSpace(words), 0)[1] == "numerical"
 
 

@@ -21,9 +21,9 @@ import numpy as np
 import pytest
 
 from getk import catalog, coherent, purity, states
-from getk.coherent import gaussians, highest_weight_state, seeded_rng
-from getk.operators import ObservableSpace, QuantumState, gell_mann_basis, partial_trace
-from getk.purity import omega_purity, rescaled_purity
+from getk.coherent import gaussians
+from getk.operators import ObservableSpace, QuantumState, gell_mann_basis, partial_trace, seeded_rng
+from getk.purity import highest_weight_state, omega_purity, rescaled_purity
 from random_states import random_density_state, random_pure_state
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")

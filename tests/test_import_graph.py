@@ -59,6 +59,38 @@ def _readers(path: Path, name: str) -> list:
     return [f"{path.stem}.{owner}" for owner in owners.values()]
 
 
+def _relative_imports(path: Path) -> set:
+    """The getk modules one module imports from within the package, ``__init__`` for a name
+    of the package itself."""
+    getk = {p.stem for p in PACKAGE.glob("*.py")}
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            out |= ({node.module} if node.module else
+                    {a.name if a.name in getk else "__init__" for a in node.names})
+    return out
+
+
+def test_package_imports_form_no_cycle():
+    # each module's package-relative imports point one way: coherent reads operators alone,
+    # so purity, which runs coherent's fixed point, is not imported back
+    graph = {path.stem: _relative_imports(path) for path in PACKAGE.glob("*.py")}
+    done, path = set(), []
+
+    def visit(module):
+        if module in path:
+            raise AssertionError(" -> ".join(path[path.index(module):] + [module]))
+        if module not in done:
+            path.append(module)
+            for target in sorted(graph[module]):
+                visit(target)
+            done.add(path.pop())
+
+    for module in sorted(graph):
+        visit(module)
+    assert graph["coherent"] == {"operators"}
+
+
 def test_the_size_rule_lives_in_checked_dim():
     # one size rule: every register dimension is formed by operators.checked_dim
     owners = [o for path in sorted(PACKAGE.glob("*.py")) for o in _readers(path, "bit_length")]
@@ -284,8 +316,8 @@ GETK_FILES = sorted(path.name for path in PACKAGE.glob("*.py"))
 @pytest.mark.parametrize("argv, before, after", [
     (["purity", "--state", "w:3", "--algebra", "omega1"], PURITY_AHEAD, []),
     (["purity", "--state", "density.json", "--algebra", "u2"], PURITY_AHEAD, []),
-    (["classify", "--state", "w:3", "--algebra", "omega4", "--rescale", "auto"],
-     PURITY_AHEAD, ["coherent.py"]),
+    (["classify", "--state", "w:3", "--algebra", "omega4", "--rescale", "auto"], PURITY_AHEAD, []),
+    (["classify", "--state", "spin:3,3", "--algebra", "su2-spin:3"], PURITY_AHEAD, []),
     (["classify", "--state", "fock:m2:01", "--algebra", "u2"], PURITY_AHEAD, ["fermion.py"]),
     (["reproduce", "--table", "paper"],
      ["__init__.py", "cli.py", "boxes.py", "catalog.py", "coherent.py", "fermion.py",
@@ -295,7 +327,8 @@ GETK_FILES = sorted(path.name for path in PACKAGE.glob("*.py"))
     (["reproduce", "--list"], ["__init__.py", "cli.py", "reproduce.py"],
      ["operators.py", "purity.py"]),
     (["boxes", "vertices", "--size", "2,2"], ["__init__.py", "cli.py", "boxes.py"], None),
-], ids=["builtin", "density-file", "rescale-auto", "fock", "reproduce", "list", "box-vertices"])
+], ids=["builtin", "density-file", "rescale-auto", "spin", "fock", "reproduce", "list",
+        "box-vertices"])
 def test_commands_compile_their_entry_modules_before_numpy(tmp_path, argv, before, after):
     # [exit code, getk files compiled before numpy is imported, those compiled after (None
     # when numpy is never imported)], from the compile and import audit events of one command
@@ -569,16 +602,22 @@ def test_purity_commands_leave_numpy_random_unloaded():
                                                                for argv in runs]
 
 
-def test_purity_commands_run_box_code_never_and_fermion_code_for_fermions():
-    # the so4-fermi runs come last: fermion run before them would show at the
-    # command that ran it
+def test_purity_commands_run_box_code_never_and_fermion_code_for_fermions(tmp_path):
+    # the so4-fermi runs come after the other catalog runs, and the custom run last: a module
+    # run before them would show at the command that ran it.  Every catalog reference,
+    # the default and auto, is exact or carried, so coherent's fixed point never runs; the
+    # open-bracket 5-cycle gets neither, and runs it
     order = sorted(CATALOG_STATES, key=lambda pair: pair[0] == "so4-fermi")
     runs = [[command, "--state", state, "--algebra", algebra, *rescale]
             for algebra, state in order
             for command in ("purity", "classify")
             for rescale in ([], ["--rescale", "auto"])]
-    assert _run_commands(runs, "getk.boxes", "getk.fermion") == [
-        [argv, 0, False, argv[4] == "so4-fermi"] for argv in runs]
+    five_cycle = tmp_path / "five_cycle.txt"
+    five_cycle.write_text("IX\nIY\nXX\nYI\nZY\n")
+    custom = ["purity", "--state", "bell:phi+", "--algebra", f"custom:{five_cycle}"]
+    assert _run_commands(runs + [custom], "getk.boxes", "getk.fermion", "getk.coherent") == [
+        [argv, 0, False, argv[4] == "so4-fermi", False] for argv in runs] + [
+        [custom, 0, False, True, True]]
 
 
 def test_reproduce_leaves_numpy_random_unloaded():

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from getk import catalog, coherent, fermion, operators
+from getk import catalog, fermion, operators, purity
 from getk.operators import (
     EQUALITY_TOL,
     INDEPENDENCE_TOL,
@@ -913,7 +913,7 @@ class TestWordLieStructure:
     def test_spin_half_beside_spin_one_is_reducible(self):
         # su(2) on C^2 (+) C^3 is closed, and J_z (+) J_z has the simple spectrum 1/2, -1/2,
         # 1, 0, -1: no rotated entry joins the two blocks, so the graph has two components
-        half, one = coherent.spin_generators(0.5), coherent.spin_generators(1)
+        half, one = operators.spin_generators(0.5), operators.spin_generators(1)
         ops = orthonormalize([np.block([[a, np.zeros((2, 3))], [np.zeros((3, 2)), b]])
                               for a, b in zip(half, one)])
         assert lie_closure(ops).size == 3 and commutant_basis(ops) != []
@@ -931,7 +931,7 @@ class TestWordLieStructure:
         assert not space.irreducible_lie
         # the highest weight asks only for a simple top eigenvalue, which weight 0 leaves alone
         for seed in (0, 7):
-            state = coherent.highest_weight_state(space, seed)
+            state = purity.highest_weight_state(space, seed)
             assert state is not None
             assert abs(omega_purity(state, space) - generic_highest_weight(space, seed)) <= 1e-12
 

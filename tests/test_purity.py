@@ -311,7 +311,7 @@ class TestMeyerWallach:
 class TestUnentanglementTest:
     def test_coherent_state_is_unentangled(self):
         space = catalog.spin_algebra(3)
-        report = rescaled_purity(coherent.spin_basis_state(3, 3), space)
+        report = rescaled_purity(operators.spin_basis_state(3, 3), space)
         assert report.unentangled(1e-8) is True
         assert report.theorem_direction == "iff"
 
@@ -321,14 +321,14 @@ class TestUnentanglementTest:
                             lambda space: decided.append(space.size) or True)
         spin = catalog.spin_algebra(1)
         space = ObservableSpace(spin.site_basis, max_purity=spin.max_purity)
-        report = rescaled_purity(coherent.spin_basis_state(1, 1), space)
+        report = rescaled_purity(operators.spin_basis_state(1, 1), space)
         assert decided == []  # a purity record never reads the direction
         assert report.theorem_direction == report.theorem_direction == "iff"
         assert decided == [3]
 
     def test_center_state_is_entangled(self):
         space = catalog.spin_algebra(3)
-        assert not rescaled_purity(coherent.spin_basis_state(3, 0), space).unentangled(1e-8)
+        assert not rescaled_purity(operators.spin_basis_state(3, 0), space).unentangled(1e-8)
 
     def test_full_algebra_everything_unentangled(self):
         rng = np.random.default_rng(41)
@@ -394,16 +394,16 @@ class TestIndistinguishability:
 class TestInvariantUncertainty:
     def test_coherent_state(self):
         for j in (1, 1.5, 2):
-            got = invariant_uncertainty(coherent.spin_basis_state(j, j),
-                                        coherent.spin_generators(j))
+            got = invariant_uncertainty(operators.spin_basis_state(j, j),
+                                        operators.spin_generators(j))
             assert got == pytest.approx(j, abs=1e-10)
 
     def test_center_state(self):
-        got = invariant_uncertainty(coherent.spin_basis_state(3, 0), coherent.spin_generators(3))
+        got = invariant_uncertainty(operators.spin_basis_state(3, 0), operators.spin_generators(3))
         assert got == pytest.approx(12.0, abs=1e-10)
 
     def test_qubit_ground_state(self):
-        got = invariant_uncertainty(QuantumState.basis_state(2, 0), coherent.spin_generators(0.5))
+        got = invariant_uncertainty(QuantumState.basis_state(2, 0), operators.spin_generators(0.5))
         assert got == pytest.approx(0.5, abs=1e-12)
 
 

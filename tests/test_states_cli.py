@@ -418,11 +418,12 @@ def test_every_state_and_algebra_name_is_documented():
 
 def _reference_sources() -> set:
     """The ``reference_source`` values ``purity`` can return: the text that ends each returned
-    pair (``return value, "..."``)."""
+    pair (``return value, "..."``; the stabilizer bracket's ``return clique, None`` is no text)."""
     tree = ast.parse((Path(SRC) / "getk" / "purity.py").read_text())
     return {node.value.elts[1].value for node in ast.walk(tree)
             if isinstance(node, ast.Return) and isinstance(node.value, ast.Tuple)
-            and len(node.value.elts) == 2 and isinstance(node.value.elts[1], ast.Constant)}
+            and len(node.value.elts) == 2 and isinstance(node.value.elts[1], ast.Constant)
+            and isinstance(node.value.elts[1].value, str)}
 
 
 def test_every_reference_source_is_documented():
@@ -739,7 +740,7 @@ class TestPurityCommand:
 
         path = tmp_path / "one_qubit_words.txt"
         path.write_text("".join(f"{'I' * q}{a}{'I' * (9 - q)}\n" for q in range(10) for a in "XYZ"))
-        monkeypatch.setattr(coherent, "highest_weight_state", lambda *args: None)
+        monkeypatch.setattr(purity, "highest_weight_state", lambda *args: None)
         monkeypatch.setattr(ObservableSpace, "element", no_matrix)
         monkeypatch.setattr(ObservableSpace, "site_element", no_matrix)
         purity.numeric_max_reference.cache_clear()
@@ -828,7 +829,7 @@ class TestPurityCommand:
         calls = []
         monkeypatch.setattr(coherent, "max_purity_estimate",
                             lambda *args, **kwargs: calls.append(args) or 1.0)
-        monkeypatch.setattr(coherent, "stabilizer_bracket",
+        monkeypatch.setattr(purity, "stabilizer_bracket",
                             lambda *args: calls.append(args) or ([0], [[0]]))
         path = tmp_path / "three_qubit.txt"  # read afresh: no cached reference to hit
         path.write_text("XXI\nIZZ\n")
