@@ -90,17 +90,6 @@ def _emit(record: dict, json_mode: bool):
             print(f"{key}={_fmt_value(value)}")
 
 
-def _seed() -> int:
-    raw = os.environ.get("GE_SEED", "0")
-    try:
-        seed = int(raw)
-    except ValueError:
-        seed = -1  # refused below, with the negative seeds
-    if seed < 0:
-        raise ValueError(f"GE_SEED: expected a non-negative integer, got {raw!r}")
-    return seed
-
-
 def _load_algebra(name: str):
     try:
         return catalog.named_algebra(name)
@@ -113,7 +102,7 @@ def _cmd_purity(args) -> int:
     _compile_ahead(states, operators, catalog, purity)
     state = states.load_state(args.state)
     omega = _load_algebra(args.algebra)
-    report = purity.rescaled_purity(state, omega, max_reference=args.rescale, seed=_seed())
+    report = purity.rescaled_purity(state, omega, max_reference=args.rescale)
     record = {"state": args.state, **report.as_dict()}
     if args.json:  # JSON only: key=value records keep a fixed set of keys
         record["reference_source"] = report.reference_source
@@ -210,7 +199,7 @@ def _cmd_reproduce(args) -> int:
             print(check.name)
         return 0
     _compile_ahead(boxes, catalog, coherent, fermion, operators, purity, reproduce, states)
-    lines, code = reproduce.run_table_paper(seed=_seed())
+    lines, code = reproduce.run_table_paper()
     print("\n".join(lines))
     return code
 

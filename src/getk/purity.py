@@ -176,19 +176,19 @@ def stabilizer_bracket(omega: ObservableSpace) -> tuple[list[int], list[list[int
 
 
 @lru_cache(maxsize=32)  # bounded: each entry keeps its space alive
-def numeric_max_reference(omega: ObservableSpace, seed: int = 0) -> tuple[float, str]:
-    """The ``auto`` reference and its source, cached per space and seed.
+def numeric_max_reference(omega: ObservableSpace) -> tuple[float, str]:
+    """The ``auto`` reference and its source, cached per space.
 
     An irreducibly represented Lie algebra gets the highest-weight value, an
     exact maximum.  A word space of at most ``STABILIZER_WORD_CAP`` words
     whose stabilizer bracket closes gets alpha / dim, also exact: a stabilizer state
     attains it, and a split of the words into alpha pairwise-anticommuting sets bounds
-    every state by it.  Any other space, or a Lie algebra whose seeded element has a
-    degenerate top eigenvalue, gets the maximum it carries, else the fixed-point estimate,
-    a lower bound up to roundoff.
+    every state by it.  Any other space, or a Lie algebra whose seed-0 element has a
+    degenerate top eigenvalue, gets the maximum it carries, else the seed-0 fixed-point
+    estimate, a lower bound up to roundoff.
     """
     if omega.irreducible_lie:
-        state = highest_weight_state(omega, seed)
+        state = highest_weight_state(omega)
         if state is not None:
             return omega_purity(state, omega), "highest-weight"
     if omega.masks is not None and omega.size <= STABILIZER_WORD_CAP:
@@ -197,21 +197,21 @@ def numeric_max_reference(omega: ObservableSpace, seed: int = 0) -> tuple[float,
             return len(commuting) / omega.dim, "stabilizer"
     if omega.max_purity is not None:
         return omega.max_purity, "analytic"
-    return coherent.max_purity_estimate(omega, seed=seed), "numerical"
+    return coherent.max_purity_estimate(omega), "numerical"
 
 
-def resolve_max_reference(omega: ObservableSpace, max_reference: float | str | None = None,
-                          seed: int = 0) -> tuple[float, str]:
+def resolve_max_reference(omega: ObservableSpace,
+                          max_reference: float | str | None = None) -> tuple[float, str]:
     """The rescaling constant of a traceless space and its source: the one ``--rescale`` rule.
 
-    ``"analytic"`` is the maximum the space carries, ``"auto"`` the seeded
-    ``numeric_max_reference``, and ``None`` the first of these that exists.  Anything
-    else is a number or its text (:func:`_number`), and must be positive and finite.
+    ``"analytic"`` is the maximum the space carries, ``"auto"`` ``numeric_max_reference``,
+    and ``None`` the first of these that exists.  Anything else is a number or its text
+    (:func:`_number`), and must be positive and finite.
     """
     if max_reference is None:
         max_reference = "auto" if omega.max_purity is None else "analytic"
     if max_reference == "auto":
-        return numeric_max_reference(omega, seed)
+        return numeric_max_reference(omega)
     if max_reference == "analytic" and omega.max_purity is None:
         raise ValueError(f"--rescale analytic: no analytic reference for algebra {omega.label!r}")
     if max_reference == "analytic":
@@ -223,11 +223,11 @@ def resolve_max_reference(omega: ObservableSpace, max_reference: float | str | N
 
 
 def rescaled_purity(state: QuantumState, omega: ObservableSpace,
-                    max_reference: float | str | None = None, *, seed: int = 0) -> PurityReport:
-    """Purity report with the traceless-sector value rescaled to maximum 1."""
+                    max_reference: float | str | None = None) -> PurityReport:
+    """Purity report of the traceless sector, rescaled to maximum 1, from the arguments alone."""
     omega = omega.traceless_sector()
     raw = omega_purity(state, omega)  # a state of the wrong dimension fails before any reference
-    ref, source = resolve_max_reference(omega, max_reference, seed)
+    ref, source = resolve_max_reference(omega, max_reference)
     rescaled = raw / ref
     if rescaled > 1.0 + ROUNDOFF_ALLOWANCE:
         raise ValueError(

@@ -1,9 +1,9 @@
 """The command line's bytes, pinned: argv, exit code, stdout and stderr of a fixed command list.
 
-Every command runs through ``cli.main`` in one fresh interpreter, with ``GE_SEED`` 0 and BLAS
-on one thread as under ``getk``, in a temporary directory that holds the input files under
-fixed names.  The result must equal ``tests/data/cli_transcript.txt`` line for line.  A change
-that moves these bytes on purpose rewrites the file with
+Every command runs through ``cli.main`` in one fresh interpreter, with BLAS on one thread as
+under ``getk``, in a temporary directory that holds the input files under fixed names.  The
+result must equal ``tests/data/cli_transcript.txt`` line for line.  A change that moves these
+bytes on purpose rewrites the file with
 
     PYTHONPATH=src python tests/test_cli_transcript.py --write
 
@@ -114,7 +114,7 @@ def transcript() -> str:
     """Run every command in one fresh interpreter and render what each printed."""
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
-    env.update(GE_SEED="0", PYTHONPATH=str(TESTS.parent / "src"))
+    env["PYTHONPATH"] = str(TESTS.parent / "src")
     with tempfile.TemporaryDirectory() as cwd:
         for name, text in INPUTS.items():
             Path(cwd, name).write_text(text)

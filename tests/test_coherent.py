@@ -386,7 +386,7 @@ class TestHighestWeightPurity:
         space = ObservableSpace([np.diag([1.0, 1.0, -1.0, -1.0]) / 2], sites=sites)
         assert not space.irreducible_lie
         assert highest_weight_purity(space, seed=0) is None
-        value, source = numeric_max_reference(space, 0)
+        value, source = numeric_max_reference(space)
         assert source == "numerical"
         assert value == pytest.approx(0.25 if sites == 1 else 0.125, abs=1e-12)
 
@@ -395,13 +395,12 @@ class TestHighestWeightPurity:
                                      "local:2x5", "su2-spin:1/2", "su2-spin:5", "su2-spin:200"]),
         catalog.restricted_local_spins(1), catalog.restricted_local_spins(2.5),
     ], ids=lambda space: space.label)
-    @pytest.mark.parametrize("seed", [0, 7])
-    def test_reference_is_omega_purity_of_the_state(self, space, seed):
+    def test_reference_is_omega_purity_of_the_state(self, space):
         # one measurement of the raw purity: the reference is omega_purity's value, bit for bit
         assert space.irreducible_lie
-        value, source = numeric_max_reference(space, seed)
+        value, source = numeric_max_reference(space)
         assert source == "highest-weight"
-        assert omega_purity(highest_weight_state(space, seed), space) == value
+        assert omega_purity(highest_weight_state(space), space) == value
 
     def test_negative_seed_refused(self):
         for estimate in (highest_weight_purity, max_purity_estimate):
@@ -494,13 +493,13 @@ class TestStabilizerBracket:
         check_certificates(FIVE_CYCLE, commuting, split)
         assert (len(commuting), split) == (2, None)
         assert brute_force_bracket(FIVE_CYCLE) == (2, 3)
-        value, source = numeric_max_reference(space, 0)
+        value, source = numeric_max_reference(space)
         assert source == "numerical" and 2 / 4 - 1e-12 <= value <= 3 / 4 + 1e-12
 
     @pytest.mark.parametrize("name, value", [
         ("omega3", 3 / 8), ("omega-prime-loc", 1 / 2), ("so4-fermi", 1 / 2)])
     def test_catalog_references_are_exact(self, name, value):
-        assert numeric_max_reference(catalog.named_algebra(name), 0) == (value, "stabilizer")
+        assert numeric_max_reference(catalog.named_algebra(name)) == (value, "stabilizer")
 
     @pytest.mark.parametrize("name", ["omega2-paper-values", "omega4"])
     def test_catalog_spaces_left_to_the_fixed_point(self, name):
@@ -508,8 +507,8 @@ class TestStabilizerBracket:
         # omega4 has 27 words, above the cap.  Both carry their maximum, which the fixed
         # point would only approach, so that is the reference
         space = catalog.named_algebra(name)
-        assert numeric_max_reference(space, 0) == (3 / 8, "analytic") == (space.max_purity,
-                                                                         "analytic")
+        assert numeric_max_reference(space) == (3 / 8, "analytic") == (space.max_purity,
+                                                                      "analytic")
         if space.size <= STABILIZER_WORD_CAP:
             assert stabilizer_bracket(space)[1] is None
 
@@ -574,9 +573,9 @@ class TestStabilizerBracket:
         # the first 24 of these words close their bracket; all 25 are over the cap, so the
         # fixed point runs and no search starts
         words = seeded_words(0, 3, STABILIZER_WORD_CAP + 1)
-        assert numeric_max_reference(ObservableSpace(words[:-1]), 0)[1] == "stabilizer"
+        assert numeric_max_reference(ObservableSpace(words[:-1]))[1] == "stabilizer"
         monkeypatch.setattr("getk.purity.stabilizer_bracket", None)
-        assert numeric_max_reference(ObservableSpace(words), 0)[1] == "numerical"
+        assert numeric_max_reference(ObservableSpace(words))[1] == "numerical"
 
 
 class TestGradient:

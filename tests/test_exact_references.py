@@ -22,7 +22,8 @@ import pytest
 
 from getk import catalog, coherent, purity, states
 from getk.coherent import gaussians
-from getk.operators import ObservableSpace, QuantumState, gell_mann_basis, partial_trace, seeded_rng
+from getk.operators import (ObservableSpace, QuantumState, anticommutation_rows, gell_mann_basis,
+                            partial_trace, seeded_rng)
 from getk.purity import highest_weight_state, omega_purity, rescaled_purity
 from random_states import random_density_state, random_pure_state
 
@@ -155,6 +156,55 @@ class TestU2Bound:
         p00, p01, p10, p11, _ = self.parts(state)
         assert omega_purity(state, u2) == ((p00 - p11) ** 2 + (p01 + p10) ** 2) / 2 == 0.5
         assert u2.max_purity == 0.5
+
+
+def uniform_theta_matrix(space: ObservableSpace) -> list:
+    """A with 1 on the diagonal and on commuting pairs, -1/2 on anticommuting pairs.
+
+    Its entries are 1 off the edges of the anticommutation graph, so lambda_max(A) bounds the
+    graph's Lovasz theta, which bounds sum_a <P_a>^2 on every state (de Gois, Hansenne &
+    Gühne 2023; Xu, Schwonnek & Winter 2024).  Raw purity is that sum over dim."""
+    return [[Fraction(-1, 2) if anti else Fraction(1) for anti in row]
+            for row in anticommutation_rows(space.masks, space.dim)]
+
+
+def is_psd(m: list) -> bool:
+    """Exact positive semidefiniteness of a symmetric Fraction matrix, by LDL^T: each pivot
+    must be >= 0, and a zero pivot's row must be zero."""
+    m, n = [row[:] for row in m], len(m)
+    for k in range(n):
+        pivot = m[k][k]
+        if pivot < 0 or (pivot == 0 and any(m[k][k + 1:])):
+            return False
+        if pivot == 0:
+            continue
+        for i in range(k + 1, n):
+            factor = m[i][k] / pivot
+            if factor:
+                for j in range(k + 1, n):
+                    m[i][j] -= factor * m[k][j]
+    return True
+
+
+class TestThetaCertificates:
+    @pytest.mark.parametrize("name, words", [("omega4", 27), ("omega2-paper-values", 15)])
+    def test_uniform_matrix_certifies_three_eighths(self, name, words):
+        # 3 I - A >= 0 is lambda_max(A) <= 3, so raw purity <= 3/8, the maximum both carry
+        space = catalog.named_algebra(name)
+        a = uniform_theta_matrix(space)
+        assert len(a) == words and space.max_purity == 3 / 8
+        assert is_psd([[3 * (i == j) - x for j, x in enumerate(row)] for i, row in enumerate(a)])
+        assert not is_psd([[Fraction(299, 100) * (i == j) - x for j, x in enumerate(row)]
+                           for i, row in enumerate(a)])  # and 3 is its least such bound
+
+    def test_uniform_matrix_does_not_certify_omega2_literal(self):
+        # alpha = 4, but lambda_max(A) is about 8.37: this space needs a searched A
+        space = catalog.named_algebra("omega2-literal")
+        a = uniform_theta_matrix(space)
+        assert space.max_purity == 4 / 8
+        assert not is_psd([[4 * (i == j) - x for j, x in enumerate(row)]
+                           for i, row in enumerate(a)])
+        assert np.linalg.eigvalsh(np.array(a, dtype=float)).max() == pytest.approx(8.3739, abs=1e-4)
 
 
 @pytest.mark.parametrize("rescale", [None, "auto"])

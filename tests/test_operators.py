@@ -482,6 +482,19 @@ class TestObservableSpace:
         with pytest.raises(DimensionMismatch):
             space.contains(np.eye(4))
 
+    @pytest.mark.parametrize("name", ["omega4", "u2", "local:3x2"])  # words, dense, 3 sites
+    def test_norms_are_the_trace_form(self, name):
+        # |m| as the Frobenius norm, dim^2 work, is sqrt(Tr m^2) for Hermitian m, a dim^3 product
+        space, rng = catalog.named_algebra(name), np.random.default_rng(45)
+        for _ in range(4):
+            g = rng.normal(size=(space.dim,) * 2) + 1j * rng.normal(size=(space.dim,) * 2)
+            a = g + g.conj().T
+            residual = a - space.element(space.coefficients(a).real)
+            for got, m in zip(space._norms(a), (residual, a)):
+                want = np.sqrt(np.trace(m @ m).real)
+                assert abs(got - want) <= 1e-12 * want
+            assert space.residual_norm(a) == next(space._norms(a))
+
     @pytest.mark.parametrize("basis, sites", [
         (["XI", "IZ"], 3), (["XI", "IZ"], 0), (["X" * 11], 2), (gell_mann_basis(2), 2.9),
         (gell_mann_basis(2), 2.0), (gell_mann_basis(2), True), (["XI", "IZ"], False)],

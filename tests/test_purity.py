@@ -225,7 +225,7 @@ class TestResolveMaxReference:
     def test_number_text_is_read(self, ref):
         assert resolve_max_reference(catalog.omega1(), ref) == (0.5, "explicit")
 
-    def test_numerical_reference_computed_once_per_space_and_seed(self, monkeypatch):
+    def test_numerical_reference_computed_once_per_space(self, monkeypatch):
         calls = []
         real = coherent.max_purity_estimate
 
@@ -235,9 +235,8 @@ class TestResolveMaxReference:
 
         monkeypatch.setattr(coherent, "max_purity_estimate", counted)
         space = ObservableSpace(FIVE_CYCLE)  # its stabilizer bracket stays open
-        for seed in (0, 0, 1, 0, 1):
-            resolve_max_reference(space, "auto", seed)
-        assert calls == [{"seed": 0}, {"seed": 1}]
+        values = {resolve_max_reference(space, "auto") for _ in range(3)}
+        assert calls == [{}] and len(values) == 1
 
     def test_numerical_reference_memo_hits_for_a_space_with_identity(self, monkeypatch, tmp_path):
         # the space is not traceless, so each call goes through its traceless sector

@@ -553,17 +553,12 @@ class TestPurityCommand:
         assert err == ("error: rescaling reference must be auto, analytic or a positive finite "
                        f"number, got {value!r}\n")
 
-    def test_rescale_read_after_the_seed_and_the_traceless_part(self, capsys, monkeypatch,
-                                                                tmp_path):
+    def test_rescale_read_after_the_traceless_part(self, capsys, tmp_path):
         path = tmp_path / "identity.txt"
         path.write_text("II\n")
         code, _, err = run_cli(capsys, "purity", "--state", "bell:phi+",
                                "--algebra", f"custom:{path}", "--rescale", "foo")
         assert code == 2 and err == f"error: algebra 'custom:{path}' has no traceless part\n"
-        monkeypatch.setenv("GE_SEED", "-1")
-        code, _, err = run_cli(capsys, "purity", "--state", "w:3", "--algebra", "omega1",
-                               "--rescale", "foo")
-        assert code == 2 and err == "error: GE_SEED: expected a non-negative integer, got '-1'\n"
 
     def test_zero_denominator_in_names_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "purity", "--state", "spin:3/0,0",
@@ -891,24 +886,31 @@ class TestPurityCommand:
         assert proc.returncode == 0 and proc.stdout == plain.stdout
         assert int(proc.stderr.splitlines()[-1]) < 150 * 1024
 
-    def test_ge_seed_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("GE_SEED", "12345")
-        code, out, _ = run_cli(capsys, "purity", "--state", "bell:psi+", "--algebra", "u2")
-        assert code == 0 and "rescaled=0\n" in out
-        monkeypatch.setenv("GE_SEED", "not-a-number")
-        code, _, err = run_cli(capsys, "purity", "--state", "bell:psi+", "--algebra", "u2")
-        assert code == 2 and "GE_SEED" in err
+    @pytest.mark.parametrize("argv, source", [
+        (("purity", "--state", "w:3", "--algebra", "omega1", "--rescale", "auto", "--json"),
+         "highest-weight"),
+        (("purity", "--state", "bell:phi+", "--algebra", "custom:cycle.txt", "--json"),
+         "numerical"),  # an open stabilizer bracket: the fixed point
+        (("classify", "--state", "spin:3,3", "--algebra", "su2-spin:3"), None),
+        (("reproduce", "--table", "paper"), None),
+    ], ids=["highest-weight", "fixed-point", "classify", "reproduce"])
+    def test_output_depends_on_the_arguments_alone(self, monkeypatch, tmp_path, argv, source):
+        # no environment variable seeds a command: any GE_SEED, even one no integer reads,
+        # leaves every byte and exit code as they are without it
+        (tmp_path / "cycle.txt").write_text("IX\nIY\nXX\nYI\nZY\n")
+        monkeypatch.chdir(tmp_path)
 
-    @pytest.mark.parametrize("argv", [
-        ("purity", "--state", "w:3", "--algebra", "omega1"),  # analytic: the seed goes unused
-        ("classify", "--state", "w:3", "--algebra", "omega1", "--rescale", "auto"),
-        ("reproduce", "--table", "paper"),
-    ], ids=["purity-analytic", "classify-auto", "reproduce"])
-    def test_negative_ge_seed_refused(self, capsys, monkeypatch, argv):
-        monkeypatch.setenv("GE_SEED", "-1")
-        code, out, err = run_cli(capsys, *argv)
-        assert (code, out) == (2, "")
-        assert err == "error: GE_SEED: expected a non-negative integer, got '-1'\n"
+        def outcome():
+            proc = _run_getk(*argv)
+            return proc.returncode, proc.stdout, proc.stderr
+
+        monkeypatch.delenv("GE_SEED", raising=False)
+        want = outcome()
+        assert want[0] == 0
+        assert source is None or f'"reference_source": "{source}"' in want[1]
+        for value in ("7", "-1", "abc"):
+            monkeypatch.setenv("GE_SEED", value)
+            assert outcome() == want, value
 
 
 class TestClassifyCommand:
