@@ -23,6 +23,7 @@ import numpy as np
 MAX_DIM = 1024  # largest Hilbert-space dimension a state or an algebra may allocate
 MAX_ENTRIES = 4 * MAX_DIM ** 2  # words x dim of a word space; size x dim^2 of a numerical reference
 _BLOCK_ENTRIES = 2 ** 14  # entries a blocked kernel takes at once, so temporaries stay O(block)
+_PANEL = 64  # columns of a positivity-factor panel: at MAX_DIM 1 MB, below numpy's huge-page size
 
 # Fixed numerical policy: dimensions stay small (<= MAX_DIM), so double
 # precision leaves several orders of headroom around these cutoffs.
@@ -238,15 +239,21 @@ def _decide_site_lie(space) -> bool:
 
 def _factors_with_shift(m) -> bool:
     """Whether m + (EQUALITY_TOL/2) I has a Cholesky factor, read from m's lower triangle as
-    ``eigvalsh`` reads it; True proves no eigenvalue below -EQUALITY_TOL (Higham 2002, 10.1)."""
-    # left-looking: one matrix-vector product per column, one n x n factor, no shifted copy
-    f = np.empty_like(m)
-    for k in range(len(m)):
-        col = m[k:, k] - f[k:, :k] @ f[k, :k].conj()
+    ``eigvalsh`` reads it; True proves no eigenvalue below -EQUALITY_TOL (Higham 2002, 10.1).
+    The factor is held in panels of ``_PANEL`` columns, panel p only from row p * _PANEL
+    down, so it takes about half of an n x n array; up to ``_PANEL`` rows it is one panel."""
+    # left-looking: one matrix-vector product per panel and column, no shifted copy
+    n, panels = len(m), []
+    for k in range(n):
+        if k % _PANEL == 0:
+            panels.append(np.empty((n - k, min(_PANEL, n - k)), complex))
+        col = m[k:, k]
+        for s, f in zip(range(0, n, _PANEL), panels):  # columns s.. from row s; last: k's panel
+            col = col - f[k - s:, :k - s] @ f[k - s, :k - s].conj()
         pivot = col[0].real + EQUALITY_TOL / 2
         if not pivot > 0:
             return False
-        f[k + 1:, k] = col[1:] / pivot ** 0.5  # the diagonal is never read again
+        f[k - s + 1:, k - s] = col[1:] / pivot ** 0.5  # the diagonal is never read again
     return True
 
 

@@ -9,14 +9,14 @@ number superpositions (|00> +- |11>)/sqrt2.
 
 A state file is read as a stream (``_stream_state_file``): ``_CHUNK`` characters
 at a time, its top-level object member by member with json's public
-``JSONDecoder.raw_decode``, and each row of a top-level ``"matrix"`` array into a
-float array as soon as the row is whole, so neither the whole text nor the
-nested lists of a density matrix are ever held.  A text that is not one complete
-JSON object (malformed, truncated, a BOM, trailing data, another top-level
-value) is read whole by ``json.load`` instead, so the state or the error is
-json's.  ``dim`` is checked against ``MAX_DIM`` before the rows are stacked into
-one matrix, and the rows are dropped before the matrix is validated.  ``json``
-loads only when a file is read.
+``JSONDecoder.raw_decode``, and each row of a top-level ``"matrix"`` array is
+written into one (n, n, 2) float array as soon as the row is whole, so neither the
+whole text, nor the nested lists, nor a second copy of a density matrix is ever
+held: that array's complex view is rho.  A text that is not one complete JSON
+object (malformed, truncated, a BOM, trailing data, another top-level value) is
+read whole by ``json.load`` instead, so the state or the error is json's.
+``dim`` is checked against ``MAX_DIM`` before the entries are read as complex
+numbers.  ``json`` loads only when a file is read.
 """
 
 import os
@@ -26,7 +26,7 @@ import stat
 import numpy as np
 
 from . import StateParseError, fermion, read_json_file, whole_number
-from .operators import QuantumState, checked_dim, spin_basis_state
+from .operators import MAX_DIM, QuantumState, checked_dim, spin_basis_state
 
 
 def _even(dim: int, indices, signs=1) -> QuantumState:
@@ -207,10 +207,14 @@ class _StateText:
                     return value
             self.more()
 
-    def rows(self) -> list:
-        """The array at ``pos``, each element through ``_matrix_row`` as soon as it is read."""
+    def rows(self):
+        """The array at ``pos``, each element through ``_matrix_row`` as soon as it is read.
+        A first row of n <= ``MAX_DIM`` [re, im] pairs allocates one (n, n, 2) float array,
+        and each such row is copied into it and dropped; the rows written are returned as one
+        array.  Any other element (a row of another shape, an (n+1)-th row) turns the rows
+        written so far into a list of row arrays, which takes it and every later element."""
         self.take("[")
-        rows = []
+        rows, matrix, filled = [], None, 0
         if self.peek() == "]":
             self.pos += 1
             return rows
@@ -218,9 +222,18 @@ class _StateText:
             self.peek()
             if self.pos >= self.cut:
                 self.cut = self._row_end()
-            rows.append(_matrix_row(self.value()))
+            row = _matrix_row(self.value())
+            shape = getattr(row, "shape", ())
+            if not (rows or filled) and shape[1:] == (2,) and shape[0] <= MAX_DIM:
+                matrix = np.empty((shape[0], *shape))
+            if matrix is not None and filled < len(matrix) and shape == matrix.shape[1:]:
+                matrix[filled], filled = row, filled + 1
+            else:
+                if matrix is not None:
+                    rows, matrix = list(matrix[:filled]), None
+                rows.append(row)
             if self.take(",]") == "]":
-                return rows
+                return rows if matrix is None else matrix[:filled]
 
     def _row_end(self) -> int:
         """Past the last row end that ``value`` would accept, reading on until there is
@@ -278,9 +291,9 @@ def _stream_state_file(path: str) -> dict | None:
 
 
 def state_from_json_dict(obj: dict) -> QuantumState:
-    """The state a decoded state file describes.  A ``"matrix"`` is taken out of ``obj``,
-    so its rows are freed once they are joined into one matrix, before that matrix is
-    validated."""
+    """The state a decoded state file describes.  A ``"matrix"`` is taken out of ``obj``:
+    streamed, it is the array its rows were written into, and rho is that array's complex
+    view; as nested lists, it is freed once it is one matrix, before that is validated."""
     try:
         dim = checked_dim(whole_number(obj["dim"]), 1)  # before any entry is decoded
         kind = obj.get("kind", "pure" if "amplitudes" in obj else "density")

@@ -14,6 +14,9 @@ METHODS = ("exclusive", "inclusive")  # statistics.quantiles' two methods; both 
 ROUNDING = 1.5e-6  # runs and quartiles are each written to 6 decimals
 RECORDS = [path for path in sorted(ROOT.glob("BENCH_*.json"))
            if LAYOUT <= json.loads(path.read_text()).keys()]
+# the records in the layout written before a record named its quartile method
+UNNAMED = {f"BENCH_{name}.json" for name in ("compile_ahead", "compile_order", "exact_references",
+                                              "psd_cholesky", "regular_element", "span_rule")}
 
 
 def _metrics(record):
@@ -32,9 +35,11 @@ def _follows(record, method) -> bool:
 
 
 def test_the_layout_is_found_and_a_new_record_names_its_method():
-    assert len(RECORDS) >= 7
-    newest = json.loads((ROOT / "BENCH_coherent_off_path.json").read_text())
-    assert LAYOUT <= newest.keys() and newest["quartile_method"] in METHODS
+    assert {path.name for path in RECORDS} >= UNNAMED | {
+        "BENCH_coherent_off_path.json", "BENCH_no_seed.json", "BENCH_one_matrix.json"}
+    for path in RECORDS:
+        if path.name not in UNNAMED:
+            assert json.loads(path.read_text()).get("quartile_method") in METHODS, path.name
 
 
 @pytest.mark.parametrize("path", RECORDS, ids=lambda path: path.stem)

@@ -604,15 +604,37 @@ class TestQuantumState:
         with pytest.raises(ValueError, match="negative eigenvalue -5.000e-01"):
             QuantumState(rho=np.diag([1.5, -0.5]).astype(complex))
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 16, 64, 243])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 16, 63, 64, 65, 128, 129, 243])
     def test_positivity_verdict_is_the_eigvalsh_rule(self, d):
         # the least eigenvalue at or above 0 (rank-deficient), near the factor's shift
-        # -EQUALITY_TOL/2, near the threshold -EQUALITY_TOL, and far below it
+        # -EQUALITY_TOL/2, near the threshold -EQUALITY_TOL, and far below it; 63 to 129
+        # put the last column on either side of the factor's 64-column panel edges
         rng = np.random.default_rng(d)
         bands = (0.0, -EQUALITY_TOL / 2, -EQUALITY_TOL, -1e-3)
         for least in [1.0] if d == 1 else [band * scale for band in bands for scale in (0.9, 1.1)]:
             m = spectrum_density(d, least, rng)
             assert density_verdict(m) == eigvalsh_rule(m), (d, least)
+
+    @pytest.mark.parametrize("d", [2, 63, 64, 65, 128, 129, 243])
+    def test_panelled_factor_decides_as_one_whole_factor(self, d):
+        # the reference: one n x n factor, the arithmetic the panels run in another order
+        def whole(m):
+            f = np.empty_like(m)
+            for k in range(len(m)):
+                col = m[k:, k] - f[k:, :k] @ f[k, :k].conj()
+                pivot = col[0].real + EQUALITY_TOL / 2
+                if not pivot > 0:
+                    return False
+                f[k + 1:, k] = col[1:] / pivot ** 0.5
+            return True
+
+        rng = np.random.default_rng(d)
+        verdicts = []
+        for least in (1e-3, -EQUALITY_TOL / 4, -EQUALITY_TOL, -1e-3):
+            m = spectrum_density(d, least, rng)
+            verdicts.append(operators._factors_with_shift(m))
+            assert verdicts[-1] == whole(m), (d, least)
+        assert verdicts == [True, True, False, False]
 
     @pytest.mark.parametrize("lower_accepts", [True, False])
     def test_positivity_reads_the_lower_triangle(self, lower_accepts):
