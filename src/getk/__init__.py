@@ -8,12 +8,13 @@ modes (:mod:`getk.fermion`), and exact no-signalling box polytopes
 (:mod:`getk.boxes`).  :mod:`getk.boxes` is pure ``int`` and ``Fraction`` code
 and does not import numpy.
 
-The package itself exports four names, which live here, in the one module every
+The package itself exports five names, which live here, in the one module every
 command runs anyway, so that no module loads another just to share them: the three
 input helpers that state files and box-table files share (:class:`StateParseError`,
 :func:`read_json_file` and :func:`whole_number`), so that reading a state file runs no
-box code, and :class:`Frozen`, the base of getk's immutable values.  For everything
-else, import the submodule you need.
+box code; :func:`parse_number_token`, the spin reader of state names and algebra names;
+and :class:`Frozen`, the base of getk's immutable values.  For everything else, import
+the submodule you need.
 
 Neither helper's stdlib loads with the package: ``json`` is imported when a JSON file
 is read, and ``fractions`` (with the ``decimal`` it loads) when a number that is not a
@@ -111,3 +112,17 @@ def whole_number(value) -> int:
     if exact.denominator != 1:
         raise ValueError(f"expected an integer, got {value!r}")
     return exact.numerator
+
+
+def parse_number_token(token: str) -> float:
+    """A number written as a decimal ("1.5") or as a fraction of integers ("3/2")."""
+    token = token.strip()
+    if "/" in token:
+        num, den = token.split("/", 1)
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in {token!r}")
+        try:
+            return float(int(num)) / float(int(den))
+        except OverflowError:
+            raise ValueError(f"{token!r} is too large for a float") from None
+    return float(token)

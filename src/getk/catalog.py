@@ -12,10 +12,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import fermion
+from . import fermion, parse_number_token
 from .operators import (MAX_DIM, ObservableSpace, checked_dim, gell_mann_basis, pauli_string,
                         spin_generators)
-from .states import parse_number_token
 
 MAX_SITE_DIM = math.isqrt(MAX_DIM)  # 32: the largest site of any two-site space
 

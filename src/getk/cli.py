@@ -210,7 +210,7 @@ def _cmd_reproduce(args) -> int:
 _STATE = ("--state", "required", None, "builtin name or JSON state file")
 _ALGEBRA = ("--algebra", "required", None, "catalog name (e.g. omega1, u2, local:2x2)")
 _RESCALE = ("--rescale", "value", None, "auto | analytic | explicit reference value")
-_TOL = ("--tol", "value", 1e-8, None)
+_TOL = ("--tol", "value", None, None)
 _JSON = ("--json", "switch", False, None)
 _SIZE = ("--size", "required", None, "NA,MA,NB,MB (or NA,MA for a symmetric pair)")
 _BOX_STATE = ("--state", "required", None, "JSON box-table file")

@@ -4,18 +4,18 @@ Provides spin coherent states in closed form, group-orbit sampling through the
 matrix exponential, and the fixed-point estimate of the maximal raw purity: the
 reference of a space that gets no exact one (``purity.numeric_max_reference``)
 and carries no maximum.  The spin-J generators and |J, m> states live in
-``operators``, the exact references in ``purity``.  The fixed point draws from the
-stdlib ``random.Random`` of ``operators.seeded_rng``, as do the seeded checks of
-``reproduce``, so no purity or reproduce command loads ``numpy.random``.
+``operators``, the exact references in ``purity``.  The fixed point draws through
+``operators.gaussians`` from the stdlib ``random.Random`` of ``operators.seeded_rng``, as
+do the seeded checks of ``reproduce``, so no purity or reproduce command loads
+``numpy.random``.
 """
 
 import math
-import random
 
 import numpy as np
 
 from .operators import (EQUALITY_TOL, MAX_ENTRIES, ROUNDOFF_ALLOWANCE, ObservableSpace,
-                        QuantumState, assert_hermitian, checked_spin, seeded_rng)
+                        QuantumState, assert_hermitian, checked_spin, gaussians, seeded_rng)
 
 _RESTARTS = 32  # seeded random starts of the fixed-point search
 _MAX_FIXED_POINT_STEPS = 1000  # per restart; catalog algebras stop rising within 40 steps
@@ -55,11 +55,6 @@ def orbit_sample(omega: ObservableSpace, reference: QuantumState, angles) -> Qua
     u = (evecs * np.exp(1.0j * w)) @ evecs.conj().T  # exp(i h)
     v = u @ reference.vector
     return QuantumState(vector=v / np.linalg.norm(v))
-
-
-def gaussians(rng: random.Random, n: int) -> np.ndarray:
-    """n standard normal draws from ``rng``, in order."""
-    return np.array([rng.gauss(0.0, 1.0) for _ in range(n)])
 
 
 def max_purity_estimate(omega: ObservableSpace, seed: int = 0) -> float:

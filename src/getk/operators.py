@@ -99,6 +99,11 @@ def seeded_rng(seed: int) -> random.Random:
     return random.Random(seed)
 
 
+def gaussians(rng: random.Random, n: int) -> np.ndarray:
+    """n standard normal draws from ``rng``, in order."""
+    return np.array([rng.gauss(0.0, 1.0) for _ in range(n)])
+
+
 def kron_all(factors) -> np.ndarray:
     out = np.asarray(factors[0], dtype=complex)
     for f in factors[1:]:
@@ -481,7 +486,7 @@ class ObservableSpace:
 
     def regular_eigenbasis(self, rng: random.Random) -> tuple[np.ndarray, np.ndarray | None]:
         """(w, v): eigenvalues and eigenvectors (None: the standard basis) of a seeded element of
-        one site, c_a = rng.gauss(0, 1) in turn: sum_a c_a d_a over its diagonal elements (diagonal
+        one site, c = gaussians(rng, ...) in turn: sum_a c_a d_a over its diagonal elements (diagonal
         site-basis elements, or words with x = 0) if its entries are distinct, summed elementwise
         (an einsum or a product loads kernels that add resident pages); else eigh of the element
         sum_a c_a x_a of ``site_element``, the stream going on."""
@@ -490,11 +495,10 @@ class ObservableSpace:
         else:
             signs, idx = _parity_signs(self.dim) / np.sqrt(self.dim), np.arange(self.dim)
             diagonals = [signs[z & idx] for x, z in self.masks.tolist() if not x]
-        w = sum(rng.gauss(0, 1) * d for d in diagonals)  # 0 when there are none
+        w = sum(c * d for c, d in zip(gaussians(rng, len(diagonals)), diagonals))  # 0 if none
         if np.size(w) > 1 and _simple_spectrum(w):
             return w, None
-        c = [rng.gauss(0, 1) for _ in range(self.size // self.sites)]
-        return np.linalg.eigh(self.site_element(c))
+        return np.linalg.eigh(self.site_element(gaussians(rng, self.size // self.sites)))
 
     def site_element(self, c) -> np.ndarray:
         """sum_a c_a x_a over one site's basis; a word space is one site, filled from its masks."""

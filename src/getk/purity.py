@@ -60,13 +60,14 @@ class PurityReport(Frozen):
             "max_reference": self.max_reference,
         }
 
-    def unentangled(self, tol: float | str) -> bool:
-        """The maximal-purity verdict: rescaled purity within ``tol`` (finite, >= 0) of 1.
-
-        Mixed states are rejected: their verdict needs a convex decomposition search."""
+    def unentangled(self, tol: float | str | None = None) -> bool:
+        """The maximal-purity verdict: rescaled purity within ``tol`` (finite, >= 0; None is
+        ``ROUNDOFF_ALLOWANCE``, the ceiling of :func:`rescaled_purity`) of 1.  Mixed states
+        are rejected: their verdict needs a convex decomposition search."""
         if not self.pure:
             raise ValueError("the maximal-purity test applies to pure states only")
-        if not (math.isfinite(value := _number(tol)) and value >= 0):
+        value = ROUNDOFF_ALLOWANCE if tol is None else _number(tol)
+        if not (math.isfinite(value) and value >= 0):
             raise ValueError(f"tolerance must be a finite non-negative number, got {tol!r}")
         return bool(self.rescaled >= 1.0 - value)
 

@@ -14,14 +14,11 @@ from typing import Callable
 import numpy as np
 
 from . import Frozen, boxes, catalog, coherent, fermion, states
-from .operators import (QuantumState, kron_all, lie_closure, orthonormalize, partial_trace,
-                        pauli_string, seeded_rng, spin_basis_state, spin_generators)
-from .purity import (
-    expectations_indistinguishable,
-    invariant_uncertainty,
-    omega_purity,
-    rescaled_purity,
-)
+from .operators import (EQUALITY_TOL, QuantumState, gaussians, kron_all, lie_closure,
+                        orthonormalize, partial_trace, pauli_string, seeded_rng, spin_basis_state,
+                        spin_generators)
+from .purity import (expectations_indistinguishable, invariant_uncertainty, omega_purity,
+                     rescaled_purity)
 
 
 def _fmt(x) -> str:
@@ -50,6 +47,8 @@ _P1_GOLD = {"product": 1.0, "bisep:12": 1 / 3, "bisep:13": 1 / 3, "bisep:23": 1 
             "w:3": 1 / 9, "ghz:3": 0.0}
 _P2_GOLD = {"product": 1.0, "bisep:12": 1.0, "bisep:13": 1 / 3, "bisep:23": 1 / 3,
             "ghz:3": 1 / 3, "w:3": 11 / 27}
+_TOP_TOL = 1e-9  # how far a measured maximal rescaled purity may sit from 1
+_ZERO_TOL = 1e-12  # how far a measured purity of zero may sit from 0
 
 
 def omega2_value_table() -> dict:
@@ -155,7 +154,7 @@ class _Run:
     def spin_extremes(self, j):
         space = catalog.spin_algebra(j)
         top, bottom, center = (rescaled_purity(spin_basis_state(j, m), space)
-                               .unentangled(1e-8) for m in (j, -j, j % 1))
+                               .unentangled() for m in (j, -j, j % 1))
         return (top and bottom and not center,
                 f"top={_bool(top)} bottom={_bool(bottom)} center={_bool(center)}")
 
@@ -163,9 +162,9 @@ class _Run:
         return invariant_uncertainty(spin_basis_state(3, 0), spin_generators(3))
 
     def full_algebra_unentangled(self):
-        psi = coherent.gaussians(seeded_rng(17), 8).view(complex)
+        psi = gaussians(seeded_rng(17), 8).view(complex)
         return rescaled_purity(QuantumState(vector=psi / np.linalg.norm(psi)),
-                               catalog.local_algebra(1, 4)).unentangled(1e-8)
+                               catalog.local_algebra(1, 4)).unentangled()
 
     def orbit_purity_drift(self):
         space = catalog.spin_algebra(2)
@@ -173,7 +172,7 @@ class _Run:
         st = spin_basis_state(2, 2)
         worst = 0.0
         for _ in range(5):
-            moved = coherent.orbit_sample(space, st, 0.7 * coherent.gaussians(rng, space.size))
+            moved = coherent.orbit_sample(space, st, 0.7 * gaussians(rng, space.size))
             worst = max(worst, abs(rescaled_purity(moved, space).rescaled - 1.0))
         return worst
 
@@ -188,7 +187,7 @@ class _Run:
         center = spin_basis_state(1, 0)
         hi = rescaled_purity(scs_pair, space).rescaled
         lo = rescaled_purity(center.tensor(center), space).rescaled
-        return (abs(hi - 1) <= 1e-9 and abs(lo) <= 1e-12,
+        return (abs(hi - 1) <= _TOP_TOL and abs(lo) <= _ZERO_TOL,
                 f"scs-pair={_fmt(hi)} center-pair={_fmt(lo)}")
 
     # --- fermionic dictionary --------------------------------------------
@@ -225,7 +224,7 @@ class _Run:
         worst_hi = max(abs(rescaled_purity(st, fu2).rescaled - 1.0) for st in hi)
         worst_lo = max(omega_purity(states.builtin_state(f"bell:{k}"), fu2)
                        for k in ("psi+", "psi-"))
-        return (worst_hi <= 1e-9 and worst_lo <= 1e-12,
+        return (worst_hi <= _TOP_TOL and worst_lo <= _ZERO_TOL,
                 f"max|1-P|={_fmt(worst_hi)} max-zero={_fmt(worst_lo)}")
 
     def so4_u2_residual(self):
@@ -293,7 +292,7 @@ class Check(Frozen):
     __slots__ = ("name", "measure", "expected", "tol")
 
     def __init__(self, name: str, measure: Callable, expected: float | bool | None = None,
-                 tol: float = 1e-10):
+                 tol: float = EQUALITY_TOL):
         super().__init__(name, measure, expected, tol)
 
     def result(self, run: _Run) -> tuple[bool | None, str]:

@@ -25,7 +25,7 @@ import stat
 
 import numpy as np
 
-from . import StateParseError, fermion, read_json_file, whole_number
+from . import StateParseError, fermion, parse_number_token, read_json_file, whole_number
 from .operators import MAX_DIM, QuantumState, checked_dim, spin_basis_state
 
 
@@ -63,20 +63,6 @@ def _bisep(pair: str) -> QuantumState:
     if pair not in both:
         raise StateParseError(f"biseparable pair must be 12, 13 or 23, got {pair!r}")
     return _even(8, [0, both[pair]])
-
-
-def parse_number_token(token: str) -> float:
-    """A number written as a decimal ("1.5") or as a fraction of integers ("3/2")."""
-    token = token.strip()
-    if "/" in token:
-        num, den = token.split("/", 1)
-        if int(den) == 0:
-            raise ValueError(f"zero denominator in {token!r}")
-        try:
-            return float(int(num)) / float(int(den))
-        except OverflowError:
-            raise ValueError(f"{token!r} is too large for a float") from None
-    return float(token)
 
 
 def _spin(text: str) -> QuantumState:

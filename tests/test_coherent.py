@@ -554,14 +554,14 @@ class TestStabilizerBracket:
         if split is not None:
             assert abs(estimate - alpha) <= 1e-12, words
 
-    @pytest.mark.parametrize("seed", [127, 960, 1499, 1439])  # L = 2, 3, 3, 4; alpha = 2, 3, 2, 4
-    def test_an_open_bracket_holds_the_fixed_point(self, seed):
+    @pytest.mark.parametrize("seed, length, count", [  # alpha = 2, 3, 2, 4, 3, 2
+        (127, 2, 8), (960, 3, 8), (1499, 3, 7), (1439, 4, 10), (5531, 5, 8), (5686, 5, 8)])
+    def test_an_open_bracket_holds_the_fixed_point(self, seed, length, count):
         # where no split exists, the fixed point lies between the largest commuting set and the
         # fewest anticommuting sets covering the words (the commutation graph's chromatic
-        # number), both found by brute force: alpha / 2^L <= estimate <= chi / 2^L
-        rng = random.Random(seed)
-        length = rng.randint(2, 4)
-        words = seeded_words(seed, length, rng.randint(4, 10))
+        # number), both found by brute force: alpha / 2^L <= estimate <= chi / 2^L; at L = 5,
+        # seed 5686's estimate, 2.09 / 32, lies strictly inside its bracket
+        words = seeded_words(seed, length, count)
         space = ObservableSpace(words)
         assert stabilizer_bracket(space)[1] is None, words
         alpha, chi = brute_force_bracket(words)

@@ -21,9 +21,8 @@ import numpy as np
 import pytest
 
 from getk import catalog, coherent, purity, states
-from getk.coherent import gaussians
-from getk.operators import (ObservableSpace, QuantumState, anticommutation_rows, gell_mann_basis,
-                            partial_trace, seeded_rng)
+from getk.operators import (ObservableSpace, QuantumState, anticommutation_rows, gaussians,
+                            gell_mann_basis, partial_trace, seeded_rng)
 from getk.purity import highest_weight_state, omega_purity, rescaled_purity
 from random_states import random_density_state, random_pure_state
 
@@ -186,6 +185,11 @@ def is_psd(m: list) -> bool:
     return True
 
 
+def shifted(a: list, t) -> list:
+    """t I - A."""
+    return [[t * (i == j) - x for j, x in enumerate(row)] for i, row in enumerate(a)]
+
+
 class TestThetaCertificates:
     @pytest.mark.parametrize("name, words", [("omega4", 27), ("omega2-paper-values", 15)])
     def test_uniform_matrix_certifies_three_eighths(self, name, words):
@@ -193,18 +197,31 @@ class TestThetaCertificates:
         space = catalog.named_algebra(name)
         a = uniform_theta_matrix(space)
         assert len(a) == words and space.max_purity == 3 / 8
-        assert is_psd([[3 * (i == j) - x for j, x in enumerate(row)] for i, row in enumerate(a)])
-        assert not is_psd([[Fraction(299, 100) * (i == j) - x for j, x in enumerate(row)]
-                           for i, row in enumerate(a)])  # and 3 is its least such bound
+        assert is_psd(shifted(a, 3))
+        assert not is_psd(shifted(a, Fraction(299, 100)))  # and 3 is its least such bound
 
     def test_uniform_matrix_does_not_certify_omega2_literal(self):
         # alpha = 4, but lambda_max(A) is about 8.37: this space needs a searched A
         space = catalog.named_algebra("omega2-literal")
         a = uniform_theta_matrix(space)
         assert space.max_purity == 4 / 8
-        assert not is_psd([[4 * (i == j) - x for j, x in enumerate(row)]
-                           for i, row in enumerate(a)])
+        assert not is_psd(shifted(a, 4))
         assert np.linalg.eigvalsh(np.array(a, dtype=float)).max() == pytest.approx(8.3739, abs=1e-4)
+
+    def test_a_searched_matrix_certifies_omega2_literal(self):
+        # the 15 first-pair words anticommute at -1, and IIX, IIY, IIZ, pairwise anticommuting,
+        # at -3; first-pair words commute with the third qubit's.  4 I - A >= 0 is
+        # lambda_max(A) <= 4, so raw purity <= 4/8, the 1/2 the space carries, and 4 is the
+        # least bound this A gives
+        space = catalog.named_algebra("omega2-literal")
+        third = [(x | z) < 2 for x, z in space.masks.tolist()]  # the words on qubit 3 alone
+        a = [[Fraction(-3 if third[i] and third[j] else -1) if anti else Fraction(1)
+              for j, anti in enumerate(row)]
+             for i, row in enumerate(anticommutation_rows(space.masks, space.dim))]
+        assert (len(a), sum(third), space.max_purity) == (18, 3, 4 / 8)
+        assert sum(x == -3 for row in a for x in row) == 6  # the three pairs, both ways
+        assert is_psd(shifted(a, 4))
+        assert not is_psd(shifted(a, Fraction(399, 100)))
 
 
 @pytest.mark.parametrize("rescale", [None, "auto"])

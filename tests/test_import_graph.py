@@ -106,6 +106,14 @@ def test_the_span_rule_lives_in_in_span():
     assert sorted(owners) == ["operators._decide_site_lie", "operators._in_span"]
 
 
+def test_shared_helpers_have_one_home():
+    # the name-number reader lives in the package root, so catalog loads no state code to
+    # borrow it; every standard-normal draw from the seeded stream goes through one function
+    assert _relative_imports(PACKAGE / "catalog.py") == {"__init__", "operators", "fermion"}
+    owners = [o for path in sorted(PACKAGE.glob("*.py")) for o in _readers(path, "gauss")]
+    assert owners == ["operators.gaussians"]
+
+
 def test_no_module_constructs_a_json_decode_error():
     # json's own parsers read state files, so a malformed file gets json's message
     built = [f"{path.stem}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
@@ -116,20 +124,27 @@ def test_no_module_constructs_a_json_decode_error():
 
 
 def _loose_tolerances(path: Path) -> list:
-    """module:line of each float literal 0 < |x| < 1e-6 outside a module-level assignment."""
+    """module:line of each float literal 0 < |x| < 1e-6 that is not the whole value of a
+    module-level assignment; literals anywhere in reproduce's CHECKS rows are exempt."""
     tree = ast.parse(path.read_text())
-    named = {id(node) for stmt in tree.body if isinstance(stmt, (ast.Assign, ast.AnnAssign))
-             for node in ast.walk(stmt)}
+    named = set()
+    for stmt in tree.body:
+        if not isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            continue
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        if path.stem == "reproduce" and [getattr(t, "id", None) for t in targets] == ["CHECKS"]:
+            named |= {id(node) for node in ast.walk(stmt)}
+        named.add(id(stmt.value))
     return [f"{path.stem}:{node.lineno}" for node in ast.walk(tree)
             if isinstance(node, ast.Constant) and type(node.value) is float
             and 0 < abs(node.value) < 1e-6 and id(node) not in named]
 
 
 def test_every_tolerance_is_a_named_constant():
-    # a cutoff is named once, at module level, and read by name; reproduce's golden rows
-    # state their own tolerances
-    loose = [where for path in sorted(PACKAGE.glob("*.py")) if path.stem != "reproduce"
-             for where in _loose_tolerances(path)]
+    # a cutoff is named once, as the whole value of a module-level constant, and read by
+    # name: not a default, not an argument, not an entry of a table; only reproduce's
+    # golden rows state their own tolerances
+    loose = [where for path in sorted(PACKAGE.glob("*.py")) for where in _loose_tolerances(path)]
     assert loose == []
 
 

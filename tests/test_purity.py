@@ -348,6 +348,14 @@ class TestUnentanglementTest:
         with pytest.raises(ValueError, match="tolerance"):
             rescaled_purity(states.builtin_state("w:3"), catalog.omega1()).unentangled(tol)
 
+    def test_default_tolerance_is_the_roundoff_allowance(self):
+        # the verdict grants below 1 the roundoff that rescaled_purity grants above it
+        report = rescaled_purity(states.builtin_state("w:3"), catalog.omega1())
+        for rescaled, verdict in ((1 - operators.ROUNDOFF_ALLOWANCE, True),
+                                  (1 - 2 * operators.ROUNDOFF_ALLOWANCE, False)):
+            twin = type(report)(report.raw, rescaled, *report._fields()[2:])
+            assert twin.unentangled() is twin.unentangled(operators.ROUNDOFF_ALLOWANCE) is verdict
+
     def test_classify_calls_rescaled_purity_once(self, monkeypatch, capsys):
         # the verdict and its direction come from the report the record prints
         import getk.purity

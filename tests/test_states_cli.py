@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from getk import (Frozen, boxes, catalog, cli, coherent, fermion, operators, purity, reproduce,
-                  states, whole_number)
+from getk import (Frozen, boxes, catalog, cli, coherent, fermion, operators, parse_number_token,
+                  purity, reproduce, states, whole_number)
 from getk.operators import MAX_DIM, ObservableSpace, QuantumState, gell_mann_basis, pauli_string
 from random_states import perturbed_builtins, random_density_state
 from test_boxes import product_table
@@ -356,15 +356,16 @@ def test_every_register_dimension_is_checked(build, message):
 
 class TestNumberTokens:
     def test_forms(self):
-        assert states.parse_number_token("3/2") == 1.5
-        assert states.parse_number_token(" 2 ") == 2.0
-        assert states.parse_number_token("0.5") == 0.5
+        assert parse_number_token("3/2") == 1.5
+        assert parse_number_token(" 2 ") == 2.0
+        assert parse_number_token("0.5") == 0.5
 
     def test_zero_denominator(self):
         with pytest.raises(ValueError, match="zero denominator"):
-            states.parse_number_token("3/0")
+            parse_number_token("3/0")
 
     def test_catalog_uses_the_same_parser(self):
+        assert catalog.parse_number_token is states.parse_number_token is parse_number_token
         assert catalog.named_algebra("su2-spin:3/2") is catalog.spin_algebra(1.5)
 
 
